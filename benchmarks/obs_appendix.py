@@ -3,7 +3,7 @@
 Workflow::
 
     REPRO_OBS_DUMP=obs-dumps pytest benchmarks/test_ablation_2pc.py \
-        benchmarks/test_fanout_commit.py --benchmark-only -s
+        --benchmark-only -s
     python benchmarks/obs_appendix.py obs-dumps
 
 Each benchmark that calls :func:`bench_util.emit_metrics_dump` drops a

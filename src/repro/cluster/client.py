@@ -34,7 +34,9 @@ from repro.cluster.message import (
     decode_uid,
 )
 from repro.cluster.node import Node
+from repro.cluster.server import resolve_delegated
 from repro.cluster.transport import RpcTransport
+from repro.cluster.txn import COORDINATOR
 from repro.colours.colour import Colour, colour_set
 from repro.errors import (
     ActionAborted,
@@ -205,9 +207,6 @@ class ClusterClient:
         #: "no txn a server thinks is in-flight that the client thinks is
         #: finished" cross-check
         self.live_actions: Dict[Uid, ClusterAction] = {}
-        #: txn_id -> {"state": decided|delegated|ended, "tick": when};
-        #: mirrors the coordinator WAL's decision records with timestamps
-        self.txn_log: Dict[str, Dict[str, Any]] = {}
         #: node -> termination reapers currently retrying against it
         self.reaper_backlog: Dict[str, int] = {}
 
@@ -277,22 +276,16 @@ class ClusterClient:
             observer.on_action_created(action)
         return action
 
-    def _notify_terminated(self, action: ClusterAction) -> None:
+    def _terminated(self, action: ClusterAction, status: ActionStatus,
+                    outcome: Outcome) -> Outcome:
+        """Seal a finished action: status, tree unlink, observers."""
+        action.status = status
+        if action.parent is not None and action in action.parent.children:
+            action.parent.children.remove(action)
         self.live_actions.pop(action.uid, None)
         for observer in self.observers:
             observer.on_action_terminated(action)
-
-    def _note_txn(self, txn_id: str, state: str) -> None:
-        """Record a coordinator-side transaction transition for introspection.
-
-        Tracks what this client believes about each transaction it drove
-        (``decided`` — commit/abort logged here; ``delegated`` — outcome
-        durable at the last agent; ``ended`` — every participant acked).
-        The ClusterInspector cross-checks these against what servers report
-        as still in flight; an ``ended``/long-``decided`` transaction a
-        server still holds prepared is a drift.
-        """
-        self.txn_log[txn_id] = {"state": state, "tick": self.kernel.now}
+        return outcome
 
     # -- action factories -----------------------------------------------------
 
@@ -508,45 +501,32 @@ class ClusterClient:
                 continue
             permanent.append((colour, write_map))
         failed_colour: Optional[Colour] = None
-        index = 0
-        while index < len(permanent) and failed_colour is None:
-            colour, write_map = permanent[index]
-            if self._commute_eligible(action, colour, write_map):
-                # fully-commuting colour: one guaranteed-commit round, no
-                # prepare phase, nothing left for the finish fan-out
-                yield from self._commute_commit(action, colour, write_map,
-                                                parent_span=span)
-                if self.obs is not None:
-                    self.obs.count("colour_permanent_total",
-                                   colour=str(colour))
-                index += 1
-                continue
-            # maximal run of classic colours, preserving colour-order
-            # failure semantics: a failure cascades over later colours
-            run: List[Tuple[Colour, Dict[str, Set[Uid]]]] = []
-            while index < len(permanent) and not self._commute_eligible(
-                    action, *permanent[index]):
-                run.append(permanent[index])
-                index += 1
-            if len(run) == 1:
-                colour, write_map = run[0]
+        for commuting, run in itertools.groupby(
+                permanent,
+                key=lambda item: self._commute_eligible(action, *item)):
+            run = list(run)
+            if commuting:
+                # fully-commuting colours: one guaranteed-commit round each,
+                # no prepare phase, nothing left for the finish fan-out
+                for colour, write_map in run:
+                    yield from self._commute_commit(action, colour, write_map,
+                                                    parent_span=span)
+            elif len(run) == 1:
                 result = yield from self._two_phase_commit(
-                    action, colour, write_map, parent_span=span)
+                    action, *run[0], parent_span=span)
                 if result is None:
-                    failed_colour = colour
+                    failed_colour = run[0][0]
                 else:
                     decided.append(result)
-                    if self.obs is not None:
-                        self.obs.count("colour_permanent_total",
-                                       colour=str(colour))
             else:
+                # a maximal run of classic colours shares one prepare
+                # fan-out, preserving colour-order failure semantics: a
+                # failure cascades over later colours
                 newly_decided, failed_colour = yield from self._batched_prepare(
                     action, run, parent_span=span)
-                for txn_id, parts, colour in newly_decided:
-                    decided.append((txn_id, parts))
-                    if self.obs is not None:
-                        self.obs.count("colour_permanent_total",
-                                       colour=str(colour))
+                decided.extend(newly_decided)
+            if failed_colour is not None:
+                break
         if failed_colour is not None:
             action.status = ActionStatus.ACTIVE  # let abort run normally
             if span is not None:
@@ -578,11 +558,8 @@ class ClusterClient:
             for colour in action.colours:
                 self.obs.observe("commit_latency", span.duration,
                                  colour=str(colour), node=self.node.name)
-        action.status = ActionStatus.COMMITTED
-        if action.parent is not None and action in action.parent.children:
-            action.parent.children.remove(action)
-        self._notify_terminated(action)
-        return Outcome.COMMITTED
+        return self._terminated(action, ActionStatus.COMMITTED,
+                                Outcome.COMMITTED)
 
     def abort(self, action: ClusterAction):
         """Abort: undo and release on every involved server."""
@@ -593,64 +570,69 @@ class ClusterClient:
         action.status = ActionStatus.ABORTING
         yield from self._settle_children(action)
         span = self._op_span(action, "abort")
-        nodes = sorted(action.all_nodes())
         payload = {"action_uid": encode_uid(action.uid)}
-
-        def abort_one(node_name: str):
-            yield from self.transport.call(node_name, "abort_action",
-                                           dict(payload), trace_parent=span)
-
-        if self.obs is not None and nodes:
-            self.obs.observe("termination_fanout_width", len(nodes),
+        calls_for = {node_name: [("abort_action", payload)]
+                     for node_name in action.all_nodes()}
+        if self.obs is not None and calls_for:
+            self.obs.observe("termination_fanout_width", len(calls_for),
                              kind="abort")
-        handles = [
-            self.kernel.spawn(abort_one(n), name=f"abort:{action.uid}@{n}")
-            for n in nodes
-        ]
-        outcomes = yield settle_all(self.kernel, [h.join() for h in handles])
-        for node_name, (ok, _value) in zip(nodes, outcomes):
-            if ok:
-                continue
-            # Either the server is down (its volatile locks died with
-            # it) or we are partitioned from a *live* server that still
-            # holds the action's locks.  A background reaper keeps
-            # retrying until the abort lands — abort_action is
-            # idempotent, so over-delivery is harmless.
-            self._spawn_reaper(node_name, [("abort_action", dict(payload))],
-                               label=f"abort:{action.uid}")
+        # A server that does not answer is either down (its volatile locks
+        # died with it) or a *live* one we are partitioned from that still
+        # holds the action's locks: the fan-out's reaper keeps retrying
+        # until the abort lands — abort_action is idempotent, so
+        # over-delivery is harmless.
+        yield from self._fan_out(f"abort:{action.uid}", calls_for,
+                                 span=span, batched=False)
         if span is not None:
             span.set(outcome="aborted").finish()
-        action.status = ActionStatus.ABORTED
-        if action.parent is not None and action in action.parent.children:
-            action.parent.children.remove(action)
-        self._notify_terminated(action)
-        return Outcome.ABORTED
+        return self._terminated(action, ActionStatus.ABORTED, Outcome.ABORTED)
 
-    def _spawn_reaper(self, node_name: str, calls, label: str) -> None:
-        def reap_and_account():
-            # backlog bookkeeping brackets the reaper's whole life so the
-            # introspection layer can report how many terminations are
-            # still being chased per node (kill/crash included: the
-            # generator's close() runs the finally block)
-            self.reaper_backlog[node_name] = (
-                self.reaper_backlog.get(node_name, 0) + 1)
-            try:
-                result = yield from self._reap_termination(node_name, calls)
-            finally:
-                remaining = self.reaper_backlog.get(node_name, 1) - 1
-                if remaining > 0:
-                    self.reaper_backlog[node_name] = remaining
-                else:
-                    self.reaper_backlog.pop(node_name, None)
-            return result
+    def _fan_out(self, label: str,
+                 calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]],
+                 span=None, batched: bool = True, accept=None):
+        """Deliver each node's ``(kind, payload)`` calls in parallel: one
+        process and one network message per node, so the round costs the
+        slowest server, not the sum.
 
-        self.kernel.spawn(reap_and_account(), name=f"reap-{label}@{node_name}")
-        if self.obs is not None:
-            self.obs.count("termination_reapers_total", node=node_name)
+        ``batched`` ships a node's calls as one ``rpc_batch`` (dispatched
+        in order; any failing sub-call fails the node); otherwise each node
+        gets its single call as a plain RPC.  Returns ``{node: reply}`` for
+        the nodes that answered (and whose reply ``accept`` took, if
+        given).  Every other node gets a background reaper redelivering the
+        same calls — termination calls are all idempotent server-side.
+        """
+        nodes = sorted(calls_for)
 
-    def _reap_termination(self, node_name: str, calls,
-                          attempts: int = 30, pause: float = 15.0):
-        """Keep delivering termination calls a partition or crash swallowed.
+        def deliver(node_name: str):
+            calls = calls_for[node_name]
+            if batched:
+                outcomes = yield from self.transport.call_many(
+                    node_name, calls, trace_parent=span)
+                for ok, value in outcomes:
+                    if not ok:
+                        raise value
+                return [value for _ok, value in outcomes]
+            (kind, payload), = calls
+            reply = yield from self.transport.call(
+                node_name, kind, payload, trace_parent=span)
+            self._ack_forget(node_name, payload)  # a prepare may carry some
+            return reply
+
+        handles = [self.kernel.spawn(deliver(n), name=f"{label}@{n}")
+                   for n in nodes]
+        outcomes = yield settle_all(self.kernel, [h.join() for h in handles])
+        replies: Dict[str, Any] = {}
+        for node_name, (ok, value) in zip(nodes, outcomes):
+            if ok and (accept is None or accept(value)):
+                replies[node_name] = value
+            else:
+                self._spawn_reaper(node_name, calls_for[node_name], label)
+        return replies
+
+    def _spawn_reaper(self, node_name: str, calls, label: str,
+                      attempts: int = 30, pause: float = 15.0) -> None:
+        """Keep delivering, in the background, termination calls a
+        partition or crash swallowed.
 
         ``calls`` is a ``(kind, payload)`` batch — abort_action, txn_abort,
         or txn_commit+finish_commit — every one of which is idempotent
@@ -658,16 +640,34 @@ class ClusterClient:
         (or the budget runs out: a crashed server's volatile locks died
         with it, and its log-driven recovery resolves the rest) is safe.
         """
-        for _attempt in range(attempts):
-            yield Timeout(pause)
+        def reap():
+            # backlog bookkeeping brackets the reaper's whole life so the
+            # introspection layer can report how many terminations are
+            # still being chased per node (kill/crash included: the
+            # generator's close() runs the finally block)
+            self.reaper_backlog[node_name] = (
+                self.reaper_backlog.get(node_name, 0) + 1)
             try:
-                outcomes = yield from self.transport.call_many(
-                    node_name, calls, timeout=5.0, retries=1)
-            except RpcTimeout:
-                continue
-            if all(ok for ok, _ in outcomes):
-                return True
-        return False
+                for _attempt in range(attempts):
+                    yield Timeout(pause)
+                    try:
+                        outcomes = yield from self.transport.call_many(
+                            node_name, calls, timeout=5.0, retries=1)
+                    except RpcTimeout:
+                        continue
+                    if all(ok for ok, _ in outcomes):
+                        return True
+                return False
+            finally:
+                remaining = self.reaper_backlog.get(node_name, 1) - 1
+                if remaining > 0:
+                    self.reaper_backlog[node_name] = remaining
+                else:
+                    self.reaper_backlog.pop(node_name, None)
+
+        self.kernel.spawn(reap(), name=f"reap-{label}@{node_name}")
+        if self.obs is not None:
+            self.obs.count("termination_reapers_total", node=node_name)
 
     def run_scope(self, action: ClusterAction, body):
         """Run ``body`` (a generator taking nothing) under ``action``.
@@ -833,44 +833,19 @@ class ClusterClient:
             }))
             calls_for[node_name] = calls
 
-        def finish_one(node_name: str):
-            outcomes = yield from self.transport.call_many(
-                node_name, calls_for[node_name], trace_parent=parent_span)
-            for ok, value in outcomes:
-                if not ok:
-                    raise value
-            return True
-
         started = self.kernel.now
         if self.obs is not None and nodes:
             self.obs.observe("termination_fanout_width", len(nodes),
                              kind="commit")
-        handles = [
-            self.kernel.spawn(finish_one(n), name=f"finish:{action.uid}@{n}")
-            for n in nodes
-        ]
-        outcomes = yield settle_all(self.kernel, [h.join() for h in handles])
-        acked: Set[str] = set()
-        for node_name, (ok, _value) in zip(nodes, outcomes):
-            if ok:
-                acked.add(node_name)
-            else:
-                self._spawn_reaper(node_name, calls_for[node_name],
-                                   label=f"finish:{action.uid}")
-        for txn_id, parts in decided:
-            if parts <= acked:
-                self.node.wal.append("coord_end", txn_id=txn_id)
-                self._note_txn(txn_id, "ended")
-                if self.obs is not None:
-                    self.obs.emit("twopc.end", txn=txn_id,
-                                  node=self.node.name)
+        acked = yield from self._fan_out(f"finish:{action.uid}", calls_for,
+                                         span=parent_span)
+        self._end_acked(decided, acked)
         if self.obs is not None and nodes:
             self.obs.observe("commit_fanout_time",
                              self.kernel.now - started, width=len(nodes))
 
     def _broadcast_decisions(self, action: ClusterAction,
-                             decided: List[Tuple[str, Set[str]]],
-                             parent_span=None):
+                             decided: List[Tuple[str, Set[str]]]):
         """Deliver already-logged commit decisions to their participants.
 
         Used on commit's failure path: colours decided *before* the failing
@@ -878,48 +853,82 @@ class ClusterClient:
         their participants must promote shadows before ``abort_action``
         undoes anything on the same servers.
         """
-        involved: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
+        calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
         for txn_id, parts in decided:
             for node_name in parts:
-                involved.setdefault(node_name, []).append(
+                calls_for.setdefault(node_name, []).append(
                     ("txn_commit", {"txn_id": txn_id}))
-        nodes = sorted(involved)
+        acked = yield from self._fan_out(f"decide:{action.uid}", calls_for)
+        self._end_acked(decided, acked)
 
-        def deliver_one(node_name: str):
-            outcomes = yield from self.transport.call_many(
-                node_name, involved[node_name], trace_parent=parent_span)
-            for ok, value in outcomes:
-                if not ok:
-                    raise value
-            return True
-
-        handles = [
-            self.kernel.spawn(deliver_one(n), name=f"decide:{action.uid}@{n}")
-            for n in nodes
-        ]
-        outcomes = yield settle_all(self.kernel, [h.join() for h in handles])
-        acked: Set[str] = set()
-        for node_name, (ok, _value) in zip(nodes, outcomes):
-            if ok:
-                acked.add(node_name)
-            else:
-                self._spawn_reaper(node_name, involved[node_name],
-                                   label=f"decide:{action.uid}")
+    def _end_acked(self, decided: Iterable[Tuple[str, Set[str]]],
+                   acked: Iterable[str]) -> None:
+        """Log ``coord_end`` — the record that lets checkpointing forget a
+        transaction — for each one whose *entire* participant set acked."""
+        acked = set(acked)
         for txn_id, parts in decided:
             if parts <= acked:
-                self.node.wal.append("coord_end", txn_id=txn_id)
-                self._note_txn(txn_id, "ended")
+                self.node.txns.advance(COORDINATOR, txn_id, "end")
                 if self.obs is not None:
                     self.obs.emit("twopc.end", txn=txn_id,
                                   node=self.node.name)
 
     # -- two-phase commit (coordinator) --------------------------------------------------------
 
+    def _begin_txn(self, action: ClusterAction, colour: Colour,
+                   participants: List[str], parent_span=None,
+                   spanned: bool = True, **span_attrs):
+        """Open one colour's commit round: allocate its txn id, start its
+        ``2pc:<colour>`` span (unless the caller spans several rounds at
+        once) and announce it.  Returns ``(txn_id, span)``."""
+        txn_id = (f"txn:{self.node.name}:{action.uid.sequence}:"
+                  f"{colour.uid.sequence}:{next(self._txn_seq)}")
+        span = None
+        if self.obs is not None:
+            if spanned:
+                span = self.obs.span(f"2pc:{colour}", parent=parent_span,
+                                     kind="client", node=self.node.name,
+                                     txn=txn_id,
+                                     participants=len(participants),
+                                     **span_attrs)
+            self.obs.emit("twopc.begin", txn=txn_id,
+                          action=str(action.uid), colour=str(colour),
+                          participants=",".join(participants),
+                          node=self.node.name)
+        return txn_id, span
+
+    def _decide(self, txn_id: str, colour: Colour, decision: str,
+                announce: bool = True, **labels: str) -> None:
+        """Take the coordinator's ``decide_commit``/``decide_abort`` edge
+        and account for it.
+
+        A commit is logged before any participant is told.  An abort needs
+        no record (presumed abort) unless it undoes a delegation; a
+        decision the delegated-outcome resolver already recorded is
+        answer-only.  ``announce=False`` when the decision event already
+        came from the delegate (labelled with its fast path).
+        """
+        self.node.txns.advance(
+            COORDINATOR, txn_id, f"decide_{decision}",
+            **({"commute": True} if "commute" in labels else {}))
+        if self.obs is not None:
+            self.obs.count("twopc_rounds_total", colour=str(colour),
+                           outcome=("committed" if decision == "commit"
+                                    else "aborted"))
+            if decision == "commit":
+                self.obs.count("colour_permanent_total", colour=str(colour))
+            if announce:
+                self.obs.emit("twopc.decision", txn=txn_id,
+                              decision=decision, node=self.node.name,
+                              **labels)
+
     def _prepare_payload(self, action: ClusterAction, txn_id: str,
                          colour: Colour, node_name: str,
-                         object_uids: Iterable[Uid]) -> Dict[str, Any]:
+                         object_uids: Iterable[Uid] = (),
+                         forget: bool = True) -> Dict[str, Any]:
         """A txn_prepare payload, with any pending lazy acknowledgements
-        of earlier delegated commits to this node riding along."""
+        of earlier delegated commits to this node riding along (``forget``:
+        once per message is enough)."""
         payload = {
             "txn_id": txn_id,
             "action_uid": encode_uid(action.uid),
@@ -927,39 +936,38 @@ class ClusterClient:
             "object_uids": [encode_uid(u) for u in sorted(object_uids)],
             "expected_epoch": action.server_epochs.get(node_name),
         }
-        forget = self._pending_forget.get(node_name)
-        if forget:
-            payload["forget"] = list(forget)
+        pending = self._pending_forget.get(node_name)
+        if forget and pending:
+            payload["forget"] = list(pending)
         return payload
 
     def _ack_forget(self, node_name: str, payload: Dict[str, Any]) -> None:
         """The prepare carrying these forgets was answered: stop resending."""
-        sent = payload.get("forget")
-        if not sent:
-            return
-        pending = self._pending_forget.get(node_name)
-        if pending:
-            remaining = [t for t in pending if t not in set(sent)]
+        if payload.get("forget"):
+            sent = set(payload["forget"])
+            remaining = [t for t in self._pending_forget.pop(node_name, ())
+                         if t not in sent]
             if remaining:
                 self._pending_forget[node_name] = remaining
-            else:
-                self._pending_forget.pop(node_name, None)
 
     def _spawn_read_only_prepares(self, action: ClusterAction, txn_id: str,
-                                  colour: Colour, readers: List[str],
-                                  span=None) -> None:
-        """Fire-and-forget read-only prepares to the colour's pure readers.
+                                  colour: Colour,
+                                  write_map: Dict[str, Set[Uid]],
+                                  span=None) -> List[str]:
+        """Fire-and-forget read-only prepares to the colour's pure readers
+        (returned); none without ``fast_paths``.
 
         Never gates the decision (the classic protocol does not contact
         readers at all): a reader that answers ``read-only`` released its
         locks at vote time and is skipped by the finish fan-out; one that
         cannot be reached simply falls back to the classic finish path.
         """
+        if not self.fast_paths:
+            return []
 
         def read_only_one(node_name: str):
-            payload = self._prepare_payload(action, txn_id, colour,
-                                            node_name, ())
-            payload["read_only"] = True
+            payload = dict(self._prepare_payload(action, txn_id, colour,
+                                                 node_name), read_only=True)
             try:
                 reply = yield from self.transport.call(
                     node_name, "txn_prepare", payload, trace_parent=span)
@@ -977,50 +985,11 @@ class ClusterClient:
                 action.vote_released.setdefault(node_name, set()).add(colour)
             return True
 
+        readers = sorted(action.involved.get(colour, set()) - set(write_map))
         for node_name in readers:
             self.kernel.spawn(read_only_one(node_name),
                               name=f"ro-prepare:{txn_id}:{node_name}")
-
-    def _abort_round(self, txn_id: str, nodes: List[str]):
-        """Presumed abort: tell whoever may have prepared, in parallel,
-        reaping nodes we cannot reach."""
-        abort_payload = {"txn_id": txn_id}
-
-        def abort_one(node_name: str):
-            yield from self.transport.call(node_name, "txn_abort",
-                                           dict(abort_payload))
-
-        abort_handles = [
-            self.kernel.spawn(abort_one(n), name=f"txn-abort:{txn_id}:{n}")
-            for n in nodes
-        ]
-        outcomes = yield settle_all(
-            self.kernel, [h.join() for h in abort_handles])
-        for node_name, (ok, _value) in zip(nodes, outcomes):
-            if not ok:
-                self._spawn_reaper(
-                    node_name, [("txn_abort", dict(abort_payload))],
-                    label=f"txn-abort:{txn_id}")
-
-    def _resolve_delegated(self, txn_id: str, last_agent: str, span=None):
-        """The delegated prepare's reply was lost: the outcome is unknown
-        until the last agent answers.
-
-        Loops on ``txn_outcome_query`` — the last agent answers from its
-        log, force-aborting the transaction if the delegated prepare never
-        arrived, so the answer is always definitive.  Blocking here is
-        required for truthfulness: reporting an outcome the delegate may
-        contradict would split the decision.
-        """
-        while True:
-            try:
-                reply = yield from self.transport.call(
-                    last_agent, "txn_outcome_query", {"txn_id": txn_id},
-                    timeout=5.0, retries=1, trace_parent=span)
-            except Exception:
-                yield Timeout(5.0)
-                continue
-            return reply["decision"]
+        return readers
 
     def _commute_eligible(self, action: ClusterAction, colour: Colour,
                           write_map: Dict[str, Set[Uid]]) -> bool:
@@ -1065,32 +1034,17 @@ class ClusterClient:
         gets a background reaper redelivering the same idempotent message
         (participants dedupe on txn_id against their COMMITTED records).
         """
-        txn_id = f"txn:{self.node.name}:{action.uid.sequence}:{colour.uid.sequence}:{next(self._txn_seq)}"
         participants = sorted(write_map)
-        span = None
-        if self.obs is not None:
-            span = self.obs.span(f"2pc:{colour}", parent=parent_span,
-                                 kind="client", node=self.node.name,
-                                 txn=txn_id, participants=len(participants),
-                                 fast_path="commute")
-            self.obs.emit("twopc.begin", txn=txn_id,
-                          action=str(action.uid), colour=str(colour),
-                          participants=",".join(participants),
-                          node=self.node.name)
+        txn_id, span = self._begin_txn(action, colour, participants,
+                                       parent_span, fast_path="commute")
         ops_for = action.commute_ops.get(colour, {})
         # decision first: with guaranteed-yes votes there is nothing to
         # wait for, and a durable decision lets an unreachable participant
         # be converged later by redelivery instead of presumed abort
-        self.node.wal.append("coord_commit", txn_id=txn_id, commute=True)
-        self._note_txn(txn_id, "decided")
-        if self.obs is not None:
-            self.obs.emit("twopc.decision", txn=txn_id, decision="commit",
-                          node=self.node.name, commute="1")
-        readers = sorted(action.involved.get(colour, set()) - set(write_map))
-        if readers and self.fast_paths:
-            self._spawn_read_only_prepares(action, txn_id, colour, readers,
-                                           span=span)
-        payload_for: Dict[str, Dict[str, Any]] = {}
+        self._decide(txn_id, colour, "commit", commute="1")
+        self._spawn_read_only_prepares(action, txn_id, colour, write_map,
+                                       span=span)
+        calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
         for node_name in participants:
             payload = self._prepare_payload(
                 action, txn_id, colour, node_name, write_map[node_name])
@@ -1106,58 +1060,36 @@ class ClusterClient:
             if action.colours_at(node_name) == {colour}:
                 payload["finish"] = [{"colour": encode_colour(colour),
                                       "dest": None}]
-            payload_for[node_name] = payload
-
-        def commute_one(node_name: str):
-            reply = yield from self.transport.call(
-                node_name, "txn_prepare", payload_for[node_name],
-                trace_parent=span)
-            self._ack_forget(node_name, payload_for[node_name])
-            return reply
-
+            calls_for[node_name] = [("txn_prepare", payload)]
         round_started = self.kernel.now
-        handles = [
-            self.kernel.spawn(commute_one(n), name=f"commute:{txn_id}:{n}")
-            for n in participants
-        ]
-        outcomes = yield settle_all(self.kernel, [h.join() for h in handles])
-        acked: Set[str] = set()
-        for node_name, (ok, reply) in zip(participants, outcomes):
-            if ok and reply.get("vote") == "commute":
-                acked.add(node_name)
-                # the participant's COMMITTED record is acknowledged
-                # lazily, riding our next prepare to it (checkpointing)
-                self._pending_forget.setdefault(node_name, []).append(txn_id)
-                if reply.get("finished"):
-                    action.finished_nodes.add(node_name)
-                else:
-                    # locks released at vote-and-apply time: the node is
-                    # out of this colour's phase two and finish routing
-                    action.vote_released.setdefault(
-                        node_name, set()).add(colour)
-            else:
-                # crash, partition or lost reply: the decision is durable
-                # and the message idempotent — redeliver until it lands
+        # crash, partition or lost reply: the decision is durable and the
+        # message idempotent — the fan-out's reaper redelivers until it lands
+        acked = yield from self._fan_out(
+            f"commute:{txn_id}", calls_for, span=span, batched=False,
+            accept=lambda reply: reply.get("vote") == "commute")
+        for node_name in participants:
+            reply = acked.get(node_name)
+            if reply is None:
                 if self.obs is not None:
                     self.obs.emit("twopc.downgrade", txn=txn_id,
                                   node=self.node.name, dst=node_name,
                                   reason="commute-unreachable",
                                   resolution="redelivery")
-                self._spawn_reaper(
-                    node_name,
-                    [("txn_prepare", dict(payload_for[node_name]))],
-                    label=f"commute:{txn_id}")
+                continue
+            # the participant's COMMITTED record is acknowledged lazily,
+            # riding our next prepare to it (checkpointing)
+            self._pending_forget.setdefault(node_name, []).append(txn_id)
+            if reply.get("finished"):
+                action.finished_nodes.add(node_name)
+            else:
+                # locks released at vote-and-apply time: the node is out
+                # of this colour's phase two and finish routing
+                action.vote_released.setdefault(node_name, set()).add(colour)
         if self.obs is not None:
             self.obs.observe("twopc_prepare_time",
                              self.kernel.now - round_started,
                              colour=str(colour))
-            self.obs.count("twopc_rounds_total", colour=str(colour),
-                           outcome="committed")
-        if acked >= set(participants):
-            self.node.wal.append("coord_end", txn_id=txn_id)
-            self._note_txn(txn_id, "ended")
-            if self.obs is not None:
-                self.obs.emit("twopc.end", txn=txn_id, node=self.node.name)
+        self._end_acked([(txn_id, set(participants))], acked)
         if span is not None:
             span.set(outcome="committed", fast_path="commute").finish()
         return txn_id
@@ -1184,30 +1116,15 @@ class ClusterClient:
         ``phase_two_nodes`` in the merged finish fan-out — or ``None`` when
         any writer voted rollback, timed out, or restarted.
         """
-        txn_id = f"txn:{self.node.name}:{action.uid.sequence}:{colour.uid.sequence}:{next(self._txn_seq)}"
         participants = sorted(write_map)
-        span = None
-        if self.obs is not None:
-            span = self.obs.span(f"2pc:{colour}", parent=parent_span,
-                                 kind="client", node=self.node.name,
-                                 txn=txn_id, participants=len(participants))
-            self.obs.emit("twopc.begin", txn=txn_id,
-                          action=str(action.uid), colour=str(colour),
-                          participants=",".join(participants),
-                          node=self.node.name)
-        readers: List[str] = []
+        txn_id, span = self._begin_txn(action, colour, participants,
+                                       parent_span)
+        # concurrent with the writer round, never gating it
+        readers = self._spawn_read_only_prepares(action, txn_id, colour,
+                                                 write_map, span=span)
+        plain, last_agent = participants, None
         if self.fast_paths:
-            readers = sorted(action.involved.get(colour, set())
-                             - set(write_map))
-            if readers:
-                # concurrent with the writer round, never gating it
-                self._spawn_read_only_prepares(action, txn_id, colour,
-                                               readers, span=span)
-            plain = participants[:-1]
-            last_agent = participants[-1]
-        else:
-            plain = participants
-            last_agent = None
+            plain, last_agent = participants[:-1], participants[-1]
 
         def prepare_one(node_name: str):
             payload = self._prepare_payload(
@@ -1223,17 +1140,18 @@ class ClusterClient:
             for n in plain
         ]
         votes: List[Optional[str]] = []
-        prepared_ok = True
         round_failure: Optional[BaseException] = None
         try:
-            results = yield all_of(self.kernel, [h.join() for h in handles])
-            votes = list(results)
-            prepared_ok = all(v == "commit" for v in votes)
+            votes = list((yield all_of(self.kernel,
+                                       [h.join() for h in handles])))
         except (PrepareFailed, RpcTimeout, ActionAborted,
                 ClusterError) as error:
-            prepared_ok = False
             round_failure = error
-        if not prepared_ok:
+        #: why the round aborts; None while it is still heading for commit
+        abort_cause: Optional[str] = None
+        fast_kind = ""
+        finished = False
+        if round_failure is not None or any(v != "commit" for v in votes):
             # Cancel prepares still in flight *before* announcing the
             # abort: a killed task's transport cleanup runs immediately
             # (finally blocks), and any prepare already on the wire races
@@ -1242,133 +1160,95 @@ class ClusterClient:
             # (presumed abort), so no straggler can park itself in-doubt.
             for handle in handles:
                 handle.kill()
-            if self.obs is not None:
-                self.obs.observe("twopc_prepare_time",
-                                 self.kernel.now - prepare_started,
-                                 colour=str(colour))
-                self.obs.count("twopc_rounds_total", colour=str(colour),
-                               outcome="aborted")
-                self.obs.emit("twopc.decision", txn=txn_id,
-                              decision="abort", node=self.node.name,
-                              cause=self._round_failure_cause(
-                                  votes, round_failure))
-            if span is not None:
-                span.set(outcome="aborted").finish()
-            # the last agent never saw a prepare; only the plain round's
-            # participants may hold prepared state
-            yield from self._abort_round(txn_id, plain)
-            return None
-        if last_agent is None:
-            if self.obs is not None:
-                # coordinator-observed latency of the whole prepare round
-                self.obs.observe("twopc_prepare_time",
-                                 self.kernel.now - prepare_started,
-                                 colour=str(colour))
-            # decision: commit — logged before any participant is told.
-            # The caller delivers it inside the merged finish batch.
-            self.node.wal.append("coord_commit", txn_id=txn_id)
-            self._note_txn(txn_id, "decided")
-            if self.obs is not None:
-                self.obs.count("twopc_rounds_total", colour=str(colour),
-                               outcome="committed")
-                self.obs.emit("twopc.decision", txn=txn_id,
-                              decision="commit", node=self.node.name)
-            if span is not None:
-                span.set(outcome="committed").finish()
-            return txn_id, set(write_map)
-        # Delegate the decision to the remaining writer: its prepare both
-        # asks for and *carries* the decision (every earlier vote was
-        # commit, so a commit vote there decides the transaction).  The
-        # delegation is logged first — if we crash or lose the reply, the
-        # outcome is recoverable from the named last agent.
-        fast_kind = "one_phase" if len(participants) == 1 else "piggyback"
-        self.node.wal.append("coord_delegated", txn_id=txn_id,
-                             last_agent=last_agent)
-        self._note_txn(txn_id, "delegated")
-        payload = self._prepare_payload(
-            action, txn_id, colour, last_agent, write_map[last_agent])
-        payload["decide"] = True
-        payload["fast_path"] = fast_kind
-        if action.colours_at(last_agent) == {colour}:
-            # the node's entire involvement commits right here: ship its
-            # (trivial) finish routing inside the same message
-            payload["finish"] = [{"colour": encode_colour(colour),
-                                  "dest": None}]
-        finished = False
-        downgraded = False
-        try:
-            reply = yield from self.transport.call(
-                last_agent, "txn_prepare", payload, trace_parent=span)
-            self._ack_forget(last_agent, payload)
-            vote = reply["vote"]
-            finished = bool(reply.get("finished"))
-        except (RpcTimeout, PrepareFailed, ActionAborted, ClusterError):
-            # The decision may or may not have landed — and not only on a
-            # timeout: an error reply can come from a *retransmission*
-            # after the first copy committed and the delegate crashed
-            # (the retry then hits the bumped epoch).  Never presume
-            # rollback past this point; resolve through the last agent
-            # (see _resolve_delegated), whose answer is definitive.
-            decision = yield from self._resolve_delegated(
-                txn_id, last_agent, span=span)
-            vote = "commit" if decision == "commit" else "rollback"
-            downgraded = True
-            if self.obs is not None:
-                # the fast path degenerated into an outcome query loop
-                self.obs.emit("twopc.downgrade", txn=txn_id,
-                              node=self.node.name, dst=last_agent,
-                              reason="delegated-reply-lost",
-                              resolution=decision)
-            # a committed outcome proves the prepare arrived whole — the
-            # piggybacked finish (if any) was applied with it
-            finished = vote == "commit" and "finish" in payload
+            abort_cause = self._round_failure_cause(votes, round_failure)
+        elif last_agent is not None:
+            # Delegate the decision to the remaining writer: its prepare
+            # both asks for and *carries* the decision (every earlier vote
+            # was commit, so a commit vote there decides the transaction).
+            # The delegation is logged first — if we crash or lose the
+            # reply, the outcome is recoverable from the named last agent.
+            fast_kind = "one_phase" if len(participants) == 1 else "piggyback"
+            self.node.txns.advance(COORDINATOR, txn_id, "delegate",
+                                   last_agent=last_agent)
+            payload = self._prepare_payload(
+                action, txn_id, colour, last_agent, write_map[last_agent])
+            payload["decide"] = True
+            payload["fast_path"] = fast_kind
+            if action.colours_at(last_agent) == {colour}:
+                # the node's entire involvement commits right here: ship
+                # its (trivial) finish routing inside the same message
+                payload["finish"] = [{"colour": encode_colour(colour),
+                                      "dest": None}]
+            try:
+                reply = yield from self.transport.call(
+                    last_agent, "txn_prepare", payload, trace_parent=span)
+                self._ack_forget(last_agent, payload)
+                finished = bool(reply.get("finished"))
+                if reply["vote"] != "commit":
+                    abort_cause = "vote-rollback"
+            except (RpcTimeout, PrepareFailed, ActionAborted, ClusterError):
+                # The decision may or may not have landed — and not only
+                # on a timeout: an error reply can come from a
+                # *retransmission* after the first copy committed and the
+                # delegate crashed (the retry then hits the bumped epoch).
+                # Never presume rollback past this point; resolve through
+                # the last agent, whose answer is definitive.
+                decision = yield from resolve_delegated(
+                    self.node, self.transport, txn_id, last_agent,
+                    trace_parent=span)
+                if self.obs is not None:
+                    # the fast path degenerated into an outcome query loop
+                    self.obs.emit("twopc.downgrade", txn=txn_id,
+                                  node=self.node.name, dst=last_agent,
+                                  reason="delegated-reply-lost",
+                                  resolution=decision)
+                if decision != "commit":
+                    abort_cause = "fast-path-downgrade"
+                # a committed outcome proves the prepare arrived whole —
+                # the piggybacked finish (if any) was applied with it
+                finished = decision == "commit" and "finish" in payload
         if self.obs is not None:
+            # coordinator-observed latency of the whole prepare round
             self.obs.observe("twopc_prepare_time",
                              self.kernel.now - prepare_started,
                              colour=str(colour))
-        if vote != "commit":
-            if self.node.wal.last(
-                "coord_abort", where=lambda r: r.payload["txn_id"] == txn_id
-            ) is None:
-                self.node.wal.append("coord_abort", txn_id=txn_id)
-                self._note_txn(txn_id, "decided")
-            if self.obs is not None:
-                self.obs.count("twopc_rounds_total", colour=str(colour),
-                               outcome="aborted")
-                self.obs.emit("twopc.decision", txn=txn_id,
-                              decision="abort", node=self.node.name,
-                              cause=("fast-path-downgrade" if downgraded
-                                     else "vote-rollback"))
+        if abort_cause is not None:
+            self._decide(txn_id, colour, "abort", cause=abort_cause)
             if span is not None:
                 span.set(outcome="aborted").finish()
-            yield from self._abort_round(txn_id, plain)
+            # Presumed abort: tell whoever may have prepared — only the
+            # plain round's participants, the last agent either never saw
+            # a prepare or refused it — reaping nodes we cannot reach.
+            yield from self._fan_out(
+                f"txn-abort:{txn_id}",
+                {n: [("txn_abort", {"txn_id": txn_id})] for n in plain},
+                batched=False)
             return None
-        if self.node.wal.last(
-            "coord_commit", where=lambda r: r.payload["txn_id"] == txn_id
-        ) is None:
-            self.node.wal.append("coord_commit", txn_id=txn_id)
-            self._note_txn(txn_id, "decided")
-        # lazily acknowledge the delegate's COMMITTED record on the next
-        # prepare we send it, so its checkpoint can drop the record
-        self._pending_forget.setdefault(last_agent, []).append(txn_id)
-        if finished:
-            action.finished_nodes.add(last_agent)
-        if readers:
-            # Zero-time barrier: with a single writer the read-only
-            # replies land at the same instant as the delegated reply but
-            # later in the event queue; draining it here lets the caller's
-            # finish fan-out see those votes.  Costs no simulated time and
-            # never waits for a slow or dead reader.
-            yield Timeout(0.0)
-        if self.obs is not None:
-            self.obs.count("twopc_rounds_total", colour=str(colour),
-                           outcome="committed")
-            # the decision event came from the delegate (labelled with the
-            # fast path); only the savings are counted here
-            self.obs.count("decision_piggyback_saved_rpcs_total",
-                           1 + (1 if finished else 0))
+        # decision: commit.  The caller delivers it to the plain round
+        # inside the merged finish batch; a delegate already applied it
+        # and announced it (labelled with the fast path).
+        self._decide(txn_id, colour, "commit", announce=last_agent is None)
+        if last_agent is not None:
+            # lazily acknowledge the delegate's COMMITTED record on the
+            # next prepare we send it, so its checkpoint can drop the record
+            self._pending_forget.setdefault(last_agent, []).append(txn_id)
+            if finished:
+                action.finished_nodes.add(last_agent)
+            if readers:
+                # Zero-time barrier: with a single writer the read-only
+                # replies land at the same instant as the delegated reply
+                # but later in the event queue; draining it here lets the
+                # caller's finish fan-out see those votes.  Costs no
+                # simulated time and never waits for a slow or dead reader.
+                yield Timeout(0.0)
+            if self.obs is not None:
+                self.obs.count("decision_piggyback_saved_rpcs_total",
+                               1 + (1 if finished else 0))
         if span is not None:
-            span.set(outcome="committed", fast_path=fast_kind).finish()
+            span.set(outcome="committed")
+            if fast_kind:
+                span.set(fast_path=fast_kind)
+            span.finish()
         return txn_id, set(plain)
 
     def _batched_prepare(self, action: ClusterAction,
@@ -1390,7 +1270,7 @@ class ClusterClient:
         (prepared or not) are aborted with batched ``txn_abort`` deliveries,
         since sequential execution would never have decided them.  Returns
         ``(decided, failed_colour)`` where ``decided`` is
-        ``[(txn_id, participants, colour)]`` for the all-commit prefix and
+        ``[(txn_id, participants)]`` for the all-commit prefix and
         ``failed_colour`` is ``None`` on a clean run.
 
         Fast paths here are deliberately narrower than the single-colour
@@ -1404,17 +1284,12 @@ class ClusterClient:
         """
         rounds = []
         for colour, write_map in permanent:
-            txn_id = (f"txn:{self.node.name}:{action.uid.sequence}:"
-                      f"{colour.uid.sequence}:{next(self._txn_seq)}")
             participants = sorted(write_map)
+            txn_id, _ = self._begin_txn(action, colour, participants,
+                                        spanned=False)
             rounds.append({"colour": colour, "write_map": write_map,
                            "txn_id": txn_id, "participants": participants,
                            "votes": {}})
-            if self.obs is not None:
-                self.obs.emit("twopc.begin", txn=txn_id,
-                              action=str(action.uid), colour=str(colour),
-                              participants=",".join(participants),
-                              node=self.node.name)
         span = None
         if self.obs is not None:
             span = self.obs.span("2pc-batched-prepare", parent=parent_span,
@@ -1424,14 +1299,12 @@ class ClusterClient:
         index_for: Dict[str, List[Tuple[str, int]]] = {}
         for i, r in enumerate(rounds):
             for node_name in r["participants"]:
-                calls_for.setdefault(node_name, []).append(("txn_prepare", {
-                    "txn_id": r["txn_id"],
-                    "action_uid": encode_uid(action.uid),
-                    "colour": encode_colour(r["colour"]),
-                    "object_uids": [encode_uid(u) for u in
-                                    sorted(r["write_map"][node_name])],
-                    "expected_epoch": action.server_epochs.get(node_name),
-                }))
+                payload = self._prepare_payload(
+                    action, r["txn_id"], r["colour"], node_name,
+                    r["write_map"][node_name],
+                    forget=node_name not in calls_for)
+                calls_for.setdefault(node_name, []).append(
+                    ("txn_prepare", payload))
                 index_for.setdefault(node_name, []).append(("prepare", i))
         if self.obs is not None:
             # counted before the read-only riders join: the classic
@@ -1447,21 +1320,12 @@ class ClusterClient:
                 readers = (action.involved.get(r["colour"], set())
                            - set(r["write_map"]))
                 for node_name in sorted(readers & set(calls_for)):
-                    calls_for[node_name].append(("txn_prepare", {
-                        "txn_id": r["txn_id"],
-                        "action_uid": encode_uid(action.uid),
-                        "colour": encode_colour(r["colour"]),
-                        "object_uids": [],
-                        "expected_epoch": action.server_epochs.get(node_name),
-                        "read_only": True,
-                    }))
+                    payload = self._prepare_payload(
+                        action, r["txn_id"], r["colour"], node_name,
+                        forget=False)
+                    calls_for[node_name].append(
+                        ("txn_prepare", dict(payload, read_only=True)))
                     index_for[node_name].append(("read_only", i))
-        forget_sent: Dict[str, Dict[str, Any]] = {}
-        for node_name, calls in calls_for.items():
-            pending = self._pending_forget.get(node_name)
-            if pending:
-                calls[0][1]["forget"] = list(pending)
-                forget_sent[node_name] = calls[0][1]
         nodes = sorted(calls_for)
         prepare_started = self.kernel.now
 
@@ -1479,8 +1343,7 @@ class ClusterClient:
         for node_name, (ok, value) in zip(nodes, outcomes):
             if not ok:  # whole batch undeliverable: no votes from this node
                 continue
-            if node_name in forget_sent:
-                self._ack_forget(node_name, forget_sent[node_name])
+            self._ack_forget(node_name, calls_for[node_name][0][1])
             for (role, i), (sub_ok, sub_value) in zip(index_for[node_name],
                                                       value):
                 if not sub_ok:
@@ -1491,7 +1354,7 @@ class ClusterClient:
                             node_name, set()).add(rounds[i]["colour"])
                     continue
                 rounds[i]["votes"][node_name] = sub_value["vote"]
-        decided: List[Tuple[str, Set[str], Colour]] = []
+        decided: List[Tuple[str, Set[str]]] = []
         failed_index: Optional[int] = None
         for i, r in enumerate(rounds):
             if self.obs is not None:
@@ -1500,16 +1363,8 @@ class ClusterClient:
             all_commit = all(r["votes"].get(p) == "commit"
                              for p in r["participants"])
             if failed_index is None and all_commit:
-                self.node.wal.append("coord_commit", txn_id=r["txn_id"])
-                self._note_txn(r["txn_id"], "decided")
-                if self.obs is not None:
-                    self.obs.count("twopc_rounds_total",
-                                   colour=str(r["colour"]),
-                                   outcome="committed")
-                    self.obs.emit("twopc.decision", txn=r["txn_id"],
-                                  decision="commit", node=self.node.name)
-                decided.append((r["txn_id"], set(r["write_map"]),
-                                r["colour"]))
+                self._decide(r["txn_id"], r["colour"], "commit")
+                decided.append((r["txn_id"], set(r["write_map"])))
             elif failed_index is None:
                 failed_index = i
         if failed_index is None:
@@ -1518,45 +1373,19 @@ class ClusterClient:
             return decided, None
         # presumed abort for the failing colour and everything after it:
         # tell whoever may have prepared, again one batch per server.
-        to_abort = rounds[failed_index:]
         abort_calls: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
-        for i, r in enumerate(to_abort):
-            if self.obs is not None:
-                if i > 0:
-                    cause = "colour-order-cascade"
-                elif any(v != "commit" for v in r["votes"].values()):
-                    cause = "vote-rollback"
-                else:
-                    cause = "participant-unreachable"
-                self.obs.count("twopc_rounds_total", colour=str(r["colour"]),
-                               outcome="aborted")
-                self.obs.emit("twopc.decision", txn=r["txn_id"],
-                              decision="abort", node=self.node.name,
-                              cause=cause)
+        for i, r in enumerate(rounds[failed_index:]):
+            if i > 0:
+                cause = "colour-order-cascade"
+            elif any(v != "commit" for v in r["votes"].values()):
+                cause = "vote-rollback"
+            else:
+                cause = "participant-unreachable"
+            self._decide(r["txn_id"], r["colour"], "abort", cause=cause)
             for node_name in r["participants"]:
                 abort_calls.setdefault(node_name, []).append(
                     ("txn_abort", {"txn_id": r["txn_id"]}))
         if span is not None:
             span.set(outcome="aborted").finish()
-        abort_nodes = sorted(abort_calls)
-
-        def abort_batch(node_name: str):
-            outcomes = yield from self.transport.call_many(
-                node_name, abort_calls[node_name])
-            for ok, value in outcomes:
-                if not ok:
-                    raise value
-            return True
-
-        abort_handles = [
-            self.kernel.spawn(abort_batch(n),
-                              name=f"txn-abort-batch:{action.uid}@{n}")
-            for n in abort_nodes
-        ]
-        abort_outcomes = yield settle_all(
-            self.kernel, [h.join() for h in abort_handles])
-        for node_name, (ok, _value) in zip(abort_nodes, abort_outcomes):
-            if not ok:
-                self._spawn_reaper(node_name, abort_calls[node_name],
-                                   label=f"txn-abort-batch:{action.uid}")
+        yield from self._fan_out(f"txn-abort-batch:{action.uid}", abort_calls)
         return decided, rounds[failed_index]["colour"]

@@ -223,7 +223,7 @@ class Cluster:
         sampler.add_probe("action_mirrors", lambda: sum(
             len(s.mirrors) for s in self.servers.values()))
         sampler.add_probe("prepared_txns", lambda: sum(
-            len(s.prepared) for s in self.servers.values()))
+            len(n.txns.prepared) for n in self.nodes.values()))
         sampler.add_probe("pending_rpcs", lambda: sum(
             t.pending_count() for t in self.transports.values()))
         sampler.attach((backend or self.backend).kernel)

@@ -13,6 +13,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.message import Message
 from repro.cluster.network import Network
+from repro.cluster.txn import TxnTable
 from repro.errors import NodeDown
 from repro.sim.kernel import Kernel, Process
 from repro.store.stable import StableStore
@@ -31,6 +32,9 @@ class Node:
         # stable: survives crashes
         self.stable_store = StableStore()
         self.wal = WriteAheadLog()
+        #: what this node knows about every transaction on ``wal`` — the
+        #: log's in-memory fold (volatile: restart replays it from the log)
+        self.txns = TxnTable(self.wal, clock=lambda: kernel.now)
         self._stable_meta: Dict[str, Any] = {"epoch": 1}
         # volatile: wiped by crashes
         self.volatile: Dict[str, Any] = {}
@@ -103,13 +107,14 @@ class Node:
     def restart(self) -> None:
         """Repair (§2: 'repaired within a finite amount of time').
 
-        Bumps the epoch, runs recovery hooks (log-driven), then rejoins the
-        network.
+        Bumps the epoch, replays the log into the transaction table, runs
+        recovery hooks (log-driven), then rejoins the network.
         """
         if self.alive:
             return
         self._stable_meta["epoch"] += 1
         self.alive = True
+        self.txns.refold()
         for hook in self._recovery_hooks:
             hook()
         self.network.set_up(self.name, True)

@@ -30,6 +30,13 @@ from repro.cluster.message import (
 )
 from repro.cluster.node import Node
 from repro.cluster.transport import Responder, RpcTransport
+from repro.cluster.txn import (
+    COORDINATOR,
+    PARTICIPANT,
+    TxnEntry,
+    TxnState,
+    decision_of,
+)
 from repro.colours.colour import Colour
 from repro.errors import (
     ClusterError,
@@ -190,13 +197,9 @@ class ObjectServer:
         self.registry.on_event = self._emit_lock_event
         self.detector = DeadlockDetector(self.registry)
         self.mirrors: Dict[Uid, ActionMirror] = {}
-        self.prepared: Dict[str, Dict[str, Any]] = {}
+        #: objects fenced off because a transaction recovered in doubt
+        #: (PREPARED on the log, no decision yet) holds their shadow slot
         self.in_doubt_objects: Set[Uid] = set()
-        #: txn_id -> {coordinator, object_uids, since} for transactions
-        #: recovered in doubt (PREPARED on the log, no decision yet); the
-        #: introspection layer reports these with their age.  Mirrors the
-        #: lifetime of the corresponding ``in_doubt_objects`` fences.
-        self.in_doubt_txns: Dict[str, Dict[str, Any]] = {}
         #: txn_ids whose piggybacked (delegated) commit the coordinator has
         #: acknowledged — lazily, as ``forget`` lists riding later prepares.
         #: Volatile on purpose: the checkpoint rewrite is the durability
@@ -227,6 +230,21 @@ class ObjectServer:
         if edge_chasing:
             from repro.cluster.deadlock import EdgeChaser
             self.edge_chaser = EdgeChaser(self, probe_interval=probe_interval)
+
+    # -- views over the node's transaction table -----------------------------
+
+    @property
+    def prepared(self) -> Dict[str, TxnEntry]:
+        """txn_id -> entry of every transaction prepared here and not yet
+        decided (in doubt included)."""
+        return self.node.txns.prepared
+
+    @property
+    def in_doubt_txns(self) -> Dict[str, TxnEntry]:
+        """The prepared transactions recovered from the log after a crash;
+        lives exactly as long as their ``in_doubt_objects`` fences."""
+        return {txn_id: entry for txn_id, entry in self.prepared.items()
+                if entry.in_doubt}
 
     # -- plumbing ------------------------------------------------------------
 
@@ -541,6 +559,14 @@ class ObjectServer:
         self.registry.release_action(action_uid)
         respond(True, self._ok({"known": mirror is not None}))
 
+    def _retire_if_idle(self, mirror: ActionMirror, outcome: str) -> None:
+        """Retire a mirror a vote released early, once nothing — no undo,
+        no write set, no lock — ties its action to this node any more."""
+        if (not mirror.undo and not mirror.op_undo and not mirror.written
+                and not self.registry.objects_held_by(mirror.uid)):
+            self.mirrors.pop(mirror.uid, None)
+            self._retire_mirror(mirror, outcome)
+
     def _retire_mirror(self, mirror: ActionMirror, outcome: str) -> None:
         """Metrics for one action leaving this node: how long it pinned
         objects here (glued hand-offs show up as long holds)."""
@@ -591,20 +617,22 @@ class ObjectServer:
         """
         payload = message.payload
         txn_id = payload["txn_id"]
-        for old_txn in payload.get("forget", ()):
-            self.forgotten.add(old_txn)
+        self.forgotten.update(payload.get("forget", ()))
         action_uid = decode_uid(payload["action_uid"])
         colour = decode_colour(payload["colour"])
-        if self.node.wal.last(
-            "committed", where=lambda r: r.payload["txn_id"] == txn_id
-        ) is not None:
+        event = next((flag for flag in ("read_only", "commute", "decide")
+                      if payload.get(flag)), "prepare")
+        txns = self.node.txns
+        state = txns.state(PARTICIPANT, txn_id)
+        if state is TxnState.COMMITTED:
             # Retransmission-safe piggyback: a retried prepare under a
             # fresh rpc id (reaper redelivery, a client retry after a lost
             # reply — possibly in a later epoch) finds the durable commit
             # and answers from it.  Never re-stabilise shadows or re-run
             # promotion: the shadow slot may meanwhile belong to a *later*
             # transaction, and the logged outcome must not be contradicted.
-            vote = "commute" if payload.get("commute") else "commit"
+            txns.advance(PARTICIPANT, txn_id, event)
+            vote = "commute" if event == "commute" else "commit"
             self._emit_vote(txn_id, vote, colour,
                             reason="duplicate-delivery")
             respond(True, self._ok({
@@ -624,9 +652,7 @@ class ObjectServer:
                 f"{expected_epoch}); uncommitted state was lost"
             ))
             return
-        if self.node.wal.last(
-            "aborted", where=lambda r: r.payload["txn_id"] == txn_id
-        ) is not None:
+        if state is TxnState.ABORTED:
             # Presumed abort: the coordinator's txn_abort already landed
             # here — this prepare is a straggler (its spawn raced the
             # abort decision).  Voting rollback instead of preparing keeps
@@ -634,27 +660,25 @@ class ObjectServer:
             # A delegated prepare can race a forced abort (the coordinator
             # gave up on the reply and resolved via txn_outcome_query)
             # the same way; the check covers both.
+            txns.advance(PARTICIPANT, txn_id, event)
             self._emit_vote(txn_id, "rollback", colour,
                             reason="presumed-abort-straggler")
             respond(True, self._ok({"vote": "rollback"}))
             return
         mirror = self.mirrors.get(action_uid)
-        if payload.get("read_only"):
+        if event == "read_only":
+            txns.advance(PARTICIPANT, txn_id, event)
             self.registry.release_colour(action_uid, colour)
             if mirror is not None:
                 mirror.drop_colour(colour)
-                if (not mirror.undo and not mirror.op_undo
-                        and not mirror.written
-                        and not self.registry.objects_held_by(action_uid)):
-                    self.mirrors.pop(action_uid, None)
-                    self._retire_mirror(mirror, "read-only")
+                self._retire_if_idle(mirror, "read-only")
             if self.obs is not None:
                 self.obs.count("twopc_fast_path_total", node=self.node.name,
                                kind="read_only")
             self._emit_vote(txn_id, "read-only", colour)
             respond(True, self._ok({"vote": "read-only"}))
             return
-        if payload.get("commute"):
+        if event == "commute":
             self._commute_prepare(message, respond)
             return
         written = mirror.written.get(colour, {}) if mirror is not None else {}
@@ -667,32 +691,21 @@ class ObjectServer:
                 f"{txn_id} (crash or premature release)"
             ))
             return
+        if state is TxnState.PREPARED:
+            # already promised (a duplicate under a fresh rpc id): the
+            # shadows are stable, the answer stands
+            txns.advance(PARTICIPANT, txn_id, event)
+            self._emit_vote(txn_id, "commit", colour,
+                            reason="duplicate-delivery")
+            respond(True, self._ok({"vote": "commit"}))
+            return
         for object_uid in sorted(wanted):
             obj = written[object_uid]
             self.node.stable_store.write_shadow(obj.stored_state())
-        if payload.get("decide"):
-            kind = payload.get("fast_path", "one_phase")
-            # The vote is the decision: one durable COMMITTED record
-            # replaces the classic prepared/committed pair.  Logged before
-            # promotion — recovery redoes the (idempotent) promotion from
-            # the record's object list if we crash in between.
-            self.node.wal.append(
-                "committed", txn_id=txn_id, delegated=True,
-                coordinator=message.src,
-                action_uid=encode_uid(action_uid),
-                object_uids=[encode_uid(u) for u in sorted(wanted)],
-            )
-            if self.obs is not None:
-                self.obs.count("twopc_fast_path_total", node=self.node.name,
-                               kind=kind)
-            self._emit_vote(txn_id, "commit", colour)
-            if self.obs is not None:
-                self.obs.emit("twopc.decision", txn=txn_id,
-                              decision="commit", fast_path=kind,
-                              node=self.node.name, colour=str(colour))
-            info = {"action_uid": action_uid, "colour": colour,
-                    "object_uids": sorted(wanted)}
-            self._apply_commit(txn_id, info, log_record=False)
+        if event == "decide":
+            self._decide_here(
+                txn_id, event, message.src, action_uid, colour,
+                sorted(wanted), payload.get("fast_path", "one_phase"))
             finished = False
             if payload.get("finish") is not None and mirror is not None:
                 self._finish_action(mirror, payload["finish"])
@@ -700,22 +713,48 @@ class ObjectServer:
             respond(True, self._ok({"vote": "commit", "applied": True,
                                     "finished": finished}))
             return
-        self.node.wal.append(
-            "prepared", txn_id=txn_id, coordinator=message.src,
+        entry = txns.advance(
+            PARTICIPANT, txn_id, event, coordinator=message.src,
             action_uid=encode_uid(action_uid),
             object_uids=[encode_uid(u) for u in sorted(wanted)],
         )
-        self.prepared[txn_id] = {
-            "action_uid": action_uid,
-            "colour": colour,
-            "object_uids": sorted(wanted),
-            "since": self.kernel.now,
-        }
+        entry.colour = colour
         if self.obs is not None:
             self.obs.count("twopc_prepared_total", node=self.node.name,
                            colour=str(colour))
         self._emit_vote(txn_id, "commit", colour)
         respond(True, self._ok({"vote": "commit"}))
+
+    def _decide_here(self, txn_id: str, event: str, coordinator: str,
+                     action_uid: Uid, colour: Colour, object_uids: List[Uid],
+                     fast_path: str, refresh_live: bool = True,
+                     **labels: str) -> None:
+        """A decision taken *at this participant*: the vote is the decision
+        (one-phase, piggyback) or was guaranteed before fan-out (commute).
+
+        One durable COMMITTED record (flagged ``delegated``) replaces the
+        classic prepared/committed pair; the coordinator forgets it lazily.
+        Logged before promotion — recovery redoes the (idempotent)
+        promotion from the record's object list if we crash in between.
+        ``labels`` ride on the decision event.
+        """
+        commute = event == "commute"
+        entry = self.node.txns.advance(
+            PARTICIPANT, txn_id, event, delegated=True,
+            coordinator=coordinator, action_uid=encode_uid(action_uid),
+            object_uids=[encode_uid(u) for u in object_uids],
+            **({"commute": True} if commute else {}),
+        )
+        entry.colour = colour
+        if self.obs is not None:
+            self.obs.count("twopc_fast_path_total", node=self.node.name,
+                           kind=fast_path)
+        self._emit_vote(txn_id, "commute" if commute else "commit", colour)
+        if self.obs is not None:
+            self.obs.emit("twopc.decision", txn=txn_id, decision="commit",
+                          fast_path=fast_path, node=self.node.name,
+                          colour=str(colour), **labels)
+        self._settle(entry, refresh_live)
 
     # -- the commute path (coordination avoidance) -------------------------------------
 
@@ -819,6 +858,29 @@ class ObjectServer:
                        colour: Colour, plan: List, payload: Dict[str, Any],
                        coordinator: str, in_memory: bool,
                        respond: Responder) -> None:
+        """Vote-and-apply, then let the colour leave this node."""
+        # a duplicate delivery may have decided the transaction while this
+        # one waited for its redo locks: then there is nothing left to
+        # apply, only the locks just taken to let go
+        applied = self.node.txns.state(PARTICIPANT, txn_id) is TxnState.NONE
+        if applied:
+            self._commute_merge(txn_id, mirror, colour, plan, coordinator,
+                                in_memory)
+        # vote-and-apply: the colour leaves this node now — no phase two
+        self.registry.release_colour(mirror.uid, colour,
+                                     reason="commute-commit")
+        finished = False
+        if payload.get("finish") is not None:
+            self._finish_action(mirror, payload["finish"])
+            finished = True
+        else:
+            self._retire_if_idle(mirror, "committed")
+        respond(True, self._ok({"vote": "commute", "applied": applied,
+                                "finished": finished}))
+
+    def _commute_merge(self, txn_id: str, mirror: ActionMirror,
+                       colour: Colour, plan: List, coordinator: str,
+                       in_memory: bool) -> None:
         """Fold a commute colour's merged effects into committed state."""
         object_uids = [object_uid for object_uid, _, _, _ in plan]
         for object_uid, _obj, ops, _groups in plan:
@@ -831,31 +893,15 @@ class ObjectServer:
                 self._apply_effect(scratch, method_name, args,
                                    committed_target=True)
             self.node.stable_store.write_shadow(scratch.stored_state())
-        self.node.wal.append(
-            "committed", txn_id=txn_id, delegated=True, commute=True,
-            coordinator=coordinator,
-            action_uid=encode_uid(mirror.uid),
-            object_uids=[encode_uid(u) for u in object_uids],
-        )
-        if self.obs is not None:
-            self.obs.count("twopc_fast_path_total", node=self.node.name,
-                           kind="commute")
-        self._emit_vote(txn_id, "commute", colour)
-        if self.obs is not None:
-            self.obs.emit(
-                "twopc.decision", txn=txn_id, decision="commit",
-                fast_path="commute", node=self.node.name,
-                colour=str(colour), action=str(mirror.uid),
-                groups=",".join(sorted(
-                    {g for _u, _o, _ops, gs in plan for g in gs})),
-            )
-        info = {"action_uid": mirror.uid, "colour": colour,
-                "object_uids": object_uids}
         # Promotion must NOT refresh live instances from committed state:
         # that would wipe other actions' pending in-memory commuting
         # effects on the same objects.  The live image is reconciled by
         # hand below instead.
-        self._apply_commit(txn_id, info, log_record=False, refresh_live=False)
+        self._decide_here(
+            txn_id, "commute", coordinator, mirror.uid, colour, object_uids,
+            "commute", refresh_live=False, action=str(mirror.uid),
+            groups=",".join(sorted(
+                {g for _u, _o, _ops, gs in plan for g in gs})))
         for _object_uid, obj, ops, _groups in plan:
             for method_name, args in ops:
                 method = getattr(type(obj), method_name)
@@ -871,19 +917,6 @@ class ObjectServer:
                     # old epoch — fold the full, already-settled effect in
                     self._apply_effect(obj, method_name, args,
                                        committed_target=False)
-        # vote-and-apply: the colour leaves this node now — no phase two
-        self.registry.release_colour(mirror.uid, colour,
-                                     reason="commute-commit")
-        finished = False
-        if payload.get("finish") is not None:
-            self._finish_action(mirror, payload["finish"])
-            finished = True
-        elif (not mirror.undo and not mirror.op_undo and not mirror.written
-              and not self.registry.objects_held_by(mirror.uid)):
-            self.mirrors.pop(mirror.uid, None)
-            self._retire_mirror(mirror, "committed")
-        respond(True, self._ok({"vote": "commute", "applied": True,
-                                "finished": finished}))
 
     @staticmethod
     def _apply_effect(target: StateManager, method_name: str, args,
@@ -927,21 +960,8 @@ class ObjectServer:
 
     def _h_txn_commit(self, message: Message, respond: Responder) -> None:
         """Decision = commit: promote shadows, release the colour."""
-        txn_id = message.payload["txn_id"]
-        info = self.prepared.pop(txn_id, None)
-        if info is None:
-            # Either recovered already, or duplicate decision: consult the log.
-            if self.node.wal.last(
-                "committed", where=lambda r: r.payload["txn_id"] == txn_id
-            ) is not None:
-                respond(True, self._ok({"applied": False}))
-                return
-            info = self._prepared_from_log(txn_id)
-            if info is None:
-                respond(True, self._ok({"applied": False}))
-                return
-        self._apply_commit(txn_id, info)
-        respond(True, self._ok({"applied": True}))
+        applied = self._decide(message.payload["txn_id"], "commit")
+        respond(True, self._ok({"applied": applied}))
 
     def _h_txn_abort(self, message: Message, respond: Responder) -> None:
         """Decision = abort: discard shadows (undo restore comes with
@@ -952,25 +972,59 @@ class ObjectServer:
         it and vote rollback (see :meth:`_h_txn_prepare`), not stabilise
         shadows for a transaction that is already dead.
         """
-        txn_id = message.payload["txn_id"]
-        info = self.prepared.pop(txn_id, None)
-        if info is None:
-            info = self._prepared_from_log(txn_id)
-        if info is not None:
-            for object_uid in info["object_uids"]:
-                self.node.stable_store.discard_shadow(object_uid)
-            if self.obs is not None:
-                self.obs.count("twopc_aborted_total", node=self.node.name)
-            for object_uid in info["object_uids"]:
-                self.in_doubt_objects.discard(object_uid)
-        self.in_doubt_txns.pop(txn_id, None)
-        if self.node.wal.last(
-            "aborted", where=lambda r: r.payload["txn_id"] == txn_id
-        ) is None:  # reaper retries use fresh rpc ids; log once
-            self.node.wal.append("aborted", txn_id=txn_id)
-        if self.obs is not None:
-            self.obs.emit("twopc.abort", txn=txn_id, node=self.node.name)
+        self._decide(message.payload["txn_id"], "abort")
         respond(True, self._ok())
+
+    def _decide(self, txn_id: str, decision: str) -> bool:
+        """Deliver a decision (``commit``/``abort``, also the event names)
+        to this participant; True when it moved the transaction.
+
+        Whoever delivers it first — the coordinator's fan-out, its reaper,
+        or the in-doubt resolver — takes the edge and carries it out; every
+        later delivery finds the absorbing state and is answer-only, so the
+        shadow slot (which may by then belong to a *later* transaction) is
+        touched exactly once per transaction.
+        """
+        entry = self.node.txns.advance(PARTICIPANT, txn_id, decision)
+        if entry is not None:
+            self._settle(entry)
+        if decision == "abort" and self.obs is not None:
+            self.obs.emit("twopc.abort", txn=txn_id, node=self.node.name)
+        return entry is not None
+
+    def _settle(self, entry: TxnEntry, refresh_live: bool = True) -> None:
+        """Carry out the decision the table just recorded for ``entry``:
+        promote or discard its shadows and lift its in-doubt fences."""
+        commit = entry.state is TxnState.COMMITTED
+        object_uids = entry.object_uids
+        colour, entry.colour = entry.colour, None  # no use once decided
+        for object_uid in object_uids:
+            self.in_doubt_objects.discard(object_uid)
+            if not commit:
+                self.node.stable_store.discard_shadow(object_uid)
+                continue
+            self.node.stable_store.commit_shadow(object_uid)
+            # refresh any live instance from the committed state so later
+            # activations and reads agree (skipped on the commute path,
+            # which reconciles live instances op-by-op so other actions'
+            # pending in-memory effects survive the promotion)
+            obj = self.objects.get(object_uid)
+            if refresh_live and obj is not None:
+                stored = self.node.stable_store.read_committed(object_uid)
+                obj.restore_snapshot(stored.payload)
+        if not commit:
+            if self.obs is not None and object_uids:
+                self.obs.count("twopc_aborted_total", node=self.node.name)
+            return
+        if self.obs is not None:
+            self.obs.count("twopc_committed_total", node=self.node.name)
+            self.obs.emit(
+                "twopc.commit", txn=entry.txn_id, node=self.node.name,
+                objects=",".join(str(u) for u in object_uids),
+            )
+        mirror = self.mirrors.get(decode_uid(entry.payload["action_uid"]))
+        if mirror is not None and colour is not None:
+            mirror.drop_colour(colour)
 
     def _h_txn_decision_query(self, message: Message, respond: Responder) -> None:
         """Coordinator side of recovery: presumed abort unless logged commit.
@@ -982,74 +1036,30 @@ class ObjectServer:
         a lost deferral costs nothing but another query).
         """
         txn_id = message.payload["txn_id"]
-        committed = self.node.wal.last(
-            "coord_commit", where=lambda r: r.payload["txn_id"] == txn_id
-        )
-        if committed is None:
-            if self.node.wal.last(
-                "coord_abort", where=lambda r: r.payload["txn_id"] == txn_id
-            ) is not None:
-                decision = "abort"
-            else:
-                delegated = self.node.wal.last(
-                    "coord_delegated",
-                    where=lambda r: r.payload["txn_id"] == txn_id,
-                )
-                if delegated is not None:
-                    self.node.spawn(
-                        self._answer_after_delegate(
-                            txn_id, delegated.payload["last_agent"], respond),
-                        name=f"delegated-query:{txn_id}",
-                    )
-                    return
-                decision = "abort"
-        else:
-            decision = "commit"
-        if self.obs is not None:
-            self.obs.emit("twopc.decision_query", txn=txn_id,
-                          decision=decision, node=self.node.name)
-        respond(True, self._ok({"decision": decision}))
+        state = self.node.txns.state(COORDINATOR, txn_id)
+        if state is TxnState.DELEGATED:
+            last_agent = self.node.txns.get(
+                COORDINATOR, txn_id).payload["last_agent"]
+            self.node.spawn(
+                self._answer_after_delegate(txn_id, last_agent, respond),
+                name=f"delegated-query:{txn_id}",
+            )
+            return
+        self._answer_query(txn_id, decision_of(state), respond)
 
     def _answer_after_delegate(self, txn_id: str, last_agent: str,
                                respond: Responder):
         """Resolve a delegated transaction's outcome, then answer a query."""
-        decision = yield from self._resolve_delegated_decision(txn_id, last_agent)
+        decision = yield from resolve_delegated(
+            self.node, self.transport, txn_id, last_agent)
+        self._answer_query(txn_id, decision, respond)
+
+    def _answer_query(self, txn_id: str, decision: str,
+                      respond: Responder) -> None:
         if self.obs is not None:
             self.obs.emit("twopc.decision_query", txn=txn_id,
                           decision=decision, node=self.node.name)
         respond(True, self._ok({"decision": decision}))
-
-    def _resolve_delegated_decision(self, txn_id: str, last_agent: str):
-        """Learn (and durably record) a delegated transaction's outcome.
-
-        Loops on ``txn_outcome_query`` to the last agent until it answers;
-        its answer is definitive (it force-aborts when it never saw the
-        delegated prepare).  Idempotent across concurrent resolvers.
-        """
-        while True:
-            if self.node.wal.last(
-                "coord_commit", where=lambda r: r.payload["txn_id"] == txn_id
-            ) is not None:
-                return "commit"
-            if self.node.wal.last(
-                "coord_abort", where=lambda r: r.payload["txn_id"] == txn_id
-            ) is not None:
-                return "abort"
-            try:
-                reply = yield from self.transport.call(
-                    last_agent, "txn_outcome_query", {"txn_id": txn_id},
-                    timeout=5.0, retries=1,
-                )
-            except Exception:
-                yield Timeout(5.0)
-                continue
-            decision = reply["decision"]
-            kind = "coord_commit" if decision == "commit" else "coord_abort"
-            if self.node.wal.last(
-                kind, where=lambda r: r.payload["txn_id"] == txn_id
-            ) is None:
-                self.node.wal.append(kind, txn_id=txn_id)
-            return decision
 
     def _h_txn_outcome_query(self, message: Message, respond: Responder) -> None:
         """Last-agent side of delegated recovery: did the piggybacked
@@ -1061,60 +1071,10 @@ class ObjectServer:
         guard instead of committing a transaction already reported aborted.
         """
         txn_id = message.payload["txn_id"]
-        if self.node.wal.last(
-            "committed", where=lambda r: r.payload["txn_id"] == txn_id
-        ) is not None:
-            decision = "commit"
-        else:
-            decision = "abort"
-            if self.node.wal.last(
-                "aborted", where=lambda r: r.payload["txn_id"] == txn_id
-            ) is None:
-                self.node.wal.append("aborted", txn_id=txn_id)
-        if self.obs is not None:
-            self.obs.emit("twopc.decision_query", txn=txn_id,
-                          decision=decision, node=self.node.name)
-        respond(True, self._ok({"decision": decision}))
-
-    def _apply_commit(self, txn_id: str, info: Dict[str, Any],
-                      log_record: bool = True,
-                      refresh_live: bool = True) -> None:
-        self.in_doubt_txns.pop(txn_id, None)
-        for object_uid in info["object_uids"]:
-            self.node.stable_store.commit_shadow(object_uid)
-            self.in_doubt_objects.discard(object_uid)
-            # refresh any live instance from the committed state so later
-            # activations and reads agree (skipped on the commute path,
-            # which reconciles live instances op-by-op so other actions'
-            # pending in-memory effects survive the promotion)
-            obj = self.objects.get(object_uid)
-            if refresh_live and obj is not None:
-                stored = self.node.stable_store.read_committed(object_uid)
-                obj.restore_snapshot(stored.payload)
-        if log_record:
-            self.node.wal.append("committed", txn_id=txn_id)
-        if self.obs is not None:
-            self.obs.count("twopc_committed_total", node=self.node.name)
-            self.obs.emit(
-                "twopc.commit", txn=txn_id, node=self.node.name,
-                objects=",".join(str(u) for u in info["object_uids"]),
-            )
-        mirror = self.mirrors.get(info["action_uid"]) if info.get("action_uid") else None
-        colour = info.get("colour")
-        if mirror is not None and colour is not None:
-            mirror.drop_colour(colour)
-
-    def _prepared_from_log(self, txn_id: str) -> Optional[Dict[str, Any]]:
-        record = self.node.wal.last(
-            "prepared", where=lambda r: r.payload["txn_id"] == txn_id
-        )
-        if record is None:
-            return None
-        return {
-            "action_uid": decode_uid(record.payload["action_uid"]),
-            "colour": None,
-            "object_uids": [decode_uid(raw) for raw in record.payload["object_uids"]],
-        }
+        self.node.txns.advance(PARTICIPANT, txn_id, "outcome_query")
+        self._answer_query(
+            txn_id, decision_of(self.node.txns.state(PARTICIPANT, txn_id)),
+            respond)
 
     # -- introspection -----------------------------------------------------------------
 
@@ -1132,32 +1092,20 @@ class ObjectServer:
         checkpoint = self.node.wal.last("checkpoint")
         wal["checkpoint_lsn"] = checkpoint.lsn if checkpoint is not None else 0
         in_flight = []
-        for txn_id in sorted(self.prepared):
-            info = self.prepared[txn_id]
-            object_uids = info.get("object_uids", [])
-            in_doubt = any(uid in self.in_doubt_objects for uid in object_uids)
-            in_flight.append({
-                "txn": txn_id,
-                "phase": "in-doubt" if in_doubt else "prepared",
-                "colour": str(info["colour"]) if info.get("colour") else "",
-                "action": (str(info["action_uid"])
-                           if info.get("action_uid") else ""),
-                "objects": len(object_uids),
-                "age": now - info.get("since", now),
-            })
-        for txn_id in sorted(self.in_doubt_txns):
-            if txn_id in self.prepared:
-                continue
-            info = self.in_doubt_txns[txn_id]
-            in_flight.append({
-                "txn": txn_id,
-                "phase": "in-doubt",
-                "colour": "",
-                "action": "",
-                "coordinator": info.get("coordinator", ""),
-                "objects": len(info.get("object_uids", [])),
-                "age": now - info.get("since", now),
-            })
+        for entry in sorted(self.prepared.values(),
+                            key=lambda e: (e.in_doubt, e.txn_id)):
+            row = {
+                "txn": entry.txn_id,
+                "phase": "in-doubt" if entry.in_doubt else "prepared",
+                "colour": str(entry.colour) if entry.colour else "",
+                "action": ("" if entry.in_doubt else
+                           str(decode_uid(entry.payload["action_uid"]))),
+                "objects": len(entry.payload["object_uids"]),
+                "age": now - entry.tick,
+            }
+            if entry.in_doubt:
+                row["coordinator"] = entry.payload["coordinator"]
+            in_flight.append(row)
         mirrors = [
             {
                 "action": str(mirror.uid),
@@ -1206,45 +1154,19 @@ class ObjectServer:
         The checkpoint itself is a log record, so recovery after a
         checkpoint sees a well-formed log.
         """
-        decided = set()
-        ended = set()
-        coord_decided = set()
-        for record in self.node.wal.records():
-            if record.kind in ("committed", "aborted"):
-                decided.add(record.payload["txn_id"])
-            elif record.kind == "coord_end":
-                ended.add(record.payload["txn_id"])
-            elif record.kind in ("coord_commit", "coord_abort"):
-                coord_decided.add(record.payload["txn_id"])
-        needed_lsns = []
-        for record in self.node.wal.records("prepared"):
-            if record.payload["txn_id"] not in decided:
-                needed_lsns.append(record.lsn)
-        # a delegated COMMITTED record is the *only* durable copy of the
-        # decision until the coordinator acknowledges it (a piggybacked
-        # forget on a later prepare); keep it queryable until then
-        for record in self.node.wal.records("committed"):
-            if (record.payload.get("delegated")
-                    and record.payload["txn_id"] not in self.forgotten):
-                needed_lsns.append(record.lsn)
-        # a coordinator's COMMIT decision must stay queryable until every
-        # participant acked (coord_end)
-        for record in self.node.wal.records("coord_commit"):
-            if record.payload["txn_id"] not in ended:
-                needed_lsns.append(record.lsn)
-        # an unresolved delegation: the outcome still lives at the last
-        # agent; the record names it for decision queries after a crash
-        for record in self.node.wal.records("coord_delegated"):
-            if record.payload["txn_id"] not in coord_decided:
-                needed_lsns.append(record.lsn)
-        marker = self.node.wal.append("checkpoint", decided=len(decided))
-        horizon = min(needed_lsns) if needed_lsns else marker.lsn
-        dropped = self.node.wal.truncate_before(horizon)
+        txns = self.node.txns
+        decided = sum(1 for entry in txns.entries(PARTICIPANT)
+                      if decision_of(entry.state) is not None)
+        marker = self.node.wal.append("checkpoint", decided=decided)
+        # what must stay — undecided prepares, unacknowledged decisions,
+        # unresolved delegations — is TxnEntry.pending, nothing else
+        horizon = txns.horizon(self.forgotten)
+        dropped = self.node.wal.truncate_before(
+            horizon if horizon is not None else marker.lsn)
+        txns.refold(keep_volatile=True)
         # forget bookkeeping for records that just left the log
-        remaining = {record.payload["txn_id"]
-                     for record in self.node.wal.records("committed")
-                     if record.payload.get("delegated")}
-        self.forgotten &= remaining
+        self.forgotten &= {entry.txn_id
+                           for entry in txns.entries(PARTICIPANT)}
         return {"dropped": dropped, "kept": len(self.node.wal)}
 
     # -- recovery ---------------------------------------------------------------------
@@ -1262,76 +1184,51 @@ class ObjectServer:
         self.registry.on_event = self._emit_lock_event
         self.detector = DeadlockDetector(self.registry)
         self.mirrors = {}
-        self.prepared = {}
         self.in_doubt_objects = set()
-        self.in_doubt_txns = {}
         self.forgotten = set()
-        decided = set()
-        coord_decided = set()
-        for record in self.node.wal.records():
-            if record.kind in ("committed", "aborted"):
-                decided.add(record.payload["txn_id"])
-            elif record.kind in ("coord_commit", "coord_abort"):
-                coord_decided.add(record.payload["txn_id"])
-        # redo delegated commits: the COMMITTED record may precede the
-        # promotion (we log before applying).  The shadow slot is
-        # single-occupancy per object, so promote only when this record
-        # is the object's *latest* shadow writer — a later transaction
+        txns = self.node.txns  # replayed from the log by Node.restart
+        # Redo decisions: a decision's record precedes its effect on the
+        # store, so a crash in between leaves the shadow behind.  The
+        # shadow slot is single-occupancy per object, so settle it only
+        # for the object's *latest* shadow writer — a later transaction
         # may have re-prepared the object, and promoting its shadow here
         # would commit a transaction that never decided.
-        last_shadow_writer: Dict[Uid, str] = {}
-        for record in self.node.wal.records():
-            if record.kind == "prepared" or (
-                    record.kind == "committed"
-                    and record.payload.get("delegated")):
-                for raw in record.payload.get("object_uids", ()):
-                    last_shadow_writer[decode_uid(raw)] = (
-                        record.payload["txn_id"])
-        for record in self.node.wal.records("committed"):
-            if record.payload.get("delegated"):
-                txn_id = record.payload["txn_id"]
-                for raw in record.payload.get("object_uids", ()):
-                    object_uid = decode_uid(raw)
-                    if last_shadow_writer.get(object_uid) == txn_id:
-                        self.node.stable_store.commit_shadow(object_uid)
+        last_shadow_writer: Dict[Uid, TxnEntry] = {}
+        for entry in sorted(txns.entries(PARTICIPANT), key=lambda e: e.lsn):
+            for object_uid in entry.object_uids:
+                last_shadow_writer[object_uid] = entry
+        for object_uid, entry in last_shadow_writer.items():
+            if entry.state is TxnState.COMMITTED:
+                self.node.stable_store.commit_shadow(object_uid)
+            elif entry.state is TxnState.ABORTED:
+                self.node.stable_store.discard_shadow(object_uid)
         # resolve delegations whose outcome we never learned, so decision
         # queries from in-doubt participants get a real answer
-        for record in self.node.wal.records("coord_delegated"):
-            txn_id = record.payload["txn_id"]
-            if txn_id in coord_decided:
-                continue
-            self.node.spawn(
-                self._resolve_delegated_decision(
-                    txn_id, record.payload["last_agent"]),
-                name=f"resolve-delegated:{txn_id}",
-            )
-        pending: List[Tuple[str, str, List[Uid]]] = []
-        for record in self.node.wal.records("prepared"):
-            txn_id = record.payload["txn_id"]
-            if txn_id in decided:
-                continue
-            object_uids = [decode_uid(raw) for raw in record.payload["object_uids"]]
-            pending.append((txn_id, record.payload["coordinator"], object_uids))
+        for entry in txns.entries(COORDINATOR):
+            if entry.state is TxnState.DELEGATED:
+                self.node.spawn(
+                    resolve_delegated(self.node, self.transport, entry.txn_id,
+                                      entry.payload["last_agent"]),
+                    name=f"resolve-delegated:{entry.txn_id}",
+                )
+        pending = sorted(self.prepared.values(), key=lambda e: e.lsn)
         if self.obs is not None:
             self.obs.count("recovery_replays_total", node=self.node.name)
             if pending:
                 self.obs.count("recovery_in_doubt_total", len(pending),
                                node=self.node.name)
-        for txn_id, coordinator, object_uids in pending:
-            self.in_doubt_objects.update(object_uids)
-            self.in_doubt_txns[txn_id] = {
-                "coordinator": coordinator,
-                "object_uids": list(object_uids),
-                "since": self.kernel.now,
-            }
+        for entry in pending:
+            entry.in_doubt = True
+            self.in_doubt_objects.update(entry.object_uids)
             self.node.spawn(
-                self._resolve_in_doubt(txn_id, coordinator, object_uids),
-                name=f"resolve:{txn_id}",
+                self._resolve_in_doubt(entry.txn_id,
+                                       entry.payload["coordinator"]),
+                name=f"resolve:{entry.txn_id}",
             )
 
-    def _resolve_in_doubt(self, txn_id: str, coordinator: str,
-                          object_uids: List[Uid]):
-        """Query the coordinator until a decision arrives, then apply it."""
+    def _resolve_in_doubt(self, txn_id: str, coordinator: str):
+        """Query the coordinator until a decision arrives, then apply it —
+        unless a redelivered ``txn_commit``/``txn_abort`` already did."""
         while True:
             try:
                 reply = yield from self.transport.call(
@@ -1341,18 +1238,32 @@ class ObjectServer:
             except Exception:
                 yield Timeout(5.0)
                 continue
-            decision = reply["decision"]
-            info = {"action_uid": None, "colour": None, "object_uids": object_uids}
-            if decision == "commit":
-                self._apply_commit(txn_id, info)
-            else:
-                for object_uid in object_uids:
-                    self.node.stable_store.discard_shadow(object_uid)
-                self.node.wal.append("aborted", txn_id=txn_id)
-                if self.obs is not None:
-                    self.obs.emit("twopc.abort", txn=txn_id,
-                                  node=self.node.name)
-            for object_uid in object_uids:
-                self.in_doubt_objects.discard(object_uid)
-            self.in_doubt_txns.pop(txn_id, None)
-            return decision
+            self._decide(txn_id, reply["decision"])
+            return reply["decision"]
+
+
+def resolve_delegated(node: Node, transport: RpcTransport, txn_id: str,
+                      last_agent: str, trace_parent=None):
+    """Learn (and durably record) a delegated transaction's outcome.
+
+    The coordinator's half of delegated recovery, for whoever needs the
+    answer: the committing client whose delegated prepare lost its reply,
+    a restarted coordinator node, a decision query that must not presume.
+    Loops on ``txn_outcome_query`` until the last agent answers; its
+    answer is definitive (it force-aborts when it never saw the delegated
+    prepare).  Blocking is required for truthfulness: reporting an outcome
+    the delegate may contradict would split the decision.  Idempotent
+    across concurrent resolvers — the second ``decide_*`` is answer-only.
+    """
+    txns = node.txns
+    while txns.state(COORDINATOR, txn_id) is TxnState.DELEGATED:
+        try:
+            reply = yield from transport.call(
+                last_agent, "txn_outcome_query", {"txn_id": txn_id},
+                timeout=5.0, retries=1, trace_parent=trace_parent,
+            )
+        except Exception:
+            yield Timeout(5.0)
+            continue
+        txns.advance(COORDINATOR, txn_id, "decide_" + reply["decision"])
+    return decision_of(txns.state(COORDINATOR, txn_id))

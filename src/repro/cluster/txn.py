@@ -1,0 +1,251 @@
+"""The per-node transaction state table: the commit protocol's one rulebook.
+
+Beside its write-ahead log every node keeps a :class:`TxnTable`: the state
+of each transaction the log knows, once per role — *participant* (this
+node's object server voted on it) and *coordinator* (a client here drove
+it).  The table is the in-memory **fold of the live log**:
+:meth:`TxnTable.advance` is the only way protocol records are appended and
+updates the index in the same step, so "what do we know about txn X" is a
+dictionary lookup, never a log scan.
+
+What may happen to a transaction is :data:`TRANSITIONS` and nothing else
+(docs/PROTOCOL.md §3.5 renders it and explains the states).  An edge that
+logs no record is *answer-only*; a triple without an edge is refused.  The
+decided participant states are *absorbing*: a decision is carried out once,
+by whoever delivers it first (coordinator, reaper or in-doubt resolver).
+
+Data and pure functions only: the processes that drive the edges live in
+``client.py``/``server.py``.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass, field
+from typing import Any, Callable, Collection, Dict, List, Optional, Tuple
+
+from repro.cluster.message import decode_uid
+from repro.errors import ClusterError
+from repro.util.uid import Uid
+
+PARTICIPANT = "participant"
+COORDINATOR = "coordinator"
+
+
+class TxnState(enum.Enum):
+    """Where a transaction stands on one node, in one role: participant
+    ``NONE -> PREPARED -> COMMITTED | ABORTED`` (decided = absorbing),
+    coordinator ``NONE -> DELEGATED -> COMMIT | ABORT``, ``COMMIT -> ENDED``.
+    ``NONE`` is "nothing on the log", which presumed abort covers."""
+
+    NONE = "none"
+    PREPARED = "prepared"
+    COMMITTED = "committed"
+    ABORTED = "aborted"
+    DELEGATED = "delegated"
+    COMMIT = "commit"
+    ABORT = "abort"
+    ENDED = "ended"
+
+
+class IllegalTransition(ClusterError):
+    """An event the transition table has no edge for in the current state."""
+
+
+#: what can be asked of a transaction, per role, in table and doc order
+EVENTS: Dict[str, Tuple[str, ...]] = {
+    PARTICIPANT: ("prepare", "decide", "commute", "read_only",
+                  "commit", "abort", "outcome_query"),
+    COORDINATOR: ("delegate", "decide_commit", "decide_abort", "end"),
+}
+
+_S = TxnState
+#: (role, state, event) -> (next state, WAL record kind or None), in doc
+#: order; docs/PROTOCOL.md §3.5 gives the reason for every edge
+TRANSITIONS: Dict[Tuple[str, TxnState, str],
+                  Tuple[TxnState, Optional[str]]] = {
+    (PARTICIPANT, _S.NONE, "prepare"): (_S.PREPARED, "prepared"),
+    (PARTICIPANT, _S.NONE, "decide"): (_S.COMMITTED, "committed"),
+    (PARTICIPANT, _S.NONE, "commute"): (_S.COMMITTED, "committed"),
+    (PARTICIPANT, _S.NONE, "read_only"): (_S.NONE, None),
+    (PARTICIPANT, _S.NONE, "commit"): (_S.NONE, None),
+    (PARTICIPANT, _S.NONE, "abort"): (_S.ABORTED, "aborted"),
+    (PARTICIPANT, _S.NONE, "outcome_query"): (_S.ABORTED, "aborted"),
+    (PARTICIPANT, _S.PREPARED, "prepare"): (_S.PREPARED, None),
+    (PARTICIPANT, _S.PREPARED, "commit"): (_S.COMMITTED, "committed"),
+    (PARTICIPANT, _S.PREPARED, "abort"): (_S.ABORTED, "aborted"),
+}
+# absorbing: whatever arrives after the decision is answered from it
+TRANSITIONS.update({
+    (PARTICIPANT, decided, event): (decided, None)
+    for decided in (_S.COMMITTED, _S.ABORTED)
+    for event in EVENTS[PARTICIPANT]
+})
+TRANSITIONS.update({
+    (COORDINATOR, _S.NONE, "delegate"): (_S.DELEGATED, "coord_delegated"),
+    (COORDINATOR, _S.NONE, "decide_commit"): (_S.COMMIT, "coord_commit"),
+    (COORDINATOR, _S.NONE, "decide_abort"): (_S.NONE, None),
+    (COORDINATOR, _S.DELEGATED, "decide_commit"): (_S.COMMIT, "coord_commit"),
+    (COORDINATOR, _S.DELEGATED, "decide_abort"): (_S.ABORT, "coord_abort"),
+    (COORDINATOR, _S.COMMIT, "decide_commit"): (_S.COMMIT, None),
+    (COORDINATOR, _S.COMMIT, "end"): (_S.ENDED, "coord_end"),
+    (COORDINATOR, _S.ABORT, "decide_abort"): (_S.ABORT, None),
+    (COORDINATOR, _S.ENDED, "decide_commit"): (_S.ENDED, None),
+})
+
+#: WAL record kind -> (role, state that record puts its transaction in):
+#: the fold step (every edge logging a kind agrees — pinned by a test)
+STATE_OF_RECORD: Dict[str, Tuple[str, TxnState]] = {
+    record: (role, following)
+    for (role, _state, _event), (following, record) in TRANSITIONS.items()
+    if record is not None
+}
+
+_DECISIONS = {_S.COMMITTED: "commit", _S.COMMIT: "commit",
+              _S.ENDED: "commit", _S.ABORTED: "abort", _S.ABORT: "abort",
+              _S.NONE: "abort"}  # nothing on the log: presumed abort
+
+
+def decision_of(state: TxnState) -> Optional[str]:
+    """The answer ``state`` gives a decision/outcome query: ``commit``,
+    ``abort``, or None while the outcome is open (PREPARED, DELEGATED)."""
+    return _DECISIONS.get(state)
+
+
+def render_table() -> str:
+    """:data:`TRANSITIONS` as the markdown table of docs/PROTOCOL.md §3.5."""
+    return "\n".join(
+        ["| role | state | event | next state | log record |",
+         "|---|---|---|---|---|"]
+        + [f"| {role} | {state.value} | {event} | {following.value} | "
+           f"{f'`{record}`' if record else '—'} |"
+           for (role, state, event), (following, record)
+           in TRANSITIONS.items()])
+
+
+@dataclass
+class TxnEntry:
+    """One transaction in one role: its state plus what its records say."""
+
+    role: str
+    txn_id: str
+    state: TxnState = TxnState.NONE
+    #: lsn of the record that put the entry in ``state`` — the one record a
+    #: checkpoint has to keep while the entry is :meth:`pending`
+    lsn: int = 0
+    #: union of the payloads of the transaction's live records, as logged
+    payload: Dict[str, Any] = field(default_factory=dict)
+    # volatile annotations (not on the log, not part of equality): when the
+    # entry reached ``state``; the colour being committed; and whether a
+    # PREPARED was recovered from the log (objects fenced, resolver running)
+    tick: float = field(default=0.0, compare=False)
+    colour: Any = field(default=None, compare=False)
+    in_doubt: bool = field(default=False, compare=False)
+
+    @property
+    def object_uids(self) -> List[Uid]:
+        """The objects whose shadows the transaction stabilised here."""
+        return [decode_uid(raw) for raw in self.payload.get("object_uids", ())]
+
+    def pending(self, forgotten: Collection[str] = ()) -> bool:
+        """Must a checkpoint keep this entry's record?  Yes while somebody
+        may need the answer: undecided PREPARED, unresolved DELEGATED,
+        unacknowledged COMMIT, and a delegated COMMITTED — the only durable
+        copy of that decision until the coordinator's lazy ``forget``."""
+        if self.state in (_S.PREPARED, _S.DELEGATED, _S.COMMIT):
+            return True
+        return (self.state is _S.COMMITTED
+                and bool(self.payload.get("delegated"))
+                and self.txn_id not in forgotten)
+
+
+class TxnTable:
+    """``role -> txn_id -> TxnEntry``, always equal to the fold of ``wal``."""
+
+    def __init__(self, wal, clock: Callable[[], float] = lambda: 0.0):
+        self.wal = wal
+        self._clock = clock
+        self._entries: Dict[str, Dict[str, TxnEntry]] = {
+            PARTICIPANT: {}, COORDINATOR: {}}
+        #: txn_id -> participant entries in PREPARED (promised, undecided)
+        self.prepared: Dict[str, TxnEntry] = {}
+
+    @classmethod
+    def replay(cls, wal) -> "TxnTable":
+        """A fresh table folded from ``wal`` (what a restart would see)."""
+        table = cls(wal)
+        table.refold()
+        return table
+
+    def get(self, role: str, txn_id: str) -> Optional[TxnEntry]:
+        """The entry, or None when the log holds nothing for it."""
+        return self._entries[role].get(txn_id)
+
+    def state(self, role: str, txn_id: str) -> TxnState:
+        """The transaction's state in ``role`` (NONE when unknown)."""
+        entry = self._entries[role].get(txn_id)
+        return entry.state if entry is not None else TxnState.NONE
+
+    def entries(self, role: str) -> List[TxnEntry]:
+        """Every entry of one role (in no particular order)."""
+        return list(self._entries[role].values())
+
+    def advance(self, role: str, txn_id: str, event: str,
+                **payload: Any) -> Optional[TxnEntry]:
+        """Take the ``(role, state, event)`` edge: a logging edge appends
+        its record (carrying ``payload``) and returns the updated entry, an
+        answer-only edge returns None, no edge raises."""
+        state = self.state(role, txn_id)
+        edge = TRANSITIONS.get((role, state, event))
+        if edge is None:
+            raise IllegalTransition(
+                f"{role} {txn_id}: no {event!r} edge from {state.value}")
+        if edge[1] is None:
+            return None
+        # looked up on the log at call time: instrumentation may shadow it
+        return self._fold(self.wal.append(edge[1], txn_id=txn_id, **payload))
+
+    def _fold(self, record) -> Optional[TxnEntry]:
+        """Apply one log record to the index (non-protocol kinds pass)."""
+        found = STATE_OF_RECORD.get(record.kind)
+        if found is None:
+            return None
+        role, state = found
+        txn_id = record.payload["txn_id"]
+        entry = self._entries[role].get(txn_id)
+        if entry is None:
+            entry = self._entries[role][txn_id] = TxnEntry(role, txn_id)
+        entry.state, entry.lsn, entry.tick = state, record.lsn, self._clock()
+        entry.payload.update(record.payload)
+        if state is TxnState.PREPARED:
+            self.prepared[txn_id] = entry
+        elif role == PARTICIPANT:
+            self.prepared.pop(txn_id, None)
+        return entry
+
+    def refold(self, keep_volatile: bool = False) -> None:
+        """Rebuild the index from the log as it is now: at restart, or
+        (``keep_volatile``: survivors keep their annotations) after a
+        checkpoint truncated it."""
+        old = self._entries
+        self._entries = {PARTICIPANT: {}, COORDINATOR: {}}
+        self.prepared = {}
+        for record in self.wal.records():
+            self._fold(record)
+        if keep_volatile:
+            for role, entries in self._entries.items():
+                for txn_id, entry in entries.items():
+                    was = old[role][txn_id]
+                    entry.tick, entry.colour, entry.in_doubt = (
+                        was.tick, was.colour, was.in_doubt)
+
+    def horizon(self, forgotten: Collection[str] = ()) -> Optional[int]:
+        """The smallest lsn a checkpoint must keep, None if nothing pends."""
+        return min((entry.lsn for entries in self._entries.values()
+                    for entry in entries.values()
+                    if entry.pending(forgotten)), default=None)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TxnTable):
+            return NotImplemented
+        return self._entries == other._entries

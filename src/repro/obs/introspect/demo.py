@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkConfig
+from repro.cluster.txn import COORDINATOR, decision_of
 from repro.sim.kernel import Timeout
 
 ARMS = ("fault-free", "partition", "restart")
@@ -92,12 +93,13 @@ def run_demo(seed: int = 0, arm: str = "fault-free",
     inspector.probe_once()
 
     if arm == "partition":
-        before = set(client.txn_log)
+        txns = client.node.txns
+        before = {entry.txn_id for entry in txns.entries(COORDINATOR)}
 
         def decided() -> bool:
-            return any(txn_id not in before
-                       for txn_id, entry in client.txn_log.items()
-                       if entry["state"] in ("decided", "ended"))
+            return any(entry.txn_id not in before
+                       and decision_of(entry.state) is not None
+                       for entry in txns.entries(COORDINATOR))
 
         cluster.spawn("beta", transfer(_TRANSFERS), name="partitioned-xfer")
         # cut the link within one polling slice of the decision log write:

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
+from repro.cluster.txn import COORDINATOR
 from repro.obs.audit.findings import INTROSPECT_DRIFT, Finding
 from repro.sim.kernel import settle_all
 
@@ -219,10 +220,14 @@ class ClusterInspector:
                 live[str(action.uid)] = {
                     node: epoch
                     for node, epoch in action.server_epochs.items()}
-            for txn_id, entry in client.txn_log.items():
-                txn_states[txn_id] = entry
             for node, count in client.reaper_backlog.items():
                 backlog[node] = backlog.get(node, 0) + count
+        # what each coordinator believes about the transactions it drove:
+        # the coordinator role of every node's transaction table
+        for node in self.cluster.nodes.values():
+            for entry in node.txns.entries(COORDINATOR):
+                txn_states[entry.txn_id] = {"state": entry.state.value,
+                                            "tick": entry.tick}
         return {"live_actions": live, "txn_states": txn_states,
                 "reaper_backlog": backlog}
 
@@ -273,7 +278,8 @@ class ClusterInspector:
                     txn=txn_id,
                     message=(f"server {node} holds {txn_id} "
                              f"{entry['phase']} although its coordinator "
-                             f"{noted['state']} it {age:g} ticks ago"))
+                             f"moved it to {noted['state']} {age:g} ticks "
+                             f"ago"))
                 if self._note_drift(drift):
                     fresh.append(drift)
         return fresh

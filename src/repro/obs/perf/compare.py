@@ -20,10 +20,6 @@ diffs the two with tolerance bands:
 - a scenario present in the baselines but absent from the run fails the
   gate (coverage loss is a regression too); a new scenario in the run is
   reported but passes (its baseline lands with the PR that adds it).
-
-Legacy figure documents (``rows`` lists, e.g. ``BENCH_commit_fanout.json``)
-are normalised by flattening each row's numeric fields, so the old
-baselines are gated by the same machinery.
 """
 
 from __future__ import annotations
@@ -90,29 +86,15 @@ class Deviation:
         return f"[{self.scenario}] {self.kind} {self.metric}"
 
 
-def _flatten_rows(doc: Dict[str, Any]) -> Dict[str, float]:
-    """Gated metrics from a legacy figure document's ``rows`` list."""
-    out: Dict[str, float] = {}
-    for index, row in enumerate(doc.get("rows", [])):
-        if not isinstance(row, dict):
-            continue
-        for key in sorted(row):
-            value = row[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            out[f"rows[{index}].{key}"] = float(value)
-    return out
-
-
 def gated_metrics(doc: Dict[str, Any]) -> Dict[str, float]:
     """The numeric entries of a document that the gate checks."""
     metrics = doc.get("metrics")
-    if isinstance(metrics, dict):
-        return {
-            key: float(value) for key, value in metrics.items()
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
-        }
-    return _flatten_rows(doc)
+    if not isinstance(metrics, dict):
+        return {}
+    return {
+        key: float(value) for key, value in metrics.items()
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    }
 
 
 def gated_wall_metrics(doc: Dict[str, Any]) -> Dict[str, float]:
@@ -138,7 +120,7 @@ def gated_wall_metrics(doc: Dict[str, Any]) -> Dict[str, float]:
 
 
 def scenario_name(doc: Dict[str, Any], path: str = "") -> str:
-    name = doc.get("scenario") or doc.get("figure")
+    name = doc.get("scenario")
     if name:
         return str(name)
     stem = os.path.basename(path)

@@ -1,7 +1,10 @@
 """2PC crash recovery: prepared states, decision queries, presumed abort."""
 
+import pytest
+
 from repro.cluster.cluster import Cluster
 from repro.cluster.message import encode_colour, encode_uid
+from repro.cluster.txn import COORDINATOR
 from repro.objects.state import ObjectState
 from repro.sim.kernel import Timeout
 
@@ -52,7 +55,8 @@ def test_prepared_shadow_survives_crash_and_commit_applies_on_recovery():
     holder = drive_prepare(cluster, client, value_after=42)
     # the coordinator decides commit and logs it — but the participant
     # crashes before hearing it.
-    cluster.nodes["coord"].wal.append("coord_commit", txn_id=holder["txn_id"])
+    cluster.nodes["coord"].txns.advance(COORDINATOR, holder["txn_id"],
+                                        "decide_commit")
     cluster.crash("part")
     assert committed_int(cluster, holder["ref"]) == 1  # still old on disk
     cluster.restart("part")
@@ -79,7 +83,8 @@ def test_in_doubt_object_fenced_until_resolution():
     cluster = make_cluster()
     client = cluster.client("coord")
     holder = drive_prepare(cluster, client, value_after=42)
-    cluster.nodes["coord"].wal.append("coord_commit", txn_id=holder["txn_id"])
+    cluster.nodes["coord"].txns.advance(COORDINATOR, holder["txn_id"],
+                                        "decide_commit")
     cluster.crash("part")
     cluster.network.partition("coord", "part")
     cluster.restart("part")
@@ -165,3 +170,109 @@ def test_full_commit_resilient_to_participant_crash_after_decision():
     else:
         # the whole action failed before any prepare: nothing applied
         assert final == 0
+
+
+# -- a decision is applied exactly once, whoever delivers it first --------------
+#
+# After a crash two deliverers race for a prepared participant: its own
+# in-doubt resolver (asking the coordinator) and the coordinator's reaper
+# (redelivering txn_commit/txn_abort).  Whichever comes second must find the
+# decided state and touch nothing — by then the object's shadow slot and live
+# instance may belong to a *later* transaction.
+
+
+def three_nodes():
+    cluster = Cluster(seed=0)
+    for name in ("coord", "part", "other"):
+        cluster.add_node(name)
+    return cluster
+
+
+def decide(cluster, node, txn_id, decision):
+    """The coordinator on ``node`` decides ``txn_id`` (log + decision event)."""
+    cluster.nodes[node].txns.advance(COORDINATOR, txn_id, f"decide_{decision}")
+    cluster.obs.emit("twopc.decision", txn=txn_id, decision=decision, node=node)
+
+
+def deliver(cluster, src, kind, txn_id):
+    """One ``txn_commit``/``txn_abort`` delivery to 'part', as a reaper's."""
+    return cluster.run_process(src, cluster.transports[src].call(
+        "part", kind, {"txn_id": txn_id}))
+
+
+def records_of(cluster, kind, txn_id):
+    return [r for r in cluster.nodes["part"].wal.records(kind)
+            if r.payload["txn_id"] == txn_id]
+
+
+def test_commit_redelivered_before_the_resolver_answers_applies_once():
+    """lossy_crash seed 11: the reaper's txn_commit lands while the resolver
+    still waits; the resolver's late answer must not commit a second time
+    (it used to reinstall the old state over a later action's live update)."""
+    cluster = three_nodes()
+    first = drive_prepare(cluster, cluster.client("coord"), value_after=42)
+    ref, txn_id = first["ref"], first["txn_id"]
+    decide(cluster, "coord", txn_id, "commit")
+    cluster.crash("part")
+    cluster.network.partition("coord", "part")  # the resolver has to wait
+    cluster.restart("part")
+    server = cluster.servers["part"]
+    assert ref.uid in server.in_doubt_objects
+    assert deliver(cluster, "other", "txn_commit", txn_id)["applied"] is True
+    assert committed_int(cluster, ref) == 42
+    assert ref.uid not in server.in_doubt_objects and not server.prepared
+    # a later action updates the object: live, not yet stable
+    other = cluster.client("other")
+    later = other.top_level("later")
+    cluster.run_process("other", other.invoke(later, ref, "increment", 1))
+    cluster.network.heal_all()
+    cluster.run(until=cluster.kernel.now + 60)  # the resolver hears "commit"
+    cluster.run_process("other", other.commit(later))
+    assert committed_int(cluster, ref) == 43
+    assert len(records_of(cluster, "committed", txn_id)) == 1
+    assert cluster.obs.auditor.report() == []
+
+
+@pytest.mark.parametrize("late", ["redelivery", "resolver"])
+def test_abort_delivered_twice_spares_a_later_transactions_shadow(late):
+    """The mirror case: the second abort (a redelivered txn_abort after the
+    resolver presumed abort, or the other way round) used to discard
+    whatever occupied the shadow slot — here a later prepared transaction."""
+    cluster = three_nodes()
+    first = drive_prepare(cluster, cluster.client("coord"), value_after=42)
+    ref, txn_id = first["ref"], first["txn_id"]
+    cluster.crash("part")
+    if late == "resolver":
+        cluster.network.partition("coord", "part")
+    cluster.restart("part")
+    if late == "resolver":
+        deliver(cluster, "other", "txn_abort", txn_id)
+    else:
+        cluster.run(until=cluster.kernel.now + 60)  # presumed abort
+    server = cluster.servers["part"]
+    assert ref.uid not in server.in_doubt_objects and not server.prepared
+    # a later transaction prepares the same object: its shadow takes the slot
+    other = cluster.client("other")
+    later = other.top_level("later")
+    cluster.run_process("other", other.invoke(later, ref, "increment", 1))
+    vote = cluster.run_process("other", cluster.transports["other"].call(
+        "part", "txn_prepare", {
+            "txn_id": "txn:test:later",
+            "action_uid": encode_uid(later.uid),
+            "colour": encode_colour(next(iter(later.colours))),
+            "object_uids": [encode_uid(ref.uid)],
+            "expected_epoch": later.server_epochs.get("part"),
+        }))["vote"]
+    assert vote == "commit"
+    if late == "resolver":
+        cluster.network.heal_all()
+        cluster.run(until=cluster.kernel.now + 60)
+    else:
+        deliver(cluster, "coord", "txn_abort", txn_id)
+    assert cluster.nodes["part"].stable_store.read_shadow(ref.uid) is not None
+    decide(cluster, "other", "txn:test:later", "commit")
+    assert deliver(cluster, "other", "txn_commit",
+                   "txn:test:later")["applied"] is True
+    assert committed_int(cluster, ref) == 2
+    assert len(records_of(cluster, "aborted", txn_id)) == 1
+    assert cluster.obs.auditor.report() == []

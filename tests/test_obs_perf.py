@@ -299,13 +299,6 @@ def test_compare_zero_baseline_requires_zero():
     assert [d.kind for d in devs] == ["regression"]
 
 
-def test_compare_flattens_legacy_row_documents():
-    base = {"figure": "fanout", "rows": [{"participants": 1, "latency": 4.0}]}
-    run = {"figure": "fanout", "rows": [{"participants": 1, "latency": 9.0}]}
-    devs = compare_documents("fanout", run, base)
-    assert [d.metric for d in devs if d.failing] == ["rows[0].latency"]
-
-
 def _write_bench(directory, name, doc):
     path = directory / f"BENCH_{name}.json"
     path.write_text(json.dumps(doc))

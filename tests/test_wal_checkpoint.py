@@ -8,6 +8,7 @@ transaction on the participant.  Checkpointing of the fast paths'
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.message import encode_colour, encode_uid
+from repro.cluster.txn import COORDINATOR
 from repro.objects.state import ObjectState
 
 
@@ -78,7 +79,7 @@ def test_checkpoint_keeps_unended_coordinator_decisions():
     run_transfers(cluster, client, count=1)
     coord = cluster.servers["coord"]
     # simulate a decision whose participant never acked
-    coord.node.wal.append("coord_commit", txn_id="txn:unacked")
+    coord.node.txns.advance(COORDINATOR, "txn:unacked", "decide_commit")
     coord.checkpoint()
     surviving = [r.payload.get("txn_id") for r in
                  coord.node.wal.records("coord_commit")]
