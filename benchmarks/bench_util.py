@@ -19,7 +19,7 @@ def emit_metrics_dump(name: str, cluster) -> None:
 
     Opt-in: set ``REPRO_OBS_DUMP`` to a directory and each benchmark that
     calls this drops a ``<name>.metrics.json`` there for offline analysis
-    with ``python -m repro.obs.report``.
+    with ``python -m repro.obs report``.
     """
     out_dir = os.environ.get("REPRO_OBS_DUMP")
     if not out_dir:

@@ -10,7 +10,7 @@ document::
       "seed": 11,
       "params": {...},                # workload shape, for humans
       "metrics": {...},              # simulated-time numbers — GATED by
-                                     #   python -m repro.obs.perf compare
+                                     #   python -m repro.obs perf compare
       "info": {...}                  # wall-clock numbers (obs overhead,
                                      #   host-dependent) — never gated
     }
@@ -21,7 +21,7 @@ any host; the checked-in baselines at the repository root are diffed with
 tolerance bands by the CI perf gate (exit 2 on regression)::
 
     python benchmarks/scenarios.py --out /tmp/bench
-    python -m repro.obs.perf compare --baseline . --current /tmp/bench
+    python -m repro.obs perf compare --baseline . --current /tmp/bench
 
 Scenarios: ``contention_sweep`` (lock contention ladder, plus the
 observability layer's own measured overhead with the flight recorder

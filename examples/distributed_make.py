@@ -17,7 +17,7 @@ Run:  python examples/distributed_make.py
 from repro.apps.make.distributed import DistributedMakeEngine
 from repro.apps.make.makefile import PAPER_EXAMPLE, parse_makefile
 from repro.cluster.cluster import Cluster
-from repro.trace import TraceRecorder, render_timeline
+from repro.obs import action_timeline
 
 PLACEMENT = {
     "Test": "node-1",
@@ -34,20 +34,18 @@ def build_engine(seed=0, fail_before=None):
     for node in ("workstation", "node-1", "node-2", "node-3"):
         cluster.add_node(node)
     client = cluster.client("workstation")
-    recorder = TraceRecorder(tick_source=lambda: cluster.kernel.now)
-    client.add_observer(recorder)
     engine = DistributedMakeEngine(
         cluster, client, parse_makefile(PAPER_EXAMPLE), PLACEMENT,
         compile_duration=COMPILE_DURATION, fail_before=fail_before,
     )
     cluster.run_process("workstation", engine.setup(SOURCES))
-    recorder.clear()  # drop setup noise; trace the build itself
-    return cluster, engine, recorder
+    cluster.obs.tracer.clear()  # drop setup noise; trace the build itself
+    return cluster, engine
 
 
 def main() -> None:
     print("== distributed make of the paper's makefile")
-    cluster, engine, recorder = build_engine()
+    cluster, engine = build_engine()
     start = cluster.kernel.now
     report = cluster.run_process("workstation", engine.make())
     makespan = cluster.kernel.now - start
@@ -59,14 +57,14 @@ def main() -> None:
     print(f"  consistent targets in stable storage: "
           f"{engine.consistent_targets()}")
     print("\n  the fig. 8 picture, from this very run:")
-    print(render_timeline(recorder, width=64))
+    print(action_timeline(cluster.obs.tracer, width=64))
 
     print("\n== nothing to do on a second run")
     report2 = cluster.run_process("workstation", engine.make())
     print(f"  rebuilt: {report2.rebuilt}, up to date: {report2.up_to_date}")
 
     print("\n== make fails before the final link")
-    cluster3, engine3, _recorder3 = build_engine(fail_before="Test")
+    cluster3, engine3 = build_engine(fail_before="Test")
     report3 = cluster3.run_process("workstation", engine3.make())
     print(f"  failed at: {report3.failed_at}; rebuilt before the failure: "
           f"{sorted(report3.rebuilt)}")

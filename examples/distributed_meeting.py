@@ -11,7 +11,7 @@ from repro.apps.meeting.distributed import (
     SchedulerCrashRemote,
 )
 from repro.cluster.cluster import Cluster
-from repro.trace import TraceRecorder, render_timeline
+from repro.obs import action_timeline
 
 DATES = [f"2026-07-{day:02d}" for day in range(13, 20)]
 PEOPLE = {"ann": "ws-ann", "bob": "ws-bob", "cat": "ws-cat"}
@@ -24,13 +24,11 @@ def main() -> None:
     for node in PEOPLE.values():
         cluster.add_node(node)
     client = cluster.client("coordinator")
-    recorder = TraceRecorder(tick_source=lambda: cluster.kernel.now)
-    client.add_observer(recorder)
 
     scheduler = DistributedMeetingScheduler(cluster, client)
     cluster.run_process("coordinator",
                         scheduler.create_diaries(PEOPLE, DATES))
-    recorder.clear()
+    cluster.obs.tracer.clear()  # drop setup noise; trace the scheduling itself
 
     print("== scheduling across three workstations")
 
@@ -43,7 +41,7 @@ def main() -> None:
               f"released {len(info.released)}")
     print(f"  agreed: {chosen}")
     print("\n  the fig. 9 rounds, as executed (sim-time axis):")
-    print(render_timeline(recorder, width=56))
+    print(action_timeline(cluster.obs.tracer, width=56))
 
     print("\n== the coordinator crashes after round 1")
     cluster2 = Cluster(seed=43)

@@ -9,7 +9,7 @@ glued-colour hand-off), then shows every exporter:
 - the distributed span tree, stitched client -> transport -> server,
 - the ASCII span timeline,
 - a Chrome ``chrome://tracing`` / Perfetto JSON trace,
-- a saved trace document replayed through ``python -m repro.obs.report``,
+- a saved trace document replayed through ``python -m repro.obs report``,
 - live introspection: a ClusterInspector probing the cluster through a
   partition (healthy -> degraded/stalled -> recovered) with the operator
   console frames rendered inline.
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from repro.cluster.cluster import Cluster
 from repro.obs.introspect import render_snapshot
-from repro.obs.report import main as report_main
+from repro.obs.__main__ import main as obs_main
 
 
 def build_cluster():
@@ -100,10 +100,10 @@ def main() -> None:
 
     print()
     print("=" * 72)
-    print(f"5. replayed via: python -m repro.obs.report {trace_path.name} "
+    print(f"5. replayed via: python -m repro.obs report {trace_path.name} "
           "--metrics-only")
     print("=" * 72)
-    report_main([str(trace_path), "--metrics-only"])
+    obs_main(["report", str(trace_path), "--metrics-only"])
 
     print()
     print("=" * 72)
@@ -122,7 +122,7 @@ def main() -> None:
         for line in render_snapshot(snapshot):
             print(line)
     print("\n(the same frames, plus drift injection, via: "
-          "python -m repro.obs.top --arm partition --watch)")
+          "python -m repro.obs top --arm partition --watch)")
 
 
 if __name__ == "__main__":

@@ -8,18 +8,18 @@ Run:  python examples/timeline_traces.py
 """
 
 from repro import Counter, GluedGroup, LocalRuntime, SerializingAction, independent_top_level
-from repro.trace import TraceRecorder, render_timeline
+from repro.obs import Observability, action_timeline
 
 
 def traced():
     runtime = LocalRuntime()
-    recorder = TraceRecorder()
-    runtime.add_observer(recorder)
-    return runtime, recorder
+    hub = Observability()
+    runtime.attach_observability(hub)
+    return runtime, hub.tracer
 
 
 def fig2_nesting() -> None:
-    runtime, recorder = traced()
+    runtime, tracer = traced()
     counter = Counter(runtime, value=0)
     try:
         with runtime.top_level(name="A"):
@@ -30,13 +30,13 @@ def fig2_nesting() -> None:
             raise RuntimeError("failure prevents completion of A")
     except RuntimeError:
         pass
-    print(render_timeline(recorder, title="Fig. 2 — nested atomic actions "
-                                          "(A aborts; B and C are undone)"))
+    print(action_timeline(tracer, title="Fig. 2 — nested atomic actions "
+                                        "(A aborts; B and C are undone)"))
     print(f"    surviving updates: {counter.value}\n")
 
 
 def fig3_serializing() -> None:
-    runtime, recorder = traced()
+    runtime, tracer = traced()
     counter = Counter(runtime, value=0)
     ser = SerializingAction(runtime, name="A")
     with ser.constituent(name="B") as b:
@@ -44,13 +44,13 @@ def fig3_serializing() -> None:
     with ser.constituent(name="C") as c:
         counter.increment(1, action=c)
     ser.cancel()
-    print(render_timeline(recorder, title="Fig. 3 — serializing action "
-                                          "(A aborts; B and C survive)"))
+    print(action_timeline(tracer, title="Fig. 3 — serializing action "
+                                        "(A aborts; B and C survive)"))
     print(f"    surviving updates: {counter.value}\n")
 
 
 def fig5_glued() -> None:
-    runtime, recorder = traced()
+    runtime, tracer = traced()
     p = Counter(runtime, value=0)
     rest = Counter(runtime, value=0)
     with GluedGroup(runtime, name="glue") as glue:
@@ -60,14 +60,14 @@ def fig5_glued() -> None:
             member.hand_over(p)
         with glue.member(name="B") as member:
             p.increment(1, action=member.action)
-    print(render_timeline(recorder, title="Fig. 5 — glued actions "
-                                          "(P handed from A to B)",
+    print(action_timeline(tracer, title="Fig. 5 — glued actions "
+                                        "(P handed from A to B)",
                           show_locks=True))
     print(f"    p={p.value}, rest={rest.value}\n")
 
 
 def fig7_independent() -> None:
-    runtime, recorder = traced()
+    runtime, tracer = traced()
     board = Counter(runtime, value=0)
     try:
         with runtime.top_level(name="A"):
@@ -76,8 +76,8 @@ def fig7_independent() -> None:
             raise RuntimeError("A aborts after B committed")
     except RuntimeError:
         pass
-    print(render_timeline(recorder, title="Fig. 7(a) — top-level independent "
-                                          "action (B survives A's abort)"))
+    print(action_timeline(tracer, title="Fig. 7(a) — top-level independent "
+                                        "action (B survives A's abort)"))
     print(f"    board={board.value}\n")
 
 

@@ -16,7 +16,7 @@ from repro import (
     SerializingAction,
     independent_top_level,
 )
-from repro.trace import TraceRecorder, render_timeline
+from repro.obs import Observability, action_timeline
 
 
 def banner(text: str) -> None:
@@ -27,14 +27,14 @@ def banner(text: str) -> None:
 
 def traced():
     runtime = LocalRuntime()
-    recorder = TraceRecorder()
-    runtime.add_observer(recorder)
-    return runtime, recorder
+    hub = Observability()
+    runtime.attach_observability(hub)
+    return runtime, hub.tracer
 
 
 def demo_nesting_problem() -> None:
     banner("Fig. 2 — the problem: nesting undoes completed work")
-    runtime, recorder = traced()
+    runtime, tracer = traced()
     counter = Counter(runtime, value=0)
     try:
         with runtime.top_level(name="A"):
@@ -43,27 +43,27 @@ def demo_nesting_problem() -> None:
             raise RuntimeError("A fails after B completed")
     except RuntimeError:
         pass
-    print(render_timeline(recorder))
+    print(action_timeline(tracer))
     print(f"B completed 10 updates; surviving: {counter.value}  "
           f"(all lost with A)")
 
 
 def demo_serializing() -> None:
     banner("Fig. 3 — the fix: a serializing action")
-    runtime, recorder = traced()
+    runtime, tracer = traced()
     counter = Counter(runtime, value=0)
     ser = SerializingAction(runtime, name="A")
     with ser.constituent(name="B") as b:
         counter.increment(10, action=b)
     ser.cancel()
-    print(render_timeline(recorder))
+    print(action_timeline(tracer))
     print(f"B completed 10 updates; surviving after A's abort: "
           f"{counter.value}")
 
 
 def demo_glued() -> None:
     banner("Fig. 5 — glued actions: pass P, release the rest")
-    runtime, recorder = traced()
+    runtime, tracer = traced()
     p, rest = Counter(runtime, value=0), Counter(runtime, value=0)
     with GluedGroup(runtime, name="glue") as glue:
         with glue.member(name="A") as member:
@@ -72,14 +72,14 @@ def demo_glued() -> None:
             member.hand_over(p)
         with glue.member(name="B") as member:
             p.increment(10, action=member.action)
-    print(render_timeline(recorder))
+    print(action_timeline(tracer))
     print(f"p passed A->B under lock (value {p.value}); "
           f"'rest' was free the whole time")
 
 
 def demo_independent() -> None:
     banner("Fig. 7 — a top-level independent action")
-    runtime, recorder = traced()
+    runtime, tracer = traced()
     board = Counter(runtime, value=0)
     try:
         with runtime.top_level(name="A"):
@@ -88,7 +88,7 @@ def demo_independent() -> None:
             raise RuntimeError("A aborts")
     except RuntimeError:
         pass
-    print(render_timeline(recorder))
+    print(action_timeline(tracer))
     print(f"the post survived its invoker's abort: board={board.value}")
 
 

@@ -199,7 +199,7 @@ class ClusterClient:
         #: acknowledged lazily by riding the next prepare to that node, so
         #: the delegate's checkpoint can drop its COMMITTED record
         self._pending_forget: Dict[str, List[str]] = {}
-        #: tracing/metrics observers (see repro.trace) — notified on action
+        #: tracing/metrics observers (see repro.obs.bridge) — notified on action
         #: creation and termination
         self.observers: list = []
         # -- coordinator-side view, read by the introspection layer --------

@@ -70,7 +70,6 @@ class Cluster:
                  fast_paths: bool = True, commute: bool = True,
                  max_finished_spans: Optional[int] = None,
                  metrics_max_series: Optional[int] = None,
-                 max_audit_events: Optional[int] = None,
                  backend: Optional[ExecutionBackend] = None):
         #: the execution backend every layer schedules on — ``None`` (the
         #: default) is the deterministic simulation; ``"asyncio"`` or an
@@ -83,14 +82,13 @@ class Cluster:
         #: the cluster-wide observability hub, on simulated time.  Every
         #: layer (network, transport, servers, clients, deadlock chasers)
         #: reports into it; see ``metrics_dump()`` and ``obs.span_tree()``.
-        #: The ``max_*`` knobs bound its retention (finished spans, series
-        #: per metric, audited events) for long soaks; ``None`` keeps the
-        #: short-run defaults.
+        #: The two ``max`` knobs bound its retention (finished spans,
+        #: series per metric) for long soaks; ``None`` keeps the short-run
+        #: defaults.
         self.obs = observability if observability is not None else (
             Observability(tick_source=lambda: self.kernel.now,
                           max_finished_spans=max_finished_spans,
-                          metrics_max_series=metrics_max_series,
-                          max_audit_events=max_audit_events)
+                          metrics_max_series=metrics_max_series)
         )
         self.rng = SplitRandom(seed)
         self.network = self.backend.make_network(self.rng, config,
@@ -184,7 +182,8 @@ class Cluster:
     def add_observer(self, observer) -> None:
         """Attach a trace/metrics observer cluster-wide.
 
-        The observer (e.g. a :class:`~repro.trace.TraceRecorder`) is wired
+        The observer (the contract of
+        :meth:`repro.runtime.runtime.LocalRuntime.add_observer`) is wired
         into every existing and future server — so distributed lock grants
         fire ``on_lock_granted`` — and into every client created after the
         call (action begin/commit/abort events).

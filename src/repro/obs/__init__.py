@@ -12,8 +12,10 @@ labelled per colour (and per node, per action structure) too:
   propagation piggybacked on cluster message payloads, so one action's
   spans stitch across client → transport → server → 2PC participants.
 - exporters — Chrome ``trace_event`` JSON (``chrome://tracing`` /
-  Perfetto), plain-text reports, ASCII span trees/timelines, and a JSON
-  dump consumed by ``benchmarks/`` and ``python -m repro.obs.report``.
+  Perfetto), plain-text reports, ASCII span trees/timelines (including
+  the paper-style :func:`action_timeline`), and the ``repro-obs/1`` JSON
+  dump (:mod:`repro.obs.dump`) every ``python -m repro.obs <command>``
+  console reads.
 
 Attach an :class:`Observability` hub::
 
@@ -24,7 +26,7 @@ Attach an :class:`Observability` hub::
     ... run a workload ...
     print(cluster.obs.report())        # metrics
     print(cluster.obs.span_tree())     # distributed traces
-    cluster.obs.save("run.trace.json") # for `python -m repro.obs.report`
+    cluster.obs.save("run.trace.json") # for `python -m repro.obs report`
 
 For the local (threaded) runtime::
 
@@ -36,11 +38,11 @@ For the local (threaded) runtime::
 from repro.obs.bridge import ObservabilityBridge
 from repro.obs.bus import EventBus, ObsEvent
 from repro.obs.export import (
+    action_timeline,
     chrome_trace,
-    load_trace,
-    save_trace,
     span_timeline,
     span_tree,
+    survival_report,
     text_report,
 )
 from repro.obs.hub import Observability, colour_names
@@ -60,11 +62,11 @@ __all__ = [
     "SpanContext",
     "TRACE_KEY",
     "Tracer",
+    "action_timeline",
     "chrome_trace",
     "colour_names",
-    "load_trace",
-    "save_trace",
     "span_timeline",
     "span_tree",
+    "survival_report",
     "text_report",
 ]

@@ -4,7 +4,7 @@ Every :class:`~repro.obs.hub.Observability` hub owns an
 :class:`InvariantAuditor` (and a :class:`LockHoldTracker`) subscribed to
 its bus, so any instrumented run — a test, a chaos schedule, a benchmark —
 is continuously checked against the paper's per-colour invariants.  Use
-``hub.auditor.report()`` for the findings, ``python -m repro.obs.audit``
+``hub.auditor.report()`` for the findings, ``python -m repro.obs audit``
 to replay a saved dump, and
 :func:`repro.obs.audit.testing.install_online_audit` to turn findings
 into hard test failures.

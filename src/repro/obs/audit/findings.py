@@ -3,7 +3,7 @@
 Each finding names the invariant that broke (``kind``), the entities
 involved (colour / node / txn / action / object, whichever apply) and the
 bus-event sequence numbers that witnessed it, so a violation can be traced
-back through the saved event log (``python -m repro.obs.audit dump.json``).
+back through the saved event log (``python -m repro.obs audit dump.json``).
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ would otherwise run dark.  On exit it collects the findings of every
 hub's auditor; any finding raises ``AssertionError`` — and when
 ``REPRO_OBS_DUMP`` names a directory, the offending hubs' full dumps
 (spans + metrics + event log) are saved there first so the failure can
-be replayed with ``python -m repro.obs.audit``, each with a sibling
-``*.why.txt`` abort-attribution report (the ``python -m repro.obs.why
+be replayed with ``python -m repro.obs audit``, each with a sibling
+``*.why.txt`` abort-attribution report (the ``python -m repro.obs why
 --aborts`` view) so the artifact answers *why* without a local replay.
 """
 
@@ -93,15 +93,12 @@ def _assert_clean(hubs, dump_dir=None) -> None:
 def _why_report(hub) -> str:
     """The ``why --aborts`` view of a hub's retained events (best effort)."""
     try:
-        from repro.obs.bus import ObsEvent
+        from repro.obs import dump
         from repro.obs.postmortem.engine import PostmortemEngine
         from repro.obs.postmortem.render import abort_report
 
         engine = PostmortemEngine.replay(
-            ObsEvent(tick=float(entry.get("tick", 0.0)),
-                     kind=str(entry.get("kind", "")),
-                     labels=dict(entry.get("labels") or {}))
-            for entry in hub.auditor.event_dicts())
+            dump.events({"events": hub.auditor.event_dicts()}))
         lines, _gaps = abort_report(list(engine.records),
                                     metrics_doc=hub.metrics.dump())
         return "\n".join(lines)

@@ -1,9 +1,9 @@
 """The observability event bus.
 
 Instrumentation points publish small structured :class:`ObsEvent`s; any
-number of subscribers consume them — the metrics registry, the tracer
-bridge, and the backwards-compatible :class:`~repro.trace.TraceRecorder`
-are all subscribers over this one stream.  Publishing is synchronous and
+number of subscribers consume them — the invariant auditor, the lock
+hold-time tracker, the flight recorder and the postmortem engine are all
+subscribers over this one stream.  Publishing is synchronous and
 exception-isolated: a failing subscriber never breaks the publisher.
 """
 

@@ -1,17 +1,15 @@
-"""Exporters: Chrome trace-event JSON, plain-text reports, JSON dumps.
+"""Exporters: Chrome trace-event JSON, plain-text reports, ASCII timelines.
 
 ``chrome_trace`` emits the Trace Event Format understood by
 ``chrome://tracing`` and Perfetto: one complete ("X") event per finished
 span, grouped into one "process" per simulated node, with span/parent ids
-in ``args`` so the tree survives the round-trip.  ``save_trace`` /
-``load_trace`` persist a whole observation (spans + metrics) as JSON for
-the ``python -m repro.obs.report`` CLI and the benchmark trajectories.
+in ``args`` so the tree survives the round-trip.  Persisting a whole
+observation is :mod:`repro.obs.dump`'s job.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span, Tracer
@@ -104,12 +102,11 @@ def span_tree(spans: Union[Tracer, Iterable[Any]],
     return "\n".join(lines)
 
 
-def span_timeline(spans: Union[Tracer, Iterable[Any]], width: int = 60,
-                  trace_id: Optional[str] = None) -> str:
-    """Paper-style ASCII timeline of finished spans on a shared time axis."""
-    records = [r for r in _span_dicts(spans) if r["end"] is not None]
-    if trace_id is not None:
-        records = [r for r in records if r["trace_id"] == trace_id]
+def _timeline(records: List[Dict[str, Any]], width: int,
+              label_of: Callable[[Dict[str, Any]], str],
+              suffix_of: Callable[[Dict[str, Any]], str] = lambda r: ""
+              ) -> str:
+    """Finished span records as bars on one axis, indented by nesting."""
     if not records:
         return "(empty trace)"
     first = min(r["start"] for r in records)
@@ -127,22 +124,66 @@ def span_timeline(spans: Union[Tracer, Iterable[Any]], width: int = 60,
         depths[record["span_id"]] = depth
         return depth
 
-    rows = []
-    for record in sorted(records, key=lambda r: (r["start"], r["span_id"])):
-        label = "  " * depth_of(record) + record["name"]
-        if record["node"]:
-            label += f" @{record['node']}"
-        rows.append((label, record["start"], record["end"]))
-    label_width = max(len(label) for label, _, _ in rows)
+    rows = [("  " * depth_of(record) + label_of(record), record)
+            for record in sorted(records,
+                                 key=lambda r: (r["start"], r["span_id"]))]
+    label_width = max(len(label) for label, _ in rows)
     lines = []
-    for label, start, end in rows:
-        start_col = int((start - first) / scale)
-        end_col = max(int((end - first) / scale), start_col + 1)
+    for label, record in rows:
+        start_col = int((record["start"] - first) / scale)
+        end_col = max(int((record["end"] - first) / scale), start_col + 1)
         bar = " " * start_col + "├" + "─" * max(0, end_col - start_col - 1) + "┤"
-        lines.append(f"{label:<{label_width}}  {bar}")
+        lines.append(f"{label:<{label_width}}  {bar}{suffix_of(record)}")
     lines.append(" " * (label_width + 2) + f"{first:g}"
                  + "." * int((last - first) / scale) + f" t={last:g}")
     return "\n".join(lines)
+
+
+def span_timeline(spans: Union[Tracer, Iterable[Any]], width: int = 60,
+                  trace_id: Optional[str] = None) -> str:
+    """ASCII timeline of every finished span, labelled ``name @node``."""
+    records = [r for r in _span_dicts(spans) if r["end"] is not None]
+    if trace_id is not None:
+        records = [r for r in records if r["trace_id"] == trace_id]
+    return _timeline(
+        records, width,
+        lambda r: r["name"] + (f" @{r['node']}" if r["node"] else ""))
+
+
+def _action_name(record: Dict[str, Any]) -> str:
+    return record["name"].removeprefix("action:")
+
+
+def action_timeline(spans: Union[Tracer, Iterable[Any]], title: str = "",
+                    width: int = 60, show_locks: bool = False) -> str:
+    """The executed action structure drawn like the paper's figures.
+
+    :func:`span_timeline` restricted to the finished ``kind == "action"``
+    spans :class:`~repro.obs.bridge.ObservabilityBridge` records: nesting
+    by indentation, colours in brackets, outcome (and, with
+    ``show_locks``, the number of lock grants) after the bar.
+    """
+    def label_of(record: Dict[str, Any]) -> str:
+        colours = record["attrs"].get("colours")
+        name = _action_name(record)
+        return f"{name} [{colours}]" if colours else name
+
+    def suffix_of(record: Dict[str, Any]) -> str:
+        suffix = f" {record['attrs'].get('outcome', 'active')}"
+        locks = sum(1 for event in record["events"]
+                    if event["name"] == "lock.granted")
+        return suffix + (f" ({locks} locks)" if show_locks and locks else "")
+
+    art = _timeline([r for r in _span_dicts(spans)
+                     if r["kind"] == "action" and r["end"] is not None],
+                    width, label_of, suffix_of)
+    return f"{title}\n{art}" if title else art
+
+
+def survival_report(spans: Union[Tracer, Iterable[Any]]) -> Dict[str, str]:
+    """Action name -> outcome, for assertions over executed scenarios."""
+    return {_action_name(r): r["attrs"].get("outcome", "active")
+            for r in _span_dicts(spans) if r["kind"] == "action"}
 
 
 def text_report(dump: Union[MetricsRegistry, Dict[str, Any]]) -> str:
@@ -175,29 +216,3 @@ def text_report(dump: Union[MetricsRegistry, Dict[str, Any]]) -> str:
             lines.append(f"  {head:<56} {body}")
         lines.append("")
     return "\n".join(lines).rstrip() or "(no metrics)"
-
-
-def save_trace(path: str, tracer: Optional[Tracer] = None,
-               metrics: Optional[Union[MetricsRegistry, Dict[str, Any]]] = None,
-               extra: Optional[Dict[str, Any]] = None,
-               events: Optional[List[Dict[str, Any]]] = None) -> Dict[str, Any]:
-    """Persist spans/metrics/bus-events as one JSON document; returns it."""
-    document: Dict[str, Any] = {"format": "repro-obs/1"}
-    if tracer is not None:
-        document["spans"] = tracer.to_dicts()
-    if metrics is not None:
-        document["metrics"] = (
-            metrics.dump() if isinstance(metrics, MetricsRegistry) else metrics
-        )
-    if events is not None:
-        document["events"] = events
-    if extra:
-        document["extra"] = extra
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-    return document
-
-
-def load_trace(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)

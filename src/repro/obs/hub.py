@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
+from repro.obs import dump
 from repro.obs.bus import EventBus
 from repro.obs.export import (
     chrome_trace,
-    save_trace,
     span_timeline,
     span_tree,
     text_report,
@@ -34,8 +34,7 @@ class Observability:
 
     def __init__(self, tick_source: Optional[Callable[[], float]] = None,
                  max_finished_spans: Optional[int] = None,
-                 metrics_max_series: Optional[int] = None,
-                 max_audit_events: Optional[int] = None):
+                 metrics_max_series: Optional[int] = None):
         self.metrics = MetricsRegistry(
             tick_source, max_series_per_metric=metrics_max_series)
         self.tracer = Tracer(
@@ -49,11 +48,7 @@ class Observability:
         from repro.obs.audit.auditor import InvariantAuditor
         from repro.obs.audit.holdtime import LockHoldTracker
 
-        if max_audit_events is not None:
-            self.auditor = InvariantAuditor(metrics=self.metrics,
-                                            max_events=max_audit_events)
-        else:
-            self.auditor = InvariantAuditor(metrics=self.metrics)
+        self.auditor = InvariantAuditor(metrics=self.metrics)
         self.bus.subscribe(self.auditor.consume)
         self.hold_times = LockHoldTracker(self.metrics)
         self.bus.subscribe(self.hold_times.consume)
@@ -133,7 +128,7 @@ class Observability:
 
         Attached perf-observatory artifacts (flight-recorder ring,
         sampler timeline) ride along under ``extra``; the result is what
-        ``python -m repro.obs.report`` / ``repro.obs.audit`` consume.
+        every ``python -m repro.obs <command>`` console consumes.
         """
         extra = dict(extra) if extra else {}
         if self.flight is not None:
@@ -146,6 +141,6 @@ class Observability:
             extra.setdefault("introspection", self.inspector.dump())
         if self.slo is not None:
             extra.setdefault("slo", self.slo.dump())
-        return save_trace(path, tracer=self.tracer, metrics=self.metrics,
-                          extra=extra or None,
-                          events=self.auditor.event_dicts())
+        return dump.write(path, dump.document(
+            spans=self.tracer.to_dicts(), metrics=self.metrics.dump(),
+            events=self.auditor.event_dicts(), extra=extra))

@@ -6,7 +6,7 @@ The fifth observability layer.  The other four answer questions about a
 ``status_query`` RPC off its live structures, and a
 :class:`ClusterInspector` stitches the answers into cluster snapshots with
 per-server health verdicts and coordinator-vs-server drift detection.
-``python -m repro.obs.top`` is the console on top.
+``python -m repro.obs top`` is the console on top.
 """
 
 from repro.obs.introspect.inspector import (

@@ -1,16 +1,17 @@
-"""CLI: the live-cluster operator console (``repro.obs.top``).
+"""Console ``top``: the live-cluster operator console.
 
 Usage::
 
-    python -m repro.obs.top                      # seeded demo cluster, text
-    python -m repro.obs.top --snapshot --json    # one machine-readable frame
-    python -m repro.obs.top --arm partition      # inject drift, exit 2
-    python -m repro.obs.top --watch --frames 4   # frame-by-frame console
-    python -m repro.obs.top dump.json --snapshot # inspect a saved dump
+    python -m repro.obs top                      # seeded demo cluster, text
+    python -m repro.obs top --snapshot --json    # one machine-readable frame
+    python -m repro.obs top --arm partition      # inject drift, exit 2
+    python -m repro.obs top --watch --frames 4   # frame-by-frame console
+    python -m repro.obs top dump.json --snapshot # inspect a saved dump
 
 With a ``dump.json`` argument the console replays the ``introspection``
 section a :class:`~repro.obs.introspect.ClusterInspector` embedded into an
-``Observability.save`` dump; without one it builds the seeded demo cluster
+``Observability.save`` dump (of several documents, the last one carrying
+a section); without one it builds the seeded demo cluster
 (``--seed``/``--arm``) and probes it live.  ``--watch`` renders the
 periodic snapshot ring frame by frame instead of just the latest state.
 
@@ -22,24 +23,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
+from repro.obs import dump
 from repro.obs.introspect.render import render_drift, render_snapshot
-
-
-def _load(path: str) -> Optional[Dict[str, Any]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"error: cannot read {path}: {error}", file=sys.stderr)
-        return None
-    if not isinstance(raw, dict):
-        print(f"error: {path}: expected a JSON object "
-              f"(got {type(raw).__name__})", file=sys.stderr)
-        return None
-    return raw
 
 
 def _exit_code(doc: Dict[str, Any]) -> int:
@@ -50,12 +37,11 @@ def _exit_code(doc: Dict[str, Any]) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.top",
-        description="Live cluster introspection console: per-server health, "
-                    "hot objects, in-flight transactions, waits-for, drift.",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the ``top`` console's arguments on ``parser``."""
+    parser.description = ("Live cluster introspection console: per-server "
+                          "health, hot objects, in-flight transactions, "
+                          "waits-for, drift.")
     parser.add_argument("path", nargs="?", default=None,
                         help="obs dump with an embedded introspection "
                              "section; omit to probe the seeded demo cluster")
@@ -74,19 +60,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="frames to render with --watch (default 4)")
     parser.add_argument("--json", action="store_true",
                         help="print the result as JSON")
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace, documents: List[Dict[str, Any]]) -> int:
+    """Render the saved introspection section, or probe the demo cluster."""
     if args.path is not None:
-        raw = _load(args.path)
-        if raw is None:
-            return 1
-        extra = raw.get("extra") if isinstance(raw.get("extra"), dict) \
-            else {}
-        doc = extra.get("introspection")
-        if not isinstance(doc, dict):
+        sections = dump.sections(documents, "introspection")
+        if not sections:
             print(f"{args.path}: no introspection section — the run had no "
                   f"ClusterInspector attached (cluster.attach_introspection)")
             return 0
+        doc = sections[-1]
     else:
         from repro.obs.introspect.demo import run_demo
 
@@ -118,7 +102,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         for line in render_drift(doc.get("drift") or []):
             print(line)
     return _exit_code(doc)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    sys.exit(main())

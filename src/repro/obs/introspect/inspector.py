@@ -106,7 +106,7 @@ class ClusterInspector:
     (periodic, on the sim clock) or drive manually with :meth:`probe_once`.
     Snapshots, drift records and probe counters are all JSON-able
     (:meth:`dump`) and ride along in ``Observability.save`` dumps under
-    ``extra["introspection"]`` — what ``python -m repro.obs.top`` consumes.
+    ``extra["introspection"]`` — what ``python -m repro.obs top`` consumes.
     """
 
     def __init__(self, cluster, probe_timeout: float = 3.0,

@@ -273,7 +273,8 @@ def dump_delta(current: Dict[str, List[Dict[str, Any]]],
     Counters and gauges carry ``value`` differences; histograms carry
     ``count``/``sum`` differences with a recomputed ``mean`` (percentiles
     are cumulative-reservoir artefacts and are omitted, exactly as the
-    multi-dump merge in ``repro.obs.report`` drops them).  Rows that did
+    multi-dump merge in :func:`repro.obs.dump.aggregate_documents`
+    drops them).  Rows that did
     not change within the window are omitted.
     """
     out: Dict[str, List[Dict[str, Any]]] = {}

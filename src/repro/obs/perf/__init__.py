@@ -19,7 +19,7 @@ how it *evolved* and whether it *regressed*:
   ``if self.obs is None`` branch — the documented cheap no-op path.
 - :mod:`repro.obs.perf.compare` — diffs a scenario run's ``BENCH_*.json``
   against checked-in baselines with tolerance bands; the
-  ``python -m repro.obs.perf compare`` CLI exits non-zero on regression
+  ``python -m repro.obs perf compare`` CLI exits non-zero on regression
   and is wired into CI as a perf gate (see ``benchmarks/scenarios.py``).
 """
 

@@ -1,4 +1,4 @@
-"""The performance-observatory CLI: perf gate and timeline rendering.
+"""Console ``perf``: the perf gate and sampler-timeline rendering.
 
 ``compare`` diffs a directory of freshly produced ``BENCH_*.json``
 scenario documents (see ``benchmarks/scenarios.py``) against the
@@ -6,18 +6,19 @@ checked-in baselines and exits non-zero on regression, so CI can gate
 merges on simulated-time performance:
 
     python benchmarks/scenarios.py --out /tmp/bench
-    python -m repro.obs.perf compare --baseline . --current /tmp/bench
+    python -m repro.obs perf compare --baseline . --current /tmp/bench
 
 Wall-clock ``info`` entries are ignored by default; ``--gate-wall`` checks
 them too, with a wide band (``--wall-tolerance``, baseline
 ``wall_tolerances`` overrides) — for stable dedicated runners only.
 
 ``timeline`` renders a sampler timeline (a raw ``sampler.timeline()``
-document or an ``Observability.save`` dump carrying ``extra.timeline``)
-as text sparklines, or as a self-contained HTML page with ``--html``:
+document, an ``Observability.save`` dump carrying ``extra.timeline``, or a
+soak segment directory whose per-segment slices are joined in order) as
+text sparklines, or as a self-contained HTML page with ``--html``:
 
-    python -m repro.obs.perf timeline run.trace.json
-    python -m repro.obs.perf timeline run.trace.json --html timeline.html
+    python -m repro.obs perf timeline run.trace.json
+    python -m repro.obs perf timeline run.trace.json --html timeline.html
 
 Exit codes: 0 — within tolerance / rendered; 2 — at least one gated
 deviation (metric outside its band, metric vanished, scenario skipped);
@@ -27,10 +28,10 @@ deviation (metric outside its band, metric vanished, scenario skipped);
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List
 
+from repro.obs.dump import DumpError, sections
 from repro.obs.perf.compare import (
     DEFAULT_ABS_TOLERANCE,
     DEFAULT_REL_TOLERANCE,
@@ -45,19 +46,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     try:
         baselines = load_bench_files(args.baseline)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot load baselines from {args.baseline}: {exc}",
-              file=sys.stderr)
-        return 1
+        raise DumpError(f"cannot load baselines from {args.baseline}: "
+                        f"{exc}") from exc
     try:
         runs = load_bench_files(args.current)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot load run results from {args.current}: {exc}",
-              file=sys.stderr)
-        return 1
+        raise DumpError(f"cannot load run results from {args.current}: "
+                        f"{exc}") from exc
     if not baselines and not runs:
-        print(f"error: no BENCH_*.json in {args.baseline} or {args.current}",
-              file=sys.stderr)
-        return 1
+        raise DumpError(f"no BENCH_*.json in {args.baseline} or "
+                        f"{args.current}")
 
     deviations = compare_trees(args.baseline, args.current,
                                rel_tolerance=args.rel_tolerance,
@@ -83,25 +81,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_timeline(args: argparse.Namespace) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
-        return 1
-    if not isinstance(raw, dict):
-        print(f"error: {args.path}: expected a JSON object "
-              f"(got {type(raw).__name__})", file=sys.stderr)
-        return 1
-    # a full Observability.save dump, or a bare sampler.timeline() doc
-    timeline = (raw.get("extra") or {}).get("timeline") \
-        if "points" not in raw else raw
-    if not isinstance(timeline, dict) or "points" not in timeline:
-        print(f"error: {args.path}: no timeline — pass a sampler "
-              f"timeline document or a dump saved with a sampler "
-              f"attached", file=sys.stderr)
-        return 1
+def _cmd_timeline(args: argparse.Namespace,
+                  documents: List[Dict[str, Any]]) -> int:
+    # bare sampler.timeline() documents, else the dumps' extra.timeline
+    slices = [doc for doc in documents if "points" in doc] or [
+        piece for piece in sections(documents, "timeline")
+        if "points" in piece]
+    if not slices:
+        raise DumpError(f"{args.path}: no timeline — pass a sampler "
+                        f"timeline document or a dump saved with a sampler "
+                        f"attached")
+    timeline = slices[0] if len(slices) == 1 else dict(
+        slices[0], points=[point for piece in slices
+                           for point in piece["points"]])
     if args.html:
         document = timeline_html(timeline, title=args.title or args.path)
         with open(args.html, "w", encoding="utf-8") as handle:
@@ -112,11 +104,9 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.perf",
-        description="performance observatory tooling",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the ``perf`` console's sub-commands on ``parser``."""
+    parser.description = "performance observatory tooling"
     commands = parser.add_subparsers(dest="command", required=True)
 
     compare = commands.add_parser(
@@ -137,12 +127,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     compare.add_argument("--wall-tolerance", type=float,
                          default=DEFAULT_WALL_REL_TOLERANCE,
                          help="two-sided band for wall-clock gating")
-    compare.set_defaults(func=_cmd_compare)
 
     timeline = commands.add_parser(
         "timeline", help="render a sampler timeline as text or HTML")
-    timeline.add_argument("path", help="obs dump (extra.timeline) or a raw "
-                                       "sampler timeline JSON")
+    timeline.add_argument("path", help="obs dump (extra.timeline), soak "
+                                       "segment directory or a raw sampler "
+                                       "timeline JSON")
     timeline.add_argument("--html", metavar="OUT", default=None,
                           help="write a self-contained HTML page here "
                                "instead of printing text")
@@ -150,11 +140,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="HTML page title (defaults to the path)")
     timeline.add_argument("--width", type=int, default=60,
                           help="sparkline width for text output")
-    timeline.set_defaults(func=_cmd_timeline)
-
-    args = parser.parse_args(argv)
-    return args.func(args)
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run(args: argparse.Namespace, documents: List[Dict[str, Any]]) -> int:
+    """Run the chosen sub-command."""
+    if args.command == "compare":
+        return _cmd_compare(args)
+    return _cmd_timeline(args, documents)

@@ -13,7 +13,7 @@ auditor, and the performance observatory) answers *why*:
 - :mod:`~repro.obs.postmortem.critical` — commit critical paths over the
   saved span tree: the gating chain from the ``commit`` span down to the
   participant that bounded the slowest round.
-- ``python -m repro.obs.why dump.json [--aborts | --slowest N | <txn>]``
+- ``python -m repro.obs why dump.json [--aborts | --slowest N | <txn>]``
   — the offline CLI over ``Observability.save`` dumps; exit codes match
   the other obs CLIs (0 clean, 1 unusable input, 2 attribution gaps).
 """

@@ -1,17 +1,16 @@
-"""CLI: why did a transaction abort / what bounded a commit.
+"""Console ``why``: why did a transaction abort / what bounded a commit.
 
 Usage::
 
-    python -m repro.obs.why dump.json                 # summary
-    python -m repro.obs.why dump.json txn:n0:3:1:2    # one postmortem
-    python -m repro.obs.why dump.json --aborts        # full attribution
-    python -m repro.obs.why dump.json --slowest 5     # commit forensics
-    python -m repro.obs.why dump.json --aborts --json
+    python -m repro.obs why dump.json                 # summary
+    python -m repro.obs why dump.json txn:n0:3:1:2    # one postmortem
+    python -m repro.obs why dump.json --aborts        # full attribution
+    python -m repro.obs why dump.json --slowest 5     # commit forensics
+    python -m repro.obs why dump.json --aborts --json
 
-(``repro.obs.why`` and ``repro.obs.postmortem`` are the same program.)
-
-The input is a trace document written by ``Observability.save``; aborts
-are re-attributed by replaying its retained ``events`` through the
+The input is a dump written by ``Observability.save`` (or a soak segment
+directory, replayed in segment order); aborts are re-attributed by
+replaying its retained ``events`` through the
 :class:`~repro.obs.postmortem.engine.PostmortemEngine`, and commit
 critical paths come from its ``spans``.  Exit codes: 0 = clean, 1 =
 unusable input or no such transaction, 2 = attribution gaps (an abort
@@ -23,53 +22,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
-from typing import List, Optional
+from typing import Any, Dict, List
 
-from repro.obs.bus import ObsEvent
+from repro.obs import dump
 from repro.obs.postmortem import critical, render
 from repro.obs.postmortem.engine import PostmortemEngine
 
 
-def _load(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"error: cannot read {path}: {error}", file=sys.stderr)
-        return None
-    if not isinstance(raw, dict):
-        print(f"error: {path}: expected a JSON object "
-              f"(got {type(raw).__name__})", file=sys.stderr)
-        return None
-    if not isinstance(raw.get("events"), list):
-        print(f"error: {path}: no \"events\" list — was this dump "
-              f"written by Observability.save()?", file=sys.stderr)
-        return None
-    return raw
-
-
-def _replay(raw: dict) -> PostmortemEngine:
-    def events():
-        for entry in raw["events"]:
-            if not isinstance(entry, dict):
-                continue
-            labels = entry.get("labels")
-            yield ObsEvent(
-                tick=float(entry.get("tick", 0.0)),
-                kind=str(entry.get("kind", "")),
-                labels=dict(labels) if isinstance(labels, dict) else {},
-            )
-    return PostmortemEngine.replay(events())
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.why",
-        description="Causal postmortems over a saved obs dump: why did a "
-                    "transaction abort, what bounded a commit.",
-    )
-    parser.add_argument("path", help="trace JSON written by Observability.save")
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the ``why`` console's arguments on ``parser``."""
+    parser.description = ("Causal postmortems over a saved obs dump: why "
+                          "did a transaction abort, what bounded a commit.")
+    parser.add_argument("path", help="trace JSON written by Observability.save"
+                                     " or a soak segment directory")
     parser.add_argument("query", nargs="?", default=None,
                         help="a txn id, action uid or action name to explain")
     parser.add_argument("--aborts", action="store_true",
@@ -78,21 +43,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="critical paths of the N slowest commits")
     parser.add_argument("--json", action="store_true",
                         help="print the result as JSON")
-    args = parser.parse_args(argv)
-    raw = _load(args.path)
-    if raw is None:
-        return 1
-    engine = _replay(raw)
-    spans = raw.get("spans") if isinstance(raw.get("spans"), list) else []
-    metrics = raw.get("metrics") if isinstance(raw.get("metrics"), dict) \
-        else {}
+
+
+def run(args: argparse.Namespace, documents: List[Dict[str, Any]]) -> int:
+    """Replay the documents' events and answer the question ``args`` asks."""
+    engine = PostmortemEngine.replay(
+        event for document in documents for event in dump.events(document))
+    spans = [span for document in documents
+             for span in document.get("spans", [])]
+    metrics = (documents[0].get("metrics", {}) if len(documents) == 1
+               else dump.aggregate_documents(documents)["metrics"])
 
     if args.query is not None:
         record = engine.record_for(args.query)
         if record is None:
-            print(f"error: no finished action or transaction matches "
-                  f"{args.query!r} in {args.path}", file=sys.stderr)
-            return 1
+            raise dump.DumpError(f"no finished action or transaction "
+                                 f"matches {args.query!r} in {args.path}")
         paths = [entry for entry in critical.slowest_commits(spans, count=1000)
                  if entry["action"] == record.action]
         if args.json:
@@ -146,7 +112,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         for line in critical.describe_path(entry):
             print(line)
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    sys.exit(main())

@@ -9,7 +9,7 @@ the taxonomy plus a resolved blocker chain for lock-induced deaths.
 
 Attribution happens online, at the ``action.end`` event, against the lock
 and transaction state the engine has reconstructed so far; the same code
-runs offline over a saved dump (``python -m repro.obs.why``) because both
+runs offline over a saved dump (``python -m repro.obs why``) because both
 paths consume the identical event stream.  Aborted actions additionally:
 
 - feed ``abort_reason_total{reason=,colour=}`` — incremented once per

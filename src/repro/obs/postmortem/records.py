@@ -5,7 +5,7 @@ carry a *reason* from the taxonomy below plus, for lock-induced deaths, a
 resolved :class:`BlockerLink` chain naming who stood in the way (object,
 colour, holder, hold time).  Records are plain frozen dataclasses with a
 ``to_dict`` so they travel in ``Observability.save`` dumps and feed the
-``python -m repro.obs.why`` CLI.
+``python -m repro.obs why`` CLI.
 """
 
 from __future__ import annotations

@@ -1,16 +1,15 @@
-"""CLI: pretty-print saved observability dumps.
+"""Console ``report``: pretty-print saved observability dumps.
 
 Usage::
 
-    python -m repro.obs.report run.trace.json            # metrics + span tree
-    python -m repro.obs.report run.trace.json --timeline # ASCII timeline
-    python -m repro.obs.report metrics.json --metrics-only
-    python -m repro.obs.report dumps/*.trace.json        # aggregated table
-    python -m repro.obs.report soak-out/                 # soak segment dir
+    python -m repro.obs report run.trace.json            # metrics + span tree
+    python -m repro.obs report run.trace.json --timeline # ASCII timeline
+    python -m repro.obs report metrics.json --metrics-only
+    python -m repro.obs report dumps/*.trace.json        # aggregated table
+    python -m repro.obs report soak-out/                 # soak segment dir
 
-The input is either a full trace document written by
-:func:`repro.obs.export.save_trace` / ``Observability.save`` (``spans`` +
-``metrics`` keys) or a bare metrics dump as emitted by
+The input is either a full dump written by ``Observability.save``
+(``spans`` + ``metrics`` keys) or a bare metrics dump as emitted by
 ``benchmarks/bench_util.emit_metrics_dump``.
 
 Several files (e.g. every ``REPRO_OBS_DUMP`` artifact of a CI run)
@@ -21,106 +20,17 @@ omit them); spans are only rendered for single-file input.
 
 Exit codes follow the obs-CLI contract: 0 = rendered, clean; 1 = unusable
 input; 2 = rendered, but the dump(s) record invariant-auditor findings
-(``audit_findings_total`` > 0) — replay them with ``repro.obs.audit``.
+(``audit_findings_total`` > 0) — replay them with the ``audit`` console.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.obs.export import load_trace, span_timeline, span_tree, text_report
-
-
-def expand_paths(paths: List[str]) -> Optional[List[str]]:
-    """Expand soak segment *directories* into their segments, in order.
-
-    A directory argument stands for every ``segment-*.trace.json`` inside
-    it (see :mod:`repro.obs.soak.segments`), so ``repro.obs.report
-    soak-out/`` aggregates a whole soak run.  Returns ``None`` (after
-    printing to stderr) when a directory holds no segments.
-    """
-    from repro.obs.soak.segments import segment_paths
-
-    expanded: List[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            segments = segment_paths(path)
-            if not segments:
-                print(f"error: {path} is a directory without "
-                      f"segment-*.trace.json files", file=sys.stderr)
-                return None
-            expanded.extend(segments)
-        else:
-            expanded.append(path)
-    return expanded
-
-
-def _as_document(raw: Dict[str, Any]) -> Dict[str, Any]:
-    """Accept both full trace documents and bare metrics dumps."""
-    if "spans" in raw or "metrics" in raw:
-        return raw
-    if any(key in raw for key in ("counters", "gauges", "histograms")):
-        return {"metrics": raw}
-    return raw
-
-
-def aggregate_documents(documents: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge the metrics of several dump documents into one.
-
-    Counters and gauges with the same name and labels are summed (across
-    runs, both are totals); histograms are merged exactly on count / sum /
-    min / max with the mean recomputed — percentiles are dropped because
-    they cannot be derived from summaries.  Returns a ``{"metrics": ...}``
-    document renderable by :func:`render`.
-    """
-    def key_of(row: Dict[str, Any]):
-        return (row["name"], tuple(sorted(row.get("labels", {}).items())))
-
-    sums: Dict[str, Dict[Any, Dict[str, Any]]] = {"counters": {}, "gauges": {}}
-    merged_hists: Dict[Any, Dict[str, Any]] = {}
-    for document in documents:
-        metrics = document.get("metrics", document)
-        for section in ("counters", "gauges"):
-            for row in metrics.get(section, []):
-                slot = sums[section].setdefault(key_of(row), {
-                    "name": row["name"],
-                    "labels": dict(row.get("labels", {})), "value": 0.0,
-                })
-                slot["value"] += row.get("value", 0.0)
-        for row in metrics.get("histograms", []):
-            slot = merged_hists.get(key_of(row))
-            if slot is None:
-                merged_hists[key_of(row)] = {
-                    "name": row["name"],
-                    "labels": dict(row.get("labels", {})),
-                    "count": row.get("count", 0),
-                    "sum": row.get("sum", 0.0),
-                    "min": row.get("min"),
-                    "max": row.get("max"),
-                    "merged_from": 1,
-                }
-                continue
-            slot["count"] += row.get("count", 0)
-            slot["sum"] += row.get("sum", 0.0)
-            for bound, pick in (("min", min), ("max", max)):
-                value = row.get(bound)
-                if value is not None:
-                    slot[bound] = (value if slot[bound] is None
-                                   else pick(slot[bound], value))
-            slot["merged_from"] += 1
-    histograms = []
-    for _key, slot in sorted(merged_hists.items()):
-        slot["mean"] = (slot["sum"] / slot["count"]) if slot["count"] else None
-        histograms.append(slot)
-    return {"metrics": {
-        "counters": [sums["counters"][k] for k in sorted(sums["counters"])],
-        "gauges": [sums["gauges"][k] for k in sorted(sums["gauges"])],
-        "histograms": histograms,
-    }}
+from repro.obs.dump import aggregate_documents
+from repro.obs.export import span_timeline, span_tree, text_report
 
 
 def render(document: Dict[str, Any], timeline: bool = False,
@@ -142,28 +52,9 @@ def render(document: Dict[str, Any], timeline: bool = False,
     return "\n\n".join(sections)
 
 
-def embedded_findings_total(document: Dict[str, Any]) -> float:
-    """Sum of ``audit_findings_total`` counters recorded in a document.
-
-    A run whose hub auditor found violations carries them in its metrics;
-    the report CLI surfaces that as exit code 2 so a green-looking metrics
-    table can't hide a red run.
-    """
-    metrics = document.get("metrics", document)
-    if not isinstance(metrics, dict):
-        return 0.0
-    return sum(
-        row.get("value", 0.0)
-        for row in metrics.get("counters", [])
-        if isinstance(row, dict) and row.get("name") == "audit_findings_total"
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
-        description="Pretty-print a saved repro observability dump.",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the ``report`` console's arguments on ``parser``."""
+    parser.description = "Pretty-print a saved repro observability dump."
     parser.add_argument("paths", nargs="+", metavar="path",
                         help="trace/metrics JSON file(s) (Observability.save "
                              "or metrics dumps) or a soak segment directory; "
@@ -176,23 +67,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="restrict span output to one trace id")
     parser.add_argument("--width", type=int, default=72,
                         help="timeline width in columns (default 72)")
-    args = parser.parse_args(argv)
-    paths = expand_paths(args.paths)
-    if paths is None:
-        return 1
-    documents: List[Dict[str, Any]] = []
-    for path in paths:
-        try:
-            raw = load_trace(path)
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"error: cannot read {path}: {error}", file=sys.stderr)
-            return 1
-        if not isinstance(raw, dict):
-            print(f"error: {path} is not a trace/metrics document "
-                  f"(expected a JSON object, got {type(raw).__name__})",
-                  file=sys.stderr)
-            return 1
-        documents.append(_as_document(raw))
+
+
+def run(args: argparse.Namespace, documents: List[Dict[str, Any]]) -> int:
+    """Render the loaded dump(s); exit 2 when they record auditor findings.
+
+    A run whose hub auditor found violations carries them in its metrics,
+    so a green-looking metrics table can't hide a red run.
+    """
     if len(documents) == 1:
         document = documents[0]
     else:
@@ -201,14 +83,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(render(document, timeline=args.timeline,
                  metrics_only=args.metrics_only, trace_id=args.trace,
                  width=args.width))
-    findings = embedded_findings_total(document)
+    findings = sum(row.get("value", 0.0)
+                   for row in document.get("metrics", {}).get("counters", [])
+                   if row.get("name") == "audit_findings_total")
     if findings:
         print(f"\nWARNING: {findings:g} invariant-auditor finding(s) "
               f"recorded in this run — replay with "
-              f"`python -m repro.obs.audit <dump>`", file=sys.stderr)
+              f"`python -m repro.obs audit <dump>`", file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    sys.exit(main())

@@ -5,7 +5,7 @@ evaluated over sliding windows of sampler points with multi-window
 burn-rate alerting (:mod:`repro.obs.slo.engine`).  Attach to a cluster
 with ``cluster.attach_slo()`` (requires ``attach_perf`` first — the
 sampler is the engine's clock); inspect saved ledgers and evaluate old
-dumps offline with ``python -m repro.obs.slo``.
+dumps offline with ``python -m repro.obs slo``.
 """
 
 from repro.obs.slo.engine import MAX_BREACHES, SLOEngine, evaluate_timeline

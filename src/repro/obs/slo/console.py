@@ -1,11 +1,11 @@
-"""CLI: render SLO ledgers from saved dumps, or evaluate dumps offline.
+"""Console ``slo``: render saved SLO ledgers, or evaluate dumps offline.
 
 Usage::
 
-    python -m repro.obs.slo run.trace.json               # saved ledger
-    python -m repro.obs.slo soak-out/                    # soak segment dir
-    python -m repro.obs.slo old.trace.json --evaluate    # no ledger? re-run
-    python -m repro.obs.slo run.trace.json --json
+    python -m repro.obs slo run.trace.json               # saved ledger
+    python -m repro.obs slo soak-out/                    # soak segment dir
+    python -m repro.obs slo old.trace.json --evaluate    # no ledger? re-run
+    python -m repro.obs slo run.trace.json --json
 
 Two modes, picked automatically:
 
@@ -24,27 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.export import load_trace
-from repro.obs.report import aggregate_documents, expand_paths
+from repro.obs.dump import DumpError, aggregate_documents, sections
 from repro.obs.slo.engine import evaluate_timeline
 from repro.obs.slo.objectives import Objective, default_objectives
-
-
-def _load_documents(paths: List[str]) -> Any:
-    documents = []
-    for path in paths:
-        try:
-            raw = load_trace(path)
-        except (OSError, json.JSONDecodeError) as error:
-            return f"error: cannot read {path}: {error}"
-        if not isinstance(raw, dict):
-            return (f"error: {path} is not a dump document (expected a "
-                    f"JSON object, got {type(raw).__name__})")
-        documents.append(raw)
-    return documents
 
 
 def _ledger_entries(documents: List[Dict[str, Any]]
@@ -55,21 +39,17 @@ def _ledger_entries(documents: List[Dict[str, Any]]
     slices; (objective, start_tick) identifies it uniquely, and the entry
     with an ``end_tick`` (the slice that saw the recovery) wins.
     """
-    found_ledger = False
+    ledgers = sections(documents, "slo")
+    if not ledgers:
+        return None
     merged: Dict[Tuple[str, float], Dict[str, Any]] = {}
-    for document in documents:
-        section = document.get("extra", {}).get("slo")
-        if not isinstance(section, dict):
-            continue
-        found_ledger = True
-        for entry in section.get("breaches", []):
+    for ledger in ledgers:
+        for entry in ledger.get("breaches", []):
             key = (entry.get("objective", ""), entry.get("start_tick", 0.0))
             known = merged.get(key)
             if known is None or (known.get("end_tick") is None
                                  and entry.get("end_tick") is not None):
                 merged[key] = dict(entry)
-    if not found_ledger:
-        return None
     return [merged[key] for key in sorted(merged)]
 
 
@@ -123,12 +103,10 @@ def _render(breaches: List[Dict[str, Any]], mode: str,
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.slo",
-        description="Render or re-evaluate service-level objectives from "
-                    "saved observability dumps.",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the ``slo`` console's arguments on ``parser``."""
+    parser.description = ("Render or re-evaluate service-level objectives "
+                          "from saved observability dumps.")
     parser.add_argument("paths", nargs="+", metavar="path",
                         help="dump file(s) or a soak segment directory")
     parser.add_argument("--evaluate", action="store_true",
@@ -145,16 +123,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default 0.25)")
     parser.add_argument("--json", action="store_true",
                         help="print the verdict as JSON")
-    args = parser.parse_args(argv)
 
-    paths = expand_paths(args.paths)
-    if paths is None:
-        return 1
-    documents = _load_documents(paths)
-    if isinstance(documents, str):
-        print(documents, file=sys.stderr)
-        return 1
 
+def run(args: argparse.Namespace, documents: List[Dict[str, Any]]) -> int:
+    """Print the verdict over ``documents``; exit 2 on any breach."""
     if args.objectives is not None:
         try:
             with open(args.objectives, "r", encoding="utf-8") as handle:
@@ -162,9 +134,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             objectives = [Objective.from_dict(entry) for entry in raw]
         except (OSError, json.JSONDecodeError, TypeError,
                 ValueError) as error:
-            print(f"error: cannot load objectives from {args.objectives}: "
-                  f"{error}", file=sys.stderr)
-            return 1
+            raise DumpError(f"cannot load objectives from "
+                            f"{args.objectives}: {error}") from error
     else:
         objectives = default_objectives(
             latency_target=args.latency_target,
@@ -175,18 +146,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if ledger is not None:
         mode, breaches = "saved ledger", ledger
     else:
-        points: List[Dict[str, Any]] = []
-        for document in documents:
-            timeline = document.get("extra", {}).get("timeline")
-            if isinstance(timeline, dict):
-                points.extend(timeline.get("points", []))
-        has_metrics = any(isinstance(d.get("metrics"), dict)
-                          for d in documents)
-        if not points and not has_metrics:
-            print("error: no saved SLO ledger, no sampler timeline and no "
-                  "metrics in the input — nothing to evaluate",
-                  file=sys.stderr)
-            return 1
+        points = [point for timeline in sections(documents, "timeline")
+                  for point in timeline.get("points", [])]
+        if not points and not any("metrics" in d for d in documents):
+            raise DumpError("no saved SLO ledger, no sampler timeline and "
+                            "no metrics in the input — nothing to evaluate")
         engine = evaluate_timeline(points, objectives)
         breaches = list(engine.breaches) + _zero_breaches(documents,
                                                           objectives)
@@ -199,7 +163,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         print(_render(breaches, mode, status=status))
     return 2 if breaches else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    sys.exit(main())

@@ -3,24 +3,11 @@
 :class:`~repro.obs.soak.runner.SoakRunner` drives a seeded cluster
 workload for hours of sim time with the full observability stack (and the
 SLO engine of :mod:`repro.obs.slo`) attached, rotating bounded dump
-segments into a directory that ``repro.obs.report`` / ``repro.obs.audit``
-/ ``repro.obs.slo`` aggregate.  Run one from the shell with
-``python -m repro.obs.soak``.
+segments (:mod:`repro.obs.dump`) into a directory that the ``report`` /
+``audit`` / ``slo`` consoles aggregate.  Run one from the shell with
+``python -m repro.obs soak``.
 """
 
-from repro.obs.soak.runner import ARMS, SoakRunner
-from repro.obs.soak.segments import (
-    SUMMARY_NAME,
-    segment_name,
-    segment_paths,
-    summary_path,
-)
+from repro.obs.soak.runner import ARMS, SUMMARY_NAME, SoakRunner
 
-__all__ = [
-    "ARMS",
-    "SUMMARY_NAME",
-    "SoakRunner",
-    "segment_name",
-    "segment_paths",
-    "summary_path",
-]
+__all__ = ["ARMS", "SUMMARY_NAME", "SoakRunner"]

@@ -1,15 +1,15 @@
-"""CLI: run a seeded soak arm and report its SLO verdict.
+"""Console ``soak``: run a seeded soak arm and report its SLO verdict.
 
 Usage::
 
-    python -m repro.obs.soak --arm clean --horizon 7200 --out soak-out/
-    python -m repro.obs.soak --arm faulty --out soak-out/ --json
-    python -m repro.obs.soak --arm clean --no-rotate       # in-memory only
+    python -m repro.obs soak --arm clean --horizon 7200 --out soak-out/
+    python -m repro.obs soak --arm faulty --out soak-out/ --json
+    python -m repro.obs soak --arm clean --no-rotate       # in-memory only
 
 Segments land in ``--out`` as ``segment-NNNN.trace.json`` plus a
-``soak.json`` summary; aggregate them with ``python -m repro.obs.report
-<out>``, replay them with ``repro.obs.audit <out>``, render the breach
-timeline with ``repro.obs.slo <out>``.
+``soak.json`` summary; aggregate them with ``python -m repro.obs report
+<out>``, replay them with ``audit <out>``, render the breach timeline with
+``slo <out>``.
 
 Exit codes follow the obs-CLI contract: 0 = soak completed with every
 objective met, 1 = unusable input (bad arm/horizon/out path), 2 = soak
@@ -21,9 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
+from repro.obs.dump import DumpError
 from repro.obs.soak.runner import ARMS, SoakRunner
 
 
@@ -58,12 +58,10 @@ def _render(summary: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.soak",
-        description="Run a seeded long-horizon chaos soak with streaming "
-                    "segment dumps and an SLO verdict.",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the ``soak`` console's arguments on ``parser``."""
+    parser.description = ("Run a seeded long-horizon chaos soak with "
+                          "streaming segment dumps and an SLO verdict.")
     parser.add_argument("--arm", default="clean", metavar="ARM",
                         help=f"scenario arm, one of {', '.join(ARMS)} "
                              f"(default clean)")
@@ -95,38 +93,29 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "reference runs only)")
     parser.add_argument("--json", action="store_true",
                         help="print the summary as JSON")
-    args = parser.parse_args(argv)
 
-    # the contract reserves exit 1 for unusable input, so validate by hand
-    # instead of letting argparse exit 2 on bad values
-    if args.arm not in ARMS:
-        print(f"error: unknown arm {args.arm!r} (expected one of "
-              f"{', '.join(ARMS)})", file=sys.stderr)
-        return 1
-    if args.horizon <= 0 or args.segment_every <= 0 or args.interval <= 0:
-        print("error: --horizon, --segment-every and --interval must all "
-              "be > 0", file=sys.stderr)
-        return 1
+
+def run(args: argparse.Namespace, documents: List[Dict[str, Any]]) -> int:
+    """Run the arm and print its summary; the exit code is the verdict."""
+    # the contract reserves exit 1 for unusable input, so bad values are
+    # rejected here (by the runner's own checks), not by argparse's exit 2
     if args.out is not None and os.path.isfile(args.out):
-        print(f"error: --out {args.out} exists and is a file, not a "
-              f"directory", file=sys.stderr)
-        return 1
-
-    runner = SoakRunner(
-        out_dir=args.out, arm=args.arm, seed=args.seed,
-        horizon=args.horizon, segment_every=args.segment_every,
-        sample_interval=args.interval, workers=args.workers,
-        latency_target=args.latency_target, abort_budget=args.abort_budget,
-        surge=args.surge, burst_start=args.burst_start,
-        burst_duration=args.burst_duration,
-        rotate=not args.no_rotate)
+        raise DumpError(f"--out {args.out} exists and is a file, not a "
+                        f"directory")
+    try:
+        runner = SoakRunner(
+            out_dir=args.out, arm=args.arm, seed=args.seed,
+            horizon=args.horizon, segment_every=args.segment_every,
+            sample_interval=args.interval, workers=args.workers,
+            latency_target=args.latency_target,
+            abort_budget=args.abort_budget, surge=args.surge,
+            burst_start=args.burst_start,
+            burst_duration=args.burst_duration, rotate=not args.no_rotate)
+    except ValueError as error:
+        raise DumpError(str(error)) from error
     summary = runner.run()
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
         print(_render(summary))
     return summary["exit_code"]
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    sys.exit(main())

@@ -15,8 +15,8 @@ one ``repro-obs/1`` segment document —
 * the drained flight-recorder ring and its frozen breach snapshots,
 * the sampler points of the window and the SLO ledger slice —
 
-into a directory that ``python -m repro.obs.report`` / ``repro.obs.audit``
-/ ``repro.obs.slo`` aggregate in segment order.  An end-of-run summary
+into a directory that ``python -m repro.obs report`` / ``audit`` / ``slo``
+aggregate in segment order.  An end-of-run summary
 (``soak.json``) records per-segment SLO verdicts, the breach timeline and
 the measured peak retention of every bounded structure.
 
@@ -39,14 +39,16 @@ from typing import Any, Dict, List, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkConfig
+from repro.obs import dump
 from repro.obs.metrics import dump_delta
 from repro.obs.slo import default_objectives
-from repro.obs.soak.segments import segment_name, summary_path
 from repro.sim.kernel import Timeout
 
 ARMS = ("clean", "faulty")
 
 FORMAT = "repro-soak/1"
+#: the end-of-run soak summary written next to the segments
+SUMMARY_NAME = "soak.json"
 
 
 class SoakRunner:
@@ -67,7 +69,8 @@ class SoakRunner:
                  max_finished_spans: Optional[int] = None,
                  rotate: bool = True, introspection: bool = True):
         if arm not in ARMS:
-            raise ValueError(f"unknown arm {arm!r} (expected one of {ARMS})")
+            raise ValueError(f"unknown arm {arm!r} (expected one of "
+                             f"{', '.join(ARMS)})")
         if horizon <= 0 or segment_every <= 0 or sample_interval <= 0:
             raise ValueError("horizon, segment_every and sample_interval "
                              "must all be > 0")
@@ -256,12 +259,8 @@ class SoakRunner:
                           if row["state"] == "breaching"],
         }
         self.segment_verdicts.append(verdict)
-        return {
-            "format": "repro-obs/1",
-            "spans": spans,
-            "metrics": metrics,
-            "events": events,
-            "extra": {
+        return dump.document(
+            spans=spans, metrics=metrics, events=events, extra={
                 "segment": {"index": self._segment_index,
                             "start_tick": start, "end_tick": end,
                             "arm": self.arm, "seed": self.seed},
@@ -280,18 +279,16 @@ class SoakRunner:
                 "slo": {"breaches": breaches, "status": status,
                         "frames": self.engine.frames,
                         "active": self.engine.active()},
-            },
-        }
+            })
 
     def _rotate(self) -> None:
         self._observe_peaks()
         now = self.cluster.kernel.now
         if now <= self._segment_start and self._segment_index > 0:
             return
-        document = self._segment_document(self._segment_start, now)
-        path = os.path.join(self.out_dir, segment_name(self._segment_index))
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
+        path = os.path.join(self.out_dir,
+                            dump.segment_name(self._segment_index))
+        dump.write(path, self._segment_document(self._segment_start, now))
         self.segment_files.append(path)
         self._segment_index += 1
         self._segment_start = now
@@ -330,7 +327,7 @@ class SoakRunner:
             "exit_code": exit_code,
         }
         if self.out_dir:
-            with open(summary_path(self.out_dir), "w",
+            with open(os.path.join(self.out_dir, SUMMARY_NAME), "w",
                       encoding="utf-8") as handle:
                 json.dump(summary, handle, indent=2, sort_keys=True)
         return summary

@@ -134,7 +134,8 @@ class LocalRuntime(ActionRuntime):
 
         Observers implement any of ``on_action_created(action)``,
         ``on_action_terminated(action)``, ``on_lock_granted(action,
-        object_uid, mode, colour)`` — see :mod:`repro.trace`.
+        object_uid, mode, colour)`` — see
+        :class:`repro.obs.bridge.ObservabilityBridge`.
         """
         self._observers.append(observer)
 

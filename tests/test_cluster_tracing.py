@@ -3,8 +3,7 @@
 from repro.apps.make.distributed import DistributedMakeEngine
 from repro.apps.make.makefile import PAPER_EXAMPLE, parse_makefile
 from repro.cluster.cluster import Cluster
-from repro.trace import TraceRecorder, render_timeline
-from repro.trace.timeline import survival_report
+from repro.obs import action_timeline, survival_report
 
 
 def test_cluster_actions_traced_on_sim_time():
@@ -12,8 +11,6 @@ def test_cluster_actions_traced_on_sim_time():
     for name in ("home", "server"):
         cluster.add_node(name)
     client = cluster.client("home")
-    recorder = TraceRecorder(tick_source=lambda: cluster.kernel.now)
-    client.add_observer(recorder)
 
     def app():
         ref = yield from client.create("server", "counter", value=0)
@@ -22,10 +19,10 @@ def test_cluster_actions_traced_on_sim_time():
         yield from client.commit(action)
 
     cluster.run_process("home", app())
-    begin = next(e for e in recorder.events if e.kind == "begin")
-    commit = next(e for e in recorder.events if e.kind == "commit")
-    assert commit.tick > begin.tick           # real simulated duration
-    assert survival_report(recorder) == {"T": "committed"}
+    tracer = cluster.obs.tracer
+    [span] = [s for s in tracer.snapshot() if s.kind == "action"]
+    assert span.end > span.start              # real simulated duration
+    assert survival_report(tracer) == {"T": "committed"}
 
 
 def test_distributed_make_timeline_shows_concurrent_builds():
@@ -35,8 +32,6 @@ def test_distributed_make_timeline_shows_concurrent_builds():
     for node in ("ws", "n1", "n2", "n3"):
         cluster.add_node(node)
     client = cluster.client("ws")
-    recorder = TraceRecorder(tick_source=lambda: cluster.kernel.now)
-    client.add_observer(recorder)
     placement = {
         "Test": "n1",
         "Test0.o": "n2", "Test0.c": "n2", "Test0.h": "n2",
@@ -52,17 +47,19 @@ def test_distributed_make_timeline_shows_concurrent_builds():
     report = cluster.run_process("ws", engine.make())
     assert report.completed
 
-    spans = recorder.spans()
+    tracer = cluster.obs.tracer
+
     def span_of(prefix):
-        return next(e for e in spans.values()
-                    if e["name"].startswith(prefix) and e["name"].endswith(".A"))
+        return next(s for s in tracer.snapshot()
+                    if s.name.startswith(f"action:{prefix}")
+                    and s.name.endswith(".A"))
 
     build0 = span_of("make:Test0.o")
     build1 = span_of("make:Test1.o")
     link = span_of("make:Test.")
     # concurrent object builds: the spans overlap
-    assert build0["begin"] < build1["end"] and build1["begin"] < build0["end"]
+    assert build0.start < build1.end and build1.start < build0.end
     # the link starts only after both finished
-    assert link["begin"] >= max(build0["end"], build1["end"]) - 1e-9
-    art = render_timeline(recorder, title="fig. 8 from execution", width=70)
+    assert link.start >= max(build0.end, build1.end) - 1e-9
+    art = action_timeline(tracer, title="fig. 8 from execution", width=70)
     assert "make:Test0.o" in art and "make:Test1.o" in art

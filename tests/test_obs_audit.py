@@ -14,12 +14,16 @@ from repro.actions.action import Action
 from repro.obs import Observability
 from repro.obs.audit import Finding, InvariantAuditor, LockHoldTracker
 from repro.obs.audit import findings as F
-from repro.obs.audit.__main__ import main as audit_main
+from repro.obs.__main__ import main as obs_main
 from repro.obs.audit.testing import install_online_audit
 from repro.obs.bus import ObsEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.runtime import LocalRuntime
 from repro.stdobjects import Counter
+
+
+def audit_main(argv):
+    return obs_main(["audit", *argv])
 
 
 def feed(auditor, events):
@@ -462,7 +466,7 @@ def test_local_runtime_populates_hold_time_histogram():
     assert all(row["labels"].get("colour") for row in rows)
 
 
-# -- CLI: python -m repro.obs.audit -------------------------------------------
+# -- CLI: python -m repro.obs audit -------------------------------------------
 
 
 def save_hub(hub, tmp_path, name="run.trace.json"):

@@ -1,7 +1,8 @@
 """The exit-code contract every obs CLI honours, asserted in one place.
 
-All seven consoles — ``report``, ``audit``, ``perf``, ``why``, ``top``,
-``slo`` and ``soak`` — speak the same language to CI and shell scripts:
+All seven ``python -m repro.obs <command>`` consoles — ``report``,
+``audit``, ``perf``, ``why``, ``top``, ``slo`` and ``soak`` — speak the
+same language to CI and shell scripts:
 
 * **0** — input understood, nothing demands attention;
 * **1** — unusable input (missing file, malformed JSON, wrong shape);
@@ -20,14 +21,12 @@ import json
 
 import pytest
 
+import re
+from pathlib import Path
+
 from repro.obs import Observability
-from repro.obs.audit.__main__ import main as audit_main
-from repro.obs.perf.__main__ import main as perf_main
-from repro.obs.report import main as report_main
-from repro.obs.slo.__main__ import main as slo_main
-from repro.obs.soak.__main__ import main as soak_main
-from repro.obs.top import main as top_main
-from repro.obs.why import main as why_main
+from repro.obs.__main__ import COMMANDS, main
+from repro.obs.soak import SoakRunner
 from repro.runtime.runtime import LocalRuntime
 from repro.stdobjects import Counter
 
@@ -170,21 +169,20 @@ def _soak_argv(tmp_path, code):
 
 
 _CLIS = {
-    "report": (report_main, _report_argv),
-    "audit": (audit_main, _audit_argv),
-    "perf": (perf_main, _perf_argv),
-    "why": (why_main, _why_argv),
-    "top": (top_main, _top_argv),
-    "slo": (slo_main, _slo_argv),
-    "soak": (soak_main, _soak_argv),
+    "report": _report_argv,
+    "audit": _audit_argv,
+    "perf": _perf_argv,
+    "why": _why_argv,
+    "top": _top_argv,
+    "slo": _slo_argv,
+    "soak": _soak_argv,
 }
 
 
 @pytest.mark.parametrize("code", [0, 1, 2])
 @pytest.mark.parametrize("cli", sorted(_CLIS))
 def test_obs_cli_exit_code_contract(cli, code, tmp_path, capsys):
-    main, argv_for = _CLIS[cli]
-    assert main(argv_for(tmp_path, code)) == code
+    assert main([cli, *_CLIS[cli](tmp_path, code)]) == code
     captured = capsys.readouterr()
     if code == 1:
         # operational errors go to stderr, never a traceback to stdout
@@ -192,7 +190,39 @@ def test_obs_cli_exit_code_contract(cli, code, tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
-def test_top_module_shim_is_the_same_program():
-    from repro.obs.introspect import __main__ as introspect_main
+#: every console that reads dumps, as the argv prefix before the path
+_DUMP_READERS = {
+    "report": ["report"], "audit": ["audit"], "why": ["why"],
+    "top": ["top"], "perf": ["perf", "timeline"], "slo": ["slo"],
+}
 
-    assert top_main is introspect_main.main
+
+@pytest.mark.parametrize("cli", sorted(_DUMP_READERS))
+def test_wrong_shaped_section_is_unusable_input(cli, tmp_path, capsys):
+    """A section of the wrong JSON type is exit 1, never a traceback."""
+    bad = _write(tmp_path, "bad.json", {"metrics": [], "extra": []})
+    assert main([*_DUMP_READERS[cli], bad]) == 1
+    assert "\"metrics\" must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cli", ["why", "top", "perf"])
+def test_every_dump_reader_takes_a_segment_directory(cli, tmp_path, capsys):
+    """``report``/``audit``/``slo`` always did (``test_obs_soak``)."""
+    out = str(tmp_path / "soak")
+    SoakRunner(out_dir=out, arm="clean", seed=7, horizon=300,
+               segment_every=100, sample_interval=10).run()
+    assert main([*_DUMP_READERS[cli], out]) == 0
+    captured = capsys.readouterr()
+    assert captured.out and not captured.err
+
+
+def test_command_table_matches_the_documented_layer_table():
+    """docs/OBSERVABILITY.md's CLI column lists exactly the dispatcher's
+    commands — the doc cannot advertise a console that does not exist."""
+    doc = Path(__file__).resolve().parents[1] / "docs" / "OBSERVABILITY.md"
+    rows = [line for line in doc.read_text(encoding="utf-8").splitlines()
+            if re.match(r"\| \d\. ", line)]
+    documented = {command for row in rows for command in
+                  re.findall(r"`python -m repro\.obs (\w+)`", row)}
+    assert len(rows) == 6
+    assert documented == set(COMMANDS)

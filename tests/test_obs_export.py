@@ -3,8 +3,12 @@
 import json
 
 from repro.cluster.cluster import Cluster
-from repro.obs import Tracer, chrome_trace, load_trace, span_tree, text_report
-from repro.obs.report import main as report_main
+from repro.obs import Tracer, chrome_trace, dump, span_tree, text_report
+from repro.obs.__main__ import main as obs_main
+
+
+def report_main(argv):
+    return obs_main(["report", *argv])
 
 
 def run_two_node_commit():
@@ -63,10 +67,11 @@ def test_chrome_trace_schema_and_roundtrip(tmp_path):
 
 
 def test_save_and_load_trace_roundtrip(tmp_path):
+    """``Observability.save`` -> ``dump.load`` is the identity."""
     cluster = run_two_node_commit()
     path = tmp_path / "run.trace.json"
     saved = cluster.obs.save(str(path), extra={"scenario": "unit"})
-    loaded = load_trace(str(path))
+    [loaded] = dump.load([str(path)])
     assert loaded == saved
     assert loaded["format"] == "repro-obs/1"
     assert loaded["extra"]["scenario"] == "unit"

@@ -26,8 +26,12 @@ from repro.obs.introspect import (
     render_snapshot,
 )
 from repro.obs.introspect.demo import run_demo
-from repro.obs.top import main as top_main
+from repro.obs.__main__ import main as obs_main
 from repro.sim.kernel import Timeout
+
+
+def top_main(argv):
+    return obs_main(["top", *argv])
 
 # -- fault-free arm: snapshots match simulator ground truth --------------------
 

@@ -9,7 +9,6 @@ from repro.obs.bus import EventBus
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.runtime import LocalRuntime
 from repro.stdobjects import Counter as CounterObject
-from repro.trace import TraceRecorder
 
 
 def test_counter_labels_fan_out_independently():
@@ -158,29 +157,22 @@ def test_local_runtime_attach_observability():
     assert {"action:A", "action:B"} <= spans
 
 
-def test_trace_recorder_snapshot_is_safe_during_mutation():
-    recorder = TraceRecorder()
+def test_tracer_snapshot_is_safe_during_mutation():
+    """Timelines render from ``tracer.snapshot()`` while the threaded
+    runtime is still opening action spans."""
+    tracer = Observability().tracer
     stop = threading.Event()
     errors = []
 
-    class FakeAction:
-        def __init__(self, index):
-            self.uid = f"a{index}"
-            self.name = f"act{index}"
-            self.parent = None
-            self.colours = ()
-
     def writer():
-        index = 0
         while not stop.is_set():
-            recorder.on_action_created(FakeAction(index))
-            index += 1
+            tracer.start_span("action:act", kind="action")
 
     def reader():
         try:
             for _ in range(200):
-                for event in recorder.snapshot():  # must never see a torn list
-                    assert event.kind == "begin"
+                for span in tracer.snapshot():  # must never see a torn list
+                    assert span.kind == "action"
         except Exception as error:  # pragma: no cover - the failure mode
             errors.append(error)
 

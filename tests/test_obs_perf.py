@@ -16,11 +16,19 @@ from repro.obs.perf import (
     compare_trees,
     load_bench_files,
 )
-from repro.obs.perf.__main__ import main as perf_main
+from repro.obs.__main__ import main as obs_main
 from repro.obs.perf.overhead import measure_noop_path
-from repro.obs.report import aggregate_documents
+from repro.obs.dump import aggregate_documents
 from repro.sim.kernel import Kernel, Timeout
 from repro.errors import SimulationError
+
+
+def perf_main(argv):
+    return obs_main(["perf", *argv])
+
+
+def report_main(argv):
+    return obs_main(["report", *argv])
 
 
 # -- Kernel.every (daemon timers) ---------------------------------------------
@@ -369,7 +377,6 @@ def test_aggregate_documents_sums_counters_and_merges_histograms():
 
 
 def test_report_cli_aggregates_multiple_dumps(tmp_path, capsys):
-    from repro.obs.report import main as report_main
     dump = {"metrics": {
         "counters": [{"name": "ops", "labels": {}, "value": 4.0}],
         "gauges": [], "histograms": [],

@@ -29,8 +29,12 @@ from repro.obs.postmortem import (
     PostmortemEngine,
 )
 from repro.obs.postmortem import render
-from repro.obs.postmortem.__main__ import main as why_main
+from repro.obs.__main__ import main as obs_main
 from repro.sim.kernel import Timeout
+
+
+def why_main(argv):
+    return obs_main(["why", *argv])
 
 
 # -- synthetic event streams ---------------------------------------------------
@@ -600,9 +604,3 @@ def test_why_cli_gapped_dump_exits_two(tmp_path, capsys):
     path.write_text(json.dumps(dump))
     assert why_main([str(path), "--aborts"]) == 2
     assert "ATTRIBUTION GAPS" in capsys.readouterr().out
-
-
-def test_why_module_shim_is_the_same_program():
-    from repro.obs import why
-
-    assert why.main is why_main

@@ -4,7 +4,7 @@ Micro tests drive :meth:`SLOEngine.observe_frame` with synthetic
 cumulative measures so window arithmetic is checked exactly; integration
 tests attach the engine to a real cluster (the attach-point matrix test
 doubles as the ``Observability.save`` round-trip check for *all five*
-obs layers at once) and the CLI tests pin the ``repro.obs.slo`` console's
+obs layers at once) and the CLI tests pin the ``slo`` console's
 content and exit codes beyond the shared contract suite.
 """
 
@@ -15,11 +15,8 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.errors import ClusterError
 from repro.obs import Observability
-from repro.obs.audit.__main__ import main as audit_main
-from repro.obs.introspect.__main__ import main as top_main
+from repro.obs.__main__ import main as obs_main
 from repro.obs.perf import FlightRecorder, TimeSeriesSampler
-from repro.obs.postmortem.__main__ import main as why_main
-from repro.obs.report import main as report_main
 from repro.obs.slo import (
     KINDS,
     Objective,
@@ -27,8 +24,15 @@ from repro.obs.slo import (
     default_objectives,
     evaluate_timeline,
 )
-from repro.obs.slo.__main__ import main as slo_main
 from repro.sim.kernel import Timeout
+
+
+def _console(name):
+    return lambda argv: obs_main([name, *argv])
+
+
+report_main, audit_main, why_main, top_main, slo_main = map(
+    _console, ("report", "audit", "why", "top", "slo"))
 
 
 # -- Objective validation ------------------------------------------------------

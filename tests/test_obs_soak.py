@@ -14,7 +14,8 @@ import os
 import pytest
 
 from repro.obs import Observability
-from repro.obs.audit.__main__ import main as audit_main
+from repro.obs.__main__ import main as obs_main
+from repro.obs.dump import aggregate_documents, segment_name, segment_paths
 from repro.obs.metrics import (
     OVERFLOW_LABEL,
     MetricsRegistry,
@@ -22,17 +23,16 @@ from repro.obs.metrics import (
 )
 from repro.obs.perf import FlightRecorder, TimeSeriesSampler
 from repro.obs.perf.recorder import MAX_SNAPSHOTS
-from repro.obs.report import aggregate_documents
-from repro.obs.report import main as report_main
-from repro.obs.slo.__main__ import main as slo_main
-from repro.obs.soak import (
-    SUMMARY_NAME,
-    SoakRunner,
-    segment_name,
-    segment_paths,
-)
-from repro.obs.soak.__main__ import main as soak_main
+from repro.obs.soak import SUMMARY_NAME, SoakRunner
 from repro.obs.tracing import Tracer
+
+
+def _console(name):
+    return lambda argv: obs_main([name, *argv])
+
+
+report_main, audit_main, slo_main, soak_main = map(
+    _console, ("report", "audit", "slo", "soak"))
 
 
 # -- tracer ring (bounded finished-span retention) -----------------------------

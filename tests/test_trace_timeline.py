@@ -1,72 +1,76 @@
-"""Trace recording and timeline rendering."""
+"""Action spans on a hub and the paper-style timeline drawn from them."""
 
 import pytest
 
+from repro.obs import Observability, action_timeline, survival_report
 from repro.runtime.runtime import LocalRuntime
 from repro.stdobjects import Counter
 from repro.structures import SerializingAction, independent_top_level
-from repro.trace import TraceRecorder, render_timeline
-from repro.trace.timeline import survival_report
 
 
 @pytest.fixture
 def traced_runtime():
     runtime = LocalRuntime()
-    recorder = TraceRecorder()
-    runtime.add_observer(recorder)
-    return runtime, recorder
+    hub = Observability()
+    runtime.attach_observability(hub)
+    return runtime, hub.tracer
+
+
+def action_spans(tracer):
+    return [span for span in tracer.snapshot() if span.kind == "action"]
 
 
 def test_begin_and_commit_recorded(traced_runtime):
-    runtime, recorder = traced_runtime
+    runtime, tracer = traced_runtime
     with runtime.top_level(name="T"):
         pass
-    kinds = [event.kind for event in recorder.events]
-    assert kinds == ["begin", "commit"]
-    assert recorder.events[0].action_name == "T"
+    [span] = action_spans(tracer)
+    assert span.name == "action:T"
+    assert span.finished and span.attrs["outcome"] == "committed"
 
 
 def test_abort_recorded(traced_runtime):
-    runtime, recorder = traced_runtime
+    runtime, tracer = traced_runtime
     with pytest.raises(RuntimeError):
         with runtime.top_level(name="T"):
             raise RuntimeError
-    assert [event.kind for event in recorder.events] == ["begin", "abort"]
+    [span] = action_spans(tracer)
+    assert span.finished and span.attrs["outcome"] == "aborted"
 
 
 def test_lock_events_carry_detail(traced_runtime):
-    runtime, recorder = traced_runtime
+    runtime, tracer = traced_runtime
     counter = Counter(runtime, value=0)
     with runtime.top_level(name="T"):
         counter.increment(1)
-    locks = recorder.events_of("lock")
+    [span] = action_spans(tracer)
+    locks = [attrs for _tick, name, attrs in span.events
+             if name == "lock.granted"]
     assert len(locks) == 1
-    assert "write" in locks[0].detail
+    assert locks[0]["mode"] == "write"
 
 
 def test_spans_nesting_and_outcomes(traced_runtime):
-    runtime, recorder = traced_runtime
-    with runtime.top_level(name="A") as a:
+    runtime, tracer = traced_runtime
+    with runtime.top_level(name="A"):
         with pytest.raises(ValueError):
             with runtime.atomic(name="B"):
                 raise ValueError
-    report = survival_report(recorder)
-    assert report == {"A": "committed", "B": "aborted"}
-    spans = recorder.spans()
-    child = next(e for e in spans.values() if e["name"] == "B")
-    parent = next(e for e in spans.values() if e["name"] == "A")
-    assert child["parent"] is not None
-    assert child["begin"] > parent["begin"]
-    assert child["end"] < parent["end"]
+    assert survival_report(tracer) == {"A": "committed", "B": "aborted"}
+    spans = {span.name: span for span in action_spans(tracer)}
+    child, parent = spans["action:B"], spans["action:A"]
+    assert child.parent_id == parent.span_id
+    assert child.start > parent.start
+    assert child.end < parent.end
 
 
 def test_render_timeline_shape(traced_runtime):
-    runtime, recorder = traced_runtime
+    runtime, tracer = traced_runtime
     counter = Counter(runtime, value=0)
     with runtime.top_level(name="A"):
         with runtime.atomic(name="B"):
             counter.increment(1)
-    art = render_timeline(recorder, title="fig check")
+    art = action_timeline(tracer, title="fig check", show_locks=True)
     lines = art.splitlines()
     assert lines[0] == "fig check"
     assert any("A [" in line and "committed" in line for line in lines)
@@ -75,12 +79,14 @@ def test_render_timeline_shape(traced_runtime):
     b_line = next(line for line in lines if line.lstrip().startswith("B ["))
     assert a_line.index("├") < b_line.index("├")   # A starts first
     assert a_line.rindex("┤") > b_line.rindex("┤")  # A ends last
+    assert b_line.endswith("committed (1 locks)")
+    assert len(lines) == 4                          # title, A, B, axis
 
 
 def test_render_structures_trace(traced_runtime):
     """A serializing action plus an independent action render cleanly and
     report the paper's outcomes."""
-    runtime, recorder = traced_runtime
+    runtime, tracer = traced_runtime
     counter = Counter(runtime, value=0)
     ser = SerializingAction(runtime, name="ser")
     with ser.constituent(name="B") as b:
@@ -89,22 +95,23 @@ def test_render_structures_trace(traced_runtime):
     with runtime.top_level(name="app"):
         with independent_top_level(runtime, name="post") as p:
             counter.increment(1, action=p)
-    report = survival_report(recorder)
+    report = survival_report(tracer)
     assert report["B"] == "committed"
     assert report["ser.A"] == "aborted"
     assert report["post"] == "committed"
-    art = render_timeline(recorder)
+    art = action_timeline(tracer)
     assert "ser.A" in art and "post" in art
 
 
 def test_empty_trace_renders(traced_runtime):
-    _, recorder = traced_runtime
-    assert "empty" in render_timeline(recorder)
+    _, tracer = traced_runtime
+    assert "empty" in action_timeline(tracer)
 
 
 def test_clear_resets(traced_runtime):
-    runtime, recorder = traced_runtime
+    runtime, tracer = traced_runtime
     with runtime.top_level(name="T"):
         pass
-    recorder.clear()
-    assert recorder.events == []
+    tracer.clear()
+    assert tracer.snapshot() == []
+    assert "empty" in action_timeline(tracer)
