@@ -115,13 +115,15 @@ def _contention_run(seed: int, objects: int, workers: int, ops: int,
         cluster.add_node(name)
     # host GC/alloc pressure rides the metered run's timeline only: the
     # values are wall-clock facts, never gated
-    sampler, recorder = cluster.attach_perf(interval=5.0, seed=seed,
-                                            process_probes=metered)
-    postmortem = cluster.attach_postmortem()
     # the metered level also carries the introspection prober, so the
     # obs-share budget below covers live status_query fan-outs too
-    inspector = cluster.attach_introspection(interval=10.0) if metered \
-        else None
+    layers = cluster.observe(
+        timeline={"interval": 5.0, "process_probes": metered},
+        flight_recorder={"seed": seed}, postmortem=True,
+        introspection=metered)
+    sampler, recorder = layers["timeline"], layers["flight_recorder"]
+    postmortem = layers["postmortem"]
+    inspector = layers.get("introspection")
     refs: List[Any] = []
     outcomes = {"committed": 0, "aborted": 0}
 
@@ -189,7 +191,7 @@ def _check_attribution(cluster, postmortem, outcomes) -> None:
     every abort gets a concrete reason (zero ``unknown``), every
     lock-conflict abort names its blocker (object, colour, holder), and
     the per-colour attribution totals equal the per-colour abort counters
-    the bridge maintains independently."""
+    the hub maintains independently."""
     aborted = postmortem.aborted()
     assert len(aborted) >= outcomes["aborted"], (len(aborted), outcomes)
     unattributed = [r for r in aborted if r.reason == UNKNOWN]
@@ -371,8 +373,10 @@ def scenario_chaos_mix(seed: int = 7) -> Dict[str, Any]:
     )
     for name in ("home", "s1", "s2"):
         cluster.add_node(name)
-    sampler, recorder = cluster.attach_perf(interval=25.0, seed=seed,
-                                            sample_rate=0.5)
+    layers = cluster.observe(
+        timeline={"interval": 25.0},
+        flight_recorder={"seed": seed, "sample_rate": 0.5})
+    sampler, recorder = layers["timeline"], layers["flight_recorder"]
     client = cluster.client("home")
     refs: Dict[str, Any] = {}
     outcomes = {"committed": 0, "failed": 0}

@@ -110,7 +110,8 @@ def main() -> None:
     print("6. live introspection: partition the vault, watch the verdict "
           "turn")
     print("=" * 72)
-    inspector = cluster.attach_introspection(interval=0)
+    inspector = cluster.observe(
+        introspection={"interval": 0})["introspection"]
     frames = [("all links up", inspector.probe_once())]
     cluster.network.partition("teller", "vault")
     cluster.run(until=cluster.kernel.now + 1.0)

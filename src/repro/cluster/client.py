@@ -172,8 +172,8 @@ class ClusterClient:
 
     def __init__(self, node: Node, transport: RpcTransport,
                  action_uids: UidGenerator, colour_allocator,
-                 class_registry: Dict[str, type], name: str = "client",
-                 observability=None, fast_paths: bool = True,
+                 class_registry: Dict[str, type], observability,
+                 name: str = "client", fast_paths: bool = True,
                  commute: bool = True, backend=None):
         self.node = node
         #: the execution backend this client schedules on (reaper spawns,
@@ -184,6 +184,8 @@ class ClusterClient:
         self.kernel = backend.kernel if backend is not None else node.kernel
         self.transport = transport
         self.name = name
+        #: the cluster's hub: every action gets a span there (so the RPC
+        #: spans have a parent to stitch to) and per-colour outcome counters
         self.obs = observability
         #: commit-protocol fast paths (piggybacked decision, read-only
         #: votes, one-phase commit); False runs the classic protocol only
@@ -199,9 +201,6 @@ class ClusterClient:
         #: acknowledged lazily by riding the next prepare to that node, so
         #: the delegate's checkpoint can drop its COMMITTED record
         self._pending_forget: Dict[str, List[str]] = {}
-        #: tracing/metrics observers (see repro.obs.bridge) — notified on action
-        #: creation and termination
-        self.observers: list = []
         # -- coordinator-side view, read by the introspection layer --------
         #: uid -> live (untermined) ClusterAction; the client half of the
         #: "no txn a server thinks is in-flight that the client thinks is
@@ -210,13 +209,8 @@ class ClusterClient:
         #: node -> termination reapers currently retrying against it
         self.reaper_backlog: Dict[str, int] = {}
 
-    def add_observer(self, observer) -> None:
-        self.observers.append(observer)
-
     def _op_span(self, action: "ClusterAction", name: str, **attrs):
-        """A client-side span parented on the action's span (or None)."""
-        if self.obs is None:
-            return None
+        """A client-side span parented on the action's span."""
         return self.obs.span(name, parent=getattr(action, "_obs_span", None),
                              kind="client", node=self.node.name, **attrs)
 
@@ -259,8 +253,6 @@ class ClusterClient:
                       colour: Optional[Colour] = None) -> None:
         """Publish an ``action.failure`` event: the causal record the
         postmortem engine attributes aborts from."""
-        if self.obs is None:
-            return
         self.obs.emit(
             "action.failure", action=str(action.uid), op=op,
             cause=self._failure_cause(error),
@@ -272,19 +264,17 @@ class ClusterClient:
 
     def _notify_created(self, action: ClusterAction) -> ClusterAction:
         self.live_actions[action.uid] = action
-        for observer in self.observers:
-            observer.on_action_created(action)
+        self.obs.action_begun(action, self.node.name)
         return action
 
     def _terminated(self, action: ClusterAction, status: ActionStatus,
                     outcome: Outcome) -> Outcome:
-        """Seal a finished action: status, tree unlink, observers."""
+        """Seal a finished action: status, tree unlink, the hub told."""
         action.status = status
         if action.parent is not None and action in action.parent.children:
             action.parent.children.remove(action)
         self.live_actions.pop(action.uid, None)
-        for observer in self.observers:
-            observer.on_action_terminated(action)
+        self.obs.action_ended(action, self.node.name)
         return outcome
 
     # -- action factories -----------------------------------------------------
@@ -367,8 +357,7 @@ class ClusterClient:
             raise
         finally:
             clear_waiting(self.node, action.uid)
-            if span is not None:
-                span.finish()
+            span.finish()
         action.note_lock(chosen, ref.node)
         if is_update:
             action.note_write(chosen, ref.node, ref.uid)
@@ -434,8 +423,7 @@ class ClusterClient:
             raise
         finally:
             clear_waiting(self.node, action.uid)
-            if span is not None:
-                span.finish()
+            span.finish()
         action.note_lock(chosen, ref.node)
         if mode is LockMode.WRITE:
             action.note_write(chosen, ref.node, ref.uid)
@@ -480,21 +468,19 @@ class ClusterClient:
         for colour in ordered:
             destination = action.closest_ancestor_with(colour)
             routes[colour] = destination
-            if self.obs is not None:
-                self.obs.emit(
-                    "commit.route", action=str(action.uid),
-                    colour=str(colour),
-                    dest=(str(destination.uid) if destination is not None
-                          else ""),
-                    node=self.node.name,
-                )
+            self.obs.emit(
+                "commit.route", action=str(action.uid),
+                colour=str(colour),
+                dest=(str(destination.uid) if destination is not None
+                      else ""),
+                node=self.node.name,
+            )
             if destination is not None:
                 self._bequeath(action, colour, destination)
-                if self.obs is not None:
-                    # §5.2: locks and undo responsibility are inherited by
-                    # the closest same-coloured ancestor, not made permanent
-                    self.obs.count("colour_inherited_total",
-                                   colour=str(colour))
+                # §5.2: locks and undo responsibility are inherited by
+                # the closest same-coloured ancestor, not made permanent
+                self.obs.count("colour_inherited_total",
+                               colour=str(colour))
                 continue
             write_map = action.written.get(colour, {})
             if not write_map:
@@ -529,8 +515,7 @@ class ClusterClient:
                 break
         if failed_colour is not None:
             action.status = ActionStatus.ACTIVE  # let abort run normally
-            if span is not None:
-                span.set(outcome="2pc-failed").finish()
+            span.set(outcome="2pc-failed").finish()
             self._note_failure(
                 action,
                 CommitError(f"two-phase commit of colour {failed_colour} "
@@ -549,15 +534,13 @@ class ClusterClient:
             )
         yield from self._finish_commit(action, routes, decided,
                                        parent_span=span)
-        if span is not None:
-            span.set(outcome="committed").finish()
-        if self.obs is not None and span is not None:
-            # per-colour commit latency: the whole termination protocol
-            # (prepare rounds + decision/finish fan-out) as one histogram
-            # observation — what the commit-latency SLO watches
-            for colour in action.colours:
-                self.obs.observe("commit_latency", span.duration,
-                                 colour=str(colour), node=self.node.name)
+        span.set(outcome="committed").finish()
+        # per-colour commit latency: the whole termination protocol
+        # (prepare rounds + decision/finish fan-out) as one histogram
+        # observation — what the commit-latency SLO watches
+        for colour in action.colours:
+            self.obs.observe("commit_latency", span.duration,
+                             colour=str(colour), node=self.node.name)
         return self._terminated(action, ActionStatus.COMMITTED,
                                 Outcome.COMMITTED)
 
@@ -573,7 +556,7 @@ class ClusterClient:
         payload = {"action_uid": encode_uid(action.uid)}
         calls_for = {node_name: [("abort_action", payload)]
                      for node_name in action.all_nodes()}
-        if self.obs is not None and calls_for:
+        if calls_for:
             self.obs.observe("termination_fanout_width", len(calls_for),
                              kind="abort")
         # A server that does not answer is either down (its volatile locks
@@ -583,8 +566,7 @@ class ClusterClient:
         # over-delivery is harmless.
         yield from self._fan_out(f"abort:{action.uid}", calls_for,
                                  span=span, batched=False)
-        if span is not None:
-            span.set(outcome="aborted").finish()
+        span.set(outcome="aborted").finish()
         return self._terminated(action, ActionStatus.ABORTED, Outcome.ABORTED)
 
     def _fan_out(self, label: str,
@@ -666,8 +648,7 @@ class ClusterClient:
                     self.reaper_backlog.pop(node_name, None)
 
         self.kernel.spawn(reap(), name=f"reap-{label}@{node_name}")
-        if self.obs is not None:
-            self.obs.count("termination_reapers_total", node=node_name)
+        self.obs.count("termination_reapers_total", node=node_name)
 
     def run_scope(self, action: ClusterAction, body):
         """Run ``body`` (a generator taking nothing) under ``action``.
@@ -734,14 +715,13 @@ class ClusterClient:
                 return
             for child in active:
                 if child.colours & action.colours:
-                    if self.obs is not None:
-                        # the child dies because its parent settled, not
-                        # through any conflict of its own
-                        self.obs.emit("action.failure",
-                                      action=str(child.uid), op="settle",
-                                      cause="parent-settled",
-                                      detail=str(action.uid),
-                                      node=self.node.name)
+                    # the child dies because its parent settled, not
+                    # through any conflict of its own
+                    self.obs.emit("action.failure",
+                                  action=str(child.uid), op="settle",
+                                  cause="parent-settled",
+                                  detail=str(action.uid),
+                                  node=self.node.name)
                     yield from self.abort(child)
                 else:
                     self._detach(child)
@@ -818,9 +798,8 @@ class ClusterClient:
                 continue
             released = action.vote_released.get(node_name, set())
             if released and released >= action.colours_at(node_name):
-                if self.obs is not None:
-                    self.obs.count("read_only_saved_finish_total",
-                                   node=node_name)
+                self.obs.count("read_only_saved_finish_total",
+                               node=node_name)
                 continue
             nodes.append(node_name)
         calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
@@ -834,13 +813,13 @@ class ClusterClient:
             calls_for[node_name] = calls
 
         started = self.kernel.now
-        if self.obs is not None and nodes:
+        if nodes:
             self.obs.observe("termination_fanout_width", len(nodes),
                              kind="commit")
         acked = yield from self._fan_out(f"finish:{action.uid}", calls_for,
                                          span=parent_span)
         self._end_acked(decided, acked)
-        if self.obs is not None and nodes:
+        if nodes:
             self.obs.observe("commit_fanout_time",
                              self.kernel.now - started, width=len(nodes))
 
@@ -869,9 +848,8 @@ class ClusterClient:
         for txn_id, parts in decided:
             if parts <= acked:
                 self.node.txns.advance(COORDINATOR, txn_id, "end")
-                if self.obs is not None:
-                    self.obs.emit("twopc.end", txn=txn_id,
-                                  node=self.node.name)
+                self.obs.emit("twopc.end", txn=txn_id,
+                              node=self.node.name)
 
     # -- two-phase commit (coordinator) --------------------------------------------------------
 
@@ -884,17 +862,16 @@ class ClusterClient:
         txn_id = (f"txn:{self.node.name}:{action.uid.sequence}:"
                   f"{colour.uid.sequence}:{next(self._txn_seq)}")
         span = None
-        if self.obs is not None:
-            if spanned:
-                span = self.obs.span(f"2pc:{colour}", parent=parent_span,
-                                     kind="client", node=self.node.name,
-                                     txn=txn_id,
-                                     participants=len(participants),
-                                     **span_attrs)
-            self.obs.emit("twopc.begin", txn=txn_id,
-                          action=str(action.uid), colour=str(colour),
-                          participants=",".join(participants),
-                          node=self.node.name)
+        if spanned:
+            span = self.obs.span(f"2pc:{colour}", parent=parent_span,
+                                 kind="client", node=self.node.name,
+                                 txn=txn_id,
+                                 participants=len(participants),
+                                 **span_attrs)
+        self.obs.emit("twopc.begin", txn=txn_id,
+                      action=str(action.uid), colour=str(colour),
+                      participants=",".join(participants),
+                      node=self.node.name)
         return txn_id, span
 
     def _decide(self, txn_id: str, colour: Colour, decision: str,
@@ -911,16 +888,15 @@ class ClusterClient:
         self.node.txns.advance(
             COORDINATOR, txn_id, f"decide_{decision}",
             **({"commute": True} if "commute" in labels else {}))
-        if self.obs is not None:
-            self.obs.count("twopc_rounds_total", colour=str(colour),
-                           outcome=("committed" if decision == "commit"
-                                    else "aborted"))
-            if decision == "commit":
-                self.obs.count("colour_permanent_total", colour=str(colour))
-            if announce:
-                self.obs.emit("twopc.decision", txn=txn_id,
-                              decision=decision, node=self.node.name,
-                              **labels)
+        self.obs.count("twopc_rounds_total", colour=str(colour),
+                       outcome=("committed" if decision == "commit"
+                                else "aborted"))
+        if decision == "commit":
+            self.obs.count("colour_permanent_total", colour=str(colour))
+        if announce:
+            self.obs.emit("twopc.decision", txn=txn_id,
+                          decision=decision, node=self.node.name,
+                          **labels)
 
     def _prepare_payload(self, action: ClusterAction, txn_id: str,
                          colour: Colour, node_name: str,
@@ -974,11 +950,10 @@ class ClusterClient:
             except Exception:
                 # fast-path downgrade: this reader falls back to the
                 # classic finish fan-out (it never answered read-only)
-                if self.obs is not None:
-                    self.obs.emit("twopc.downgrade", txn=txn_id,
-                                  node=self.node.name, dst=node_name,
-                                  reason="read-only-unreachable",
-                                  resolution="classic-finish")
+                self.obs.emit("twopc.downgrade", txn=txn_id,
+                              node=self.node.name, dst=node_name,
+                              reason="read-only-unreachable",
+                              resolution="classic-finish")
                 return False
             self._ack_forget(node_name, payload)
             if reply.get("vote") == "read-only":
@@ -1070,11 +1045,10 @@ class ClusterClient:
         for node_name in participants:
             reply = acked.get(node_name)
             if reply is None:
-                if self.obs is not None:
-                    self.obs.emit("twopc.downgrade", txn=txn_id,
-                                  node=self.node.name, dst=node_name,
-                                  reason="commute-unreachable",
-                                  resolution="redelivery")
+                self.obs.emit("twopc.downgrade", txn=txn_id,
+                              node=self.node.name, dst=node_name,
+                              reason="commute-unreachable",
+                              resolution="redelivery")
                 continue
             # the participant's COMMITTED record is acknowledged lazily,
             # riding our next prepare to it (checkpointing)
@@ -1085,13 +1059,11 @@ class ClusterClient:
                 # locks released at vote-and-apply time: the node is out
                 # of this colour's phase two and finish routing
                 action.vote_released.setdefault(node_name, set()).add(colour)
-        if self.obs is not None:
-            self.obs.observe("twopc_prepare_time",
-                             self.kernel.now - round_started,
-                             colour=str(colour))
+        self.obs.observe("twopc_prepare_time",
+                         self.kernel.now - round_started,
+                         colour=str(colour))
         self._end_acked([(txn_id, set(participants))], acked)
-        if span is not None:
-            span.set(outcome="committed", fast_path="commute").finish()
+        span.set(outcome="committed", fast_path="commute").finish()
         return txn_id
 
     def _two_phase_commit(self, action: ClusterAction, colour: Colour,
@@ -1196,26 +1168,23 @@ class ClusterClient:
                 decision = yield from resolve_delegated(
                     self.node, self.transport, txn_id, last_agent,
                     trace_parent=span)
-                if self.obs is not None:
-                    # the fast path degenerated into an outcome query loop
-                    self.obs.emit("twopc.downgrade", txn=txn_id,
-                                  node=self.node.name, dst=last_agent,
-                                  reason="delegated-reply-lost",
-                                  resolution=decision)
+                # the fast path degenerated into an outcome query loop
+                self.obs.emit("twopc.downgrade", txn=txn_id,
+                              node=self.node.name, dst=last_agent,
+                              reason="delegated-reply-lost",
+                              resolution=decision)
                 if decision != "commit":
                     abort_cause = "fast-path-downgrade"
                 # a committed outcome proves the prepare arrived whole —
                 # the piggybacked finish (if any) was applied with it
                 finished = decision == "commit" and "finish" in payload
-        if self.obs is not None:
-            # coordinator-observed latency of the whole prepare round
-            self.obs.observe("twopc_prepare_time",
-                             self.kernel.now - prepare_started,
-                             colour=str(colour))
+        # coordinator-observed latency of the whole prepare round
+        self.obs.observe("twopc_prepare_time",
+                         self.kernel.now - prepare_started,
+                         colour=str(colour))
         if abort_cause is not None:
             self._decide(txn_id, colour, "abort", cause=abort_cause)
-            if span is not None:
-                span.set(outcome="aborted").finish()
+            span.set(outcome="aborted").finish()
             # Presumed abort: tell whoever may have prepared — only the
             # plain round's participants, the last agent either never saw
             # a prepare or refused it — reaping nodes we cannot reach.
@@ -1241,14 +1210,12 @@ class ClusterClient:
                 # caller's finish fan-out see those votes.  Costs no
                 # simulated time and never waits for a slow or dead reader.
                 yield Timeout(0.0)
-            if self.obs is not None:
-                self.obs.count("decision_piggyback_saved_rpcs_total",
-                               1 + (1 if finished else 0))
-        if span is not None:
-            span.set(outcome="committed")
-            if fast_kind:
-                span.set(fast_path=fast_kind)
-            span.finish()
+            self.obs.count("decision_piggyback_saved_rpcs_total",
+                           1 + (1 if finished else 0))
+        span.set(outcome="committed")
+        if fast_kind:
+            span.set(fast_path=fast_kind)
+        span.finish()
         return txn_id, set(plain)
 
     def _batched_prepare(self, action: ClusterAction,
@@ -1290,11 +1257,9 @@ class ClusterClient:
             rounds.append({"colour": colour, "write_map": write_map,
                            "txn_id": txn_id, "participants": participants,
                            "votes": {}})
-        span = None
-        if self.obs is not None:
-            span = self.obs.span("2pc-batched-prepare", parent=parent_span,
-                                 kind="client", node=self.node.name,
-                                 colours=len(rounds))
+        span = self.obs.span("2pc-batched-prepare", parent=parent_span,
+                             kind="client", node=self.node.name,
+                             colours=len(rounds))
         calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
         index_for: Dict[str, List[Tuple[str, int]]] = {}
         for i, r in enumerate(rounds):
@@ -1306,13 +1271,12 @@ class ClusterClient:
                 calls_for.setdefault(node_name, []).append(
                     ("txn_prepare", payload))
                 index_for.setdefault(node_name, []).append(("prepare", i))
-        if self.obs is not None:
-            # counted before the read-only riders join: the classic
-            # protocol never contacts readers, so only regrouped *writer*
-            # prepares are round trips saved over sequential rounds
-            saved = sum(len(calls) - 1 for calls in calls_for.values())
-            if saved:
-                self.obs.count("prepare_batch_saved_rpcs_total", saved)
+        # counted before the read-only riders join: the classic
+        # protocol never contacts readers, so only regrouped *writer*
+        # prepares are round trips saved over sequential rounds
+        saved = sum(len(calls) - 1 for calls in calls_for.values())
+        if saved:
+            self.obs.count("prepare_batch_saved_rpcs_total", saved)
         if self.fast_paths:
             # read-only riders: only on batches the writer round sends
             # anyway — a sub-call is free, a widened fan-out is not
@@ -1357,9 +1321,8 @@ class ClusterClient:
         decided: List[Tuple[str, Set[str]]] = []
         failed_index: Optional[int] = None
         for i, r in enumerate(rounds):
-            if self.obs is not None:
-                self.obs.observe("twopc_prepare_time", round_time,
-                                 colour=str(r["colour"]))
+            self.obs.observe("twopc_prepare_time", round_time,
+                             colour=str(r["colour"]))
             all_commit = all(r["votes"].get(p) == "commit"
                              for p in r["participants"])
             if failed_index is None and all_commit:
@@ -1368,8 +1331,7 @@ class ClusterClient:
             elif failed_index is None:
                 failed_index = i
         if failed_index is None:
-            if span is not None:
-                span.set(outcome="committed").finish()
+            span.set(outcome="committed").finish()
             return decided, None
         # presumed abort for the failing colour and everything after it:
         # tell whoever may have prepared, again one batch per server.
@@ -1385,7 +1347,6 @@ class ClusterClient:
             for node_name in r["participants"]:
                 abort_calls.setdefault(node_name, []).append(
                     ("txn_abort", {"txn_id": r["txn_id"]}))
-        if span is not None:
-            span.set(outcome="aborted").finish()
+        span.set(outcome="aborted").finish()
         yield from self._fan_out(f"txn-abort-batch:{action.uid}", abort_calls)
         return decided, rounds[failed_index]["colour"]

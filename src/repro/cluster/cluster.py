@@ -12,7 +12,7 @@ from repro.cluster.server import ObjectServer
 from repro.cluster.transport import RpcTransport
 from repro.colours.colour import ColourAllocator
 from repro.errors import ClusterError
-from repro.obs import Observability, ObservabilityBridge
+from repro.obs import Observability
 from repro.stdobjects import (
     Account,
     AppendLog,
@@ -66,7 +66,6 @@ class Cluster:
                  lock_wait_timeout: float = 60.0,
                  rpc_timeout: float = 10.0, rpc_retries: int = 3,
                  edge_chasing: bool = True, probe_interval: float = 5.0,
-                 observability: Optional[Observability] = None,
                  fast_paths: bool = True, commute: bool = True,
                  max_finished_spans: Optional[int] = None,
                  metrics_max_series: Optional[int] = None,
@@ -85,11 +84,9 @@ class Cluster:
         #: The two ``max`` knobs bound its retention (finished spans,
         #: series per metric) for long soaks; ``None`` keeps the short-run
         #: defaults.
-        self.obs = observability if observability is not None else (
-            Observability(tick_source=lambda: self.kernel.now,
-                          max_finished_spans=max_finished_spans,
-                          metrics_max_series=metrics_max_series)
-        )
+        self.obs = Observability(tick_source=lambda: self.kernel.now,
+                                 max_finished_spans=max_finished_spans,
+                                 metrics_max_series=metrics_max_series)
         self.rng = SplitRandom(seed)
         self.network = self.backend.make_network(self.rng, config,
                                                  observability=self.obs)
@@ -113,7 +110,6 @@ class Cluster:
         self.servers: Dict[str, ObjectServer] = {}
         self._action_uids = UidGenerator("caction")
         self.colours = ColourAllocator("ccolour")
-        self._observers: list = []
         #: every client created via :meth:`client`, in creation order; the
         #: introspection layer reads their coordinator-side views (live
         #: actions, txn decision log, reaper backlog) to cross-check what
@@ -132,20 +128,16 @@ class Cluster:
             raise ClusterError(f"node {name} already exists")
         node = Node(name, self.kernel, self.network)
         transport = RpcTransport(
-            node, default_timeout=self.rpc_timeout,
+            node, self.obs, default_timeout=self.rpc_timeout,
             default_retries=self.rpc_retries,
             # lock waits happen inside acknowledged rpcs: let the reply
             # phase outlive the server's lock-wait bound
             default_completion_timeout=self.lock_wait_timeout + 3 * self.rpc_timeout,
-            observability=self.obs,
         )
-        server = ObjectServer(node, transport, self.classes,
+        server = ObjectServer(node, transport, self.classes, self.obs,
                               lock_wait_timeout=self.lock_wait_timeout,
                               edge_chasing=self.edge_chasing,
-                              probe_interval=self.probe_interval,
-                              observability=self.obs)
-        for observer in self._observers:
-            server.add_observer(observer)
+                              probe_interval=self.probe_interval)
         self.nodes[name] = node
         self.transports[name] = transport
         self.servers[name] = server
@@ -158,158 +150,61 @@ class Cluster:
     def client(self, node_name: str, name: str = "") -> ClusterClient:
         """Create a :class:`ClusterClient` homed on ``node_name``.
 
-        The client shares the cluster's uid/colour allocators and
-        inherits its ``fast_paths`` setting and registered observers.
+        The client shares the cluster's uid/colour allocators and hub
+        and inherits its ``fast_paths`` setting.
         """
         node = self.nodes[node_name]
         client = ClusterClient(
             node, self.transports[node_name],
-            self._action_uids, self.colours, self.classes,
+            self._action_uids, self.colours, self.classes, self.obs,
             name=name or f"client@{node_name}",
-            observability=self.obs,
             fast_paths=self.fast_paths,
             commute=self.commute,
             backend=self.backend,
         )
-        # the bridge gives every action a span (and per-colour outcome
-        # counters) so the client's RPC spans have a parent to stitch to.
-        client.add_observer(ObservabilityBridge(self.obs, node=node_name))
-        for observer in self._observers:
-            client.add_observer(observer)
         self.clients.append(client)
         return client
 
-    def add_observer(self, observer) -> None:
-        """Attach a trace/metrics observer cluster-wide.
-
-        The observer (the contract of
-        :meth:`repro.runtime.runtime.LocalRuntime.add_observer`) is wired
-        into every existing and future server — so distributed lock grants
-        fire ``on_lock_granted`` — and into every client created after the
-        call (action begin/commit/abort events).
-        """
-        self._observers.append(observer)
-        for server in self.servers.values():
-            server.add_observer(observer)
-
     # -- observability ---------------------------------------------------------
 
-    def attach_perf(self, interval: float = 5.0, max_points: int = 2048,
-                    recorder_capacity: int = 4096, sample_rate: float = 1.0,
-                    seed: int = 0, process_probes: bool = False,
-                    backend: Optional[ExecutionBackend] = None):
-        """Attach the performance observatory (``repro.obs.perf``).
+    def observe(self, **layers):
+        """Turn observability layers on, by section name.
 
-        Starts a :class:`~repro.obs.perf.TimeSeriesSampler` on the sim
-        clock with cluster-level gauges probed in (in-doubt objects, live
-        action mirrors, prepared txns, pending RPCs across all servers)
-        and a :class:`~repro.obs.perf.FlightRecorder` ring on the event
-        bus.  Call before ``run()`` — ideally before ``add_node`` so no
-        events predate the ring.  Returns ``(sampler, recorder)``; both
-        also hang off ``cluster.obs`` and are included in ``obs.save()``.
+        Each keyword names a layer of :data:`repro.obs.layers.LAYERS`; its
+        value is ``True`` for the layer's defaults or a mapping handed to
+        the layer's constructor (where every tuning parameter lives)::
 
-        The sampler's timer rides the cluster's execution backend (real
-        wall-clock intervals on asyncio, virtual ones on sim); pass
-        ``backend=`` to clock it elsewhere.
+            cluster.observe(timeline={"interval": 5.0}, flight_recorder=True,
+                            postmortem=True, introspection=True, slo=True)
+
+        Layers a requested one ``requires`` come along with their defaults
+        (``slo`` brings ``timeline``), so no order of keywords or of calls
+        is wrong; asking again for a bound layer with ``True`` is a no-op,
+        with options a ``RuntimeError``.  Call before ``run()`` — ideally
+        before ``add_node``, so no event predates a recorder.  Returns
+        ``cluster.obs.layers`` (section name -> bound layer), which
+        ``cluster.obs.save()`` writes out section by section.
         """
-        from repro.obs.perf import FlightRecorder, TimeSeriesSampler
+        from repro.obs.layers import LAYERS
 
-        sampler = TimeSeriesSampler(self.obs, interval=interval,
-                                    max_points=max_points,
-                                    process_probes=process_probes)
-        sampler.add_probe("in_doubt_objects", lambda: sum(
-            len(s.in_doubt_objects) for s in self.servers.values()))
-        sampler.add_probe("action_mirrors", lambda: sum(
-            len(s.mirrors) for s in self.servers.values()))
-        sampler.add_probe("prepared_txns", lambda: sum(
-            len(n.txns.prepared) for n in self.nodes.values()))
-        sampler.add_probe("pending_rpcs", lambda: sum(
-            t.pending_count() for t in self.transports.values()))
-        sampler.attach((backend or self.backend).kernel)
-        recorder = FlightRecorder(self.obs, capacity=recorder_capacity,
-                                  sample_rate=sample_rate, seed=seed)
-        return sampler, recorder
-
-    def attach_postmortem(self, max_records: int = 10_000):
-        """Attach the causal-attribution engine (``repro.obs.postmortem``).
-
-        Subscribes a :class:`~repro.obs.postmortem.PostmortemEngine` to the
-        cluster's event bus: every finished action gets a postmortem record
-        (abort reason, blocker chain, txn history), aborts feed the
-        ``abort_reason_total`` histogram, and — when a flight recorder is
-        attached (see :meth:`attach_perf`) — guilty ring windows are frozen
-        alongside the auditor's finding snapshots.  Call before ``run()``.
-        Returns the engine; it also hangs off ``cluster.obs.postmortem``
-        and its records are included in ``obs.save()`` dumps.
-        """
-        from repro.obs.postmortem import PostmortemEngine
-
-        engine = PostmortemEngine(metrics=self.obs.metrics,
-                                  flight=self.obs.flight,
-                                  max_records=max_records)
-        engine.attach(self.obs)
-        return engine
-
-    def attach_introspection(self, interval: float = 10.0,
-                             probe_timeout: float = 3.0,
-                             queue_depth_threshold: int = 8,
-                             in_doubt_age_threshold: float = 50.0,
-                             max_snapshots: int = 32):
-        """Attach the live-introspection layer (``repro.obs.introspect``).
-
-        Wires a :class:`~repro.obs.introspect.ClusterInspector` to this
-        cluster: it fans ``status_query`` probes out to every server,
-        stitches the answers into one cluster snapshot, cross-checks them
-        against the coordinator-side view (drift detection) and derives a
-        per-server health verdict (``cluster_health`` gauge).  ``interval``
-        > 0 starts a periodic probe on the sim clock (first probe fires
-        immediately); pass ``interval=0`` for manual probing via
-        :meth:`~repro.obs.introspect.ClusterInspector.probe_once`.  Returns
-        the inspector; it also hangs off ``cluster.obs.inspector`` and its
-        snapshots are included in ``obs.save()`` dumps.
-        """
-        from repro.obs.introspect import ClusterInspector
-
-        inspector = ClusterInspector(
-            self, probe_timeout=probe_timeout,
-            queue_depth_threshold=queue_depth_threshold,
-            in_doubt_age_threshold=in_doubt_age_threshold,
-            max_snapshots=max_snapshots)
-        if interval and interval > 0:
-            inspector.attach(interval=interval)
-        return inspector
-
-    def attach_slo(self, objectives=None, latency_target: float = 25.0,
-                   abort_budget: float = 0.25, max_breaches: int = 256):
-        """Attach the SLO engine (``repro.obs.slo``) — layer 6.
-
-        Evaluates declarative objectives (commit-latency windowed mean,
-        abort-rate ceiling, auditor-finding/drift zero-tolerance, minimum
-        cluster health) once per sampler point with multi-window burn-rate
-        alerting; breaches emit ``slo.breach`` bus events, bump
-        ``slo_breach_total{objective}`` and freeze the flight-recorder
-        ring.  Requires :meth:`attach_perf` first — the sampler is the
-        engine's clock (:class:`ClusterError` otherwise).  Attach *after*
-        :meth:`attach_introspection` so the stock set includes the
-        cluster-health objective.  Pass ``objectives`` to replace the
-        stock set from :func:`repro.obs.slo.default_objectives`.  Returns
-        the engine; it
-        also hangs off ``cluster.obs.slo`` and its ledger is included in
-        ``obs.save()`` dumps.
-        """
-        from repro.obs.slo import SLOEngine, default_objectives
-
-        if self.obs.sampler is None:
-            raise ClusterError(
-                "attach_slo() needs a sampler: call attach_perf() first")
-        if objectives is None:
-            objectives = default_objectives(
-                latency_target=latency_target, abort_budget=abort_budget,
-                include_health=self.obs.inspector is not None)
-        engine = SLOEngine(self.obs, objectives=objectives,
-                           max_breaches=max_breaches)
-        engine.attach(self.obs.sampler)
-        return engine
+        unknown = sorted(set(layers) - set(LAYERS))
+        if unknown:
+            raise ClusterError(f"unknown observability layer(s) {unknown}; "
+                               f"pick from {sorted(LAYERS)}")
+        wanted = {name: options for name, options in layers.items()
+                  if options}
+        for name in reversed(list(LAYERS)):  # requirements come earlier
+            if name in wanted:
+                for needed in LAYERS[name].requires:
+                    wanted.setdefault(needed, True)
+        for name, cls in LAYERS.items():
+            options = wanted.get(name)
+            if options is None or (options is True
+                                   and name in self.obs.layers):
+                continue
+            self.obs.bind(cls(**({} if options is True else options)),
+                          cluster=self)
+        return self.obs.layers
 
     def metrics_dump(self) -> Dict:
         """One JSON-able snapshot of every metric, kernel and network stat."""

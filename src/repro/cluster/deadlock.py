@@ -96,9 +96,8 @@ class EdgeChaser:
             for blocker_uid in table.blocked_on(request):
                 if blocker_uid == initiator:
                     self.cycles_detected += 1
-                    if self.server.obs is not None:
-                        self.server.obs.count("deadlock_cycles_total",
-                                              node=self.node.name)
+                    self.server.obs.count("deadlock_cycles_total",
+                                          node=self.node.name)
                     # every member of the cycle is in the visited set (plus
                     # the endpoints); all detection points therefore agree
                     # on one victim: the youngest (largest uid) — so
@@ -116,9 +115,8 @@ class EdgeChaser:
                 if not home:
                     continue
                 self.probes_sent += 1
-                if self.server.obs is not None:
-                    self.server.obs.count("deadlock_probes_total",
-                                          node=self.node.name)
+                self.server.obs.count("deadlock_probes_total",
+                                      node=self.node.name)
                 self.node.send(home, "dl_probe", {
                     "initiator": encode_uid(initiator),
                     "target": encode_uid(blocker_uid),

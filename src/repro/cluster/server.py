@@ -115,31 +115,6 @@ class ActionMirror:
         return records
 
 
-class MirrorView:
-    """Action-shaped adapter over an :class:`ActionMirror` for observers.
-
-    Observers (``on_lock_granted``) expect the local-runtime action shape:
-    ``uid``, ``name``, ``parent`` (with a ``uid``), ``colours``.  The
-    mirror knows its ancestry path, so the view reconstructs just enough
-    of it.
-    """
-
-    __slots__ = ("uid", "name", "colours", "parent")
-
-    def __init__(self, mirror: ActionMirror):
-        self.uid = mirror.uid
-        self.name = f"caction-{mirror.uid.sequence}"
-        self.colours = mirror.colours
-        self.parent = None
-        if len(mirror.path) > 1:
-            parent = MirrorView.__new__(MirrorView)
-            parent.uid = mirror.path[-2]
-            parent.name = f"caction-{mirror.path[-2].sequence}"
-            parent.colours = mirror.colours
-            parent.parent = None
-            self.parent = parent
-
-
 class ServerObjectHost:
     """The minimal 'runtime' server-hosted objects are constructed against.
 
@@ -176,20 +151,18 @@ class ObjectServer:
     """Message handlers for one node's objects, locks and transactions."""
 
     def __init__(self, node: Node, transport: RpcTransport,
-                 classes: Dict[str, type],
+                 classes: Dict[str, type], observability,
                  lock_wait_timeout: float = 60.0,
                  edge_chasing: bool = True,
-                 probe_interval: float = 5.0,
-                 observability=None):
+                 probe_interval: float = 5.0):
         self.node = node
         self.kernel = node.kernel
         self.transport = transport
         self.classes = dict(classes)
         self.lock_wait_timeout = lock_wait_timeout
+        #: the cluster's hub: lock grants/waits, votes, decisions and
+        #: recoveries are all counted and announced through it
         self.obs = observability
-        #: trace/metrics observers fired on server-side lock grants (the
-        #: distributed counterpart of LocalRuntime.add_observer)
-        self.observers: list = []
         self.host = ServerObjectHost(self)
         # volatile state (rebuilt empty after a crash)
         self.objects: Dict[Uid, StateManager] = {}
@@ -248,14 +221,9 @@ class ObjectServer:
 
     # -- plumbing ------------------------------------------------------------
 
-    def add_observer(self, observer) -> None:
-        """Attach an observer notified of lock grants at this server."""
-        self.observers.append(observer)
-
     def _emit_lock_event(self, kind: str, **labels) -> None:
         """Registry event sink: forward to the obs bus with a node label."""
-        if self.obs is not None:
-            self.obs.emit(kind, node=self.node.name, **labels)
+        self.obs.emit(kind, node=self.node.name, **labels)
 
     def _next_undo_seq(self) -> int:
         self._undo_seq += 1
@@ -348,10 +316,9 @@ class ObjectServer:
         colour = decode_colour(payload["colour"])
         args = payload.get("args", [])
         self.invocations += 1
-        if self.obs is not None:
-            self.obs.count("invocations_total", node=self.node.name,
-                           method=f"{obj.type_name}.{payload['method']}",
-                           colour=str(colour))
+        self.obs.count("invocations_total", node=self.node.name,
+                       method=f"{obj.type_name}.{payload['method']}",
+                       colour=str(colour))
         lock_key = mode_name if mode_name is not None else group
 
         def completed(request: LockRequest) -> None:
@@ -428,24 +395,16 @@ class ObjectServer:
 
         def settled(request: LockRequest) -> None:
             if request.status is RequestStatus.GRANTED:
-                if self.obs is not None:
-                    self.obs.observe("lock_wait_time",
-                                     self.kernel.now - wait_started,
-                                     node=self.node.name, colour=str(colour))
-                    self.obs.count("lock_grants_total", node=self.node.name,
-                                   mode=mode_name)
-                if self.observers:
-                    view = MirrorView(mirror)
-                    for observer in self.observers:
-                        on_grant = getattr(observer, "on_lock_granted", None)
-                        if on_grant is not None:
-                            on_grant(view, object_uid, mode, colour)
-            elif self.obs is not None:
-                if isinstance(request.error, DeadlockDetected):
-                    self.obs.count("deadlock_detections_total",
-                                   node=self.node.name)
-                else:
-                    self.obs.count("lock_refusals_total", node=self.node.name)
+                self.obs.observe("lock_wait_time",
+                                 self.kernel.now - wait_started,
+                                 node=self.node.name, colour=str(colour))
+                self.obs.count("lock_grants_total", node=self.node.name,
+                               mode=mode_name)
+            elif isinstance(request.error, DeadlockDetected):
+                self.obs.count("deadlock_detections_total",
+                               node=self.node.name)
+            else:
+                self.obs.count("lock_refusals_total", node=self.node.name)
             completed(request)
 
         request = self.registry.request(mirror, object_uid, mode, colour, settled)
@@ -460,8 +419,7 @@ class ObjectServer:
         # deadlock chaser to victimise later.
         cycle = self.detector.cycle_through(mirror.uid)
         if cycle is not None:
-            if self.obs is not None:
-                self.obs.count("lock_fast_aborts_total", node=self.node.name)
+            self.obs.count("lock_fast_aborts_total", node=self.node.name)
             self.registry.cancel_request(
                 request,
                 reason=("waiting would close a deadlock cycle: "
@@ -570,8 +528,6 @@ class ObjectServer:
     def _retire_mirror(self, mirror: ActionMirror, outcome: str) -> None:
         """Metrics for one action leaving this node: how long it pinned
         objects here (glued hand-offs show up as long holds)."""
-        if self.obs is None:
-            return
         self.obs.observe("mirror_lifetime",
                          self.kernel.now - mirror.created_tick,
                          node=self.node.name)
@@ -582,12 +538,11 @@ class ObjectServer:
 
     def _emit_vote(self, txn_id: str, vote: str, colour,
                    reason: str = "") -> None:
-        if self.obs is not None:
-            labels = {"txn": txn_id, "node": self.node.name,
-                      "vote": vote, "colour": str(colour)}
-            if reason:
-                labels["reason"] = reason
-            self.obs.emit("twopc.vote", **labels)
+        labels = {"txn": txn_id, "node": self.node.name,
+                  "vote": vote, "colour": str(colour)}
+        if reason:
+            labels["reason"] = reason
+        self.obs.emit("twopc.vote", **labels)
 
     def _h_txn_prepare(self, message: Message, respond: Responder) -> None:
         """Phase one: stabilise new states as shadows, log PREPARED, vote.
@@ -672,9 +627,8 @@ class ObjectServer:
             if mirror is not None:
                 mirror.drop_colour(colour)
                 self._retire_if_idle(mirror, "read-only")
-            if self.obs is not None:
-                self.obs.count("twopc_fast_path_total", node=self.node.name,
-                               kind="read_only")
+            self.obs.count("twopc_fast_path_total", node=self.node.name,
+                           kind="read_only")
             self._emit_vote(txn_id, "read-only", colour)
             respond(True, self._ok({"vote": "read-only"}))
             return
@@ -719,9 +673,8 @@ class ObjectServer:
             object_uids=[encode_uid(u) for u in sorted(wanted)],
         )
         entry.colour = colour
-        if self.obs is not None:
-            self.obs.count("twopc_prepared_total", node=self.node.name,
-                           colour=str(colour))
+        self.obs.count("twopc_prepared_total", node=self.node.name,
+                       colour=str(colour))
         self._emit_vote(txn_id, "commit", colour)
         respond(True, self._ok({"vote": "commit"}))
 
@@ -746,14 +699,12 @@ class ObjectServer:
             **({"commute": True} if commute else {}),
         )
         entry.colour = colour
-        if self.obs is not None:
-            self.obs.count("twopc_fast_path_total", node=self.node.name,
-                           kind=fast_path)
+        self.obs.count("twopc_fast_path_total", node=self.node.name,
+                       kind=fast_path)
         self._emit_vote(txn_id, "commute" if commute else "commit", colour)
-        if self.obs is not None:
-            self.obs.emit("twopc.decision", txn=txn_id, decision="commit",
-                          fast_path=fast_path, node=self.node.name,
-                          colour=str(colour), **labels)
+        self.obs.emit("twopc.decision", txn=txn_id, decision="commit",
+                      fast_path=fast_path, node=self.node.name,
+                      colour=str(colour), **labels)
         self._settle(entry, refresh_live)
 
     # -- the commute path (coordination avoidance) -------------------------------------
@@ -988,7 +939,7 @@ class ObjectServer:
         entry = self.node.txns.advance(PARTICIPANT, txn_id, decision)
         if entry is not None:
             self._settle(entry)
-        if decision == "abort" and self.obs is not None:
+        if decision == "abort":
             self.obs.emit("twopc.abort", txn=txn_id, node=self.node.name)
         return entry is not None
 
@@ -1013,15 +964,14 @@ class ObjectServer:
                 stored = self.node.stable_store.read_committed(object_uid)
                 obj.restore_snapshot(stored.payload)
         if not commit:
-            if self.obs is not None and object_uids:
+            if object_uids:
                 self.obs.count("twopc_aborted_total", node=self.node.name)
             return
-        if self.obs is not None:
-            self.obs.count("twopc_committed_total", node=self.node.name)
-            self.obs.emit(
-                "twopc.commit", txn=entry.txn_id, node=self.node.name,
-                objects=",".join(str(u) for u in object_uids),
-            )
+        self.obs.count("twopc_committed_total", node=self.node.name)
+        self.obs.emit(
+            "twopc.commit", txn=entry.txn_id, node=self.node.name,
+            objects=",".join(str(u) for u in object_uids),
+        )
         mirror = self.mirrors.get(decode_uid(entry.payload["action_uid"]))
         if mirror is not None and colour is not None:
             mirror.drop_colour(colour)
@@ -1056,9 +1006,8 @@ class ObjectServer:
 
     def _answer_query(self, txn_id: str, decision: str,
                       respond: Responder) -> None:
-        if self.obs is not None:
-            self.obs.emit("twopc.decision_query", txn=txn_id,
-                          decision=decision, node=self.node.name)
+        self.obs.emit("twopc.decision_query", txn=txn_id,
+                      decision=decision, node=self.node.name)
         respond(True, self._ok({"decision": decision}))
 
     def _h_txn_outcome_query(self, message: Message, respond: Responder) -> None:
@@ -1177,8 +1126,7 @@ class ObjectServer:
         PREPARED records without a matching COMMITTED/ABORTED are in doubt;
         their objects are fenced off until the coordinator answers.
         """
-        if self.obs is not None:
-            self.obs.emit("node.restart", node=self.node.name)
+        self.obs.emit("node.restart", node=self.node.name)
         self.objects = {}
         self.registry = LockRegistry(ColouredRules(), namespace=f"lreq@{self.node.name}")
         self.registry.on_event = self._emit_lock_event
@@ -1212,11 +1160,10 @@ class ObjectServer:
                     name=f"resolve-delegated:{entry.txn_id}",
                 )
         pending = sorted(self.prepared.values(), key=lambda e: e.lsn)
-        if self.obs is not None:
-            self.obs.count("recovery_replays_total", node=self.node.name)
-            if pending:
-                self.obs.count("recovery_in_doubt_total", len(pending),
-                               node=self.node.name)
+        self.obs.count("recovery_replays_total", node=self.node.name)
+        if pending:
+            self.obs.count("recovery_in_doubt_total", len(pending),
+                           node=self.node.name)
         for entry in pending:
             entry.in_doubt = True
             self.in_doubt_objects.update(entry.object_uids)

@@ -83,12 +83,12 @@ def _rebuild_error(kind: str, text: str) -> ReproError:
 class RpcTransport:
     """One node's RPC endpoint: client calls and server handlers."""
 
-    def __init__(self, node: Node, default_timeout: float = 10.0,
-                 default_retries: int = 3,
-                 default_completion_timeout: float = 120.0,
-                 observability=None):
+    def __init__(self, node: Node, observability,
+                 default_timeout: float = 10.0, default_retries: int = 3,
+                 default_completion_timeout: float = 120.0):
         self.node = node
         self.kernel = node.kernel
+        #: the cluster's hub; every RPC is spanned and timed through it
         self.obs = observability
         self.default_timeout = default_timeout
         self.default_retries = default_retries
@@ -147,13 +147,11 @@ class RpcTransport:
                        reply_to=message.msg_id)
         # server-side span: covers receipt to response (lock waits and all),
         # parented on the caller's span carried in the payload.
-        span = None
-        if self.obs is not None:
-            span = self.obs.span(
-                f"serve:{message.kind}",
-                parent=Tracer.extract(message.payload),
-                kind="server", node=self.node.name, src=message.src,
-            )
+        span = self.obs.span(
+            f"serve:{message.kind}",
+            parent=Tracer.extract(message.payload),
+            kind="server", node=self.node.name, src=message.src,
+        )
 
         def respond(ok: bool, value: Any = None) -> None:
             if not self.node.alive:
@@ -174,8 +172,7 @@ class RpcTransport:
                          "error_kind": "cluster", "error": str(value)}
             live_cache[rpc_id] = reply
             live_inflight.discard(rpc_id)
-            if span is not None:
-                span.set(ok=ok).finish()
+            span.set(ok=ok).finish()
             self.node.send(message.src, _REPLY_KIND, reply, reply_to=message.msg_id)
 
         try:
@@ -222,15 +219,13 @@ class RpcTransport:
         self.node.send(message.src, _ACK_KIND, {"rpc_id": rpc_id},
                        reply_to=message.msg_id)
         calls = message.payload.get("calls", [])
-        span = None
-        if self.obs is not None:
-            self.obs.observe("rpc_batch_size", len(calls), node=self.node.name)
-            span = self.obs.span(
-                f"serve:{BATCH_KIND}",
-                parent=Tracer.extract(message.payload),
-                kind="server", node=self.node.name, src=message.src,
-                calls=len(calls),
-            )
+        self.obs.observe("rpc_batch_size", len(calls), node=self.node.name)
+        span = self.obs.span(
+            f"serve:{BATCH_KIND}",
+            parent=Tracer.extract(message.payload),
+            kind="server", node=self.node.name, src=message.src,
+            calls=len(calls),
+        )
         sub_replies: List[Optional[Dict[str, Any]]] = [None] * len(calls)
         outstanding = {"n": len(calls)}
 
@@ -246,8 +241,7 @@ class RpcTransport:
             reply = {"rpc_id": rpc_id, "ok": True, "value": list(sub_replies)}
             live_cache[rpc_id] = reply
             live_inflight.discard(rpc_id)
-            if span is not None:
-                span.finish()
+            span.finish()
             self.node.send(message.src, _REPLY_KIND, reply,
                            reply_to=message.msg_id)
 
@@ -258,12 +252,10 @@ class RpcTransport:
                 sub_replies[index] = sub_cache[sub_id]
                 outstanding["n"] -= 1
                 return
-            sub_span = None
-            if self.obs is not None:
-                sub_span = self.obs.span(
-                    f"serve:{sub['kind']}", parent=span, kind="server",
-                    node=self.node.name, src=message.src,
-                )
+            sub_span = self.obs.span(
+                f"serve:{sub['kind']}", parent=span, kind="server",
+                node=self.node.name, src=message.src,
+            )
 
             def sub_respond(ok: bool, value: Any = None) -> None:
                 if not self.node.alive:
@@ -285,8 +277,7 @@ class RpcTransport:
                 live_cache[sub_id] = reply
                 sub_replies[index] = reply
                 outstanding["n"] -= 1
-                if sub_span is not None:
-                    sub_span.set(ok=ok).finish()
+                sub_span.set(ok=ok).finish()
                 maybe_finish()
 
             handler = self._handlers.get(sub["kind"])
@@ -432,31 +423,26 @@ class RpcTransport:
         ack = self.kernel.event(name=f"ack:{kind}:{rpc_id}")
         self._pending[rpc_id] = event
         self._acks[rpc_id] = ack
-        span = None
-        started = 0.0
-        if self.obs is not None:
-            span = self.obs.span(f"rpc:{kind}", parent=trace_parent,
-                                 kind="client", node=self.node.name, dst=dst)
-            request[TRACE_KEY] = span.context.to_wire()
-            started = self.kernel.now
+        span = self.obs.span(f"rpc:{kind}", parent=trace_parent,
+                             kind="client", node=self.node.name, dst=dst)
+        request[TRACE_KEY] = span.context.to_wire()
+        started = self.kernel.now
 
         def finish(reply: Dict[str, Any]) -> Dict[str, Any]:
-            if span is not None:
-                self.obs.observe("rpc_latency", self.kernel.now - started,
-                                 kind=kind)
-                span.set(ok=reply["ok"]).finish()
+            self.obs.observe("rpc_latency", self.kernel.now - started,
+                             kind=kind)
+            span.set(ok=reply["ok"]).finish()
             return reply
 
         def timed_out(phase: str, text: str) -> RpcTimeout:
-            if span is not None:
-                self.obs.count("rpc_timeouts_total", kind=kind, phase=phase)
-                span.set(ok=False, error="timeout").finish()
+            self.obs.count("rpc_timeouts_total", kind=kind, phase=phase)
+            span.set(ok=False, error="timeout").finish()
             return RpcTimeout(text)
 
         try:
             acked = False
             for _attempt in range(retries + 1):
-                if _attempt and span is not None:
+                if _attempt:
                     span.event("retransmit", attempt=_attempt)
                 self.node.send(dst, kind, request)
                 deadline = self.kernel.timeout_event(timeout)
@@ -490,7 +476,6 @@ class RpcTransport:
                 f"no reply within {completion_timeout}"
             ))
         finally:
-            if span is not None:
-                span.finish()  # idempotent; closes the span on kill/error paths
+            span.finish()  # idempotent; closes the span on kill/error paths
             self._pending.pop(rpc_id, None)
             self._acks.pop(rpc_id, None)

@@ -35,7 +35,6 @@ For the local (threaded) runtime::
     runtime.attach_observability(hub)
 """
 
-from repro.obs.bridge import ObservabilityBridge
 from repro.obs.bus import EventBus, ObsEvent
 from repro.obs.export import (
     action_timeline,
@@ -57,7 +56,6 @@ __all__ = [
     "MetricsRegistry",
     "ObsEvent",
     "Observability",
-    "ObservabilityBridge",
     "Span",
     "SpanContext",
     "TRACE_KEY",

@@ -4,7 +4,9 @@
 fixture in ``tests/conftest.py``) that tracks every Observability hub
 created inside it and auto-attaches a hub to every LocalRuntime that
 would otherwise run dark.  On exit it collects the findings of every
-hub's auditor; any finding raises ``AssertionError`` — and when
+hub's auditor; any finding raises ``AssertionError``, and so does any
+bus subscriber that crashed (the auditor among them: its silence would
+be vacuous) — and when
 ``REPRO_OBS_DUMP`` names a directory, the offending hubs' full dumps
 (spans + metrics + event log) are saved there first so the failure can
 be replayed with ``python -m repro.obs audit``, each with a sibling
@@ -48,6 +50,13 @@ def install_online_audit(dump_dir=None):
 
 
 def _assert_clean(hubs, dump_dir=None) -> None:
+    crashed = [f"{name}: {error!r}" for hub in hubs
+               for name, error in hub.bus.errors.items()]
+    if crashed:
+        # a subscriber that raised saw only part of the stream: whatever
+        # the auditor reports below would be vacuous
+        raise AssertionError("obs bus subscriber(s) crashed:\n  "
+                             + "\n  ".join(crashed))
     guilty = []
     for hub in hubs:
         found = hub.auditor.report()

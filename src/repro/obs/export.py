@@ -159,7 +159,7 @@ def action_timeline(spans: Union[Tracer, Iterable[Any]], title: str = "",
     """The executed action structure drawn like the paper's figures.
 
     :func:`span_timeline` restricted to the finished ``kind == "action"``
-    spans :class:`~repro.obs.bridge.ObservabilityBridge` records: nesting
+    spans :meth:`~repro.obs.hub.Observability.action_begun` opens: nesting
     by indentation, colours in brackets, outcome (and, with
     ``show_locks``, the number of lock grants) after the bar.
     """

@@ -3,15 +3,33 @@
 A hub is attached to a :class:`~repro.cluster.cluster.Cluster` (created
 automatically, on simulated time) or to a
 :class:`~repro.runtime.runtime.LocalRuntime` via
-``runtime.attach_observability(hub)``.  Instrumentation points throughout
-the codebase accept a hub of ``None`` and degrade to no-ops, so observation
-is always optional and never load-bearing.
+``runtime.attach_observability(hub)``.  A cluster always has one, so the
+cluster stack (transport, server, client, edge chaser) reports into it
+unconditionally; ``Network`` and ``LocalRuntime``, which are also built
+on their own, accept a hub of ``None`` and degrade to no-ops.
+
+Everything beyond the three primitives is a *layer*, and there is one way
+to turn one on — ``hub.bind(layer)``, or ``cluster.observe(...)`` which
+builds and binds by section name.  A layer is any object with:
+
+``section``
+    its key in ``hub.layers`` and in a dump's ``extra``;
+``requires``
+    the sections that must be bound with it (``cluster.observe`` adds them);
+``bind(hub, cluster=None)``
+    all its wiring: bus subscriptions, timers, cluster gauge probes;
+``dump()``
+    its section of a whole-run :meth:`Observability.save`;
+``rotate(start, end)``
+    its section of one soak segment, handing out and dropping what only
+    that window needs (:meth:`Observability.rotate`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
+from repro.actions.status import ActionStatus
 from repro.obs import dump
 from repro.obs.bus import EventBus
 from repro.obs.export import (
@@ -20,7 +38,7 @@ from repro.obs.export import (
     span_tree,
     text_report,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, dump_delta
 from repro.obs.tracing import Span, Tracer
 
 
@@ -40,7 +58,8 @@ class Observability:
         self.tracer = Tracer(
             tick_source, max_finished_spans=max_finished_spans,
             on_drop=lambda n: self.count("spans_dropped_total", n))
-        self.bus = EventBus()
+        self.bus = EventBus(on_error=lambda subscriber: self.count(
+            "obs_subscriber_errors_total", subscriber=subscriber))
         self._tick_source = tick_source
         # always-on runtime verification: every hub audits its own event
         # stream (repro.obs.audit) and measures real grant->release lock
@@ -52,19 +71,25 @@ class Observability:
         self.bus.subscribe(self.auditor.consume)
         self.hold_times = LockHoldTracker(self.metrics)
         self.bus.subscribe(self.hold_times.consume)
-        # perf-observatory attach points (repro.obs.perf); populated by
-        # TimeSeriesSampler / FlightRecorder constructors when used.
-        self.sampler = None
-        self.flight = None
-        # causal-attribution attach point (repro.obs.postmortem); populated
-        # by PostmortemEngine when one is attached to this hub.
-        self.postmortem = None
-        # live-introspection attach point (repro.obs.introspect); populated
-        # by ClusterInspector when one is attached to this hub's cluster.
-        self.inspector = None
-        # service-level-objective attach point (repro.obs.slo); populated
-        # by SLOEngine when one is attached to this hub.
-        self.slo = None
+        #: section name -> bound layer, in binding order (see :meth:`bind`)
+        self.layers: Dict[str, Any] = {}
+        #: what :meth:`rotate` has already handed out: the cumulative
+        #: metrics as of the last segment and the last event seq written
+        self._rotated_metrics: Dict[str, Any] = {}
+        self._rotated_seq = 0
+
+    def bind(self, layer: Any, cluster: Optional[Any] = None) -> Any:
+        """Turn ``layer`` on: register it under its section, let it wire
+        itself to this hub (and to ``cluster``, when it watches one).
+
+        Returns the layer.  One layer per section: binding a second is a
+        ``RuntimeError``.
+        """
+        if layer.section in self.layers:
+            raise RuntimeError(f"layer {layer.section!r} is already bound")
+        self.layers[layer.section] = layer
+        layer.bind(self, cluster)
+        return layer
 
     def now(self) -> float:
         """Current time from the tick source (0.0 when none is attached)."""
@@ -100,6 +125,56 @@ class Observability:
         """Publish an event on the bus, stamped with :meth:`now`."""
         self.bus.emit(self.now(), kind, **labels)
 
+    # -- the action lifecycle, reported by LocalRuntime / ClusterClient --------
+
+    def action_begun(self, action: Any, node: str) -> None:
+        """An action was created by the runtime or client on ``node``.
+
+        Opens its ``action:<name>`` span (parented on the parent action's)
+        and publishes it as ``action._obs_span`` so RPC and termination
+        spans can stitch underneath; counts and announces the begin.
+        """
+        home = getattr(action, "home", "") or node
+        colours = colour_names(action.colours)
+        action._obs_span = self.span(
+            f"action:{action.name}",
+            parent=getattr(action.parent, "_obs_span", None),
+            kind="action", node=home, colours=colours,
+            action=str(action.uid))
+        self.count("actions_started_total", node=node)
+        self.emit("action.begin", action=str(action.uid), name=action.name,
+                  parent=(str(action.parent.uid)
+                          if action.parent is not None else ""),
+                  colours=colours, node=home)
+
+    def action_ended(self, action: Any, node: str) -> None:
+        """An action committed or aborted: per-colour outcome counters,
+        the action span closed with its outcome, ``action.end`` announced."""
+        outcome = ("committed" if action.status is ActionStatus.COMMITTED
+                   else "aborted")
+        for colour in action.colours:
+            self.count(f"actions_{outcome}_total", colour=str(colour),
+                       node=node)
+        span = getattr(action, "_obs_span", None)
+        if span is not None:
+            span.set(outcome=outcome)
+            span.finish()
+        self.emit("action.end", action=str(action.uid), name=action.name,
+                  outcome=outcome, colours=colour_names(action.colours),
+                  node=getattr(action, "home", "") or node)
+
+    def lock_granted(self, action: Any, object_uid: Any, mode: Any,
+                     colour: Any, node: str) -> None:
+        """The local runtime granted ``action`` a lock: counter + an event
+        on the action's span.  (The bus-level ``lock.granted`` event comes
+        from the lock registry itself, which also covers server grants.)"""
+        mode_label = getattr(mode, "value", None) or str(mode)
+        self.count("lock_grants_total", mode=mode_label, node=node)
+        span = getattr(action, "_obs_span", None)
+        if span is not None:
+            span.event("lock.granted", object=str(object_uid),
+                       mode=mode_label, colour=str(colour))
+
     # -- export shorthands -----------------------------------------------------
 
     def dump(self) -> Dict[str, Any]:
@@ -126,21 +201,40 @@ class Observability:
     def save(self, path: str, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """Write spans + metrics + retained events to ``path`` as one document.
 
-        Attached perf-observatory artifacts (flight-recorder ring,
-        sampler timeline) ride along under ``extra``; the result is what
-        every ``python -m repro.obs <command>`` console consumes.
+        Every bound layer's ``dump()`` rides along under ``extra``; the
+        result is what every ``python -m repro.obs <command>`` console
+        consumes.
         """
-        extra = dict(extra) if extra else {}
-        if self.flight is not None:
-            extra.setdefault("flight_recorder", self.flight.dump())
-        if self.sampler is not None:
-            extra.setdefault("timeline", self.sampler.timeline())
-        if self.postmortem is not None:
-            extra.setdefault("postmortem", self.postmortem.dump())
-        if self.inspector is not None:
-            extra.setdefault("introspection", self.inspector.dump())
-        if self.slo is not None:
-            extra.setdefault("slo", self.slo.dump())
+        return self._write(
+            path, self.tracer.to_dicts(), self.metrics.dump(),
+            self.auditor.event_dicts(), extra,
+            {name: layer.dump() for name, layer in self.layers.items()})
+
+    def rotate(self, path: str, start: float, end: float,
+               extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        """Write one soak segment covering ``(start, end]`` to ``path`` and
+        drop what it handed out, so memory stays bounded over any horizon.
+
+        Metrics are the **delta** since the previous segment (summing all
+        segments telescopes back to an unrotated run), spans are the ones
+        finished since then, events the auditor's slice since then; every
+        bound layer contributes its ``rotate(start, end)`` section.
+        """
+        current = self.metrics.dump()
+        metrics = dump_delta(current, self._rotated_metrics)
+        self._rotated_metrics = current
+        spans = [span.to_dict() for span in self.tracer.drain_finished()]
+        events = self.auditor.event_dicts(since=self._rotated_seq)
+        if events:
+            self._rotated_seq = events[-1]["seq"]
+            self.auditor.drop_events(self._rotated_seq)
+        return self._write(
+            path, spans, metrics, events, extra,
+            {name: layer.rotate(start, end)
+             for name, layer in self.layers.items()})
+
+    def _write(self, path, spans, metrics, events, extra, sections):
+        # a caller's own ``extra`` keys win over a layer's section
         return dump.write(path, dump.document(
-            spans=self.tracer.to_dicts(), metrics=self.metrics.dump(),
-            events=self.auditor.event_dicts(), extra=extra))
+            spans=spans, metrics=metrics, events=events,
+            extra={**sections, **(extra or {})}))

@@ -10,8 +10,9 @@ Usage::
 
 With a ``dump.json`` argument the console replays the ``introspection``
 section a :class:`~repro.obs.introspect.ClusterInspector` embedded into an
-``Observability.save`` dump (of several documents, the last one carrying
-a section); without one it builds the seeded demo cluster
+``Observability.save`` dump (a soak segment directory replays as one
+run: its segments' snapshot and drift windows, joined in order); without
+one it builds the seeded demo cluster
 (``--seed``/``--arm``) and probes it live.  ``--watch`` renders the
 periodic snapshot ring frame by frame instead of just the latest state.
 
@@ -68,9 +69,12 @@ def run(args: argparse.Namespace, documents: List[Dict[str, Any]]) -> int:
         sections = dump.sections(documents, "introspection")
         if not sections:
             print(f"{args.path}: no introspection section — the run had no "
-                  f"ClusterInspector attached (cluster.attach_introspection)")
+                  f"ClusterInspector (cluster.observe(introspection=True))")
             return 0
-        doc = sections[-1]
+        doc = dict(sections[-1], **{
+            key: [item for section in sections
+                  for item in section.get(key) or []]
+            for key in ("drift", "snapshots")})
     else:
         from repro.obs.introspect.demo import run_demo
 

@@ -1,7 +1,7 @@
 """Seeded demo cluster for the ``top`` console and the introspection tests.
 
 Builds the chaos-mix shape — three nodes, accounts on two of them, a
-transfer workload coordinated from ``beta`` — attaches a
+transfer workload coordinated from ``beta`` — turns on a
 :class:`~repro.obs.introspect.ClusterInspector`, and optionally injects
 one of two faults:
 
@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkConfig
 from repro.cluster.txn import COORDINATOR, decision_of
+from repro.obs.introspect.inspector import ClusterInspector
 from repro.sim.kernel import Timeout
 
 ARMS = ("fault-free", "partition", "restart")
@@ -60,7 +61,8 @@ def run_demo(seed: int = 0, arm: str = "fault-free",
     for name in _NODES:
         cluster.add_node(name)
     client = cluster.client("beta")
-    inspector = cluster.attach_introspection(interval=interval)
+    inspector = cluster.observe(
+        introspection={"interval": interval})[ClusterInspector.section]
     refs: Dict[str, Any] = {}
     stats = {"committed": 0, "failed": 0}
 

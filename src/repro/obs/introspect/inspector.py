@@ -102,21 +102,24 @@ class ServerHealth:
 class ClusterInspector:
     """Probes a live cluster and stitches the answers into snapshots.
 
-    Attach via :meth:`~repro.cluster.cluster.Cluster.attach_introspection`
-    (periodic, on the sim clock) or drive manually with :meth:`probe_once`.
+    Turn on with ``cluster.observe(introspection=True)``: ``interval`` > 0
+    probes periodically on the cluster's clock (the first probe fires
+    immediately), ``interval=0`` leaves probing to :meth:`probe_once`.
     Snapshots, drift records and probe counters are all JSON-able
     (:meth:`dump`) and ride along in ``Observability.save`` dumps under
-    ``extra["introspection"]`` — what ``python -m repro.obs top`` consumes.
+    this layer's ``extra`` section — what ``python -m repro.obs top``
+    consumes.
     """
 
-    def __init__(self, cluster, probe_timeout: float = 3.0,
+    section = "introspection"
+    requires = ()
+
+    def __init__(self, interval: float = 10.0, probe_timeout: float = 3.0,
                  queue_depth_threshold: int = 8,
                  in_doubt_age_threshold: float = 50.0,
                  max_snapshots: int = 32,
                  decision_grace: Optional[float] = None):
-        self.cluster = cluster
-        self.obs = cluster.obs
-        self.obs.inspector = self
+        self.interval = interval
         self.probe_timeout = probe_timeout
         self.queue_depth_threshold = queue_depth_threshold
         self.in_doubt_age_threshold = in_doubt_age_threshold
@@ -124,34 +127,33 @@ class ClusterInspector:
         #: how long a decided transaction may legitimately linger prepared
         #: at a participant: the probe can interleave between the
         #: coordinator's decision log write and phase-two delivery, so
-        #: anything younger than two RPC rounds is not drift yet.
-        self.decision_grace = (decision_grace if decision_grace is not None
-                               else 2.0 * cluster.rpc_timeout)
+        #: anything younger than two RPC rounds (the default, taken from
+        #: the cluster at :meth:`bind`) is not drift yet.
+        self.decision_grace = decision_grace
         self.snapshots: List[Dict[str, Any]] = []
         self.drift: List[Drift] = []
         self._seen_drift: Set[Tuple[str, str, str, str]] = set()
         self.probes = 0
         self._probing = False
-        self._timer = None
 
     # -- probing -------------------------------------------------------------
 
-    def attach(self, interval: float = 10.0) -> "ClusterInspector":
-        """Start a periodic probe on the sim clock (daemon; fires at once).
+    def bind(self, hub, cluster=None) -> None:
+        """Watch ``cluster``, reporting into ``hub``; start the periodic
+        probe (daemon; fires at once) when ``interval`` > 0.
 
         The timer only *starts* probes: an overlap guard skips a tick while
         the previous probe's RPCs are still in flight, so a slow/partitioned
         cluster is never hammered with stacked probes.
         """
-        self._timer = self.cluster.kernel.every(interval, self._fire,
-                                                immediate=True)
-        return self
-
-    def detach(self) -> None:
-        """Stop the periodic probe (snapshots and drift are retained)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if cluster is None:
+            raise ValueError("a ClusterInspector needs a cluster to probe")
+        self.cluster = cluster
+        self.obs = hub
+        if self.decision_grace is None:
+            self.decision_grace = 2.0 * cluster.rpc_timeout
+        if self.interval > 0:
+            cluster.kernel.every(self.interval, self._fire, immediate=True)
 
     def _fire(self) -> None:
         if self._probing:
@@ -369,3 +371,14 @@ class ClusterInspector:
             "snapshots": [dict(s) for s in self.snapshots],
             "overall": self.last["overall"] if self.last else "unknown",
         }
+
+    def rotate(self, start: float, end: float) -> Dict[str, Any]:
+        """One segment's section: the snapshots and drift of ``(start,
+        end]``.  Nothing is dropped — the ring is bounded, and the drift
+        list must keep deduplicating across segments."""
+        return dict(
+            self.dump(),
+            drift=[d.to_dict() for d in self.drift
+                   if start < d.tick <= end],
+            snapshots=[dict(s) for s in self.snapshots
+                       if start < s["tick"] <= end])

@@ -14,9 +14,9 @@ how it *evolved* and whether it *regressed*:
   stays attached under heavy load at fixed memory; the ring is dumped on
   any auditor finding or test failure.
 - :class:`ObsOverheadMeter` — self-accounting: the observability layer's
-  own cost (events/sec, wall-time share of the run).  When no hub is
-  attached every instrumentation point degrades to a single
-  ``if self.obs is None`` branch — the documented cheap no-op path.
+  own cost (events/sec, wall-time share of the run).  A cluster always
+  has a hub; a ``Network`` or ``LocalRuntime`` built without one pays a
+  single ``if self.obs is None`` branch per instrumentation point.
 - :mod:`repro.obs.perf.compare` — diffs a scenario run's ``BENCH_*.json``
   against checked-in baselines with tolerance bands; the
   ``python -m repro.obs perf compare`` CLI exits non-zero on regression

@@ -12,7 +12,7 @@ Wall-clock ``info`` entries are ignored by default; ``--gate-wall`` checks
 them too, with a wide band (``--wall-tolerance``, baseline
 ``wall_tolerances`` overrides) — for stable dedicated runners only.
 
-``timeline`` renders a sampler timeline (a raw ``sampler.timeline()``
+``timeline`` renders a sampler timeline (a raw ``sampler.dump()``
 document, an ``Observability.save`` dump carrying ``extra.timeline``, or a
 soak segment directory whose per-segment slices are joined in order) as
 text sparklines, or as a self-contained HTML page with ``--html``:
@@ -83,7 +83,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_timeline(args: argparse.Namespace,
                   documents: List[Dict[str, Any]]) -> int:
-    # bare sampler.timeline() documents, else the dumps' extra.timeline
+    # bare sampler.dump() documents, else the dumps' extra.timeline
     slices = [doc for doc in documents if "points" in doc] or [
         piece for piece in sections(documents, "timeline")
         if "points" in piece]

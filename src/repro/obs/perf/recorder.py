@@ -44,13 +44,15 @@ MAX_SNAPSHOTS = 4
 class FlightRecorder:
     """Bounded, sampled event ring attached to an Observability hub."""
 
-    def __init__(self, hub, capacity: int = 4096, sample_rate: float = 1.0,
+    section = "flight_recorder"
+    requires = ()
+
+    def __init__(self, capacity: int = 4096, sample_rate: float = 1.0,
                  seed: int = 0, critical_kinds=CRITICAL_KINDS):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
-        self.hub = hub
         self.capacity = capacity
         self.sample_rate = sample_rate
         self.critical_kinds = frozenset(critical_kinds)
@@ -62,11 +64,11 @@ class FlightRecorder:
         self.evicted = 0
         self.skipped = 0
         self.finding_snapshots: List[Dict[str, Any]] = []
-        hub.flight = self
+
+    def bind(self, hub, cluster=None) -> None:
+        """Record ``hub``'s bus; freeze the ring on every auditor finding."""
         hub.bus.subscribe(self.consume)
-        auditor = getattr(hub, "auditor", None)
-        if auditor is not None and hasattr(auditor, "add_finding_listener"):
-            auditor.add_finding_listener(self._on_finding)
+        hub.auditor.add_finding_listener(self._on_finding)
 
     # -- intake ---------------------------------------------------------------
 
@@ -84,11 +86,6 @@ class FlightRecorder:
                 "seq": self._seq, "tick": event.tick, "kind": event.kind,
                 "labels": dict(event.labels),
             })
-
-    def detach(self) -> None:
-        self.hub.bus.unsubscribe(self.consume)
-        if getattr(self.hub, "flight", None) is self:
-            self.hub.flight = None
 
     # -- black-box dumps -------------------------------------------------------
 
@@ -118,37 +115,25 @@ class FlightRecorder:
         with self._mutex:
             return [dict(entry) for entry in self._ring]
 
-    def drain(self) -> List[Dict[str, Any]]:
-        """Remove and return the ring contents, oldest first.
-
-        Segment rotation streams the ring out per segment; counters
-        (``seen``/``evicted``/``skipped``) keep accumulating across drains.
-        """
-        with self._mutex:
-            ring = [dict(entry) for entry in self._ring]
-            self._ring.clear()
-            return ring
-
-    def take_snapshots(self) -> List[Dict[str, Any]]:
-        """Remove and return frozen snapshots, re-arming the snapshot cap.
-
-        Rotation embeds snapshots in the segment that covers them; clearing
-        lets each segment freeze up to ``MAX_SNAPSHOTS`` of its own.
-        """
-        taken = list(self.finding_snapshots)
-        self.finding_snapshots.clear()
-        return taken
-
     def dump(self) -> Dict[str, Any]:
         """JSON-able section for ``Observability.save``."""
-        with self._mutex:
-            ring = [dict(entry) for entry in self._ring]
         return {
             "capacity": self.capacity,
             "sample_rate": self.sample_rate,
             "seen": self._seq,
             "evicted": self.evicted,
             "skipped": self.skipped,
-            "events": ring,
+            "events": self.ring_events(),
             "finding_snapshots": list(self.finding_snapshots),
         }
+
+    def rotate(self, start: float, end: float) -> Dict[str, Any]:
+        """One segment's section: the ring and the frozen snapshots are
+        handed out and dropped — so each segment may freeze up to
+        ``MAX_SNAPSHOTS`` of its own — while the counters (``seen`` /
+        ``evicted`` / ``skipped``) keep accumulating."""
+        section = self.dump()
+        with self._mutex:
+            self._ring.clear()
+        self.finding_snapshots.clear()
+        return section

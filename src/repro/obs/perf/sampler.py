@@ -41,11 +41,14 @@ _COLOUR_HISTOGRAMS = (
 class TimeSeriesSampler:
     """Periodic snapshots of an Observability hub into per-colour timelines."""
 
-    def __init__(self, hub, interval: float = 5.0, max_points: int = 2048,
+    section = "timeline"
+    requires = ()
+
+    def __init__(self, interval: float = 5.0, max_points: int = 2048,
                  process_probes: bool = False):
         if max_points < 2:
             raise ValueError(f"max_points must be >= 2, got {max_points}")
-        self.hub = hub
+        self.hub = None
         self.interval = interval
         self.max_points = max_points
         #: opt-in host-process pressure probes (``process`` section per
@@ -59,14 +62,30 @@ class TimeSeriesSampler:
         self.stride = 1
         self.decimations = 0
         self._fires = 0
-        self._timer = None
         self._probes: List[Tuple[str, Callable[[], float]]] = []
         self._point_listeners: List[Callable[[Dict[str, Any]], None]] = []
         #: (metric, colour) -> cumulative value at the previous point
         self._last_counts: Dict[Tuple[str, str], float] = {}
-        hub.sampler = self
 
     # -- wiring ---------------------------------------------------------------
+
+    def bind(self, hub, cluster=None) -> None:
+        """Sample ``hub``'s registry; with a ``cluster``, on its clock (the
+        execution backend's: wall-clock intervals on asyncio, virtual ones
+        on sim) and with its cluster-level gauges probed in.  Without one
+        the owner calls :meth:`sample` itself."""
+        self.hub = hub
+        if cluster is None:
+            return
+        self.add_probe("in_doubt_objects", lambda: sum(
+            len(s.in_doubt_objects) for s in cluster.servers.values()))
+        self.add_probe("action_mirrors", lambda: sum(
+            len(s.mirrors) for s in cluster.servers.values()))
+        self.add_probe("prepared_txns", lambda: sum(
+            len(n.txns.prepared) for n in cluster.nodes.values()))
+        self.add_probe("pending_rpcs", lambda: sum(
+            t.pending_count() for t in cluster.transports.values()))
+        cluster.kernel.every(self.interval, self._tick)
 
     def add_probe(self, name: str, fn: Callable[[], float]) -> None:
         """Sample ``fn()`` into the ``gauges`` section of every point."""
@@ -77,18 +96,6 @@ class TimeSeriesSampler:
         clock); listener exceptions propagate — sampling is load-bearing
         for objective evaluation, not best-effort."""
         self._point_listeners.append(fn)
-
-    def attach(self, kernel) -> "TimeSeriesSampler":
-        """Start sampling on ``kernel``'s clock (see ``Kernel.every``)."""
-        if self._timer is not None:
-            raise RuntimeError("sampler already attached")
-        self._timer = kernel.every(self.interval, self._tick)
-        return self
-
-    def detach(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
 
     def _tick(self) -> None:
         self._fires += 1
@@ -183,7 +190,7 @@ class TimeSeriesSampler:
 
     # -- export ---------------------------------------------------------------
 
-    def timeline(self) -> Dict[str, Any]:
+    def dump(self) -> Dict[str, Any]:
         """JSON-able view of the whole timeline."""
         return {
             "interval": self.interval,
@@ -191,6 +198,12 @@ class TimeSeriesSampler:
             "decimations": self.decimations,
             "points": list(self.points),
         }
+
+    def rotate(self, start: float, end: float) -> Dict[str, Any]:
+        """The timeline restricted to the points of ``(start, end]``; the
+        points stay (decimation, not rotation, bounds them)."""
+        return dict(self.dump(), points=[
+            point for point in self.points if start < point["tick"] <= end])
 
     def colour_series(self, colour: str, key: str) -> List[Tuple[float, float]]:
         """(tick, value) pairs of one per-colour key across the timeline."""

@@ -1,7 +1,7 @@
 """Render a sampler timeline as text sparklines or a single-file HTML page.
 
-Input is the JSON-able document of :meth:`TimeSeriesSampler.timeline
-<repro.obs.perf.sampler.TimeSeriesSampler.timeline>` (either standalone or
+Input is the JSON-able document of :meth:`TimeSeriesSampler.dump
+<repro.obs.perf.sampler.TimeSeriesSampler.dump>` (either standalone or
 embedded as ``extra.timeline`` of an ``Observability.save`` dump).  The
 HTML output is fully self-contained — inline CSS and inline SVG polylines,
 no scripts, no external assets — so a CI artifact renders anywhere.

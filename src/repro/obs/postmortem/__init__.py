@@ -9,7 +9,7 @@ auditor, and the performance observatory) answers *why*:
   crash/partition, injected fault, vote rollback, fast-path downgrade,
   cascade, app error, explicit abort) plus a resolved blocker chain —
   which action/colour held the awaited lock, transitively, with hold
-  times.  Attach live via ``cluster.attach_postmortem()``.
+  times.  Turn on live with ``cluster.observe(postmortem=True)``.
 - :mod:`~repro.obs.postmortem.critical` — commit critical paths over the
   saved span tree: the gating chain from the ``commit`` span down to the
   participant that bounded the slowest round.

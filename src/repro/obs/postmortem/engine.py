@@ -14,8 +14,8 @@ paths consume the identical event stream.  Aborted actions additionally:
 
 - feed ``abort_reason_total{reason=,colour=}`` — incremented once per
   colour of the action, so the totals cross-check exactly against the
-  bridge's per-colour ``actions_aborted_total`` counters;
-- freeze the attached flight recorder's ring (bounded, like the
+  hub's per-colour ``actions_aborted_total`` counters;
+- freeze the hub's flight-recorder ring, when one is bound (bounded, like the
   auditor's finding snapshots) so the black box around a death survives.
 """
 
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.bus import ObsEvent
+from repro.obs.perf.recorder import FlightRecorder
 from repro.obs.postmortem import attribution
 from repro.obs.postmortem.records import BlockerLink, Postmortem
 
@@ -76,6 +77,9 @@ def _split(value: str) -> Tuple[str, ...]:
 class PostmortemEngine:
     """Bus subscriber building per-action postmortems with causal blame."""
 
+    section = "postmortem"
+    requires = ()
+
     _HANDLERS = {
         "action.begin": "_on_action_begin",
         "action.end": "_on_action_end",
@@ -97,13 +101,12 @@ class PostmortemEngine:
     MAX_CHAIN_DEPTH = 4
     MAX_CHAIN_LINKS = 8
 
-    def __init__(self, metrics=None, flight=None,
+    def __init__(self, metrics=None,
                  max_records: int = DEFAULT_MAX_RECORDS):
         if max_records < 1:
             raise ValueError(f"max_records must be >= 1, got {max_records}")
         self._mutex = threading.Lock()
         self.metrics = metrics
-        self.flight = flight
         self.records: Deque[Postmortem] = deque(maxlen=max_records)
         self.abort_snapshots: List[Dict[str, Any]] = []
         #: action-level totals per reason (one per aborted action)
@@ -125,26 +128,12 @@ class PostmortemEngine:
 
     # -- wiring ---------------------------------------------------------------
 
-    def attach(self, hub) -> "PostmortemEngine":
-        """Subscribe to ``hub``'s event bus and become ``hub.postmortem``."""
-        if self._hub is not None:
-            raise RuntimeError("postmortem engine already attached")
+    def bind(self, hub, cluster=None) -> None:
+        """Subscribe to ``hub``'s event bus; count into its registry."""
         self._hub = hub
         if self.metrics is None:
             self.metrics = hub.metrics
-        if self.flight is None:
-            self.flight = getattr(hub, "flight", None)
         hub.bus.subscribe(self.consume)
-        hub.postmortem = self
-        return self
-
-    def detach(self) -> None:
-        if self._hub is None:
-            return
-        self._hub.bus.unsubscribe(self.consume)
-        if getattr(self._hub, "postmortem", None) is self:
-            self._hub.postmortem = None
-        self._hub = None
 
     @classmethod
     def replay(cls, events: Iterable[ObsEvent],
@@ -221,7 +210,7 @@ class PostmortemEngine:
             )
             self.reason_counts[reason] = self.reason_counts.get(reason, 0) + 1
             if self.metrics is not None:
-                # one increment per colour: exact parity with the bridge's
+                # one increment per colour: exact parity with the hub's
                 # actions_aborted_total{colour=} accounting
                 for colour in colours:
                     self.metrics.counter("abort_reason_total",
@@ -231,16 +220,17 @@ class PostmortemEngine:
         self.records.append(record)
 
     def _freeze_ring(self, record: Postmortem) -> None:
-        if self.flight is None:
-            return
-        if len(self.abort_snapshots) >= MAX_ABORT_SNAPSHOTS:
+        # looked up per abort, so the recorder may be bound after us
+        flight = (self._hub.layers.get(FlightRecorder.section)
+                  if self._hub is not None else None)
+        if flight is None or len(self.abort_snapshots) >= MAX_ABORT_SNAPSHOTS:
             return
         self.abort_snapshots.append({
             "action": record.action,
             "reason": record.reason,
             "detail": record.detail,
             "tick": record.end,
-            "events": self.flight.ring_events(),
+            "events": flight.ring_events(),
         })
 
     # -- lock state ------------------------------------------------------------
@@ -498,3 +488,13 @@ class PostmortemEngine:
                 "abort_snapshots": list(self.abort_snapshots),
                 "seen": self.seen,
             }
+
+    def rotate(self, start: float, end: float) -> Dict[str, Any]:
+        """One segment's section: the records and ring snapshots issued
+        since the last one, handed out and dropped (re-arming the snapshot
+        cap); ``reasons`` and ``seen`` stay cumulative."""
+        section = self.dump()
+        with self._mutex:
+            self.records.clear()
+            self.abort_snapshots.clear()
+        return section

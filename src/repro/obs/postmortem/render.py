@@ -38,7 +38,7 @@ def top_blockers(records: Iterable[Postmortem],
 
 def colour_abort_counts(records: Iterable[Postmortem]) -> Dict[str, int]:
     """Per-colour abort totals as the records imply them (one per colour
-    of each aborted action — the bridge's accounting)."""
+    of each aborted action — the hub's accounting)."""
     counts: Dict[str, int] = {}
     for record in records:
         if record.outcome != "aborted":
@@ -52,7 +52,7 @@ def crosscheck(records: Iterable[Postmortem],
                metrics_doc: Dict) -> List[str]:
     """Mismatches between attribution totals and the dump's own
     ``actions_aborted_total{colour=}`` counters — empty means the engine
-    accounted for every abort the bridge counted, colour by colour."""
+    accounted for every abort the hub counted, colour by colour."""
     counted: Dict[str, float] = {}
     for row in (metrics_doc or {}).get("counters", []):
         if row.get("name") != "actions_aborted_total":

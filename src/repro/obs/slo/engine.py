@@ -16,7 +16,7 @@ transition is observable three ways at once:
 * a frozen flight-recorder snapshot (the black box as of the breach);
 
 and every breach lands in a bounded ledger that travels in
-``Observability.save`` dumps under ``extra["slo"]``.
+``Observability.save`` dumps under this layer's ``extra`` section.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.obs.perf.recorder import FlightRecorder
+from repro.obs.perf.sampler import TimeSeriesSampler
 from repro.obs.slo.objectives import Objective, default_objectives
 
 #: ledger entries retained per engine; older breaches are dropped counted
@@ -41,12 +43,15 @@ POINT_PREFIXES = {
 class SLOEngine:
     """Evaluates declarative objectives over sliding sampler windows."""
 
-    def __init__(self, hub=None, objectives: Optional[List[Objective]] = None,
+    section = "slo"
+    #: the sampler is the engine's clock: one frame per sampled point
+    requires = (TimeSeriesSampler.section,)
+
+    def __init__(self, objectives: Optional[List[Objective]] = None,
                  max_breaches: int = MAX_BREACHES):
-        self.hub = hub
-        self.objectives = list(objectives) if objectives is not None \
-            else default_objectives()
-        names = [objective.name for objective in self.objectives]
+        self.hub = None
+        self._objectives = None if objectives is None else list(objectives)
+        names = [objective.name for objective in self._objectives or ()]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate objective names in {names}")
         self.max_breaches = max_breaches
@@ -56,19 +61,32 @@ class SLOEngine:
         #: objective name -> open ledger entry while breaching
         self._active: Dict[str, Dict[str, Any]] = {}
         #: objective name -> deque of (tick, measure tuple)
-        self._history: Dict[str, Deque[Tuple[float, Tuple]]] = {
-            objective.name: deque(maxlen=objective.long_window + 1)
-            for objective in self.objectives
-        }
-        if hub is not None:
-            hub.slo = self
+        self._history: Dict[str, Deque[Tuple[float, Tuple]]] = {}
+
+    @property
+    def objectives(self) -> List[Objective]:
+        """The objectives evaluated; without an explicit list, the stock
+        set — with the cluster-health objective iff an inspector feeds the
+        gauge it watches.  Decided at first use (the first frame at the
+        latest), so the inspector may be bound before or after the engine.
+        """
+        if self._objectives is None:
+            from repro.obs.introspect.inspector import ClusterInspector
+
+            self._objectives = default_objectives(
+                include_health=self.hub is None
+                or ClusterInspector.section in self.hub.layers)
+        return self._objectives
 
     # -- wiring ---------------------------------------------------------------
 
-    def attach(self, sampler) -> "SLOEngine":
-        """Evaluate one frame per sampler point (the engine's clock)."""
-        sampler.add_point_listener(self._on_point)
-        return self
+    def bind(self, hub, cluster=None) -> None:
+        """Signal into ``hub`` and evaluate one frame per point of its
+        sampler (frames can also be fed by hand, :meth:`observe_frame`)."""
+        self.hub = hub
+        sampler = hub.layers.get(TimeSeriesSampler.section)
+        if sampler is not None:
+            sampler.add_point_listener(self._on_point)
 
     def _on_point(self, point: Dict[str, Any]) -> None:
         self.observe_frame(point["tick"], self._measure())
@@ -128,7 +146,8 @@ class SLOEngine:
         for objective in self.objectives:
             if objective.name not in measures:
                 continue
-            history = self._history[objective.name]
+            history = self._history.setdefault(
+                objective.name, deque(maxlen=objective.long_window + 1))
             history.append((tick, measures[objective.name]))
             entry = self._evaluate(objective, history, tick)
             if entry is not None:
@@ -240,7 +259,7 @@ class SLOEngine:
                       target=f"{objective.target:g}")
         if kind == "slo.breach":
             self.hub.count("slo_breach_total", objective=objective.name)
-            flight = getattr(self.hub, "flight", None)
+            flight = self.hub.layers.get(FlightRecorder.section)
             if flight is not None:
                 flight.freeze(
                     f"slo breach: {objective.name} "
@@ -261,7 +280,7 @@ class SLOEngine:
         """Per-objective verdict as of the latest frame."""
         out = []
         for objective in self.objectives:
-            history = self._history[objective.name]
+            history = self._history.get(objective.name, ())
             short, value = self._burn(objective, history,
                                       objective.short_window)
             long, _ = self._burn(objective, history, objective.long_window)
@@ -277,7 +296,7 @@ class SLOEngine:
         return out
 
     def dump(self) -> Dict[str, Any]:
-        """JSON-able section for ``Observability.save`` (``extra["slo"]``)."""
+        """JSON-able section for ``Observability.save``."""
         return {
             "objectives": [objective.to_dict()
                            for objective in self.objectives],
@@ -288,6 +307,16 @@ class SLOEngine:
             "breaches": [dict(entry) for entry in self.breaches],
             "status": self.window_status(),
         }
+
+    def rotate(self, start: float, end: float) -> Dict[str, Any]:
+        """One segment's section: the ledger slice that overlaps ``(start,
+        end]`` (a breach spanning a rotation rides both segments; the
+        ``slo`` console merges them).  The ledger itself is bounded and
+        stays whole for the end-of-run verdict."""
+        return dict(self.dump(), breaches=[
+            dict(entry) for entry in self.breaches
+            if entry["start_tick"] <= end
+            and (entry["end_tick"] is None or entry["end_tick"] > start)])
 
 
 def evaluate_timeline(points: List[Dict[str, Any]],
@@ -301,7 +330,7 @@ def evaluate_timeline(points: List[Dict[str, Any]],
     state that points do not carry and are skipped here (the CLI checks
     them against the dump's final counters instead).
     """
-    engine = SLOEngine(hub=None, objectives=objectives)
+    engine = SLOEngine(objectives=objectives)
     supported = [objective for objective in engine.objectives
                  if objective.kind in ("latency", "abort_rate")]
     # objective name -> running cumulative tuple

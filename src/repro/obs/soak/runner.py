@@ -5,17 +5,12 @@ hours of simulated time while the full observability stack (sampler,
 flight recorder, live introspection, SLO engine) watches.  Memory stays
 bounded **regardless of horizon** through segment rotation: every
 ``segment_every`` ticks the run's observability state is streamed out as
-one ``repro-obs/1`` segment document —
-
-* metrics as **deltas** over the window (snapshot-and-diff via
-  :func:`repro.obs.metrics.dump_delta`; summing all segments telescopes
-  back to the cumulative totals of an unrotated run),
-* the finished spans of the window (``Tracer.drain_finished``),
-* the auditor's event slice (``event_dicts(since=...)`` + ``drop_events``),
-* the drained flight-recorder ring and its frozen breach snapshots,
-* the sampler points of the window and the SLO ledger slice —
-
-into a directory that ``python -m repro.obs report`` / ``audit`` / ``slo``
+one ``repro-obs/1`` segment document by
+:meth:`repro.obs.hub.Observability.rotate` — metric **deltas**, the
+finished spans and the auditor's event slice of the window, plus every
+bound layer's ``rotate(start, end)`` section (drained flight-recorder ring
+and breach snapshots, the window's sampler points, introspection
+snapshots and SLO ledger slice) — into a directory that ``python -m repro.obs report`` / ``audit`` / ``slo``
 aggregate in segment order.  An end-of-run summary
 (``soak.json``) records per-segment SLO verdicts, the breach timeline and
 the measured peak retention of every bounded structure.
@@ -40,8 +35,8 @@ from typing import Any, Dict, List, Optional
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkConfig
 from repro.obs import dump
-from repro.obs.metrics import dump_delta
-from repro.obs.slo import default_objectives
+from repro.obs.perf import FlightRecorder, TimeSeriesSampler
+from repro.obs.slo import SLOEngine, default_objectives
 from repro.sim.kernel import Timeout
 
 ARMS = ("clean", "faulty")
@@ -67,7 +62,7 @@ class SoakRunner:
                  sampler_max_points: int = 1024,
                  metrics_max_series: int = 64,
                  max_finished_spans: Optional[int] = None,
-                 rotate: bool = True, introspection: bool = True):
+                 rotate: bool = True):
         if arm not in ARMS:
             raise ValueError(f"unknown arm {arm!r} (expected one of "
                              f"{', '.join(ARMS)})")
@@ -97,13 +92,8 @@ class SoakRunner:
         self.metrics_max_series = metrics_max_series
         self.max_finished_spans = max_finished_spans
         self.rotate = rotate
-        self.introspection = introspection
 
         self.cluster: Optional[Cluster] = None
-        self.sampler = None
-        self.recorder = None
-        self.inspector = None
-        self.engine = None
         self.outcomes = {"committed": 0, "aborted": 0}
         self.segment_files: List[str] = []
         self.segment_verdicts: List[Dict[str, Any]] = []
@@ -112,8 +102,6 @@ class SoakRunner:
             "spans": 0, "audit_events": 0, "flight_ring": 0,
             "metric_series": 0, "sampler_points": 0, "breach_ledger": 0,
         }
-        self._metrics_baseline: Dict[str, Any] = {}
-        self._last_event_seq = 0
         self._segment_index = 0
         self._segment_start = 0.0
 
@@ -128,21 +116,21 @@ class SoakRunner:
         self.nodes = ("n0", "n1", "n2")
         for name in self.nodes:
             cluster.add_node(name)
-        self.sampler, self.recorder = cluster.attach_perf(
-            interval=self.sample_interval,
-            max_points=self.sampler_max_points,
-            recorder_capacity=self.flight_capacity, seed=self.seed)
-        if self.introspection:
+        layers = cluster.observe(
+            timeline={"interval": self.sample_interval,
+                      "max_points": self.sampler_max_points},
+            flight_recorder={"capacity": self.flight_capacity,
+                             "seed": self.seed},
             # generous probe timeout so a delay surge degrades health
             # verdicts instead of inventing unreachable servers
-            self.inspector = cluster.attach_introspection(
-                interval=self.sample_interval * 3,
-                probe_timeout=self.sample_interval)
-        self.engine = cluster.attach_slo(
-            objectives=default_objectives(
+            introspection={"interval": self.sample_interval * 3,
+                           "probe_timeout": self.sample_interval},
+            slo={"objectives": default_objectives(
                 latency_target=self.latency_target,
-                abort_budget=self.abort_budget,
-                include_health=self.inspector is not None))
+                abort_budget=self.abort_budget)})
+        self.sampler = layers[TimeSeriesSampler.section]
+        self.recorder = layers[FlightRecorder.section]
+        self.engine = layers[SLOEngine.section]
         self.sampler.add_point_listener(lambda _point: self._observe_peaks())
 
         self.refs: List[Any] = []
@@ -234,61 +222,25 @@ class SoakRunner:
             if value > self.peaks[key]:
                 self.peaks[key] = value
 
-    def _segment_document(self, start: float, end: float) -> Dict[str, Any]:
-        obs = self.cluster.obs
-        current = obs.metrics.dump()
-        metrics = dump_delta(current, self._metrics_baseline)
-        self._metrics_baseline = current
-        spans = [span.to_dict() for span in obs.tracer.drain_finished()]
-        events = obs.auditor.event_dicts(since=self._last_event_seq)
-        if events:
-            self._last_event_seq = events[-1]["seq"]
-            obs.auditor.drop_events(self._last_event_seq)
-        points = [point for point in self.sampler.points
-                  if start < point["tick"] <= end]
-        breaches = [dict(entry) for entry in self.engine.breaches
-                    if entry["start_tick"] <= end
-                    and (entry["end_tick"] is None
-                         or entry["end_tick"] > start)]
-        status = self.engine.window_status()
-        verdict = {
-            "index": self._segment_index, "start_tick": start,
-            "end_tick": end,
-            "breaches": len(breaches),
-            "breaching": [row["objective"] for row in status
-                          if row["state"] == "breaching"],
-        }
-        self.segment_verdicts.append(verdict)
-        return dump.document(
-            spans=spans, metrics=metrics, events=events, extra={
-                "segment": {"index": self._segment_index,
-                            "start_tick": start, "end_tick": end,
-                            "arm": self.arm, "seed": self.seed},
-                "flight_recorder": {
-                    "capacity": self.recorder.capacity,
-                    "sample_rate": self.recorder.sample_rate,
-                    "evicted": self.recorder.evicted,
-                    "skipped": self.recorder.skipped,
-                    "events": self.recorder.drain(),
-                    "finding_snapshots": self.recorder.take_snapshots(),
-                },
-                "timeline": {"interval": self.sampler.interval,
-                             "stride": self.sampler.stride,
-                             "decimations": self.sampler.decimations,
-                             "points": points},
-                "slo": {"breaches": breaches, "status": status,
-                        "frames": self.engine.frames,
-                        "active": self.engine.active()},
-            })
-
     def _rotate(self) -> None:
         self._observe_peaks()
-        now = self.cluster.kernel.now
-        if now <= self._segment_start and self._segment_index > 0:
+        start, now = self._segment_start, self.cluster.kernel.now
+        if now <= start and self._segment_index > 0:
             return
         path = os.path.join(self.out_dir,
                             dump.segment_name(self._segment_index))
-        dump.write(path, self._segment_document(self._segment_start, now))
+        segment = self.cluster.obs.rotate(path, start, now, extra={
+            "segment": {"index": self._segment_index, "start_tick": start,
+                        "end_tick": now, "arm": self.arm,
+                        "seed": self.seed}})
+        ledger = segment["extra"][SLOEngine.section]
+        self.segment_verdicts.append({
+            "index": self._segment_index, "start_tick": start,
+            "end_tick": now,
+            "breaches": len(ledger["breaches"]),
+            "breaching": [row["objective"] for row in ledger["status"]
+                          if row["state"] == "breaching"],
+        })
         self.segment_files.append(path)
         self._segment_index += 1
         self._segment_start = now

@@ -58,7 +58,6 @@ class LocalRuntime(ActionRuntime):
         self._undo_seq = itertools.count(1)
         self._mutex = threading.RLock()
         self._detector = DeadlockDetector(self._registry)
-        self._observers: list = []
         #: optional Observability hub (see repro.obs); None = dark.
         self.obs = None
         self._obs_node = "local"
@@ -122,37 +121,24 @@ class LocalRuntime(ActionRuntime):
             self.obs.count("colour_inherited_total", colour=str(colour))
 
     def action_terminated(self, action: Action) -> None:
-        for observer in self._observers:
-            observer.on_action_terminated(action)
+        if self.obs is not None:
+            self.obs.action_ended(action, self._obs_node)
 
     def action_created(self, action: Action) -> None:
-        for observer in self._observers:
-            observer.on_action_created(action)
-
-    def add_observer(self, observer) -> None:
-        """Attach a runtime observer (tracing, metrics).
-
-        Observers implement any of ``on_action_created(action)``,
-        ``on_action_terminated(action)``, ``on_lock_granted(action,
-        object_uid, mode, colour)`` — see
-        :class:`repro.obs.bridge.ObservabilityBridge`.
-        """
-        self._observers.append(observer)
+        if self.obs is not None:
+            self.obs.action_begun(action, self._obs_node)
 
     def attach_observability(self, hub, node: str = "local") -> None:
         """Wire an :class:`repro.obs.Observability` hub into this runtime.
 
-        Installs an :class:`~repro.obs.bridge.ObservabilityBridge` observer
-        (per-colour commit/abort counters, lock-grant counters, one span
-        per action) and enables the runtime's own lock-wait/deadlock
-        instrumentation.
+        From here on the runtime reports every action's begin and end and
+        every lock grant to the hub (per-colour commit/abort counters,
+        lock-grant counters, one span per action) and enables its own
+        lock-wait/deadlock instrumentation.
         """
-        from repro.obs.bridge import ObservabilityBridge
-
         self.obs = hub
         self._obs_node = node
         self._registry.on_event = self._emit_lock_event
-        self.add_observer(ObservabilityBridge(hub, node=node))
 
     def _emit_lock_event(self, kind: str, **labels) -> None:
         if self.obs is not None:
@@ -302,8 +288,9 @@ class LocalRuntime(ActionRuntime):
             if mode is LockMode.WRITE:
                 with self._mutex:
                     action.record_write(obj, chosen)
-            for observer in self._observers:
-                observer.on_lock_granted(action, obj.uid, mode, chosen)
+            if self.obs is not None:
+                self.obs.lock_granted(action, obj.uid, mode, chosen,
+                                      self._obs_node)
             companion = action.companion_colour
             if companion is not None and companion != chosen:
                 shadow_mode = (

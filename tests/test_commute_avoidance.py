@@ -379,7 +379,7 @@ def test_deadlock_closing_wait_fast_aborts_as_lock_conflict():
     parked wait for the deadlock chaser to victimise after a sweep."""
     cluster = make_cluster(["s1", "s2"], seed=5, config=FIXED,
                            lock_wait_timeout=300.0)
-    postmortem = cluster.attach_postmortem()
+    postmortem = cluster.observe(postmortem=True)["postmortem"]
     holder = {}
 
     def setup():

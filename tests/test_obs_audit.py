@@ -122,6 +122,40 @@ def test_install_online_audit_passes_clean_runs(tmp_path):
     assert list(tmp_path.glob("*.trace.json")) == []
 
 
+def test_crashing_subscriber_is_isolated_but_never_silent():
+    """A subscriber that raises must not break the publisher — and must not
+    pass for a quiet one: with the auditor replaced by a crasher, a commit
+    decision followed by an abort decision yields no finding, so "auditor
+    silent" alone would be vacuous."""
+    def boom(event):
+        raise RuntimeError(f"cannot digest {event.kind}")
+
+    with pytest.raises(AssertionError, match="subscriber.*crashed"):
+        with install_online_audit():
+            hub = Observability()
+            clean_dump = hub.dump()
+            hub.bus.unsubscribe(hub.auditor.consume)
+            hub.bus.subscribe(boom)
+            seen = []
+            hub.bus.subscribe(seen.append)
+            for decision in ("commit", "abort"):
+                hub.emit("twopc.decision", txn="t1", decision=decision,
+                         node="home")
+            # the publisher and the other subscribers are unaffected
+            assert [event.label("decision") for event in seen] == [
+                "commit", "abort"]
+            assert hub.auditor.report() == []
+            # counted per failure, first exception kept
+            (name,) = hub.bus.errors
+            assert "boom" in name
+            assert "twopc.decision" in str(hub.bus.errors[name])
+            assert hub.metrics.value("obs_subscriber_errors_total",
+                                     subscriber=name) == 2
+            # the counter is created by the first error only
+            assert "obs_subscriber_errors_total" not in {
+                row["name"] for row in clean_dump["counters"]}
+
+
 # -- synthetic streams: locking ------------------------------------------------
 
 

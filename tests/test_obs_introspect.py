@@ -208,8 +208,8 @@ def _contended_cluster():
 
 def test_probe_mid_wait_surfaces_waits_for_edge_and_degrades_queue():
     cluster = _contended_cluster()
-    inspector = cluster.attach_introspection(interval=0,
-                                             queue_depth_threshold=1)
+    inspector = cluster.observe(introspection={
+        "interval": 0, "queue_depth_threshold": 1})["introspection"]
     # let the victim reach the queue, then probe while it is still blocked
     cluster.run(until=10.0)
     snapshot = inspector.probe_once()
@@ -238,7 +238,8 @@ def test_probe_mid_wait_surfaces_waits_for_edge_and_degrades_queue():
 
 def test_probe_tolerates_default_queue_threshold():
     cluster = _contended_cluster()
-    inspector = cluster.attach_introspection(interval=0)
+    inspector = cluster.observe(
+        introspection={"interval": 0})["introspection"]
     cluster.run(until=10.0)
     snapshot = inspector.probe_once()
     # one queued waiter is normal traffic under the default threshold
@@ -261,7 +262,8 @@ def test_periodic_probing_under_lossy_network_leaves_auditor_clean():
     for name in ("alpha", "beta", "gamma"):
         cluster.add_node(name)
     client = cluster.client("beta")
-    inspector = cluster.attach_introspection(interval=6.0)
+    inspector = cluster.observe(
+        introspection={"interval": 6.0})["introspection"]
     refs = {}
     stats = {"committed": 0, "failed": 0}
 
@@ -311,7 +313,8 @@ def test_periodic_probing_under_lossy_network_leaves_auditor_clean():
 def test_snapshot_ring_is_capped_and_probe_count_keeps_growing():
     cluster = Cluster(seed=1)
     cluster.add_node("solo")
-    inspector = cluster.attach_introspection(interval=0, max_snapshots=3)
+    inspector = cluster.observe(introspection={
+        "interval": 0, "max_snapshots": 3})["introspection"]
     for _ in range(5):
         inspector.probe_once()
     assert inspector.probes == 5

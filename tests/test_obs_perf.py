@@ -85,7 +85,8 @@ def _sampled_cluster_run(seed: int):
     cluster = Cluster(seed=seed)
     for name in ("a", "b"):
         cluster.add_node(name)
-    sampler, _recorder = cluster.attach_perf(interval=3.0, seed=seed)
+    sampler = cluster.observe(timeline={"interval": 3.0},
+                              flight_recorder={"seed": seed})["timeline"]
     client = cluster.client("a")
 
     def app():
@@ -97,7 +98,7 @@ def _sampled_cluster_run(seed: int):
             yield Timeout(2.0)
 
     cluster.run_process("a", app())
-    return sampler.timeline()
+    return sampler.dump()
 
 
 def test_sampler_timeline_is_deterministic_for_a_seed():
@@ -122,7 +123,7 @@ def test_sampler_records_per_colour_deltas_and_gauges():
 
 def test_sampler_decimates_at_max_points():
     hub = Observability()
-    sampler = TimeSeriesSampler(hub, interval=1.0, max_points=8)
+    sampler = hub.bind(TimeSeriesSampler(interval=1.0, max_points=8))
     for _ in range(20):
         sampler.sample()
     # every time the timeline fills, half the points drop and the stride
@@ -134,14 +135,14 @@ def test_sampler_decimates_at_max_points():
 
 def test_sampler_rejects_tiny_max_points():
     with pytest.raises(ValueError):
-        TimeSeriesSampler(Observability(), max_points=1)
+        TimeSeriesSampler(max_points=1)
 
 
 # -- FlightRecorder -----------------------------------------------------------
 
 def test_ring_evicts_oldest_first_and_keeps_sequence_order():
     hub = Observability()
-    recorder = FlightRecorder(hub, capacity=5)
+    recorder = hub.bind(FlightRecorder(capacity=5))
     for index in range(12):
         hub.emit("span.start", index=index)
     events = recorder.ring_events()
@@ -155,8 +156,8 @@ def test_ring_evicts_oldest_first_and_keeps_sequence_order():
 def test_sampling_is_deterministic_and_spares_critical_kinds():
     def run(seed):
         hub = Observability()
-        recorder = FlightRecorder(hub, capacity=100, sample_rate=0.3,
-                                  seed=seed)
+        recorder = hub.bind(FlightRecorder(capacity=100, sample_rate=0.3,
+                                           seed=seed))
         for index in range(40):
             hub.emit("span.start", index=index)
             if index % 10 == 0:
@@ -173,7 +174,7 @@ def test_sampling_is_deterministic_and_spares_critical_kinds():
 
 def test_recorder_freezes_ring_on_auditor_finding():
     hub = Observability()
-    recorder = FlightRecorder(hub, capacity=10)
+    recorder = hub.bind(FlightRecorder(capacity=10))
     # a grant after the owner began releasing = two-phase violation
     hub.emit("lock.granted", node="n", owner="a1", object="o1",
              mode="write", colour="c1")
@@ -195,7 +196,7 @@ def test_recorder_freezes_one_ring_per_same_tick_finding():
     from repro.obs.perf.recorder import MAX_SNAPSHOTS
 
     hub = Observability()
-    recorder = FlightRecorder(hub, capacity=8)
+    recorder = hub.bind(FlightRecorder(capacity=8))
     hub.emit("span.start", name="setup")
     for index in range(MAX_SNAPSHOTS + 2):
         # the listener path the auditor uses, all at tick 0.0
@@ -221,7 +222,7 @@ def test_recorder_freezes_one_ring_per_same_tick_finding():
 
 def test_recorder_dump_travels_in_hub_save(tmp_path):
     hub = Observability()
-    FlightRecorder(hub, capacity=4)
+    hub.bind(FlightRecorder(capacity=4))
     hub.emit("span.start", name="x")
     doc = hub.save(str(tmp_path / "dump.json"))
     assert doc["extra"]["flight_recorder"]["seen"] == 1
@@ -229,11 +230,10 @@ def test_recorder_dump_travels_in_hub_save(tmp_path):
 
 
 def test_recorder_validates_parameters():
-    hub = Observability()
     with pytest.raises(ValueError):
-        FlightRecorder(hub, capacity=0)
+        FlightRecorder(capacity=0)
     with pytest.raises(ValueError):
-        FlightRecorder(hub, sample_rate=1.5)
+        FlightRecorder(sample_rate=1.5)
 
 
 # -- ObsOverheadMeter ---------------------------------------------------------
@@ -482,7 +482,7 @@ def test_process_probes_are_off_by_default():
 
 def test_process_probes_sample_host_gc_pressure():
     hub = Observability()
-    sampler = TimeSeriesSampler(hub, interval=1.0, process_probes=True)
+    sampler = hub.bind(TimeSeriesSampler(interval=1.0, process_probes=True))
     sampler.sample()
     (point,) = sampler.points
     process = point["process"]
@@ -495,7 +495,8 @@ def _dumped_run(tmp_path, seed=5):
     cluster = Cluster(seed=seed)
     for name in ("a", "b"):
         cluster.add_node(name)
-    cluster.attach_perf(interval=3.0, seed=seed)
+    cluster.observe(timeline={"interval": 3.0},
+                    flight_recorder={"seed": seed})
     client = cluster.client("a")
 
     def app():

@@ -376,19 +376,17 @@ def test_engine_bounds_and_validates_record_count():
     assert [r.action for r in engine.records] == ["a2", "a3"]
 
 
-def test_engine_refuses_double_attach_and_detaches_cleanly():
+def test_hub_binds_one_engine_per_section():
     from repro.obs import Observability
 
     hub = Observability()
-    engine = PostmortemEngine().attach(hub)
-    assert hub.postmortem is engine
-    with pytest.raises(RuntimeError):
-        engine.attach(hub)
-    engine.detach()
-    assert hub.postmortem is None
+    engine = hub.bind(PostmortemEngine())
+    assert hub.layers["postmortem"] is engine
+    with pytest.raises(RuntimeError, match="already bound"):
+        hub.bind(PostmortemEngine())
     hub.bus.publish(ObsEvent(tick=0.0, kind="action.begin",
                              labels={"action": "a1"}))
-    assert engine.seen == 0
+    assert engine.seen == 1                  # subscribed exactly once
 
 
 # -- real-harness seeded deaths ------------------------------------------------
@@ -399,8 +397,8 @@ def contention_run(tmp_path=None):
     cluster = Cluster(seed=7, lock_wait_timeout=12.0)
     for name in ("n0", "n1"):
         cluster.add_node(name)
-    cluster.attach_perf(interval=3.0)
-    engine = cluster.attach_postmortem()
+    engine = cluster.observe(timeline={"interval": 3.0}, flight_recorder=True,
+                             postmortem=True)["postmortem"]
     c1 = cluster.client("n0", name="c1")
     c2 = cluster.client("n0", name="c2")
     refs = {}
@@ -460,7 +458,7 @@ def test_cluster_deadlock_attributes_exactly_one_victim():
                       probe_interval=3.0)
     for name in ("home1", "home2", "s1", "s2"):
         cluster.add_node(name)
-    engine = cluster.attach_postmortem()
+    engine = cluster.observe(postmortem=True)["postmortem"]
     c1 = cluster.client("home1", "c1")
     c2 = cluster.client("home2", "c2")
     refs = {}
@@ -498,7 +496,7 @@ def test_cluster_crashed_participant_attributes_crash_partition():
     cluster = Cluster(seed=3, rpc_retries=1, lock_wait_timeout=60.0)
     for name in ("n0", "n1"):
         cluster.add_node(name)
-    engine = cluster.attach_postmortem()
+    engine = cluster.observe(postmortem=True)["postmortem"]
     client = cluster.client("n0", name="c")
     refs = {}
 

@@ -97,9 +97,9 @@ def _latency_objective(**overrides):
 
 def test_single_spike_does_not_page_but_sustained_burn_does():
     hub = Observability()
-    recorder = FlightRecorder(hub, capacity=64)
-    engine = SLOEngine(hub=hub, objectives=[_latency_objective()])
-    assert hub.slo is engine
+    recorder = hub.bind(FlightRecorder(capacity=64))
+    engine = hub.bind(SLOEngine(objectives=[_latency_objective()]))
+    assert hub.layers["slo"] is engine
 
     # frames carry cumulative (count, sum): one commit per frame
     frames = [
@@ -220,7 +220,7 @@ def test_window_status_reports_per_objective_state():
 
 def test_measure_reads_every_objective_kind_from_the_registry():
     hub = Observability()
-    engine = SLOEngine(hub=hub, objectives=default_objectives())
+    engine = hub.bind(SLOEngine(objectives=default_objectives()))
     hub.observe("commit_latency", 5.0, colour="c1", node="n0")
     hub.observe("commit_latency", 7.0, colour="c2", node="n1")
     hub.count("actions_committed_total", colour="c1")
@@ -239,9 +239,9 @@ def test_measure_reads_every_objective_kind_from_the_registry():
 
 def test_measure_respects_colour_restriction():
     hub = Observability()
-    engine = SLOEngine(hub=hub, objectives=[
+    engine = hub.bind(SLOEngine(objectives=[
         _latency_objective(colour="c1"),
-        Objective("ab", "abort_rate", colour="c1", target=0.25)])
+        Objective("ab", "abort_rate", colour="c1", target=0.25)]))
     hub.observe("commit_latency", 5.0, colour="c1")
     hub.observe("commit_latency", 100.0, colour="c2")
     hub.count("actions_committed_total", colour="c1")
@@ -253,8 +253,8 @@ def test_measure_respects_colour_restriction():
 
 def test_attached_engine_frames_follow_sampler_points():
     hub = Observability()
-    sampler = TimeSeriesSampler(hub, interval=1.0)
-    engine = SLOEngine(hub=hub).attach(sampler)
+    sampler = hub.bind(TimeSeriesSampler(interval=1.0))
+    engine = hub.bind(SLOEngine())
     for _ in range(3):
         sampler.sample()
     assert engine.frames == 3
@@ -262,22 +262,53 @@ def test_attached_engine_frames_follow_sampler_points():
 
 # -- cluster integration -------------------------------------------------------
 
-def test_attach_slo_requires_a_sampler_first():
+def test_observe_slo_alone_yields_a_bound_sampler():
     cluster = Cluster(seed=1)
     cluster.add_node("a")
-    with pytest.raises(ClusterError, match="attach_perf"):
-        cluster.attach_slo()
+    layers = cluster.observe(slo=True)
+    assert list(layers) == ["timeline", "slo"]
+
+    def idle():
+        yield Timeout(12.0)
+
+    cluster.run_process("a", idle())
+    # the sampler it brought along is on the cluster's clock and is the
+    # engine's: one frame per point
+    assert len(layers["timeline"].points) == 2
+    assert layers["slo"].frames == 2
 
 
-def _matrix_cluster(seed=11):
-    """A cluster with all five obs layers attached at once."""
+def test_observe_rejects_unknown_layers_and_late_options():
+    cluster = Cluster(seed=1)
+    with pytest.raises(ClusterError, match="unknown observability layer"):
+        cluster.observe(flightrecorder=True)
+    cluster.observe(timeline=True)
+    cluster.observe(timeline=True)            # asking again: no-op
+    with pytest.raises(RuntimeError, match="already bound"):
+        cluster.observe(timeline={"interval": 1.0})
+
+
+#: the five layers of ``_matrix_cluster`` with their options
+_MATRIX_LAYERS = {
+    "timeline": True,
+    "flight_recorder": {"seed": 11},
+    "postmortem": True,
+    "introspection": {"interval": 10.0, "probe_timeout": 4.0},
+    "slo": {"objectives": default_objectives(latency_target=50.0)},
+}
+
+
+def _matrix_cluster(seed=11, calls=(tuple(_MATRIX_LAYERS),), **options):
+    """A cluster with all five obs layers on; ``calls`` lists the section
+    names each successive ``observe`` call asks for, ``options`` replaces
+    a layer's."""
     cluster = Cluster(seed=seed)
     for name in ("a", "b"):
         cluster.add_node(name)
-    cluster.attach_perf(interval=5.0, seed=seed)
-    cluster.attach_postmortem()
-    cluster.attach_introspection(interval=10.0, probe_timeout=4.0)
-    engine = cluster.attach_slo(latency_target=50.0)
+    layers = dict(_MATRIX_LAYERS, **options)
+    for names in calls:
+        cluster.observe(**{name: layers[name] for name in names})
+    engine = cluster.obs.layers["slo"]
     client = cluster.client("a")
 
     def app():
@@ -292,9 +323,41 @@ def _matrix_cluster(seed=11):
     return cluster, engine
 
 
-def test_cluster_attach_slo_evaluates_on_the_sampler_clock():
+@pytest.mark.parametrize("calls", [
+    (("timeline", "flight_recorder", "postmortem", "introspection", "slo"),),
+    (("slo", "introspection", "postmortem", "flight_recorder", "timeline"),),
+    (("timeline",), ("flight_recorder",), ("postmortem",),
+     ("introspection",), ("slo",)),
+    (("slo",), ("introspection",), ("postmortem",), ("flight_recorder",),
+     ("timeline",)),
+    (("postmortem",), ("slo",), ("flight_recorder",), ("timeline",),
+     ("introspection",)),
+    (("introspection", "slo"), ("postmortem", "flight_recorder")),
+    (("slo",),),
+    (("slo",), ("flight_recorder",)),
+], ids=lambda calls: "+".join(",".join(names) for names in calls))
+def test_no_order_of_observe_calls_is_wrong(tmp_path, calls):
+    """Satellite: whatever the order or number of ``observe`` calls, the
+    same layers come up, ``slo`` brings its sampler, and the stock
+    objectives carry cluster-health iff an inspector is among them."""
+    cluster, engine = _matrix_cluster(calls=calls, slo=True)
+    asked = {name for names in calls for name in names}
+    expected = sorted(asked | {"timeline"})
+    assert sorted(cluster.obs.layers) == expected
+    names = [objective.name for objective in engine.objectives]
+    assert names == ["commit-latency", "abort-rate", "audit-findings",
+                     "introspect-drift"] + (
+        ["cluster-health"] if "introspection" in asked else [])
+    assert engine.frames > 0
+    document = cluster.obs.save(str(tmp_path / "dump.json"))
+    assert sorted(document["extra"]) == expected
+    assert [row["name"] for row in
+            document["extra"]["slo"]["objectives"]] == names
+
+
+def test_cluster_slo_evaluates_on_the_sampler_clock():
     cluster, engine = _matrix_cluster()
-    assert cluster.obs.slo is engine
+    assert cluster.obs.layers["slo"] is engine
     assert engine.frames > 0
     status = {row["objective"]: row["state"]
               for row in engine.window_status()}

@@ -31,8 +31,8 @@ def _console(name):
     return lambda argv: obs_main([name, *argv])
 
 
-report_main, audit_main, slo_main, soak_main = map(
-    _console, ("report", "audit", "slo", "soak"))
+report_main, audit_main, slo_main, soak_main, top_main = map(
+    _console, ("report", "audit", "slo", "soak", "top"))
 
 
 # -- tracer ring (bounded finished-span retention) -----------------------------
@@ -187,7 +187,7 @@ def test_dump_delta_omits_quiet_rows():
 
 def test_sampler_point_listener_sees_every_point_and_windowed_mean():
     hub = Observability()
-    sampler = TimeSeriesSampler(hub, interval=1.0)
+    sampler = hub.bind(TimeSeriesSampler(interval=1.0))
     seen = []
     sampler.add_point_listener(seen.append)
 
@@ -208,7 +208,7 @@ def test_sampler_point_listener_sees_every_point_and_windowed_mean():
 
 def test_sampler_point_listener_errors_propagate():
     hub = Observability()
-    sampler = TimeSeriesSampler(hub, interval=1.0)
+    sampler = hub.bind(TimeSeriesSampler(interval=1.0))
     sampler.add_point_listener(
         lambda point: (_ for _ in ()).throw(RuntimeError("boom")))
     with pytest.raises(RuntimeError, match="boom"):
@@ -219,12 +219,12 @@ def test_sampler_point_listener_errors_propagate():
 
 def test_recorder_freeze_is_bounded_and_take_snapshots_rearms():
     hub = Observability()
-    recorder = FlightRecorder(hub, capacity=8)
+    recorder = hub.bind(FlightRecorder(capacity=8))
     hub.emit("twopc.begin", txn="t1")
     for index in range(MAX_SNAPSHOTS):
         assert recorder.freeze(f"f{index}") is True
     assert recorder.freeze("over") is False
-    taken = recorder.take_snapshots()
+    taken = recorder.rotate(0.0, 1.0)["finding_snapshots"]
     assert [snapshot["finding"] for snapshot in taken] == [
         f"f{index}" for index in range(MAX_SNAPSHOTS)]
     assert taken[0]["events"][0]["kind"] == "twopc.begin"
@@ -234,11 +234,11 @@ def test_recorder_freeze_is_bounded_and_take_snapshots_rearms():
 
 def test_recorder_drain_empties_ring_but_keeps_counters():
     hub = Observability()
-    recorder = FlightRecorder(hub, capacity=2)
+    recorder = hub.bind(FlightRecorder(capacity=2))
     for index in range(5):
         hub.emit("twopc.begin", txn=f"t{index}")
     assert recorder.evicted == 3
-    drained = recorder.drain()
+    drained = recorder.rotate(0.0, 1.0)["events"]
     assert [entry["labels"]["txn"] for entry in drained] == ["t3", "t4"]
     assert recorder.ring_events() == []
     assert recorder.evicted == 3
@@ -441,6 +441,42 @@ def test_consoles_aggregate_a_segment_directory(faulty_soak, clean_soak,
     capsys.readouterr()
     assert slo_main([faulty_out]) == 2
     assert "commit-latency" in capsys.readouterr().out
+
+
+def test_segments_carry_every_bound_layer(clean_soak, capsys):
+    """One writer for every section: a segment has what a whole-run dump
+    has, windowed — introspection included, so ``top <segment dir>``
+    renders the run's last frame."""
+    _summary, out = clean_soak
+    documents = _segment_documents(out)
+    for document in documents:
+        extra = document["extra"]
+        assert sorted(extra) == ["flight_recorder", "introspection",
+                                 "segment", "slo", "timeline"]
+        # what a segment has always had keeps its keys
+        assert {"capacity", "sample_rate", "evicted", "skipped", "events",
+                "finding_snapshots"} <= set(extra["flight_recorder"])
+        assert {"interval", "stride", "decimations",
+                "points"} <= set(extra["timeline"])
+        assert {"breaches", "status", "frames",
+                "active"} <= set(extra["slo"])
+        start, end = (extra["segment"][key]
+                      for key in ("start_tick", "end_tick"))
+        for section, key in (("timeline", "points"),
+                             ("introspection", "snapshots")):
+            assert all(start < row["tick"] <= end
+                       for row in extra[section][key]), section
+    snapshots = [snapshot for document in documents
+                 for snapshot in document["extra"]["introspection"]
+                 ["snapshots"]]
+    assert len(snapshots) > len(documents)
+    ticks = [snapshot["tick"] for snapshot in snapshots]
+    assert ticks == sorted(set(ticks))       # each probe in one segment
+
+    assert top_main([out, "--snapshot", "--json"]) == 0
+    rendered = capsys.readouterr().out
+    assert "no introspection section" not in rendered
+    assert json.loads(rendered) == snapshots[-1]
 
 
 def test_directory_without_segments_is_unusable_input(tmp_path, capsys):

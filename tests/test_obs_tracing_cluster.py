@@ -162,23 +162,20 @@ def test_rpc_latency_and_message_counters_populate():
     assert gauges["kernel_callbacks_run"] > 0
 
 
-def test_server_grant_path_notifies_observers():
-    """Satellite: on_lock_granted must fire for *distributed* grants."""
-    granted = []
-
-    class Listener:
-        def on_action_created(self, action):
-            pass
-
-        def on_action_terminated(self, action):
-            pass
-
-        def on_lock_granted(self, action, object_uid, mode, colour):
-            granted.append((action.name, str(object_uid), mode))
-
+def test_distributed_grant_is_counted_and_tied_to_the_action():
+    """A grant made by a *server* bumps ``lock_grants_total{mode,node}``
+    there and lands a ``lock.granted`` event naming the action whose span
+    the client opened."""
     cluster = two_node_cluster()
-    cluster.add_observer(Listener())
     run_one_commit(cluster)
-    assert granted, "server grant path never notified observers"
-    names = {name for name, _, _ in granted}
-    assert any(name.startswith("caction") for name in names)
+    grants = {(labels["node"], labels["mode"]): counter.value
+              for labels, counter in
+              cluster.obs.metrics.series("lock_grants_total")}
+    assert grants == {("beta", "write"): 1}
+    (root,) = [s for s in cluster.obs.tracer.snapshot()
+               if s.name == "action:transfer"]
+    granted = [e for e in cluster.obs.auditor.event_dicts()
+               if e["kind"] == "lock.granted"]
+    assert [(e["labels"]["node"], e["labels"]["owner"], e["labels"]["mode"])
+            for e in granted] == [("beta", root.attrs["action"], "write")]
+    assert root.start <= granted[0]["tick"] <= root.end
