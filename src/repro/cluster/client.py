@@ -22,7 +22,7 @@ and locks on that server died with the old epoch.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.actions.status import ActionStatus, Outcome
@@ -36,7 +36,7 @@ from repro.cluster.message import (
 from repro.cluster.node import Node
 from repro.cluster.server import resolve_delegated
 from repro.cluster.transport import RpcTransport
-from repro.cluster.txn import COORDINATOR
+from repro.cluster.txn import COORDINATOR, PATHS, PreparePath
 from repro.colours.colour import Colour, colour_set
 from repro.errors import (
     ActionAborted,
@@ -48,11 +48,19 @@ from repro.errors import (
     LockTimeout,
     NodeDown,
     PrepareFailed,
+    ReproError,
     RpcTimeout,
 )
 from repro.locking.modes import LockMode
 from repro.sim.kernel import Timeout, all_of, settle_all
 from repro.util.uid import Uid, UidGenerator
+
+PREPARE, DECIDE, COMMUTE, READ_ONLY = (
+    PATHS[event] for event in ("prepare", "decide", "commute", "read_only"))
+
+#: a termination reaper's budget: redeliveries, and the pause before each
+REAPER_ATTEMPTS = 30
+REAPER_PAUSE = 15.0
 
 
 @dataclass(frozen=True)
@@ -167,6 +175,57 @@ class ClusterAction:
         return f"<ClusterAction {self.name} {self.status.value}>"
 
 
+@dataclass
+class _Round:
+    """One colour's commit round, from ``twopc.begin`` to its decision."""
+
+    colour: Colour
+    write_map: Dict[str, Set[Uid]]
+    txn_id: str
+    #: the fast path the writers are asked on, as events, spans and
+    #: counters label it: one_phase, piggyback, commute; "" is classic
+    fast_path: str = ""
+    #: writer node -> the path it was asked on
+    asked: Dict[str, PreparePath] = field(default_factory=dict)
+    #: node -> the vote it answered / node -> why none came
+    votes: Dict[str, str] = field(default_factory=dict)
+    failures: Dict[str, BaseException] = field(default_factory=dict)
+
+    def all_yes(self) -> bool:
+        """Did every writer asked so far answer its path's yes?"""
+        return all(self.votes.get(node_name) == path.vote
+                   for node_name, path in self.asked.items())
+
+
+#: the (round, path) pairs riding one prepare message, in sub-call order
+Riders = List[Tuple[_Round, PreparePath]]
+
+
+@dataclass
+class _Plan:
+    """A run of permanent colours as data: which path goes to which nodes
+    in which order (built by ``_plan``, executed by ``_run_plan``)."""
+
+    rounds: List[_Round]
+    #: parents every prepare: the round's ``2pc:<colour>`` span, or the
+    #: ``2pc-batched-prepare`` span several rounds share
+    span: Any
+    #: a node's riders travel as one ``rpc_batch`` (sub-calls in rider
+    #: order), not as one plain RPC
+    batched: bool
+    #: the gather rule.  True: the plan's only colour is lost with the
+    #: first failed prepare, so the stragglers are killed at once.  False:
+    #: every node is waited for, so an all-yes *prefix* of colours commits
+    fail_fast: bool
+    #: the only round's pure readers: each gets a ``read_only`` prepare,
+    #: sent first and never joined — it gates nothing
+    readers: List[str] = field(default_factory=list)
+    #: node -> riders of the one joined fan-out
+    wave: Dict[str, Riders] = field(default_factory=dict)
+    #: the last agent, asked on the ``decide`` path once the wave said yes
+    delegate: Optional[str] = None
+
+
 class ClusterClient:
     """Action factory and operation API for one client process on a node."""
 
@@ -191,7 +250,7 @@ class ClusterClient:
         #: votes, one-phase commit); False runs the classic protocol only
         self.fast_paths = fast_paths
         #: commutativity-based coordination avoidance: fully-commuting
-        #: colours commit in one local-decision round (see _commute_commit)
+        #: colours commit in one local-decision round (see _plan)
         self.commute = commute
         self._action_uids = action_uids
         self._colours = colour_allocator
@@ -236,17 +295,24 @@ class ClusterClient:
         return "app-error"
 
     @staticmethod
-    def _round_failure_cause(votes, failure: Optional[BaseException]) -> str:
-        """Why did a prepare round fail: a real no-vote, or a casualty?"""
-        if any(v not in (None, "commit") for v in votes):
+    def _abort_cause(round_: _Round) -> str:
+        """Why a round that was not all yes aborts: a real no-vote, a
+        refusal, or silence?  One taxonomy for every plan shape
+        (docs/PROTOCOL.md §3.1)."""
+        asked = round_.asked.items()
+        if any(round_.votes.get(node_name, path.vote) != path.vote
+               for node_name, path in asked):
             return "vote-rollback"
+        path, failure = next(
+            ((path, round_.failures[node_name]) for node_name, path in asked
+             if node_name in round_.failures), (PREPARE, None))
+        if path.takes_decision:  # the delegate, resolved to abort
+            return "fast-path-downgrade"
         if isinstance(failure, PrepareFailed):
             return "prepare-refused"
         if isinstance(failure, ActionAborted):
             return "action-aborted"
-        if failure is not None:  # RpcTimeout, NodeDown, other ClusterError
-            return "participant-unreachable"
-        return "vote-rollback"
+        return "participant-unreachable"  # RpcTimeout, NodeDown, the rest
 
     def _note_failure(self, action: ClusterAction, error: BaseException,
                       op: str, dst: str = "", object_uid: Any = "",
@@ -445,15 +511,17 @@ class ClusterClient:
         """Commit: per-colour 2PC or transfer, then one batched finish per
         server.
 
-        A single permanent colour runs the classic prepare round
-        (:meth:`_two_phase_commit`); several permanent colours share one
-        *batched* prepare fan-out — per server, every colour's
-        ``txn_prepare`` rides in one ``call_many`` message
-        (:meth:`_batched_prepare`) — before the decision broadcasts and the
-        finish/transfer routing are merged into a single parallel fan-out,
-        one network message per involved server.  Termination cost is thus
-        bounded by the slowest server, not the sum over colours or servers
-        (see :meth:`_finish_commit`).
+        The permanent colours are planned in runs (:meth:`_plan`): a
+        commuting colour is a decision-first round of its own, a single
+        classic colour runs the fast or classic prepare round, and a
+        maximal run of classic colours shares one *batched* prepare
+        fan-out — per server, every colour's ``txn_prepare`` rides in one
+        ``call_many`` message.  One driver (:meth:`_run_plan`) executes
+        every plan, before the decision broadcasts and the finish/transfer
+        routing are merged into a single parallel fan-out, one network
+        message per involved server.  Termination cost is thus bounded by
+        the slowest server, not the sum over colours or servers (see
+        :meth:`_finish_commit`).
         """
         self._require_active(action)
         yield from self._settle_children(action)
@@ -487,30 +555,17 @@ class ClusterClient:
                 continue
             permanent.append((colour, write_map))
         failed_colour: Optional[Colour] = None
-        for commuting, run in itertools.groupby(
-                permanent,
-                key=lambda item: self._commute_eligible(action, *item)):
-            run = list(run)
-            if commuting:
-                # fully-commuting colours: one guaranteed-commit round each,
-                # no prepare phase, nothing left for the finish fan-out
-                for colour, write_map in run:
-                    yield from self._commute_commit(action, colour, write_map,
-                                                    parent_span=span)
-            elif len(run) == 1:
-                result = yield from self._two_phase_commit(
-                    action, *run[0], parent_span=span)
-                if result is None:
-                    failed_colour = run[0][0]
-                else:
-                    decided.append(result)
-            else:
-                # a maximal run of classic colours shares one prepare
-                # fan-out, preserving colour-order failure semantics: a
-                # failure cascades over later colours
-                newly_decided, failed_colour = yield from self._batched_prepare(
-                    action, run, parent_span=span)
-                decided.extend(newly_decided)
+
+        def run_key(item):
+            # a commuting colour is a guaranteed-commit round of its own;
+            # a maximal run of classic colours shares one prepare fan-out,
+            # preserving colour-order failure semantics
+            return item[0] if self._commute_eligible(action, *item) else None
+
+        for commuting, run in itertools.groupby(permanent, key=run_key):
+            failed_colour = yield from self._run_plan(
+                action, self._plan(action, list(run), commuting is not None,
+                                   span), decided)
             if failed_colour is not None:
                 break
         if failed_colour is not None:
@@ -569,58 +624,65 @@ class ClusterClient:
         span.set(outcome="aborted").finish()
         return self._terminated(action, ActionStatus.ABORTED, Outcome.ABORTED)
 
+    def _spawn_each(self, label: str, bodies: Dict[str, Any]) -> List[Any]:
+        """One process per node, started in the order given."""
+        return [self.kernel.spawn(body, name=f"{label}@{node_name}")
+                for node_name, body in bodies.items()]
+
+    def _deliver(self, node_name: str,
+                 calls: List[Tuple[str, Dict[str, Any]]], batched: bool,
+                 span=None):
+        """One network message to one node; returns ``(ok, value)`` per
+        call.  ``batched`` ships the calls as one ``rpc_batch`` (dispatched
+        in order); otherwise the node gets its single call as a plain RPC,
+        whose error reply raises."""
+        if batched:
+            return (yield from self.transport.call_many(
+                node_name, calls, trace_parent=span))
+        (kind, payload), = calls
+        return [(True, (yield from self.transport.call(
+            node_name, kind, payload, trace_parent=span)))]
+
     def _fan_out(self, label: str,
                  calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]],
-                 span=None, batched: bool = True, accept=None):
-        """Deliver each node's ``(kind, payload)`` calls in parallel: one
-        process and one network message per node, so the round costs the
-        slowest server, not the sum.
+                 span=None, batched: bool = True):
+        """Deliver each node's termination calls in parallel: one process
+        and one network message per node, so the round costs the slowest
+        server, not the sum.
 
-        ``batched`` ships a node's calls as one ``rpc_batch`` (dispatched
-        in order; any failing sub-call fails the node); otherwise each node
-        gets its single call as a plain RPC.  Returns ``{node: reply}`` for
-        the nodes that answered (and whose reply ``accept`` took, if
-        given).  Every other node gets a background reaper redelivering the
-        same calls — termination calls are all idempotent server-side.
+        Returns the nodes whose every call succeeded.  Every other node
+        gets a background reaper redelivering the same calls — termination
+        calls are all idempotent server-side.  ``batched`` is part of the
+        wire, not a caller's preference: ``abort_action`` and a single
+        colour's ``txn_abort`` travel as plain RPCs, everything else as
+        ``rpc_batch``, and every gated message count pins that.
         """
         nodes = sorted(calls_for)
 
         def deliver(node_name: str):
-            calls = calls_for[node_name]
-            if batched:
-                outcomes = yield from self.transport.call_many(
-                    node_name, calls, trace_parent=span)
-                for ok, value in outcomes:
-                    if not ok:
-                        raise value
-                return [value for _ok, value in outcomes]
-            (kind, payload), = calls
-            reply = yield from self.transport.call(
-                node_name, kind, payload, trace_parent=span)
-            self._ack_forget(node_name, payload)  # a prepare may carry some
-            return reply
+            for ok, value in (yield from self._deliver(
+                    node_name, calls_for[node_name], batched, span)):
+                if not ok:
+                    raise value
 
-        handles = [self.kernel.spawn(deliver(n), name=f"{label}@{n}")
-                   for n in nodes]
+        handles = self._spawn_each(label, {n: deliver(n) for n in nodes})
         outcomes = yield settle_all(self.kernel, [h.join() for h in handles])
-        replies: Dict[str, Any] = {}
-        for node_name, (ok, value) in zip(nodes, outcomes):
-            if ok and (accept is None or accept(value)):
-                replies[node_name] = value
-            else:
+        acked = {node_name for node_name, (ok, _) in zip(nodes, outcomes) if ok}
+        for node_name in nodes:
+            if node_name not in acked:
                 self._spawn_reaper(node_name, calls_for[node_name], label)
-        return replies
+        return acked
 
-    def _spawn_reaper(self, node_name: str, calls, label: str,
-                      attempts: int = 30, pause: float = 15.0) -> None:
+    def _spawn_reaper(self, node_name: str, calls, label: str) -> None:
         """Keep delivering, in the background, termination calls a
         partition or crash swallowed.
 
         ``calls`` is a ``(kind, payload)`` batch — abort_action, txn_abort,
-        or txn_commit+finish_commit — every one of which is idempotent
-        server-side, so retrying under fresh rpc ids until the batch lands
-        (or the budget runs out: a crashed server's volatile locks died
-        with it, and its log-driven recovery resolves the rest) is safe.
+        txn_commit+finish_commit, or a decided commute prepare — every one
+        of which is idempotent server-side, so retrying under fresh rpc
+        ids until the batch lands (or the budget runs out: a crashed
+        server's volatile locks died with it, and its log-driven recovery
+        resolves the rest) is safe.
         """
         def reap():
             # backlog bookkeeping brackets the reaper's whole life so the
@@ -630,8 +692,8 @@ class ClusterClient:
             self.reaper_backlog[node_name] = (
                 self.reaper_backlog.get(node_name, 0) + 1)
             try:
-                for _attempt in range(attempts):
-                    yield Timeout(pause)
+                for _attempt in range(REAPER_ATTEMPTS):
+                    yield Timeout(REAPER_PAUSE)
                     try:
                         outcomes = yield from self.transport.call_many(
                             node_name, calls, timeout=5.0, retries=1)
@@ -851,120 +913,7 @@ class ClusterClient:
                 self.obs.emit("twopc.end", txn=txn_id,
                               node=self.node.name)
 
-    # -- two-phase commit (coordinator) --------------------------------------------------------
-
-    def _begin_txn(self, action: ClusterAction, colour: Colour,
-                   participants: List[str], parent_span=None,
-                   spanned: bool = True, **span_attrs):
-        """Open one colour's commit round: allocate its txn id, start its
-        ``2pc:<colour>`` span (unless the caller spans several rounds at
-        once) and announce it.  Returns ``(txn_id, span)``."""
-        txn_id = (f"txn:{self.node.name}:{action.uid.sequence}:"
-                  f"{colour.uid.sequence}:{next(self._txn_seq)}")
-        span = None
-        if spanned:
-            span = self.obs.span(f"2pc:{colour}", parent=parent_span,
-                                 kind="client", node=self.node.name,
-                                 txn=txn_id,
-                                 participants=len(participants),
-                                 **span_attrs)
-        self.obs.emit("twopc.begin", txn=txn_id,
-                      action=str(action.uid), colour=str(colour),
-                      participants=",".join(participants),
-                      node=self.node.name)
-        return txn_id, span
-
-    def _decide(self, txn_id: str, colour: Colour, decision: str,
-                announce: bool = True, **labels: str) -> None:
-        """Take the coordinator's ``decide_commit``/``decide_abort`` edge
-        and account for it.
-
-        A commit is logged before any participant is told.  An abort needs
-        no record (presumed abort) unless it undoes a delegation; a
-        decision the delegated-outcome resolver already recorded is
-        answer-only.  ``announce=False`` when the decision event already
-        came from the delegate (labelled with its fast path).
-        """
-        self.node.txns.advance(
-            COORDINATOR, txn_id, f"decide_{decision}",
-            **({"commute": True} if "commute" in labels else {}))
-        self.obs.count("twopc_rounds_total", colour=str(colour),
-                       outcome=("committed" if decision == "commit"
-                                else "aborted"))
-        if decision == "commit":
-            self.obs.count("colour_permanent_total", colour=str(colour))
-        if announce:
-            self.obs.emit("twopc.decision", txn=txn_id,
-                          decision=decision, node=self.node.name,
-                          **labels)
-
-    def _prepare_payload(self, action: ClusterAction, txn_id: str,
-                         colour: Colour, node_name: str,
-                         object_uids: Iterable[Uid] = (),
-                         forget: bool = True) -> Dict[str, Any]:
-        """A txn_prepare payload, with any pending lazy acknowledgements
-        of earlier delegated commits to this node riding along (``forget``:
-        once per message is enough)."""
-        payload = {
-            "txn_id": txn_id,
-            "action_uid": encode_uid(action.uid),
-            "colour": encode_colour(colour),
-            "object_uids": [encode_uid(u) for u in sorted(object_uids)],
-            "expected_epoch": action.server_epochs.get(node_name),
-        }
-        pending = self._pending_forget.get(node_name)
-        if forget and pending:
-            payload["forget"] = list(pending)
-        return payload
-
-    def _ack_forget(self, node_name: str, payload: Dict[str, Any]) -> None:
-        """The prepare carrying these forgets was answered: stop resending."""
-        if payload.get("forget"):
-            sent = set(payload["forget"])
-            remaining = [t for t in self._pending_forget.pop(node_name, ())
-                         if t not in sent]
-            if remaining:
-                self._pending_forget[node_name] = remaining
-
-    def _spawn_read_only_prepares(self, action: ClusterAction, txn_id: str,
-                                  colour: Colour,
-                                  write_map: Dict[str, Set[Uid]],
-                                  span=None) -> List[str]:
-        """Fire-and-forget read-only prepares to the colour's pure readers
-        (returned); none without ``fast_paths``.
-
-        Never gates the decision (the classic protocol does not contact
-        readers at all): a reader that answers ``read-only`` released its
-        locks at vote time and is skipped by the finish fan-out; one that
-        cannot be reached simply falls back to the classic finish path.
-        """
-        if not self.fast_paths:
-            return []
-
-        def read_only_one(node_name: str):
-            payload = dict(self._prepare_payload(action, txn_id, colour,
-                                                 node_name), read_only=True)
-            try:
-                reply = yield from self.transport.call(
-                    node_name, "txn_prepare", payload, trace_parent=span)
-            except Exception:
-                # fast-path downgrade: this reader falls back to the
-                # classic finish fan-out (it never answered read-only)
-                self.obs.emit("twopc.downgrade", txn=txn_id,
-                              node=self.node.name, dst=node_name,
-                              reason="read-only-unreachable",
-                              resolution="classic-finish")
-                return False
-            self._ack_forget(node_name, payload)
-            if reply.get("vote") == "read-only":
-                action.vote_released.setdefault(node_name, set()).add(colour)
-            return True
-
-        readers = sorted(action.involved.get(colour, set()) - set(write_map))
-        for node_name in readers:
-            self.kernel.spawn(read_only_one(node_name),
-                              name=f"ro-prepare:{txn_id}:{node_name}")
-        return readers
+    # -- the commit round (coordinator) ----------------------------------------------------------
 
     def _commute_eligible(self, action: ClusterAction, colour: Colour,
                           write_map: Dict[str, Set[Uid]]) -> bool:
@@ -986,224 +935,164 @@ class ClusterClient:
                 return False
         return True
 
-    def _commute_commit(self, action: ClusterAction, colour: Colour,
-                        write_map: Dict[str, Set[Uid]], parent_span=None):
-        """Coordination avoidance for a fully-commuting colour (§2 pushed
-        into the commit protocol).
+    def _plan(self, action: ClusterAction,
+              run: List[Tuple[Colour, Dict[str, Set[Uid]]]],
+              commuting: bool, parent_span=None) -> _Plan:
+        """Open the rounds of a run of permanent colours (txn id,
+        ``twopc.begin``) and say which prepare path (``txn.PATHS``) goes to
+        which nodes in which order.
 
-        Every update in the colour belongs to a declared-commuting
-        operation group: the operations are *total* (re-applying them
-        against any committed state cannot fail — escrow bounds were
-        reserved at execute time) and order-independent.  Every
-        participant's vote is therefore guaranteed-yes, so the prepare
-        round degenerates to decision delivery: the commit decision is
-        logged *before* the fan-out, and each participant locally
-        vote-and-applies the colour's merged effects in the same round —
-        one RPC per participant, no phase two, no finish message for
-        single-colour participants.
-
-        The prepare carries the colour's redo op list, which is what keeps
-        the guarantee honest across failures: a participant that restarted
-        (losing its volatile effects) re-applies the operations from the
-        message against its committed state; one that cannot be reached
-        gets a background reaper redelivering the same idempotent message
-        (participants dedupe on txn_id against their COMMITTED records).
+        - *Commuting colour* (§2 pushed into the commit protocol): every
+          update is total and order-independent, so every vote is
+          guaranteed-yes and nothing gates: ``commute`` to the writers,
+          carrying the decision, the redo list and the finish routing.
+        - *Single classic colour*: ``prepare`` to the writers, first
+          failure fatal.  With fast paths the last (sorted) writer is held
+          back as the delegate — the R* last-agent / piggybacked decision;
+          with a single writer that collapses to a one-phase commit — and
+          pure readers get stand-alone ``read_only`` prepares nobody joins.
+        - *Run of classic colours*: sequentially, k colours cost k prepare
+          rounds.  Here the (colour, writer) pairs are regrouped per server
+          into one batch each.  No delegate: colour-order failure semantics
+          need every colour's votes in hand before any decision is taken.
+          ``read_only`` riders join only batches the writers need anyway —
+          a sub-call is free, a widened fan-out is not.
         """
-        participants = sorted(write_map)
-        txn_id, span = self._begin_txn(action, colour, participants,
-                                       parent_span, fast_path="commute")
-        ops_for = action.commute_ops.get(colour, {})
-        # decision first: with guaranteed-yes votes there is nothing to
-        # wait for, and a durable decision lets an unreachable participant
-        # be converged later by redelivery instead of presumed abort
-        self._decide(txn_id, colour, "commit", commute="1")
-        self._spawn_read_only_prepares(action, txn_id, colour, write_map,
-                                       span=span)
-        calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
-        for node_name in participants:
-            payload = self._prepare_payload(
-                action, txn_id, colour, node_name, write_map[node_name])
-            payload["commute"] = True
-            # full context (not just the uid): a restarted participant
-            # rebuilds the action mirror to hold the redo's group locks
-            payload["action"] = encode_action_context(action)
-            payload["ops"] = {
-                encode_uid(uid): [[method, list(args)] for method, args
-                                  in ops_for[node_name][uid]]
-                for uid in sorted(write_map[node_name])
-            }
-            if action.colours_at(node_name) == {colour}:
-                payload["finish"] = [{"colour": encode_colour(colour),
-                                      "dest": None}]
-            calls_for[node_name] = [("txn_prepare", payload)]
-        round_started = self.kernel.now
-        # crash, partition or lost reply: the decision is durable and the
-        # message idempotent — the fan-out's reaper redelivers until it lands
-        acked = yield from self._fan_out(
-            f"commute:{txn_id}", calls_for, span=span, batched=False,
-            accept=lambda reply: reply.get("vote") == "commute")
-        for node_name in participants:
-            reply = acked.get(node_name)
-            if reply is None:
-                self.obs.emit("twopc.downgrade", txn=txn_id,
-                              node=self.node.name, dst=node_name,
-                              reason="commute-unreachable",
-                              resolution="redelivery")
-                continue
-            # the participant's COMMITTED record is acknowledged lazily,
-            # riding our next prepare to it (checkpointing)
-            self._pending_forget.setdefault(node_name, []).append(txn_id)
-            if reply.get("finished"):
-                action.finished_nodes.add(node_name)
-            else:
-                # locks released at vote-and-apply time: the node is out
-                # of this colour's phase two and finish routing
-                action.vote_released.setdefault(node_name, set()).add(colour)
-        self.obs.observe("twopc_prepare_time",
-                         self.kernel.now - round_started,
-                         colour=str(colour))
-        self._end_acked([(txn_id, set(participants))], acked)
-        span.set(outcome="committed", fast_path="commute").finish()
-        return txn_id
+        batched = len(run) > 1
+        plan = _Plan([], None, batched, fail_fast=not (batched or commuting))
+        if batched:
+            plan.span = self.obs.span(
+                "2pc-batched-prepare", parent=parent_span, kind="client",
+                node=self.node.name, colours=len(run))
+        for colour, write_map in run:
+            writers = sorted(write_map)
+            round_ = _Round(colour, write_map, (
+                f"txn:{self.node.name}:{action.uid.sequence}:"
+                f"{colour.uid.sequence}:{next(self._txn_seq)}"))
+            plan.rounds.append(round_)
+            if not batched:
+                plan.span = self.obs.span(
+                    f"2pc:{colour}", parent=parent_span, kind="client",
+                    node=self.node.name, txn=round_.txn_id,
+                    participants=len(writers))
+            self.obs.emit("twopc.begin", txn=round_.txn_id,
+                          action=str(action.uid), colour=str(colour),
+                          participants=",".join(writers),
+                          node=self.node.name)
+            path = PREPARE
+            if commuting:
+                path, round_.fast_path = COMMUTE, "commute"
+            elif self.fast_paths and not batched:
+                round_.fast_path = ("one_phase" if len(writers) == 1
+                                    else "piggyback")
+                plan.delegate = writers.pop()
+            for node_name in writers:
+                round_.asked[node_name] = path
+                plan.wave.setdefault(node_name, []).append((round_, path))
+        for round_ in plan.rounds if self.fast_paths else ():
+            for node_name in sorted(action.involved.get(round_.colour, set())
+                                    - set(round_.write_map)):
+                if not batched:
+                    plan.readers.append(node_name)
+                elif node_name in plan.wave:
+                    plan.wave[node_name].append((round_, READ_ONLY))
+        return plan
 
-    def _two_phase_commit(self, action: ClusterAction, colour: Colour,
-                          write_map: Dict[str, Set[Uid]], parent_span=None):
-        """Presumed-abort 2PC prepare round for one colour's write set.
+    def _run_plan(self, action: ClusterAction, plan: _Plan,
+                  decided: List[Tuple[str, Set[str]]]):
+        """Execute a plan: the one coordinator round.
 
-        Classic flow (``fast_paths=False``): one parallel prepare fan-out
-        over every writer; the commit decision is logged here and delivered
-        by the caller's merged finish fan-out.
+        Sends the readers' prepares, then the wave — one process and one
+        message per node — gathers it by the plan's rule, lets the
+        delegate decide if there is one, and takes the coordinator edges
+        in colour order: the first colour that is not all yes aborts, and
+        so does every *later* one (sequential rounds would never have
+        decided them); their participants get the one ``txn_abort``
+        fan-out.  A plan whose paths gate nothing is decided *before* its
+        fan-out instead, and its replies are the acknowledgements.
 
-        Fast flow (the default): pure readers of the colour get non-gating
-        *read-only* prepares (they release their locks at vote time and
-        leave phase two); all writers but one run the classic parallel
-        round; then the commit decision rides *inside* the last writer's
-        prepare (the R* last-agent / piggybacked-decision optimisation) —
-        with a single writer that collapses to a one-phase commit.  When
-        that writer's entire involvement is this colour, its finish
-        routing rides along too and no termination message follows at all.
-
-        Returns ``(txn_id, phase_two_nodes)`` once the commit decision is
-        durable — the caller delivers ``txn_commit`` to exactly
-        ``phase_two_nodes`` in the merged finish fan-out — or ``None`` when
-        any writer voted rollback, timed out, or restarted.
+        Appends to ``decided`` a ``(txn_id, phase-two nodes)`` per
+        committed round that the caller's finish fan-out still owes a
+        ``txn_commit``; returns the colour that failed, if any.
         """
-        participants = sorted(write_map)
-        txn_id, span = self._begin_txn(action, colour, participants,
-                                       parent_span)
-        # concurrent with the writer round, never gating it
-        readers = self._spawn_read_only_prepares(action, txn_id, colour,
-                                                 write_map, span=span)
-        plain, last_agent = participants, None
-        if self.fast_paths:
-            plain, last_agent = participants[:-1], participants[-1]
-
-        def prepare_one(node_name: str):
-            payload = self._prepare_payload(
-                action, txn_id, colour, node_name, write_map[node_name])
-            reply = yield from self.transport.call(
-                node_name, "txn_prepare", payload, trace_parent=span)
-            self._ack_forget(node_name, payload)
-            return reply["vote"]
-
-        prepare_started = self.kernel.now
-        handles = [
-            self.kernel.spawn(prepare_one(n), name=f"prepare:{txn_id}:{n}")
-            for n in plain
-        ]
-        votes: List[Optional[str]] = []
-        round_failure: Optional[BaseException] = None
-        try:
-            votes = list((yield all_of(self.kernel,
-                                       [h.join() for h in handles])))
-        except (PrepareFailed, RpcTimeout, ActionAborted,
-                ClusterError) as error:
-            round_failure = error
-        #: why the round aborts; None while it is still heading for commit
-        abort_cause: Optional[str] = None
-        fast_kind = ""
-        finished = False
-        if round_failure is not None or any(v != "commit" for v in votes):
-            # Cancel prepares still in flight *before* announcing the
-            # abort: a killed task's transport cleanup runs immediately
-            # (finally blocks), and any prepare already on the wire races
-            # the txn_abort — the server resolves that race by treating a
-            # prepare for an already-aborted txn_id as a rollback vote
-            # (presumed abort), so no straggler can park itself in-doubt.
-            for handle in handles:
-                handle.kill()
-            abort_cause = self._round_failure_cause(votes, round_failure)
-        elif last_agent is not None:
-            # Delegate the decision to the remaining writer: its prepare
-            # both asks for and *carries* the decision (every earlier vote
-            # was commit, so a commit vote there decides the transaction).
-            # The delegation is logged first — if we crash or lose the
-            # reply, the outcome is recoverable from the named last agent.
-            fast_kind = "one_phase" if len(participants) == 1 else "piggyback"
-            self.node.txns.advance(COORDINATOR, txn_id, "delegate",
-                                   last_agent=last_agent)
-            payload = self._prepare_payload(
-                action, txn_id, colour, last_agent, write_map[last_agent])
-            payload["decide"] = True
-            payload["fast_path"] = fast_kind
-            if action.colours_at(last_agent) == {colour}:
-                # the node's entire involvement commits right here: ship
-                # its (trivial) finish routing inside the same message
-                payload["finish"] = [{"colour": encode_colour(colour),
-                                      "dest": None}]
+        rounds = plan.rounds
+        awaited = plan.delegate is not None or any(
+            path.gates for round_ in rounds for path in round_.asked.values())
+        if not awaited:
+            # decision first: with guaranteed-yes votes there is nothing to
+            # wait for, and a durable decision lets an unreachable
+            # participant be converged later by redelivery instead of
+            # presumed abort
+            for round_ in rounds:
+                self._decide(round_, "commit")
+        self._spawn_each(f"ro-prepare:{action.uid}", {
+            node_name: self._ask_reader(action, plan, node_name)
+            for node_name in plan.readers})
+        calls_for = {node_name: self._prepare_calls(action, node_name,
+                                                    plan.wave[node_name])
+                     for node_name in sorted(plan.wave)}
+        # the classic protocol never contacts readers, so only regrouped
+        # *writer* prepares are round trips saved over sequential rounds
+        saved = sum(sum(path is not READ_ONLY for _round, path in riders) - 1
+                    for riders in plan.wave.values())
+        if saved:
+            self.obs.count("prepare_batch_saved_rpcs_total", saved)
+        started = self.kernel.now
+        handles = self._spawn_each(f"prepare:{action.uid}", {
+            node_name: self._send(action, plan, node_name,
+                                  plan.wave[node_name], calls)
+            for node_name, calls in calls_for.items()})
+        joins = [handle.join() for handle in handles]
+        if plan.fail_fast:
             try:
-                reply = yield from self.transport.call(
-                    last_agent, "txn_prepare", payload, trace_parent=span)
-                self._ack_forget(last_agent, payload)
-                finished = bool(reply.get("finished"))
-                if reply["vote"] != "commit":
-                    abort_cause = "vote-rollback"
-            except (RpcTimeout, PrepareFailed, ActionAborted, ClusterError):
-                # The decision may or may not have landed — and not only
-                # on a timeout: an error reply can come from a
-                # *retransmission* after the first copy committed and the
-                # delegate crashed (the retry then hits the bumped epoch).
-                # Never presume rollback past this point; resolve through
-                # the last agent, whose answer is definitive.
-                decision = yield from resolve_delegated(
-                    self.node, self.transport, txn_id, last_agent,
-                    trace_parent=span)
-                # the fast path degenerated into an outcome query loop
-                self.obs.emit("twopc.downgrade", txn=txn_id,
-                              node=self.node.name, dst=last_agent,
-                              reason="delegated-reply-lost",
-                              resolution=decision)
-                if decision != "commit":
-                    abort_cause = "fast-path-downgrade"
-                # a committed outcome proves the prepare arrived whole —
-                # the piggybacked finish (if any) was applied with it
-                finished = decision == "commit" and "finish" in payload
-        # coordinator-observed latency of the whole prepare round
-        self.obs.observe("twopc_prepare_time",
-                         self.kernel.now - prepare_started,
-                         colour=str(colour))
-        if abort_cause is not None:
-            self._decide(txn_id, colour, "abort", cause=abort_cause)
-            span.set(outcome="aborted").finish()
-            # Presumed abort: tell whoever may have prepared — only the
-            # plain round's participants, the last agent either never saw
-            # a prepare or refused it — reaping nodes we cannot reach.
-            yield from self._fan_out(
-                f"txn-abort:{txn_id}",
-                {n: [("txn_abort", {"txn_id": txn_id})] for n in plain},
-                batched=False)
-            return None
-        # decision: commit.  The caller delivers it to the plain round
-        # inside the merged finish batch; a delegate already applied it
-        # and announced it (labelled with the fast path).
-        self._decide(txn_id, colour, "commit", announce=last_agent is None)
-        if last_agent is not None:
-            # lazily acknowledge the delegate's COMMITTED record on the
-            # next prepare we send it, so its checkpoint can drop the record
-            self._pending_forget.setdefault(last_agent, []).append(txn_id)
-            if finished:
-                action.finished_nodes.add(last_agent)
-            if readers:
+                yield all_of(self.kernel, joins)
+            except ReproError:
+                # Cancel prepares still in flight *before* announcing the
+                # abort: a killed task's transport cleanup runs immediately
+                # (finally blocks), and any prepare already on the wire
+                # races the txn_abort — the server resolves that race by
+                # treating a prepare for an already-aborted txn_id as a
+                # rollback vote (presumed abort), so no straggler can park
+                # itself in-doubt.
+                for handle in handles:
+                    handle.kill()
+        else:
+            yield settle_all(self.kernel, joins)
+        if plan.delegate is not None and rounds[0].all_yes():
+            yield from self._delegate(action, plan)
+        failed: Optional[_Round] = None
+        abort_calls: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
+        for round_ in rounds:
+            # coordinator-observed latency of the whole prepare round
+            self.obs.observe("twopc_prepare_time", self.kernel.now - started,
+                             colour=str(round_.colour))
+            # whoever may hold a PREPARED record: a delegate took the
+            # decision itself, or never saw its prepare, or refused it
+            prepared = [node_name for node_name, path in round_.asked.items()
+                        if not path.takes_decision]
+            if not awaited:
+                self._redeliver(round_, calls_for)
+            elif failed is None and round_.all_yes():
+                # The caller delivers the commit to ``prepared`` inside the
+                # merged finish batch.
+                self._decide(round_, "commit")
+                decided.append((round_.txn_id, set(prepared)))
+            else:
+                cause = ("colour-order-cascade" if failed is not None
+                         else self._abort_cause(round_))
+                failed = failed or round_
+                self._decide(round_, "abort", cause=cause)
+                for node_name in prepared:
+                    abort_calls.setdefault(node_name, []).append(
+                        ("txn_abort", {"txn_id": round_.txn_id}))
+        if failed is not None:
+            plan.span.set(outcome="aborted").finish()
+            # presumed abort, reaping nodes we cannot reach
+            yield from self._fan_out(f"txn-abort:{action.uid}", abort_calls,
+                                     batched=plan.batched)
+            return failed.colour
+        if plan.delegate is not None:
+            if plan.readers:
                 # Zero-time barrier: with a single writer the read-only
                 # replies land at the same instant as the delegated reply
                 # but later in the event queue; draining it here lets the
@@ -1211,142 +1100,200 @@ class ClusterClient:
                 # simulated time and never waits for a slow or dead reader.
                 yield Timeout(0.0)
             self.obs.count("decision_piggyback_saved_rpcs_total",
-                           1 + (1 if finished else 0))
-        span.set(outcome="committed")
-        if fast_kind:
-            span.set(fast_path=fast_kind)
-        span.finish()
-        return txn_id, set(plain)
+                           1 + (plan.delegate in action.finished_nodes))
+        if rounds[0].fast_path:  # batched rounds have none
+            plan.span.set(fast_path=rounds[0].fast_path)
+        plan.span.set(outcome="committed").finish()
+        return None
 
-    def _batched_prepare(self, action: ClusterAction,
-                         permanent: List[Tuple[Colour, Dict[str, Set[Uid]]]],
-                         parent_span=None):
-        """One prepare fan-out shared by every permanent colour.
+    def _decide(self, round_: _Round, decision: str, **labels: str) -> None:
+        """Take the coordinator's ``decide_commit``/``decide_abort`` edge
+        and account for it.
 
-        Sequentially, k permanent colours cost k prepare rounds — one
-        ``txn_prepare`` per (colour, participant) pair, each a full network
-        round trip.  Here the pairs are regrouped per server and shipped
-        through :meth:`RpcTransport.call_many`, so a server hosting writes
-        of several colours sees *one* message carrying all its prepare
-        sub-calls (dispatched in colour order); the saved round trips are
-        counted in ``prepare_batch_saved_rpcs_total``.
-
-        Decision semantics match the sequential rounds exactly: votes are
-        judged in colour order, and the first colour with a missing or
-        negative vote fails the commit — it and every *later* colour
-        (prepared or not) are aborted with batched ``txn_abort`` deliveries,
-        since sequential execution would never have decided them.  Returns
-        ``(decided, failed_colour)`` where ``decided`` is
-        ``[(txn_id, participants)]`` for the all-commit prefix and
-        ``failed_colour`` is ``None`` on a clean run.
-
-        Fast paths here are deliberately narrower than the single-colour
-        round: the piggybacked decision and one-phase commit are *not*
-        attempted, because the colour-order failure semantics above need
-        every colour's votes in hand before any decision is taken.  The
-        read-only optimisation does apply — ``read_only`` prepare sub-calls
-        for a colour's pure readers ride the batches of servers the writer
-        round already visits (never widening the fan-out), and an answering
-        reader is dropped from that colour's phase two.
+        A commit is logged before any participant is told.  An abort needs
+        no record (presumed abort) unless it undoes a delegation; a
+        decision the delegated-outcome resolver already recorded is
+        answer-only.  A commit the delegate took is not announced again:
+        its decision event came from there, labelled with its fast path.
         """
-        rounds = []
-        for colour, write_map in permanent:
-            participants = sorted(write_map)
-            txn_id, _ = self._begin_txn(action, colour, participants,
-                                        spanned=False)
-            rounds.append({"colour": colour, "write_map": write_map,
-                           "txn_id": txn_id, "participants": participants,
-                           "votes": {}})
-        span = self.obs.span("2pc-batched-prepare", parent=parent_span,
-                             kind="client", node=self.node.name,
-                             colours=len(rounds))
-        calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
-        index_for: Dict[str, List[Tuple[str, int]]] = {}
-        for i, r in enumerate(rounds):
-            for node_name in r["participants"]:
-                payload = self._prepare_payload(
-                    action, r["txn_id"], r["colour"], node_name,
-                    r["write_map"][node_name],
-                    forget=node_name not in calls_for)
-                calls_for.setdefault(node_name, []).append(
-                    ("txn_prepare", payload))
-                index_for.setdefault(node_name, []).append(("prepare", i))
-        # counted before the read-only riders join: the classic
-        # protocol never contacts readers, so only regrouped *writer*
-        # prepares are round trips saved over sequential rounds
-        saved = sum(len(calls) - 1 for calls in calls_for.values())
-        if saved:
-            self.obs.count("prepare_batch_saved_rpcs_total", saved)
-        if self.fast_paths:
-            # read-only riders: only on batches the writer round sends
-            # anyway — a sub-call is free, a widened fan-out is not
-            for i, r in enumerate(rounds):
-                readers = (action.involved.get(r["colour"], set())
-                           - set(r["write_map"]))
-                for node_name in sorted(readers & set(calls_for)):
-                    payload = self._prepare_payload(
-                        action, r["txn_id"], r["colour"], node_name,
-                        forget=False)
-                    calls_for[node_name].append(
-                        ("txn_prepare", dict(payload, read_only=True)))
-                    index_for[node_name].append(("read_only", i))
-        nodes = sorted(calls_for)
-        prepare_started = self.kernel.now
+        commute = COMMUTE in round_.asked.values()
+        self.node.txns.advance(
+            COORDINATOR, round_.txn_id, f"decide_{decision}",
+            **({"commute": True} if commute else {}))
+        self.obs.count("twopc_rounds_total", colour=str(round_.colour),
+                       outcome=("committed" if decision == "commit"
+                                else "aborted"))
+        if decision == "commit":
+            self.obs.count("colour_permanent_total",
+                           colour=str(round_.colour))
+            if DECIDE in round_.asked.values():
+                return
+        self.obs.emit("twopc.decision", txn=round_.txn_id,
+                      decision=decision, node=self.node.name,
+                      **({"commute": "1"} if commute else {}), **labels)
 
-        def prepare_batch(node_name: str):
-            return (yield from self.transport.call_many(
-                node_name, calls_for[node_name], trace_parent=span))
+    def _prepare_calls(self, action: ClusterAction, node_name: str,
+                       riders: Riders) -> List[Tuple[str, Dict[str, Any]]]:
+        """The calls of one prepare message to ``node_name``: per rider the
+        classic payload plus what its path adds.  Pending lazy
+        acknowledgements of earlier delegated commits to the node ride on
+        the first call (once per message is enough)."""
+        calls: List[Tuple[str, Dict[str, Any]]] = []
+        for round_, path in riders:
+            colour = round_.colour
+            uids = sorted(round_.write_map.get(node_name, ()))
+            payload = {
+                "txn_id": round_.txn_id,
+                "action_uid": encode_uid(action.uid),
+                "colour": encode_colour(colour),
+                "object_uids": [encode_uid(uid) for uid in uids],
+                "expected_epoch": action.server_epochs.get(node_name),
+            }
+            pending = self._pending_forget.get(node_name)
+            if pending and not calls:
+                payload["forget"] = list(pending)
+            if path.flag:
+                payload[path.flag] = True
+            if path is DECIDE:
+                payload["fast_path"] = round_.fast_path
+            if path is COMMUTE:
+                # what keeps a decision taken before the votes honest
+                # across failures: a participant that restarted (losing its
+                # volatile effects) re-applies the operations from the
+                # message against its committed state — with the full
+                # action context (not just the uid), to rebuild the mirror
+                # that holds the redo's group locks
+                ops_for = action.commute_ops[colour][node_name]
+                payload["action"] = encode_action_context(action)
+                payload["ops"] = {
+                    encode_uid(uid): [[method, list(args)]
+                                      for method, args in ops_for[uid]]
+                    for uid in uids}
+            if (path.takes_decision
+                    and action.colours_at(node_name) == {colour}):
+                # the node's entire involvement commits right here: ship
+                # its (trivial) finish routing inside the same message
+                payload["finish"] = [{"colour": encode_colour(colour),
+                                      "dest": None}]
+            calls.append(("txn_prepare", payload))
+        return calls
 
-        handles = [
-            self.kernel.spawn(prepare_batch(n),
-                              name=f"prepare-batch:{action.uid}@{n}")
-            for n in nodes
-        ]
-        outcomes = yield settle_all(self.kernel, [h.join() for h in handles])
-        round_time = self.kernel.now - prepare_started
-        for node_name, (ok, value) in zip(nodes, outcomes):
-            if not ok:  # whole batch undeliverable: no votes from this node
-                continue
-            self._ack_forget(node_name, calls_for[node_name][0][1])
-            for (role, i), (sub_ok, sub_value) in zip(index_for[node_name],
-                                                      value):
-                if not sub_ok:
-                    continue
-                if role == "read_only":
-                    if sub_value.get("vote") == "read-only":
-                        action.vote_released.setdefault(
-                            node_name, set()).add(rounds[i]["colour"])
-                    continue
-                rounds[i]["votes"][node_name] = sub_value["vote"]
-        decided: List[Tuple[str, Set[str]]] = []
-        failed_index: Optional[int] = None
-        for i, r in enumerate(rounds):
-            self.obs.observe("twopc_prepare_time", round_time,
-                             colour=str(r["colour"]))
-            all_commit = all(r["votes"].get(p) == "commit"
-                             for p in r["participants"])
-            if failed_index is None and all_commit:
-                self._decide(r["txn_id"], r["colour"], "commit")
-                decided.append((r["txn_id"], set(r["write_map"])))
-            elif failed_index is None:
-                failed_index = i
-        if failed_index is None:
-            span.set(outcome="committed").finish()
-            return decided, None
-        # presumed abort for the failing colour and everything after it:
-        # tell whoever may have prepared, again one batch per server.
-        abort_calls: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
-        for i, r in enumerate(rounds[failed_index:]):
-            if i > 0:
-                cause = "colour-order-cascade"
-            elif any(v != "commit" for v in r["votes"].values()):
-                cause = "vote-rollback"
+    def _send(self, action: ClusterAction, plan: _Plan, node_name: str,
+              riders: Riders, calls: List[Tuple[str, Dict[str, Any]]]):
+        """Put one prepare message on the wire and file what comes back:
+        each rider's vote by its path's row, or why there is none."""
+        try:
+            outcomes = yield from self._deliver(node_name, calls,
+                                                plan.batched, plan.span)
+        except ReproError as error:
+            for round_, _path in riders:
+                round_.failures[node_name] = error
+            raise
+        sent = calls[0][1].get("forget")
+        if sent:  # answered: stop resending these lazy acknowledgements
+            self._pending_forget[node_name] = [
+                txn_id for txn_id in self._pending_forget[node_name]
+                if txn_id not in sent]
+        for (round_, path), (ok, reply) in zip(riders, outcomes):
+            if ok:
+                self._file_vote(action, round_, path, node_name, reply)
             else:
-                cause = "participant-unreachable"
-            self._decide(r["txn_id"], r["colour"], "abort", cause=cause)
-            for node_name in r["participants"]:
-                abort_calls.setdefault(node_name, []).append(
-                    ("txn_abort", {"txn_id": r["txn_id"]}))
-        span.set(outcome="aborted").finish()
-        yield from self._fan_out(f"txn-abort-batch:{action.uid}", abort_calls)
-        return decided, rounds[failed_index]["colour"]
+                round_.failures[node_name] = reply
+
+    def _file_vote(self, action: ClusterAction, round_: _Round,
+                   path: PreparePath, node_name: str,
+                   reply: Dict[str, Any]) -> None:
+        """File one prepare reply by its path's row (``txn.PATHS``)."""
+        vote = round_.votes[node_name] = reply.get("vote")
+        if vote != path.vote:
+            return
+        if path.takes_decision:
+            # the participant's COMMITTED record is acknowledged lazily,
+            # riding our next prepare to it, so its checkpoint can drop it
+            self._pending_forget.setdefault(node_name, []).append(
+                round_.txn_id)
+        if reply.get("finished"):
+            action.finished_nodes.add(node_name)
+        elif not path.gates:
+            # locks released at vote time: the node is out of this
+            # colour's phase two and finish routing
+            action.vote_released.setdefault(node_name, set()).add(
+                round_.colour)
+
+    def _ask_reader(self, action: ClusterAction, plan: _Plan,
+                    node_name: str):
+        """A fire-and-forget read-only prepare to a colour's pure reader.
+
+        Never gates the decision (the classic protocol does not contact
+        readers at all): a reader that answers ``read-only`` released its
+        locks at vote time and is skipped by the finish fan-out; one that
+        cannot be reached simply falls back to the classic finish path.
+        """
+        (round_,) = plan.rounds
+        riders = [(round_, READ_ONLY)]
+        try:
+            yield from self._send(
+                action, plan, node_name, riders,
+                self._prepare_calls(action, node_name, riders))
+        except ReproError:
+            self.obs.emit("twopc.downgrade", txn=round_.txn_id,
+                          node=self.node.name, dst=node_name,
+                          reason="read-only-unreachable",
+                          resolution="classic-finish")
+
+    def _delegate(self, action: ClusterAction, plan: _Plan):
+        """Delegate the decision to the last agent: its prepare both asks
+        for and *carries* the decision (every earlier vote was yes, so a
+        yes there decides the transaction), and the finish routing too
+        when the colour is that node's entire involvement.
+
+        The delegation is logged first — if we crash or lose the reply,
+        the outcome is recoverable from the named last agent.
+        """
+        (round_,), node_name = plan.rounds, plan.delegate
+        self.node.txns.advance(COORDINATOR, round_.txn_id, "delegate",
+                               last_agent=node_name)
+        round_.asked[node_name] = DECIDE
+        riders = [(round_, DECIDE)]
+        calls = self._prepare_calls(action, node_name, riders)
+        try:
+            yield from self._send(action, plan, node_name, riders, calls)
+        except ReproError:
+            # The decision may or may not have landed — and not only on a
+            # timeout: an error reply can come from a *retransmission*
+            # after the first copy committed and the delegate crashed (the
+            # retry then hits the bumped epoch).  Never presume rollback
+            # past this point; resolve through the last agent, whose
+            # answer is definitive.
+            decision = yield from resolve_delegated(
+                self.node, self.transport, round_.txn_id, node_name,
+                trace_parent=plan.span)
+            # the fast path degenerated into an outcome query loop
+            self.obs.emit("twopc.downgrade", txn=round_.txn_id,
+                          node=self.node.name, dst=node_name,
+                          reason="delegated-reply-lost",
+                          resolution=decision)
+            if decision == "commit":
+                # a committed outcome proves the prepare arrived whole —
+                # the piggybacked finish (if any) was applied with it
+                self._file_vote(action, round_, DECIDE, node_name, {
+                    "vote": DECIDE.vote,
+                    "finished": "finish" in calls[0][1]})
+
+    def _redeliver(self, round_: _Round, calls_for) -> None:
+        """After a decision-first fan-out: crash, partition or lost reply,
+        the decision is durable and the message idempotent (participants
+        dedupe on txn_id against their COMMITTED records) — a reaper
+        redelivers it until it lands.  ``coord_end`` is logged only if
+        nobody needs that."""
+        unanswered = [node_name for node_name, path in round_.asked.items()
+                      if round_.votes.get(node_name) != path.vote]
+        for node_name in unanswered:
+            self._spawn_reaper(node_name, calls_for[node_name],
+                               f"commute:{round_.txn_id}")
+            self.obs.emit("twopc.downgrade", txn=round_.txn_id,
+                          node=self.node.name, dst=node_name,
+                          reason="commute-unreachable",
+                          resolution="redelivery")
+        self._end_acked([(round_.txn_id, set(round_.asked))],
+                        set(round_.asked) - set(unanswered))

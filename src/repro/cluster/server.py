@@ -33,9 +33,11 @@ from repro.cluster.transport import Responder, RpcTransport
 from repro.cluster.txn import (
     COORDINATOR,
     PARTICIPANT,
+    PATHS,
     TxnEntry,
     TxnState,
     decision_of,
+    path_of,
 )
 from repro.colours.colour import Colour
 from repro.errors import (
@@ -575,8 +577,8 @@ class ObjectServer:
         self.forgotten.update(payload.get("forget", ()))
         action_uid = decode_uid(payload["action_uid"])
         colour = decode_colour(payload["colour"])
-        event = next((flag for flag in ("read_only", "commute", "decide")
-                      if payload.get(flag)), "prepare")
+        path = path_of(payload)
+        event = path.event
         txns = self.node.txns
         state = txns.state(PARTICIPANT, txn_id)
         if state is TxnState.COMMITTED:
@@ -587,7 +589,9 @@ class ObjectServer:
             # promotion: the shadow slot may meanwhile belong to a *later*
             # transaction, and the logged outcome must not be contradicted.
             txns.advance(PARTICIPANT, txn_id, event)
-            vote = "commute" if event == "commute" else "commit"
+            # the path's own yes — except to a read-only prepare, whose
+            # sender must not take a logged commit for a lock release
+            vote = (PATHS["prepare"] if event == "read_only" else path).vote
             self._emit_vote(txn_id, vote, colour,
                             reason="duplicate-delivery")
             respond(True, self._ok({
@@ -629,8 +633,8 @@ class ObjectServer:
                 self._retire_if_idle(mirror, "read-only")
             self.obs.count("twopc_fast_path_total", node=self.node.name,
                            kind="read_only")
-            self._emit_vote(txn_id, "read-only", colour)
-            respond(True, self._ok({"vote": "read-only"}))
+            self._emit_vote(txn_id, path.vote, colour)
+            respond(True, self._ok({"vote": path.vote}))
             return
         if event == "commute":
             self._commute_prepare(message, respond)
@@ -649,9 +653,9 @@ class ObjectServer:
             # already promised (a duplicate under a fresh rpc id): the
             # shadows are stable, the answer stands
             txns.advance(PARTICIPANT, txn_id, event)
-            self._emit_vote(txn_id, "commit", colour,
+            self._emit_vote(txn_id, path.vote, colour,
                             reason="duplicate-delivery")
-            respond(True, self._ok({"vote": "commit"}))
+            respond(True, self._ok({"vote": path.vote}))
             return
         for object_uid in sorted(wanted):
             obj = written[object_uid]
@@ -664,7 +668,7 @@ class ObjectServer:
             if payload.get("finish") is not None and mirror is not None:
                 self._finish_action(mirror, payload["finish"])
                 finished = True
-            respond(True, self._ok({"vote": "commit", "applied": True,
+            respond(True, self._ok({"vote": path.vote, "applied": True,
                                     "finished": finished}))
             return
         entry = txns.advance(
@@ -675,8 +679,8 @@ class ObjectServer:
         entry.colour = colour
         self.obs.count("twopc_prepared_total", node=self.node.name,
                        colour=str(colour))
-        self._emit_vote(txn_id, "commit", colour)
-        respond(True, self._ok({"vote": "commit"}))
+        self._emit_vote(txn_id, path.vote, colour)
+        respond(True, self._ok({"vote": path.vote}))
 
     def _decide_here(self, txn_id: str, event: str, coordinator: str,
                      action_uid: Uid, colour: Colour, object_uids: List[Uid],
@@ -701,7 +705,7 @@ class ObjectServer:
         entry.colour = colour
         self.obs.count("twopc_fast_path_total", node=self.node.name,
                        kind=fast_path)
-        self._emit_vote(txn_id, "commute" if commute else "commit", colour)
+        self._emit_vote(txn_id, PATHS[event].vote, colour)
         self.obs.emit("twopc.decision", txn=txn_id, decision="commit",
                       fast_path=fast_path, node=self.node.name,
                       colour=str(colour), **labels)
@@ -826,8 +830,8 @@ class ObjectServer:
             finished = True
         else:
             self._retire_if_idle(mirror, "committed")
-        respond(True, self._ok({"vote": "commute", "applied": applied,
-                                "finished": finished}))
+        respond(True, self._ok({"vote": PATHS["commute"].vote,
+                                "applied": applied, "finished": finished}))
 
     def _commute_merge(self, txn_id: str, mirror: ActionMirror,
                        colour: Colour, plan: List, coordinator: str,

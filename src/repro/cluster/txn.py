@@ -59,6 +59,43 @@ EVENTS: Dict[str, Tuple[str, ...]] = {
     COORDINATOR: ("delegate", "decide_commit", "decide_abort", "end"),
 }
 
+
+@dataclass(frozen=True)
+class PreparePath:
+    """What one participant prepare event means to the coordinator."""
+
+    #: the participant event of :data:`EVENTS` a ``txn_prepare`` raises
+    event: str
+    #: the payload flag it travels under (None: the bare prepare)
+    flag: Optional[str]
+    #: the affirmative vote; anything else is a refusal of the path
+    vote: str
+    #: does the coordinator's decision edge wait for this vote?  A vote
+    #: nothing waits for is final where it is cast: the participant let
+    #: the colour's locks go with it
+    gates: bool
+    #: does the participant log the decision itself — one
+    #: ``committed{delegated}`` record the coordinator forgets lazily, the
+    #: ``finish`` routing riding along, no phase two?
+    takes_decision: bool
+
+
+#: participant prepare event -> its path, in :data:`EVENTS` order
+#: (docs/PROTOCOL.md §2 renders it)
+PATHS: Dict[str, PreparePath] = {path.event: path for path in (
+    PreparePath("prepare", None, "commit", True, False),
+    PreparePath("decide", "decide", "commit", True, True),
+    PreparePath("commute", "commute", "commute", False, True),
+    PreparePath("read_only", "read_only", "read-only", False, False),
+)}
+
+
+def path_of(payload: Dict[str, Any]) -> PreparePath:
+    """The path a ``txn_prepare`` payload travels on, by its flag."""
+    return next((path for path in PATHS.values()
+                 if path.flag and payload.get(path.flag)), PATHS["prepare"])
+
+
 _S = TxnState
 #: (role, state, event) -> (next state, WAL record kind or None), in doc
 #: order; docs/PROTOCOL.md §3.5 gives the reason for every edge
@@ -121,6 +158,18 @@ def render_table() -> str:
            f"{f'`{record}`' if record else '—'} |"
            for (role, state, event), (following, record)
            in TRANSITIONS.items()])
+
+
+def render_paths() -> str:
+    """:data:`PATHS` as the markdown table that opens docs/PROTOCOL.md §2."""
+    word = {True: "yes", False: "no"}
+    return "\n".join(
+        ["| path | payload flag | affirmative vote | decision waits "
+         "| participant takes the decision |",
+         "|---|---|---|---|---|"]
+        + [f"| {path.event} | {f'`{path.flag}`' if path.flag else '—'} | "
+           f"`{path.vote}` | {word[path.gates]} | "
+           f"{word[path.takes_decision]} |" for path in PATHS.values()])
 
 
 @dataclass

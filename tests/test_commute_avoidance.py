@@ -17,7 +17,7 @@ decision on a colour that was not fully commuting.
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkConfig
-from repro.errors import InvalidActionState, LockRefused
+from repro.errors import CommitError, InvalidActionState, LockRefused
 from repro.obs.postmortem import DEADLOCK_VICTIM, LOCK_CONFLICT
 from repro.objects.state import ObjectState
 from repro.sim.kernel import Timeout
@@ -241,6 +241,76 @@ def test_non_commuting_update_forces_classic_fallback():
     assert metric_sum(cluster, "twopc_fast_path_total", kind="commute") == 0
     # the fallback is the *fast-path* 2PC: piggybacked decisions here
     assert metric_sum(cluster, "twopc_fast_path_total", kind="piggyback") == 2
+    assert_audit_clean(cluster)
+
+
+def _mixed_action(cluster, client, holder):
+    """Colours ``[classic A, commuting B, classic C]`` in uid order, one
+    participant each; returns the action."""
+    a = yield from client.create("p1", "counter", value=0)
+    b = yield from client.create("p2", "commuting_counter", value=0)
+    c = yield from client.create("p3", "counter", value=0)
+    colours = sorted((client.fresh_colour(name) for name in "ABC"),
+                     key=lambda colour: colour.uid)
+    action = client.coloured(colours, name="mixed")
+    yield from client.invoke(action, a, "increment", 1, colour=colours[0])
+    yield from client.invoke(action, b, "add", 1, colour=colours[1])
+    yield from client.invoke(action, c, "increment", 1, colour=colours[2])
+    holder.update(refs=(a, b, c), colours=[str(colour) for colour in colours])
+    return action
+
+
+def test_mixed_run_commits_as_three_rounds_in_colour_order():
+    """Commuting and classic colours in one action: ``commit`` splits them
+    into runs, so ``[classic, commuting, classic]`` is three rounds, begun
+    in uid order, each on its own path."""
+    cluster = make_cluster(["coord", "p1", "p2", "p3"], config=FIXED)
+    client = cluster.client("coord")
+    holder, begun = {}, []
+    cluster.obs.bus.subscribe(
+        lambda event: event.kind == "twopc.begin"
+        and begun.append(event.labels["colour"]))
+
+    def app():
+        action = yield from _mixed_action(cluster, client, holder)
+        yield from client.commit(action)
+
+    cluster.run_process("coord", app())
+    assert begun == holder["colours"]
+    assert [committed_int(cluster, ref) for ref in holder["refs"]] == [1, 1, 1]
+    assert metric_sum(cluster, "twopc_fast_path_total", kind="one_phase") == 2
+    assert metric_sum(cluster, "twopc_fast_path_total", kind="commute") == 1
+    # three single-colour plans: nothing was batched
+    assert metric_sum(cluster, "prepare_batch_saved_rpcs_total") == 0
+    assert_audit_clean(cluster)
+
+
+def test_mixed_run_keeps_earlier_colours_when_the_last_one_is_refused():
+    """§5.1 per-colour permanence across the run split: C's participant
+    refuses, so C aborts and ``commit`` raises — but A (classic) and B
+    (commuting) were decided before it and stay permanent everywhere."""
+    cluster = make_cluster(["coord", "p1", "p2", "p3"], config=FIXED)
+    client = cluster.client("coord")
+    holder = {}
+
+    def app():
+        action = yield from _mixed_action(cluster, client, holder)
+        cluster.crash("p3")          # C's write set dies with the epoch
+        cluster.restart("p3")
+        try:
+            yield from client.commit(action)
+        except CommitError:
+            return action.status.value
+        return "committed"
+
+    assert cluster.run_process("coord", app()) == "aborted"
+    cluster.run(until=cluster.kernel.now + 100)
+    assert [committed_int(cluster, ref) for ref in holder["refs"]] == [1, 1, 0]
+    assert metric_sum(cluster, "twopc_rounds_total", outcome="committed") == 2
+    assert metric_sum(cluster, "twopc_rounds_total", outcome="aborted") == 1
+    for name in ("p1", "p2", "p3"):
+        assert cluster.servers[name].mirrors == {}
+        assert cluster.servers[name].prepared == {}
     assert_audit_clean(cluster)
 
 

@@ -220,3 +220,47 @@ def test_partial_multi_colour_commit_delivers_decided_colours():
     cluster.run(until=cluster.kernel.now + 100)
     # the earlier colour's update is permanent despite the overall abort
     assert committed_int(cluster, survivor_ref) == 4
+
+
+def test_a_refused_prepare_has_one_cause_whatever_the_plan_shape():
+    """A participant that lost its write set refuses the prepare.  The
+    round's abort says ``prepare-refused`` — and ``why`` blames the
+    refusing voter, not an injected fault — whether the action had one colour (fail-fast round)
+    or two (batched run, where the next colour then cascades)."""
+    from repro.obs.postmortem import CRASH_PARTITION
+
+    seen = {}
+    for colours in (1, 2):
+        cluster = make_cluster(["coord", "a", "b"], config=FIXED)
+        engine = cluster.observe(postmortem=True)["postmortem"]
+        client = cluster.client("coord")
+
+        def app():
+            ref_a = yield from client.create("a", "counter", value=0)
+            ref_b = yield from client.create("b", "counter", value=0)
+            first, second = sorted(
+                (client.fresh_colour(f"c{i}") for i in range(2)),
+                key=lambda colour: colour.uid)
+            if colours == 1:
+                second = first
+            action = client.coloured({first, second}, name="t")
+            yield from client.invoke(action, ref_a, "increment", 1,
+                                     colour=first)
+            yield from client.invoke(action, ref_b, "increment", 1,
+                                     colour=second)
+            # premature release at a: no crash, no epoch change
+            yield from cluster.transports["coord"].call(
+                "a", "abort_action", {"action_uid": encode_uid(action.uid)})
+            try:
+                yield from client.commit(action)
+            except CommitError:
+                return "commit-error"
+
+        assert cluster.run_process("coord", app()) == "commit-error"
+        causes = [engine.txn_info(txn_id).cause
+                  for txn_id in engine.record_for("t").txns]
+        seen[colours] = (causes, engine.record_for("t").reason)
+    # (the taxonomy files a lost write set under crash/partition)
+    assert seen[1] == (["prepare-refused"], CRASH_PARTITION)
+    assert seen[2] == (["prepare-refused", "colour-order-cascade"],
+                       CRASH_PARTITION)

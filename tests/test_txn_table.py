@@ -29,6 +29,7 @@ from repro.cluster.txn import (
     TxnState,
     TxnTable,
     decision_of,
+    render_paths,
     render_table,
 )
 from repro.obs.audit import InvariantAuditor
@@ -97,6 +98,9 @@ def test_protocol_doc_renders_the_table():
     rows = [line for line in section.splitlines()
             if re.match(r"\|( role |---| participant | coordinator )", line)]
     assert "\n".join(rows) == render_table()
+    # ... and §2 opens with the prepare-path table
+    opening = doc.split("## 2. Fast paths", 1)[1].split("\n- ", 1)[0]
+    assert opening.rstrip().endswith(render_paths())
 
 
 # -- every edge, on a real cluster ------------------------------------------------
