@@ -5,7 +5,7 @@ messages are assumed to be detected and dropped by checksums, so corruption
 is folded into loss.  Nodes that are crashed or partitioned away receive
 nothing — silently, as a real network gives no receipt.
 
-Payloads are **deep-copied at send time**: sender and receiver can never
+Payloads are **copied at send time**: sender and receiver can never
 share mutable state by accident, keeping the simulation honest about
 distribution.
 """
@@ -15,12 +15,40 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.cluster.message import Message
 from repro.errors import ClusterError
 from repro.sim.kernel import Kernel
 from repro.util.rng import SplitRandom
+
+
+#: wire values that cannot change after the send, so are shared
+_PLAIN = frozenset((str, int, float, bool, type(None), bytes))
+
+
+def copy_wire(value: Any) -> Any:
+    """A copy of ``value`` sharing no mutable state with it.
+
+    What crosses the wire is plain data (``message.py`` encodes colours,
+    uids and ancestry as such): ``dict``s, ``list``s and ``tuple``s of
+    exactly the ``_PLAIN`` types are rebuilt directly, a tuple staying a
+    tuple; a value of any other type is deep-copied.
+    """
+    kind = type(value)
+    if kind is dict:
+        return {(key if type(key) in _PLAIN else copy_wire(key)):
+                (item if type(item) in _PLAIN else copy_wire(item))
+                for key, item in value.items()}
+    if kind is list:
+        return [item if type(item) in _PLAIN else copy_wire(item)
+                for item in value]
+    if kind is tuple:
+        return tuple([item if type(item) in _PLAIN else copy_wire(item)
+                      for item in value])
+    if kind in _PLAIN:
+        return value
+    return copy.deepcopy(value)
 
 
 @dataclass
@@ -134,7 +162,7 @@ class Network:
             # it was when sent, never a later mutation.
             frozen = Message(
                 src=message.src, dst=message.dst, kind=message.kind,
-                payload=copy.deepcopy(message.payload),
+                payload=copy_wire(message.payload),
                 msg_id=message.msg_id, reply_to=message.reply_to,
             )
             self.kernel.schedule(delay, self._deliver, frozen)

@@ -28,15 +28,9 @@ class LockHoldTracker:
         self._since: Dict[Tuple[str, str, str, str], float] = {}
 
     def consume(self, event: ObsEvent) -> None:
-        kind = event.kind
-        if kind == "lock.granted":
-            self._on_granted(event)
-        elif kind == "lock.released":
-            self._on_released(event)
-        elif kind == "lock.inherited":
-            self._on_inherited(event)
-        elif kind == "node.restart":
-            self._on_restart(event)
+        handler = self.HANDLERS.get(event.kind)
+        if handler is not None:
+            handler(self, event)
 
     def _key(self, event: ObsEvent, owner_label: str = "owner"):
         return (str(event.label("node", "")),
@@ -72,3 +66,11 @@ class LockHoldTracker:
         with self._mutex:
             for key in [k for k in self._since if k[0] == node]:
                 del self._since[key]
+
+    #: kind -> handler; the keys are the kinds the hub subscribes it with
+    HANDLERS = {
+        "lock.granted": _on_granted,
+        "lock.released": _on_released,
+        "lock.inherited": _on_inherited,
+        "node.restart": _on_restart,
+    }

@@ -70,7 +70,8 @@ class Observability:
         self.auditor = InvariantAuditor(metrics=self.metrics)
         self.bus.subscribe(self.auditor.consume)
         self.hold_times = LockHoldTracker(self.metrics)
-        self.bus.subscribe(self.hold_times.consume)
+        self.bus.subscribe(self.hold_times.consume,
+                           kinds=LockHoldTracker.HANDLERS)
         #: section name -> bound layer, in binding order (see :meth:`bind`)
         self.layers: Dict[str, Any] = {}
         #: what :meth:`rotate` has already handed out: the cumulative
@@ -101,11 +102,11 @@ class Observability:
 
     def count(self, name: str, amount: float = 1.0, **labels: Any) -> None:
         """Increment the counter ``name{labels}`` by ``amount``."""
-        self.metrics.counter(name, **labels).inc(amount)
+        self.metrics._get("counter", name, labels).inc(amount)
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         """Record ``value`` into the histogram ``name{labels}``."""
-        self.metrics.histogram(name, **labels).observe(value)
+        self.metrics._get("histogram", name, labels).observe(value)
 
     def span(self, name: str, parent: Optional[Any] = None,
              kind: str = "internal", node: str = "", **attrs: Any) -> Span:

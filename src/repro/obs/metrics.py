@@ -93,7 +93,9 @@ class Histogram:
         self.max: Optional[float] = None
         self.samples: List[float] = []
         self.max_samples = max_samples
-        self._rng = random.Random(0x5EED)
+        #: the reservoir's PRNG, made on the first overflow: most series
+        #: never see ``max_samples`` observations
+        self._rng: Optional[random.Random] = None
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -103,6 +105,8 @@ class Histogram:
         if len(self.samples) < self.max_samples:
             self.samples.append(value)
         else:
+            if self._rng is None:
+                self._rng = random.Random(0x5EED)
             slot = self._rng.randrange(self.count)
             if slot < self.max_samples:
                 self.samples[slot] = value
@@ -159,8 +163,14 @@ class MetricsRegistry:
         self._instruments: Dict[str, Dict[str, Dict[LabelSet, Any]]] = {
             kind: {} for kind in self._KINDS
         }
-        #: (kind, name) -> how many label sets were folded into overflow
+        #: (kind, name) -> how many *lookups* were folded into overflow (a
+        #: label set used twice past the cap adds 2: remembering which sets
+        #: were seen is what the cap exists to avoid)
         self._folded: Dict[Tuple[str, str], int] = {}
+        #: lookups already resolved, as they were made: (kind, name, *label
+        #: keys in call order, *``str`` of the values) -> instrument.  Never
+        #: holds a lookup that folded, so a capped registry stays bounded.
+        self._resolved: Dict[Tuple, Any] = {}
 
     def now(self) -> float:
         """The registry's clock (simulated time when given a tick source)."""
@@ -180,10 +190,18 @@ class MetricsRegistry:
         return self._get("histogram", name, labels)
 
     def _get(self, kind: str, name: str, labels: Dict[str, Any]):
+        # the report path: a repeated lookup is one dict read, taken without
+        # the lock.  ``str`` of the values keeps 1, 1.0 and True apart, as
+        # ``_labelset`` does.
+        call = (kind, name, *labels, *map(str, labels.values()))
+        instrument = self._resolved.get(call)
+        if instrument is not None:
+            return instrument
         key = _labelset(labels)
         with self._mutex:
             per_name = self._instruments[kind].setdefault(name, {})
             instrument = per_name.get(key)
+            folded = False
             if instrument is None:
                 cap = self.max_series_per_metric
                 if cap is not None and key and len(per_name) >= cap:
@@ -191,11 +209,14 @@ class MetricsRegistry:
                     # *shape*, keeping keys so cross-label sums stay exact.
                     key = tuple((k, OVERFLOW_LABEL) for k, _ in key)
                     instrument = per_name.get(key)
+                    folded = True
                     self._folded[(kind, name)] = (
                         self._folded.get((kind, name), 0) + 1)
                 if instrument is None:
                     instrument = self._KINDS[kind]()
                     per_name[key] = instrument
+            if not folded:
+                self._resolved[call] = instrument
             return instrument
 
     # -- queries ---------------------------------------------------------------
@@ -231,7 +252,7 @@ class MetricsRegistry:
                         entry.update(per_kind[name][key].summary())
                         rows.append(entry)
                 out[f"{kind}s"] = rows
-            # synthetic accounting rows: how many label sets each capped
+            # synthetic accounting rows: how many lookups each capped
             # metric folded into its overflow series (absent when no cap or
             # no overflow, keeping uncapped dumps byte-identical).
             for (kind, name), folds in sorted(self._folded.items()):
@@ -247,6 +268,7 @@ class MetricsRegistry:
             for per_kind in self._instruments.values():
                 per_kind.clear()
             self._folded.clear()
+            self._resolved.clear()
 
     def series_count(self) -> int:
         """Total number of live instruments across every metric."""

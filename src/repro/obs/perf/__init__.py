@@ -13,8 +13,9 @@ how it *evolved* and whether it *regressed*:
   event bus with deterministic probabilistic sampling, so observability
   stays attached under heavy load at fixed memory; the ring is dumped on
   any auditor finding or test failure.
-- :class:`ObsOverheadMeter` — self-accounting: the observability layer's
-  own cost (events/sec, wall-time share of the run).  A cluster always
+- :class:`ObsOverheadMeter` — self-accounting of the bus fan-out
+  (events/sec, ``bus.publish``'s wall-time share of the run; the whole
+  layer's cost is the repo benchmark's ``obs.share``).  A cluster always
   has a hub; a ``Network`` or ``LocalRuntime`` built without one pays a
   single ``if self.obs is None`` branch per instrumentation point.
 - :mod:`repro.obs.perf.compare` — diffs a scenario run's ``BENCH_*.json``

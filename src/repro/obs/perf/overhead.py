@@ -1,21 +1,27 @@
-"""Self-accounting: what does observability itself cost?
+"""Self-accounting: what does the bus fan-out cost?
 
-An :class:`ObsOverheadMeter` wraps a hub's event-bus fan-out with a
-wall-clock stopwatch, so any run can report how much real time the
-observability layer consumed (bus publish + every subscriber: metrics,
-auditor, hold-time tracker, flight recorder) relative to the run as a
-whole, plus events/sec throughput.
+An :class:`ObsOverheadMeter` wraps a hub's ``bus.publish`` with a
+wall-clock stopwatch, so any run can report how much real time went into
+publishing events (event construction is outside it; every subscriber's
+``consume`` -- auditor, hold-time tracker, flight recorder, postmortem
+engine -- is inside) relative to the run as a whole, plus events/sec
+throughput.  That is the *publish-only* share: hub calls that publish
+nothing (``count``, ``observe``, the tracer's half of ``span``) are not in
+it.  The figure for what observability costs as a whole is
+``obs.self_us_per_commit`` / ``obs.share`` of ``python3 -m benchmarks.e2e``
+(docs/OBSERVABILITY.md, *What observability costs*).
 
 Wall-clock readings are inherently non-deterministic, so the meter never
 writes into the metrics registry (whose dumps must stay reproducible);
 its numbers live in :meth:`report` and travel in the *ungated* ``info``
 section of scenario BENCH files.
 
-**The no-op path.**  Every instrumentation point in the codebase accepts
-``obs=None`` and degrades to one attribute check (``if self.obs is None``)
-— no event construction, no label dicts, no locks.  That branch is the
-documented cheap path for running dark; :func:`measure_noop_path` times it
-so the claim is checkable (it is ~tens of nanoseconds per call site).
+**The no-op path.**  A cluster always has a hub and its layers report
+unconditionally; only ``Network`` and ``LocalRuntime``, which are also
+built on their own, accept a hub of ``None`` and then pay one attribute
+check (``if self.obs is None``) per instrumentation point -- no event
+construction, no label dicts, no locks.  :func:`measure_noop_path` times
+that branch so the claim is checkable (~tens of nanoseconds per call site).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Any, Dict, Optional
 
 
 class ObsOverheadMeter:
-    """Measures the observability layer's own wall-time share."""
+    """Measures ``bus.publish``'s share of a run's wall time."""
 
     def __init__(self, hub):
         self.hub = hub
@@ -90,8 +96,9 @@ class ObsOverheadMeter:
 
 
 def measure_noop_path(iterations: int = 100_000) -> Dict[str, float]:
-    """Time the ``obs is None`` branch every instrumentation point takes
-    when no hub is attached — nanoseconds per call, for the docs."""
+    """Time the ``obs is None`` branch a hub-less ``Network`` or
+    ``LocalRuntime`` takes per instrumentation point — nanoseconds per
+    call, for the docs."""
 
     class _Dark:
         __slots__ = ("obs",)

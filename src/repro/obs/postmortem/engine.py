@@ -133,7 +133,7 @@ class PostmortemEngine:
         self._hub = hub
         if self.metrics is None:
             self.metrics = hub.metrics
-        hub.bus.subscribe(self.consume)
+        hub.bus.subscribe(self.consume, kinds=self._HANDLERS)
 
     @classmethod
     def replay(cls, events: Iterable[ObsEvent],

@@ -157,23 +157,17 @@ class Tracer:
 
         Without a parent the span roots a fresh trace.
         """
-        parent_ctx: Optional[SpanContext] = None
-        if isinstance(parent, Span):
-            parent_ctx = parent.context
-        elif isinstance(parent, SpanContext):
-            parent_ctx = parent
         with self._mutex:
-            if parent_ctx is not None:
-                trace_id = parent_ctx.trace_id
-                parent_id: Optional[str] = parent_ctx.span_id
+            if isinstance(parent, (Span, SpanContext)):
+                trace_id = parent.trace_id
+                parent_id: Optional[str] = parent.span_id
             else:
                 trace_id = f"t{next(self._trace_ids)}"
                 parent_id = None
             span = Span(self, trace_id, f"s{next(self._span_ids)}",
                         parent_id, name, kind, node, self.now())
             self.spans.append(span)
-        if attrs:
-            span.set(**attrs)
+        span.attrs.update(attrs)
         return span
 
     # -- bounded retention ---------------------------------------------------

@@ -1,5 +1,7 @@
 """Simulated network: delivery, faults, partitions, payload isolation."""
 
+from dataclasses import dataclass, field
+
 import pytest
 
 from repro.cluster.message import Message
@@ -106,6 +108,72 @@ def test_payload_deep_copied_at_send():
     payload["xs"].append(99)
     kernel.run()
     assert inbox[0].payload["xs"] == [1, 2]
+
+
+def _send_and_receive(payload, mutate, config=None, seed=0):
+    """Send ``payload``, mutate the sender's copy, return what arrives."""
+    kernel, network = make_network(config, seed)
+    inbox = attach_sink(network, "b")
+    network.attach("a", lambda m: None)
+    network.send(Message("a", "b", "data", payload))
+    mutate(payload)
+    kernel.run()
+    return [message.payload for message in inbox]
+
+
+def test_nested_wire_data_is_copied_at_send():
+    """A nested dict, or a list inside a tuple, mutated after ``send`` is
+    invisible to the receiver; a tuple arrives as a tuple."""
+    def mutate(payload):
+        payload["outer"]["inner"]["n"] = 99
+        payload["outer"]["inner"]["new"] = True
+        payload["pair"][1].append(99)
+
+    sent = {"outer": {"inner": {"n": 1}}, "pair": ("uid", [1, 2]),
+            "plain": ("ns", 7, 1.5, True, None, b"raw")}
+    [received] = _send_and_receive(sent, mutate)
+    assert received == {"outer": {"inner": {"n": 1}}, "pair": ("uid", [1, 2]),
+                        "plain": ("ns", 7, 1.5, True, None, b"raw")}
+    assert type(received["pair"]) is tuple
+    assert type(received["plain"]) is tuple
+    assert received["pair"][1] is not sent["pair"][1]
+
+
+@dataclass
+class _Box:
+    items: list = field(default_factory=list)
+
+
+def test_values_that_are_not_plain_wire_data_are_still_deep_copied():
+    """A set, a dataclass, a dict subclass: anything but the exact plain
+    types goes through ``copy.deepcopy``, however deep it sits."""
+    class Tagged(dict):
+        pass
+
+    def mutate(payload):
+        payload["seen"].add(3)
+        payload["nested"][0]["box"].items.append("late")
+        payload["tagged"]["xs"].append(2)
+
+    sent = {"seen": {1, 2}, "nested": [{"box": _Box(["early"])}],
+            "tagged": Tagged(xs=[1])}
+    [received] = _send_and_receive(sent, mutate)
+    assert received["seen"] == {1, 2}
+    assert received["nested"][0]["box"] == _Box(["early"])
+    assert type(received["tagged"]) is Tagged
+    assert received["tagged"] == {"xs": [1]}
+
+
+def test_the_two_copies_of_a_duplicated_message_are_independent():
+    config = NetworkConfig(duplicate_probability=0.999)
+    first, second = _send_and_receive({"xs": [1, {"k": "v"}]},
+                                      lambda payload: None, config)
+    assert first == second == {"xs": [1, {"k": "v"}]}
+    assert first is not second
+    assert first["xs"] is not second["xs"]
+    assert first["xs"][1] is not second["xs"][1]
+    first["xs"][1]["k"] = "changed by one receiver"
+    assert second["xs"][1] == {"k": "v"}
 
 
 def test_same_seed_same_fault_pattern():

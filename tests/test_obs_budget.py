@@ -1,0 +1,255 @@
+"""The report path's budget: what the hub may skip, and what it may not.
+
+Deterministic guards, no timings.  The resolved-instrument cache in front
+of ``MetricsRegistry._get`` must be invisible in every dump; a warmed
+``hub.count`` / ``hub.observe`` must not resolve labels again; a histogram's
+reservoir must keep the samples it always kept while owning no PRNG until
+it overflows; and the kind-routed bus must deliver what, and in the order,
+the locked list-copying one did.
+"""
+
+import enum
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs import Observability
+from repro.obs import metrics as metrics_module
+from repro.obs.bus import EventBus
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.perf import FlightRecorder, ObsOverheadMeter
+from repro.obs.postmortem import PostmortemEngine
+
+
+# -- (a) the cache never shows in a dump ----------------------------------------
+
+class Shade(enum.Enum):
+    RED = 1
+
+
+class _Forgetful(dict):
+    """A resolved-instrument cache that never remembers: every lookup takes
+    the ``_labelset`` path, as every lookup did before the cache."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+#: 1, 1.0 and True are equal and hash alike but are three label values
+label_values = st.sampled_from([1, 1.0, True, "1", Shade.RED, "red", 2, None])
+lookups = st.lists(st.tuples(
+    st.sampled_from(["counter", "gauge", "histogram"]),
+    st.sampled_from(["m", "n"]),
+    st.lists(st.tuples(st.sampled_from(["colour", "node", "kind"]),
+                       label_values),
+             max_size=3, unique_by=lambda item: item[0]),
+    st.randoms(use_true_random=False),
+), max_size=30)
+
+
+def _touch(registry, kind, name, labels):
+    instrument = getattr(registry, kind)(name, **labels)
+    if kind == "counter":
+        instrument.inc()
+    elif kind == "gauge":
+        instrument.inc(2.0)
+    else:
+        instrument.observe(float(len(labels)))
+    return instrument
+
+
+@settings(max_examples=200, deadline=None)
+@given(lookups, st.one_of(st.none(), st.integers(1, 3)))
+def test_cached_lookups_dump_like_labelset_alone(sequence, cap):
+    cached = MetricsRegistry(max_series_per_metric=cap)
+    reference = MetricsRegistry(max_series_per_metric=cap)
+    reference._resolved = _Forgetful()
+    for kind, name, items, shuffler in sequence:
+        # the same label set, asked for in two keyword orders
+        for _ in range(2):
+            shuffler.shuffle(items)
+            _touch(cached, kind, name, dict(items))
+            _touch(reference, kind, name, dict(items))
+    assert cached.dump() == reference.dump()
+    assert cached.series_count() == reference.series_count()
+    assert not reference._resolved
+    if cap is None:
+        assert not any(row["name"] == "metrics_series_folded_total"
+                       for row in cached.dump()["counters"])
+
+
+def test_equal_hashing_values_are_separate_series():
+    registry = MetricsRegistry()
+    for value in (1, 1.0, True, "1"):
+        registry.counter("m", v=value).inc()
+        registry.counter("m", v=value).inc()
+    values = {row["labels"]["v"]: row["value"]
+              for row in registry.dump()["counters"]}
+    # ``1`` and ``"1"`` are one series, as ``str`` of a label always was
+    assert values == {"1": 4.0, "1.0": 2.0, "True": 2.0}
+
+
+# -- (b) a warmed report resolves nothing ---------------------------------------
+
+def test_warmed_count_and_observe_never_resolve_labels_again(monkeypatch):
+    calls = []
+    labelset = metrics_module._labelset
+
+    def counting(labels):
+        calls.append(dict(labels))
+        return labelset(labels)
+
+    monkeypatch.setattr(metrics_module, "_labelset", counting)
+    hub = Observability()
+    hub.count("messages_sent_total", kind="invoke")
+    hub.observe("lock_wait_time", 1.0, node="s1", colour="c1")
+    assert len(calls) == 2
+    for _ in range(50):
+        hub.count("messages_sent_total", kind="invoke")
+        hub.observe("lock_wait_time", 1.0, node="s1", colour="c1")
+    assert len(calls) == 2
+    # another keyword order is another call shape: resolved once, then warm
+    hub.observe("lock_wait_time", 1.0, colour="c1", node="s1")
+    hub.observe("lock_wait_time", 1.0, colour="c1", node="s1")
+    assert len(calls) == 3
+    # (queries -- ``value`` -- resolve labels themselves; not the budget's)
+    assert hub.metrics.value("messages_sent_total", kind="invoke") == 51.0
+    assert hub.metrics.histogram("lock_wait_time", node="s1",
+                                 colour="c1").count == 53
+    hub.metrics.clear()
+    hub.count("messages_sent_total", kind="invoke")
+    assert hub.metrics.value("messages_sent_total", kind="invoke") == 1.0
+
+
+# -- (c) the reservoir: same samples, PRNG only past the cap --------------------
+
+#: ``Histogram(max_samples=16)`` after ``observe(0.0 .. 47.0)``, taken from
+#: the eager-PRNG implementation this one replaced
+GOLDEN_RESERVOIR = [0.0, 1.0, 2.0, 46.0, 16.0, 5.0, 18.0, 29.0, 8.0, 42.0,
+                    10.0, 28.0, 12.0, 20.0, 36.0, 45.0]
+
+
+def test_reservoir_keeps_the_samples_it_always_kept():
+    histogram = Histogram(max_samples=16)
+    for value in range(3 * 16):
+        histogram.observe(float(value))
+    assert histogram.samples == GOLDEN_RESERVOIR
+    # and at the default size: same stream, same seed, same reservoir
+    default = Histogram()
+    for value in range(3 * default.max_samples):
+        default.observe(float(value))
+    assert default.samples[:5] == [5512.0, 7152.0, 2.0, 10254.0, 10133.0]
+    assert sum(default.samples) == 25296034.0
+
+
+def test_histogram_under_the_cap_holds_no_rng():
+    histogram = Histogram(max_samples=8)
+    for value in range(8):
+        histogram.observe(float(value))
+    assert histogram._rng is None
+    histogram.observe(8.0)
+    assert isinstance(histogram._rng, random.Random)
+
+
+# -- (d) the kind-routed bus -----------------------------------------------------
+
+def _recorder(log, name):
+    def consume(event):
+        log.append((name, event.kind))
+    consume.__qualname__ = name
+    return consume
+
+
+def test_filtered_subscriber_sees_exactly_its_kinds_in_subscription_order():
+    bus = EventBus()
+    log = []
+    bus.subscribe(_recorder(log, "all-1"))
+    bus.subscribe(_recorder(log, "x-only"), kinds=["x"])
+    bus.subscribe(_recorder(log, "all-2"))
+    bus.subscribe(_recorder(log, "x-and-y"), kinds={"x": 1, "y": 2})
+    for kind in ("x", "y", "z"):
+        bus.emit(0.0, kind)
+    assert log == [
+        ("all-1", "x"), ("x-only", "x"), ("all-2", "x"), ("x-and-y", "x"),
+        ("all-1", "y"), ("all-2", "y"), ("x-and-y", "y"),
+        ("all-1", "z"), ("all-2", "z"),
+    ]
+
+
+def test_subscription_changes_inside_a_subscriber_apply_from_the_next_event():
+    bus = EventBus()
+    log = []
+    late = _recorder(log, "late")
+    leaver = _recorder(log, "leaver")
+
+    def churn(event):
+        log.append(("churn", event.kind))
+        if event.kind == "first":
+            bus.subscribe(late, kinds=["second"])
+            bus.unsubscribe(leaver)
+
+    bus.subscribe(churn)
+    bus.subscribe(leaver, kinds=["first", "second"])
+    bus.emit(0.0, "first")
+    bus.emit(1.0, "second")
+    assert log == [("churn", "first"), ("leaver", "first"),
+                   ("churn", "second"), ("late", "second")]
+    bus.unsubscribe(late)
+    bus.unsubscribe(late)  # unknown by now: ignored
+    bus.emit(2.0, "second")
+    assert log[-1] == ("churn", "second")
+
+
+def test_raising_filtered_subscriber_is_isolated_and_counted():
+    hub = Observability()
+    seen = []
+
+    def broken(event):
+        raise RuntimeError("boom")
+
+    hub.bus.subscribe(broken, kinds=["lock.granted"])
+    hub.bus.subscribe(seen.append, kinds=["lock.granted"])
+    hub.emit("lock.granted", node="n1", owner="a", object="o", colour="c")
+    hub.emit("lock.granted", node="n1", owner="b", object="o", colour="c")
+    hub.emit("action.begin", action="a")
+    name = broken.__qualname__
+    assert [event.kind for event in seen] == ["lock.granted"] * 2
+    assert str(hub.bus.errors[name]) == "boom"
+    assert hub.metrics.value("obs_subscriber_errors_total",
+                             subscriber=name) == 2.0
+
+
+def test_hold_time_tracker_and_postmortem_are_subscribed_by_kind():
+    hub = Observability()
+    by_kind, unfiltered = hub.bus._routes
+    assert unfiltered == (hub.auditor.consume,)
+    assert set(by_kind) == {"lock.granted", "lock.released",
+                            "lock.inherited", "node.restart"}
+    assert all(readers == (hub.auditor.consume, hub.hold_times.consume)
+               for readers in by_kind.values())
+    engine = hub.bind(PostmortemEngine())
+    recorder = hub.bind(FlightRecorder(capacity=8))
+    by_kind, unfiltered = hub.bus._routes
+    assert unfiltered == (hub.auditor.consume, recorder.consume)
+    assert set(by_kind) == set(PostmortemEngine._HANDLERS)
+    assert by_kind["twopc.vote"] == (hub.auditor.consume, engine.consume,
+                                     recorder.consume)
+    assert by_kind["node.restart"] == (
+        hub.auditor.consume, hub.hold_times.consume, engine.consume,
+        recorder.consume)
+
+
+def test_instance_shadowed_publish_sees_every_span_and_emit():
+    """``ObsOverheadMeter`` and the repo benchmark's tracer time the bus by
+    shadowing ``bus.publish`` on the instance: ``hub.span`` and ``hub.emit``
+    must keep going through that attribute."""
+    hub = Observability()
+    with ObsOverheadMeter(hub) as meter:
+        hub.span("rpc", node="n1").finish()
+        hub.emit("lock.granted", node="n1", owner="a", object="o",
+                 colour="c")
+        hub.emit("nobody.reads.this")
+    assert meter.report()["events_total"] == 3
+    assert [event["kind"] for event in hub.auditor.event_dicts()] == [
+        "span.start", "lock.granted", "nobody.reads.this"]

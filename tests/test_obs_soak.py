@@ -124,6 +124,24 @@ def test_metrics_cap_folds_overflow_series_preserving_sums():
     assert registry.series_count() == 3
 
 
+def test_fold_row_counts_lookups_not_label_sets_and_folds_are_not_cached():
+    """``metrics_series_folded_total`` counts folded *lookups*: one over-cap
+    label set used three times adds 3, and none of the three leaves an
+    entry in the resolved-instrument cache (the cap bounds that too)."""
+    registry = MetricsRegistry(max_series_per_metric=1)
+    registry.counter("ops_total", colour="kept").inc()
+    cached = dict(registry._resolved)
+    for _ in range(3):
+        registry.counter("ops_total", colour="late").inc(2.0)
+    registry.counter("ops_total", colour="later").inc(2.0)
+    rows = registry.dump()["counters"]
+    assert [row["value"] for row in rows
+            if row["name"] == "metrics_series_folded_total"] == [4.0]
+    assert [row["value"] for row in rows
+            if row["labels"] == {"colour": OVERFLOW_LABEL}] == [8.0]
+    assert registry._resolved == cached
+
+
 def test_uncapped_registry_dump_carries_no_fold_rows():
     registry = MetricsRegistry()
     for index in range(6):
