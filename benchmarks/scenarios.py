@@ -39,8 +39,8 @@ locking without the commute path, on an identical workload), and
 rotation: the clean arm gated at zero SLO breaches, the faulty arm's
 seeded fault burst gated to trip the commit-latency burn objective), and
 ``realtime_backend`` (the same fault-free workloads on the sim and
-asyncio execution backends: gated outcome parity plus measured
-wall-clock figures under ``info`` for the ``--gate-wall`` arm).
+asyncio execution backends: gated outcome parity; what the asyncio backend
+costs on the wall clock is ``realtime_2pc`` in ``python3 -m benchmarks.e2e``).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ import json
 import os
 import random
 import sys
-import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 if __package__ in (None, ""):  # standalone: python benchmarks/scenarios.py
@@ -747,8 +746,8 @@ def _realtime_fastpath(backend, seed: int) -> Dict[str, Any]:
 
     Single-client and fault-free, so the logical structure is
     deterministic: commit counts, stable values and auditor silence must
-    not depend on the backend.  Returns the outcome dict plus wall/sim
-    elapsed figures for the info section.
+    not depend on the backend.  Returns the outcome dict plus the elapsed
+    time units for the info section.
     """
     cluster = Cluster(seed=seed, backend=backend, fast_paths=True)
     for name in ("home", "s1", "s2"):
@@ -778,7 +777,6 @@ def _realtime_fastpath(backend, seed: int) -> Dict[str, Any]:
             yield from client.commit(action)
             commits["count"] += 1
 
-    started_wall = time.perf_counter()
     started_units = cluster.kernel.now
     cluster.run_process("home", app())
     result = {
@@ -786,7 +784,6 @@ def _realtime_fastpath(backend, seed: int) -> Dict[str, Any]:
         "a": _stable_int(cluster, refs["a"]),
         "b": _stable_int(cluster, refs["b"]),
         "audit_findings": len(cluster.obs.auditor.report()),
-        "wall_seconds": time.perf_counter() - started_wall,
         "elapsed_units": cluster.kernel.now - started_units,
     }
     cluster.close()
@@ -833,7 +830,6 @@ def _realtime_commute(backend, seed: int, workers: int = 4,
                     yield from client.abort(action)
             yield Timeout(1.0 + rng.random())
 
-    started_wall = time.perf_counter()
     started_units = cluster.kernel.now
     for wid in range(workers):
         cluster.spawn(nodes[wid % len(nodes)], worker(wid),
@@ -849,7 +845,6 @@ def _realtime_commute(backend, seed: int, workers: int = 4,
         "total": sum(_stable_int(cluster, ref) for ref in refs),
         "commute_commits": commute_commits,
         "audit_findings": len(cluster.obs.auditor.report()),
-        "wall_seconds": time.perf_counter() - started_wall,
         "elapsed_units": cluster.kernel.now - started_units,
     }
     cluster.close()
@@ -857,17 +852,15 @@ def _realtime_commute(backend, seed: int, workers: int = 4,
 
 
 def scenario_realtime_backend(seed: int = 29) -> Dict[str, Any]:
-    """Backend parity and wall-clock cost of the real-time backend.
+    """Backend parity of the real-time backend.
 
     Runs two fault-free arms — the sequential fast-path mix and the
     concurrent commute workload — once on the sim backend and once on
     :class:`AsyncioBackend`, same seeds.  Gated ``metrics`` carry the
     backend-independent outcomes (commit counts, stable values, auditor
-    silence) plus explicit 0/1 parity flags; measured wall-clock numbers
-    land under ``info`` for the opt-in ``--gate-wall`` arm of the perf
-    gate.  ``*_realtime_overhead`` is the asyncio arm's wall time divided
-    by the ideal ``sim_elapsed_units * time_scale`` — how much slower
-    than perfectly-scaled virtual time the real loop runs.
+    silence) plus explicit 0/1 parity flags.  No wall clock is read here:
+    the asyncio backend's wall latency is the repo benchmark's
+    ``realtime_2pc`` workload.
     """
     logical = ("commits", "a", "b", "committed", "aborted", "total",
                "commute_commits", "audit_findings")
@@ -889,14 +882,6 @@ def scenario_realtime_backend(seed: int = 29) -> Dict[str, Any]:
         for key, value in outcomes_of(sim).items():
             metrics[f"{arm}.{key}"] = value
         metrics[f"{arm}.parity"] = 1.0
-        ideal = sim["elapsed_units"] * REALTIME_TIME_SCALE
-        done = real["commits" if arm == "fastpath" else "committed"]
-        info[f"sim.{arm}_wall_seconds"] = round(sim["wall_seconds"], 6)
-        info[f"asyncio.{arm}_wall_seconds"] = round(real["wall_seconds"], 6)
-        info[f"asyncio.{arm}_wall_per_commit"] = round(
-            real["wall_seconds"] / max(1, done), 6)
-        info[f"asyncio.{arm}_realtime_overhead"] = round(
-            real["wall_seconds"] / ideal, 4) if ideal > 0 else 0.0
         info[f"{arm}_sim_elapsed_units"] = round(sim["elapsed_units"], 6)
     return _document(
         "realtime_backend", seed,

@@ -27,7 +27,7 @@ from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, TYPE_CHECKING,
 )
 
-from repro.actions.record import OperationUndo, UndoRecord
+from repro.actions.record import UndoLedger
 from repro.actions.runtime_api import ActionRuntime
 from repro.actions.status import ActionStatus, Outcome
 from repro.colours.colour import Colour, colour_set
@@ -59,10 +59,9 @@ class Action:
         self.status = ActionStatus.ACTIVE
         self.children: List["Action"] = []
         self.path: Tuple[Uid, ...] = (parent.path + (self.uid,)) if parent else (self.uid,)
-        self._undo: Dict[Colour, Dict[Uid, UndoRecord]] = {}
-        #: type-specific recovery (§2): one compensation per applied op
-        self._op_undo: Dict[Colour, List[OperationUndo]] = {}
-        self._written: Dict[Colour, Dict[Uid, "StateManager"]] = {}
+        #: undo responsibility (before-images, and §2's one compensation
+        #: per applied operation) and write sets, per colour
+        self._ledger = UndoLedger()
         self._listeners: List[OutcomeListener] = []
         #: colour used when a lock request names none (multi-coloured actions)
         self.default_colour: Optional[Colour] = None
@@ -123,16 +122,8 @@ class Action:
             raise InvalidActionState(
                 f"{self.name} recording write in foreign colour {colour}"
             )
-        per_colour = self._undo.setdefault(colour, {})
-        if obj.uid not in per_colour:
-            per_colour[obj.uid] = UndoRecord(
-                obj=obj,
-                colour=colour,
-                before_image=obj.snapshot(),
-                seq=self.runtime.next_undo_seq(),
-                origin_action=self.uid,
-            )
-        self._written.setdefault(colour, {})[obj.uid] = obj
+        self._ledger.note_write(obj, colour, self.runtime.next_undo_seq(),
+                                self.uid)
 
     def record_operation(self, obj: "StateManager", colour: Colour,
                          compensate: Callable[[], None],
@@ -146,30 +137,23 @@ class Action:
             raise InvalidActionState(
                 f"{self.name} logging operation in foreign colour {colour}"
             )
-        self._op_undo.setdefault(colour, []).append(OperationUndo(
-            obj=obj, colour=colour, compensate=compensate,
-            description=description or "compensate",
-            seq=self.runtime.next_undo_seq(), origin_action=self.uid,
-        ))
-        self._written.setdefault(colour, {})[obj.uid] = obj
+        self._ledger.note_operation(
+            obj, colour, compensate, description or "compensate",
+            self.runtime.next_undo_seq(), self.uid)
 
     def written_objects(self, colour: Optional[Colour] = None) -> Dict[Uid, "StateManager"]:
         """Objects this action is currently responsible for persisting."""
+        written = self._ledger.written
         if colour is not None:
-            return dict(self._written.get(colour, {}))
+            return dict(written.get(colour, {}))
         merged: Dict[Uid, "StateManager"] = {}
-        for per_colour in self._written.values():
+        for per_colour in written.values():
             merged.update(per_colour)
         return merged
 
     def undo_records(self) -> List:
         """All undo responsibility: before-images and operation logs."""
-        records: List = [
-            record for per in self._undo.values() for record in per.values()
-        ]
-        for ops in self._op_undo.values():
-            records.extend(ops)
-        return records
+        return self._ledger.records()
 
     # -- outcome listeners -------------------------------------------------------
 
@@ -207,17 +191,15 @@ class Action:
             routes[colour] = destination
             self.runtime.note_commit_route(self, colour, destination)
             if destination is not None:
-                self._bequeath(colour, destination)
+                self._ledger.bequeath(colour, destination._ledger)
                 continue
-            written = self._written.pop(colour, {})
-            self._undo.pop(colour, None)
-            self._op_undo.pop(colour, None)
+            written = self._ledger.drop(colour)
             if not written:
                 continue
             try:
                 self.runtime.persist_colour(self, colour, written)
             except Exception as error:
-                self._abort_after_partial_commit(ordered[index + 1:])
+                self._abort_after_partial_commit()
                 raise CommitError(
                     f"{self.name}: persisting colour {colour} failed "
                     f"(colours already permanent: {[str(c) for c in persisted]})"
@@ -233,30 +215,11 @@ class Action:
         self._notify(Outcome.COMMITTED)
         return Outcome.COMMITTED
 
-    def _bequeath(self, colour: Colour, destination: "Action") -> None:
-        """Move undo records and write sets of one colour up to an ancestor."""
-        inherited_undo = self._undo.pop(colour, {})
-        destination_undo = destination._undo.setdefault(colour, {})
-        for object_uid, record in inherited_undo.items():
-            if object_uid not in destination_undo:
-                destination_undo[object_uid] = record  # elder image wins
-        inherited_ops = self._op_undo.pop(colour, [])
-        if inherited_ops:
-            destination._op_undo.setdefault(colour, []).extend(inherited_ops)
-        inherited_written = self._written.pop(colour, {})
-        destination._written.setdefault(colour, {}).update(inherited_written)
-
-    def _abort_after_partial_commit(self, remaining: List[Colour]) -> None:
-        """Persistence failed mid-commit: roll back what is still rollable."""
+    def _abort_after_partial_commit(self) -> None:
+        """Persistence failed mid-commit: roll back what is still rollable
+        (the colours not yet routed or made permanent)."""
         self.status = ActionStatus.ABORTING
-        for colour in remaining:
-            self._written.pop(colour, None)
-        records = sorted(self.undo_records(), key=lambda r: r.seq, reverse=True)
-        for record in records:
-            record.restore()
-        self._undo.clear()
-        self._op_undo.clear()
-        self._written.clear()
+        self._ledger.unwind()
         self.runtime.locks.release_action(self.uid)
         self.status = ActionStatus.ABORTED
         if self.parent is not None:
@@ -280,12 +243,7 @@ class Action:
         self.status = ActionStatus.ABORTING
         self._settle_children()
         self.runtime.locks.cancel_waiting(self.uid, reason="action aborted")
-        records = sorted(self.undo_records(), key=lambda r: r.seq, reverse=True)
-        for record in records:
-            record.restore()
-        self._undo.clear()
-        self._op_undo.clear()
-        self._written.clear()
+        self._ledger.unwind()
         self.runtime.locks.release_action(self.uid)
         self.status = ActionStatus.ABORTED
         if self.parent is not None:

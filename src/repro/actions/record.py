@@ -6,12 +6,16 @@ aborts replay newest-first so nested overwrites unwind correctly.  When a
 child commits into an ancestor, the ancestor keeps the *elder* image for an
 object it already has a record for — the elder image is the state at the
 start of the outermost responsibility span.
+
+:class:`UndoLedger` is the per-colour book of these that every action
+keeps: a local :class:`~repro.actions.action.Action` and a server-side
+``ActionMirror`` own one each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TYPE_CHECKING
+from typing import Callable, Dict, List, TYPE_CHECKING, Union
 
 from repro.colours.colour import Colour
 from repro.util.uid import Uid
@@ -69,3 +73,78 @@ class OperationUndo:
     def restore(self) -> None:
         """Apply the compensating operation."""
         self.compensate()
+
+
+class UndoLedger:
+    """One action's undo responsibility and write sets, colour by colour."""
+
+    def __init__(self) -> None:
+        self._images: Dict[Colour, Dict[Uid, UndoRecord]] = {}
+        self._operations: Dict[Colour, List[OperationUndo]] = {}
+        #: colour -> object uid -> object: what the colour's commit persists
+        self.written: Dict[Colour, Dict[Uid, "StateManager"]] = {}
+
+    @property
+    def empty(self) -> bool:
+        """True when the action is answerable for nothing."""
+        return not (self._images or self._operations or self.written)
+
+    def note_write(self, obj: "StateManager", colour: Colour, seq: int,
+                   origin: Uid) -> None:
+        """``obj`` is about to be written in ``colour``: capture its
+        before-image unless one is held already (the eldest is kept)."""
+        images = self._images.setdefault(colour, {})
+        if obj.uid not in images:
+            images[obj.uid] = UndoRecord(
+                obj=obj, colour=colour, before_image=obj.snapshot(),
+                seq=seq, origin_action=origin,
+            )
+        self.written.setdefault(colour, {})[obj.uid] = obj
+
+    def note_operation(self, obj: "StateManager", colour: Colour,
+                       compensate: Callable[[], None], description: str,
+                       seq: int, origin: Uid) -> None:
+        """One operation was applied to ``obj`` in ``colour``: log how to
+        compensate it (type-specific recovery, no before-image)."""
+        self._operations.setdefault(colour, []).append(OperationUndo(
+            obj=obj, colour=colour, compensate=compensate,
+            description=description, seq=seq, origin_action=origin,
+        ))
+        self.written.setdefault(colour, {})[obj.uid] = obj
+
+    def bequeath(self, colour: Colour, other: "UndoLedger") -> None:
+        """Commit routing: one colour's records and write set move to the
+        ledger of the ancestor that inherits the colour."""
+        images = other._images.setdefault(colour, {})
+        for object_uid, record in self._images.pop(colour, {}).items():
+            images.setdefault(object_uid, record)  # elder image wins
+        operations = self._operations.pop(colour, [])
+        if operations:
+            other._operations.setdefault(colour, []).extend(operations)
+        other.written.setdefault(colour, {}).update(
+            self.written.pop(colour, {}))
+
+    def drop(self, colour: Colour) -> Dict[Uid, "StateManager"]:
+        """The colour leaves this action's responsibility (made permanent,
+        or given up by a read-only vote); returns what it had written."""
+        self._images.pop(colour, None)
+        self._operations.pop(colour, None)
+        return self.written.pop(colour, {})
+
+    def records(self) -> List[Union[UndoRecord, OperationUndo]]:
+        """All undo responsibility: before-images and operation logs."""
+        found: List[Union[UndoRecord, OperationUndo]] = [
+            record for images in self._images.values()
+            for record in images.values()
+        ]
+        for operations in self._operations.values():
+            found.extend(operations)
+        return found
+
+    def unwind(self) -> None:
+        """Abort: restore everything newest-first, then forget it all."""
+        for record in sorted(self.records(), key=lambda r: r.seq, reverse=True):
+            record.restore()
+        self._images.clear()
+        self._operations.clear()
+        self.written.clear()

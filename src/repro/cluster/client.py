@@ -51,7 +51,7 @@ from repro.errors import (
     ReproError,
     RpcTimeout,
 )
-from repro.locking.modes import LockMode
+from repro.locking.modes import LockMode, Mode, companion_mode, mode_label
 from repro.sim.kernel import Timeout, all_of, settle_all
 from repro.util.uid import Uid, UidGenerator
 
@@ -393,38 +393,12 @@ class ClusterClient:
         self._require_active(action)
         chosen = action.lock_colour(colour)
         self._check_colour(action, chosen)
-        _lock_key, is_update, is_semantic, is_commuting = self._operation_kind(
+        mode, is_update, is_commuting = self._operation_kind(
             ref.type_name, method
         )
-        span = self._op_span(action, f"invoke:{method}", dst=ref.node,
-                             object=str(ref.uid), colour=str(chosen))
-        mark_waiting(self.node, action.uid, ref.node)
-        try:
-            reply = yield from self.transport.call(ref.node, "invoke", {
-                "action": encode_action_context(action),
-                "object_uid": encode_uid(ref.uid),
-                "method": method,
-                "args": list(args),
-                "colour": encode_colour(chosen),
-            }, trace_parent=span)
-        except (RpcTimeout, ActionAborted) as error:
-            self._note_failure(action, error, op=f"invoke:{method}",
-                               dst=ref.node, object_uid=ref.uid,
-                               colour=chosen)
-            yield from self.abort(action)
-            raise
-        except Exception as error:
-            # server-reported failures (lock refusals, deadlock victims,
-            # app exceptions) propagate to the caller without auto-abort;
-            # record the cause so the eventual abort is attributable
-            self._note_failure(action, error, op=f"invoke:{method}",
-                               dst=ref.node, object_uid=ref.uid,
-                               colour=chosen)
-            raise
-        finally:
-            clear_waiting(self.node, action.uid)
-            span.finish()
-        action.note_lock(chosen, ref.node)
+        reply = yield from self._locking_call(
+            action, ref, chosen, "invoke", f"invoke:{method}",
+            method=method, args=list(args))
         if is_update:
             action.note_write(chosen, ref.node, ref.uid)
             if is_commuting:
@@ -434,28 +408,12 @@ class ClusterClient:
                                        method, list(args))
             else:
                 action.block_commute(chosen)
-        try:
-            action.check_epoch(ref.node, reply["epoch"])
-        except ActionAborted as error:
-            # The server restarted under us; the grant we just received is
-            # on the new epoch — the abort below reaches it.
-            self._note_failure(action, error, op=f"invoke:{method}",
-                               dst=ref.node, object_uid=ref.uid,
-                               colour=chosen)
-            yield from self.abort(action)
-            raise
         if action.companion_colour is not None and action.companion_colour != chosen:
-            if is_semantic:
-                from repro.objects.semantic import RETAIN_GROUP
-                shadow = RETAIN_GROUP
-            else:
-                shadow = (LockMode.READ if not is_update
-                          else LockMode.EXCLUSIVE_READ)
-            yield from self.lock(action, ref, shadow,
+            yield from self.lock(action, ref, companion_mode(mode),
                                  colour=action.companion_colour)
         return reply["result"]
 
-    def lock(self, action: ClusterAction, ref: ObjectRef, mode,
+    def lock(self, action: ClusterAction, ref: ObjectRef, mode: Mode,
              colour: Optional[Colour] = None):
         """Explicitly lock a remote object (hand-over pins etc.).
 
@@ -465,45 +423,58 @@ class ClusterClient:
         self._require_active(action)
         chosen = action.lock_colour(colour)
         self._check_colour(action, chosen)
-        mode_label = mode.value if hasattr(mode, "value") else str(mode)
-        span = self._op_span(action, f"lock:{mode_label}", dst=ref.node,
-                             object=str(ref.uid), colour=str(chosen))
-        mark_waiting(self.node, action.uid, ref.node)
-        try:
-            reply = yield from self.transport.call(ref.node, "lock", {
-                "action": encode_action_context(action),
-                "object_uid": encode_uid(ref.uid),
-                "mode": mode_label,
-                "colour": encode_colour(chosen),
-            }, trace_parent=span)
-        except (RpcTimeout, ActionAborted) as error:
-            self._note_failure(action, error, op=f"lock:{mode_label}",
-                               dst=ref.node, object_uid=ref.uid,
-                               colour=chosen)
-            yield from self.abort(action)
-            raise
-        except Exception as error:
-            self._note_failure(action, error, op=f"lock:{mode_label}",
-                               dst=ref.node, object_uid=ref.uid,
-                               colour=chosen)
-            raise
-        finally:
-            clear_waiting(self.node, action.uid)
-            span.finish()
-        action.note_lock(chosen, ref.node)
+        label = mode_label(mode)
+        yield from self._locking_call(
+            action, ref, chosen, "lock", f"lock:{label}", mode=label)
         if mode is LockMode.WRITE:
             action.note_write(chosen, ref.node, ref.uid)
             # an explicit WRITE pin has no redo operation: classic 2PC
             action.block_commute(chosen)
+        return True
+
+    def _locking_call(self, action: ClusterAction, ref: ObjectRef,
+                      colour: Colour, kind: str, op: str, **request: Any):
+        """One lock-taking RPC (``invoke``, ``lock``) against ``ref`` for
+        ``action``; returns the reply once the lock is noted and the
+        server's epoch checked.
+
+        ``op`` names the call in its span and in ``action.failure``.  A
+        failure that leaves the server's state unknown (timeout, the action
+        found aborted, the server restarted under it) aborts the action;
+        server-reported failures (lock refusals, deadlock victims, app
+        exceptions) propagate to the caller without auto-abort — either way
+        the cause is recorded so the eventual abort is attributable.
+        """
+        span = self._op_span(action, op, dst=ref.node, object=str(ref.uid),
+                             colour=str(colour))
+        mark_waiting(self.node, action.uid, ref.node)
+        try:
+            reply = yield from self.transport.call(ref.node, kind, {
+                "action": encode_action_context(action),
+                "object_uid": encode_uid(ref.uid),
+                **request,
+                "colour": encode_colour(colour),
+            }, trace_parent=span)
+        except Exception as error:
+            self._note_failure(action, error, op=op, dst=ref.node,
+                               object_uid=ref.uid, colour=colour)
+            if isinstance(error, (RpcTimeout, ActionAborted)):
+                yield from self.abort(action)
+            raise
+        finally:
+            clear_waiting(self.node, action.uid)
+            span.finish()
+        action.note_lock(colour, ref.node)
         try:
             action.check_epoch(ref.node, reply["epoch"])
         except ActionAborted as error:
-            self._note_failure(action, error, op=f"lock:{mode_label}",
-                               dst=ref.node, object_uid=ref.uid,
-                               colour=chosen)
+            # the grant just received is on the new epoch — the abort
+            # reaches it, the node being noted above
+            self._note_failure(action, error, op=op, dst=ref.node,
+                               object_uid=ref.uid, colour=colour)
             yield from self.abort(action)
             raise
-        return True
+        return reply
 
     # -- termination ---------------------------------------------------------------
 
@@ -753,21 +724,21 @@ class ClusterClient:
         return mode
 
     def _operation_kind(self, type_name: str, method: str):
-        """(lock key, is_update, is_semantic, is_commuting) for an op."""
+        """(lock mode, is_update, is_commuting) for an op."""
         cls = self._classes.get(type_name)
         if cls is None:
             raise ClusterError(f"unknown type {type_name!r}")
         attr = getattr(cls, method, None)
         mode = getattr(attr, "__repro_mode__", None)
         if mode is not None:
-            return mode, mode is LockMode.WRITE, False, False
+            return mode, mode is LockMode.WRITE, False
         group = getattr(attr, "__repro_group__", None)
         if group is not None:
             updates = getattr(attr, "__repro_inverse__", None) is not None
             spec = getattr(cls, "SEMANTICS", None)
             commuting = (updates and spec is not None
                          and spec.is_commuting(group))
-            return group, updates, True, commuting
+            return group, updates, commuting
         raise ClusterError(f"{type_name}.{method} is not an operation")
 
     def _settle_children(self, action: ClusterAction):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.actions.record import OperationUndo, UndoRecord
+from repro.actions.record import UndoLedger
 from repro.cluster.message import (
     Message,
     decode_action_context,
@@ -49,7 +49,7 @@ from repro.errors import (
     PrepareFailed,
 )
 from repro.locking.deadlock import DeadlockDetector
-from repro.locking.modes import LockMode
+from repro.locking.modes import LockMode, Mode, mode_from_label, mode_label
 from repro.locking.registry import LockRegistry
 from repro.locking.request import LockRequest, RequestStatus
 from repro.locking.rules import ColouredRules
@@ -70,51 +70,14 @@ class ActionMirror:
     #: sim time the mirror was built — first involvement of the action at
     #: this node; lock hold time is measured from here to retirement.
     created_tick: float = 0.0
-    undo: Dict[Colour, Dict[Uid, UndoRecord]] = field(default_factory=dict)
-    #: type-specific recovery: one compensation per applied operation
-    op_undo: Dict[Colour, List[OperationUndo]] = field(default_factory=dict)
-    written: Dict[Colour, Dict[Uid, StateManager]] = field(default_factory=dict)
+    #: per-colour undo responsibility and write sets, kept exactly as a
+    #: local :class:`~repro.actions.action.Action` keeps its own
+    ledger: UndoLedger = field(default_factory=UndoLedger)
 
-    def record_write(self, obj: StateManager, colour: Colour, seq: int) -> None:
-        per_colour = self.undo.setdefault(colour, {})
-        if obj.uid not in per_colour:
-            per_colour[obj.uid] = UndoRecord(
-                obj=obj, colour=colour, before_image=obj.snapshot(),
-                seq=seq, origin_action=self.uid,
-            )
-        self.written.setdefault(colour, {})[obj.uid] = obj
-
-    def record_operation(self, obj: StateManager, colour: Colour,
-                         compensate, description: str, seq: int) -> None:
-        self.op_undo.setdefault(colour, []).append(OperationUndo(
-            obj=obj, colour=colour, compensate=compensate,
-            description=description, seq=seq, origin_action=self.uid,
-        ))
-        self.written.setdefault(colour, {})[obj.uid] = obj
-
-    def bequeath(self, colour: Colour, destination: "ActionMirror") -> None:
-        """Move one colour's undo/write bookkeeping to an ancestor mirror."""
-        inherited = self.undo.pop(colour, {})
-        dest_undo = destination.undo.setdefault(colour, {})
-        for object_uid, record in inherited.items():
-            if object_uid not in dest_undo:
-                dest_undo[object_uid] = record  # elder image wins
-        inherited_ops = self.op_undo.pop(colour, [])
-        if inherited_ops:
-            destination.op_undo.setdefault(colour, []).extend(inherited_ops)
-        destination.written.setdefault(colour, {}).update(self.written.pop(colour, {}))
-
-    def drop_colour(self, colour: Colour) -> None:
-        self.undo.pop(colour, None)
-        self.op_undo.pop(colour, None)
-        self.written.pop(colour, None)
-
-    def all_undo_records(self) -> List:
-        records: List = [record for per in self.undo.values()
-                         for record in per.values()]
-        for ops in self.op_undo.values():
-            records.extend(ops)
-        return records
+    @property
+    def written(self) -> Dict[Colour, Dict[Uid, StateManager]]:
+        """colour -> object uid -> object written here in that colour."""
+        return self.ledger.written
 
 
 class ServerObjectHost:
@@ -293,107 +256,92 @@ class ObjectServer:
     def _h_invoke(self, message: Message, respond: Responder) -> None:
         """Lock (per the operation's declared mode) then run an operation."""
         payload = message.payload
-        object_uid = decode_uid(payload["object_uid"])
-        if object_uid in self.in_doubt_objects:
-            respond(False, ClusterError(
-                f"object {object_uid} is in doubt pending transaction recovery"
-            ))
-            return
-        try:
-            obj = self._object(object_uid)
-        except ObjectNotFound as error:
-            respond(False, error)
-            return
-        method = getattr(type(obj), payload["method"], None)
-        mode_name = getattr(method, "__repro_mode__", None)
-        group = getattr(method, "__repro_group__", None)
-        inverse = getattr(method, "__repro_inverse__", None)
-        body = getattr(method, "__repro_body__", None)
-        if body is None or (mode_name is None and group is None):
-            respond(False, ClusterError(
-                f"{obj.type_name}.{payload['method']} is not an operation"
-            ))
-            return
-        mirror = self._mirror(decode_action_context(payload["action"]))
-        colour = decode_colour(payload["colour"])
+        name = payload["method"]
         args = payload.get("args", [])
-        self.invocations += 1
-        self.obs.count("invocations_total", node=self.node.name,
-                       method=f"{obj.type_name}.{payload['method']}",
-                       colour=str(colour))
-        lock_key = mode_name if mode_name is not None else group
 
-        def completed(request: LockRequest) -> None:
-            if request.status is not RequestStatus.GRANTED:
-                error = request.error or LockTimeout(
-                    f"{payload['method']} on {object_uid}: {request.refusal}"
-                )
+        def declared_mode(obj: StateManager, colour: Colour) -> Mode:
+            method = getattr(type(obj), name, None)
+            mode = (getattr(method, "__repro_mode__", None)
+                    or getattr(method, "__repro_group__", None))
+            if mode is None or getattr(method, "__repro_body__", None) is None:
+                raise ClusterError(f"{obj.type_name}.{name} is not an operation")
+            self.invocations += 1
+            self.obs.count("invocations_total", node=self.node.name,
+                           method=f"{obj.type_name}.{name}",
+                           colour=str(colour))
+            return mode
+
+        def run(obj: StateManager, mirror: ActionMirror, colour: Colour) -> None:
+            method = getattr(type(obj), name)
+            try:
+                result = method.__repro_body__(obj, *args)
+            except Exception as error:  # app exception: report, don't apply
                 respond(False, error)
                 return
-            if mode_name is LockMode.WRITE:
-                mirror.record_write(obj, colour, self._next_undo_seq())
-            try:
-                result = body(obj, *args)
-            except Exception as error:  # app exception: report, don't apply
-                respond(False, error if isinstance(error, Exception) else
-                        ClusterError(str(error)))
-                return
-            if group is not None and inverse is not None:
+            inverse = getattr(method, "__repro_inverse__", None)
+            if inverse is not None:
                 # type-specific recovery: compensation, not a before-image
                 def compensate(o=obj, r=result, a=tuple(args), name=inverse):
                     getattr(o, name)(r, *a)
 
-                mirror.record_operation(
-                    obj, colour, compensate,
-                    description=f"{obj.type_name}.{inverse}",
-                    seq=self._next_undo_seq(),
-                )
+                mirror.ledger.note_operation(
+                    obj, colour, compensate, f"{obj.type_name}.{inverse}",
+                    self._next_undo_seq(), mirror.uid)
             respond(True, self._ok({"result": result}))
 
-        self._locked_request(mirror, object_uid, lock_key, colour, completed)
+        self._lock_then(message, respond, declared_mode, name, run)
 
     def _h_lock(self, message: Message, respond: Responder) -> None:
         """Explicit lock acquisition (hand-over pins, companion locks)."""
+        label = message.payload["mode"]
+        self._lock_then(
+            message, respond, lambda obj, colour: mode_from_label(label),
+            f"lock {label}", lambda obj, mirror, colour: respond(True, self._ok()))
+
+    def _lock_then(self, message: Message, respond: Responder,
+                   mode_of: Callable[[StateManager, Colour], Mode], what: str,
+                   granted: Callable[[StateManager, "ActionMirror", Colour], None],
+                   ) -> None:
+        """The frame of the two lock-taking handlers, ``invoke`` and ``lock``.
+
+        Refuses while the object is fenced in doubt, activates it, asks
+        ``mode_of(obj, colour)`` which lock the request needs, takes it for
+        the sender's mirror and — the before-image of a WRITE captured —
+        hands ``(obj, mirror, colour)`` to ``granted``, which replies.  A
+        lock that is not granted is answered here, ``what`` naming the
+        request; every error raised on the way in answers the rpc.
+        """
         payload = message.payload
         object_uid = decode_uid(payload["object_uid"])
         if object_uid in self.in_doubt_objects:
-            respond(False, ClusterError(
+            raise ClusterError(
                 f"object {object_uid} is in doubt pending transaction recovery"
-            ))
-            return
-        try:
-            obj = self._object(object_uid)
-        except ObjectNotFound as error:
-            respond(False, error)
-            return
-        mirror = self._mirror(decode_action_context(payload["action"]))
+            )
+        obj = self._object(object_uid)
         colour = decode_colour(payload["colour"])
-        raw_mode = payload["mode"]
-        try:
-            mode = LockMode(raw_mode)
-        except ValueError:
-            mode = raw_mode  # a semantic operation group name
+        mode = mode_of(obj, colour)
+        mirror = self._mirror(decode_action_context(payload["action"]))
 
         def completed(request: LockRequest) -> None:
             if request.status is not RequestStatus.GRANTED:
-                label = mode.value if hasattr(mode, "value") else str(mode)
                 respond(False, request.error or LockTimeout(
-                    f"lock {label} on {object_uid}: {request.refusal}"
+                    f"{what} on {object_uid}: {request.refusal}"
                 ))
                 return
             if mode is LockMode.WRITE:
-                mirror.record_write(obj, colour, self._next_undo_seq())
-            respond(True, self._ok())
+                mirror.ledger.note_write(obj, colour, self._next_undo_seq(),
+                                         mirror.uid)
+            granted(obj, mirror, colour)
 
         self._locked_request(mirror, object_uid, mode, colour, completed)
 
     def _locked_request(self, mirror: ActionMirror, object_uid: Uid,
-                        mode, colour: Colour,
+                        mode: Mode, colour: Colour,
                         completed: Callable[[LockRequest], None]) -> None:
-        """``mode`` is a LockMode for plain objects or a group name (str)
-        for semantic objects; the registry routes to the right table."""
+        """Request a lock for ``mirror`` with the server's wait policy:
+        fast abort, local detection, edge chasing, the wait timeout."""
         wait_started = self.kernel.now
-        mode_name = mode.value if hasattr(mode, "value") else str(mode)
+        mode_name = mode_label(mode)
 
         def settled(request: LockRequest) -> None:
             if request.status is RequestStatus.GRANTED:
@@ -441,14 +389,13 @@ class ObjectServer:
         if self.edge_chaser is not None:
             self.edge_chaser.chase_from(mirror.uid)
         deadline = self.lock_wait_timeout
-        mode_label = mode.value if hasattr(mode, "value") else str(mode)
 
         def expire() -> None:
             if not request.settled and self.node.alive:
                 self.registry.cancel_request(
                     request, reason="lock wait timeout",
                     error=LockTimeout(
-                        f"lock {mode_label} on {object_uid} timed out "
+                        f"lock {mode_name} on {object_uid} timed out "
                         f"after {deadline} (distributed-deadlock bound)"
                     ),
                 )
@@ -498,9 +445,9 @@ class ObjectServer:
         for colour, destination in sorted(
                 destinations.items(), key=lambda item: item[0].uid):
             if destination is not None:
-                mirror.bequeath(colour, destination)
+                mirror.ledger.bequeath(colour, destination.ledger)
             else:
-                mirror.drop_colour(colour)
+                mirror.ledger.drop(colour)
         self.registry.transfer_on_commit(
             mirror.uid, lambda colour: destinations.get(colour)
         )
@@ -512,9 +459,7 @@ class ObjectServer:
         action_uid = decode_uid(message.payload["action_uid"])
         mirror = self.mirrors.pop(action_uid, None)
         if mirror is not None:
-            for record in sorted(mirror.all_undo_records(),
-                                 key=lambda r: r.seq, reverse=True):
-                record.restore()
+            mirror.ledger.unwind()
             self._retire_mirror(mirror, "aborted")
         self.registry.release_action(action_uid)
         respond(True, self._ok({"known": mirror is not None}))
@@ -522,7 +467,7 @@ class ObjectServer:
     def _retire_if_idle(self, mirror: ActionMirror, outcome: str) -> None:
         """Retire a mirror a vote released early, once nothing — no undo,
         no write set, no lock — ties its action to this node any more."""
-        if (not mirror.undo and not mirror.op_undo and not mirror.written
+        if (mirror.ledger.empty
                 and not self.registry.objects_held_by(mirror.uid)):
             self.mirrors.pop(mirror.uid, None)
             self._retire_mirror(mirror, outcome)
@@ -629,7 +574,7 @@ class ObjectServer:
             txns.advance(PARTICIPANT, txn_id, event)
             self.registry.release_colour(action_uid, colour)
             if mirror is not None:
-                mirror.drop_colour(colour)
+                mirror.ledger.drop(colour)
                 self._retire_if_idle(mirror, "read-only")
             self.obs.count("twopc_fast_path_total", node=self.node.name,
                            kind="read_only")
@@ -978,7 +923,7 @@ class ObjectServer:
         )
         mirror = self.mirrors.get(decode_uid(entry.payload["action_uid"]))
         if mirror is not None and colour is not None:
-            mirror.drop_colour(colour)
+            mirror.ledger.drop(colour)
 
     def _h_txn_decision_query(self, message: Message, respond: Responder) -> None:
         """Coordinator side of recovery: presumed abort unless logged commit.

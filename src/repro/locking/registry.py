@@ -11,24 +11,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.colours.colour import Colour
 from repro.locking.lock import LockRecord
-from repro.locking.modes import LockMode
+from repro.locking.modes import Mode, mode_label
 from repro.locking.owner import LockOwner
 from repro.locking.request import LockRequest, RequestStatus
 from repro.locking.rules import ColouredRules, LockRules
+from repro.locking.semantic import SemanticRules, SemanticSpec
 from repro.locking.table import ColourRouter, LockTable
 from repro.util.uid import Uid, UidGenerator
-
-
-def _mode_label(mode) -> str:
-    """Canonical label for a LockMode or a semantic group name."""
-    return getattr(mode, "value", None) or str(mode)
-
-
-def _record_mode_label(record) -> str:
-    mode = getattr(record, "mode", None)
-    if mode is not None:
-        return _mode_label(mode)
-    return str(getattr(record, "group", "") or "")
 
 
 class LockRegistry:
@@ -40,8 +29,9 @@ class LockRegistry:
         self._held_by: Dict[Uid, Set[Uid]] = {}      # owner uid -> object uids held
         self._waiting_by: Dict[Uid, Set[Uid]] = {}   # owner uid -> object uids queued on
         self._request_uids = UidGenerator(namespace)
-        #: object uid -> SemanticSpec for type-specific locking (§2)
-        self._semantic_specs: Dict[Uid, object] = {}
+        #: object uid -> the rule set of an object with type-specific
+        #: locking (§2); every other object is under ``rules``
+        self._semantic: Dict[Uid, SemanticRules] = {}
         #: optional ``(kind, **labels)`` sink for lock lifecycle events
         #: (grant / release / inheritance); wired by the runtimes to their
         #: Observability hub so the online auditor sees every transition.
@@ -49,19 +39,15 @@ class LockRegistry:
 
     # -- tables ---------------------------------------------------------------
 
-    def use_semantic(self, object_uid: Uid, spec) -> None:
-        """Give one object a type-specific (operation-group) lock table."""
-        self._semantic_specs[object_uid] = spec
+    def use_semantic(self, object_uid: Uid, spec: SemanticSpec) -> None:
+        """Lock one object by its type's operation groups (§2)."""
+        self._semantic[object_uid] = SemanticRules(spec)
 
-    def table(self, object_uid: Uid):
+    def table(self, object_uid: Uid) -> LockTable:
         existing = self._tables.get(object_uid)
         if existing is None:
-            spec = self._semantic_specs.get(object_uid)
-            if spec is not None:
-                from repro.locking.semantic import SemanticLockTable
-                existing = SemanticLockTable(object_uid, spec)
-            else:
-                existing = LockTable(object_uid, self.rules)
+            existing = LockTable(
+                object_uid, self._semantic.get(object_uid, self.rules))
             self._tables[object_uid] = existing
         return existing
 
@@ -70,7 +56,7 @@ class LockRegistry:
 
     # -- requests -------------------------------------------------------------
 
-    def request(self, owner: LockOwner, object_uid: Uid, mode: LockMode,
+    def request(self, owner: LockOwner, object_uid: Uid, mode: Mode,
                 colour: Colour,
                 on_complete: Optional[Callable[[LockRequest], None]] = None) -> LockRequest:
         """Submit a lock request; bookkeeping wraps the caller's callback."""
@@ -90,13 +76,14 @@ class LockRegistry:
                 if self.on_event is not None:
                     labels = {"owner": str(owner_uid),
                               "object": str(object_uid),
-                              "mode": _mode_label(mode),
+                              "mode": mode_label(mode),
                               "colour": str(colour)}
-                    spec = self._semantic_specs.get(object_uid)
-                    if spec is not None and isinstance(mode, str):
+                    semantic = self._semantic.get(object_uid)
+                    if semantic is not None:
                         # operation-group grant: carry the groups this one
                         # commutes with, so the online auditor can re-check
                         # the compatibility-based grant instead of skipping
+                        spec = semantic.spec
                         labels["semantic"] = "1"
                         labels["compatible"] = ",".join(sorted(
                             g for g in spec.groups
@@ -112,7 +99,7 @@ class LockRegistry:
                 # reason and error class let postmortems attribute the abort
                 self.on_event(
                     "lock.refused", owner=str(owner_uid),
-                    object=str(object_uid), mode=_mode_label(mode),
+                    object=str(object_uid), mode=mode_label(mode),
                     colour=str(colour), reason=str(req.refusal or ""),
                     error=(type(req.error).__name__
                            if req.error is not None else ""),
@@ -130,7 +117,7 @@ class LockRegistry:
             # a wait-for edge: who is this request queued behind right now?
             self.on_event(
                 "lock.blocked", owner=str(owner_uid),
-                object=str(object_uid), mode=_mode_label(mode),
+                object=str(object_uid), mode=mode_label(mode),
                 colour=str(colour),
                 blockers=",".join(str(uid)
                                   for uid in table.blocked_on(request)),
@@ -167,7 +154,7 @@ class LockRegistry:
                         self.on_event(
                             "lock.released", owner=str(owner_uid),
                             object=str(object_uid),
-                            mode=_record_mode_label(record),
+                            mode=mode_label(record.mode),
                             colour=str(record.colour), reason="abort",
                         )
                 dropped += table.release_all(owner_uid)
@@ -200,7 +187,7 @@ class LockRegistry:
                     self.on_event(
                         "lock.released", owner=str(owner_uid),
                         object=str(object_uid),
-                        mode=_record_mode_label(record),
+                        mode=mode_label(record.mode),
                         colour=str(record.colour), reason=reason,
                     )
             dropped += table.release_colour(owner_uid, colour)
@@ -229,14 +216,14 @@ class LockRegistry:
                             "lock.inherited", owner=str(owner_uid),
                             to=str(destination.uid),
                             object=str(object_uid),
-                            mode=_record_mode_label(record),
+                            mode=mode_label(record.mode),
                             colour=str(record.colour),
                         )
                     else:
                         self.on_event(
                             "lock.released", owner=str(owner_uid),
                             object=str(object_uid),
-                            mode=_record_mode_label(record),
+                            mode=mode_label(record.mode),
                             colour=str(record.colour), reason="commit",
                         )
             routed = table.transfer(owner_uid, router)
@@ -259,32 +246,17 @@ class LockRegistry:
             found.extend((object_uid, record) for record in table.records_of(owner_uid))
         return found
 
-    def holds(self, owner_uid: Uid, object_uid: Uid, mode: LockMode,
+    def holds(self, owner_uid: Uid, object_uid: Uid, mode: Mode,
               colour: Optional[Colour] = None) -> bool:
-        """Does the owner hold (at least) ``mode`` on the object?"""
+        """Does the owner hold a record covering ``mode`` on the object?"""
         table = self._tables.get(object_uid)
         if table is None:
             return False
-        for record in table.records_of(owner_uid):
-            if colour is not None and record.colour != colour:
-                continue
-            record_mode = getattr(record, "mode", None)
-            if record_mode is not None and record_mode.strength >= mode.strength:
-                return True
-        return False
-
-    def holds_group(self, owner_uid: Uid, object_uid: Uid, group: str,
-                    colour: Optional[Colour] = None) -> bool:
-        """Does the owner hold a semantic lock of ``group`` on the object?"""
-        table = self._tables.get(object_uid)
-        if table is None:
-            return False
-        for record in table.records_of(owner_uid):
-            if colour is not None and record.colour != colour:
-                continue
-            if getattr(record, "group", None) == group:
-                return True
-        return False
+        return any(
+            table.rules.join(record.mode, mode) == record.mode
+            for record in table.records_of(owner_uid)
+            if colour is None or record.colour == colour
+        )
 
     def snapshot(self) -> Dict[str, object]:
         """Read-only image of every table plus the waits-for edges.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.colours.colour import Colour
-from repro.locking.modes import LockMode
+from repro.locking.modes import Mode
 from repro.locking.owner import LockOwner
 from repro.util.uid import Uid
 
@@ -36,7 +36,7 @@ class LockRequest:
     request_uid: Uid
     owner: LockOwner
     object_uid: Uid
-    mode: LockMode
+    mode: Mode
     colour: Colour
     on_complete: Optional[CompletionCallback] = None
     status: RequestStatus = RequestStatus.PENDING

@@ -7,7 +7,9 @@ non interfering."  Following Schwarz & Spector [4] and Parrington &
 Shrivastava [5], an object type declares *operation groups* and a
 compatibility relation between them; the lock table grants a group lock
 when every current holder is either an ancestor or holds a compatible
-group.
+group.  That is a rule set — :class:`SemanticRules` — for the one
+:class:`~repro.locking.table.LockTable`, not a table of its own: the
+commutativity relation is the scheduler's parameter (Malta & Martinez).
 
 Semantic locks compose with colours exactly like ordinary locks: requests
 name a colour, commit routes each colour's records to the closest
@@ -20,16 +22,15 @@ attribution stays unambiguous without it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, FrozenSet, List, Optional
+from typing import FrozenSet, List, Optional
 
-from repro.colours.colour import Colour
 from repro.errors import LockingError
-from repro.locking.owner import LockOwner, is_ancestor
+from repro.locking.lock import LockRecord
+from repro.locking.modes import Mode, mode_label
+from repro.locking.owner import is_ancestor
 from repro.locking.request import LockRequest
-from repro.locking.table import ColourRouter
-from repro.util.uid import Uid
+from repro.locking.rules import LockRules, foreign_colour
 
 
 @dataclass(frozen=True)
@@ -77,207 +78,33 @@ class SemanticSpec:
     def is_commuting(self, group: str) -> bool:
         return group in self.commuting
 
-    def validate_group(self, group: str) -> None:
-        if group not in self.groups:
-            raise LockingError(
-                f"unknown operation group {group!r} (has {sorted(self.groups)})"
-            )
 
+class SemanticRules(LockRules):
+    """Operation-group locking for one type: the spec is the conflict test.
 
-@dataclass
-class SemanticRecord:
-    """One granted group lock.  ``count`` supports re-entrant grants."""
-
-    owner: LockOwner
-    group: str
-    colour: Colour
-    count: int = 1
-
-    def describe(self) -> str:
-        return f"{self.owner.uid}:{self.group}:{self.colour}x{self.count}"
-
-
-class SemanticLockTable:
-    """Per-object lock table over operation groups.
-
-    Implements the same surface as :class:`~repro.locking.table.LockTable`
-    (request / cancel / cancel_owner / release_all / transfer / blocked_on
-    / records_of / is_idle), so the :class:`LockRegistry` and the deadlock
-    detector drive both uniformly.  ``LockRequest.mode`` carries the group
-    name for semantic requests.
+    A request's ``mode`` names one of the spec's groups.  It is blocked by
+    every holder that is neither an ancestor of the requester nor in a
+    group compatible with the requested one; colours are possessed or not
+    exactly as under :class:`~repro.locking.rules.ColouredRules`.
     """
 
-    def __init__(self, object_uid: Uid, spec: SemanticSpec):
-        self.object_uid = object_uid
+    def __init__(self, spec: SemanticSpec):
         self.spec = spec
-        self.holders: List[SemanticRecord] = []
-        self.queue: Deque[LockRequest] = deque()
 
-    # -- queries -----------------------------------------------------------
+    def validate(self, request: LockRequest) -> Optional[str]:
+        if request.mode not in self.spec.groups:
+            return f"unknown operation group {mode_label(request.mode)!r}"
+        return foreign_colour(request)
 
-    def records_of(self, owner_uid: Uid) -> List[SemanticRecord]:
-        return [record for record in self.holders if record.owner.uid == owner_uid]
-
-    def is_idle(self) -> bool:
-        return not self.holders and not self.queue
-
-    def blocked_on(self, request: LockRequest) -> List[Uid]:
-        waiting_for = {
-            record.owner.uid for record in self._blockers(request)
-        }
-        for earlier in self.queue:
-            if earlier is request:
-                break
-            waiting_for.add(earlier.owner.uid)
-        waiting_for.discard(request.owner.uid)
-        return sorted(waiting_for)
-
-    # -- grant logic ----------------------------------------------------------
-
-    def _group_of(self, request: LockRequest) -> str:
-        group = request.mode
-        if not isinstance(group, str):
-            raise LockingError(
-                f"semantic table for {self.object_uid} got a non-group "
-                f"request mode {request.mode!r}"
-            )
-        return group
-
-    def _blockers(self, request: LockRequest) -> List[SemanticRecord]:
-        group = self._group_of(request)
+    def blockers(self, request: LockRequest, holders: List[LockRecord]) -> List[LockRecord]:
+        is_compatible = self.spec.is_compatible
         return [
-            record for record in self.holders
-            if not is_ancestor(record.owner, request.owner)
-            and not self.spec.is_compatible(group, record.group)
+            record for record in holders
+            if not is_compatible(request.mode, record.mode)
+            and not is_ancestor(record.owner, request.owner)
         ]
 
-    def _validate(self, request: LockRequest) -> Optional[str]:
-        group = self._group_of(request)
-        if group not in self.spec.groups:
-            return f"unknown operation group {group!r}"
-        if request.colour not in request.owner.colours:
-            return (
-                f"action {request.owner.uid} does not possess colour "
-                f"{request.colour}"
-            )
-        return None
-
-    # -- requesting ---------------------------------------------------------------
-
-    def request(self, request: LockRequest) -> None:
-        reason = self._validate(request)
-        if reason is not None:
-            request.refuse(reason)
-            return
-        group = self._group_of(request)
-        existing = self._record_for(request.owner.uid, group, request.colour)
-        if existing is not None:
-            existing.count += 1
-            request.grant()
-            return
-        holds_here = bool(self.records_of(request.owner.uid))
-        front_of_line = not self.queue
-        if (front_of_line or holds_here) and not self._blockers(request):
-            self._install(request)
-            request.grant()
-            return
-        self.queue.append(request)
-
-    def cancel(self, request_uid: Uid, reason: str = "cancelled",
-               error: Optional[BaseException] = None) -> bool:
-        for queued in self.queue:
-            if queued.request_uid == request_uid:
-                self.queue.remove(queued)
-                if error is not None:
-                    queued.refuse(reason, error=error)
-                else:
-                    queued.cancel(reason)
-                self._wake()
-                return True
-        return False
-
-    def cancel_owner(self, owner_uid: Uid, reason: str,
-                     error: Optional[BaseException] = None) -> int:
-        victims = [q for q in self.queue if q.owner.uid == owner_uid]
-        for queued in victims:
-            self.queue.remove(queued)
-            if error is not None:
-                queued.refuse(reason, error=error)
-            else:
-                queued.cancel(reason)
-        if victims:
-            self._wake()
-        return len(victims)
-
-    # -- termination ------------------------------------------------------------------
-
-    def release_all(self, owner_uid: Uid) -> int:
-        before = len(self.holders)
-        self.holders = [r for r in self.holders if r.owner.uid != owner_uid]
-        dropped = before - len(self.holders)
-        if dropped:
-            self._wake()
-        return dropped
-
-    def release_colour(self, owner_uid: Uid, colour: Colour) -> int:
-        """Vote-time release (read-only vote, commute decision): only the
-        owner's records in ``colour`` go; other colours stay routable."""
-        before = len(self.holders)
-        self.holders = [r for r in self.holders
-                        if r.owner.uid != owner_uid or r.colour != colour]
-        dropped = before - len(self.holders)
-        if dropped:
-            self._wake()
-        return dropped
-
-    def transfer(self, owner_uid: Uid, router: ColourRouter) -> Dict[Colour, Optional[Uid]]:
-        routed: Dict[Colour, Optional[Uid]] = {}
-        keep: List[SemanticRecord] = []
-        moved: List[SemanticRecord] = []
-        for record in self.holders:
-            if record.owner.uid != owner_uid:
-                keep.append(record)
-                continue
-            destination = router(record.colour)
-            routed[record.colour] = destination.uid if destination else None
-            if destination is not None:
-                record.owner = destination
-                moved.append(record)
-        self.holders = keep
-        for record in moved:
-            target = self._record_for(record.owner.uid, record.group, record.colour)
-            if target is not None:
-                target.count += record.count
-            else:
-                self.holders.append(record)
-        self._wake()
-        return routed
-
-    # -- internals -----------------------------------------------------------------------
-
-    def _record_for(self, owner_uid: Uid, group: str,
-                    colour: Colour) -> Optional[SemanticRecord]:
-        for record in self.holders:
-            if (record.owner.uid == owner_uid and record.group == group
-                    and record.colour == colour):
-                return record
-        return None
-
-    def _install(self, request: LockRequest) -> None:
-        self.holders.append(SemanticRecord(
-            owner=request.owner, group=self._group_of(request),
-            colour=request.colour,
-        ))
-
-    def _wake(self) -> None:
-        while self.queue:
-            front = self.queue[0]
-            if front.settled:
-                self.queue.popleft()
-                continue
-            if not self._blockers(front):
-                self.queue.popleft()
-                self._install(front)
-                front.grant()
-                continue
-            break
+    def join(self, held: Mode, mode: Mode) -> Optional[Mode]:
+        """Groups are unordered: a group joins only itself (re-entrant
+        grant), so one owner holds one record per group and colour."""
+        return held if held == mode else None

@@ -1,6 +1,9 @@
 """Per-object lock table: holders, a FIFO wait queue, and commit routing.
 
-The table is a pure synchronous state machine.  Requests settle through
+The table is a pure synchronous state machine, and the only one: what
+conflicts, and when two grants to one owner are one record, is asked of its
+:class:`~repro.locking.rules.LockRules` — data modes (conventional,
+coloured) or a type's operation groups alike.  Requests settle through
 their callbacks; the runtimes decide how a caller blocks.  Queueing is
 strict FIFO (no overtaking) to prevent writer starvation, with one
 documented exception: a requester that *already holds* a record on the
@@ -16,6 +19,7 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.colours.colour import Colour
 from repro.locking.lock import LockRecord
+from repro.locking.modes import Mode, mode_label
 from repro.locking.owner import LockOwner
 from repro.locking.request import LockRequest
 from repro.locking.rules import LockRules
@@ -48,26 +52,19 @@ class LockTable:
         """Read-only wire-friendly image of this table (introspection).
 
         Walks ``holders`` and ``queue`` without mutating either — safe to
-        serve off the live structure mid-protocol.  Works for both data-mode
-        and semantic (operation-group) records: the mode label falls back to
-        the record's group name when there is no :class:`LockMode`.
+        serve off the live structure mid-protocol.
         """
-        def label(record) -> str:
-            mode = getattr(record, "mode", None)
-            value = getattr(mode, "value", None)
-            if value:
-                return str(value)
-            return str(getattr(record, "group", "") or mode or "")
-
         return {
             "object": str(self.object_uid),
             "holders": [
-                {"owner": str(record.owner.uid), "mode": label(record),
+                {"owner": str(record.owner.uid),
+                 "mode": mode_label(record.mode),
                  "colour": str(record.colour)}
                 for record in self.holders
             ],
             "queued": [
-                {"owner": str(queued.owner.uid), "mode": label(queued),
+                {"owner": str(queued.owner.uid),
+                 "mode": mode_label(queued.mode),
                  "colour": str(queued.colour)}
                 for queued in self.queue
             ],
@@ -95,18 +92,10 @@ class LockTable:
         reason = self.rules.validate(request)
         if reason is not None:
             request.refuse(reason)
-            return
-        existing = self._record_for(request.owner.uid, request.colour)
-        if existing is not None and existing.mode.strength >= request.mode.strength:
-            request.grant()  # idempotent re-acquisition
-            return
-        holds_here = bool(self.records_of(request.owner.uid))
-        front_of_line = not self.queue
-        if (front_of_line or holds_here) and self.rules.may_grant(request, self.holders):
-            self._install(request)
+        elif self._admit(request, behind_queue=bool(self.queue)):
             request.grant()
-            return
-        self.queue.append(request)
+        else:
+            self.queue.append(request)
 
     def cancel(self, request_uid: Uid, reason: str = "cancelled",
                error: Optional[BaseException] = None) -> bool:
@@ -190,9 +179,10 @@ class LockTable:
                 moved.append(record)
         self.holders = keep
         for record in moved:
-            target = self._record_for(record.owner.uid, record.colour)
+            target, joined, _ = self._own_record(
+                record.owner.uid, record.colour, record.mode)
             if target is not None:
-                target.merge_mode(record.mode)  # parent keeps the stronger mode
+                target.mode = joined  # e.g. the parent keeps the stronger mode
             else:
                 self.holders.append(record)
         self._wake()
@@ -200,34 +190,61 @@ class LockTable:
 
     # -- internals ---------------------------------------------------------------
 
-    def _record_for(self, owner_uid: Uid, colour: Colour) -> Optional[LockRecord]:
-        for record in self.holders:
-            if record.owner.uid == owner_uid and record.colour == colour:
-                return record
-        return None
+    def _own_record(self, owner_uid: Uid, colour: Colour, mode: Mode):
+        """One pass over the holders on behalf of an owner.
 
-    def _install(self, request: LockRequest) -> None:
-        existing = self._record_for(request.owner.uid, request.colour)
-        if existing is not None:
-            existing.merge_mode(request.mode)
+        Returns ``(record, joined, holds_here)``: the owner's record in
+        ``colour`` that a grant of ``mode`` becomes part of and the mode it
+        then carries (both None when the grant is a record of its own), and
+        whether the owner holds anything here at all.
+        """
+        join = self.rules.join
+        holds_here = False
+        for record in self.holders:
+            if record.owner.uid == owner_uid:
+                holds_here = True
+                if record.colour == colour:
+                    joined = join(record.mode, mode)
+                    if joined is not None:
+                        return record, joined, True
+        return None, None, holds_here
+
+    def _admit(self, request: LockRequest, behind_queue: bool) -> bool:
+        """Make ``request`` a holder if it may be granted now.
+
+        The one place a grant is decided and a holder installed, for a new
+        request and a woken one alike.  It only decides: the caller takes
+        the request off the queue *before* calling ``grant()``, because the
+        completion callback re-enters this table (companion locks, the
+        operation body, the next redo lock) and must not meet its own
+        settled request at the front.
+
+        A record that already covers the mode is an idempotent
+        re-acquisition, granted whatever the queue; otherwise the request
+        must be at the front of the line — or its owner a holder, see the
+        module docstring — and pass the rules.
+        """
+        mine, joined, holds_here = self._own_record(
+            request.owner.uid, request.colour, request.mode)
+        if mine is not None and joined == mine.mode:
+            return True
+        if behind_queue and not holds_here:
+            return False
+        if self.rules.blockers(request, self.holders):
+            return False
+        if mine is not None:
+            mine.mode = joined  # upgrade in place
         else:
-            self.holders.append(LockRecord(request.owner, request.mode, request.colour))
+            self.holders.append(
+                LockRecord(request.owner, request.mode, request.colour))
+        return True
 
     def _wake(self) -> None:
         """Grant queued requests from the front while the rules allow (strict FIFO)."""
-        while self.queue:
-            front = self.queue[0]
-            if front.settled:  # settled elsewhere; discard
-                self.queue.popleft()
-                continue
-            existing = self._record_for(front.owner.uid, front.colour)
-            if existing is not None and existing.mode.strength >= front.mode.strength:
-                self.queue.popleft()
-                front.grant()
-                continue
-            if self.rules.may_grant(front, self.holders):
-                self.queue.popleft()
-                self._install(front)
-                front.grant()
-                continue
-            break
+        queue = self.queue
+        while queue:
+            front = queue[0]
+            if not front.settled and not self._admit(front, behind_queue=False):
+                break
+            queue.popleft()
+            front.grant()  # a no-op for one settled elsewhere

@@ -32,6 +32,7 @@ from typing import Callable, ClassVar, Optional, TYPE_CHECKING
 
 from repro.colours.colour import Colour
 from repro.errors import LockingError
+from repro.locking.modes import RETAIN_GROUP
 from repro.locking.semantic import SemanticSpec
 from repro.objects.state_manager import StateManager
 from repro.runtime.context import require_current_action
@@ -40,9 +41,6 @@ from repro.util.uid import Uid
 if TYPE_CHECKING:  # pragma: no cover
     from repro.actions.action import Action
     from repro.runtime.runtime import LocalRuntime
-
-#: reserved group used by control actions to pin a semantic object
-RETAIN_GROUP = "__retain__"
 
 
 def with_retain_group(spec: SemanticSpec) -> SemanticSpec:
@@ -114,7 +112,7 @@ def semantic_operation(group: str, inverse: Optional[str] = None,
                    action: Optional["Action"] = None, **kwargs):
             acting = action if action is not None else require_current_action()
             chosen = acting.lock_colour(colour)
-            self.runtime.acquire_group(acting, self, group, colour=chosen)
+            self.runtime.acquire(acting, self, group, colour=chosen)
             with self._operation_mutex:
                 result = fn(self, *args, **kwargs)
             if inverse is not None:

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from repro.actions.status import ActionStatus
+from repro.locking.modes import mode_label
 from repro.obs import dump
 from repro.obs.bus import EventBus
 from repro.obs.export import (
@@ -169,12 +170,12 @@ class Observability:
         """The local runtime granted ``action`` a lock: counter + an event
         on the action's span.  (The bus-level ``lock.granted`` event comes
         from the lock registry itself, which also covers server grants.)"""
-        mode_label = getattr(mode, "value", None) or str(mode)
-        self.count("lock_grants_total", mode=mode_label, node=node)
+        label = mode_label(mode)
+        self.count("lock_grants_total", mode=label, node=node)
         span = getattr(action, "_obs_span", None)
         if span is not None:
             span.event("lock.granted", object=str(object_uid),
-                       mode=mode_label, colour=str(colour))
+                       mode=label, colour=str(colour))
 
     # -- export shorthands -----------------------------------------------------
 

@@ -10,13 +10,9 @@ diffs the two with tolerance bands:
   scenarios run on simulated time, so drift in either direction means the
   system's behaviour changed, not the weather);
 - per-metric overrides live in the baseline's ``tolerances`` map;
-- entries under ``info`` (wall-clock numbers, overhead shares) are not
-  gated by default — they measure the machine as much as the system.
-  Opting in (``--gate-wall`` / ``gate_wall=True``) checks them too, with
-  a much wider default band (:data:`DEFAULT_WALL_REL_TOLERANCE`) and
-  per-metric overrides in the baseline's ``wall_tolerances`` map, so a
-  stable runner can still catch an order-of-magnitude wall-clock trend
-  without cross-machine CI flakiness;
+- entries under ``info`` (overhead shares and the like) are never gated —
+  they measure the machine as much as the system; time, memory and wall
+  latency are the repo benchmark's business (``python3 -m benchmarks.e2e``);
 - a scenario present in the baselines but absent from the run fails the
   gate (coverage loss is a regression too); a new scenario in the run is
   reported but passes (its baseline lands with the PR that adds it).
@@ -33,17 +29,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: default two-sided relative tolerance band
 DEFAULT_REL_TOLERANCE = 0.10
-#: default band for opt-in wall-clock gating: wall numbers move with the
-#: host, so only big trends (just under a 2x slowdown) should trip CI
-DEFAULT_WALL_REL_TOLERANCE = 0.75
 #: absolute slack so zero-valued baselines don't demand exact zeros
 DEFAULT_ABS_TOLERANCE = 1e-9
 
-#: deviation kinds that fail the gate ("wall-regression" only ever exists
-#: when wall gating was requested, so listing it here costs nothing on
-#: default runs)
-FAILING_KINDS = frozenset(("regression", "missing-metric", "missing-scenario",
-                           "wall-regression"))
+#: deviation kinds that fail the gate
+FAILING_KINDS = frozenset(("regression", "missing-metric", "missing-scenario"))
 
 
 @dataclass(frozen=True)
@@ -62,19 +52,15 @@ class Deviation:
         return self.kind in FAILING_KINDS
 
     def describe(self) -> str:
-        if self.kind in ("regression", "wall-regression"):
+        if self.kind == "regression":
             delta = ""
             if self.baseline:
                 delta = f" ({(self.current - self.baseline) / self.baseline:+.1%})"
-            wall = " [wall]" if self.kind == "wall-regression" else ""
-            return (f"[{self.scenario}] {self.metric}{wall}: "
+            return (f"[{self.scenario}] {self.metric}: "
                     f"{self.current:g} vs baseline {self.baseline:g}{delta}, "
                     f"tolerance ±{self.tolerance:.0%}")
         if self.kind == "missing-metric":
             return (f"[{self.scenario}] {self.metric}: in baseline "
-                    f"({self.baseline:g}) but absent from the run")
-        if self.kind == "missing-wall-metric":
-            return (f"[{self.scenario}] {self.metric} [wall]: in baseline "
                     f"({self.baseline:g}) but absent from the run")
         if self.kind == "new-metric":
             return (f"[{self.scenario}] {self.metric}: new metric "
@@ -95,28 +81,6 @@ def gated_metrics(doc: Dict[str, Any]) -> Dict[str, float]:
         key: float(value) for key, value in metrics.items()
         if isinstance(value, (int, float)) and not isinstance(value, bool)
     }
-
-
-def gated_wall_metrics(doc: Dict[str, Any]) -> Dict[str, float]:
-    """Numeric leaves of a document's ``info`` section, dotted-key flat.
-
-    These are the wall-clock/overhead numbers that opt-in wall gating
-    checks (``info.noop_path.nanos_per_call`` and friends); non-numeric
-    leaves and non-dict sections are skipped.
-    """
-    out: Dict[str, float] = {}
-
-    def walk(prefix: str, value: Any) -> None:
-        if isinstance(value, dict):
-            for key in sorted(value):
-                walk(f"{prefix}.{key}", value[key])
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            out[prefix] = float(value)
-
-    info = doc.get("info")
-    if isinstance(info, dict):
-        walk("info", info)
-    return out
 
 
 def scenario_name(doc: Dict[str, Any], path: str = "") -> str:
@@ -145,8 +109,6 @@ def compare_documents(scenario: str, current: Dict[str, Any],
                       baseline: Dict[str, Any],
                       rel_tolerance: float = DEFAULT_REL_TOLERANCE,
                       abs_tolerance: float = DEFAULT_ABS_TOLERANCE,
-                      gate_wall: bool = False,
-                      wall_rel_tolerance: float = DEFAULT_WALL_REL_TOLERANCE,
                       ) -> List[Deviation]:
     """Deviations of one scenario run against its baseline document."""
     overrides = baseline.get("tolerances", {})
@@ -170,51 +132,12 @@ def compare_documents(scenario: str, current: Dict[str, Any],
     for metric in sorted(set(run_metrics) - set(base_metrics)):
         deviations.append(Deviation(scenario=scenario, kind="new-metric",
                                     metric=metric, current=run_metrics[metric]))
-    if gate_wall:
-        deviations.extend(_compare_wall(
-            scenario, current, baseline,
-            wall_rel_tolerance=wall_rel_tolerance,
-            abs_tolerance=abs_tolerance))
-    return deviations
-
-
-def _compare_wall(scenario: str, current: Dict[str, Any],
-                  baseline: Dict[str, Any],
-                  wall_rel_tolerance: float = DEFAULT_WALL_REL_TOLERANCE,
-                  abs_tolerance: float = DEFAULT_ABS_TOLERANCE,
-                  ) -> List[Deviation]:
-    """Opt-in wall-clock trend check over the ``info`` sections.
-
-    A wall metric missing from the run is a note, not a failure — info
-    sections are optional and host-dependent, unlike gated metrics.
-    """
-    overrides = baseline.get("wall_tolerances", {})
-    base_wall = gated_wall_metrics(baseline)
-    run_wall = gated_wall_metrics(current)
-    deviations: List[Deviation] = []
-    for metric in sorted(base_wall):
-        expected = base_wall[metric]
-        tolerance = float(overrides.get(metric, wall_rel_tolerance))
-        if metric not in run_wall:
-            deviations.append(Deviation(scenario=scenario,
-                                        kind="missing-wall-metric",
-                                        metric=metric, baseline=expected))
-            continue
-        actual = run_wall[metric]
-        if not math.isclose(actual, expected, rel_tol=tolerance,
-                            abs_tol=abs_tolerance):
-            deviations.append(Deviation(
-                scenario=scenario, kind="wall-regression", metric=metric,
-                baseline=expected, current=actual, tolerance=tolerance,
-            ))
     return deviations
 
 
 def compare_trees(baseline_root: str, current_root: str,
                   rel_tolerance: float = DEFAULT_REL_TOLERANCE,
                   abs_tolerance: float = DEFAULT_ABS_TOLERANCE,
-                  gate_wall: bool = False,
-                  wall_rel_tolerance: float = DEFAULT_WALL_REL_TOLERANCE,
                   ) -> List[Deviation]:
     """Deviations of every scenario in ``current_root`` vs the baselines."""
     baselines = load_bench_files(baseline_root)
@@ -230,7 +153,6 @@ def compare_trees(baseline_root: str, current_root: str,
         deviations.extend(compare_documents(
             scenario, run_doc, base_doc,
             rel_tolerance=rel_tolerance, abs_tolerance=abs_tolerance,
-            gate_wall=gate_wall, wall_rel_tolerance=wall_rel_tolerance,
         ))
     for scenario in sorted(set(runs) - set(baselines)):
         deviations.append(Deviation(scenario=scenario, kind="new-scenario"))

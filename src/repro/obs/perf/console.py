@@ -8,9 +8,8 @@ merges on simulated-time performance:
     python benchmarks/scenarios.py --out /tmp/bench
     python -m repro.obs perf compare --baseline . --current /tmp/bench
 
-Wall-clock ``info`` entries are ignored by default; ``--gate-wall`` checks
-them too, with a wide band (``--wall-tolerance``, baseline
-``wall_tolerances`` overrides) — for stable dedicated runners only.
+Entries under ``info`` are never gated; time, memory and wall latency are
+measured by the repo benchmark, ``python3 -m benchmarks.e2e [--compare]``.
 
 ``timeline`` renders a sampler timeline (a raw ``sampler.dump()``
 document, an ``Observability.save`` dump carrying ``extra.timeline``, or a
@@ -35,7 +34,6 @@ from repro.obs.dump import DumpError, sections
 from repro.obs.perf.compare import (
     DEFAULT_ABS_TOLERANCE,
     DEFAULT_REL_TOLERANCE,
-    DEFAULT_WALL_REL_TOLERANCE,
     compare_trees,
     load_bench_files,
 )
@@ -59,17 +57,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     deviations = compare_trees(args.baseline, args.current,
                                rel_tolerance=args.rel_tolerance,
-                               abs_tolerance=args.abs_tolerance,
-                               gate_wall=args.gate_wall,
-                               wall_rel_tolerance=args.wall_tolerance)
+                               abs_tolerance=args.abs_tolerance)
     failing = [d for d in deviations if d.failing]
     notices = [d for d in deviations if not d.failing]
 
-    wall_note = (f", wall ±{args.wall_tolerance:.0%}" if args.gate_wall
-                 else "")
     print(f"perf gate: {len(baselines)} baseline scenario(s), "
           f"{len(runs)} run scenario(s), tolerance "
-          f"±{args.rel_tolerance:.0%}{wall_note}")
+          f"±{args.rel_tolerance:.0%}")
     for deviation in notices:
         print(f"  note: {deviation.describe()}")
     if failing:
@@ -121,12 +115,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     compare.add_argument("--abs-tolerance", type=float,
                          default=DEFAULT_ABS_TOLERANCE,
                          help="absolute slack for near-zero baselines")
-    compare.add_argument("--gate-wall", action="store_true",
-                         help="also gate wall-clock info metrics (opt in: "
-                              "only meaningful on a stable runner)")
-    compare.add_argument("--wall-tolerance", type=float,
-                         default=DEFAULT_WALL_REL_TOLERANCE,
-                         help="two-sided band for wall-clock gating")
 
     timeline = commands.add_parser(
         "timeline", help="render a sampler timeline as text or HTML")

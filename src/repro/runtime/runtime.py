@@ -25,7 +25,7 @@ from repro.actions.status import Outcome
 from repro.colours.colour import Colour, ColourAllocator
 from repro.errors import LockRefused, LockTimeout
 from repro.locking.deadlock import DeadlockDetector
-from repro.locking.modes import LockMode
+from repro.locking.modes import LockMode, Mode, companion_mode, mode_label
 from repro.locking.registry import LockRegistry
 from repro.locking.request import LockRequest, RequestStatus
 from repro.locking.rules import ColouredRules, LockRules
@@ -240,19 +240,21 @@ class LocalRuntime(ActionRuntime):
 
     # -- lock acquisition -----------------------------------------------------------------
 
-    def acquire(self, action: Action, obj: StateManager, mode: LockMode,
+    def acquire(self, action: Action, obj: StateManager, mode: Mode,
                 colour: Optional[Colour] = None,
                 timeout: Optional[float] = None) -> LockRequest:
         """Blockingly acquire a lock for ``action`` on ``obj``.
 
-        ``colour`` defaults to the action's ``default_colour`` (or its single
-        colour).  On grant of a WRITE lock the object's before-image is
-        captured (failure atomicity).  If the action declares a
-        ``companion_colour`` (§5.3's serializing scheme), the lock is
-        additionally shadowed in that colour: READ as READ, WRITE and
-        EXCLUSIVE_READ as EXCLUSIVE_READ — so the enclosing control action
-        will retain the object.  Raises :class:`DeadlockDetected`,
-        :class:`LockTimeout` or :class:`LockRefused` on the failure paths.
+        ``mode`` is a :class:`LockMode`, or an operation-group name for an
+        object with type-specific locking (§2).  ``colour`` defaults to the
+        action's ``default_colour`` (or its single colour).  On grant of a
+        WRITE lock the object's before-image is captured (failure
+        atomicity).  If the action declares a ``companion_colour`` (§5.3's
+        serializing scheme), the lock is additionally shadowed in that
+        colour, in its :func:`~repro.locking.modes.companion_mode` — so the
+        enclosing control action will retain the object.  Raises
+        :class:`DeadlockDetected`, :class:`LockTimeout` or
+        :class:`LockRefused` on the failure paths.
         """
         chosen = action.lock_colour(colour)
         settled = threading.Event()
@@ -272,7 +274,7 @@ class LocalRuntime(ActionRuntime):
                 self._registry.cancel_request(request, reason="lock timeout")
             if request.status is not RequestStatus.GRANTED:
                 raise LockTimeout(
-                    f"{action.name}: {mode.value} lock on {obj.uid} timed out"
+                    f"{action.name}: {mode_label(mode)} lock on {obj.uid} timed out"
                 )
 
         if self.obs is not None:
@@ -293,62 +295,13 @@ class LocalRuntime(ActionRuntime):
                                       self._obs_node)
             companion = action.companion_colour
             if companion is not None and companion != chosen:
-                shadow_mode = (
-                    LockMode.READ if mode is LockMode.READ else LockMode.EXCLUSIVE_READ
-                )
-                self.acquire(action, obj, shadow_mode, colour=companion, timeout=timeout)
+                self.acquire(action, obj, companion_mode(mode),
+                             colour=companion, timeout=timeout)
             return request
         if request.error is not None:
             raise request.error
         raise LockRefused(
-            f"{action.name}: {mode.value} lock on {obj.uid} refused: {request.refusal}"
-        )
-
-    # -- semantic (type-specific) locking (§2) ------------------------------------------------
-
-    def acquire_group(self, action: Action, obj: StateManager, group: str,
-                      colour: Optional[Colour] = None,
-                      timeout: Optional[float] = None) -> LockRequest:
-        """Blockingly acquire an operation-group lock on a semantic object.
-
-        The companion-colour mechanism applies here too: serializing
-        constituents shadow every group lock with the reserved retain
-        group in the control colour, pinning the object for the control
-        action.
-        """
-        from repro.objects.semantic import RETAIN_GROUP
-
-        chosen = action.lock_colour(colour)
-        settled = threading.Event()
-
-        def completed(_request: LockRequest) -> None:
-            settled.set()
-
-        with self._mutex:
-            request = self._registry.request(action, obj.uid, group, chosen,
-                                             completed)
-            if not request.settled and self.deadlock_detection:
-                self._detector.resolve_all()
-
-        limit = timeout if timeout is not None else self.default_lock_timeout
-        if not settled.wait(timeout=limit):
-            with self._mutex:
-                self._registry.cancel_request(request, reason="lock timeout")
-            if request.status is not RequestStatus.GRANTED:
-                raise LockTimeout(
-                    f"{action.name}: group {group!r} lock on {obj.uid} timed out"
-                )
-        if request.status is RequestStatus.GRANTED:
-            companion = action.companion_colour
-            if (companion is not None and companion != chosen
-                    and group != RETAIN_GROUP):
-                self.acquire_group(action, obj, RETAIN_GROUP,
-                                   colour=companion, timeout=timeout)
-            return request
-        if request.error is not None:
-            raise request.error
-        raise LockRefused(
-            f"{action.name}: group {group!r} on {obj.uid} refused: "
+            f"{action.name}: {mode_label(mode)} lock on {obj.uid} refused: "
             f"{request.refusal}"
         )
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.structures import ClusterSerializingAction
-from repro.errors import LockTimeout
+from repro.errors import LockingError, LockTimeout
+from repro.locking.modes import LockMode
 from repro.objects.state import ObjectState
 from repro.sim.kernel import Timeout
 
@@ -164,3 +165,58 @@ def test_remote_commuting_counter_survives_crash_of_committed_state():
         return value
 
     assert cluster.run_process("c1", read()) == 7
+
+
+def test_lock_rpc_in_the_other_kind_of_mode_is_refused_by_the_rule_set():
+    """A ``lock`` RPC's mode is wire input: a group name sent to an object
+    locked by data modes, or a data mode sent to one locked by groups, is
+    refused with the rule set's reason — nothing is installed, the server
+    keeps serving and the owner's next ordinary operation succeeds."""
+    cluster = make_cluster()
+    c1 = cluster.client("c1", "c1")
+
+    def scenario():
+        plain = yield from c1.create("server", "counter", value=0)
+        commuting = yield from c1.create("server", "commuting_counter", value=0)
+        action = c1.top_level("t")
+        reasons = []
+        for ref, mode in ((plain, "update"), (commuting, LockMode.WRITE)):
+            try:
+                yield from c1.lock(action, ref, mode)
+            except LockingError as error:
+                reasons.append(str(error))
+        held = cluster.servers["server"].registry.snapshot()["held"]
+        yield from c1.invoke(action, plain, "increment", 1)
+        yield from c1.invoke(action, commuting, "add", 2)
+        yield from c1.commit(action)
+        return plain, commuting, reasons, held
+
+    plain, commuting, reasons, held = cluster.run_process("c1", scenario())
+    assert len(reasons) == 2
+    assert "not by operation group 'update'" in reasons[0]
+    assert "unknown operation group 'write'" in reasons[1]
+    assert held == 0
+    assert committed_int(cluster, plain) == 1
+    assert committed_int(cluster, commuting) == 2
+
+
+def test_status_query_answers_while_group_locks_are_held():
+    """Group locks live in the same table as data-mode locks, so the
+    introspection snapshot lists them, the group name as the mode."""
+    cluster = make_cluster()
+    c1 = cluster.client("c1", "c1")
+
+    def scenario():
+        ref = yield from c1.create("server", "commuting_counter", value=0)
+        action = c1.top_level("t")
+        yield from c1.invoke(action, ref, "add", 1)
+        reply = yield from cluster.transports["c1"].call(
+            "server", "status_query", {})
+        yield from c1.commit(action)
+        return action, reply["status"]["locks"]
+
+    action, locks = cluster.run_process("c1", scenario())
+    assert locks["held"] == 1
+    assert locks["objects"][0]["holders"] == [
+        {"owner": str(action.uid), "mode": "update",
+         "colour": str(action.lock_colour())}]

@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.cluster.cluster import Cluster
+from repro.cluster.cluster import DEFAULT_CLASSES, Cluster
 from repro.cluster.structures import ClusterGluedGroup, ClusterSerializingAction
 from repro.errors import InvalidActionState
+from repro.locking.modes import LockMode
+from repro.objects.lockable import operation
 from repro.objects.state import ObjectState
+from repro.sim.kernel import Timeout
+from repro.stdobjects import Counter
 
 
 def make_cluster():
@@ -153,3 +157,63 @@ def test_nested_serializing_inside_cluster_action():
 
     obj = cluster.run_process("home", app())
     assert committed_int(cluster, obj) == 4
+
+
+class InspectedCounter(Counter):
+    """A counter with an operation that reads under EXCLUSIVE_READ."""
+
+    type_name = "inspected_counter"
+
+    @operation(LockMode.EXCLUSIVE_READ)
+    def inspect(self) -> int:
+        return self.value
+
+
+def test_serializing_constituent_exclusive_read_is_retained_exclusively():
+    """§5.3 companion rule over the wire: an EXCLUSIVE_READ operation of a
+    serializing constituent is shadowed as EXCLUSIVE_READ in the control
+    colour (not READ), so no outsider's read interposes before close()."""
+    cluster = Cluster(
+        seed=0, classes={**DEFAULT_CLASSES,
+                         InspectedCounter.type_name: InspectedCounter})
+    for name in ("home", "other", "s1"):
+        cluster.add_node(name)
+    client = cluster.client("home")
+    outsider_client = cluster.client("other")
+    marks = {}
+
+    def app():
+        ref = yield from client.create("s1", "inspected_counter", value=7)
+        ser = ClusterSerializingAction(client, name="ser")
+        constituent = ser.constituent("B")
+
+        def body():
+            yield from client.invoke(constituent, ref, "inspect")
+
+        yield from ser.run_constituent(constituent, body())
+        marks["held"] = [
+            (holder["owner"], holder["mode"], holder["colour"])
+            for image in cluster.servers["s1"].registry.snapshot()["objects"]
+            for holder in image["holders"]
+        ]
+        marks["expected"] = [(str(ser.control.uid), "exclusive_read",
+                              str(ser.control_colour))]
+
+        def outsider():
+            action = outsider_client.top_level("out")
+            value = yield from outsider_client.invoke(action, ref, "get")
+            marks["read_at"] = cluster.kernel.now
+            yield from outsider_client.commit(action)
+            return value
+
+        handle = cluster.spawn("other", outsider(), name="outsider")
+        yield Timeout(30.0)
+        marks["queued"] = cluster.servers["s1"].registry.snapshot()["queued"]
+        marks["closed_at"] = cluster.kernel.now
+        yield from ser.close()
+        return (yield handle.join())
+
+    assert cluster.run_process("home", app()) == 7
+    assert marks["held"] == marks["expected"]
+    assert marks["queued"] == 1
+    assert marks["read_at"] > marks["closed_at"]

@@ -5,6 +5,7 @@ from repro.locking.modes import LockMode
 from repro.locking.owner import StubOwner
 from repro.locking.request import LockRequest, RequestStatus
 from repro.locking.rules import ColouredRules
+from repro.locking.semantic import SemanticRules, SemanticSpec
 from repro.locking.table import LockTable
 from repro.util.uid import UidGenerator
 
@@ -31,6 +32,28 @@ def fresh_table():
     return LockTable(ouids.fresh(), ColouredRules())
 
 
+#: The queue is the table's own code, whatever the rule set: its cases run
+#: under each, given a mode that shares with itself and one that excludes
+#: every other holder.
+RULE_SETS = [
+    (ColouredRules(), LockMode.READ, LockMode.WRITE),
+    (SemanticRules(SemanticSpec.build(
+        groups={"shared", "exclusive"},
+        compatible_pairs=[("shared", "shared")])), "shared", "exclusive"),
+]
+
+
+def under_each_rule_set(case):
+    """Run ``case(table, shared, exclusive)`` once per rule set.  A loop
+    rather than ``parametrize``, so the cases keep their test ids."""
+    def test():
+        for rules, shared, exclusive in RULE_SETS:
+            case(LockTable(ouids.fresh(), rules), shared, exclusive)
+    test.__name__ = case.__name__
+    test.__doc__ = case.__doc__
+    return test
+
+
 def test_grant_on_unlocked_object():
     table = fresh_table()
     req = make_request(owner(), LockMode.WRITE)
@@ -39,21 +62,21 @@ def test_grant_on_unlocked_object():
     assert len(table.holders) == 1
 
 
-def test_conflicting_request_queues():
-    table = fresh_table()
-    table.request(make_request(owner(), LockMode.WRITE))
-    blocked = make_request(owner(), LockMode.WRITE)
+@under_each_rule_set
+def test_conflicting_request_queues(table, shared, exclusive):
+    table.request(make_request(owner(), exclusive))
+    blocked = make_request(owner(), exclusive)
     table.request(blocked)
     assert blocked.status is RequestStatus.PENDING
     assert len(table.queue) == 1
 
 
-def test_release_wakes_fifo_in_order():
-    table = fresh_table()
+@under_each_rule_set
+def test_release_wakes_fifo_in_order(table, shared, exclusive):
     first = owner()
-    req = make_request(first, LockMode.WRITE)
+    req = make_request(first, exclusive)
     table.request(req)
-    waiters = [make_request(owner(), LockMode.WRITE) for _ in range(3)]
+    waiters = [make_request(owner(), exclusive) for _ in range(3)]
     for waiter in waiters:
         table.request(waiter)
     table.release_all(first.uid)
@@ -62,27 +85,60 @@ def test_release_wakes_fifo_in_order():
     assert waiters[1].status is RequestStatus.PENDING
 
 
-def test_readers_granted_together_on_release():
-    table = fresh_table()
+@under_each_rule_set
+def test_readers_granted_together_on_release(table, shared, exclusive):
     writer = owner()
-    table.request(make_request(writer, LockMode.WRITE))
-    readers = [make_request(owner(), LockMode.READ) for _ in range(3)]
+    table.request(make_request(writer, exclusive))
+    readers = [make_request(owner(), shared) for _ in range(3)]
     for reader in readers:
         table.request(reader)
     table.release_all(writer.uid)
     assert all(r.status is RequestStatus.GRANTED for r in readers)
 
 
-def test_strict_fifo_no_reader_overtaking():
+@under_each_rule_set
+def test_strict_fifo_no_reader_overtaking(table, shared, exclusive):
     """A read compatible with holders still queues behind an earlier writer."""
-    table = fresh_table()
     reader_holder = owner()
-    table.request(make_request(reader_holder, LockMode.READ))
-    blocked_writer = make_request(owner(), LockMode.WRITE)
+    table.request(make_request(reader_holder, shared))
+    blocked_writer = make_request(owner(), exclusive)
     table.request(blocked_writer)
-    late_reader = make_request(owner(), LockMode.READ)
+    late_reader = make_request(owner(), shared)
     table.request(late_reader)
     assert late_reader.status is RequestStatus.PENDING
+
+
+@under_each_rule_set
+def test_granted_request_has_left_the_queue_when_its_callback_runs(
+        table, shared, exclusive):
+    """A completion callback re-enters the table (companion locks, the
+    operation body, the next redo lock): whether ``request`` or a wake-up
+    granted it, it must not find its own settled request still queued."""
+    holder, me = owner(), owner()
+    queued_at_grant = []
+
+    def settled(request):
+        queued_at_grant.append(request in table.queue)
+        # the companion lock: granted past the queue, its owner holds here
+        companion = make_request(me, shared, colour=BLUE)
+        table.request(companion)
+        assert companion.status is RequestStatus.GRANTED
+
+    immediate = make_request(me, exclusive)
+    immediate.on_complete = settled
+    table.request(immediate)            # granted by request()
+    table.release_all(me.uid)
+    table.request(make_request(holder, exclusive))
+    woken = make_request(me, exclusive)
+    woken.on_complete = settled
+    table.request(woken)
+    behind = make_request(owner(), shared)
+    table.request(behind)
+    table.release_all(holder.uid)       # granted by the wake-up
+    assert immediate.status is woken.status is RequestStatus.GRANTED
+    assert queued_at_grant == [False, False]
+    assert list(table.queue) == [behind]
+    assert len(table.records_of(me.uid)) == 2
 
 
 def test_holder_upgrade_jumps_queue_when_rules_allow():
@@ -128,13 +184,13 @@ def test_rule_violation_refused_not_queued():
     assert not table.queue
 
 
-def test_cancel_removes_from_queue_and_wakes():
-    table = fresh_table()
+@under_each_rule_set
+def test_cancel_removes_from_queue_and_wakes(table, shared, exclusive):
     holder = owner()
-    table.request(make_request(holder, LockMode.WRITE))
-    doomed = make_request(owner(), LockMode.WRITE)
+    table.request(make_request(holder, exclusive))
+    doomed = make_request(owner(), exclusive)
     table.request(doomed)
-    behind = make_request(owner(), LockMode.READ)
+    behind = make_request(owner(), shared)
     table.request(behind)
     assert table.cancel(doomed.request_uid)
     assert doomed.status is RequestStatus.CANCELLED
@@ -142,11 +198,11 @@ def test_cancel_removes_from_queue_and_wakes():
     assert behind.status is RequestStatus.GRANTED
 
 
-def test_cancel_owner_cancels_all_their_requests():
-    table = fresh_table()
-    table.request(make_request(owner(), LockMode.WRITE))
+@under_each_rule_set
+def test_cancel_owner_cancels_all_their_requests(table, shared, exclusive):
+    table.request(make_request(owner(), exclusive))
     victim = owner()
-    reqs = [make_request(victim, LockMode.WRITE) for _ in range(2)]
+    reqs = [make_request(victim, exclusive) for _ in range(2)]
     for req in reqs:
         table.request(req)
     assert table.cancel_owner(victim.uid, "abort") == 2
@@ -210,21 +266,22 @@ def test_abort_release_keeps_ancestor_locks():
     assert stranger.status is RequestStatus.PENDING  # parent still holds
 
 
-def test_blocked_on_lists_blockers_and_queue_predecessors():
-    table = fresh_table()
+@under_each_rule_set
+def test_blocked_on_lists_blockers_and_queue_predecessors(
+        table, shared, exclusive):
     holder = owner()
-    table.request(make_request(holder, LockMode.WRITE))
-    first = make_request(owner(), LockMode.WRITE)
-    second = make_request(owner(), LockMode.WRITE)
+    table.request(make_request(holder, exclusive))
+    first = make_request(owner(), exclusive)
+    second = make_request(owner(), exclusive)
     table.request(first)
     table.request(second)
     assert table.blocked_on(first) == [holder.uid]
     assert set(table.blocked_on(second)) == {holder.uid, first.owner.uid}
 
 
-def test_is_idle_after_full_release():
-    table = fresh_table()
+@under_each_rule_set
+def test_is_idle_after_full_release(table, shared, exclusive):
     holder = owner()
-    table.request(make_request(holder, LockMode.WRITE))
+    table.request(make_request(holder, exclusive))
     table.release_all(holder.uid)
     assert table.is_idle()

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from repro.colours.colour import Colour
 from repro.locking.owner import StubOwner, is_ancestor
 from repro.locking.request import LockRequest
-from repro.locking.semantic import SemanticLockTable, SemanticSpec
+from repro.locking.semantic import SemanticRules, SemanticSpec
+from repro.locking.table import LockTable
 from repro.util.uid import UidGenerator
 
 GROUPS = ["g0", "g1", "g2", "g3"]
@@ -53,7 +54,7 @@ schedules = st.lists(
 def test_granted_holders_always_pairwise_compatible(spec, schedule):
     owners, colour = build_world()
     ruids = UidGenerator("r")
-    table = SemanticLockTable(UidGenerator("o").fresh(), spec)
+    table = LockTable(UidGenerator("o").fresh(), SemanticRules(spec))
     for op, owner_index, group in schedule:
         owner = owners[owner_index]
         if op == "request":
@@ -66,7 +67,10 @@ def test_granted_holders_always_pairwise_compatible(spec, schedule):
             parent_uid = owner.path[-2] if len(owner.path) > 1 else None
             parent = next((o for o in owners if o.uid == parent_uid), None)
             table.transfer(owner.uid, lambda c: parent)
-        # invariant after every step
+        # invariants after every step
+        keys = [(record.owner.uid, record.colour, record.mode)
+                for record in table.holders]
+        assert len(keys) == len(set(keys)), keys  # one record per group
         for record in table.holders:
             for other in table.holders:
                 if record is other:
@@ -74,7 +78,7 @@ def test_granted_holders_always_pairwise_compatible(spec, schedule):
                 related = (is_ancestor(record.owner, other.owner)
                            or is_ancestor(other.owner, record.owner))
                 if not related:
-                    assert spec.is_compatible(record.group, other.group), (
+                    assert spec.is_compatible(record.mode, other.mode), (
                         record.describe(), other.describe(),
                     )
 
@@ -85,7 +89,7 @@ def test_requests_always_settle_or_queue(spec, schedule):
     """No request vanishes: it is granted, refused, or sits in the queue."""
     owners, colour = build_world()
     ruids = UidGenerator("r")
-    table = SemanticLockTable(UidGenerator("o").fresh(), spec)
+    table = LockTable(UidGenerator("o").fresh(), SemanticRules(spec))
     outcomes = []
     submitted = 0
     for op, owner_index, group in schedule:

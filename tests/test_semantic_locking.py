@@ -56,7 +56,7 @@ def test_observer_blocks_while_updater_active(runtime):
     counter.add(1, action=updater)
     with runtime.top_level(name="r") as reader:
         with pytest.raises(LockTimeout):
-            runtime.acquire_group(reader, counter, "observe", timeout=0.05)
+            runtime.acquire(reader, counter, "observe", timeout=0.05)
         runtime.abort_action(reader)
     runtime.commit_action(updater)
     scope.__exit__(None, None, None)
@@ -71,7 +71,7 @@ def test_updater_blocks_while_observer_active(runtime):
     counter.get(action=reader)
     with runtime.top_level(name="u") as updater:
         with pytest.raises(LockTimeout):
-            runtime.acquire_group(updater, counter, "update", timeout=0.05)
+            runtime.acquire(updater, counter, "update", timeout=0.05)
         runtime.abort_action(updater)
     runtime.commit_action(reader)
     scope.__exit__(None, None, None)
@@ -202,7 +202,7 @@ def test_serializing_constituent_pins_semantic_object(runtime):
     # normally compatible — the control action holds the pin.
     with runtime.top_level(name="out") as outsider:
         with pytest.raises(LockTimeout):
-            runtime.acquire_group(outsider, counter, "update", timeout=0.05)
+            runtime.acquire(outsider, counter, "update", timeout=0.05)
         runtime.abort_action(outsider)
     ser.close()
     with runtime.top_level(name="after") as after:
@@ -215,5 +215,40 @@ def test_unknown_group_refused(runtime):
     counter = CommutingCounter(runtime, value=0)
     with runtime.top_level() as action:
         with pytest.raises(LockRefused):
-            runtime.acquire_group(action, counter, "no-such-group", timeout=0.05)
+            runtime.acquire(action, counter, "no-such-group", timeout=0.05)
         runtime.abort_action(action)
+
+
+def test_mode_of_the_other_kind_refused(runtime):
+    """A data mode on a group-locked object, or a group on a plain one, is
+    the rule set's refusal, not an error from inside the table."""
+    from repro.errors import LockRefused
+    from repro.locking.modes import LockMode
+    from repro.stdobjects import Counter
+    counter, plain = CommutingCounter(runtime, value=0), Counter(runtime, value=0)
+    with runtime.top_level() as action:
+        with pytest.raises(LockRefused, match="unknown operation group 'write'"):
+            runtime.acquire(action, counter, LockMode.WRITE, timeout=0.05)
+        with pytest.raises(LockRefused, match="not by operation group 'update'"):
+            runtime.acquire(action, plain, "update", timeout=0.05)
+        counter.add(1, action=action)
+        plain.increment(1, action=action)
+    assert (counter.value, plain.value) == (1, 1)
+
+
+def test_group_grants_are_reported_to_an_attached_hub(runtime):
+    """One blocking acquire: a group grant reaches the hub like a mode
+    grant — the counter, the wait histogram, the action span's event."""
+    from repro.obs import Observability
+    hub = Observability()
+    runtime.attach_observability(hub)
+    counter = CommutingCounter(runtime, value=0)
+    with runtime.top_level(name="u") as action:
+        counter.add(1, action=action)
+        span = action._obs_span
+    assert {labels["mode"]: instrument.value for labels, instrument
+            in hub.metrics.series("lock_grants_total")} == {"update": 1}
+    assert [instrument.count for _labels, instrument
+            in hub.metrics.series("lock_wait_seconds")] == [1]
+    assert [(name, attrs["mode"]) for _tick, name, attrs in span.events] == [
+        ("lock.granted", "update")]

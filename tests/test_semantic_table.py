@@ -1,9 +1,10 @@
-"""Direct unit tests of the SemanticLockTable (group grants, FIFO, transfer)."""
+"""Direct unit tests of the LockTable under SemanticRules (group grants, FIFO, transfer)."""
 
 from repro.colours.colour import Colour
 from repro.locking.owner import StubOwner
 from repro.locking.request import LockRequest, RequestStatus
-from repro.locking.semantic import SemanticLockTable, SemanticSpec
+from repro.locking.semantic import SemanticRules, SemanticSpec
+from repro.locking.table import LockTable
 from repro.util.uid import UidGenerator
 
 auids = UidGenerator("a")
@@ -31,7 +32,7 @@ def request(req_owner, group, colour=RED):
 
 
 def table():
-    return SemanticLockTable(ouids.fresh(), SPEC)
+    return LockTable(ouids.fresh(), SemanticRules(SPEC))
 
 
 def test_compatible_groups_granted_concurrently():
@@ -86,13 +87,26 @@ def test_foreign_colour_refused():
     assert r.status is RequestStatus.REFUSED
 
 
-def test_reentrant_grant_increments_count():
+def test_reentrant_grant_keeps_one_record():
     t = table()
     me = owner()
     t.request(request(me, "update"))
     t.request(request(me, "update"))
-    records = t.records_of(me.uid)
-    assert len(records) == 1 and records[0].count == 2
+    assert len(t.records_of(me.uid)) == 1
+
+
+def test_queued_reentrant_requests_wake_into_one_record():
+    """Two queued requests of one owner for one group and colour, released
+    together, are one grant of the group: one record, not one per wake."""
+    t = table()
+    holder, me = owner(), owner()
+    t.request(request(holder, "admin"))
+    queued = [request(me, "update"), request(me, "update")]
+    for r in queued:
+        t.request(r)
+    t.release_all(holder.uid)
+    assert all(r.status is RequestStatus.GRANTED for r in queued)
+    assert [r.describe() for r in t.holders] == [f"{me.uid}:update:red"]
 
 
 def test_release_wakes_fifo():
