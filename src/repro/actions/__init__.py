@@ -1,17 +1,19 @@
 """Actions: nested atomic actions and multi-coloured actions (§2, §5).
 
-The :class:`Action` class is a pure state machine: it tracks status, the
-action tree, per-colour undo records and write sets, and implements the
-paper's commit routing — for each colour, locks and undo responsibility go
-to the *closest ancestor possessing that colour*, or become permanent when
-no such ancestor exists.  Blocking, persistence and distribution are
-supplied by a runtime (:mod:`repro.runtime` locally,
-:mod:`repro.cluster` under simulation).
+The tree is :class:`ActionNode` — identity, nesting, the static colour set,
+status and the paper's structural rules: for each colour, locks and undo
+responsibility go to the *closest ancestor possessing that colour*, or
+become permanent when no such ancestor exists (§5.2); colour-disjoint
+children survive their invoker (§3.3).  What an action holds and how it
+commits is per runtime: :class:`Action` (undo ledger, write sets;
+:mod:`repro.runtime` locally) and
+:class:`~repro.cluster.client.ClusterAction` (involvement maps;
+:mod:`repro.cluster` under simulation) both subclass it.
 """
 
 from repro.actions.status import ActionStatus, Outcome
 from repro.actions.record import UndoRecord
-from repro.actions.runtime_api import ActionRuntime
+from repro.actions.node import ActionNode
 from repro.actions.action import Action
 
-__all__ = ["ActionStatus", "Outcome", "UndoRecord", "ActionRuntime", "Action"]
+__all__ = ["ActionStatus", "Outcome", "UndoRecord", "ActionNode", "Action"]

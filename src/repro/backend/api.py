@@ -82,18 +82,9 @@ choosing a backend per question.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, List, Optional
+from typing import Any
 
 from repro.errors import ReproError
-from repro.sim.kernel import (
-    PeriodicTimer,
-    Process,
-    ProcessBody,
-    SimEvent,
-    all_of,
-    any_of,
-    settle_all,
-)
 
 
 class BackendError(ReproError):
@@ -112,9 +103,9 @@ class ExecutionBackend(abc.ABC):
       (scheduling order included), i.e. whether runs replay bit-identically;
     - :attr:`wall_clock` — whether ``now`` advances with real time.
 
-    The convenience methods below delegate to the kernel so callers can
-    hold either the backend or the bare kernel; cluster code holds the
-    kernel (``cluster.kernel``) for compatibility with pre-backend code.
+    Callers hold the kernel (``backend.kernel``, ``cluster.kernel``) and
+    schedule on it directly; the backend itself only builds, describes
+    and closes it.
     """
 
     #: short identifier for logs, dumps and benchmark documents
@@ -141,56 +132,6 @@ class ExecutionBackend(abc.ABC):
     def __exit__(self, *_exc) -> None:
         """Close the backend on scope exit."""
         self.close()
-
-    # -- kernel surface, delegated -----------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current time in backend time units (see the contract above)."""
-        return self.kernel.now
-
-    def event(self, name: str = "") -> SimEvent:
-        """Create a fresh pending event on this backend's loop."""
-        return self.kernel.event(name=name)
-
-    def spawn(self, body: ProcessBody, name: str = "") -> Process:
-        """Start a generator as a process at the current instant."""
-        return self.kernel.spawn(body, name=name)
-
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """Run a plain callback after ``delay`` time units."""
-        self.kernel.schedule(delay, fn, *args)
-
-    def timeout_event(self, delay: float, value: Any = None) -> SimEvent:
-        """An event that triggers by itself after ``delay`` units."""
-        return self.kernel.timeout_event(delay, value=value)
-
-    def every(self, interval: float, fn: Callable[[], None],
-              immediate: bool = False) -> PeriodicTimer:
-        """Run ``fn()`` every ``interval`` units as a daemon timer."""
-        return self.kernel.every(interval, fn, immediate=immediate)
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Drive the loop until idle (or past ``until``); returns now."""
-        return self.kernel.run(until=until)
-
-    def run_until_settled(self, event: SimEvent, limit: float = 1e12) -> Any:
-        """Drive the loop until ``event`` settles; raise on drain first."""
-        return self.kernel.run_until_settled(event, limit=limit)
-
-    # -- combinators --------------------------------------------------------
-
-    def any_of(self, events: List[SimEvent]) -> SimEvent:
-        """Event settling when the first of ``events`` settles."""
-        return any_of(self.kernel, events)
-
-    def all_of(self, events: List[SimEvent]) -> SimEvent:
-        """Event settling once all of ``events`` settle; fails fast."""
-        return all_of(self.kernel, events)
-
-    def settle_all(self, events: List[SimEvent]) -> SimEvent:
-        """Event capturing every outcome of ``events``; never fails."""
-        return settle_all(self.kernel, events)
 
     # -- message delivery ---------------------------------------------------
 

@@ -5,13 +5,13 @@ actions through a :class:`ClusterClient`.  All of the cluster API is
 generator-based: ``yield from client.invoke(...)`` etc.
 
 The client holds the authoritative action tree (it created it), so all
-commit routing decisions are made here, mirroring
-:meth:`repro.actions.action.Action.commit`: for each colour, locks and undo
-responsibility go to the closest same-coloured ancestor (a ``transfer``
-route in the ``finish_commit`` message), or — when the committing action is
-outermost for the colour — the colour's write set is made permanent with a
-presumed-abort two-phase commit across the object servers involved, and
-its locks are released.
+commit routing decisions are made here, by the tree's own rule
+(:meth:`repro.actions.node.ActionNode.routes`): for each colour, locks and
+undo responsibility go to the closest same-coloured ancestor (a
+``transfer`` route in the ``finish_commit`` message), or — when the
+committing action is outermost for the colour — the colour's write set is
+made permanent with a presumed-abort two-phase commit across the object
+servers involved, and its locks are released.
 
 Safety against server crashes: the epoch of every server is recorded when
 an action first touches it; replies bearing a different epoch, and prepare
@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.actions.node import ActionNode
 from repro.actions.status import ActionStatus, Outcome
 from repro.cluster.deadlock import clear_waiting, mark_waiting
 from repro.cluster.message import (
@@ -37,7 +38,7 @@ from repro.cluster.node import Node
 from repro.cluster.server import resolve_delegated
 from repro.cluster.transport import RpcTransport
 from repro.cluster.txn import COORDINATOR, PATHS, PreparePath
-from repro.colours.colour import Colour, colour_set
+from repro.colours.colour import Colour
 from repro.errors import (
     ActionAborted,
     ClusterError,
@@ -52,6 +53,7 @@ from repro.errors import (
     RpcTimeout,
 )
 from repro.locking.modes import LockMode, Mode, companion_mode, mode_label
+from repro.objects.lockable import Operation, operation_of
 from repro.sim.kernel import Timeout, all_of, settle_all
 from repro.util.uid import Uid, UidGenerator
 
@@ -72,27 +74,16 @@ class ObjectRef:
     type_name: str
 
 
-class ClusterAction:
-    """Client-side action record: identity, tree links, involvement maps."""
+class ClusterAction(ActionNode):
+    """Client-side action record: the tree node plus its involvement maps."""
 
     def __init__(self, uid: Uid, colours: Iterable[Colour],
-                 parent: Optional["ClusterAction"] = None, name: str = "",
-                 home: str = ""):
-        self.uid = uid
+                 parent: Optional["ClusterAction"], name: str, home: str):
+        super().__init__(uid, colours, parent, name)
         #: node this action's client runs on (deadlock probes route here)
-        self.home = home or (parent.home if parent is not None else "")
-        self.colours: FrozenSet[Colour] = colour_set(colours)
-        if not self.colours:
-            raise InvalidActionState("an action needs at least one colour")
-        self.parent = parent
-        self.name = name or f"caction-{uid.sequence}"
-        self.status = ActionStatus.ACTIVE
-        self.children: List["ClusterAction"] = []
-        self.path: Tuple[Uid, ...] = (parent.path + (uid,)) if parent else (uid,)
+        self.home = home
         #: colour -> nodes where this action holds locks of that colour
         self.involved: Dict[Colour, Set[str]] = {}
-        #: colour -> nodes where this action has written objects
-        self.write_nodes: Dict[Colour, Set[str]] = {}
         #: colour -> node -> object uids written there
         self.written: Dict[Colour, Dict[str, Set[Uid]]] = {}
         #: node -> epoch at first involvement
@@ -111,34 +102,12 @@ class ClusterAction:
         #: nodes whose finish/transfer routing rode a delegated prepare
         #: (one-phase / piggybacked decision) — no finish_commit needed
         self.finished_nodes: Set[str] = set()
-        self.default_colour: Optional[Colour] = None
-        self.companion_colour: Optional[Colour] = None
-        if parent is not None:
-            parent.children.append(self)
-
-    def lock_colour(self, requested: Optional[Colour] = None) -> Colour:
-        if requested is not None:
-            return requested
-        if self.default_colour is not None:
-            return self.default_colour
-        if len(self.colours) == 1:
-            return next(iter(self.colours))
-        raise InvalidActionState(f"{self.name}: multi-coloured; name a colour")
-
-    def closest_ancestor_with(self, colour: Colour) -> Optional["ClusterAction"]:
-        ancestor = self.parent
-        while ancestor is not None:
-            if colour in ancestor.colours:
-                return ancestor
-            ancestor = ancestor.parent
-        return None
 
     def note_lock(self, colour: Colour, node: str) -> None:
         self.involved.setdefault(colour, set()).add(node)
 
     def note_write(self, colour: Colour, node: str, object_uid: Uid) -> None:
         self.note_lock(colour, node)
-        self.write_nodes.setdefault(colour, set()).add(node)
         self.written.setdefault(colour, {}).setdefault(node, set()).add(object_uid)
 
     def note_commute_op(self, colour: Colour, node: str, object_uid: Uid,
@@ -170,9 +139,6 @@ class ClusterAction:
                 f"server {node} restarted (epoch {recorded} -> {epoch}); "
                 f"uncommitted state there was lost",
             )
-
-    def __repr__(self) -> str:
-        return f"<ClusterAction {self.name} {self.status.value}>"
 
 
 @dataclass
@@ -233,14 +199,11 @@ class ClusterClient:
                  action_uids: UidGenerator, colour_allocator,
                  class_registry: Dict[str, type], observability,
                  name: str = "client", fast_paths: bool = True,
-                 commute: bool = True, backend=None):
+                 commute: bool = True):
         self.node = node
-        #: the execution backend this client schedules on (reaper spawns,
-        #: commit fan-outs, abort timers).  ``None`` keeps the node's own
-        #: kernel — the pre-backend behaviour; a Cluster always passes its
-        #: backend so client and servers share one loop and one clock.
-        self.backend = backend
-        self.kernel = backend.kernel if backend is not None else node.kernel
+        #: the node's kernel — the cluster's one loop and clock — schedules
+        #: the reaper spawns, commit fan-outs and abort timers
+        self.kernel = node.kernel
         self.transport = transport
         self.name = name
         #: the cluster's hub: every action gets a span there (so the RPC
@@ -270,7 +233,7 @@ class ClusterClient:
 
     def _op_span(self, action: "ClusterAction", name: str, **attrs):
         """A client-side span parented on the action's span."""
-        return self.obs.span(name, parent=getattr(action, "_obs_span", None),
+        return self.obs.span(name, parent=action._obs_span,
                              kind="client", node=self.node.name, **attrs)
 
     @staticmethod
@@ -328,51 +291,38 @@ class ClusterClient:
             node=self.node.name,
         )
 
-    def _notify_created(self, action: ClusterAction) -> ClusterAction:
-        self.live_actions[action.uid] = action
-        self.obs.action_begun(action, self.node.name)
-        return action
-
     def _terminated(self, action: ClusterAction, status: ActionStatus,
                     outcome: Outcome) -> Outcome:
         """Seal a finished action: status, tree unlink, the hub told."""
-        action.status = status
-        if action.parent is not None and action in action.parent.children:
-            action.parent.children.remove(action)
+        action.seal(status)
         self.live_actions.pop(action.uid, None)
         self.obs.action_ended(action, self.node.name)
         return outcome
 
     # -- action factories -----------------------------------------------------
 
-    def top_level(self, name: str = "") -> ClusterAction:
-        colour = self._colours.fresh(f"{name or 'top'}.colour")
-        return self._notify_created(ClusterAction(
-            self._action_uids.fresh(), [colour], None, name,
-            home=self.node.name,
-        ))
-
-    def atomic(self, parent: ClusterAction, name: str = "") -> ClusterAction:
-        return self._notify_created(ClusterAction(
-            self._action_uids.fresh(), parent.colours, parent, name,
-            home=self.node.name,
-        ))
-
     def coloured(self, colours: Iterable[Colour],
                  parent: Optional[ClusterAction] = None,
                  name: str = "") -> ClusterAction:
-        return self._notify_created(ClusterAction(
-            self._action_uids.fresh(), colours, parent, name,
-            home=self.node.name,
-        ))
+        """A new action with an explicit colour set; raises
+        :class:`InvalidActionState` under a parent that is not ACTIVE."""
+        action = ClusterAction(self._action_uids.fresh(), colours, parent,
+                               name, home=self.node.name)
+        self.live_actions[action.uid] = action
+        self.obs.action_begun(action, self.node.name)
+        return action
+
+    def top_level(self, name: str = "") -> ClusterAction:
+        return self.coloured(
+            [self._colours.fresh(f"{name or 'top'}.colour")], None, name)
+
+    def atomic(self, parent: ClusterAction, name: str = "") -> ClusterAction:
+        return self.coloured(parent.colours, parent, name)
 
     def independent_top_level(self, parent: ClusterAction,
                               name: str = "independent") -> ClusterAction:
-        colour = self._colours.fresh(f"{name}.colour")
-        return self._notify_created(ClusterAction(
-            self._action_uids.fresh(), [colour], parent, name,
-            home=self.node.name,
-        ))
+        return self.coloured(
+            [self._colours.fresh(f"{name}.colour")], parent, name)
 
     def fresh_colour(self, name: str = "") -> Colour:
         return self._colours.fresh(name)
@@ -390,18 +340,18 @@ class ClusterClient:
     def invoke(self, action: ClusterAction, ref: ObjectRef, method: str,
                *args: Any, colour: Optional[Colour] = None):
         """Run an @operation on a remote object within ``action``."""
-        self._require_active(action)
+        action.require(ActionStatus.ACTIVE)
         chosen = action.lock_colour(colour)
-        self._check_colour(action, chosen)
-        mode, is_update, is_commuting = self._operation_kind(
-            ref.type_name, method
-        )
+        action.require_colour(chosen)
+        declared = self.operation(ref.type_name, method)
         reply = yield from self._locking_call(
             action, ref, chosen, "invoke", f"invoke:{method}",
             method=method, args=list(args))
-        if is_update:
+        if declared.mode is LockMode.WRITE or declared.inverse is not None:
             action.note_write(chosen, ref.node, ref.uid)
-            if is_commuting:
+            spec = getattr(self._classes[ref.type_name], "SEMANTICS", None)
+            if (declared.inverse is not None and spec is not None
+                    and spec.is_commuting(declared.mode)):
                 # applied and totally ordered-free: remember the op so the
                 # commute path can redo it against committed state
                 action.note_commute_op(chosen, ref.node, ref.uid,
@@ -409,7 +359,7 @@ class ClusterClient:
             else:
                 action.block_commute(chosen)
         if action.companion_colour is not None and action.companion_colour != chosen:
-            yield from self.lock(action, ref, companion_mode(mode),
+            yield from self.lock(action, ref, companion_mode(declared.mode),
                                  colour=action.companion_colour)
         return reply["result"]
 
@@ -420,9 +370,9 @@ class ClusterClient:
         ``mode`` is a :class:`LockMode` for ordinary objects or an
         operation-group name (str) for semantic objects.
         """
-        self._require_active(action)
+        action.require(ActionStatus.ACTIVE)
         chosen = action.lock_colour(colour)
-        self._check_colour(action, chosen)
+        action.require_colour(chosen)
         label = mode_label(mode)
         yield from self._locking_call(
             action, ref, chosen, "lock", f"lock:{label}", mode=label)
@@ -494,37 +444,22 @@ class ClusterClient:
         the slowest server, not the sum over colours or servers (see
         :meth:`_finish_commit`).
         """
-        self._require_active(action)
-        yield from self._settle_children(action)
+        action.require(ActionStatus.ACTIVE)
+        yield from self._abort_dependants(action)
         action.status = ActionStatus.COMMITTING
         span = self._op_span(action, "commit")
-        routes: Dict[Colour, Optional[ClusterAction]] = {}
+        routes = action.routes()
         #: commit decisions logged but not yet delivered: (txn_id, nodes)
         decided: List[Tuple[str, Set[str]]] = []
         #: colours this action is outermost for, with pending writes
         permanent: List[Tuple[Colour, Dict[str, Set[Uid]]]] = []
-        ordered = sorted(action.colours, key=lambda c: c.uid)
-        for colour in ordered:
-            destination = action.closest_ancestor_with(colour)
-            routes[colour] = destination
-            self.obs.emit(
-                "commit.route", action=str(action.uid),
-                colour=str(colour),
-                dest=(str(destination.uid) if destination is not None
-                      else ""),
-                node=self.node.name,
-            )
+        for colour, destination in routes:
+            self.obs.commit_routed(action, colour, destination,
+                                   self.node.name)
             if destination is not None:
                 self._bequeath(action, colour, destination)
-                # §5.2: locks and undo responsibility are inherited by
-                # the closest same-coloured ancestor, not made permanent
-                self.obs.count("colour_inherited_total",
-                               colour=str(colour))
-                continue
-            write_map = action.written.get(colour, {})
-            if not write_map:
-                continue
-            permanent.append((colour, write_map))
+            elif action.written.get(colour):
+                permanent.append((colour, action.written[colour]))
         failed_colour: Optional[Colour] = None
 
         def run_key(item):
@@ -577,7 +512,7 @@ class ClusterClient:
         if action.status is ActionStatus.COMMITTED:
             raise InvalidActionState(f"{action.name} already committed")
         action.status = ActionStatus.ABORTING
-        yield from self._settle_children(action)
+        yield from self._abort_dependants(action)
         span = self._op_span(action, "abort")
         payload = {"action_uid": encode_uid(action.uid)}
         calls_for = {node_name: [("abort_action", payload)]
@@ -701,74 +636,26 @@ class ClusterClient:
 
     # -- internals ------------------------------------------------------------------------
 
-    def _require_active(self, action: ClusterAction) -> None:
-        if action.status is not ActionStatus.ACTIVE:
-            raise InvalidActionState(
-                f"{action.name} is {action.status.value}, expected active"
-            )
-
-    def _check_colour(self, action: ClusterAction, colour: Colour) -> None:
-        if colour not in action.colours:
-            raise InvalidActionState(
-                f"{action.name} does not possess colour {colour}"
-            )
-
-    def _operation_mode(self, type_name: str, method: str) -> LockMode:
+    def operation(self, type_name: str, method: str) -> Operation:
+        """What ``type_name.method`` declares: lock mode or group, hooks."""
         cls = self._classes.get(type_name)
         if cls is None:
             raise ClusterError(f"unknown type {type_name!r}")
-        attr = getattr(cls, method, None)
-        mode = getattr(attr, "__repro_mode__", None)
-        if mode is None:
-            raise ClusterError(f"{type_name}.{method} is not an @operation")
-        return mode
+        declared = operation_of(cls, method)
+        if declared is None:
+            raise ClusterError(f"{type_name}.{method} is not an operation")
+        return declared
 
-    def _operation_kind(self, type_name: str, method: str):
-        """(lock mode, is_update, is_commuting) for an op."""
-        cls = self._classes.get(type_name)
-        if cls is None:
-            raise ClusterError(f"unknown type {type_name!r}")
-        attr = getattr(cls, method, None)
-        mode = getattr(attr, "__repro_mode__", None)
-        if mode is not None:
-            return mode, mode is LockMode.WRITE, False
-        group = getattr(attr, "__repro_group__", None)
-        if group is not None:
-            updates = getattr(attr, "__repro_inverse__", None) is not None
-            spec = getattr(cls, "SEMANTICS", None)
-            commuting = (updates and spec is not None
-                         and spec.is_commuting(group))
-            return group, updates, commuting
-        raise ClusterError(f"{type_name}.{method} is not an operation")
-
-    def _settle_children(self, action: ClusterAction):
-        while True:
-            active = [c for c in action.children if not c.status.terminated]
-            if not active:
-                return
-            for child in active:
-                if child.colours & action.colours:
-                    # the child dies because its parent settled, not
-                    # through any conflict of its own
-                    self.obs.emit("action.failure",
-                                  action=str(child.uid), op="settle",
-                                  cause="parent-settled",
-                                  detail=str(action.uid),
-                                  node=self.node.name)
-                    yield from self.abort(child)
-                else:
-                    self._detach(child)
-
-    def _detach(self, child: ClusterAction) -> None:
-        old_parent = child.parent
-        if old_parent is not None and child in old_parent.children:
-            old_parent.children.remove(child)
-        ancestor = old_parent.parent if old_parent is not None else None
-        while ancestor is not None and ancestor.status.terminated:
-            ancestor = ancestor.parent
-        child.parent = ancestor
-        if ancestor is not None:
-            ancestor.children.append(child)
+    def _abort_dependants(self, action: ClusterAction):
+        """§3.3 before ``action`` ends: abort the children bound to it
+        (independent ones are detached by the tree itself)."""
+        for child in action.dependants():
+            # the child dies because its parent settled, not through any
+            # conflict of its own
+            self.obs.emit("action.failure", action=str(child.uid),
+                          op="settle", cause="parent-settled",
+                          detail=str(action.uid), node=self.node.name)
+            yield from self.abort(child)
 
     def _bequeath(self, action: ClusterAction, colour: Colour,
                   destination: ClusterAction) -> None:
@@ -776,9 +663,6 @@ class ClusterClient:
         on finish_commit."""
         destination.involved.setdefault(colour, set()).update(
             action.involved.get(colour, set())
-        )
-        destination.write_nodes.setdefault(colour, set()).update(
-            action.write_nodes.get(colour, set())
         )
         dest_written = destination.written.setdefault(colour, {})
         for node_name, uids in action.written.get(colour, {}).items():
@@ -794,7 +678,7 @@ class ClusterClient:
             destination.server_epochs.setdefault(node_name, epoch)
 
     def _finish_commit(self, action: ClusterAction,
-                       routes: Dict[Colour, Optional[ClusterAction]],
+                       routes: List[Tuple[Colour, Optional[ActionNode]]],
                        decided: List[Tuple[str, Set[str]]],
                        parent_span=None):
         """Deliver every commit decision and the finish/transfer routing in
@@ -823,7 +707,7 @@ class ClusterClient:
                 "colour": encode_colour(colour),
                 "dest": (encode_action_context(dest) if dest is not None else None),
             }
-            for colour, dest in sorted(routes.items(), key=lambda kv: kv[0].uid)
+            for colour, dest in routes
         ]
         nodes = []
         for node_name in sorted(action.all_nodes()):

@@ -160,7 +160,6 @@ class Cluster:
             name=name or f"client@{node_name}",
             fast_paths=self.fast_paths,
             commute=self.commute,
-            backend=self.backend,
         )
         self.clients.append(client)
         return client

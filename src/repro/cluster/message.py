@@ -55,10 +55,10 @@ def decode_colour(raw: Dict[str, Any]) -> Colour:
 def encode_action_context(action) -> List[Dict[str, Any]]:
     """Serialise an action's ancestry, root first.
 
-    ``action`` is anything with ``uid``, ``colours``, ``parent`` and
-    (optionally) ``home`` — the cluster client's action records.  The
-    server rebuilds mirrors from this; ``home`` (the node the action's
-    client runs on) is what distributed deadlock probes route through.
+    ``action`` is an :class:`~repro.actions.node.ActionNode` — the cluster
+    client's action records.  The server builds the acting action's mirror
+    from this; ``home`` (the node the action's client runs on) is what
+    distributed deadlock probes route through.
     """
     chain = []
     walker = action
@@ -70,7 +70,7 @@ def encode_action_context(action) -> List[Dict[str, Any]]:
         {
             "uid": encode_uid(entry.uid),
             "colours": [encode_colour(c) for c in sorted(entry.colours, key=lambda c: c.uid)],
-            "home": getattr(entry, "home", ""),
+            "home": entry.home,
         }
         for entry in chain
     ]

@@ -53,6 +53,7 @@ from repro.locking.modes import LockMode, Mode, mode_from_label, mode_label
 from repro.locking.registry import LockRegistry
 from repro.locking.request import LockRequest, RequestStatus
 from repro.locking.rules import ColouredRules
+from repro.objects.lockable import operation_of
 from repro.objects.state_manager import StateManager
 from repro.sim.kernel import Timeout
 from repro.util.uid import Uid, UidGenerator
@@ -209,18 +210,16 @@ class ObjectServer:
         return obj
 
     def _mirror(self, context: List[Tuple[Uid, FrozenSet[Colour], str]]) -> ActionMirror:
-        """Get or build the mirror for the last entry of an action context."""
-        path: Tuple[Uid, ...] = ()
-        mirror: Optional[ActionMirror] = None
-        for uid, colours, home in context:
-            path = path + (uid,)
-            mirror = self.mirrors.get(uid)
-            if mirror is None:
-                mirror = ActionMirror(uid=uid, path=path, colours=colours,
-                                      home=home,
-                                      created_tick=self.kernel.now)
-                self.mirrors[uid] = mirror
-        assert mirror is not None
+        """Get or build the mirror for the last entry of an action context
+        — the acting action, or the destination of a commit route.  Its
+        ancestors get none: they contribute the ``path``, and only an
+        action that comes here itself is ever told to leave."""
+        uid, colours, home = context[-1]
+        mirror = self.mirrors.get(uid)
+        if mirror is None:
+            mirror = self.mirrors[uid] = ActionMirror(
+                uid=uid, path=tuple(entry[0] for entry in context),
+                colours=colours, home=home, created_tick=self.kernel.now)
         return mirror
 
     def _ok(self, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
@@ -260,25 +259,23 @@ class ObjectServer:
         args = payload.get("args", [])
 
         def declared_mode(obj: StateManager, colour: Colour) -> Mode:
-            method = getattr(type(obj), name, None)
-            mode = (getattr(method, "__repro_mode__", None)
-                    or getattr(method, "__repro_group__", None))
-            if mode is None or getattr(method, "__repro_body__", None) is None:
+            declared = operation_of(type(obj), name)
+            if declared is None:
                 raise ClusterError(f"{obj.type_name}.{name} is not an operation")
             self.invocations += 1
             self.obs.count("invocations_total", node=self.node.name,
                            method=f"{obj.type_name}.{name}",
                            colour=str(colour))
-            return mode
+            return declared.mode
 
         def run(obj: StateManager, mirror: ActionMirror, colour: Colour) -> None:
-            method = getattr(type(obj), name)
+            declared = operation_of(type(obj), name)
             try:
-                result = method.__repro_body__(obj, *args)
+                result = declared.body(obj, *args)
             except Exception as error:  # app exception: report, don't apply
                 respond(False, error)
                 return
-            inverse = getattr(method, "__repro_inverse__", None)
+            inverse = declared.inverse
             if inverse is not None:
                 # type-specific recovery: compensation, not a before-image
                 def compensate(o=obj, r=result, a=tuple(args), name=inverse):
@@ -710,12 +707,11 @@ class ObjectServer:
             spec = getattr(type(obj), "SEMANTICS", None)
             groups: Set[str] = set()
             for method_name, args in ops_by_object[object_uid]:
-                method = getattr(type(obj), method_name, None)
-                group = getattr(method, "__repro_group__", None)
+                declared = operation_of(type(obj), method_name)
                 # defence in depth: the client checked eligibility, but a
                 # local decision is only sound for declared-commuting ops
-                if (group is None or spec is None
-                        or not spec.is_commuting(group)):
+                if (declared is None or spec is None
+                        or not spec.is_commuting(declared.mode)):
                     self._emit_vote(txn_id, "refused", colour,
                                     reason="non-commuting")
                     respond(False, PrepareFailed(
@@ -723,7 +719,7 @@ class ObjectServer:
                         f"commuting operation; commute decision refused"
                     ))
                     return
-                groups.add(group)
+                groups.add(declared.mode)
             plan.append((object_uid, obj, ops_by_object[object_uid], groups))
         grants = [(object_uid, group)
                   for object_uid, _obj, _ops, obj_groups in plan
@@ -804,12 +800,11 @@ class ObjectServer:
                 {g for _u, _o, _ops, gs in plan for g in gs})))
         for _object_uid, obj, ops, _groups in plan:
             for method_name, args in ops:
-                method = getattr(type(obj), method_name)
                 if in_memory:
                     # execution already ran the body on the live instance;
                     # settle commit-time bookkeeping only (e.g. an escrow
                     # credit becoming spendable)
-                    hook = getattr(method, "__repro_committed__", None)
+                    hook = operation_of(type(obj), method_name).committed
                     if hook is not None:
                         getattr(obj, hook)(*args)
                 else:
@@ -829,13 +824,12 @@ class ObjectServer:
         effect, settled, no precondition) instead.  Both default to the
         operation body, which suffices for ops that are pure effects.
         """
-        method = getattr(type(target), method_name)
-        hook_attr = "__repro_merge__" if committed_target else "__repro_redo__"
-        hook = getattr(method, hook_attr, None)
+        declared = operation_of(type(target), method_name)
+        hook = declared.merge if committed_target else declared.redo
         if hook is not None:
             getattr(target, hook)(*args)
         else:
-            method.__repro_body__(target, *args)
+            declared.body(target, *args)
 
     def _scratch_instance(self, object_uid: Uid) -> StateManager:
         """A throwaway instance loaded from the committed state.

@@ -122,60 +122,70 @@ class RpcTransport:
             return self._accept_reply(message)
         if message.kind == _ACK_KIND:
             return self._accept_ack(message)
-        if message.kind == BATCH_KIND:
-            return self._dispatch_batch(message)
-        handler = self._handlers.get(message.kind)
-        if handler is None:
-            return False
+        batch = message.kind == BATCH_KIND
         rpc_id = message.payload.get("rpc_id")
-        if rpc_id is None:
+        if rpc_id is None or not (batch or message.kind in self._handlers):
             return False
-        cache: Dict[str, Dict[str, Any]] = self.node.volatile.setdefault("rpc_cache", {})
-        if rpc_id in cache:
-            self.node.send(message.src, _REPLY_KIND, cache[rpc_id],
+        # the reply cache and the in-flight set are volatile: a restart
+        # replaces them, so every use below looks them up afresh
+        volatile = self.node.volatile
+        cached = volatile.setdefault("rpc_cache", {}).get(rpc_id)
+        if cached is not None:
+            self.node.send(message.src, _REPLY_KIND, cached,
                            reply_to=message.msg_id)
             return True
-        inflight = self.node.volatile.setdefault("rpc_inflight", set())
-        if rpc_id in inflight:
-            # duplicate while executing: re-ack so the client stops
-            # retransmitting; the reply will come.
-            self.node.send(message.src, _ACK_KIND, {"rpc_id": rpc_id},
-                           reply_to=message.msg_id)
-            return True
-        inflight.add(rpc_id)
+        # new, or a duplicate while executing: ack either way so the client
+        # stops retransmitting; the reply will come.
         self.node.send(message.src, _ACK_KIND, {"rpc_id": rpc_id},
                        reply_to=message.msg_id)
-        # server-side span: covers receipt to response (lock waits and all),
-        # parented on the caller's span carried in the payload.
+        inflight = volatile.setdefault("rpc_inflight", set())
+        if rpc_id in inflight:
+            return True
+        inflight.add(rpc_id)
+
+        def send(reply: Dict[str, Any]) -> None:
+            self.node.volatile.setdefault("rpc_inflight", set()).discard(rpc_id)
+            self.node.send(message.src, _REPLY_KIND, reply,
+                           reply_to=message.msg_id)
+
+        if batch:
+            self._serve_batch(message, rpc_id, send)
+        else:
+            self._serve(message, rpc_id, Tracer.extract(message.payload), send)
+        return True
+
+    def _serve(self, message: Message, rpc_id: str, parent_span: Any,
+               done: Callable[[Dict[str, Any]], None]) -> None:
+        """Serve one request — a plain RPC or one sub-request of a batch:
+        run its handler under a ``serve:<kind>`` span and hand the reply
+        record, cached under ``rpc_id``, to ``done`` exactly once."""
+        # covers receipt to response (lock waits and all), parented on the
+        # caller's span carried in the payload, or on the batch's span
         span = self.obs.span(
-            f"serve:{message.kind}",
-            parent=Tracer.extract(message.payload),
+            f"serve:{message.kind}", parent=parent_span,
             kind="server", node=self.node.name, src=message.src,
         )
 
         def respond(ok: bool, value: Any = None) -> None:
             if not self.node.alive:
                 return  # the node died while handling; silence
-            live_cache = self.node.volatile.setdefault("rpc_cache", {})
-            live_inflight = self.node.volatile.setdefault("rpc_inflight", set())
-            if rpc_id in live_cache:
+            cache = self.node.volatile.setdefault("rpc_cache", {})
+            if rpc_id in cache:
                 return  # already answered
             if ok:
                 reply = {"rpc_id": rpc_id, "ok": True, "value": value}
-            elif isinstance(value, BaseException):
-                reply = {
-                    "rpc_id": rpc_id, "ok": False,
-                    "error_kind": error_kind_for(value), "error": str(value),
-                }
             else:
                 reply = {"rpc_id": rpc_id, "ok": False,
-                         "error_kind": "cluster", "error": str(value)}
-            live_cache[rpc_id] = reply
-            live_inflight.discard(rpc_id)
+                         "error_kind": error_kind_for(value),
+                         "error": str(value)}
+            cache[rpc_id] = reply
             span.set(ok=ok).finish()
-            self.node.send(message.src, _REPLY_KIND, reply, reply_to=message.msg_id)
+            done(reply)
 
+        handler = self._handlers.get(message.kind)
         try:
+            if handler is None:
+                raise ClusterError(f"no handler for batched {message.kind!r}")
             handler(message, respond)
         except ReproError as error:
             respond(False, error)
@@ -184,14 +194,13 @@ class RpcTransport:
             # escaped here the inflight entry would stay forever, every
             # retransmit would be ACKed but never answered, and the client
             # would burn its whole completion timeout.  Answer with a
-            # cluster error instead (respond() also clears the inflight
-            # entry).
+            # cluster error instead (answering clears the inflight entry).
             respond(False, ClusterError(
                 f"handler for {message.kind!r} crashed: {error!r}"
             ))
-        return True
 
-    def _dispatch_batch(self, message: Message) -> bool:
+    def _serve_batch(self, message: Message, rpc_id: str,
+                     done: Callable[[Dict[str, Any]], None]) -> None:
         """Serve a :data:`BATCH_KIND` message: several sub-requests in one
         network message.
 
@@ -202,22 +211,6 @@ class RpcTransport:
         has responded.  Handlers that respond later (lock waits) simply
         delay the combined reply.
         """
-        rpc_id = message.payload.get("rpc_id")
-        if rpc_id is None:
-            return False
-        cache: Dict[str, Dict[str, Any]] = self.node.volatile.setdefault("rpc_cache", {})
-        if rpc_id in cache:
-            self.node.send(message.src, _REPLY_KIND, cache[rpc_id],
-                           reply_to=message.msg_id)
-            return True
-        inflight = self.node.volatile.setdefault("rpc_inflight", set())
-        if rpc_id in inflight:
-            self.node.send(message.src, _ACK_KIND, {"rpc_id": rpc_id},
-                           reply_to=message.msg_id)
-            return True
-        inflight.add(rpc_id)
-        self.node.send(message.src, _ACK_KIND, {"rpc_id": rpc_id},
-                       reply_to=message.msg_id)
         calls = message.payload.get("calls", [])
         self.obs.observe("rpc_batch_size", len(calls), node=self.node.name)
         span = self.obs.span(
@@ -227,86 +220,35 @@ class RpcTransport:
             calls=len(calls),
         )
         sub_replies: List[Optional[Dict[str, Any]]] = [None] * len(calls)
-        outstanding = {"n": len(calls)}
 
-        def maybe_finish() -> None:
-            if outstanding["n"] > 0:
+        def gather() -> None:
+            if None in sub_replies or not self.node.alive:
                 return
-            if not self.node.alive:
-                return
-            live_cache = self.node.volatile.setdefault("rpc_cache", {})
-            live_inflight = self.node.volatile.setdefault("rpc_inflight", set())
-            if rpc_id in live_cache:
+            cache = self.node.volatile.setdefault("rpc_cache", {})
+            if rpc_id in cache:
                 return
             reply = {"rpc_id": rpc_id, "ok": True, "value": list(sub_replies)}
-            live_cache[rpc_id] = reply
-            live_inflight.discard(rpc_id)
+            cache[rpc_id] = reply
             span.finish()
-            self.node.send(message.src, _REPLY_KIND, reply,
-                           reply_to=message.msg_id)
+            done(reply)
 
-        def serve_sub(index: int, sub: Dict[str, Any]) -> None:
+        for index, sub in enumerate(calls):
             sub_id = sub["payload"].get("rpc_id", f"{rpc_id}/{index}")
-            sub_cache = self.node.volatile.setdefault("rpc_cache", {})
-            if sub_id in sub_cache:  # per-sub-request dedup
-                sub_replies[index] = sub_cache[sub_id]
-                outstanding["n"] -= 1
-                return
-            sub_span = self.obs.span(
-                f"serve:{sub['kind']}", parent=span, kind="server",
-                node=self.node.name, src=message.src,
-            )
+            sub_replies[index] = self.node.volatile.setdefault(
+                "rpc_cache", {}).get(sub_id)
+            if sub_replies[index] is not None:  # per-sub-request dedup
+                continue
 
-            def sub_respond(ok: bool, value: Any = None) -> None:
-                if not self.node.alive:
-                    return
-                live_cache = self.node.volatile.setdefault("rpc_cache", {})
-                if sub_id in live_cache:
-                    return
-                if ok:
-                    reply = {"rpc_id": sub_id, "ok": True, "value": value}
-                elif isinstance(value, BaseException):
-                    reply = {
-                        "rpc_id": sub_id, "ok": False,
-                        "error_kind": error_kind_for(value),
-                        "error": str(value),
-                    }
-                else:
-                    reply = {"rpc_id": sub_id, "ok": False,
-                             "error_kind": "cluster", "error": str(value)}
-                live_cache[sub_id] = reply
+            def file(reply: Dict[str, Any], index: int = index) -> None:
                 sub_replies[index] = reply
-                outstanding["n"] -= 1
-                sub_span.set(ok=ok).finish()
-                maybe_finish()
+                gather()
 
-            handler = self._handlers.get(sub["kind"])
-            if handler is None:
-                sub_respond(False, ClusterError(
-                    f"no handler for batched {sub['kind']!r}"
-                ))
-                return
-            sub_message = Message(
+            self._serve(Message(
                 src=message.src, dst=message.dst, kind=sub["kind"],
                 payload=sub["payload"], msg_id=message.msg_id,
                 reply_to=message.reply_to,
-            )
-            try:
-                handler(sub_message, sub_respond)
-            except ReproError as error:
-                sub_respond(False, error)
-            except Exception as error:
-                sub_respond(False, ClusterError(
-                    f"handler for {sub['kind']!r} crashed: {error!r}"
-                ))
-
-        if not calls:
-            maybe_finish()
-            return True
-        for index, sub in enumerate(calls):
-            serve_sub(index, sub)
-        maybe_finish()
-        return True
+            ), sub_id, span, file)
+        gather()
 
     # -- client side -----------------------------------------------------------------
 

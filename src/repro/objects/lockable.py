@@ -11,10 +11,11 @@ capture so the action can be aborted.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.colours.colour import Colour
-from repro.locking.modes import LockMode
+from repro.locking.modes import LockMode, Mode
 from repro.objects.state_manager import StateManager
 from repro.runtime.context import require_current_action
 from repro.util.uid import Uid
@@ -24,17 +25,38 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import LocalRuntime
 
 
+@dataclass(frozen=True)
+class Operation:
+    """What a decorated method declares, attached to it by
+    :func:`operation` / :func:`~repro.objects.semantic.semantic_operation`
+    and read back with :func:`operation_of` — so the cluster's object
+    servers can take the lock themselves (event-driven, on their own lock
+    tables) and then execute the undecorated ``body`` directly."""
+
+    #: the lock the operation runs under: a :class:`LockMode`, or the name
+    #: of its operation group on a semantic object
+    mode: Mode
+    #: the undecorated method
+    body: Callable
+    #: names of the semantic hooks (see ``semantic_operation``), if any
+    inverse: Optional[str] = None
+    merge: Optional[str] = None
+    redo: Optional[str] = None
+    committed: Optional[str] = None
+
+
+def operation_of(cls: type, method_name: str) -> Optional[Operation]:
+    """The :class:`Operation` ``cls.method_name`` declares, or ``None``
+    when there is no such method or it is not a declared operation."""
+    return getattr(getattr(cls, method_name, None), "__repro_operation__", None)
+
+
 def operation(mode: LockMode) -> Callable:
     """Declare a lock-managed operation on a :class:`LockableObject`.
 
     The decorated method, called locally, first acquires ``mode`` on the
     object for the acting action (explicit ``action=`` / ``colour=`` kwargs
     or the ambient context) and then runs the body — the Arjuna idiom.
-
-    The undecorated body and the mode stay reachable as
-    ``method.__repro_body__`` / ``method.__repro_mode__`` so the cluster's
-    object servers can take the lock themselves (event-driven, on their own
-    lock tables) and then execute the body directly.
     """
 
     def wrap(fn: Callable) -> Callable:
@@ -43,8 +65,7 @@ def operation(mode: LockMode) -> Callable:
             self.setlock(mode, colour=colour, action=action)
             return fn(self, *args, **kwargs)
 
-        method.__repro_mode__ = mode
-        method.__repro_body__ = fn
+        method.__repro_operation__ = Operation(mode, fn)
         return method
 
     return wrap

@@ -34,6 +34,7 @@ from repro.colours.colour import Colour
 from repro.errors import LockingError
 from repro.locking.modes import RETAIN_GROUP
 from repro.locking.semantic import SemanticSpec
+from repro.objects.lockable import Operation
 from repro.objects.state_manager import StateManager
 from repro.runtime.context import require_current_action
 from repro.util.uid import Uid
@@ -125,12 +126,9 @@ def semantic_operation(group: str, inverse: Optional[str] = None,
                 )
             return result
 
-        method.__repro_group__ = group
-        method.__repro_inverse__ = inverse
-        method.__repro_body__ = fn
-        method.__repro_merge__ = merge
-        method.__repro_committed__ = committed
-        method.__repro_redo__ = redo if redo is not None else merge
+        method.__repro_operation__ = Operation(
+            group, fn, inverse, merge,
+            redo if redo is not None else merge, committed)
         return method
 
     return wrap

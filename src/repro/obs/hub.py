@@ -136,11 +136,11 @@ class Observability:
         and publishes it as ``action._obs_span`` so RPC and termination
         spans can stitch underneath; counts and announces the begin.
         """
-        home = getattr(action, "home", "") or node
+        home = action.home or node
         colours = colour_names(action.colours)
         action._obs_span = self.span(
             f"action:{action.name}",
-            parent=getattr(action.parent, "_obs_span", None),
+            parent=action.parent and action.parent._obs_span,
             kind="action", node=home, colours=colours,
             action=str(action.uid))
         self.count("actions_started_total", node=node)
@@ -157,13 +157,25 @@ class Observability:
         for colour in action.colours:
             self.count(f"actions_{outcome}_total", colour=str(colour),
                        node=node)
-        span = getattr(action, "_obs_span", None)
+        span = action._obs_span
         if span is not None:
             span.set(outcome=outcome)
             span.finish()
         self.emit("action.end", action=str(action.uid), name=action.name,
                   outcome=outcome, colours=colour_names(action.colours),
-                  node=getattr(action, "home", "") or node)
+                  node=action.home or node)
+
+    def commit_routed(self, action: Any, colour: Any, destination: Any,
+                      node: str) -> None:
+        """§5.2 routing, as the auditor verifies it: ``action`` is
+        committing and ``colour`` goes to ``destination`` — the closest
+        ancestor possessing it, which inherits its locks and undo
+        responsibility — or, ``None``, is made permanent."""
+        self.emit("commit.route", action=str(action.uid), colour=str(colour),
+                  dest=str(destination.uid) if destination is not None else "",
+                  node=node)
+        if destination is not None:
+            self.count("colour_inherited_total", colour=str(colour))
 
     def lock_granted(self, action: Any, object_uid: Any, mode: Any,
                      colour: Any, node: str) -> None:
@@ -172,7 +184,7 @@ class Observability:
         from the lock registry itself, which also covers server grants.)"""
         label = mode_label(mode)
         self.count("lock_grants_total", mode=label, node=node)
-        span = getattr(action, "_obs_span", None)
+        span = action._obs_span
         if span is not None:
             span.event("lock.granted", object=str(object_uid),
                        mode=label, colour=str(colour))

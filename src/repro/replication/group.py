@@ -48,7 +48,7 @@ class ReplicaGroup:
     def invoke(self, action: ClusterAction, method: str, *args: Any,
                colour=None):
         """Generator: run an operation with read-one/write-all dispatch."""
-        mode = self.client._operation_mode(self.type_name, method)
+        mode = self.client.operation(self.type_name, method).mode
         if mode is LockMode.READ:
             return (yield from self._read_one(action, method, args, colour))
         return (yield from self._write_all(action, method, args, colour))
@@ -136,7 +136,7 @@ class ReplicaGroup:
         serve again.  Trades ROWA's write availability for a recovery
         obligation; the caller owns that obligation.
         """
-        mode = self.client._operation_mode(self.type_name, method)
+        mode = self.client.operation(self.type_name, method).mode
         if mode is LockMode.READ:
             raise ClusterError("write_available is for updating operations")
         network = self.client.node.network

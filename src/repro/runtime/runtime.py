@@ -20,7 +20,6 @@ import time
 from typing import Dict, Iterable, Optional
 
 from repro.actions.action import Action
-from repro.actions.runtime_api import ActionRuntime
 from repro.actions.status import Outcome
 from repro.colours.colour import Colour, ColourAllocator
 from repro.errors import LockRefused, LockTimeout
@@ -40,7 +39,7 @@ from repro.util.uid import Uid, UidGenerator
 AMBIENT = object()
 
 
-class LocalRuntime(ActionRuntime):
+class LocalRuntime:
     """Everything needed to run (multi-)coloured actions in one process."""
 
     def __init__(self, rules: Optional[LockRules] = None,
@@ -65,17 +64,20 @@ class LocalRuntime(ActionRuntime):
         #: so persist spans can parent onto them
         self._terminating: Dict[Uid, object] = {}
 
-    # -- ActionRuntime contract ------------------------------------------------
+    # -- what an Action asks of its runtime ------------------------------------
 
     @property
     def locks(self) -> LockRegistry:
+        """The lock registry actions release/transfer their locks through."""
         return self._registry
 
     def fresh_action_uid(self) -> Uid:
+        """A new unique id for an action being constructed."""
         with self._mutex:
             return self._action_uids.fresh()
 
     def next_undo_seq(self) -> int:
+        """Monotonic sequence for ordering undo records across actions."""
         return next(self._undo_seq)
 
     def persist_colour(self, action: Action, colour: Colour,
@@ -88,7 +90,7 @@ class LocalRuntime(ActionRuntime):
         span = None
         if self.obs is not None:
             parent = (self._terminating.get(action.uid)
-                      or getattr(action, "_obs_span", None))
+                      or action._obs_span)
             span = self.obs.span(f"persist:{colour}", parent=parent,
                                  kind="client", node=self._obs_node,
                                  colour=str(colour))
@@ -109,22 +111,19 @@ class LocalRuntime(ActionRuntime):
 
     def note_commit_route(self, action: Action, colour: Colour,
                           destination) -> None:
-        """Publish §5.3 routing (same event the cluster client emits)."""
-        if self.obs is None:
-            return
-        self.obs.emit(
-            "commit.route", action=str(action.uid), colour=str(colour),
-            dest=(str(destination.uid) if destination is not None else ""),
-            node=self._obs_node,
-        )
-        if destination is not None:
-            self.obs.count("colour_inherited_total", colour=str(colour))
+        """``action`` is committing and routes ``colour`` to ``destination``
+        (an ancestor, or None for "make permanent"): the hub is told."""
+        if self.obs is not None:
+            self.obs.commit_routed(action, colour, destination,
+                                   self._obs_node)
 
     def action_terminated(self, action: Action) -> None:
+        """Called once an action has committed or aborted."""
         if self.obs is not None:
             self.obs.action_ended(action, self._obs_node)
 
     def action_created(self, action: Action) -> None:
+        """Called at the end of every Action's construction."""
         if self.obs is not None:
             self.obs.action_begun(action, self._obs_node)
 
@@ -233,7 +232,7 @@ class LocalRuntime(ActionRuntime):
         traces share one shape."""
         if self.obs is None:
             return None
-        span = self.obs.span(name, parent=getattr(action, "_obs_span", None),
+        span = self.obs.span(name, parent=action._obs_span,
                              kind="client", node=self._obs_node)
         self._terminating[action.uid] = span
         return span

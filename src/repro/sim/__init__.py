@@ -17,7 +17,6 @@ from repro.sim.kernel import (
     all_of,
     any_of,
 )
-from repro.sim.primitives import Channel, Gate, Semaphore
 
 __all__ = [
     "Kernel",
@@ -27,7 +26,4 @@ __all__ = [
     "Timeout",
     "all_of",
     "any_of",
-    "Channel",
-    "Gate",
-    "Semaphore",
 ]

@@ -315,7 +315,7 @@ def test_run_coroutine_result_flows_into_generator_world():
             results.append(value)
 
         backend.kernel.spawn(consumer())
-        backend.run()
+        backend.kernel.run()
         assert results == ["from-asyncio"]
     finally:
         backend.close()
@@ -355,7 +355,7 @@ def test_run_coroutine_cancellation_fails_event_with_process_killed():
                 task.cancel()
 
         backend.kernel.spawn(canceller())
-        backend.run()
+        backend.kernel.run()
         assert started == [True]
         assert len(failures) == 1 and isinstance(failures[0], ProcessKilled)
     finally:

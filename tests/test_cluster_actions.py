@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkConfig
 from repro.cluster.structures import ClusterGluedGroup, ClusterSerializingAction
-from repro.errors import ActionAborted, LockTimeout
+from repro.errors import ActionAborted, InvalidActionState, LockTimeout
 from repro.locking.modes import LockMode
 from repro.objects.state import ObjectState
 
@@ -260,3 +260,36 @@ def test_cluster_glued_group():
     seen, final = cluster.run_process("alpha", app())
     assert seen == 1
     assert final == 11
+
+
+@pytest.mark.parametrize("ending", ["commit", "abort"])
+@pytest.mark.parametrize("factory", [
+    lambda client, parent: client.atomic(parent, "child"),
+    lambda client, parent: client.coloured(parent.colours, parent=parent),
+    lambda client, parent: client.independent_top_level(parent),
+], ids=["atomic", "coloured", "independent_top_level"])
+def test_cannot_nest_under_terminated_cluster_action(factory, ending):
+    """The local runtime's rule, on the cluster: no action is created under
+    a parent that has ended — it used to be accepted, its update lost and
+    its WRITE lock inherited by nobody who would ever release it."""
+    cluster = make_cluster()
+    client = cluster.client("alpha")
+
+    def app():
+        ref = yield from client.create("beta", "counter", value=0)
+        parent = client.top_level("parent")
+        yield from client.invoke(parent, ref, "increment", 1)
+        yield from getattr(client, ending)(parent)
+        with pytest.raises(InvalidActionState, match="cannot nest under"):
+            factory(client, parent)
+        assert not client.live_actions
+        outsider = client.top_level("outsider")
+        yield from client.invoke(outsider, ref, "increment", 1)
+        yield from client.commit(outsider)
+        return ref
+
+    ref = cluster.run_process("alpha", app())
+    assert committed_int(cluster, ref) == (2 if ending == "commit" else 1)
+    for server in cluster.servers.values():
+        assert server.registry.snapshot()["held"] == 0
+    assert cluster.obs.auditor.report() == []

@@ -217,3 +217,34 @@ def test_serializing_constituent_exclusive_read_is_retained_exclusively():
     assert marks["held"] == marks["expected"]
     assert marks["queued"] == 1
     assert marks["read_at"] > marks["closed_at"]
+
+
+def test_server_builds_no_mirror_for_ancestors_that_never_come():
+    """A mirror is built for the acting action only: its ancestors reach a
+    server through the context's path, and nobody would ever tell the
+    server to retire a mirror of an action that was never involved there."""
+    cluster = make_cluster()
+    client = cluster.client("home")
+
+    def app():
+        ref = yield from client.create("s1", "counter", value=0)
+        for index in range(3):
+            parent = client.top_level(f"P{index}")
+            child = client.atomic(parent, f"aborting{index}")
+            yield from client.invoke(child, ref, "increment", 100)
+            yield from client.abort(child)
+            yield from client.commit(parent)
+        for index in range(3):
+            parent = client.top_level(f"Q{index}")
+            child = client.independent_top_level(parent, f"committing{index}")
+            yield from client.invoke(child, ref, "increment", 1)
+            yield from client.commit(child)
+            yield from client.commit(parent)
+        return ref
+
+    ref = cluster.run_process("home", app())
+    assert committed_int(cluster, ref) == 3
+    server = cluster.servers["s1"]
+    assert server.mirrors == {}
+    assert server.status_summary()["mirrors"] == []
+    assert cluster.obs.auditor.report() == []

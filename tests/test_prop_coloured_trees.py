@@ -12,6 +12,10 @@ tree has unwound.  Afterwards:
   no missed permanence);
 - the runtime can run a fresh ordinary action over every object (the
   system is still live).
+
+One more property pins the tree itself: the same random shape built as
+``Action`` s and as ``ClusterAction`` s routes every colour to the same
+place and settles the children of an ending node the same way.
 """
 
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.actions.action import Action
 from repro.actions.status import ActionStatus
+from repro.cluster.cluster import Cluster
 from repro.locking.modes import LockMode
 from repro.runtime.runtime import LocalRuntime
 from repro.stdobjects import Counter
@@ -154,3 +159,55 @@ def test_random_trees_with_detached_independents(operations):
     for counter in counters:
         stored = runtime.store.read_committed(counter.uid)
         assert stored.payload == counter.snapshot()
+
+
+#: per node: which earlier node is its parent (or none), which pool colours
+shapes = st.lists(st.tuples(st.integers(0, 63), st.integers(1, 7)),
+                  min_size=1, max_size=9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shapes, st.integers(0, 63), st.sampled_from(["commit", "abort"]))
+def test_local_and_cluster_trees_obey_the_same_rules(shape, pick, how):
+    """Both node kinds are ``ActionNode`` s: by position in the tree,
+    ``routes()`` agrees node for node, and ending a random node aborts the
+    same children in the same order and leaves the same parent links."""
+    runtime = LocalRuntime(deadlock_detection=False)
+    cluster = Cluster(seed=0)
+    cluster.add_node("home")
+    client = cluster.client("home")
+    kinds = [
+        (runtime.obs, runtime.colours.fresh,
+         lambda colours, parent: Action(runtime, colours, parent=parent),
+         lambda node: getattr(node, how)()),
+        (cluster.obs, client.fresh_colour, client.coloured,
+         lambda node: cluster.run_process("home",
+                                          getattr(client, how)(node))),
+    ]
+    seen = []
+    for hub, fresh_colour, build, end in kinds:
+        pool = [fresh_colour(f"p{i}") for i in range(COLOUR_POOL)]
+        nodes = []
+        for parent_pick, selector in shape:
+            parents = nodes + [None]  # every node is still active
+            nodes.append(build(
+                [pool[i] for i in range(COLOUR_POOL) if selector & (1 << i)],
+                parents[parent_pick % len(parents)]))
+        position = {str(node.uid): index for index, node in enumerate(nodes)}
+
+        def place(node):
+            return None if node is None else position[str(node.uid)]
+
+        routes = [[(pool.index(colour), place(destination))
+                   for colour, destination in node.routes()]
+                  for node in nodes]
+        begun = len(hub.auditor.events)
+        end(nodes[pick % len(nodes)])
+        ended = [(position[event.labels["action"]], event.labels["outcome"])
+                 for _seq, event in list(hub.auditor.events)[begun:]
+                 if event.kind == "action.end"]
+        links = [(node.status, place(node.parent),
+                  [place(child) for child in node.children])
+                 for node in nodes]
+        seen.append((routes, ended, links))
+    assert seen[0] == seen[1]

@@ -80,12 +80,12 @@ def test_stored_state_carries_identity_and_type():
 # -- @operation metadata --------------------------------------------------------
 
 def test_operation_decorator_exposes_mode_and_body():
-    assert Counter.increment.__repro_mode__ is LockMode.WRITE
-    assert Counter.get.__repro_mode__ is LockMode.READ
+    assert Counter.increment.__repro_operation__.mode is LockMode.WRITE
+    assert Counter.get.__repro_operation__.mode is LockMode.READ
     # the undecorated body mutates without locking (server-side use)
     counter = Counter.__new__(Counter)
     counter.value = 5
-    assert Counter.increment.__repro_body__(counter, 3) == 8
+    assert Counter.increment.__repro_operation__.body(counter, 3) == 8
 
 
 def test_operation_wrapper_requires_an_action(runtime):
