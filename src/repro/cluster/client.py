@@ -408,6 +408,10 @@ class ClusterClient:
         except Exception as error:
             self._note_failure(action, error, op=op, dst=ref.node,
                                object_uid=ref.uid, colour=colour)
+            if isinstance(error, RpcTimeout):
+                # outcome unknown: the server may have run it (every reply
+                # lost), so the abort must reach that node as well
+                action.note_lock(colour, ref.node)
             if isinstance(error, (RpcTimeout, ActionAborted)):
                 yield from self.abort(action)
             raise

@@ -2,14 +2,26 @@
 
 "Well known network protocol level techniques are available" for lost and
 duplicated messages (§2) — this is that layer.  Clients retransmit requests
-until a reply arrives or retries are exhausted; servers deduplicate by rpc
-id and cache replies so a retransmitted request is answered, not
-re-executed.  The cache is volatile: a crashed server forgets, which is
-exactly why the layers above (2PC, action abort) exist.
+until the server is heard from or retries are exhausted; servers
+deduplicate by rpc id and cache replies so a retransmitted request is
+answered, not re-executed.  The cache is volatile: a crashed server
+forgets, which is exactly why the layers above (2PC, action abort) exist.
 
 Server handlers receive a ``respond`` callable and may reply *later* (lock
-waits resolve asynchronously); duplicates arriving while a request is in
-flight are dropped.
+waits resolve asynchronously).  The reply is the ack: a handler that
+responds inside the dispatch that received the request costs two messages,
+request and ``rpc_reply``.  An ``rpc_ack`` — "received, the reply will
+come, stop retransmitting" — is sent only for a request that is still
+executing: at the end of the dispatch that received it, and at once for
+every duplicate that arrives meanwhile (duplicates are never re-executed).
+
+A call therefore has two phases, and a lost reply is recovered in whichever
+one the client is in.  *Ack phase*: nothing heard yet — the request is
+retransmitted every ``timeout``; if the handler had answered, the
+retransmission is served from the reply cache.  *Completion phase*: acked —
+the client polls with the same request at the same period, which
+re-triggers the ack while the handler waits and fetches the cached reply
+once it has answered.
 """
 
 from __future__ import annotations
@@ -93,7 +105,7 @@ class RpcTransport:
         self.default_timeout = default_timeout
         self.default_retries = default_retries
         #: how long to wait for the reply once the server has ACKed the
-        #: request — long operations (lock waits) sit in this phase.
+        #: request — only handlers that wait (lock queues) are ever ACKed.
         self.default_completion_timeout = default_completion_timeout
         self._handlers: Dict[str, Handler] = {}
         self._pending: Dict[str, SimEvent] = {}
@@ -126,32 +138,34 @@ class RpcTransport:
         rpc_id = message.payload.get("rpc_id")
         if rpc_id is None or not (batch or message.kind in self._handlers):
             return False
-        # the reply cache and the in-flight set are volatile: a restart
-        # replaces them, so every use below looks them up afresh
+        # the reply cache and the in-flight set are volatile: a crash
+        # clears them out of this dict, so every use looks them up afresh
         volatile = self.node.volatile
         cached = volatile.setdefault("rpc_cache", {}).get(rpc_id)
         if cached is not None:
             self.node.send(message.src, _REPLY_KIND, cached,
                            reply_to=message.msg_id)
             return True
-        # new, or a duplicate while executing: ack either way so the client
-        # stops retransmitting; the reply will come.
-        self.node.send(message.src, _ACK_KIND, {"rpc_id": rpc_id},
-                       reply_to=message.msg_id)
         inflight = volatile.setdefault("rpc_inflight", set())
-        if rpc_id in inflight:
-            return True
-        inflight.add(rpc_id)
+        if rpc_id not in inflight:
+            inflight.add(rpc_id)
 
-        def send(reply: Dict[str, Any]) -> None:
-            self.node.volatile.setdefault("rpc_inflight", set()).discard(rpc_id)
-            self.node.send(message.src, _REPLY_KIND, reply,
+            def send(reply: Dict[str, Any]) -> None:
+                volatile.get("rpc_inflight", set()).discard(rpc_id)
+                self.node.send(message.src, _REPLY_KIND, reply,
+                               reply_to=message.msg_id)
+
+            if batch:
+                self._serve_batch(message, rpc_id, send)
+            else:
+                self._serve(message, rpc_id, Tracer.extract(message.payload), send)
+        # the reply is the ack.  Only a request still executing — its handler
+        # waits (a queued lock), or this is a duplicate of one — is acked,
+        # so the client stops retransmitting and waits for the reply.  (A
+        # crash inside the handler cleared the set: a dead node is silent.)
+        if rpc_id in volatile.get("rpc_inflight", ()):
+            self.node.send(message.src, _ACK_KIND, {"rpc_id": rpc_id},
                            reply_to=message.msg_id)
-
-        if batch:
-            self._serve_batch(message, rpc_id, send)
-        else:
-            self._serve(message, rpc_id, Tracer.extract(message.payload), send)
         return True
 
     def _serve(self, message: Message, rpc_id: str, parent_span: Any,
@@ -278,13 +292,18 @@ class RpcTransport:
              ) -> Generator[Any, Any, Any]:
         """Generator: perform one RPC; returns the reply value.
 
-        Two phases. Until the server ACKs receipt, the request is
-        retransmitted every ``timeout`` units, up to ``retries`` extra
-        times — lost messages are cheap to recover.  Once ACKed, the call
-        waits up to ``completion_timeout`` for the reply — long-running
-        operations (lock waits, prepares) sit here without retransmission
-        storms.  Raises :class:`RpcTimeout` on either phase's exhaustion,
-        or the reconstructed remote error for an unsuccessful reply.
+        Two phases.  Until the server is heard from — its reply, or an
+        ACK if the handler is still waiting when its dispatch ends — the
+        request is retransmitted every ``timeout`` units, up to
+        ``retries`` extra times; a synchronous handler's lost reply is
+        recovered here, from the server's reply cache.  Once ACKed, the
+        call waits up to ``completion_timeout`` for the reply, polling
+        every ``timeout`` — long-running operations (lock waits) sit here
+        outside the ``retries`` budget, and a lost reply is fetched from
+        the cache by the next poll.  Raises :class:`RpcTimeout` on either
+        phase's exhaustion (``unacknowledged`` includes "delivered, but
+        every reply lost"), or the reconstructed remote error for an
+        unsuccessful reply.
 
         ``trace_parent`` (a Span or SpanContext) parents the call's client
         span; the span's context rides in the request payload so the

@@ -212,3 +212,49 @@ def test_partition_healed_lock_eventually_expires_for_others():
 
     value = cluster.run_process("other", after())
     assert isinstance(value, int)
+
+
+def test_first_contact_timeout_leaves_nothing_on_the_server():
+    """The action's *first* invoke at a node runs there, but every
+    ``rpc_reply``/``rpc_ack`` back is lost until the client gives up: the
+    outcome is unknown, so the abort must go to that node too — or its
+    WRITE lock and mirror stay forever."""
+    cluster = make_cluster()
+    client = cluster.client("home")
+    network = cluster.network
+    send = network.send
+    lost = []
+
+    def one_way(message):
+        if message.kind == "abort_action":
+            network.send = send                  # gave up: the link heals
+        elif message.src == "server" and message.kind in ("rpc_reply",
+                                                          "rpc_ack"):
+            lost.append(message.kind)
+            return
+        send(message)
+
+    def app():
+        ref = yield from client.create("server", "counter", value=3)
+        action = client.top_level("t")
+        network.send = one_way
+        with pytest.raises(RpcTimeout, match="unacknowledged"):
+            yield from client.invoke(action, ref, "increment", 1)
+        return ref, action
+
+    ref, action = cluster.run_process("home", app())
+    cluster.run()
+    assert action.status.value == "aborted"
+    assert "rpc_reply" in lost                   # it ran there, unheard
+    server = cluster.servers["server"]
+    assert server.mirrors == {}
+    assert server.registry.snapshot()["held"] == 0
+
+    def after():
+        reader = client.top_level("after")
+        value = yield from client.invoke(reader, ref, "get")
+        yield from client.commit(reader)
+        return value
+
+    assert cluster.run_process("home", after()) == 3
+    assert cluster.obs.auditor.report() == []

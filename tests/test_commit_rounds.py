@@ -11,7 +11,10 @@ Send *order within a tick* is protocol-observable here, not an accident:
 ``Network.send`` draws every delay and every drop/duplicate roll from one
 seeded stream, so reordering two sends of the same tick changes every
 gated sim-time figure downstream.  A refactor of the coordinator must
-leave these literals untouched.
+leave these literals untouched.  No ``rpc_ack`` appears in them: every
+handler on the commit path answers inside the dispatch that received the
+request, and the transport acks only a request whose handler is still
+waiting (``tests/test_transport_ack_phase.py``).
 
 On ``AsyncioBackend`` ticks and order are wall-clock, so the same
 scenarios pin the *multiset* of ``(src>dst, kind, flags)`` and the WAL
@@ -212,9 +215,10 @@ def refusal_with_straggler(cluster, client, tap):
 
 
 def lost_delegated_reply(cluster, client, tap):
-    """The delegate's ack and reply are lost; every retransmission too.
-    The coordinator resolves through txn_outcome_query once the link
-    heals, and reports the commit that happened."""
+    """The delegate's reply is lost (no ack precedes it: the reply is the
+    ack); every retransmission too.  The coordinator resolves through
+    txn_outcome_query once the link heals, and reports the commit that
+    happened."""
     p1 = yield from client.create("p1", "counter", value=0)
     p2 = yield from client.create("p2", "counter", value=0)
     action = client.top_level("t")
@@ -277,15 +281,11 @@ EXPECTED = {
     "classic_two_writers": ("committed", """
         0 coord>p1 txn_prepare[]
         0 coord>p2 txn_prepare[]
-        1 p1>coord rpc_ack
         1 p1>coord rpc_reply
-        1 p2>coord rpc_ack
         1 p2>coord rpc_reply
         2 coord>p1 rpc_batch(txn_commit finish_commit)
         2 coord>p2 rpc_batch(txn_commit finish_commit)
-        3 p1>coord rpc_ack
         3 p1>coord rpc_reply
-        3 p2>coord rpc_ack
         3 p2>coord rpc_reply
         """, {
             "coord": "coord_commit coord_end",
@@ -294,7 +294,6 @@ EXPECTED = {
         }),
     "one_phase": ("committed", """
         0 coord>p1 txn_prepare[decide,finish,forget]
-        1 p1>coord rpc_ack
         1 p1>coord rpc_reply
         """, {
             "coord": "coord_delegated coord_commit coord_end "
@@ -304,15 +303,11 @@ EXPECTED = {
     "piggyback_with_reader": ("committed", """
         0 coord>r txn_prepare[read_only]
         0 coord>p1 txn_prepare[]
-        1 r>coord rpc_ack
         1 r>coord rpc_reply
-        1 p1>coord rpc_ack
         1 p1>coord rpc_reply
         2 coord>p2 txn_prepare[decide,finish]
-        3 p2>coord rpc_ack
         3 p2>coord rpc_reply
         4 coord>p1 rpc_batch(txn_commit finish_commit)
-        5 p1>coord rpc_ack
         5 p1>coord rpc_reply
         """, {
             "coord": "coord_delegated coord_commit coord_end",
@@ -323,18 +318,13 @@ EXPECTED = {
     "batched_run_with_rider": ("committed", """
         0 coord>a rpc_batch(txn_prepare[] txn_prepare[])
         0 coord>b rpc_batch(txn_prepare[] txn_prepare[] txn_prepare[read_only])
-        1 a>coord rpc_ack
         1 a>coord rpc_reply
-        1 b>coord rpc_ack
         1 b>coord rpc_reply
         2 coord>a rpc_batch(txn_commit txn_commit finish_commit)
         2 coord>b rpc_batch(txn_commit txn_commit finish_commit)
         2 coord>r rpc_batch(finish_commit)
-        3 a>coord rpc_ack
         3 a>coord rpc_reply
-        3 b>coord rpc_ack
         3 b>coord rpc_reply
-        3 r>coord rpc_ack
         3 r>coord rpc_reply
         """, {
             "coord": "coord_commit coord_commit coord_commit "
@@ -347,11 +337,8 @@ EXPECTED = {
         0 coord>r txn_prepare[read_only]
         0 coord>p1 txn_prepare[commute,finish]
         0 coord>p2 txn_prepare[commute,finish]
-        1 r>coord rpc_ack
         1 r>coord rpc_reply
-        1 p1>coord rpc_ack
         1 p1>coord rpc_reply
-        1 p2>coord rpc_ack
         1 p2>coord rpc_reply
         """, {
             "coord": "coord_commit coord_end",
@@ -361,16 +348,12 @@ EXPECTED = {
         }),
     "mixed_run": ("committed", """
         0 coord>p1 txn_prepare[decide]
-        1 p1>coord rpc_ack
         1 p1>coord rpc_reply
         2 coord>p2 txn_prepare[commute,finish]
-        3 p2>coord rpc_ack
         3 p2>coord rpc_reply
         4 coord>p1 txn_prepare[decide,forget]
-        5 p1>coord rpc_ack
         5 p1>coord rpc_reply
         6 coord>p1 rpc_batch(finish_commit)
-        7 p1>coord rpc_ack
         7 p1>coord rpc_reply
         """, {
             "coord": "coord_delegated coord_commit coord_commit coord_end "
@@ -381,24 +364,17 @@ EXPECTED = {
     "rollback_vote": ("commit-error", """
         0 coord>p1 txn_prepare[]
         0 coord>p2 txn_prepare[]
-        1 p1>coord rpc_ack
         1 p1>coord rpc_reply
-        1 p2>coord rpc_ack
         1 p2>coord rpc_reply
         2 coord>p1 txn_abort
         2 coord>p2 txn_abort
-        3 p1>coord rpc_ack
         3 p1>coord rpc_reply
-        3 p2>coord rpc_ack
         3 p2>coord rpc_reply
         4 coord>p1 abort_action
         4 coord>p2 abort_action
         4 coord>p3 abort_action
-        5 p1>coord rpc_ack
         5 p1>coord rpc_reply
-        5 p2>coord rpc_ack
         5 p2>coord rpc_reply
-        5 p3>coord rpc_ack
         5 p3>coord rpc_reply
         """, {
             "coord": "",
@@ -409,22 +385,16 @@ EXPECTED = {
     "refusal_with_straggler": ("commit-error", """
         0 coord>p1 txn_prepare[]
         0 coord>p2 txn_prepare[]
-        1 p1>coord rpc_ack
         1 p1>coord rpc_reply
         2 coord>p1 txn_abort
         2 coord>p2 txn_abort
-        3 p1>coord rpc_ack
         3 p1>coord rpc_reply
-        3 p2>coord rpc_ack
         3 p2>coord rpc_reply
         4 coord>p1 abort_action
         4 coord>p2 abort_action
         4 coord>p3 abort_action
-        5 p1>coord rpc_ack
         5 p1>coord rpc_reply
-        5 p2>coord rpc_ack
         5 p2>coord rpc_reply
-        5 p3>coord rpc_ack
         5 p3>coord rpc_reply
         """, {
             "coord": "",
@@ -434,19 +404,15 @@ EXPECTED = {
         }),
     "lost_delegated_reply": ("committed", """
         0 coord>p1 txn_prepare[]
-        1 p1>coord rpc_ack
         1 p1>coord rpc_reply
         2 coord>p2 txn_prepare[decide,finish]
-        3 p2>coord rpc_ack
         3 p2>coord rpc_reply
         12 coord>p2 txn_prepare[decide,finish]
         22 coord>p2 txn_prepare[decide,finish]
         32 coord>p2 txn_prepare[decide,finish]
         42 coord>p2 txn_outcome_query
-        43 p2>coord rpc_ack
         43 p2>coord rpc_reply
         44 coord>p1 rpc_batch(txn_commit finish_commit)
-        45 p1>coord rpc_ack
         45 p1>coord rpc_reply
         """, {
             "coord": "coord_delegated coord_commit coord_end",
@@ -456,24 +422,17 @@ EXPECTED = {
     "failing_middle_colour": ("commit-error", """
         0 coord>a rpc_batch(txn_prepare[] txn_prepare[])
         0 coord>b rpc_batch(txn_prepare[])
-        1 a>coord rpc_ack
         1 a>coord rpc_reply
-        1 b>coord rpc_ack
         1 b>coord rpc_reply
         2 coord>a rpc_batch(txn_abort)
         2 coord>b rpc_batch(txn_abort)
-        3 a>coord rpc_ack
         3 a>coord rpc_reply
-        3 b>coord rpc_ack
         3 b>coord rpc_reply
         4 coord>a rpc_batch(txn_commit)
-        5 a>coord rpc_ack
         5 a>coord rpc_reply
         6 coord>a abort_action
         6 coord>b abort_action
-        7 a>coord rpc_ack
         7 a>coord rpc_reply
-        7 b>coord rpc_ack
         7 b>coord rpc_reply
         """, {
             "coord": "coord_commit coord_end",

@@ -91,9 +91,10 @@ def test_commute_commit_is_one_round_with_no_phase_two():
     assert committed_int(cluster, holder["ref2"]) == 6
     # one parallel round trip at delay 1.0, regardless of participants
     assert holder["duration"] == 2.0
-    # 2 RPCs (one per participant) at 3 messages each — the classic
-    # protocol needs prepare + decision rounds for both
-    assert holder["messages"] == 6
+    # 2 RPCs (one per participant) at 2 messages per synchronous RPC
+    # = 2 x 2 — the classic protocol needs prepare + decision rounds for
+    # both
+    assert holder["messages"] == 4
     assert metric_sum(cluster, "twopc_fast_path_total", kind="commute") == 2
     for name in ("p1", "p2"):
         assert cluster.servers[name].mirrors == {}

@@ -98,6 +98,9 @@ def _sampled_cluster_run(seed: int):
             yield Timeout(2.0)
 
     cluster.run_process("a", app())
+    # one sampling interval past the application's end, so the last commit
+    # is inside a sample whatever tick the schedule put it on
+    cluster.run(until=cluster.kernel.now + 3.0)
     return sampler.dump()
 
 

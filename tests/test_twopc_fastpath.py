@@ -63,8 +63,9 @@ def test_one_phase_commit_is_a_single_round_trip():
     cluster.run_process("coord", app())
     assert committed_int(cluster, holder["ref"]) == 7
     assert holder["duration"] == 2.0          # one round trip at delay 1.0
-    # a single RPC: request + reply + the transport's reply ack
-    assert holder["messages"] == 3
+    # a single RPC: request + reply (the handler answers in its dispatch,
+    # so the reply is the ack) = 1 x 2
+    assert holder["messages"] == 2
     assert metric_sum(cluster, "twopc_fast_path_total", kind="one_phase") == 1
     # the inline finish retired the mirror as part of the same message
     assert cluster.servers["part"].mirrors == {}
@@ -94,8 +95,8 @@ def test_piggybacked_decision_skips_the_decision_round():
     assert committed_int(cluster, holder["ref1"]) == 3
     assert committed_int(cluster, holder["ref2"]) == 4
     # prepare(p1) + delegated prepare(p2) + finish batch(p1) = 3 RPCs
-    # (classic needs 4), at 3 messages per RPC
-    assert holder["messages"] == 9
+    # (classic needs 4), at 2 messages per synchronous RPC = 3 x 2
+    assert holder["messages"] == 6
     assert metric_sum(cluster, "twopc_fast_path_total", kind="piggyback") == 1
     assert metric_sum(cluster, "decision_piggyback_saved_rpcs_total") >= 2
     for name in ("p1", "p2"):
@@ -127,8 +128,9 @@ def test_read_only_participant_skips_phase_two():
     assert holder["read"] == 42
     assert committed_int(cluster, holder["ref_w"]) == 1
     # read-only prepare(reader) + delegated one-phase prepare(writer):
-    # 2 RPCs — the reader sees no commit/finish traffic at all
-    assert holder["messages"] == 6
+    # 2 RPCs — the reader sees no commit/finish traffic at all — at 2
+    # messages per synchronous RPC = 2 x 2
+    assert holder["messages"] == 4
     assert metric_sum(cluster, "twopc_fast_path_total", kind="read_only") == 1
     assert metric_sum(cluster, "read_only_saved_finish_total") == 1
     # the vote released the reader's locks and retired its mirror
