@@ -27,7 +27,7 @@ def fig13a_episode():
     def invoked_b():
         # B is NOT nested in A: a plain top-level action
         try:
-            with independent_top_level(runtime, use_ambient_parent=False,
+            with independent_top_level(runtime, parent=None,
                                        name="B") as b:
                 runtime.acquire(b, shared, LockMode.WRITE, timeout=0.3)
                 shared.value += 10

@@ -3,9 +3,15 @@
 "If A aborts, any effects of D, B and E will be undone; on the other hand
 if B aborts after invoking E, the effects of E will not be undone."
 C and F are top-level independent: they always survive.
+
+The local episodes assign the colours by hand (the mechanism); the
+distributed ones (``test_fig15_impl_nlevel.distributed_episode``: B, C, D,
+E, F on three object servers) get them from the cluster's structure API and
+must fill in the same matrix, leaving nothing behind.
 """
 
 from bench_util import print_figure
+from test_fig15_impl_nlevel import NOTHING_LEFT, distributed_episode
 
 from repro.runtime.runtime import LocalRuntime
 from repro.stdobjects import Counter
@@ -41,17 +47,28 @@ def episode(b_aborts: bool, a_aborts: bool):
     return {name: counter.value for name, counter in effects.items()}
 
 
+SCENARIOS = {
+    "all commit": (False, False),
+    "B aborts (after invoking E)": (True, False),
+    "A aborts": (False, True),
+    "B aborts then A aborts": (True, True),
+}
+
+
 def run_matrix():
-    return {
-        "all commit": episode(b_aborts=False, a_aborts=False),
-        "B aborts (after invoking E)": episode(True, False),
-        "A aborts": episode(False, True),
-        "B aborts then A aborts": episode(True, True),
-    }
+    return {label: episode(*aborts) for label, aborts in SCENARIOS.items()}
+
+
+def run_both_matrices():
+    return run_matrix(), {label: distributed_episode(*aborts)
+                          for label, aborts in SCENARIOS.items()}
 
 
 def test_fig14_survival_matrix(benchmark):
-    matrix = benchmark(run_matrix)
+    matrix, distributed = benchmark(run_both_matrices)
+    for label, run in distributed.items():
+        assert run["survivors"] == matrix[label], label
+        assert run["left_behind"] == NOTHING_LEFT, label
     assert matrix["all commit"] == {"B": 1, "C": 1, "D": 1, "E": 1, "F": 1}
     # B's abort: D and B's own work undone; E survives (second-level); C, F safe
     assert matrix["B aborts (after invoking E)"] == {
@@ -69,5 +86,12 @@ def test_fig14_survival_matrix(benchmark):
     print_figure(
         "Fig. 14 — n-level independence survival matrix (1 = effect survives)",
         rows,
+        headers=("scenario", "B", "C", "D", "E", "F"),
+    )
+    print_figure(
+        "Fig. 14 — the same matrix on a three-server cluster "
+        "(structure API; auditor silent, no mirror or lock left)",
+        [(label, *(run["survivors"][name] for name in "BCDEF"))
+         for label, run in distributed.items()],
         headers=("scenario", "B", "C", "D", "E", "F"),
     )

@@ -44,7 +44,7 @@ from repro.objects.lockable import LockableObject, operation
 from repro.objects.state import ObjectState
 from repro.objects.state_manager import StateManager
 from repro.runtime.context import current_action
-from repro.runtime.runtime import LocalRuntime
+from repro.runtime.runtime import AMBIENT, LocalRuntime
 from repro.stdobjects import (
     Account,
     CommutingCounter,
@@ -71,6 +71,7 @@ __version__ = "1.0.0"
 __all__ = [
     # runtime and actions
     "LocalRuntime",
+    "AMBIENT",
     "Action",
     "ActionStatus",
     "Outcome",

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.apps.make.engine import MakeFailure, MakeReport, SimulatedCompiler
+from repro.apps.make.engine import (
+    MakeFailure, MakeReport, SimulatedCompiler, initial_file)
 from repro.apps.make.graph import DependencyGraph
 from repro.apps.make.makefile import Makefile
 from repro.cluster.client import ClusterClient, ObjectRef
@@ -59,24 +60,11 @@ class DistributedMakeEngine:
     # -- setup -------------------------------------------------------------------
 
     def setup(self, sources: Dict[str, str]):
-        """Generator: create every file object on its placed node.
-
-        Sources get timestamp 1.0 and their content; targets start absent
-        (timestamp 0.0, empty) so everything is initially out of date.
-        """
-        names = set(self.placement)
-        for name in sorted(names):
-            if name in sources:
-                ref = yield from self.client.create(
-                    self.placement[name], "file",
-                    name=name, content=sources[name], timestamp=1.0,
-                )
-            else:
-                ref = yield from self.client.create(
-                    self.placement[name], "file",
-                    name=name, content="", timestamp=0.0,
-                )
-            self.refs[name] = ref
+        """Generator: create every file object on its placed node, in
+        its :func:`~repro.apps.make.engine.initial_file` state."""
+        for name in sorted(self.placement):
+            self.refs[name] = yield from self.client.create(
+                self.placement[name], "file", **initial_file(name, sources))
         return self.refs
 
     def touch_source(self, name: str):

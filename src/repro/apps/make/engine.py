@@ -51,6 +51,16 @@ def SimulatedCompiler(rule: Rule, inputs: Dict[str, str], timestamp: float) -> s
     return f"[{rule.target} <- {digest} via {commands!r} at {timestamp}]"
 
 
+def initial_file(name: str, sources: Dict[str, str]) -> Dict[str, object]:
+    """A project file's state before any make, as ``FileObject`` constructor
+    arguments — wherever the object is then created.  A source has its
+    content and timestamp 1.0; a target starts absent (empty, timestamp
+    0.0), so everything is initially out of date."""
+    present = name in sources
+    return {"name": name, "content": sources.get(name, ""),
+            "timestamp": 1.0 if present else 0.0}
+
+
 @dataclass
 class MakeReport:
     """What a make run did."""

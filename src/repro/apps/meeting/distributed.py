@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.apps.meeting.scheduler import NoCommonDate, SchedulingRound
+from repro.apps.meeting.scheduler import (
+    NoCommonDate, SchedulingRound, date_universe)
 from repro.cluster.client import ClusterClient, ObjectRef
 from repro.cluster.cluster import Cluster
 from repro.cluster.structures import ClusterGluedGroup
@@ -106,8 +107,7 @@ class DistributedMeetingScheduler:
     def _initial_round(self, description: str):
         group = ClusterGluedGroup(self.client, name=f"{description}.G1")
         member = group.member("I1")
-        all_dates = sorted({date for diary in self.diaries
-                            for date in diary.slots})
+        all_dates = date_universe(diary.slots for diary in self.diaries)
 
         def body():
             candidates = []
@@ -128,10 +128,7 @@ class DistributedMeetingScheduler:
             return candidates
 
         candidates = yield from self.client.run_scope(member, body())
-        self.rounds.append(SchedulingRound(
-            index=0, examined=all_dates, kept=list(candidates),
-            released=[d for d in all_dates if d not in candidates],
-        ))
+        self.rounds.append(SchedulingRound.of(0, all_dates, candidates))
         return group, candidates
 
     def _narrowing_round(self, previous: ClusterGluedGroup, index: int,
@@ -150,10 +147,7 @@ class DistributedMeetingScheduler:
 
         yield from self.client.run_scope(member, body())
         yield from previous.close()  # rejected slots freed cluster-wide
-        self.rounds.append(SchedulingRound(
-            index=index, examined=list(candidates), kept=kept,
-            released=[d for d in candidates if d not in acceptable],
-        ))
+        self.rounds.append(SchedulingRound.of(index, candidates, kept))
         return group, kept
 
     def _booking_round(self, previous: ClusterGluedGroup, chosen: str,
@@ -169,10 +163,8 @@ class DistributedMeetingScheduler:
         yield from self.client.run_scope(member, body())
         yield from previous.close()
         yield from group.close()
-        self.rounds.append(SchedulingRound(
-            index=len(self.rounds), examined=list(candidates), kept=[chosen],
-            released=[d for d in candidates if d != chosen],
-        ))
+        self.rounds.append(
+            SchedulingRound.of(len(self.rounds), candidates, [chosen]))
 
 
 class SchedulerCrashRemote(RuntimeError):

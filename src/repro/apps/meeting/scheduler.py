@@ -22,7 +22,7 @@ date in every diary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.errors import InvalidActionState
 from repro.stdobjects.diary import Diary, DiarySlot
@@ -45,6 +45,20 @@ class SchedulingRound:
     examined: List[str]
     kept: List[str]
     released: List[str] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, index: int, examined: Iterable[str],
+           kept: Iterable[str]) -> "SchedulingRound":
+        """A round's record: whatever it examined and did not keep, it
+        released.  The runtime-free half of every round, local or remote."""
+        examined, kept = list(examined), list(kept)
+        return cls(index, examined, kept,
+                   released=[d for d in examined if d not in kept])
+
+
+def date_universe(dates_per_diary: Iterable[Iterable[str]]) -> List[str]:
+    """Every date any diary has a slot for, in order (what I1 examines)."""
+    return sorted({date for dates in dates_per_diary for date in dates})
 
 
 class MeetingScheduler:
@@ -112,7 +126,7 @@ class MeetingScheduler:
     def _initial_round(self, description: str):
         """I1 in G1: lock all relevant diary entries, keep the free dates."""
         group = GluedGroup(self.runtime, name=f"{description}.G1")
-        all_dates = sorted({d for diary in self.diaries for d in diary.dates()})
+        all_dates = date_universe(diary.dates() for diary in self.diaries)
         with group.member(name="I1") as member:
             candidates = []
             for date in all_dates:
@@ -123,10 +137,7 @@ class MeetingScheduler:
                     candidates.append(date)
             for date in candidates:
                 member.hand_over(*self._slots_for(date))
-        self.rounds.append(SchedulingRound(
-            index=0, examined=all_dates, kept=list(candidates),
-            released=[d for d in all_dates if d not in candidates],
-        ))
+        self.rounds.append(SchedulingRound.of(0, all_dates, candidates))
         return group, candidates
 
     def _narrowing_round(self, previous: GluedGroup, index: int,
@@ -147,10 +158,7 @@ class MeetingScheduler:
                     slot.is_free(action=member.action)  # re-examine
                 member.hand_over(*self._slots_for(date))
         previous.close()  # rejected slots become free now
-        self.rounds.append(SchedulingRound(
-            index=index, examined=list(candidates),
-            kept=kept, released=[d for d in candidates if d not in acceptable],
-        ))
+        self.rounds.append(SchedulingRound.of(index, candidates, kept))
         return group, kept
 
     def _booking_round(self, previous: GluedGroup, chosen: str,
@@ -164,8 +172,5 @@ class MeetingScheduler:
                 slot.book(description, action=member.action)
         previous.close()
         group.close()
-        self.rounds.append(SchedulingRound(
-            index=len(self.rounds), examined=list(candidates),
-            kept=[chosen],
-            released=[d for d in candidates if d != chosen],
-        ))
+        self.rounds.append(
+            SchedulingRound.of(len(self.rounds), candidates, [chosen]))

@@ -55,6 +55,7 @@ from repro.errors import (
 from repro.locking.modes import LockMode, Mode, companion_mode, mode_label
 from repro.objects.lockable import Operation, operation_of
 from repro.sim.kernel import Timeout, all_of, settle_all
+from repro.structures.schemes import independent_action
 from repro.util.uid import Uid, UidGenerator
 
 PREPARE, DECIDE, COMMUTE, READ_ONLY = (
@@ -312,6 +313,10 @@ class ClusterClient:
         self.obs.action_begun(action, self.node.name)
         return action
 
+    #: with :meth:`fresh_colour`, the factory every structure is built from
+    #: (:mod:`repro.structures.schemes`), under ``LocalRuntime``'s name for it
+    new_action = coloured
+
     def top_level(self, name: str = "") -> ClusterAction:
         return self.coloured(
             [self._colours.fresh(f"{name or 'top'}.colour")], None, name)
@@ -321,8 +326,7 @@ class ClusterClient:
 
     def independent_top_level(self, parent: ClusterAction,
                               name: str = "independent") -> ClusterAction:
-        return self.coloured(
-            [self._colours.fresh(f"{name}.colour")], parent, name)
+        return independent_action(self, parent, name)
 
     def fresh_colour(self, name: str = "") -> Colour:
         return self._colours.fresh(name)

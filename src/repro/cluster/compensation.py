@@ -1,73 +1,52 @@
 """Compensation over the cluster (§3.4, distributed).
 
-Same contract as :class:`repro.structures.compensation.CompensationScope`,
-in generator form: register a compensator per committed piece of work; if
-the governing action ends up aborted, :meth:`settle` runs each compensator
-inside a fresh top-level cluster action, in reverse registration order.
+Same contract as :class:`repro.structures.compensation.CompensationScope`
+and the same core (:class:`repro.structures.schemes.Compensations`), in
+generator form: register a compensator per committed piece of work — here
+a factory that, given its fresh top-level action, returns the generator
+body to run under it; if the governing action ends up aborted,
+:meth:`ClusterCompensationScope.settle` runs each inside a fresh top-level
+cluster action, in reverse registration order.
 
 Explicitness note: the local scope hooks action outcome listeners; cluster
 application code is generator-structured, so the scope is settled
-explicitly (``yield from scope.settle()``) — typically in the ``finally``
-of the application's own try block.
+explicitly (``yield from scope.settle()``) once the governing action has
+ended.  Settling earlier raises and leaves every compensator armed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
-
-from repro.actions.status import ActionStatus, Outcome
+from repro.actions.status import Outcome
 from repro.cluster.client import ClusterAction, ClusterClient
+from repro.structures.schemes import CompensationRecord, Compensations
 
-#: compensator factory: given its fresh top-level action, returns the
-#: generator body to run under it.
-CompensatorFactory = Callable[[ClusterAction], object]
-
-
-@dataclass
-class ClusterCompensationRecord:
-    description: str
-    factory: CompensatorFactory
-    ran: bool = False
-    outcome: Optional[Outcome] = None
+ClusterCompensationRecord = CompensationRecord
 
 
-class ClusterCompensationScope:
+class ClusterCompensationScope(Compensations):
     """Compensators armed against one governing cluster action."""
 
     def __init__(self, client: ClusterClient, governing: ClusterAction):
+        super().__init__(governing)
         self.client = client
-        self.governing = governing
-        self.records: List[ClusterCompensationRecord] = []
-
-    def register(self, description: str,
-                 factory: CompensatorFactory) -> ClusterCompensationRecord:
-        record = ClusterCompensationRecord(description, factory)
-        self.records.append(record)
-        return record
-
-    def discard(self, record: ClusterCompensationRecord) -> None:
-        if record in self.records:
-            self.records.remove(record)
 
     def settle(self):
         """Generator: run the compensators iff the governing action aborted.
 
         Each compensator runs in its own top-level action; one failing
-        (its action aborts) does not stop the rest.
+        (its action aborts) does not stop the rest.  Raises
+        :class:`~repro.errors.InvalidActionState` while the governing
+        action is still running.
         """
-        if self.governing.status is not ActionStatus.ABORTED:
-            self.records = []
-            return []
-        pending, self.records = list(self.records), []
-        for record in reversed(pending):
+        pending = self.take()
+        for record in pending:
             action = self.client.top_level(f"compensate:{record.description}")
             try:
                 yield from self.client.run_scope(
-                    action, record.factory(action)
+                    action, record.compensator(action)
                 )
                 record.outcome = Outcome.COMMITTED
             except Exception:  # noqa: BLE001 - best effort per item
                 record.outcome = Outcome.ABORTED
             record.ran = True
-        return list(reversed(pending))
+        return pending

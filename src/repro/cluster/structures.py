@@ -1,96 +1,78 @@
 """Distributed action structures: §3 over the cluster.
 
-The same colour schemes as :mod:`repro.structures`, driven through a
-:class:`~repro.cluster.client.ClusterClient`.  Locks live on the object
-servers; the control action's retained locks therefore pin objects across
-the whole cluster between constituents — the distributed-make scenario of
-fig. 8.
+The colour schemes are the ones :mod:`repro.structures` uses
+(:mod:`repro.structures.schemes`, with the
+:class:`~repro.cluster.client.ClusterClient` as the factory); this module
+is the cluster's calling convention — members are bare
+:class:`~repro.cluster.client.ClusterAction` s, everything that talks to a
+server is a generator.  Locks live on the object servers; the control
+action's retained locks therefore pin objects across the whole cluster
+between constituents — the distributed-make scenario of fig. 8.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.actions.status import ActionStatus
 from repro.cluster.client import ClusterAction, ClusterClient, ObjectRef
-from repro.errors import InvalidActionState
+from repro.colours.colour import Colour
 from repro.locking.modes import LockMode
+from repro.structures.schemes import (
+    ControlStructure,
+    Serializing,
+    independence_markers,
+    marker_for,
+)
+
+__all__ = ["ClusterSerializingAction", "ClusterGluedGroup",
+           "independence_markers", "independent_relative_to"]
 
 
-class ClusterSerializingAction:
-    """Distributed serializing action (figs. 3/11)."""
-
-    def __init__(self, client: ClusterClient,
-                 parent: Optional[ClusterAction] = None,
-                 name: str = "serializing"):
-        self.client = client
-        self.name = name
-        self.control_colour = client.fresh_colour(f"{name}.control")
-        self.control = client.coloured(
-            [self.control_colour], parent=parent, name=f"{name}.A"
-        )
-        self._count = 0
-
-    def constituent(self, name: str = "") -> ClusterAction:
-        if self.control.status is not ActionStatus.ACTIVE:
-            raise InvalidActionState(f"{self.name}: already closed")
-        self._count += 1
-        label = name or f"{self.name}.c{self._count}"
-        data_colour = self.client.fresh_colour(f"{label}.data")
-        action = self.client.coloured(
-            [self.control_colour, data_colour], parent=self.control, name=label
-        )
-        action.default_colour = data_colour
-        action.companion_colour = self.control_colour
-        return action
-
-    def run_constituent(self, action: ClusterAction, body):
-        """Generator: run a constituent body under scope semantics."""
-        return self.client.run_scope(action, body)
+class ClusterControl:
+    """Ending a control structure, in generator form."""
 
     def close(self):
         """Generator: commit the control action (release retained locks)."""
-        return self.client.commit(self.control)
+        return self.factory.commit(self.control)
 
     def cancel(self):
-        """Generator: abort the control action; committed constituents stay."""
-        return self.client.abort(self.control)
+        """Generator: abort the control action; committed members stay."""
+        return self.factory.abort(self.control)
 
 
-class ClusterGluedGroup:
-    """Distributed glued actions (figs. 5/6/12)."""
+class ClusterSerializingAction(ClusterControl, Serializing):
+    """Distributed serializing action (figs. 3/11):
+    ``ClusterSerializingAction(client, parent=None, name="serializing")``."""
 
-    def __init__(self, client: ClusterClient,
-                 parent: Optional[ClusterAction] = None, name: str = "glued"):
-        self.client = client
-        self.name = name
-        self.control_colour = client.fresh_colour(f"{name}.control")
-        self.control = client.coloured(
-            [self.control_colour], parent=parent, name=f"{name}.G"
-        )
-        self._count = 0
+    def constituent(self, name: str = "") -> ClusterAction:
+        """The next constituent's action (run it with :meth:`run_constituent`)."""
+        return self.new_member(name)
+
+    def run_constituent(self, action: ClusterAction, body):
+        """Generator: run a constituent body under scope semantics."""
+        return self.factory.run_scope(action, body)
+
+
+class ClusterGluedGroup(ClusterControl, ControlStructure):
+    """Distributed glued actions (figs. 5/6/12):
+    ``ClusterGluedGroup(client, parent=None, name="glued")``."""
 
     def member(self, name: str = "") -> ClusterAction:
-        if self.control.status is not ActionStatus.ACTIVE:
-            raise InvalidActionState(f"{self.name}: group already closed")
-        self._count += 1
-        label = name or f"{self.name}.A{self._count}"
-        data_colour = self.client.fresh_colour(f"{label}.data")
-        action = self.client.coloured(
-            [self.control_colour, data_colour], parent=self.control, name=label
-        )
-        action.default_colour = data_colour
-        return action
+        """The next member's action."""
+        return self.new_member(name)
 
     def hand_over(self, action: ClusterAction, *refs: ObjectRef):
         """Generator: pin objects in the control colour for the next member."""
         for ref in refs:
-            yield from self.client.lock(
+            yield from self.factory.lock(
                 action, ref, LockMode.EXCLUSIVE_READ, colour=self.control_colour
             )
 
-    def close(self):
-        return self.client.commit(self.control)
 
-    def cancel(self):
-        return self.client.abort(self.control)
+def independent_relative_to(client: ClusterClient, anchor: ClusterAction,
+                            parent: ClusterAction,
+                            marker: Optional[Colour] = None,
+                            name: str = "nlevel-independent") -> ClusterAction:
+    """An action nested under ``parent`` whose fate is decided at ``anchor``
+    (§5.6, fig. 15); create the anchor with :func:`independence_markers`."""
+    return client.coloured([marker_for(anchor, parent, marker)], parent, name)

@@ -10,6 +10,7 @@ persistence.  The distributed case is served by :mod:`repro.cluster`.
 
 from repro.runtime.context import current_action, require_current_action
 from repro.runtime.scope import ActionScope
-from repro.runtime.runtime import LocalRuntime
+from repro.runtime.runtime import AMBIENT, LocalRuntime
 
-__all__ = ["LocalRuntime", "ActionScope", "current_action", "require_current_action"]
+__all__ = ["LocalRuntime", "AMBIENT", "ActionScope", "current_action",
+           "require_current_action"]

@@ -178,7 +178,7 @@ class LocalRuntime:
         atomic actions.  Without a parent (explicit ``parent=None`` or no
         ambient action): a fresh top-level action.
         """
-        resolved = self._resolve_parent(parent)
+        resolved = self.resolve_parent(parent)
         if resolved is None:
             return self.top_level(name=name)
         return ActionScope(self, Action(self, resolved.colours, parent=resolved, name=name))
@@ -186,10 +186,22 @@ class LocalRuntime:
     def coloured(self, colours: Iterable[Colour], parent=AMBIENT,
                  name: str = "") -> ActionScope:
         """A multi-coloured action with an explicit static colour set (§5)."""
-        resolved = self._resolve_parent(parent)
-        return ActionScope(self, Action(self, colours, parent=resolved, name=name))
+        return ActionScope(self, self.new_action(colours, parent, name))
 
-    def _resolve_parent(self, parent) -> Optional[Action]:
+    def new_action(self, colours: Iterable[Colour], parent=AMBIENT,
+                   name: str = "") -> Action:
+        """The bare action :meth:`coloured` scopes — with
+        :meth:`fresh_colour`, the factory :mod:`repro.structures.schemes`
+        builds every structure from."""
+        return Action(self, colours, parent=self.resolve_parent(parent), name=name)
+
+    def fresh_colour(self, name: str = "") -> Colour:
+        """A colour no other action possesses."""
+        return self.colours.fresh(name)
+
+    def resolve_parent(self, parent) -> Optional[Action]:
+        """What a factory's ``parent=`` means: :data:`AMBIENT` is the calling
+        context's innermost action (if any), anything else is itself."""
         if parent is AMBIENT:
             return current_action()
         return parent

@@ -22,7 +22,8 @@ colour assignments are generated automatically" (§6).  Offered here:
 from repro.structures.serializing import SerializingAction
 from repro.structures.glued import GluedGroup
 from repro.structures.independent import AsyncIndependent, independent_top_level
-from repro.structures.nlevel import independence_markers, independent_relative_to
+from repro.structures.schemes import independence_markers
+from repro.structures.nlevel import independent_relative_to
 from repro.structures.compensation import CompensationScope
 
 __all__ = [

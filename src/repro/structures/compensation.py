@@ -8,64 +8,43 @@ alongside each committed piece of work, and if the *governing* action
 (e.g. a serializing control action, or a bulletin-board poster's
 application action) ends up aborting, run the compensators — each inside a
 fresh top-level action, in reverse registration order.
+
+The record/register/discard/take core is
+:class:`repro.structures.schemes.Compensations`; here is the local calling
+convention: the governing action's outcome listener fires the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import List, TYPE_CHECKING
 
 from repro.actions.action import Action
-from repro.actions.status import Outcome
+from repro.structures.schemes import CompensationRecord, Compensations
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import LocalRuntime
 
-#: A compensator runs inside its own top-level action (passed in).
-Compensator = Callable[[Action], None]
 
+class CompensationScope(Compensations):
+    """Run registered compensators if the governing action aborts.
 
-@dataclass
-class CompensationRecord:
-    description: str
-    compensator: Compensator
-    ran: bool = False
-    outcome: Optional[Outcome] = None
-
-
-class CompensationScope:
-    """Run registered compensators if the governing action aborts."""
+    A compensator is called with its own fresh top-level action.
+    """
 
     def __init__(self, runtime: "LocalRuntime", governing: Action):
+        super().__init__(governing)
         self.runtime = runtime
-        self.governing = governing
-        self.records: List[CompensationRecord] = []
-        governing.on_outcome(self._on_outcome)
-
-    def register(self, description: str, compensator: Compensator) -> CompensationRecord:
-        """Arm a compensator for one committed piece of work."""
-        record = CompensationRecord(description, compensator)
-        self.records.append(record)
-        return record
-
-    def discard(self, record: CompensationRecord) -> None:
-        """Disarm a compensator (the work no longer needs compensating)."""
-        if record in self.records:
-            self.records.remove(record)
-
-    def _on_outcome(self, _action: Action, outcome: Outcome) -> None:
-        if outcome is Outcome.ABORTED:
-            self.run_all()
+        governing.on_outcome(lambda _action, _outcome: self.run_all())
 
     def run_all(self) -> List[CompensationRecord]:
-        """Run all armed compensators (reverse order), each top-level.
+        """Run what the ended governing action leaves to run, last first.
 
         A compensator that raises marks its record ABORTED and the rest
         still run — compensation is best-effort per item, as each
         compensates an independently committed action.
         """
-        pending, self.records = list(self.records), []
-        for record in reversed(pending):
+        pending = self.take()
+        for record in pending:
             scope = self.runtime.top_level(name=f"compensate:{record.description}")
             try:
                 with scope as action:
@@ -74,4 +53,4 @@ class CompensationScope:
                 pass
             record.ran = True
             record.outcome = scope.outcome
-        return list(reversed(pending))
+        return pending

@@ -2,40 +2,40 @@
 
 A :class:`GluedGroup` owns a *control action* G in a fresh control colour.
 Each member action is coloured {control, fresh-data} and runs nested inside
-G; its ordinary work uses its data colour, so at member commit those
-effects are **permanent** (no data-colour ancestor exists) and those locks
-are **released** — except for objects the member *handed over*:
-:meth:`MemberScope.hand_over` takes EXCLUSIVE_READ locks in the control
-colour, which G inherits, keeping the objects pinned against outsiders
-until the next member picks them up (or the group closes).
+G (:class:`repro.structures.schemes.ControlStructure`); its ordinary work
+uses its data colour, so at member commit those effects are **permanent**
+(no data-colour ancestor exists) and those locks are **released** — except
+for objects the member *handed over*: :meth:`MemberScope.hand_over` takes
+EXCLUSIVE_READ locks in the control colour, which G inherits, keeping the
+objects pinned against outsiders until the next member picks them up (or
+the group closes).
 
 Members may run sequentially (fig. 5) or concurrently (fig. 6).  The
 control action performs no writes, so aborting the group undoes nothing —
-committed members' effects survive, exactly the §3.2 requirement.
+committed members' effects survive, exactly the §3.2 requirement.  This
+module adds only the local calling convention: ``with`` scopes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
-from repro.actions.action import Action
-from repro.actions.status import ActionStatus, Outcome
-from repro.errors import InvalidActionState
 from repro.locking.modes import LockMode
-from repro.runtime.context import current_action, pop_action, push_action
+from repro.runtime.scope import ActionScope
+from repro.structures.schemes import ControlStructure
+from repro.structures.serializing import ScopedControl
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.lockable import LockableObject
-    from repro.runtime.runtime import LocalRuntime
 
 
-class MemberScope:
-    """Scope for one glued member; adds :meth:`hand_over` to the usual scope."""
+class MemberScope(ActionScope):
+    """Scope for one glued member; adds :meth:`hand_over` to the usual
+    scope, and ``with`` yields the scope itself (``.action`` is the member)."""
 
-    def __init__(self, group: "GluedGroup", action: Action):
+    def __init__(self, group: "GluedGroup", action):
+        super().__init__(group.factory, action)
         self.group = group
-        self.action = action
-        self.outcome: Optional[Outcome] = None
 
     def hand_over(self, *objects: "LockableObject") -> None:
         """Pin these objects for the next member (fig. 12's red locks on P).
@@ -44,82 +44,23 @@ class MemberScope:
         instead of) working on the objects in the ordinary way.
         """
         for obj in objects:
-            self.group.runtime.acquire(
+            self.runtime.acquire(
                 self.action, obj, LockMode.EXCLUSIVE_READ,
                 colour=self.group.control_colour,
             )
 
     def __enter__(self) -> "MemberScope":
-        push_action(self.action)
+        super().__enter__()
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        pop_action(self.action)
-        if self.action.status.terminated:
-            self.outcome = (
-                Outcome.COMMITTED
-                if self.action.status is ActionStatus.COMMITTED
-                else Outcome.ABORTED
-            )
-            return False
-        if exc_type is None:
-            self.outcome = self.group.runtime.commit_action(self.action)
-        else:
-            self.outcome = self.group.runtime.abort_action(self.action)
-        return False
 
+class GluedGroup(ScopedControl, ControlStructure):
+    """A sequence (or concurrent set) of glued top-level actions.
 
-class GluedGroup:
-    """A sequence (or concurrent set) of glued top-level actions."""
-
-    def __init__(self, runtime: "LocalRuntime", parent: Optional[Action] = None,
-                 name: str = "glued", use_ambient_parent: bool = False):
-        self.runtime = runtime
-        self.name = name
-        self.control_colour = runtime.colours.fresh(f"{name}.control")
-        resolved = current_action() if (use_ambient_parent and parent is None) else parent
-        self.control = Action(
-            runtime, [self.control_colour], parent=resolved, name=f"{name}.G",
-        )
-        self._member_count = 0
-        self.members: List[Action] = []
+    ``GluedGroup(runtime, parent=None, name="glued")``; pass
+    ``parent=AMBIENT`` to nest the control action in the ambient action.
+    """
 
     def member(self, name: str = "") -> MemberScope:
         """Open the next glued member action."""
-        if self.control.status is not ActionStatus.ACTIVE:
-            raise InvalidActionState(f"{self.name}: group already closed")
-        self._member_count += 1
-        label = name or f"{self.name}.A{self._member_count}"
-        data_colour = self.runtime.colours.fresh(f"{label}.data")
-        action = Action(
-            self.runtime, [self.control_colour, data_colour],
-            parent=self.control, name=label,
-        )
-        action.default_colour = data_colour
-        self.members.append(action)
-        return MemberScope(self, action)
-
-    def close(self) -> Outcome:
-        """Commit the control action: release every pinned object."""
-        return self.runtime.commit_action(self.control)
-
-    def cancel(self) -> Outcome:
-        """Abort the control action.
-
-        Committed members' effects are *not* undone (the control action
-        wrote nothing); only the pins are dropped and any still-active
-        member is aborted.
-        """
-        return self.runtime.abort_action(self.control)
-
-    def __enter__(self) -> "GluedGroup":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self.control.status.terminated:
-            return False
-        if exc_type is None:
-            self.close()
-        else:
-            self.cancel()
-        return False
+        return MemberScope(self, self.new_member(name))

@@ -2,11 +2,12 @@
 
 The invoked action is structurally nested inside its invoker — so it can be
 granted locks the invoker holds, avoiding the fig. 13(a) deadlock — but is
-coloured with a single *fresh* colour.  Having no same-coloured ancestor it
-behaves top-level: its commit is immediately permanent, and the invoker's
-abort neither undoes it (no shared undo responsibility) nor kills it when
-running asynchronously (colour-disjoint children are detached, not
-aborted).
+coloured with a single *fresh* colour
+(:func:`repro.structures.schemes.independent_action`).  Having no
+same-coloured ancestor it behaves top-level: its commit is immediately
+permanent, and the invoker's abort neither undoes it (no shared undo
+responsibility) nor kills it when running asynchronously (colour-disjoint
+children are detached, not aborted).
 
 Synchronous invocation is just a ``with`` block (fig. 7(a)); asynchronous
 invocation (:class:`AsyncIndependent`) runs the body in its own thread
@@ -18,33 +19,24 @@ outcome of B").
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional
 
 from repro.actions.action import Action
 from repro.actions.status import Outcome
-from repro.runtime.context import current_action
+from repro.runtime.runtime import AMBIENT, LocalRuntime
 from repro.runtime.scope import ActionScope
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.runtime import LocalRuntime
+from repro.structures.schemes import independent_action
 
 
-def independent_top_level(runtime: "LocalRuntime",
-                          parent: Optional[Action] = None,
-                          name: str = "independent",
-                          use_ambient_parent: bool = True) -> ActionScope:
+def independent_top_level(runtime: LocalRuntime, parent=AMBIENT,
+                          name: str = "independent") -> ActionScope:
     """A synchronous top-level independent action (fig. 7(a)).
 
     ``parent`` defaults to the ambient action (that is the point of the
     structure: invoking a top-level action from *within* an action); pass
-    ``use_ambient_parent=False`` for a plain top-level action.
+    ``parent=None`` for a plain top-level action.
     """
-    resolved = parent if parent is not None else (
-        current_action() if use_ambient_parent else None
-    )
-    colour = runtime.colours.fresh(f"{name}.colour")
-    action = Action(runtime, [colour], parent=resolved, name=name)
-    return ActionScope(runtime, action)
+    return ActionScope(runtime, independent_action(runtime, parent, name))
 
 
 class AsyncIndependent:
@@ -55,17 +47,11 @@ class AsyncIndependent:
     may continue immediately; :meth:`wait` joins and returns the outcome.
     """
 
-    def __init__(self, runtime: "LocalRuntime",
-                 body: Callable[[Action], Any],
-                 parent: Optional[Action] = None,
-                 name: str = "async-independent",
-                 use_ambient_parent: bool = True):
+    def __init__(self, runtime: LocalRuntime,
+                 body: Callable[[Action], Any], parent=AMBIENT,
+                 name: str = "async-independent"):
         self.runtime = runtime
-        resolved = parent if parent is not None else (
-            current_action() if use_ambient_parent else None
-        )
-        colour = runtime.colours.fresh(f"{name}.colour")
-        self.action = Action(runtime, [colour], parent=resolved, name=name)
+        self.action = independent_action(runtime, parent, name)
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self.outcome: Optional[Outcome] = None

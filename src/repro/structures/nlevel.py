@@ -10,82 +10,33 @@ colour (blue) in addition to its working colours; E is coloured with just
 the marker.  E's commit then routes its locks and undo records to A (the
 closest blue ancestor), while B (red only) has no say.
 
-Use :func:`independence_markers` when creating the anchor, then
-:func:`independent_relative_to` at the invocation site.
+Use :func:`repro.structures.schemes.independence_markers` when creating
+the anchor, then :func:`independent_relative_to` at the invocation site;
+the marker choice itself is :func:`repro.structures.schemes.marker_for`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import Optional
 
 from repro.actions.action import Action
 from repro.colours.colour import Colour
-from repro.errors import ColourError
-from repro.runtime.context import current_action
+from repro.runtime.runtime import AMBIENT, LocalRuntime
 from repro.runtime.scope import ActionScope
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.runtime import LocalRuntime
+from repro.structures.schemes import marker_for
 
 
-def independence_markers(runtime: "LocalRuntime", count: int = 1,
-                         name: str = "marker") -> List[Colour]:
-    """Fresh colours to add to a prospective anchor action's colour set."""
-    return [runtime.colours.fresh(f"{name}{i + 1}") for i in range(count)]
-
-
-def independent_relative_to(runtime: "LocalRuntime", anchor: Action,
-                            parent: Optional[Action] = None,
-                            marker: Optional[Colour] = None,
+def independent_relative_to(runtime: LocalRuntime, anchor: Action,
+                            parent=AMBIENT, marker: Optional[Colour] = None,
                             name: str = "nlevel-independent") -> ActionScope:
     """An action, nested at the call site, whose fate is anchored at ``anchor``.
 
     ``parent`` defaults to the ambient action.  The marker colour is chosen
-    automatically: a colour the anchor possesses that no action strictly
-    between the parent and the anchor possesses (otherwise an intermediate
-    would capture the commit routing).  Raises :class:`ColourError` when the
-    anchor has no usable marker — create the anchor with
-    :func:`independence_markers` colours added.
+    automatically (:func:`repro.structures.schemes.marker_for`): a colour
+    the anchor possesses that no action from the parent up to the anchor
+    possesses (otherwise an intermediate would capture the commit routing).
+    Raises :class:`ColourError` when the anchor has no usable marker —
+    create the anchor with ``independence_markers`` colours added.
     """
-    resolved = parent if parent is not None else current_action()
-    if resolved is None:
-        raise ColourError("independent_relative_to needs an invoking action")
-    if anchor.uid not in resolved.path:
-        raise ColourError(
-            f"anchor {anchor.name} is not an ancestor of invoker {resolved.name}"
-        )
-
-    intermediates: List[Action] = []
-    walker: Optional[Action] = resolved
-    while walker is not None and walker.uid != anchor.uid:
-        intermediates.append(walker)
-        walker = walker.parent
-    if walker is None:
-        raise ColourError(
-            f"anchor {anchor.name} unreachable from {resolved.name} via parent links"
-        )
-
-    taken = set()
-    for intermediate in intermediates:
-        taken |= intermediate.colours
-
-    if marker is not None:
-        if marker not in anchor.colours:
-            raise ColourError(f"anchor {anchor.name} does not possess marker {marker}")
-        if marker in taken:
-            raise ColourError(
-                f"marker {marker} is also held by an intermediate action; "
-                f"commit routing would stop there"
-            )
-        chosen = marker
-    else:
-        candidates = sorted(anchor.colours - taken, key=lambda c: c.uid)
-        if not candidates:
-            raise ColourError(
-                f"anchor {anchor.name} has no colour unused by intermediate actions; "
-                f"create it with independence_markers(...) colours"
-            )
-        chosen = candidates[0]
-
-    action = Action(runtime, [chosen], parent=resolved, name=name)
-    return ActionScope(runtime, action)
+    invoker = runtime.resolve_parent(parent)
+    return runtime.coloured([marker_for(anchor, invoker, marker)], invoker, name)

@@ -6,83 +6,48 @@ are permanent at their own commit), but every lock they take is retained by
 the enclosing control action until it ends, so no outside action can
 interpose between constituents.
 
-Implementation: the control action A is coloured {control}; each
-constituent is coloured {control, fresh-data} with ``companion_colour =
-control`` — the runtime shadows every data-colour lock in the control
-colour (WRITE/EXCLUSIVE_READ as EXCLUSIVE_READ, READ as READ), which is
-exactly B's locking in fig. 11.  At constituent commit the data-coloured
-effects become permanent and the control-coloured shadows are inherited by
-A.  A performs no writes, so its abort undoes nothing — giving §3.1's three
-possible outcomes.
+The colouring is :class:`repro.structures.schemes.Serializing`: the control
+action A is coloured {control}; each constituent is coloured {control,
+fresh-data} with the control colour as its ``companion_colour`` — the
+runtime shadows every data-colour lock in the control colour
+(WRITE/EXCLUSIVE_READ as EXCLUSIVE_READ, READ as READ), which is exactly
+B's locking in fig. 11.  At
+constituent commit the data-coloured effects become permanent and the
+control-coloured shadows are inherited by A.  A performs no writes, so its
+abort undoes nothing — giving §3.1's three possible outcomes.
 
 A serializing action is the special case of glued actions in which *every*
 accessed object is handed over (§3.2); the separate class keeps application
-requirements expressible, as the paper recommends.
+requirements expressible, as the paper recommends.  This module adds only
+the local calling convention: ``with`` scopes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
-
-from repro.actions.action import Action
-from repro.actions.status import ActionStatus, Outcome
-from repro.errors import InvalidActionState
-from repro.runtime.context import current_action
+from repro.actions.status import Outcome
 from repro.runtime.scope import ActionScope
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.runtime import LocalRuntime
+from repro.structures.schemes import Serializing
 
 
-class SerializingAction:
-    """The enclosing control action of fig. 3, with constituent factories."""
-
-    def __init__(self, runtime: "LocalRuntime", parent: Optional[Action] = None,
-                 name: str = "serializing", use_ambient_parent: bool = False):
-        self.runtime = runtime
-        self.name = name
-        self.control_colour = runtime.colours.fresh(f"{name}.control")
-        resolved = current_action() if (use_ambient_parent and parent is None) else parent
-        self.control = Action(
-            runtime, [self.control_colour], parent=resolved, name=f"{name}.A",
-        )
-        self._constituent_count = 0
-        self.constituents: List[Action] = []
-
-    def constituent(self, name: str = "") -> ActionScope:
-        """Open the next constituent (B, C, ... of fig. 3).
-
-        The returned scope commits the constituent on clean exit; its
-        effects are then permanent even if the serializing action later
-        aborts.
-        """
-        if self.control.status is not ActionStatus.ACTIVE:
-            raise InvalidActionState(f"{self.name}: serializing action already closed")
-        self._constituent_count += 1
-        label = name or f"{self.name}.c{self._constituent_count}"
-        data_colour = self.runtime.colours.fresh(f"{label}.data")
-        action = Action(
-            self.runtime, [self.control_colour, data_colour],
-            parent=self.control, name=label,
-        )
-        action.default_colour = data_colour
-        action.companion_colour = self.control_colour
-        self.constituents.append(action)
-        return ActionScope(self.runtime, action)
+class ScopedControl:
+    """The local calling convention of a control structure: ``close`` /
+    ``cancel`` end the control action, and the structure is itself a
+    ``with`` block doing one or the other."""
 
     def close(self) -> Outcome:
-        """End the serializing action, releasing all retained locks."""
-        return self.runtime.commit_action(self.control)
+        """Commit the control action, releasing everything it retained."""
+        return self.factory.commit_action(self.control)
 
     def cancel(self) -> Outcome:
-        """Abort the serializing action.
+        """Abort the control action.
 
-        Constituents that committed keep their effects (outcome (iii) of
-        §3.1); an active constituent is aborted with it.
+        Members that committed keep their effects (the control action
+        wrote nothing — outcome (iii) of §3.1); only the retained locks are
+        dropped and any still-active member is aborted with it.
         """
-        return self.runtime.abort_action(self.control)
+        return self.factory.abort_action(self.control)
 
-    def __enter__(self) -> "SerializingAction":
+    def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -93,3 +58,20 @@ class SerializingAction:
         else:
             self.cancel()
         return False
+
+
+class SerializingAction(ScopedControl, Serializing):
+    """The enclosing control action of fig. 3, with constituent factories.
+
+    ``SerializingAction(runtime, parent=None, name="serializing")``; pass
+    ``parent=AMBIENT`` to nest the control action in the ambient action.
+    """
+
+    def constituent(self, name: str = "") -> ActionScope:
+        """Open the next constituent (B, C, ... of fig. 3).
+
+        The returned scope commits the constituent on clean exit; its
+        effects are then permanent even if the serializing action later
+        aborts.
+        """
+        return ActionScope(self.factory, self.new_member(name))

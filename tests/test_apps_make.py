@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.make.distributed import DistributedMakeEngine
-from repro.apps.make.engine import LocalMakeEngine, LogicalClock
+from repro.apps.make.engine import LocalMakeEngine, LogicalClock, initial_file
 from repro.apps.make.graph import DependencyGraph
 from repro.apps.make.makefile import (
     PAPER_EXAMPLE,
@@ -84,15 +84,12 @@ def test_graph_unknown_goal():
 
 # -- local engine ----------------------------------------------------------------
 
-def build_files(runtime, makefile, clock_start=1.0):
-    graph = DependencyGraph(makefile)
-    files = {}
-    for name in sorted(graph.sources()):
-        files[name] = FileObject(runtime, name, content=f"// {name}",
-                                 timestamp=clock_start)
-    for name in makefile.targets():
-        files[name] = FileObject(runtime, name, content="", timestamp=0.0)
-    return files
+def build_files(runtime, makefile):
+    """The project before any make, in the distributed ``setup`` 's states."""
+    sources = {name: f"// {name}"
+               for name in sorted(DependencyGraph(makefile).sources())}
+    return {name: FileObject(runtime, **initial_file(name, sources))
+            for name in [*sources, *makefile.targets()]}
 
 
 def test_local_make_rebuilds_everything_initially(runtime):

@@ -1,9 +1,16 @@
 """Distributed compensation (§3.4) and the bulletin board over the cluster."""
 
+import pytest
+
 from repro.actions.status import Outcome
 from repro.apps.bulletin import BulletinBoard
 from repro.cluster.cluster import Cluster
-from repro.cluster.compensation import ClusterCompensationScope
+from repro.cluster.compensation import (
+    ClusterCompensationRecord,
+    ClusterCompensationScope,
+)
+from repro.errors import InvalidActionState
+from repro.structures.schemes import CompensationRecord
 
 
 def make_cluster():
@@ -104,6 +111,40 @@ def test_failing_compensator_does_not_stop_rest():
     outcomes = dict(results)
     assert outcomes["bad"] is Outcome.ABORTED
     assert outcomes["one"] is Outcome.COMMITTED
+
+
+def test_settling_early_keeps_the_compensators_armed():
+    """``settle()`` while the governing action is still running (a
+    ``finally`` reached before any abort) must not disarm anything: it
+    raises, and the settle after the abort still compensates — once."""
+    cluster = make_cluster()
+    client = cluster.client("app-node")
+    ran = []
+
+    def app():
+        app_action = client.top_level("app")
+        scope = ClusterCompensationScope(client, app_action)
+
+        def undo(action):
+            ran.append(action.name)
+            return
+            yield  # pragma: no cover - keep it a generator
+
+        record = scope.register("undo", undo)
+        assert type(record) is CompensationRecord is ClusterCompensationRecord
+        with pytest.raises(InvalidActionState):
+            yield from scope.settle()
+        assert scope.records == [record] and not record.ran
+        yield from client.abort(app_action)
+        first = yield from scope.settle()
+        second = yield from scope.settle()
+        return first, second
+
+    first, second = cluster.run_process("app-node", app())
+    assert ran == ["compensate:undo"]
+    assert [(r.description, r.ran, r.outcome) for r in first] == [
+        ("undo", True, Outcome.COMMITTED)]
+    assert second == []
 
 
 def test_bulletin_board_posts_survive_invoker_abort_cluster():

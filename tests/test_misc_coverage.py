@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.locking.modes import LockMode
-from repro.runtime.runtime import LocalRuntime
+from repro.runtime.runtime import AMBIENT, LocalRuntime
 from repro.sim.kernel import Kernel, Timeout
 from repro.stdobjects import Account, Counter, FifoQueue
 from repro.structures import GluedGroup, SerializingAction
@@ -15,7 +15,7 @@ from repro.structures import GluedGroup, SerializingAction
 def test_serializing_action_with_ambient_parent(runtime):
     counter = Counter(runtime, value=0)
     with runtime.top_level(name="outer") as outer:
-        ser = SerializingAction(runtime, use_ambient_parent=True, name="ser")
+        ser = SerializingAction(runtime, parent=AMBIENT, name="ser")
         assert ser.control.parent is outer
         with ser.constituent(name="B") as b:
             counter.increment(1, action=b)
@@ -25,7 +25,7 @@ def test_serializing_action_with_ambient_parent(runtime):
 
 def test_glued_group_with_ambient_parent(runtime):
     with runtime.top_level(name="outer") as outer:
-        glue = GluedGroup(runtime, use_ambient_parent=True, name="g")
+        glue = GluedGroup(runtime, parent=AMBIENT, name="g")
         assert glue.control.parent is outer
         glue.close()
 

@@ -13,9 +13,11 @@ tree has unwound.  Afterwards:
 - the runtime can run a fresh ordinary action over every object (the
   system is still live).
 
-One more property pins the tree itself: the same random shape built as
-``Action`` s and as ``ClusterAction`` s routes every colour to the same
-place and settles the children of an ending node the same way.
+One more property pins the tree itself: the same random shape — plain
+nodes and every structure of :mod:`repro.structures.schemes` — built as
+``Action`` s and as ``ClusterAction`` s is coloured the same, routes every
+colour to the same place and settles the children of an ending node the
+same way.
 """
 
 from hypothesis import given, settings
@@ -23,10 +25,11 @@ from hypothesis import strategies as st
 
 from repro.actions.action import Action
 from repro.actions.status import ActionStatus
-from repro.cluster.cluster import Cluster
+from repro.errors import ColourError
 from repro.locking.modes import LockMode
 from repro.runtime.runtime import LocalRuntime
 from repro.stdobjects import Counter
+from tests.stages import stages
 
 N_OBJECTS = 3
 COLOUR_POOL = 3
@@ -161,53 +164,77 @@ def test_random_trees_with_detached_independents(operations):
         assert stored.payload == counter.snapshot()
 
 
-#: per node: which earlier node is its parent (or none), which pool colours
-shapes = st.lists(st.tuples(st.integers(0, 63), st.integers(1, 7)),
-                  min_size=1, max_size=9)
+#: per creation: which earlier node is its parent (or none), which pool
+#: colours a plain node gets, and what is created there
+shapes = st.lists(
+    st.tuples(st.integers(0, 63), st.integers(1, 7),
+              st.sampled_from(["plain", "plain", "serializing", "glued",
+                               "independent", "nlevel"])),
+    min_size=1, max_size=9)
+
+
+def create(stage, structure, parent, name):
+    """The nodes one ``structure`` adds under ``parent``, through the
+    stage's calling convention."""
+    if structure == "serializing":
+        ser = stage.serializing(name, parent)
+        return [ser.control, stage.constituent(ser)]
+    if structure == "glued":
+        group = stage.glued(name, parent)
+        return [group.control, stage.member(group)]
+    if structure == "independent":
+        return [stage.independent(parent, name)]
+    return [stage.relative_to(parent.root(), parent, name=name)]
 
 
 @settings(max_examples=80, deadline=None)
 @given(shapes, st.integers(0, 63), st.sampled_from(["commit", "abort"]))
 def test_local_and_cluster_trees_obey_the_same_rules(shape, pick, how):
-    """Both node kinds are ``ActionNode`` s: by position in the tree,
-    ``routes()`` agrees node for node, and ending a random node aborts the
-    same children in the same order and leaves the same parent links."""
-    runtime = LocalRuntime(deadlock_detection=False)
-    cluster = Cluster(seed=0)
-    cluster.add_node("home")
-    client = cluster.client("home")
-    kinds = [
-        (runtime.obs, runtime.colours.fresh,
-         lambda colours, parent: Action(runtime, colours, parent=parent),
-         lambda node: getattr(node, how)()),
-        (cluster.obs, client.fresh_colour, client.coloured,
-         lambda node: cluster.run_process("home",
-                                          getattr(client, how)(node))),
-    ]
+    """Both node kinds are ``ActionNode`` s, and every structure colours
+    them by the one scheme: by position in the tree, a random mix of plain,
+    serializing, glued, independent and n-level creations gets the same
+    colour sets, default and companion colours and ``routes()`` node for
+    node (and the same n-level refusals), and ending a random node aborts
+    the same children in the same order and leaves the same parent links."""
     seen = []
-    for hub, fresh_colour, build, end in kinds:
-        pool = [fresh_colour(f"p{i}") for i in range(COLOUR_POOL)]
-        nodes = []
-        for parent_pick, selector in shape:
+    for stage in stages(LocalRuntime(deadlock_detection=False)):
+        factory, hub = stage.factory, stage.factory.obs
+        pool = [factory.fresh_colour(f"p{i}") for i in range(COLOUR_POOL)]
+        nodes, refused = [], []
+        for index, (parent_pick, selector, structure) in enumerate(shape):
             parents = nodes + [None]  # every node is still active
-            nodes.append(build(
-                [pool[i] for i in range(COLOUR_POOL) if selector & (1 << i)],
-                parents[parent_pick % len(parents)]))
+            parent = parents[parent_pick % len(parents)]
+            if structure == "plain" or (structure == "nlevel"
+                                        and parent is None):
+                nodes.append(stage.coloured(
+                    [pool[i] for i in range(COLOUR_POOL)
+                     if selector & (1 << i)], parent))
+                continue
+            try:
+                nodes.extend(create(stage, structure, parent, f"n{index}"))
+            except ColourError:  # no usable marker: on both, or on neither
+                refused.append(index)
         position = {str(node.uid): index for index, node in enumerate(nodes)}
 
         def place(node):
             return None if node is None else position[str(node.uid)]
 
-        routes = [[(pool.index(colour), place(destination))
-                   for colour, destination in node.routes()]
-                  for node in nodes]
+        def shade(colour):
+            return None if colour is None else colour.name
+
+        colouring = [(sorted(map(shade, node.colours)),
+                      shade(node.default_colour),
+                      shade(node.companion_colour),
+                      [(shade(colour), place(destination))
+                       for colour, destination in node.routes()])
+                     for node in nodes]
         begun = len(hub.auditor.events)
-        end(nodes[pick % len(nodes)])
+        stage.end(nodes[pick % len(nodes)], how)
         ended = [(position[event.labels["action"]], event.labels["outcome"])
                  for _seq, event in list(hub.auditor.events)[begun:]
                  if event.kind == "action.end"]
         links = [(node.status, place(node.parent),
                   [place(child) for child in node.children])
                  for node in nodes]
-        seen.append((routes, ended, links))
+        seen.append((colouring, refused, ended, links))
     assert seen[0] == seen[1]

@@ -1,12 +1,18 @@
 """Glued actions: hand-over pins, early release, cascade-abort freedom
-(figs. 5/6/12 and the §3.2 diary-style requirements)."""
+(figs. 5/6/12 and the §3.2 diary-style requirements).
+
+Hand-over and what a cancelled group keeps are the colouring scheme's doing
+(:class:`repro.structures.schemes.ControlStructure`), so those cases run
+over both runtimes (``tests/stages.py``); the rest pin the local calling
+convention, ``with`` scopes.
+"""
 
 import pytest
 
-from repro.errors import LockTimeout
 from repro.locking.modes import LockMode
 from repro.structures import GluedGroup
 from repro.stdobjects import Counter
+from tests.stages import stages
 
 
 def test_member_effects_permanent_at_member_commit(runtime):
@@ -21,33 +27,40 @@ def test_member_effects_permanent_at_member_commit(runtime):
 def test_unhanded_objects_released_at_member_commit(runtime):
     """§3.2: objects in O - P must be free once A commits — the advantage
     over a serializing action."""
-    kept = Counter(runtime, value=0)
-    released = Counter(runtime, value=0)
-    glue = GluedGroup(runtime, name="g")
-    with glue.member(name="A") as m:
-        kept.increment(1, action=m.action)
-        released.increment(1, action=m.action)
-        m.hand_over(kept)
-    with runtime.top_level(name="bystander") as by:
-        runtime.acquire(by, released, LockMode.WRITE, timeout=0.05)  # free
-        with pytest.raises(LockTimeout):
-            runtime.acquire(by, kept, LockMode.WRITE, timeout=0.05)  # pinned
-        runtime.abort_action(by)
-    glue.close()
+    for stage in stages(runtime):
+        kept, released = stage.counter(), stage.counter()
+        glue = stage.glued("g")
+        a = stage.member(glue, "A")
+        stage.increment(a, kept)
+        stage.increment(a, released)
+        stage.hand_over(glue, a, kept)
+        stage.end(a, "commit")
+        assert stage.lockable(released, LockMode.WRITE)   # free
+        assert not stage.lockable(kept, LockMode.WRITE)   # pinned
+        stage.close(glue)
+        assert stage.lockable(kept, LockMode.WRITE)
+        stage.finish()
 
 
 def test_handed_over_objects_unchanged_between_members(runtime):
     """Objects in P remain unchanged between the end of A and start of B."""
-    p = Counter(runtime, value=0)
-    glue = GluedGroup(runtime, name="g")
-    with glue.member(name="A") as m:
-        p.increment(1, action=m.action)
-        m.hand_over(p)
-    with glue.member(name="B") as m2:
-        assert p.get(action=m2.action) == 1
-        p.increment(10, action=m2.action)
-    glue.close()
-    assert p.value == 11
+    for stage in stages(runtime):
+        p = stage.counter()
+        glue = stage.glued("g")
+        a = stage.member(glue, "A")
+        stage.increment(a, p, 1)
+        stage.hand_over(glue, a, p)
+        stage.end(a, "commit")
+        assert stage.permanent(p) == 1   # a top-level action's commit
+        b = stage.member(glue)
+        assert (glue.control.name, b.name) == ("g.G", "g.A2")
+        assert glue.members == [a, b]
+        assert stage.get(b, p) == 1
+        stage.increment(b, p, 10)
+        stage.end(b, "commit")
+        stage.close(glue)
+        assert stage.permanent(p) == 11
+        stage.finish()
 
 
 def test_a_effects_not_recovered_if_b_fails(runtime):
@@ -66,26 +79,44 @@ def test_a_effects_not_recovered_if_b_fails(runtime):
 
 
 def test_group_cancel_preserves_committed_members(runtime):
-    p = Counter(runtime, value=0)
-    glue = GluedGroup(runtime, name="g")
-    with glue.member(name="A") as m:
-        p.increment(1, action=m.action)
-        m.hand_over(p)
-    glue.cancel()
-    assert p.value == 1
-    # pin dropped: outsiders may now lock it
-    with runtime.top_level(name="after") as later:
-        runtime.acquire(later, p, LockMode.WRITE, timeout=0.05)
+    for stage in stages(runtime):
+        p = stage.counter()
+        glue = stage.glued("g")
+        a = stage.member(glue, "A")
+        stage.increment(a, p)
+        stage.hand_over(glue, a, p)
+        stage.end(a, "commit")
+        stage.cancel(glue)
+        assert stage.value(p) == stage.permanent(p) == 1
+        # pin dropped: outsiders may now lock it
+        assert stage.lockable(p, LockMode.WRITE)
+        stage.finish()
 
 
 def test_group_cancel_aborts_active_member(runtime):
+    for stage in stages(runtime):
+        p = stage.counter()
+        glue = stage.glued("g")
+        a = stage.member(glue, "A")
+        stage.increment(a, p)
+        stage.cancel(glue)
+        assert a.status.value == "aborted"
+        assert stage.value(p) == stage.permanent(p) == 0
+        stage.finish()
+
+
+def test_group_cancel_inside_member_block(runtime):
+    """The local calling convention: a member's ``with`` block that finds
+    its action already aborted (the group was cancelled) just reports it."""
     p = Counter(runtime, value=0)
     glue = GluedGroup(runtime, name="g")
     member = glue.member(name="A")
     with member as m:
+        assert m is member
         p.increment(1, action=m.action)
         glue.cancel()
     assert member.action.status.value == "aborted"
+    assert member.outcome.value == "aborted"
     assert p.value == 0
 
 

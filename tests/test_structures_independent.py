@@ -103,7 +103,7 @@ def test_fig13a_true_top_levels_do_conflict(runtime):
     shared = Counter(runtime, value=0)
     with runtime.top_level(name="A") as a:
         shared.increment(1)
-        with independent_top_level(runtime, use_ambient_parent=False, name="B") as b:
+        with independent_top_level(runtime, parent=None, name="B") as b:
             with pytest.raises(LockTimeout):
                 runtime.acquire(b, shared, LockMode.WRITE, timeout=0.05)
             runtime.abort_action(b)

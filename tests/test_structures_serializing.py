@@ -1,41 +1,72 @@
-"""Serializing actions: §3.1's three outcomes and lock retention (figs. 3/11)."""
+"""Serializing actions: §3.1's three outcomes and lock retention (figs. 3/11).
+
+The outcomes, the retention between constituents and the closed check are
+the colouring scheme's doing (:class:`repro.structures.schemes.Serializing`),
+so those cases run over both runtimes (``tests/stages.py``); the rest pin
+the local calling convention, ``with`` scopes.
+"""
 
 import pytest
 
-from repro.errors import LockTimeout
+from repro.errors import InvalidActionState
 from repro.locking.modes import LockMode
 from repro.structures import SerializingAction
 from repro.stdobjects import Counter
+from tests.stages import stages
 
 
 def test_outcome_ii_both_commit(runtime):
     """(ii) Effects from B and C become permanent."""
-    b_objects = Counter(runtime, value=0)
-    shared = Counter(runtime, value=0)
-    with SerializingAction(runtime, name="ser") as ser:
-        with ser.constituent(name="B"):
-            b_objects.increment(10)
-            shared.increment(1)
-        with ser.constituent(name="C"):
-            shared.increment(100)
-    assert b_objects.value == 10
-    assert shared.value == 101
+    for stage in stages(runtime):
+        b_objects, shared = stage.counter(), stage.counter()
+        ser = stage.serializing("ser")
+        b = stage.constituent(ser, "B")
+        stage.increment(b, b_objects, 10)
+        stage.increment(b, shared, 1)
+        stage.end(b, "commit")
+        c = stage.constituent(ser)
+        assert (ser.control.name, c.name) == ("ser.A", "ser.c2")
+        assert ser.constituents == ser.members == [b, c]
+        stage.increment(c, shared, 100)
+        stage.end(c, "commit")
+        stage.close(ser)
+        assert stage.permanent(b_objects) == 10
+        assert stage.permanent(shared) == 101
+        stage.finish()
 
 
 def test_outcome_i_b_aborts_no_effects(runtime):
     """(i) No effects are produced (because B aborts)."""
-    counter = Counter(runtime, value=0)
-    ser = SerializingAction(runtime, name="ser")
-    with pytest.raises(RuntimeError):
-        with ser.constituent(name="B"):
-            counter.increment(10)
-            raise RuntimeError("B fails")
-    ser.cancel()
-    assert counter.value == 0
+    for stage in stages(runtime):
+        counter = stage.counter()
+        ser = stage.serializing("ser")
+        b = stage.constituent(ser, "B")
+        stage.increment(b, counter, 10)
+        stage.end(b, "abort")
+        stage.cancel(ser)
+        assert stage.value(counter) == stage.permanent(counter) == 0
+        stage.finish()
 
 
 def test_outcome_iii_b_survives_c_abort(runtime):
     """(iii) Effects of B only become permanent (B commits, C aborts)."""
+    for stage in stages(runtime):
+        counter = stage.counter()
+        ser = stage.serializing("ser")
+        b = stage.constituent(ser, "B")
+        stage.increment(b, counter, 10)
+        stage.end(b, "commit")
+        c = stage.constituent(ser, "C")
+        stage.increment(c, counter, 100)
+        stage.end(c, "abort")
+        stage.close(ser)
+        assert stage.value(counter) == stage.permanent(counter) == 10
+        stage.finish()
+
+
+def test_outcome_iii_in_with_blocks(runtime):
+    """Outcome (iii) in the local calling convention: an exception leaving
+    a constituent's ``with`` block aborts it, the structure's block closes."""
     counter = Counter(runtime, value=0)
     with SerializingAction(runtime, name="ser") as ser:
         with ser.constituent(name="B"):
@@ -45,6 +76,7 @@ def test_outcome_iii_b_survives_c_abort(runtime):
                 counter.increment(100)
                 raise RuntimeError("C fails")
     assert counter.value == 10
+    assert ser.control.status.value == "committed"
 
 
 def test_b_effects_survive_serializing_action_abort(runtime):
@@ -71,25 +103,22 @@ def test_b_updates_permanent_at_b_commit_not_a_commit(runtime):
 
 def test_control_retains_locks_between_constituents(runtime):
     """Objects touched by B stay inaccessible to outsiders until A ends."""
-    written = Counter(runtime, value=0)
-    read_only = Counter(runtime, value=0)
-    ser = SerializingAction(runtime, name="ser")
-    with ser.constituent(name="B") as b:
-        written.increment(10)
-        read_only.get(action=b)
-    # written: retained as EXCLUSIVE_READ -> outsiders cannot even read
-    with runtime.top_level(name="outsider") as out:
-        with pytest.raises(LockTimeout):
-            runtime.acquire(out, written, LockMode.READ, timeout=0.05)
+    for stage in stages(runtime):
+        written, read_only = stage.counter(), stage.counter()
+        ser = stage.serializing("ser")
+        b = stage.constituent(ser, "B")
+        stage.increment(b, written, 10)
+        stage.get(b, read_only)
+        stage.end(b, "commit")
+        # written: retained as EXCLUSIVE_READ -> outsiders cannot even read
+        assert not stage.lockable(written, LockMode.READ)
         # read_only: retained as READ -> outsiders may read but not write
-        runtime.acquire(out, read_only, LockMode.READ, timeout=0.05)
-        with pytest.raises(LockTimeout):
-            runtime.acquire(out, read_only, LockMode.WRITE, timeout=0.05)
-        runtime.abort_action(out)
-    ser.close()
-    # after A ends everything is free
-    with runtime.top_level(name="later") as later:
-        runtime.acquire(later, written, LockMode.WRITE, timeout=0.05)
+        assert stage.lockable(read_only, LockMode.READ)
+        assert not stage.lockable(read_only, LockMode.WRITE)
+        stage.close(ser)
+        # after A ends everything is free
+        assert stage.lockable(written, LockMode.WRITE)
+        stage.finish()
 
 
 def test_later_constituent_acquires_earlier_ones_objects(runtime):
@@ -117,11 +146,15 @@ def test_control_action_performs_no_writes_abort_undoes_nothing(runtime):
 
 
 def test_constituents_refused_after_close(runtime):
-    ser = SerializingAction(runtime, name="ser")
-    ser.close()
-    from repro.errors import InvalidActionState
-    with pytest.raises(InvalidActionState):
-        ser.constituent()
+    for stage in stages(runtime):
+        for end in (stage.close, stage.cancel):
+            ser = stage.serializing("ser")
+            end(ser)
+            with pytest.raises(InvalidActionState,
+                               match="ser: structure already closed"):
+                stage.constituent(ser)
+            assert ser.members == []
+        stage.finish()
 
 
 def test_nested_serializing_inside_top_level(runtime):
