@@ -31,6 +31,7 @@ COMPILE_DURATION = 200.0
 
 def build_engine(seed=0, fail_before=None):
     cluster = Cluster(seed=seed)
+    cluster.observe(history=True)  # the timeline is drawn from kept spans
     for node in ("workstation", "node-1", "node-2", "node-3"):
         cluster.add_node(node)
     client = cluster.client("workstation")

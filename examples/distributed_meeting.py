@@ -20,6 +20,7 @@ PREFERENCES = [DATES[1:6], DATES[2:7], [DATES[3], DATES[5]]]
 
 def main() -> None:
     cluster = Cluster(seed=42)
+    cluster.observe(history=True)  # the timeline is drawn from kept spans
     cluster.add_node("coordinator")
     for node in PEOPLE.values():
         cluster.add_node(node)

@@ -28,6 +28,7 @@ from repro.obs.__main__ import main as obs_main
 
 def build_cluster():
     cluster = Cluster(seed=42)
+    cluster.observe(history=True)  # keep spans, events, per-colour series
     cluster.add_node("teller")
     cluster.add_node("vault")
     return cluster

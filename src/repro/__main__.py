@@ -16,7 +16,7 @@ from repro import (
     SerializingAction,
     independent_top_level,
 )
-from repro.obs import Observability, action_timeline
+from repro.obs import History, Observability, action_timeline
 
 
 def banner(text: str) -> None:
@@ -28,6 +28,7 @@ def banner(text: str) -> None:
 def traced():
     runtime = LocalRuntime()
     hub = Observability()
+    hub.bind(History())
     runtime.attach_observability(hub)
     return runtime, hub.tracer
 

@@ -67,8 +67,6 @@ class Cluster:
                  rpc_timeout: float = 10.0, rpc_retries: int = 3,
                  edge_chasing: bool = True, probe_interval: float = 5.0,
                  fast_paths: bool = True, commute: bool = True,
-                 max_finished_spans: Optional[int] = None,
-                 metrics_max_series: Optional[int] = None,
                  backend: Optional[ExecutionBackend] = None):
         #: the execution backend every layer schedules on — ``None`` (the
         #: default) is the deterministic simulation; ``"asyncio"`` or an
@@ -80,13 +78,11 @@ class Cluster:
         self.kernel = self.backend.kernel
         #: the cluster-wide observability hub, on simulated time.  Every
         #: layer (network, transport, servers, clients, deadlock chasers)
-        #: reports into it; see ``metrics_dump()`` and ``obs.span_tree()``.
-        #: The two ``max`` knobs bound its retention (finished spans,
-        #: series per metric) for long soaks; ``None`` keeps the short-run
-        #: defaults.
-        self.obs = Observability(tick_source=lambda: self.kernel.now,
-                                 max_finished_spans=max_finished_spans,
-                                 metrics_max_series=metrics_max_series)
+        #: reports into it; see ``metrics_dump()``.  It audits and counts
+        #: but keeps no event, finished span or per-colour series until
+        #: ``observe(history=True)`` (which ``obs.span_tree()`` and
+        #: ``obs.save()``'s ``spans``/``events`` read).
+        self.obs = Observability(tick_source=lambda: self.kernel.now)
         self.rng = SplitRandom(seed)
         self.network = self.backend.make_network(self.rng, config,
                                                  observability=self.obs)
@@ -173,14 +169,16 @@ class Cluster:
         value is ``True`` for the layer's defaults or a mapping handed to
         the layer's constructor (where every tuning parameter lives)::
 
-            cluster.observe(timeline={"interval": 5.0}, flight_recorder=True,
-                            postmortem=True, introspection=True, slo=True)
+            cluster.observe(history=True, timeline={"interval": 5.0},
+                            flight_recorder=True, postmortem=True,
+                            introspection=True, slo=True)
 
         Layers a requested one ``requires`` come along with their defaults
-        (``slo`` brings ``timeline``), so no order of keywords or of calls
-        is wrong; asking again for a bound layer with ``True`` is a no-op,
+        (``slo`` brings ``timeline``, which brings ``history``), so no order
+        of keywords or of calls is wrong; asking again for a bound layer with ``True`` is a no-op,
         with options a ``RuntimeError``.  Call before ``run()`` — ideally
-        before ``add_node``, so no event predates a recorder.  Returns
+        before ``add_node``, so no event predates a recorder (``history``
+        keeps what is reported after it is bound).  Returns
         ``cluster.obs.layers`` (section name -> bound layer), which
         ``cluster.obs.save()`` writes out section by section.
         """

@@ -306,7 +306,11 @@ class ObjectServer:
         the sender's mirror and — the before-image of a WRITE captured —
         hands ``(obj, mirror, colour)`` to ``granted``, which replies.  A
         lock that is not granted is answered here, ``what`` naming the
-        request; every error raised on the way in answers the rpc.
+        request — and if that leaves the mirror with no lock, no undo and
+        no other request waiting, the mirror goes with the answer: the
+        client notes a node only when a request succeeds or times out, so
+        nobody would ever come to retire it.  Every error raised on the way
+        in answers the rpc.
         """
         payload = message.payload
         object_uid = decode_uid(payload["object_uid"])
@@ -324,6 +328,9 @@ class ObjectServer:
                 respond(False, request.error or LockTimeout(
                     f"{what} on {object_uid}: {request.refusal}"
                 ))
+                if (self._idle(mirror) and not
+                        self.registry.pending_requests_of(mirror.uid)):
+                    self.mirrors.pop(mirror.uid, None)
                 return
             if mode is LockMode.WRITE:
                 mirror.ledger.note_write(obj, colour, self._next_undo_seq(),
@@ -461,11 +468,15 @@ class ObjectServer:
         self.registry.release_action(action_uid)
         respond(True, self._ok({"known": mirror is not None}))
 
+    def _idle(self, mirror: ActionMirror) -> bool:
+        """Nothing — no undo, no write set, no lock — ties the mirror's
+        action to this node."""
+        return (mirror.ledger.empty
+                and not self.registry.objects_held_by(mirror.uid))
+
     def _retire_if_idle(self, mirror: ActionMirror, outcome: str) -> None:
-        """Retire a mirror a vote released early, once nothing — no undo,
-        no write set, no lock — ties its action to this node any more."""
-        if (mirror.ledger.empty
-                and not self.registry.objects_held_by(mirror.uid)):
+        """Retire a mirror a vote released early, once it is idle."""
+        if self._idle(mirror):
             self.mirrors.pop(mirror.uid, None)
             self._retire_mirror(mirror, outcome)
 

@@ -23,6 +23,7 @@ Attach an :class:`Observability` hub::
     from repro.cluster import Cluster
 
     cluster = Cluster(seed=7)          # a hub on simulated time, built in
+    cluster.observe(history=True)      # keep events, spans, per-colour series
     ... run a workload ...
     print(cluster.obs.report())        # metrics
     print(cluster.obs.span_tree())     # distributed traces
@@ -31,8 +32,12 @@ Attach an :class:`Observability` hub::
 For the local (threaded) runtime::
 
     hub = Observability()
+    hub.bind(History())
     runtime = LocalRuntime()
     runtime.attach_observability(hub)
+
+Without the history layer a hub audits and counts but keeps nothing per
+action (:mod:`repro.obs.history`).
 """
 
 from repro.obs.bus import EventBus, ObsEvent
@@ -44,6 +49,7 @@ from repro.obs.export import (
     survival_report,
     text_report,
 )
+from repro.obs.history import History
 from repro.obs.hub import Observability, colour_names
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracing import Span, SpanContext, Tracer, TRACE_KEY
@@ -53,6 +59,7 @@ __all__ = [
     "EventBus",
     "Gauge",
     "Histogram",
+    "History",
     "MetricsRegistry",
     "ObsEvent",
     "Observability",

@@ -34,9 +34,8 @@ legitimately wipes a server's volatile lock tables.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.obs.audit import findings as F
 from repro.obs.audit.findings import Finding
@@ -84,12 +83,9 @@ class _TxnState:
 class InvariantAuditor:
     """Incremental checker over the obs event stream (thread-safe)."""
 
-    def __init__(self, metrics=None, max_events: int = 200_000,
-                 max_accesses: int = 4096):
+    def __init__(self, metrics=None, max_accesses: int = 4096):
         self.metrics = metrics
         self._mutex = threading.Lock()
-        self._seq = 0
-        self.events: Deque[Tuple[int, ObsEvent]] = deque(maxlen=max_events)
         self.findings: List[Finding] = []
         self._actions: Dict[str, _ActionInfo] = {}
         #: (node, object) -> owner -> colour -> mode (mirror of lock tables)
@@ -114,43 +110,12 @@ class InvariantAuditor:
     # -- intake ---------------------------------------------------------------
 
     def consume(self, event: ObsEvent) -> None:
-        with self._mutex:
-            self._seq += 1
-            seq = self._seq
-            self.events.append((seq, event))
-            handler = self._HANDLERS.get(event.kind)
-            if handler is not None:
-                handler(self, seq, event)
-
-    def event_dicts(self, since: int = 0) -> List[Dict[str, Any]]:
-        """The retained event log, JSON-ready (for dumps and CLI replay).
-
-        ``since`` skips events with ``seq <= since`` — segment rotation
-        passes the last sequence number it already wrote so consecutive
-        segments partition the stream without overlap.
-        """
-        with self._mutex:
-            return [
-                {"seq": seq, "tick": event.tick, "kind": event.kind,
-                 "labels": dict(event.labels)}
-                for seq, event in self.events
-                if seq > since
-            ]
-
-    def drop_events(self, upto: int) -> int:
-        """Forget retained events with ``seq <= upto``; returns how many.
-
-        The online checks keep their own state — dropping already-exported
-        events only shrinks the replay log.  Segment rotation calls this
-        after writing a segment so retention tracks one segment, not the
-        whole soak horizon.
-        """
-        with self._mutex:
-            dropped = 0
-            while self.events and self.events[0][0] <= upto:
-                self.events.popleft()
-                dropped += 1
-            return dropped
+        """Check one event; findings cite it by ``event.seq``, its number
+        in the stream (the bus's, or the one a replayed dump recorded)."""
+        handler = self.HANDLERS.get(event.kind)
+        if handler is not None:
+            with self._mutex:
+                handler(self, event.seq, event)
 
     # -- findings -------------------------------------------------------------
 
@@ -760,7 +725,8 @@ class InvariantAuditor:
                         (F.SERIALIZATION_CYCLE, colour, tuple(cycle)))
         return found
 
-    _HANDLERS = {
+    #: kind -> handler; the keys are the kinds the hub subscribes it with
+    HANDLERS = {
         "action.begin": _on_action_begin,
         "action.end": _on_action_end,
         "lock.granted": _on_lock_granted,

@@ -2,8 +2,9 @@
 
 :func:`install_online_audit` is a context manager (used by an autouse
 fixture in ``tests/conftest.py``) that tracks every Observability hub
-created inside it and auto-attaches a hub to every LocalRuntime that
-would otherwise run dark.  On exit it collects the findings of every
+created inside it, binds the history layer to each (a failure's dump is
+only replayable with its events) and auto-attaches a hub to every
+LocalRuntime that would otherwise run dark.  On exit it collects the findings of every
 hub's auditor; any finding raises ``AssertionError``, and so does any
 bus subscriber that crashed (the auditor among them: its silence would
 be vacuous) — and when
@@ -23,6 +24,7 @@ from typing import List
 
 @contextmanager
 def install_online_audit(dump_dir=None):
+    from repro.obs.history import History
     from repro.obs.hub import Observability
     from repro.runtime.runtime import LocalRuntime
 
@@ -32,6 +34,7 @@ def install_online_audit(dump_dir=None):
 
     def recording_hub_init(self, *args, **kwargs):
         original_hub_init(self, *args, **kwargs)
+        self.bind(History())
         hubs.append(self)
 
     def audited_runtime_init(self, *args, **kwargs):
@@ -103,11 +106,13 @@ def _why_report(hub) -> str:
     """The ``why --aborts`` view of a hub's retained events (best effort)."""
     try:
         from repro.obs import dump
+        from repro.obs.history import History
         from repro.obs.postmortem.engine import PostmortemEngine
         from repro.obs.postmortem.render import abort_report
 
         engine = PostmortemEngine.replay(
-            dump.events({"events": hub.auditor.event_dicts()}))
+            dump.events({"events":
+                         hub.layers[History.section].event_dicts()}))
         lines, _gaps = abort_report(list(engine.records),
                                     metrics_doc=hub.metrics.dump())
         return "\n".join(lines)

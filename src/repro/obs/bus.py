@@ -5,9 +5,11 @@ number of subscribers consume them — the invariant auditor, the lock
 hold-time tracker, the flight recorder and the postmortem engine are all
 subscribers over this one stream.  A subscriber may declare the event
 kinds it reads (``subscribe(consume, kinds=...)``) and is then called for
-those only; one that retains the stream (the auditor, the flight recorder)
-subscribes unfiltered.  Publishing is synchronous, takes no lock and is
-exception-isolated: a failing subscriber never breaks the publisher, but
+those only; one that retains the stream (the history layer, the flight
+recorder) subscribes unfiltered.  An event of a kind nobody reads is never
+built (:meth:`EventBus.emit`); every event that is published carries its
+sequence number in the stream.  Publishing is synchronous, takes no lock
+and is exception-isolated: a failing subscriber never breaks the publisher, but
 it is never silent either — the bus keeps the first exception of each
 failing subscriber (:attr:`EventBus.errors`) and reports every one to its
 ``on_error`` callback, so "the auditor found nothing" cannot mean "the
@@ -16,26 +18,33 @@ auditor crashed on the first event".
 
 from __future__ import annotations
 
+import itertools
 import threading
-from dataclasses import dataclass
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Tuple)
 
 
-@dataclass
 class ObsEvent:
     """One observed occurrence: a value, shared by every subscriber.
 
-    Slots and a plain ``__init__`` rather than ``frozen=True`` (whose
-    ``__init__`` is three ``object.__setattr__`` calls): one is built per
-    report and the auditor retains every one.
+    Slots and a plain ``__init__``: one is built per report that has a
+    reader and the history layer retains every one.
     """
 
-    __slots__ = ("tick", "kind", "labels")
+    __slots__ = ("tick", "kind", "labels", "seq")
 
-    tick: float
-    kind: str                          # e.g. "action.begin", "lock.granted"
-    labels: Dict[str, Any]
+    def __init__(self, tick: float, kind: str, labels: Dict[str, Any],
+                 seq: int = 0):
+        self.tick = tick
+        self.kind = kind               # e.g. "action.begin", "lock.granted"
+        self.labels = labels
+        #: its place in the stream, stamped by :meth:`EventBus.publish` (a
+        #: replay carries the number the dump recorded)
+        self.seq = seq
+
+    def __repr__(self) -> str:
+        return (f"ObsEvent(tick={self.tick!r}, kind={self.kind!r}, "
+                f"labels={self.labels!r}, seq={self.seq!r})")
 
     def label(self, key: str, default: Any = None) -> Any:
         return self.labels.get(key, default)
@@ -62,15 +71,28 @@ class EventBus:
         self._on_error = on_error
         #: subscriber name -> the first exception it raised
         self.errors: Dict[str, BaseException] = {}
+        #: sequence numbers of the published events, from 1
+        self._seqs = itertools.count(1)
 
     def subscribe(self, subscriber: Subscriber,
                   kinds: Optional[Iterable[str]] = None) -> Subscriber:
         """Call ``subscriber`` for every event, or only for those whose
         kind is in ``kinds``; takes effect from the next event published."""
         with self._mutex:
-            self._subscriptions.append(
-                (subscriber, None if kinds is None else frozenset(kinds)))
-            self._reroute()
+            by_kind, unfiltered = self._routes
+            if kinds is None:
+                self._routes = (
+                    {kind: readers + (subscriber,)
+                     for kind, readers in by_kind.items()},
+                    unfiltered + (subscriber,))
+            else:
+                kinds = frozenset(kinds)
+                by_kind = dict(by_kind)
+                for kind in kinds:
+                    by_kind[kind] = by_kind.get(kind, unfiltered) + (
+                        subscriber,)
+                self._routes = (by_kind, unfiltered)
+            self._subscriptions.append((subscriber, kinds))
         return subscriber
 
     def unsubscribe(self, subscriber: Subscriber) -> None:
@@ -82,7 +104,9 @@ class EventBus:
                     break
 
     def _reroute(self) -> None:
-        """Rebuild the routing table.  Caller holds the mutex."""
+        """Rebuild the routing table :meth:`subscribe` extends in place of
+        a rebuild (a hub makes its two subscriptions on every
+        construction).  Caller holds the mutex."""
         def readers(kind: Optional[str]) -> Tuple[Subscriber, ...]:
             return tuple(subscriber
                          for subscriber, kinds in self._subscriptions
@@ -94,6 +118,7 @@ class EventBus:
                         readers(None))
 
     def publish(self, event: ObsEvent) -> None:
+        event.seq = next(self._seqs)
         by_kind, unfiltered = self._routes
         for subscriber in by_kind.get(event.kind, unfiltered):
             try:
@@ -107,7 +132,8 @@ class EventBus:
                 if self._on_error is not None:
                     self._on_error(name)
 
-    def emit(self, tick: float, kind: str, **labels: Any) -> ObsEvent:
-        event = ObsEvent(tick, kind, labels)
-        self.publish(event)
-        return event
+    def emit(self, tick: float, kind: str, **labels: Any) -> None:
+        """Publish an event of ``kind``, if anybody reads that kind."""
+        by_kind, unfiltered = self._routes
+        if by_kind.get(kind, unfiltered):
+            self.publish(ObsEvent(tick, kind, labels))

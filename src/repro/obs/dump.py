@@ -12,9 +12,10 @@ and this is the only module that knows its shape:
     a ``MetricsRegistry.dump()``: ``counters`` / ``gauges`` /
     ``histograms`` row lists.
 ``events``
-    the auditor's retained bus events, ``{seq, tick, kind, labels}`` each.
+    the retained bus events, ``{seq, tick, kind, labels}`` each.  These
+    and ``spans`` are the history layer's; a hub without it writes neither.
 ``extra``
-    one section per attached layer (``flight_recorder``, ``timeline``,
+    one section per other attached layer (``flight_recorder``, ``timeline``,
     ``postmortem``, ``introspection``, ``slo``; soak segments add
     ``segment``).
 
@@ -144,15 +145,18 @@ def events(doc: Dict[str, Any]) -> Iterator[ObsEvent]:
     """
     if "events" not in doc:
         raise DumpError("no \"events\" list in the dump — was it written "
-                        "by Observability.save()?")
-    for entry in doc["events"]:
+                        "by Observability.save() with the history layer "
+                        "bound?")
+    for index, entry in enumerate(doc["events"], start=1):
         if not isinstance(entry, dict):
             continue
         labels = entry.get("labels")
+        seq = entry.get("seq")
         yield ObsEvent(
             tick=float(entry.get("tick", 0.0)),
             kind=str(entry.get("kind", "")),
             labels=dict(labels) if isinstance(labels, dict) else {},
+            seq=seq if isinstance(seq, int) else index,
         )
 
 

@@ -1,5 +1,12 @@
 """The Observability hub: one metrics registry + tracer + event bus.
 
+A bare hub is cheap to report into and keeps nothing per action: the
+always-on auditor and lock hold-time tracker read the event kinds their
+handler tables name, an event nobody reads is never built, a finished
+span is dropped and the ``colour`` label splits no series.  What a run
+*was* — every event, every span, per-colour statistics — is kept by the
+history layer (:mod:`repro.obs.history`), bound like any other.
+
 A hub is attached to a :class:`~repro.cluster.cluster.Cluster` (created
 automatically, on simulated time) or to a
 :class:`~repro.runtime.runtime.LocalRuntime` via
@@ -23,6 +30,9 @@ builds and binds by section name.  A layer is any object with:
 ``rotate(start, end)``
     its section of one soak segment, handing out and dropping what only
     that window needs (:meth:`Observability.rotate`).
+
+The history layer's section is the document's top-level ``spans`` and
+``events``; every other layer's goes under ``extra``.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from repro.obs.export import (
     span_tree,
     text_report,
 )
+from repro.obs.history import History
 from repro.obs.metrics import MetricsRegistry, dump_delta
 from repro.obs.tracing import Span, Tracer
 
@@ -51,34 +62,30 @@ def colour_names(colours) -> str:
 class Observability:
     """Bundles the three observation primitives behind one attach point."""
 
-    def __init__(self, tick_source: Optional[Callable[[], float]] = None,
-                 max_finished_spans: Optional[int] = None,
-                 metrics_max_series: Optional[int] = None):
-        self.metrics = MetricsRegistry(
-            tick_source, max_series_per_metric=metrics_max_series)
-        self.tracer = Tracer(
-            tick_source, max_finished_spans=max_finished_spans,
-            on_drop=lambda n: self.count("spans_dropped_total", n))
+    def __init__(self, tick_source: Optional[Callable[[], float]] = None):
+        self.metrics = MetricsRegistry(tick_source, folded_labels=("colour",))
+        self.tracer = Tracer(tick_source)
         self.bus = EventBus(on_error=lambda subscriber: self.count(
             "obs_subscriber_errors_total", subscriber=subscriber))
         self._tick_source = tick_source
         # always-on runtime verification: every hub audits its own event
         # stream (repro.obs.audit) and measures real grant->release lock
-        # hold times; both are pure subscribers and never block the bus.
+        # hold times; both are pure subscribers of the kinds they read and
+        # never block the bus.
         from repro.obs.audit.auditor import InvariantAuditor
         from repro.obs.audit.holdtime import LockHoldTracker
 
         self.auditor = InvariantAuditor(metrics=self.metrics)
-        self.bus.subscribe(self.auditor.consume)
+        self.bus.subscribe(self.auditor.consume,
+                           kinds=InvariantAuditor.HANDLERS)
         self.hold_times = LockHoldTracker(self.metrics)
         self.bus.subscribe(self.hold_times.consume,
                            kinds=LockHoldTracker.HANDLERS)
         #: section name -> bound layer, in binding order (see :meth:`bind`)
         self.layers: Dict[str, Any] = {}
         #: what :meth:`rotate` has already handed out: the cumulative
-        #: metrics as of the last segment and the last event seq written
+        #: metrics as of the last segment
         self._rotated_metrics: Dict[str, Any] = {}
-        self._rotated_seq = 0
 
     def bind(self, layer: Any, cluster: Optional[Any] = None) -> Any:
         """Turn ``layer`` on: register it under its section, let it wire
@@ -213,15 +220,15 @@ class Observability:
         return span_timeline(self.tracer, width=width, trace_id=trace_id)
 
     def save(self, path: str, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Write spans + metrics + retained events to ``path`` as one document.
+        """Write metrics + every bound layer's ``dump()`` to ``path`` as one
+        document: the history layer's retained spans and events at the top
+        level, the others under ``extra``.
 
-        Every bound layer's ``dump()`` rides along under ``extra``; the
-        result is what every ``python -m repro.obs <command>`` console
+        The result is what every ``python -m repro.obs <command>`` console
         consumes.
         """
         return self._write(
-            path, self.tracer.to_dicts(), self.metrics.dump(),
-            self.auditor.event_dicts(), extra,
+            path, self.metrics.dump(), extra,
             {name: layer.dump() for name, layer in self.layers.items()})
 
     def rotate(self, path: str, start: float, end: float,
@@ -230,25 +237,21 @@ class Observability:
         drop what it handed out, so memory stays bounded over any horizon.
 
         Metrics are the **delta** since the previous segment (summing all
-        segments telescopes back to an unrotated run), spans are the ones
-        finished since then, events the auditor's slice since then; every
-        bound layer contributes its ``rotate(start, end)`` section.
+        segments telescopes back to an unrotated run); every bound layer
+        contributes its ``rotate(start, end)`` section.
         """
         current = self.metrics.dump()
         metrics = dump_delta(current, self._rotated_metrics)
         self._rotated_metrics = current
-        spans = [span.to_dict() for span in self.tracer.drain_finished()]
-        events = self.auditor.event_dicts(since=self._rotated_seq)
-        if events:
-            self._rotated_seq = events[-1]["seq"]
-            self.auditor.drop_events(self._rotated_seq)
         return self._write(
-            path, spans, metrics, events, extra,
+            path, metrics, extra,
             {name: layer.rotate(start, end)
              for name, layer in self.layers.items()})
 
-    def _write(self, path, spans, metrics, events, extra, sections):
+    def _write(self, path, metrics, extra, sections):
+        history = sections.pop(History.section, {})
         # a caller's own ``extra`` keys win over a layer's section
         return dump.write(path, dump.document(
-            spans=spans, metrics=metrics, events=events,
+            spans=history.get("spans"), metrics=metrics,
+            events=history.get("events"),
             extra={**sections, **(extra or {})}))

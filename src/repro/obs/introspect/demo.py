@@ -62,6 +62,7 @@ def run_demo(seed: int = 0, arm: str = "fault-free",
         cluster.add_node(name)
     client = cluster.client("beta")
     inspector = cluster.observe(
+        history=True,  # the probes' own events are part of what a demo shows
         introspection={"interval": interval})[ClusterInspector.section]
     refs: Dict[str, Any] = {}
     stats = {"committed": 0, "failed": 0}

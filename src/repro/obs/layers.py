@@ -5,6 +5,7 @@ class up here.  The order is the binding order within one call, and every
 layer comes after the sections it ``requires``.
 """
 
+from repro.obs.history import History
 from repro.obs.introspect.inspector import ClusterInspector
 from repro.obs.perf.recorder import FlightRecorder
 from repro.obs.perf.sampler import TimeSeriesSampler
@@ -13,5 +14,5 @@ from repro.obs.slo.engine import SLOEngine
 
 #: section name -> layer class
 LAYERS = {cls.section: cls for cls in (
-    TimeSeriesSampler, FlightRecorder, PostmortemEngine, ClusterInspector,
+    History, TimeSeriesSampler, FlightRecorder, PostmortemEngine, ClusterInspector,
     SLOEngine)}

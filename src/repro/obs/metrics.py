@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 #: labels are carried as a sorted tuple of (key, value) pairs — hashable,
 #: deterministic, JSON-friendly.
@@ -151,7 +151,8 @@ class MetricsRegistry:
     _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
     def __init__(self, tick_source: Optional[Callable[[], float]] = None,
-                 max_series_per_metric: Optional[int] = None):
+                 max_series_per_metric: Optional[int] = None,
+                 folded_labels: Iterable[str] = ()):
         if max_series_per_metric is not None and max_series_per_metric < 1:
             raise ValueError(
                 f"max_series_per_metric must be >= 1, got "
@@ -159,6 +160,11 @@ class MetricsRegistry:
         self._tick_source = tick_source
         self._mutex = threading.Lock()
         self.max_series_per_metric = max_series_per_metric
+        #: label keys that split no series: a report carrying one lands in
+        #: the series of its other labels, so sums over the key stay exact
+        #: while a key with unbounded values (a hub's ``colour``: fresh per
+        #: top-level action) costs no series per value
+        self.folded_labels = frozenset(folded_labels)
         #: kind -> name -> labelset -> instrument
         self._instruments: Dict[str, Dict[str, Dict[LabelSet, Any]]] = {
             kind: {} for kind in self._KINDS
@@ -169,7 +175,8 @@ class MetricsRegistry:
         self._folded: Dict[Tuple[str, str], int] = {}
         #: lookups already resolved, as they were made: (kind, name, *label
         #: keys in call order, *``str`` of the values) -> instrument.  Never
-        #: holds a lookup that folded, so a capped registry stays bounded.
+        #: holds a lookup that folded (into overflow, or by a folded label),
+        #: so a capped or folding registry stays bounded.
         self._resolved: Dict[Tuple, Any] = {}
 
     def now(self) -> float:
@@ -197,11 +204,12 @@ class MetricsRegistry:
         instrument = self._resolved.get(call)
         if instrument is not None:
             return instrument
-        key = _labelset(labels)
+        key = _labelset({k: v for k, v in labels.items()
+                         if k not in self.folded_labels})
+        folded = len(key) < len(labels)
         with self._mutex:
             per_name = self._instruments[kind].setdefault(name, {})
             instrument = per_name.get(key)
-            folded = False
             if instrument is None:
                 cap = self.max_series_per_metric
                 if cap is not None and key and len(per_name) >= cap:

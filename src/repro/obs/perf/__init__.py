@@ -1,5 +1,5 @@
-"""The performance observatory: time-series metrics, flight recorder,
-self-accounting, and the perf-regression gate.
+"""The performance observatory: time-series metrics, flight recorder and
+the perf-regression gate.
 
 Point-in-time dumps (PR 1) show *where* a run ended up; this package shows
 how it *evolved* and whether it *regressed*:
@@ -13,11 +13,6 @@ how it *evolved* and whether it *regressed*:
   event bus with deterministic probabilistic sampling, so observability
   stays attached under heavy load at fixed memory; the ring is dumped on
   any auditor finding or test failure.
-- :class:`ObsOverheadMeter` — self-accounting of the bus fan-out
-  (events/sec, ``bus.publish``'s wall-time share of the run; the whole
-  layer's cost is the repo benchmark's ``obs.share``).  A cluster always
-  has a hub; a ``Network`` or ``LocalRuntime`` built without one pays a
-  single ``if self.obs is None`` branch per instrumentation point.
 - :mod:`repro.obs.perf.compare` — diffs a scenario run's ``BENCH_*.json``
   against checked-in baselines with tolerance bands; the
   ``python -m repro.obs perf compare`` CLI exits non-zero on regression
@@ -30,7 +25,6 @@ from repro.obs.perf.compare import (
     compare_trees,
     load_bench_files,
 )
-from repro.obs.perf.overhead import ObsOverheadMeter
 from repro.obs.perf.recorder import FlightRecorder
 from repro.obs.perf.sampler import TimeSeriesSampler
 from repro.obs.perf.timeline_view import timeline_html, timeline_text
@@ -38,7 +32,6 @@ from repro.obs.perf.timeline_view import timeline_html, timeline_text
 __all__ = [
     "Deviation",
     "FlightRecorder",
-    "ObsOverheadMeter",
     "TimeSeriesSampler",
     "compare_documents",
     "compare_trees",

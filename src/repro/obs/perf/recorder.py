@@ -1,7 +1,7 @@
 """The flight recorder: an always-on bounded ring over the obs event bus.
 
-Dump-everything event retention (the auditor keeps up to 200k events) is
-fine for tests but not for long runs; the flight recorder is the
+Dump-everything event retention (the history layer keeps up to 200k
+events) is fine for tests but not for long runs; the flight recorder is the
 fixed-memory alternative that can stay attached under heavy load.  It
 subscribes to the hub's event bus and keeps the last ``capacity`` events
 in a ring, *probabilistically sampling* the high-volume kinds (span

@@ -22,6 +22,8 @@ import gc
 import sys
 from typing import Any, Callable, Dict, List, Tuple
 
+from repro.obs.history import History
+
 #: counters summarised per colour at each point (label -> metric name)
 _COLOUR_COUNTERS = (
     ("committed", "actions_committed_total"),
@@ -42,7 +44,8 @@ class TimeSeriesSampler:
     """Periodic snapshots of an Observability hub into per-colour timelines."""
 
     section = "timeline"
-    requires = ()
+    #: its rows are per colour: the series it samples are split by colour
+    requires = (History.section,)
 
     def __init__(self, interval: float = 5.0, max_points: int = 2048,
                  process_probes: bool = False):

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.bus import ObsEvent
+from repro.obs.history import History
 from repro.obs.perf.recorder import FlightRecorder
 from repro.obs.postmortem import attribution
 from repro.obs.postmortem.records import BlockerLink, Postmortem
@@ -78,7 +79,9 @@ class PostmortemEngine:
     """Bus subscriber building per-action postmortems with causal blame."""
 
     section = "postmortem"
-    requires = ()
+    #: ``abort_reason_total`` is cross-checked against the hub's abort
+    #: counters colour by colour
+    requires = (History.section,)
 
     _HANDLERS = {
         "action.begin": "_on_action_begin",

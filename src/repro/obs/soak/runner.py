@@ -1,14 +1,14 @@
 """The soak observatory: long-horizon seeded chaos runs, bounded memory.
 
 A :class:`SoakRunner` drives one *arm* of a seeded chaos scenario for
-hours of simulated time while the full observability stack (sampler,
-flight recorder, live introspection, SLO engine) watches.  Memory stays
+hours of simulated time while the full observability stack (history,
+sampler, flight recorder, live introspection, SLO engine) watches.  Memory stays
 bounded **regardless of horizon** through segment rotation: every
 ``segment_every`` ticks the run's observability state is streamed out as
 one ``repro-obs/1`` segment document by
-:meth:`repro.obs.hub.Observability.rotate` — metric **deltas**, the
-finished spans and the auditor's event slice of the window, plus every
-bound layer's ``rotate(start, end)`` section (drained flight-recorder ring
+:meth:`repro.obs.hub.Observability.rotate` — metric **deltas** plus every
+bound layer's ``rotate(start, end)`` section (the history layer's finished
+spans and event slice of the window, drained flight-recorder ring
 and breach snapshots, the window's sampler points, introspection
 snapshots and SLO ledger slice) — into a directory that ``python -m repro.obs report`` / ``audit`` / ``slo``
 aggregate in segment order.  An end-of-run summary
@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkConfig
 from repro.obs import dump
+from repro.obs.history import History
 from repro.obs.perf import FlightRecorder, TimeSeriesSampler
 from repro.obs.slo import SLOEngine, default_objectives
 from repro.sim.kernel import Timeout
@@ -44,6 +45,9 @@ ARMS = ("clean", "faulty")
 FORMAT = "repro-soak/1"
 #: the end-of-run soak summary written next to the segments
 SUMMARY_NAME = "soak.json"
+#: series kept per metric: each action's fresh colour folds into the
+#: metric's overflow series once this many exist
+MAX_SERIES = 64
 
 
 class SoakRunner:
@@ -60,8 +64,6 @@ class SoakRunner:
                  burst_drop: float = 0.02,
                  flight_capacity: int = 1024,
                  sampler_max_points: int = 1024,
-                 metrics_max_series: int = 64,
-                 max_finished_spans: Optional[int] = None,
                  rotate: bool = True):
         if arm not in ARMS:
             raise ValueError(f"unknown arm {arm!r} (expected one of "
@@ -89,8 +91,6 @@ class SoakRunner:
         self.burst_drop = burst_drop
         self.flight_capacity = flight_capacity
         self.sampler_max_points = sampler_max_points
-        self.metrics_max_series = metrics_max_series
-        self.max_finished_spans = max_finished_spans
         self.rotate = rotate
 
         self.cluster: Optional[Cluster] = None
@@ -108,15 +108,13 @@ class SoakRunner:
     # -- build ----------------------------------------------------------------
 
     def _build(self) -> None:
-        self.cluster = Cluster(
-            seed=self.seed, config=NetworkConfig(),
-            metrics_max_series=self.metrics_max_series,
-            max_finished_spans=self.max_finished_spans)
+        self.cluster = Cluster(seed=self.seed, config=NetworkConfig())
         cluster = self.cluster
         self.nodes = ("n0", "n1", "n2")
         for name in self.nodes:
             cluster.add_node(name)
         layers = cluster.observe(
+            history={"max_series": MAX_SERIES},
             timeline={"interval": self.sample_interval,
                       "max_points": self.sampler_max_points},
             flight_recorder={"capacity": self.flight_capacity,
@@ -128,6 +126,7 @@ class SoakRunner:
             slo={"objectives": default_objectives(
                 latency_target=self.latency_target,
                 abort_budget=self.abort_budget)})
+        self.history = layers[History.section]
         self.sampler = layers[TimeSeriesSampler.section]
         self.recorder = layers[FlightRecorder.section]
         self.engine = layers[SLOEngine.section]
@@ -212,7 +211,7 @@ class SoakRunner:
         obs = self.cluster.obs
         observed = {
             "spans": len(obs.tracer.spans),
-            "audit_events": len(obs.auditor.events),
+            "audit_events": len(self.history.events),
             "flight_ring": len(self.recorder.ring_events()),
             "metric_series": obs.metrics.series_count(),
             "sampler_points": len(self.sampler.points),

@@ -84,7 +84,7 @@ class Span:
         """Idempotently close the span."""
         if self.end is None:
             self.end = at if at is not None else self.tracer.now()
-            self.tracer._note_finished()
+            self.tracer._finished()
         return self
 
     def to_dict(self) -> Dict[str, Any]:
@@ -109,39 +109,58 @@ class Span:
         return f"<Span {self.name} [{self.span_id}] {state}>"
 
 
+def _forget(*_span: Any) -> None:
+    """What a tracer nobody asked to :meth:`~Tracer.retain` does with a
+    span it started or saw finish."""
+
+
 class Tracer:
-    """Creates spans and keeps every span of the observed system.
+    """Creates spans, and keeps them once asked to :meth:`retain`.
 
     ``tick_source`` provides timestamps (``lambda: kernel.now`` for the
     cluster; a logical counter otherwise).  The tracer is shared across
     simulated nodes — each span records which node it ran on — which is
     what a collector would see after export in a real deployment.
 
-    ``max_finished_spans`` bounds retention for long soaks: once the number
-    of *finished* spans exceeds the cap by half a cap (amortised batches, so
-    finish stays O(1)), the oldest finished spans are evicted ring-style and
-    counted in ``dropped`` / reported via ``on_drop``.  Runs that stay under
-    the cap keep the span list — and therefore every dump — byte-identical
-    to an unbounded tracer; eviction order is deterministic (insertion
-    order), never randomised.
+    Until :meth:`retain` is called :attr:`spans` stays empty: a span lives
+    as long as its creator holds it (the history layer is what calls it on
+    a hub).
     """
 
-    def __init__(self, tick_source: Optional[Callable[[], float]] = None,
-                 max_finished_spans: Optional[int] = None,
-                 on_drop: Optional[Callable[[int], None]] = None):
-        if max_finished_spans is not None and max_finished_spans < 1:
-            raise ValueError(
-                f"max_finished_spans must be >= 1, got {max_finished_spans}")
+    def __init__(self, tick_source: Optional[Callable[[], float]] = None):
         self._tick_source = tick_source
         self._logical = itertools.count(1)
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self._mutex = threading.Lock()
         self.spans: List[Span] = []
-        self.max_finished_spans = max_finished_spans
-        self.on_drop = on_drop
+        self.max_finished_spans: Optional[int] = None
+        self.on_drop: Optional[Callable[[int], None]] = None
         self.dropped = 0
         self._finished_count = 0
+        #: where a started / a finished span is reported; see :meth:`retain`
+        self._started: Callable[[Span], None] = _forget
+        self._finished: Callable[[], None] = _forget
+
+    def retain(self, max_finished_spans: Optional[int] = None,
+               on_drop: Optional[Callable[[int], None]] = None) -> None:
+        """Keep every span started from now on in :attr:`spans`.
+
+        ``max_finished_spans`` bounds retention for long soaks: once the
+        number of *finished* spans exceeds the cap by half a cap (amortised
+        batches, so finish stays O(1)), the oldest finished spans are
+        evicted ring-style and counted in ``dropped`` / reported via
+        ``on_drop``.  Runs that stay under the cap keep the span list — and
+        therefore every dump — byte-identical to an unbounded tracer;
+        eviction order is deterministic (insertion order), never randomised.
+        """
+        if max_finished_spans is not None and max_finished_spans < 1:
+            raise ValueError(
+                f"max_finished_spans must be >= 1, got {max_finished_spans}")
+        self.max_finished_spans = max_finished_spans
+        self.on_drop = on_drop
+        self._started = self._keep
+        self._finished = self._note_finished
 
     def now(self) -> float:
         if self._tick_source is not None:
@@ -166,11 +185,14 @@ class Tracer:
                 parent_id = None
             span = Span(self, trace_id, f"s{next(self._span_ids)}",
                         parent_id, name, kind, node, self.now())
-            self.spans.append(span)
+            self._started(span)
         span.attrs.update(attrs)
         return span
 
     # -- bounded retention ---------------------------------------------------
+
+    def _keep(self, span: Span) -> None:
+        self.spans.append(span)
 
     def _note_finished(self) -> None:
         """Called by :meth:`Span.finish`; evicts in amortised batches."""

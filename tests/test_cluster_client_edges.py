@@ -258,3 +258,31 @@ def test_first_contact_timeout_leaves_nothing_on_the_server():
 
     assert cluster.run_process("home", after()) == 3
     assert cluster.obs.auditor.report() == []
+
+
+def test_refused_first_lock_request_leaves_no_mirror_on_the_server():
+    """The server *answers* an action's first lock request there with a
+    failure (its wait timed out): the client notes nothing for that node
+    and sends no abort there, so the empty mirror must go with the answer."""
+    cluster = make_cluster()
+    holder = cluster.client("home")
+    waiter = cluster.client("home", name="waiter")
+
+    def app():
+        ref = yield from holder.create("server", "counter", value=3)
+        holding = holder.top_level("holding")
+        yield from holder.invoke(holding, ref, "increment", 1)
+        blocked = waiter.top_level("blocked")
+        with pytest.raises(LockTimeout):
+            yield from waiter.invoke(blocked, ref, "increment", 10)
+        assert blocked.uid not in cluster.servers["server"].mirrors
+        yield from waiter.abort(blocked)
+        yield from holder.commit(holding)
+        return ref
+
+    cluster.run_process("home", app())
+    cluster.run()
+    server = cluster.servers["server"]
+    assert server.mirrors == {}
+    assert server.registry.snapshot()["held"] == 0
+    assert cluster.obs.auditor.report() == []

@@ -8,6 +8,7 @@ from repro.obs import action_timeline, survival_report
 
 def test_cluster_actions_traced_on_sim_time():
     cluster = Cluster(seed=0)
+    cluster.observe(history=True)
     for name in ("home", "server"):
         cluster.add_node(name)
     client = cluster.client("home")
@@ -29,6 +30,7 @@ def test_distributed_make_timeline_shows_concurrent_builds():
     """The fig. 8 picture, from a real run: the two .o targets' serializing
     actions overlap in simulated time; the link follows them."""
     cluster = Cluster(seed=0)
+    cluster.observe(history=True)
     for node in ("ws", "n1", "n2", "n3"):
         cluster.add_node(node)
     client = cluster.client("ws")

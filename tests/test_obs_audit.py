@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.actions.action import Action
-from repro.obs import Observability
+from repro.obs import History, Observability
 from repro.obs.audit import Finding, InvariantAuditor, LockHoldTracker
 from repro.obs.audit import findings as F
 from repro.obs.__main__ import main as obs_main
@@ -30,7 +30,7 @@ def feed(auditor, events):
     """Replay (kind, labels) pairs; ticks are the stream positions."""
     for index, (kind, labels) in enumerate(events):
         auditor.consume(ObsEvent(tick=float(index), kind=kind,
-                                 labels=labels))
+                                 labels=labels, seq=index + 1))
 
 
 def kinds_of(auditor):
@@ -56,9 +56,13 @@ def release(owner, obj, colour="c", node="local", reason="commit"):
 # -- real-harness seeded violations -------------------------------------------
 
 
-def observed_runtime():
+def observed_runtime(history=False):
+    """A runtime on a bare hub (the auditor reads the bus by kind), or on
+    one that also keeps the run: events for a replay, series per colour."""
     runtime = LocalRuntime()
     hub = Observability()
+    if history:
+        hub.bind(History())
     runtime.attach_observability(hub)
     return runtime, hub
 
@@ -491,7 +495,7 @@ def test_hold_time_clocks_die_with_their_node():
 
 
 def test_local_runtime_populates_hold_time_histogram():
-    runtime, hub = observed_runtime()
+    runtime, hub = observed_runtime(history=True)
     with runtime.top_level(name="t"):
         Counter(runtime, value=0).increment(1)
     rows = [row for row in hub.dump()["histograms"]
@@ -510,7 +514,7 @@ def save_hub(hub, tmp_path, name="run.trace.json"):
 
 
 def test_audit_cli_clean_dump_exits_zero(tmp_path, capsys):
-    runtime, hub = observed_runtime()
+    runtime, hub = observed_runtime(history=True)
     with runtime.top_level(name="t"):
         Counter(runtime, value=0).increment(1)
     assert audit_main([save_hub(hub, tmp_path)]) == 0
@@ -518,7 +522,7 @@ def test_audit_cli_clean_dump_exits_zero(tmp_path, capsys):
 
 
 def test_audit_cli_violation_dump_exits_two(tmp_path, capsys):
-    runtime, hub = observed_runtime()
+    runtime, hub = observed_runtime(history=True)
     with runtime.top_level(name="t") as action:
         counter = Counter(runtime, value=0)
         counter.increment(1)
@@ -586,6 +590,7 @@ def test_cluster_commuting_run_audits_clean_with_semantic_labels():
     from repro.cluster.cluster import Cluster
 
     cluster = Cluster(seed=0)
+    cluster.observe(history=True)
     for name in ("c1", "c2", "server"):
         cluster.add_node(name)
     c1, c2 = cluster.client("c1", "c1"), cluster.client("c2", "c2")
@@ -606,7 +611,7 @@ def test_cluster_commuting_run_audits_clean_with_semantic_labels():
     cluster.run()
     assert cluster.obs.auditor.report() == []
     semantic_grants = [
-        e for e in cluster.obs.auditor.event_dicts()
+        e for e in cluster.obs.layers["history"].event_dicts()
         if e["kind"] == "lock.granted" and e["labels"].get("semantic")
     ]
     assert semantic_grants, "registry emitted no semantic grant events"

@@ -4,8 +4,9 @@ Deterministic guards, no timings.  The resolved-instrument cache in front
 of ``MetricsRegistry._get`` must be invisible in every dump; a warmed
 ``hub.count`` / ``hub.observe`` must not resolve labels again; a histogram's
 reservoir must keep the samples it always kept while owning no PRNG until
-it overflows; and the kind-routed bus must deliver what, and in the order,
-the locked list-copying one did.
+it overflows; the kind-routed bus must deliver what, and in the order, the
+locked list-copying one did, and build no event nobody reads; and a
+registry that folds ``colour`` must sum to what the per-colour one holds.
 """
 
 import enum
@@ -14,11 +15,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import Observability
+from repro.obs import History, Observability, dump
 from repro.obs import metrics as metrics_module
+from repro.obs.audit import InvariantAuditor, LockHoldTracker
 from repro.obs.bus import EventBus
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.perf import FlightRecorder, ObsOverheadMeter
+from repro.obs.perf import FlightRecorder
 from repro.obs.postmortem import PostmortemEngine
 
 
@@ -102,6 +104,7 @@ def test_warmed_count_and_observe_never_resolve_labels_again(monkeypatch):
 
     monkeypatch.setattr(metrics_module, "_labelset", counting)
     hub = Observability()
+    hub.bind(History())  # a bare hub folds ``colour`` on every report
     hub.count("messages_sent_total", kind="invoke")
     hub.observe("lock_wait_time", 1.0, node="s1", colour="c1")
     assert len(calls) == 2
@@ -175,6 +178,10 @@ def test_filtered_subscriber_sees_exactly_its_kinds_in_subscription_order():
         ("all-1", "y"), ("all-2", "y"), ("x-and-y", "y"),
         ("all-1", "z"), ("all-2", "z"),
     ]
+    # ``subscribe`` extends the routes to what a rebuild would make them
+    extended = bus._routes
+    bus._reroute()
+    assert bus._routes == extended
 
 
 def test_subscription_changes_inside_a_subscriber_apply_from_the_next_event():
@@ -223,33 +230,157 @@ def test_raising_filtered_subscriber_is_isolated_and_counted():
 def test_hold_time_tracker_and_postmortem_are_subscribed_by_kind():
     hub = Observability()
     by_kind, unfiltered = hub.bus._routes
-    assert unfiltered == (hub.auditor.consume,)
-    assert set(by_kind) == {"lock.granted", "lock.released",
-                            "lock.inherited", "node.restart"}
-    assert all(readers == (hub.auditor.consume, hub.hold_times.consume)
-               for readers in by_kind.values())
+    assert unfiltered == ()
+    assert set(by_kind) == set(InvariantAuditor.HANDLERS)
+    tracked = set(LockHoldTracker.HANDLERS)
+    assert tracked < set(by_kind)
+    assert all(readers == ((hub.auditor.consume, hub.hold_times.consume)
+                           if kind in tracked else (hub.auditor.consume,))
+               for kind, readers in by_kind.items())
     engine = hub.bind(PostmortemEngine())
     recorder = hub.bind(FlightRecorder(capacity=8))
     by_kind, unfiltered = hub.bus._routes
-    assert unfiltered == (hub.auditor.consume, recorder.consume)
-    assert set(by_kind) == set(PostmortemEngine._HANDLERS)
+    assert unfiltered == (recorder.consume,)
+    assert set(by_kind) == (set(PostmortemEngine._HANDLERS)
+                            | set(InvariantAuditor.HANDLERS))
     assert by_kind["twopc.vote"] == (hub.auditor.consume, engine.consume,
                                      recorder.consume)
     assert by_kind["node.restart"] == (
         hub.auditor.consume, hub.hold_times.consume, engine.consume,
         recorder.consume)
+    assert by_kind["action.failure"] == (engine.consume, recorder.consume)
 
 
-def test_instance_shadowed_publish_sees_every_span_and_emit():
-    """``ObsOverheadMeter`` and the repo benchmark's tracer time the bus by
-    shadowing ``bus.publish`` on the instance: ``hub.span`` and ``hub.emit``
-    must keep going through that attribute."""
-    hub = Observability()
-    with ObsOverheadMeter(hub) as meter:
+def test_a_shadowed_publish_sees_exactly_the_events_that_are_built():
+    """The repo benchmark's tracer times the bus by shadowing
+    ``bus.publish`` on the instance: ``hub.span`` and ``hub.emit`` must
+    keep going through that attribute — for the kinds somebody reads.  An
+    event nobody reads is never built, so it never gets there."""
+    def published(hub):
+        seen = []
+        publish = hub.bus.publish
+        hub.bus.publish = lambda event: (seen.append(event.kind),
+                                         publish(event))
         hub.span("rpc", node="n1").finish()
         hub.emit("lock.granted", node="n1", owner="a", object="o",
                  colour="c")
         hub.emit("nobody.reads.this")
-    assert meter.report()["events_total"] == 3
-    assert [event["kind"] for event in hub.auditor.event_dicts()] == [
-        "span.start", "lock.granted", "nobody.reads.this"]
+        del hub.bus.publish
+        return seen
+
+    assert published(Observability()) == ["lock.granted"]
+    hub = Observability()
+    history = hub.bind(History())
+    everything = ["span.start", "lock.granted", "nobody.reads.this"]
+    assert published(hub) == everything
+    assert [(event["seq"], event["kind"])
+            for event in history.event_dicts()] == list(
+        enumerate(everything, start=1))
+
+
+# -- (e) ``colour`` folded: exact sums, nothing per colour kept ------------------
+
+reports = st.lists(st.tuples(
+    st.sampled_from(["count", "observe"]),
+    st.sampled_from(["m", "n"]),
+    st.sampled_from(["c1", "c2", "c3", "c4", None]),       # the colour
+    st.sampled_from(["s1", "s2", None]),                   # another label
+    st.floats(0.0, 100.0, allow_nan=False),
+), max_size=40)
+
+
+def _totals(registry, by_labels):
+    """name (and, ``by_labels``, the labels but ``colour``) -> what the
+    series sum to: a counter's value, a histogram's count/total/min/max."""
+    out = {}
+    for kind in ("counter", "histogram"):
+        for name, per_name in registry._instruments[kind].items():
+            for key, instrument in per_name.items():
+                rest = tuple(pair for pair in key if pair[0] != "colour")
+                slot = out.setdefault(
+                    (kind, name, rest if by_labels else ()), [0, 0.0, [], []])
+                if kind == "counter":
+                    slot[1] += instrument.value
+                else:
+                    slot[0] += instrument.count
+                    slot[1] += instrument.total
+                    slot[2].append(instrument.min)
+                    slot[3].append(instrument.max)
+    return {key: (count, round(total, 6), min(lows, default=None),
+                  max(highs, default=None))
+            for key, (count, total, lows, highs) in out.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(reports, st.one_of(st.none(), st.integers(1, 3)))
+def test_folded_colour_sums_equal_the_per_colour_reference(stream, cap):
+    folding = MetricsRegistry(max_series_per_metric=cap,
+                              folded_labels=("colour",))
+    reference = MetricsRegistry(max_series_per_metric=cap)
+    for call, name, colour, node, value in stream:
+        labels = {key: label for key, label in (("colour", colour),
+                                                ("node", node))
+                  if label is not None}
+        for registry in (folding, reference):
+            if call == "count":
+                registry.counter(name, **labels).inc(value)
+            else:
+                registry.histogram(name, **labels).observe(value)
+    # under a cap every label of an overflowing series reads
+    # ``__overflow__``: only the per-metric totals are comparable
+    assert _totals(folding, cap is None) == _totals(reference, cap is None)
+    assert not any("colour" in labels for name in ("m", "n")
+                   for labels, _ in folding.series(name))
+    # a report that carried a colour is never remembered as resolved
+    assert len(folding._resolved) <= 2 * 2 * 3
+
+
+def test_a_late_report_neither_resurrects_its_colour_nor_is_lost():
+    """A reaper's late ``lock.released`` (or any report after the colour's
+    outermost action ended) lands in the series of its other labels."""
+    hub = Observability()
+    hub.count("actions_committed_total", colour="c1", node="n")
+    resolved = len(hub.metrics._resolved)
+    series = hub.metrics.series_count()
+    for label in ("lock.granted", "lock.released"):
+        hub.emit(label, node="n", owner="a", object="o", colour="c1",
+                 mode="write")
+    hub.count("actions_committed_total", colour="c1", node="n")
+    assert hub.metrics.value("actions_committed_total", node="n") == 2.0
+    [(labels, held)] = hub.metrics.series("lock_hold_time")
+    assert labels == {"node": "n", "object": "o"} and held.count == 1
+    assert hub.metrics.series_count() == series + 1
+    assert len(hub.metrics._resolved) == resolved
+
+
+def test_findings_cite_the_stream_position_history_records():
+    """The auditor reads the bus by kind, yet a finding's ``event_seqs``
+    count every published event: with the history layer bound they are the
+    ``seq`` of the retained rows, which is what a replay of the dump cites."""
+    def violate(hub):
+        hub.span("rpc").finish()                         # nobody's kind
+        hub.emit("action.begin", action="a", name="a", parent="",
+                 colours="c", node="n")
+        hub.span("rpc").finish()
+        grant = dict(node="n", owner="a", object="o", colour="c",
+                     mode="write")
+        hub.emit("lock.granted", **grant)
+        hub.emit("lock.released", **grant)
+        hub.emit("lock.granted", **grant)                # after shrinking
+        [finding] = hub.auditor.report()
+        return finding
+
+    hub = Observability()
+    history = hub.bind(History())
+    finding = violate(hub)
+    assert finding.kind == "two-phase-violation"
+    assert finding.event_seqs == (5, 6)
+    rows = {row["seq"]: row["kind"] for row in history.event_dicts()}
+    assert [rows[seq] for seq in finding.event_seqs] == [
+        "lock.released", "lock.granted"]
+    replayed = InvariantAuditor()
+    for event in dump.events(history.dump()):
+        replayed.consume(event)
+    assert [f.event_seqs for f in replayed.report()] == [(5, 6)]
+    # a bare hub finds the same violation; it numbers the events it built
+    assert violate(Observability()).event_seqs == (3, 4)

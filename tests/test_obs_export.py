@@ -13,6 +13,7 @@ def report_main(argv):
 
 def run_two_node_commit():
     cluster = Cluster(seed=3)
+    cluster.observe(history=True)  # the exporters render retained spans
     cluster.add_node("alpha")
     cluster.add_node("beta")
     client = cluster.client("alpha")
@@ -81,6 +82,7 @@ def test_save_and_load_trace_roundtrip(tmp_path):
 
 def test_span_tree_renders_nesting_from_dicts():
     tracer = Tracer()
+    tracer.retain()
     root = tracer.start_span("outer", node="n1")
     child = tracer.start_span("inner", parent=root, node="n2")
     child.finish()

@@ -72,7 +72,7 @@ def test_fault_free_probe_matches_ground_truth():
 def test_fault_free_arm_emits_probe_events_and_no_drift_counters():
     out = run_demo(seed=4, arm="fault-free", interval=15.0)
     obs = out["cluster"].obs
-    retained = [event for _seq, event in obs.auditor.events]
+    retained = list(obs.layers["history"].events)
     probes = [e for e in retained if e.kind == "introspect.probe"]
     assert len(probes) == out["inspector"].probes
     assert all(e.labels["drift"] == 0 for e in probes)

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.obs import Observability
+from repro.obs import History, Observability
 from repro.obs.bus import EventBus
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.runtime import LocalRuntime
@@ -133,6 +133,7 @@ def test_event_bus_isolates_subscriber_errors():
 def test_local_runtime_attach_observability():
     runtime = LocalRuntime()
     hub = Observability()
+    hub.bind(History())
     runtime.attach_observability(hub)
     counter = CounterObject(runtime, value=0)
     with runtime.top_level(name="A"):
@@ -161,6 +162,7 @@ def test_tracer_snapshot_is_safe_during_mutation():
     """Timelines render from ``tracer.snapshot()`` while the threaded
     runtime is still opening action spans."""
     tracer = Observability().tracer
+    tracer.retain()
     stop = threading.Event()
     errors = []
 

@@ -1,5 +1,5 @@
-"""The performance observatory: sampler, flight recorder, overhead meter,
-perf-regression gate, and their kernel/cluster attach points."""
+"""The performance observatory: sampler, flight recorder, perf-regression
+gate, and their kernel/cluster attach points."""
 
 import json
 
@@ -10,14 +10,12 @@ from repro.obs import Observability
 from repro.obs.perf import (
     Deviation,
     FlightRecorder,
-    ObsOverheadMeter,
     TimeSeriesSampler,
     compare_documents,
     compare_trees,
     load_bench_files,
 )
 from repro.obs.__main__ import main as obs_main
-from repro.obs.perf.overhead import measure_noop_path
 from repro.obs.dump import aggregate_documents
 from repro.sim.kernel import Kernel, Timeout
 from repro.errors import SimulationError
@@ -239,29 +237,11 @@ def test_recorder_validates_parameters():
         FlightRecorder(sample_rate=1.5)
 
 
-# -- ObsOverheadMeter ---------------------------------------------------------
-
-def test_overhead_meter_accounts_events_and_restores_bus():
-    hub = Observability()
-    original_publish = hub.bus.publish
-    with ObsOverheadMeter(hub) as meter:
-        for _ in range(10):
-            hub.emit("span.start")
-    assert hub.bus.publish == original_publish
-    report = meter.report()
-    assert report["events_total"] == 10
-    assert 0.0 <= report["obs_share"] <= 1.0
-    assert report["obs_wall_seconds"] <= report["run_wall_seconds"]
-
-
-def test_overhead_meter_refuses_double_attach():
-    meter = ObsOverheadMeter(Observability()).attach()
-    with pytest.raises(RuntimeError):
-        meter.attach()
-    meter.detach()
-
+# -- the hub-less no-op path ---------------------------------------------------
 
 def test_noop_path_is_measurable():
+    from benchmarks.scenarios import measure_noop_path
+
     result = measure_noop_path(iterations=1000)
     assert result["nanos_per_call"] > 0.0
 

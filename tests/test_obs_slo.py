@@ -14,7 +14,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.errors import ClusterError
-from repro.obs import Observability
+from repro.obs import History, Observability
 from repro.obs.__main__ import main as obs_main
 from repro.obs.perf import FlightRecorder, TimeSeriesSampler
 from repro.obs.slo import (
@@ -126,7 +126,7 @@ def test_single_spike_does_not_page_but_sustained_burn_does():
 
     # breach observability: counter, bus event, frozen flight ring
     assert hub.metrics.value("slo_breach_total", objective="lat") == 1.0
-    kinds = [event["kind"] for event in hub.auditor.event_dicts()]
+    kinds = [event["kind"] for event in recorder.ring_events()]
     assert "slo.breach" in kinds
     assert [s["kind"] for s in recorder.finding_snapshots] == ["slo-breach"]
     assert "lat" in recorder.finding_snapshots[0]["finding"]
@@ -138,7 +138,7 @@ def test_single_spike_does_not_page_but_sustained_burn_does():
     assert engine.active() == []
     assert entry["end_tick"] == 90
     assert entry["peak_burn"] == pytest.approx(2.0)
-    kinds = [event["kind"] for event in hub.auditor.event_dicts()]
+    kinds = [event["kind"] for event in recorder.ring_events()]
     assert "slo.recovered" in kinds
     assert engine.breach_total == 1
 
@@ -239,6 +239,7 @@ def test_measure_reads_every_objective_kind_from_the_registry():
 
 def test_measure_respects_colour_restriction():
     hub = Observability()
+    hub.bind(History())
     engine = hub.bind(SLOEngine(objectives=[
         _latency_objective(colour="c1"),
         Objective("ab", "abort_rate", colour="c1", target=0.25)]))
@@ -266,7 +267,7 @@ def test_observe_slo_alone_yields_a_bound_sampler():
     cluster = Cluster(seed=1)
     cluster.add_node("a")
     layers = cluster.observe(slo=True)
-    assert list(layers) == ["timeline", "slo"]
+    assert list(layers) == ["history", "timeline", "slo"]
 
     def idle():
         yield Timeout(12.0)
@@ -338,12 +339,13 @@ def _matrix_cluster(seed=11, calls=(tuple(_MATRIX_LAYERS),), **options):
 ], ids=lambda calls: "+".join(",".join(names) for names in calls))
 def test_no_order_of_observe_calls_is_wrong(tmp_path, calls):
     """Satellite: whatever the order or number of ``observe`` calls, the
-    same layers come up, ``slo`` brings its sampler, and the stock
-    objectives carry cluster-health iff an inspector is among them."""
+    same layers come up, ``slo`` brings its sampler (and that the history
+    it samples by colour), and the stock objectives carry cluster-health
+    iff an inspector is among them."""
     cluster, engine = _matrix_cluster(calls=calls, slo=True)
     asked = {name for names in calls for name in names}
     expected = sorted(asked | {"timeline"})
-    assert sorted(cluster.obs.layers) == expected
+    assert sorted(cluster.obs.layers) == sorted(expected + ["history"])
     names = [objective.name for objective in engine.objectives]
     assert names == ["commit-latency", "abort-rate", "audit-findings",
                      "introspect-drift"] + (

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.obs import Observability
+from repro.obs import History, Observability
 from repro.obs.__main__ import main as obs_main
 from repro.obs.dump import aggregate_documents, segment_name, segment_paths
 from repro.obs.metrics import (
@@ -37,6 +37,12 @@ report_main, audit_main, slo_main, soak_main, top_main = map(
 
 # -- tracer ring (bounded finished-span retention) -----------------------------
 
+def _retaining(max_finished_spans=None, on_drop=None):
+    tracer = Tracer()
+    tracer.retain(max_finished_spans, on_drop=on_drop)
+    return tracer
+
+
 def _spans(tracer, count, finish=True):
     spans = [tracer.start_span(f"s{index}") for index in range(count)]
     if finish:
@@ -47,7 +53,7 @@ def _spans(tracer, count, finish=True):
 
 def test_tracer_ring_evicts_oldest_finished_spans():
     dropped_reports = []
-    tracer = Tracer(max_finished_spans=4, on_drop=dropped_reports.append)
+    tracer = _retaining(4, on_drop=dropped_reports.append)
     _spans(tracer, 10)
     # amortised batches: retention never exceeds 1.5x the cap
     assert len(tracer.spans) <= 6
@@ -59,7 +65,7 @@ def test_tracer_ring_evicts_oldest_finished_spans():
 
 
 def test_tracer_ring_never_evicts_open_spans():
-    tracer = Tracer(max_finished_spans=2)
+    tracer = _retaining(2)
     open_span = tracer.start_span("open")
     _spans(tracer, 8)
     assert open_span in tracer.spans
@@ -68,7 +74,7 @@ def test_tracer_ring_never_evicts_open_spans():
 
 
 def test_tracer_under_cap_is_byte_identical_to_unbounded():
-    capped, unbounded = Tracer(max_finished_spans=100), Tracer()
+    capped, unbounded = _retaining(100), _retaining()
     for tracer in (capped, unbounded):
         parent = tracer.start_span("root", kind="action")
         tracer.start_span("child", parent=parent).finish()
@@ -79,11 +85,11 @@ def test_tracer_under_cap_is_byte_identical_to_unbounded():
 
 def test_tracer_rejects_silly_cap():
     with pytest.raises(ValueError, match="max_finished_spans"):
-        Tracer(max_finished_spans=0)
+        _retaining(0)
 
 
 def test_drain_finished_removes_only_finished_spans():
-    tracer = Tracer(max_finished_spans=8)
+    tracer = _retaining(8)
     open_span = tracer.start_span("open")
     _spans(tracer, 3)
     drained = tracer.drain_finished()
@@ -95,7 +101,8 @@ def test_drain_finished_removes_only_finished_spans():
 
 
 def test_hub_counts_dropped_spans(tmp_path):
-    hub = Observability(max_finished_spans=2)
+    hub = Observability()
+    hub.bind(History(max_finished_spans=2))
     for index in range(8):
         hub.span(f"s{index}").finish()
     assert hub.tracer.dropped > 0
@@ -205,6 +212,7 @@ def test_dump_delta_omits_quiet_rows():
 
 def test_sampler_point_listener_sees_every_point_and_windowed_mean():
     hub = Observability()
+    hub.bind(History())
     sampler = hub.bind(TimeSeriesSampler(interval=1.0))
     seen = []
     sampler.add_point_listener(seen.append)
@@ -415,7 +423,7 @@ def test_segments_aggregate_to_the_unrotated_reference(faulty_soak,
     assert segment_spans == len(tracer.finished_spans())
     segment_events = sum(len(doc["events"]) for doc in documents)
     assert segment_events == len(
-        runner.cluster.obs.auditor.event_dicts())
+        runner.history.events)
     # ... and without overlap: every (segment) event seq is unique
     seqs = [event["seq"] for doc in documents for event in doc["events"]]
     assert len(seqs) == len(set(seqs))
@@ -431,8 +439,25 @@ def test_rotation_bounds_peak_retention(faulty_soak, faulty_reference):
     # rotated retention stays well under the unrotated run's final sizes
     assert peaks["spans"] < len(runner.cluster.obs.tracer.spans) / 2
     assert peaks["audit_events"] < len(
-        runner.cluster.obs.auditor.event_dicts()) / 2
+        runner.history.events) / 2
     assert reference_summary["peaks"]["spans"] > 2 * peaks["spans"]
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23, 24])
+def test_faulty_arm_ends_with_no_mirror_on_any_server(seed,
+                                                      faulty_reference):
+    """Every abort of these arms is a first lock request whose wait timed
+    out on the server: the answer takes the empty mirror with it, the
+    client having noted nothing it could later abort there."""
+    runner, summary = faulty_reference
+    if seed != runner.seed:
+        runner = SoakRunner(arm="faulty", rotate=False,
+                            **dict(_SOAK, seed=seed))
+        summary = runner.run()
+    assert summary["aborted"] > 0
+    assert {name: len(server.mirrors)
+            for name, server in runner.cluster.servers.items()} == {
+        "n0": 0, "n1": 0, "n2": 0}
 
 
 def test_peak_retention_is_horizon_independent(clean_soak, clean_half_soak):

@@ -11,6 +11,7 @@ from repro.cluster.cluster import Cluster
 
 def two_node_cluster(seed=3):
     cluster = Cluster(seed=seed)
+    cluster.observe(history=True)  # these tests read spans and colours
     cluster.add_node("alpha")
     cluster.add_node("beta")
     return cluster
@@ -174,7 +175,7 @@ def test_distributed_grant_is_counted_and_tied_to_the_action():
     assert grants == {("beta", "write"): 1}
     (root,) = [s for s in cluster.obs.tracer.snapshot()
                if s.name == "action:transfer"]
-    granted = [e for e in cluster.obs.auditor.event_dicts()
+    granted = [e for e in cluster.obs.layers["history"].event_dicts()
                if e["kind"] == "lock.granted"]
     assert [(e["labels"]["node"], e["labels"]["owner"], e["labels"]["mode"])
             for e in granted] == [("beta", root.attrs["action"], "write")]

@@ -228,11 +228,11 @@ def test_local_and_cluster_trees_obey_the_same_rules(shape, pick, how):
                       [(shade(colour), place(destination))
                        for colour, destination in node.routes()])
                      for node in nodes]
-        begun = len(hub.auditor.events)
+        ends = []
+        hub.bus.subscribe(ends.append, kinds=("action.end",))
         stage.end(nodes[pick % len(nodes)], how)
         ended = [(position[event.labels["action"]], event.labels["outcome"])
-                 for _seq, event in list(hub.auditor.events)[begun:]
-                 if event.kind == "action.end"]
+                 for event in ends]
         links = [(node.status, place(node.parent),
                   [place(child) for child in node.children])
                  for node in nodes]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.obs import Observability, action_timeline, survival_report
+from repro.obs import (History, Observability, action_timeline,
+                       survival_report)
 from repro.runtime.runtime import LocalRuntime
 from repro.stdobjects import Counter
 from repro.structures import SerializingAction, independent_top_level
@@ -12,6 +13,7 @@ from repro.structures import SerializingAction, independent_top_level
 def traced_runtime():
     runtime = LocalRuntime()
     hub = Observability()
+    hub.bind(History())
     runtime.attach_observability(hub)
     return runtime, hub.tracer
 

@@ -313,7 +313,8 @@ def audit(events):
     auditor = InvariantAuditor()
     for index, (kind, labels) in enumerate(events):
         auditor.consume(ObsEvent(tick=float(index), kind=kind,
-                                 labels=dict(labels, txn="t")))
+                                 labels=dict(labels, txn="t"),
+                                 seq=index + 1))
     return {finding.kind for finding in auditor.report()}
 
 
