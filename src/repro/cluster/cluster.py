@@ -91,6 +91,9 @@ class Cluster:
         self.rpc_timeout = rpc_timeout
         self.rpc_retries = rpc_retries
         self.edge_chasing = edge_chasing
+        #: edge chasing's clock: how old a lock wait is before its first
+        #: chase, and how often its blockers are re-read after that (a
+        #: wait is chased again only when they changed)
         self.probe_interval = probe_interval
         #: commit-protocol fast paths (piggybacked decision, read-only
         #: votes, one-phase commit) for every client created here; False

@@ -5,9 +5,11 @@ cycles *across* servers (action W waits at server S1 for a lock H holds,
 while H waits at server S2 for a lock W holds) are invisible to any single
 server.  The classic AND-model edge-chasing algorithm closes the gap:
 
-- When a request by W blocks at server S, S sends a *probe*
-  ``(initiator=W, target=H)`` to each blocker H's **home node** (the node
-  H's client runs on, carried in the action context).
+- When a request by W has been blocked at server S for one
+  ``probe_interval``, S sends a *probe* ``(initiator=W, target=H)`` to each
+  blocker H's **home node** (the node H's client runs on, carried in the
+  action context).  A blocker that is itself queued at S is followed in
+  place, without the round trip through its home.
 - The home knows whether H is currently awaiting a remote operation and at
   which server (the client marks this in its node's volatile memory around
   every RPC); if so it forwards the probe to that server.
@@ -16,18 +18,33 @@ server.  The classic AND-model edge-chasing algorithm closes the gap:
   proves a cycle; the detecting server tells the initiator's home, which
   tells the server holding the initiator's queued request to refuse it
   with :class:`~repro.errors.DeadlockDetected` — the waiter's RPC fails
-  and its client aborts the action.
+  and its client aborts the action.  A victim queued at the detecting
+  server is refused there directly.
 - Probes carry the visited set, so chases terminate even on long or
-  re-entrant paths; blocked requests re-probe periodically (a cycle can
-  close *after* the first probe was sent).
+  re-entrant paths.
+
+When to chase is the PostgreSQL ``deadlock_timeout`` rule plus a change
+test.  A wait is chased once it is one ``probe_interval`` old — most
+waits end sooner and send nothing — and after that its blockers are
+re-read every interval and chased again only when they differ from the
+set last chased.  That is complete: an edge of the waits-for graph
+appears only when a request queues or when a waiter's blockers change
+without one (§5.3 passes a committing action's locks to its closest
+same-coloured ancestor; a grant moves the queue ahead of a waiter), so
+the last edge to close any cycle is one of those two and is chased at
+most one interval later.  By then the cycle is whole and stays whole,
+because its members release only at commit or abort — and none of them
+can commit.  Re-probing an unchanged wait on a clock finds nothing this
+misses.
 
 The per-request lock-wait timeout stays as a backstop for pathologies the
-probes cannot see (e.g. a waiter whose home node crashed).
+probes cannot see (a lost probe or victim notice, a waiter whose home node
+crashed).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
 from repro.cluster.message import Message, decode_uid, encode_uid
 from repro.errors import DeadlockDetected
@@ -47,11 +64,15 @@ class EdgeChaser:
         self.server = server
         self.node = server.node
         self.kernel = server.kernel
+        #: how old a wait is before its first chase, and how often its
+        #: blockers are re-read after that
         self.probe_interval = probe_interval
         self.probes_sent = 0
         self.cycles_detected = 0
+        #: waiter uid -> the token of its one live watch at this server
+        self._watches: Dict[Uid, object] = {}
         # probes are fire-and-forget datagrams, not RPCs: a lost probe is
-        # compensated by the periodic re-probe, so no ack/reply machinery.
+        # covered by the lock-wait timeout, so no ack/reply machinery.
         node = server.node
 
         def dispatch(message: Message) -> bool:
@@ -68,60 +89,84 @@ class EdgeChaser:
     # -- initiation --------------------------------------------------------------
 
     def chase_from(self, waiter_uid: Uid) -> None:
-        """Start (or refresh) the chase for a request of ``waiter_uid``
-        blocked at this server."""
-        self._forward_probes(initiator=waiter_uid, target_uid=waiter_uid,
-                             visited=set())
-        self._schedule_reprobe(waiter_uid)
+        """A request of ``waiter_uid`` just queued at this server: watch it.
 
-    def _schedule_reprobe(self, waiter_uid: Uid) -> None:
-        def reprobe() -> None:
-            if not self.node.alive:
+        Nothing is sent now.  Every ``probe_interval`` the watch re-reads
+        the waiter's blockers here and chases them if they differ from the
+        set it chased last (the first read always does).  The watch ends
+        when the waiter has nothing queued here, or when a later request of
+        the waiter starts a watch of its own.
+        """
+        token = object()
+        self._watches[waiter_uid] = token
+        chased: Optional[List[Uid]] = None
+
+        def reread() -> None:
+            nonlocal chased
+            if self._watches.get(waiter_uid) is not token:
                 return
-            if self.server.registry.pending_requests_of(waiter_uid):
-                self._forward_probes(initiator=waiter_uid,
-                                     target_uid=waiter_uid, visited=set())
-                self.kernel.schedule(self.probe_interval, reprobe)
+            blockers = self._blockers(waiter_uid) if self.node.alive else []
+            if not blockers:
+                del self._watches[waiter_uid]
+                return
+            if blockers != chased:
+                chased = blockers
+                self._forward_probes(waiter_uid, waiter_uid, set())
+            self.kernel.schedule(self.probe_interval, reread)
 
-        self.kernel.schedule(self.probe_interval, reprobe)
+        self.kernel.schedule(self.probe_interval, reread)
 
     # -- the chase ------------------------------------------------------------------
 
-    def _forward_probes(self, initiator: Uid, target_uid: Uid,
-                        visited: Set) -> None:
-        """``target_uid`` waits at THIS server; chase each of its blockers."""
+    def _blockers(self, waiter_uid: Uid) -> List[Uid]:
+        """Whom the requests ``waiter_uid`` has queued here wait for."""
         registry = self.server.registry
-        for request in registry.pending_requests_of(target_uid):
-            table = registry.table(request.object_uid)
-            for blocker_uid in table.blocked_on(request):
-                if blocker_uid == initiator:
-                    self.cycles_detected += 1
-                    self.server.obs.count("deadlock_cycles_total",
-                                          node=self.node.name)
-                    # every member of the cycle is in the visited set (plus
-                    # the endpoints); all detection points therefore agree
-                    # on one victim: the youngest (largest uid) — so
-                    # symmetric detections do not kill two actions.
-                    members = {initiator, target_uid}
-                    for key in visited:
-                        members.add(Uid(str(key[0]), int(key[1])))
-                    self._declare_victim(max(members))
-                    return
-                key = encode_uid(blocker_uid)
-                if tuple(key) in visited:
-                    continue
-                mirror = self.server.mirrors.get(blocker_uid)
-                home = getattr(mirror, "home", "") if mirror else ""
-                if not home:
-                    continue
-                self.probes_sent += 1
-                self.server.obs.count("deadlock_probes_total",
+        found: Set[Uid] = set()
+        for request in registry.pending_requests_of(waiter_uid):
+            found.update(registry.table(request.object_uid).blocked_on(request))
+        return sorted(found)
+
+    def _forward_probes(self, initiator: Uid, target_uid: Uid,
+                        visited: Set) -> bool:
+        """``target_uid`` waits at THIS server; chase each of its blockers.
+        True when the chase closed a cycle (and a victim was declared)."""
+        registry = self.server.registry
+        for blocker_uid in self._blockers(target_uid):
+            if blocker_uid == initiator:
+                self.cycles_detected += 1
+                self.server.obs.count("deadlock_cycles_total",
                                       node=self.node.name)
-                self.node.send(home, "dl_probe", {
-                    "initiator": encode_uid(initiator),
-                    "target": encode_uid(blocker_uid),
-                    "visited": sorted(visited | {tuple(key)}),
-                })
+                # every member of the cycle is in the visited set (plus
+                # the endpoints); all detection points therefore agree
+                # on one victim: the youngest (largest uid) — so
+                # symmetric detections do not kill two actions.
+                members = {initiator, target_uid}
+                for key in visited:
+                    members.add(Uid(str(key[0]), int(key[1])))
+                self._declare_victim(max(members))
+                return True
+            key = tuple(encode_uid(blocker_uid))
+            if key in visited:
+                continue
+            if registry.pending_requests_of(blocker_uid):
+                # queued here too: follow the edge in place
+                if self._forward_probes(initiator, blocker_uid,
+                                        visited | {key}):
+                    return True
+                continue
+            mirror = self.server.mirrors.get(blocker_uid)
+            home = getattr(mirror, "home", "") if mirror else ""
+            if not home:
+                continue
+            self.probes_sent += 1
+            self.server.obs.count("deadlock_probes_total",
+                                  node=self.node.name)
+            self.node.send(home, "dl_probe", {
+                "initiator": encode_uid(initiator),
+                "target": encode_uid(blocker_uid),
+                "visited": sorted(visited | {key}),
+            })
+        return False
 
     def _h_probe(self, message: Message) -> bool:
         payload = message.payload
@@ -145,10 +190,12 @@ class EdgeChaser:
     # -- resolution ---------------------------------------------------------------------
 
     def _declare_victim(self, victim_uid: Uid) -> None:
-        """A cycle closed on ``victim_uid``: tell its home to break it."""
+        """A cycle closed on ``victim_uid``: break it here if the victim is
+        queued here, else tell its home to."""
         mirror = self.server.mirrors.get(victim_uid)
         home = getattr(mirror, "home", "") if mirror else ""
-        if home == self.node.name or not home:
+        if (home == self.node.name or not home
+                or self.server.registry.pending_requests_of(victim_uid)):
             self._break_wait(victim_uid)
             return
         self.node.send(home, "dl_victim", {"victim": encode_uid(victim_uid)})

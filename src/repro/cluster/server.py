@@ -165,6 +165,8 @@ class ObjectServer:
         ]:
             transport.register(kind, handler)
         node.add_recovery_hook(self._recover)
+        # cross-server cycles: a wait ``probe_interval`` old is chased, and
+        # chased again only when its blockers change (cluster/deadlock.py)
         self.edge_chaser = None
         if edge_chasing:
             from repro.cluster.deadlock import EdgeChaser

@@ -131,26 +131,30 @@ def test_lock_conflict_between_clients_resolves_on_commit():
     c1 = cluster.client("alpha", "c1")
     c2 = cluster.client("gamma", "c2")
     trace = []
+    actions = {}
+    at_beta = []  # (kind, owner, tick) of every lock event at the server
+    cluster.obs.bus.subscribe(
+        lambda event: event.labels.get("node") == "beta" and at_beta.append(
+            (event.kind, event.labels["owner"], cluster.kernel.now)),
+        kinds=("lock.blocked", "lock.granted", "lock.released"))
 
     def writer():
         ref = yield from c1.create("beta", "counter", value=0)
         trace.append(("ref", ref))
-        action = c1.top_level("w")
+        action = actions["w"] = c1.top_level("w")
         yield from c1.invoke(action, ref, "increment", 1)
         trace.append(("locked", cluster.kernel.now))
         from repro.sim.kernel import Timeout
         yield Timeout(30.0)
         yield from c1.commit(action)
-        trace.append(("committed", cluster.kernel.now))
 
     def reader():
         from repro.sim.kernel import Timeout
         while not any(t[0] == "locked" for t in trace):
             yield Timeout(1.0)
         ref = next(t[1] for t in trace if t[0] == "ref")
-        action = c2.top_level("r")
+        action = actions["r"] = c2.top_level("r")
         value = yield from c2.invoke(action, ref, "get", colour=None)
-        trace.append(("read", cluster.kernel.now, value))
         yield from c2.commit(action)
         return value
 
@@ -158,9 +162,16 @@ def test_lock_conflict_between_clients_resolves_on_commit():
     handle = cluster.spawn("gamma", reader())
     cluster.run()
     assert handle.result == 1
-    read_time = next(t[1] for t in trace if t[0] == "read")
-    commit_time = next(t[1] for t in trace if t[0] == "committed")
-    assert read_time >= commit_time  # the read waited for the writer
+    # the order the server decided, not two independently drawn reply
+    # delays: the READ queued behind the WRITE and was granted only once
+    # the writer's commit released it there
+    writer_uid, reader_uid = str(actions["w"].uid), str(actions["r"].uid)
+    kinds = [(kind, owner) for kind, owner, _tick in at_beta]
+    assert ("lock.blocked", reader_uid) in kinds
+    released = kinds.index(("lock.released", writer_uid))
+    granted = kinds.index(("lock.granted", reader_uid))
+    assert released < granted
+    assert at_beta[released][2] <= at_beta[granted][2]
 
 
 def test_epoch_change_aborts_action(  ):

@@ -1,19 +1,88 @@
-"""Distributed deadlock detection: edge-chasing probes across servers."""
+"""Distributed deadlock detection: edge-chasing probes across servers.
 
+When the chaser speaks: a wait is chased once it is one ``probe_interval``
+old, and again only when its blockers change; a blocker or victim queued
+at the chasing server is handled there, without a probe.  The cycle cases
+run on both execution backends under one test id each.
+"""
+
+from repro.backend import AsyncioBackend, SimBackend
 from repro.cluster.cluster import Cluster
+from repro.cluster.message import decode_uid
+from repro.cluster.network import NetworkConfig
 from repro.errors import DeadlockDetected, LockTimeout
 from repro.sim.kernel import Timeout
 
+BACKENDS = (SimBackend, lambda: AsyncioBackend(time_scale=0.01))
+#: every message takes exactly one unit: wait lengths are known in advance
+FIXED = NetworkConfig(min_delay=1.0, max_delay=1.0)
 
-def make_cluster(edge_chasing=True, lock_wait_timeout=600.0):
+
+def on_both_backends(body):
+    """Run ``body(backend)`` once per backend under the one test id."""
+    def test():
+        for make in BACKENDS:
+            with make() as backend:
+                body(backend)
+    test.__name__, test.__doc__ = body.__name__, body.__doc__
+    return test
+
+
+def make_cluster(edge_chasing=True, lock_wait_timeout=600.0, backend=None,
+                 config=None, nodes=("home1", "home2", "s1", "s2")):
     """Long wait timeout so only the probes (not the backstop) can break
     cycles within the test horizon."""
     cluster = Cluster(seed=0, edge_chasing=edge_chasing,
                       lock_wait_timeout=lock_wait_timeout,
-                      probe_interval=3.0)
-    for name in ("home1", "home2", "s1", "s2"):
+                      probe_interval=3.0, backend=backend, config=config)
+    for name in nodes:
         cluster.add_node(name)
     return cluster
+
+
+def tap_probes(cluster, drop=False):
+    """``(src, target uid)`` of every ``dl_probe`` sent, in order; with
+    ``drop`` each one is lost on the way."""
+    network = cluster.network
+    send = network.send
+    probes = []
+
+    def tapped(message):
+        if message.kind == "dl_probe":
+            probes.append((message.src,
+                           decode_uid(message.payload["target"])))
+            if drop:
+                network.dropped_count += 1
+                return
+        send(message)
+
+    network.send = tapped
+    return probes
+
+
+def finish(cluster, handles, limit):
+    """Run until every process in ``handles`` has ended; returns now."""
+    for handle in handles:
+        cluster.kernel.run_until_settled(handle.join(), limit=limit)
+    return cluster.kernel.now
+
+
+def worker(client, label, refs, first, second, results, actions=None):
+    """Lock ``first``, pause so every worker holds its first lock, lock
+    ``second``, commit; a refusal is recorded and the action aborted."""
+    action = client.top_level(label)
+    if actions is not None:
+        actions[label] = action
+    try:
+        yield from client.invoke(action, refs[first], "increment", 1)
+        yield Timeout(5.0)  # ensure every worker holds its first lock
+        yield from client.invoke(action, refs[second], "increment", 1)
+        yield from client.commit(action)
+        results[label] = "committed"
+    except (DeadlockDetected, LockTimeout) as error:
+        results[label] = type(error).__name__
+        if not action.status.terminated:
+            yield from client.abort(action)
 
 
 def cross_server_deadlock(cluster, results):
@@ -27,34 +96,24 @@ def cross_server_deadlock(cluster, results):
         refs["obj1"] = yield from c1.create("s1", "counter", value=0)
         refs["obj2"] = yield from c1.create("s2", "counter", value=0)
 
-    def worker(client, label, first, second):
-        action = client.top_level(label)
-        try:
-            yield from client.invoke(action, refs[first], "increment", 1)
-            yield Timeout(5.0)  # ensure both hold their first lock
-            yield from client.invoke(action, refs[second], "increment", 1)
-            yield from client.commit(action)
-            results[label] = "committed"
-        except (DeadlockDetected, LockTimeout) as error:
-            results[label] = type(error).__name__
-            if not action.status.terminated:
-                yield from client.abort(action)
-
     cluster.run_process("home1", setup())
-    h1 = cluster.spawn("home1", worker(c1, "t1", "obj1", "obj2"))
-    h2 = cluster.spawn("home2", worker(c2, "t2", "obj2", "obj1"))
+    h1 = cluster.spawn("home1", worker(c1, "t1", refs, "obj1", "obj2",
+                                       results))
+    h2 = cluster.spawn("home2", worker(c2, "t2", refs, "obj2", "obj1",
+                                       results))
     return h1, h2, refs
 
 
-def test_edge_chasing_breaks_cross_server_cycle():
-    cluster = make_cluster(edge_chasing=True)
+@on_both_backends
+def test_edge_chasing_breaks_cross_server_cycle(backend):
+    cluster = make_cluster(edge_chasing=True, backend=backend)
     results = {}
     h1, h2, refs = cross_server_deadlock(cluster, results)
-    cluster.run(until=400)
-    assert not h1.alive and not h2.alive
-    outcomes = sorted(results.values())
     # exactly one victim (the youngest), and the survivor commits — within
     # the 400-unit horizon, far inside the 600-unit timeout backstop.
+    assert finish(cluster, [h1, h2], limit=400) < 400
+    assert not h1.alive and not h2.alive
+    outcomes = sorted(results.values())
     assert outcomes == ["DeadlockDetected", "committed"]
     chasers = [s.edge_chaser for s in cluster.servers.values()]
     assert sum(c.cycles_detected for c in chasers) >= 1
@@ -73,10 +132,29 @@ def test_without_edge_chasing_only_timeout_breaks_it():
     assert outcomes == ["LockTimeout", "LockTimeout"]
 
 
-def test_probes_do_not_disturb_contention_without_cycle():
-    """Plain contention (no cycle): the waiter gets the lock when the
-    holder commits; nobody is aborted by a probe."""
-    cluster = make_cluster(edge_chasing=True)
+def test_lost_probes_leave_the_cycle_to_the_lock_wait_timeout():
+    """Every ``dl_probe`` lost: nothing re-sends it while the blockers stay
+    the same, and the lock-wait timeout breaks the cycle instead."""
+    cluster = make_cluster(edge_chasing=True, lock_wait_timeout=50.0)
+    probes = tap_probes(cluster, drop=True)
+    results = {}
+    h1, h2, refs = cross_server_deadlock(cluster, results)
+    assert finish(cluster, [h1, h2], limit=200) < 200
+    assert probes  # the chase was attempted, and lost
+    assert "LockTimeout" in results.values()
+    assert "DeadlockDetected" not in results.values()
+    assert sum(s.edge_chaser.cycles_detected
+               for s in cluster.servers.values()) == 0
+
+
+def contention(hold):
+    """home1's holder keeps obj@s1 for ``hold`` units after its lock comes
+    back; home2's waiter queues for obj meanwhile (fixed one-unit delays:
+    it queues at 2.5, the holder's commit releases at ``hold`` + 3).
+    Returns the outcomes, how long the waiter queued at s1, and the
+    probes sent."""
+    cluster = make_cluster(edge_chasing=True, config=FIXED)
+    probes = tap_probes(cluster)
     c1 = cluster.client("home1", "c1")
     c2 = cluster.client("home2", "c2")
     results = {}
@@ -88,12 +166,12 @@ def test_probes_do_not_disturb_contention_without_cycle():
     def holder():
         action = c1.top_level("holder")
         yield from c1.invoke(action, refs["obj"], "increment", 1)
-        yield Timeout(30.0)
+        yield Timeout(hold)
         yield from c1.commit(action)
         results["holder"] = "committed"
 
     def waiter():
-        yield Timeout(5.0)
+        yield Timeout(1.5)
         action = c2.top_level("waiter")
         yield from c2.invoke(action, refs["obj"], "increment", 10)
         yield from c2.commit(action)
@@ -102,45 +180,142 @@ def test_probes_do_not_disturb_contention_without_cycle():
     cluster.run_process("home1", setup())
     cluster.spawn("home1", holder())
     cluster.spawn("home2", waiter())
-    cluster.run(until=300)
+    cluster.run()
+    assert cluster.servers["s1"].lock_waits == 1
+    waited = sum(histogram.total for _labels, histogram
+                 in cluster.obs.metrics.series("lock_wait_time"))
+    return results, waited, probes
+
+
+def test_probes_do_not_disturb_contention_without_cycle():
+    """Plain contention (no cycle): the waiter gets the lock when the
+    holder commits; nobody is aborted by a probe."""
+    results, _waited, _probes = contention(hold=30.0)
     assert results == {"holder": "committed", "waiter": "committed"}
 
 
-def test_three_party_cycle_detected():
-    """A 3-cycle across three servers and three homes."""
-    cluster = Cluster(seed=0, edge_chasing=True, lock_wait_timeout=600.0,
-                      probe_interval=3.0)
-    for name in ("h1", "h2", "h3", "sA", "sB", "sC"):
-        cluster.add_node(name)
-    clients = {f"t{i}": cluster.client(f"h{i}", f"c{i}") for i in (1, 2, 3)}
+def test_a_wait_shorter_than_the_probe_interval_sends_no_probe():
+    results, waited, probes = contention(hold=1.0)
+    assert results["waiter"] == "committed"
+    assert 0 < waited < 3.0
+    assert probes == []
+
+
+def test_a_long_wait_with_unchanged_blockers_is_chased_once():
+    """Queued for nine intervals behind a holder that never waits: one
+    chase round — one probe to the holder's home, which ends it there —
+    and not one per interval."""
+    results, waited, probes = contention(hold=27.0)
+    assert results["waiter"] == "committed"
+    assert waited > 9 * 3.0
+    assert len(probes) == 1 and probes[0][0] == "s1"
+
+
+def test_a_cycle_closed_by_inheritance_alone_is_detected():
+    """§5.3 closes the cycle without a request queueing.  The parent P
+    waits at s2 on W; W waits at s1 on P's running child C; C commits and
+    passes its lock on X to P.  Only W's blockers at s1 changed ({C} →
+    {P}); the chase that change triggers finds P → W → P."""
+    cluster = make_cluster(edge_chasing=True)
+    cp = cluster.client("home1", "cp")
+    cw = cluster.client("home2", "cw")
     refs = {}
     results = {}
 
     def setup():
-        bootstrap = cluster.client("h1", "setup")
-        refs["A"] = yield from bootstrap.create("sA", "counter", value=0)
-        refs["B"] = yield from bootstrap.create("sB", "counter", value=0)
-        refs["C"] = yield from bootstrap.create("sC", "counter", value=0)
+        refs["X"] = yield from cp.create("s1", "counter", value=0)
+        refs["Y"] = yield from cp.create("s2", "counter", value=0)
 
-    def worker(label, client, first, second):
-        action = client.top_level(label)
+    cluster.run_process("home1", setup())
+    parent = cp.top_level("P")
+    start = cluster.kernel.now
+
+    def child():
+        action = cp.atomic(parent, "C")
+        yield from cp.invoke(action, refs["X"], "increment", 1)
+        yield Timeout(30.0)  # P and W queue meanwhile
+        yield from cp.commit(action)
+        results["C"] = "committed"
+
+    def parent_body():
+        yield Timeout(10.0)  # after W holds Y
         try:
-            yield from client.invoke(action, refs[first], "increment", 1)
-            yield Timeout(5.0)
-            yield from client.invoke(action, refs[second], "increment", 1)
-            yield from client.commit(action)
-            results[label] = "committed"
-        except (DeadlockDetected, LockTimeout) as error:
-            results[label] = type(error).__name__
-            if not action.status.terminated:
-                yield from client.abort(action)
+            yield from cp.invoke(parent, refs["Y"], "increment", 1)
+            yield from cp.commit(parent)
+            results["P"] = "committed"
+        except DeadlockDetected as error:
+            results["P"] = type(error).__name__
+            yield from cp.abort(parent)
+
+    def w_body():
+        action = cw.top_level("W")
+        try:
+            yield from cw.invoke(action, refs["Y"], "increment", 1)
+            yield Timeout(8.0)  # after C holds X
+            yield from cw.invoke(action, refs["X"], "increment", 1)
+            yield from cw.commit(action)
+            results["W"] = "committed"
+        except DeadlockDetected as error:
+            results["W"] = type(error).__name__
+            yield from cw.abort(action)
+
+    handles = [cluster.spawn("home1", child()),
+               cluster.spawn("home1", parent_body()),
+               cluster.spawn("home2", w_body())]
+    resolved = finish(cluster, handles, limit=start + 600) - start
+    assert results["C"] == "committed"
+    assert sorted([results["P"], results["W"]]) == \
+        ["DeadlockDetected", "committed"]
+    assert resolved < 60  # C's commit reaches s1 at ~34; the timeout is 600
+
+
+def three_party_cycle(servers, backend=None):
+    """t1 locks A then B, t2 B then C, t3 C then A, each from its own home;
+    ``servers`` says where A, B and C live.  Returns the outcomes, the
+    actions and the probes sent."""
+    homes = ("h1", "h2", "h3")
+    cluster = make_cluster(backend=backend,
+                           nodes=homes + tuple(dict.fromkeys(servers)))
+    probes = tap_probes(cluster)
+    clients = {f"t{i}": cluster.client(f"h{i}", f"c{i}") for i in (1, 2, 3)}
+    refs = {}
+    results = {}
+    actions = {}
+
+    def setup():
+        bootstrap = cluster.client("h1", "setup")
+        for name, server in zip("ABC", servers):
+            refs[name] = yield from bootstrap.create(server, "counter",
+                                                     value=0)
 
     cluster.run_process("h1", setup())
-    cluster.spawn("h1", worker("t1", clients["t1"], "A", "B"))
-    cluster.spawn("h2", worker("t2", clients["t2"], "B", "C"))
-    cluster.spawn("h3", worker("t3", clients["t3"], "C", "A"))
-    cluster.run(until=500)
+    handles = [
+        cluster.spawn(f"h{i}", worker(clients[f"t{i}"], f"t{i}", refs,
+                                      first, second, results, actions))
+        for i, (first, second) in enumerate(
+            [("A", "B"), ("B", "C"), ("C", "A")], start=1)]
+    assert finish(cluster, handles, limit=500) < 500
+    return results, actions, probes
+
+
+@on_both_backends
+def test_three_party_cycle_detected(backend):
+    """A 3-cycle across three servers and three homes."""
+    results, _actions, _probes = three_party_cycle(("sA", "sB", "sC"),
+                                                   backend)
     outcomes = sorted(results.values())
     assert outcomes.count("committed") >= 1
     assert "DeadlockDetected" in outcomes
     assert len(results) == 3  # nobody left hanging
+
+
+def test_a_blocker_queued_at_the_chasing_server_is_followed_in_place():
+    """A and B on s1, C on s2: t1 (on B) and t3 (on A) both queue at s1,
+    t2 (on C) at s2.  Every chase reaching t1 does so at s1 and follows it
+    there — no probe ever names t1 — and the cycle still resolves to one
+    victim."""
+    results, actions, probes = three_party_cycle(("s1", "s1", "s2"))
+    assert sorted(results.values()) == \
+        ["DeadlockDetected", "committed", "committed"]
+    assert probes  # the edges between s1 and s2 still go by probe
+    assert actions["t1"].uid not in {target for _src, target in probes}

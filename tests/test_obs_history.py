@@ -98,15 +98,19 @@ def test_with_history_bound_everything_per_commit_is_kept():
 
 
 #: ``hub.save()`` at the commit before the history layer existed (when a
-#: bare hub kept everything): sha256 and size of the file
+#: bare hub kept everything): sha256 and size of the file.  The five runs
+#: with queued locks were re-pinned when the edge chaser stopped
+#: re-probing on a clock: fewer ``dl_probe`` sends shift the seeded delay
+#: draws of every later message; ``matrix`` and ``commute_hot`` are as
+#: they were.
 PARENT_DUMPS = {
     "matrix": ("64072d4f0cfec208e0135be42fd93141ab690a78a564723a278f0004edd87dbb", 222122),
-    "steady_2pc": ("3da57d329647d0c848f822382f3a8bcf2c73a192df9b325a223de29f6699e5ce", 1251952),
-    "read_mostly": ("0036df6bbcd280dd601bc5cb68b2fa9e384131c895b4f74ed5e1fc7f9cd4fe18", 1003320),
+    "steady_2pc": ("40f63d0fcbef519a454bb5dc90f5cf5e7aca606ba6cee6f3a81560c2bacbecd8", 1254170),
+    "read_mostly": ("49d9cc77703d998850d9b1a5c78f9c1fb61be380378ef982e32a6b1cb4ac612f", 1001095),
     "commute_hot": ("ac5b232b345f7edd833ba44143abd8ccc20b6d8d05cf7c44331855f511a919e6", 1173010),
-    "contended_locks": ("5b3d24970a41f4c129d706d84b94a75319a8bd3bad03b6c4bfee9cd570628060", 1246107),
-    "multicolour": ("22873c3ebfe8c2a14cfc560700b745555c6a6ea9d9af23fc380fb5135a32e11e", 1748318),
-    "lossy_crash": ("051d928e590dd8f716c0c3cff5539e621effa83fb6d1e3690746793d71f52e13", 3099262),
+    "contended_locks": ("4410202d3dced804bbdecbcc29e72d61d75fb537c87d8c56e9163c22297a73c4", 1245352),
+    "multicolour": ("25e57e6ba344a973ad3bc4a92ee3611ce60c05a3608ae79b5fdc219da85c82d9", 1751429),
+    "lossy_crash": ("9caf79ec021ab202d79f7831a7876ca03795f65cef9a40935f86c5f0aec93eef", 3101925),
 }
 #: operations of each e2e-shaped run (seed 5)
 E2E_SHAPED = {"steady_2pc": 80, "read_mostly": 80, "commute_hot": 80,
