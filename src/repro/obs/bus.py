@@ -1,19 +1,20 @@
 """The observability event bus.
 
 Instrumentation points publish small structured :class:`ObsEvent`s; any
-number of subscribers consume them — the invariant auditor, the lock
-hold-time tracker, the flight recorder and the postmortem engine are all
-subscribers over this one stream.  A subscriber may declare the event
-kinds it reads (``subscribe(consume, kinds=...)``) and is then called for
-those only; one that retains the stream (the history layer, the flight
-recorder) subscribes unfiltered.  An event of a kind nobody reads is never
-built (:meth:`EventBus.emit`); every event that is published carries its
-sequence number in the stream.  Publishing is synchronous, takes no lock
-and is exception-isolated: a failing subscriber never breaks the publisher, but
-it is never silent either — the bus keeps the first exception of each
-failing subscriber (:attr:`EventBus.errors`) and reports every one to its
-``on_error`` callback, so "the auditor found nothing" cannot mean "the
-auditor crashed on the first event".
+number of subscribers consume them — the reconstructed world under the
+invariant auditor and the postmortem engine, the history layer and the
+flight recorder are all subscribers over this one stream.  A subscriber
+may declare the event kinds it reads (``subscribe(consume, kinds=...)``)
+and is then called for those only; one that retains the stream (the
+history layer, the flight recorder) subscribes unfiltered.  An event of
+a kind nobody reads is never built (:meth:`EventBus.emit`); every event
+that is published carries its sequence number in the stream.  Publishing
+is synchronous, takes no lock and is exception-isolated: a failing
+subscriber never breaks the publisher, but it is never silent either —
+the bus keeps the first exception of each failing subscriber
+(:attr:`EventBus.errors`) and reports every one to its ``on_error``
+callback, so "the auditor found nothing" cannot mean "the auditor
+crashed on the first event".
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ class EventBus:
 
     def _reroute(self) -> None:
         """Rebuild the routing table :meth:`subscribe` extends in place of
-        a rebuild (a hub makes its two subscriptions on every
-        construction).  Caller holds the mutex."""
+        a rebuild (a hub subscribes its World on every construction).
+        Caller holds the mutex."""
         def readers(kind: Optional[str]) -> Tuple[Subscriber, ...]:
             return tuple(subscriber
                          for subscriber, kinds in self._subscriptions

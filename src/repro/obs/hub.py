@@ -1,8 +1,9 @@
 """The Observability hub: one metrics registry + tracer + event bus.
 
-A bare hub is cheap to report into and keeps nothing per action: the
-always-on auditor and lock hold-time tracker read the event kinds their
-handler tables name, an event nobody reads is never built, a finished
+A bare hub is cheap to report into and keeps nothing per finished action:
+its :class:`~repro.obs.world.World` folds the event kinds the always-on
+auditor reads (and measures lock hold times on the way), forgetting each
+finished action tree; an event nobody reads is never built, a finished
 span is dropped and the ``colour`` label splits no series.  What a run
 *was* — every event, every span, per-colour statistics — is kept by the
 history layer (:mod:`repro.obs.history`), bound like any other.
@@ -52,6 +53,7 @@ from repro.obs.export import (
 from repro.obs.history import History
 from repro.obs.metrics import MetricsRegistry, dump_delta
 from repro.obs.tracing import Span, Tracer
+from repro.obs.world import World
 
 
 def colour_names(colours) -> str:
@@ -70,17 +72,14 @@ class Observability:
         self._tick_source = tick_source
         # always-on runtime verification: every hub audits its own event
         # stream (repro.obs.audit) and measures real grant->release lock
-        # hold times; both are pure subscribers of the kinds they read and
-        # never block the bus.
+        # hold times, both over the one World it folds; the World reads the
+        # kinds its users read and never blocks the bus.
         from repro.obs.audit.auditor import InvariantAuditor
-        from repro.obs.audit.holdtime import LockHoldTracker
 
-        self.auditor = InvariantAuditor(metrics=self.metrics)
-        self.bus.subscribe(self.auditor.consume,
-                           kinds=InvariantAuditor.HANDLERS)
-        self.hold_times = LockHoldTracker(self.metrics)
-        self.bus.subscribe(self.hold_times.consume,
-                           kinds=LockHoldTracker.HANDLERS)
+        self.world = World(on_release=self._lock_held)
+        self.auditor = InvariantAuditor(metrics=self.metrics,
+                                        world=self.world)
+        self.world.subscribe(self.bus)
         #: section name -> bound layer, in binding order (see :meth:`bind`)
         self.layers: Dict[str, Any] = {}
         #: what :meth:`rotate` has already handed out: the cumulative
@@ -99,6 +98,14 @@ class Observability:
         self.layers[layer.section] = layer
         layer.bind(self, cluster)
         return layer
+
+    def _lock_held(self, node: str, obj: str, hold: Any,
+                   tick: float) -> None:
+        """A lock record went: its hold time, grant to release, survives
+        commit-time inheritance (the object stays pinned across it)."""
+        self.metrics.histogram("lock_hold_time", node=node,
+                               colour=hold.colour,
+                               object=obj).observe(tick - hold.since)
 
     def now(self) -> float:
         """Current time from the tick source (0.0 when none is attached)."""

@@ -36,11 +36,11 @@ _CRASH_VOTE_REASONS = ("epoch-restart", "write-set-lost")
 Verdict = Tuple[str, str, Tuple[BlockerLink, ...]]
 
 
-def attribute(info, engine) -> Verdict:
-    """Classify one aborted action (``info`` is the engine's action state)."""
+def attribute(info, world) -> Verdict:
+    """Classify one aborted action (``info`` is its record in ``world``)."""
     failure = info.failures[0] if info.failures else None
     if failure is not None:
-        return _from_failure(failure, info, engine)
+        return _from_failure(failure, info, world)
     # no client-side failure record: the local runtime's path, or a death
     # the client never saw — lock refusals speak for themselves
     refusal = _refusal(info, errors=("DeadlockDetected",))
@@ -53,7 +53,7 @@ def attribute(info, engine) -> Verdict:
     return EXPLICIT_ABORT, "no failure observed before the abort", ()
 
 
-def _from_failure(failure, info, engine) -> Verdict:
+def _from_failure(failure, info, world) -> Verdict:
     cause = failure["cause"]
     if cause == "deadlock-victim":
         refusal = _refusal(info, errors=("DeadlockDetected",),
@@ -76,8 +76,8 @@ def _from_failure(failure, info, engine) -> Verdict:
         return (CRASH_PARTITION,
                 f"node {failure['dst']} was down during {failure['op']}", ())
     if cause == "rpc-timeout":
-        if failure["dst"] and engine.node_faulted(failure["dst"],
-                                                  failure["tick"]):
+        if failure["dst"] and world.node_faulted(failure["dst"],
+                                                 failure["tick"]):
             return (CRASH_PARTITION,
                     f"{failure['op']} to crashed node {failure['dst']} "
                     f"timed out", ())
@@ -85,7 +85,7 @@ def _from_failure(failure, info, engine) -> Verdict:
                 f"{failure['op']} to {failure['dst'] or 'peer'} timed out "
                 f"with every involved node alive", ())
     if cause == "commit-failed":
-        return _from_commit_failure(failure, info, engine)
+        return _from_commit_failure(failure, info, world)
     if cause == "parent-settled":
         return CASCADE, f"parent {failure['detail']} settled first", ()
     if cause == "action-aborted":
@@ -106,8 +106,8 @@ def _from_failure(failure, info, engine) -> Verdict:
     return UNKNOWN, f"unclassified failure cause {cause!r}", ()
 
 
-def _from_commit_failure(failure, info, engine) -> Verdict:
-    txn = _failed_txn(failure, info, engine)
+def _from_commit_failure(failure, info, world) -> Verdict:
+    txn = _failed_txn(failure, info, world)
     if txn is None:
         return (UNKNOWN,
                 f"commit of colour {failure['colour']} failed with no "
@@ -116,8 +116,8 @@ def _from_commit_failure(failure, info, engine) -> Verdict:
         downgrade = txn.downgrades[-1]
         # a downgrade forced by a dead peer is mechanism, not cause:
         # the crash owns the abort
-        if downgrade["dst"] and engine.node_faulted(downgrade["dst"],
-                                                    failure["tick"]):
+        if downgrade["dst"] and world.node_faulted(downgrade["dst"],
+                                                   failure["tick"]):
             return (CRASH_PARTITION,
                     f"txn {txn.txn}: participant {downgrade['dst']} "
                     f"crashed under the fast path "
@@ -131,21 +131,21 @@ def _from_commit_failure(failure, info, engine) -> Verdict:
         crashed = _vote(txn, reasons=_CRASH_VOTE_REASONS)
         if crashed is not None:
             return (CRASH_PARTITION,
-                    f"txn {txn.txn}: participant {crashed['node']} "
-                    f"restarted mid-prepare ({crashed['reason']})", ())
+                    f"txn {txn.txn}: participant {crashed.node} "
+                    f"restarted mid-prepare ({crashed.reason})", ())
         rollback = _vote(txn, votes=("rollback", "refused"))
         if rollback is not None:
             return (VOTE_ROLLBACK,
-                    f"txn {txn.txn}: participant {rollback['node']} voted "
-                    f"{rollback['vote']}"
-                    + (f" ({rollback['reason']})" if rollback["reason"]
+                    f"txn {txn.txn}: participant {rollback.node} voted "
+                    f"{rollback.vote}"
+                    + (f" ({rollback.reason})" if rollback.reason
                        else ""), ())
         return VOTE_ROLLBACK, f"txn {txn.txn}: a participant voted no", ()
     if txn.cause in ("participant-unreachable", "action-aborted"):
-        voted = {v["node"] for v in txn.votes}
+        voted = {v.node for v in txn.votes}
         silent = [p for p in txn.participants if p not in voted]
         crashed = [p for p in silent or txn.participants
-                   if engine.node_faulted(p, failure["tick"])]
+                   if world.node_faulted(p, failure["tick"])]
         if crashed:
             return (CRASH_PARTITION,
                     f"txn {txn.txn}: participant {crashed[0]} crashed "
@@ -162,12 +162,12 @@ def _from_commit_failure(failure, info, engine) -> Verdict:
             f"{txn.cause!r}", ())
 
 
-def _failed_txn(failure, info, engine):
+def _failed_txn(failure, info, world):
     """The abort-decided round of the failed colour (latest wins)."""
     colour = failure["colour"]
     found = None
     for txn_id in info.txns:
-        txn = engine.txn_info(txn_id)
+        txn = world.txns.get(txn_id)
         if txn is None or txn.decision == "commit":
             continue
         if colour and txn.colour != colour:
@@ -205,12 +205,12 @@ def _refusal_detail(refusal) -> str:
     return head
 
 
-def _vote(txn, votes=None, reasons=None) -> Optional[dict]:
+def _vote(txn, votes=None, reasons=None):
     for vote in txn.votes:
-        if vote["reason"] == "presumed-abort-straggler":
+        if vote.reason == "presumed-abort-straggler":
             continue  # an echo of the abort, never its cause
-        if votes is not None and vote["vote"] in votes:
+        if votes is not None and vote.vote in votes:
             return vote
-        if reasons is not None and vote["reason"] in reasons:
+        if reasons is not None and vote.reason in reasons:
             return vote
     return None

@@ -76,6 +76,10 @@ def run_chaos(seed: int, drop: float = 0.1):
         if not cluster.nodes[name].alive:
             cluster.restart(name)
     cluster.run(until=cluster.kernel.now + 2_000.0)
+    # the hub's reconstructed world agrees with every server's lock table
+    for name, server in cluster.servers.items():
+        remembered = any(node == name for node, _obj in cluster.obs.world.holds)
+        assert remembered == bool(server.registry.snapshot()["held"]), name
     return cluster, refs, outcomes, schedule
 
 

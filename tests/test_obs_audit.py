@@ -12,7 +12,7 @@ import pytest
 
 from repro.actions.action import Action
 from repro.obs import History, Observability
-from repro.obs.audit import Finding, InvariantAuditor, LockHoldTracker
+from repro.obs.audit import Finding, InvariantAuditor
 from repro.obs.audit import findings as F
 from repro.obs.__main__ import main as obs_main
 from repro.obs.audit.testing import install_online_audit
@@ -138,7 +138,7 @@ def test_crashing_subscriber_is_isolated_but_never_silent():
         with install_online_audit():
             hub = Observability()
             clean_dump = hub.dump()
-            hub.bus.unsubscribe(hub.auditor.consume)
+            hub.bus.unsubscribe(hub.world.consume)
             hub.bus.subscribe(boom)
             seen = []
             hub.bus.subscribe(seen.append)
@@ -468,29 +468,26 @@ def test_finding_round_trips_through_dict():
 
 
 def test_hold_time_spans_inheritance_and_is_labelled_by_colour():
-    registry = MetricsRegistry()
-    tracker = LockHoldTracker(registry)
+    hub = Observability()
+    hub.bind(History())
     labels = {"node": "n1", "owner": "A", "object": "o1", "colour": "c"}
-    tracker.consume(ObsEvent(1.0, "lock.granted", dict(labels)))
-    tracker.consume(ObsEvent(4.0, "lock.inherited",
-                             dict(labels, to="P")))
-    tracker.consume(ObsEvent(9.0, "lock.released",
-                             dict(labels, owner="P")))
-    histogram = registry.histogram("lock_hold_time", node="n1",
-                                   colour="c", object="o1")
+    hub.world.consume(ObsEvent(1.0, "lock.granted", dict(labels)))
+    hub.world.consume(ObsEvent(4.0, "lock.inherited", dict(labels, to="P")))
+    hub.world.consume(ObsEvent(9.0, "lock.released", dict(labels, owner="P")))
+    histogram = hub.metrics.histogram("lock_hold_time", node="n1",
+                                      colour="c", object="o1")
     assert histogram.count == 1
     assert histogram.total == 8.0   # clock survives the commit hand-off
 
 
 def test_hold_time_clocks_die_with_their_node():
-    registry = MetricsRegistry()
-    tracker = LockHoldTracker(registry)
+    hub = Observability()
     labels = {"node": "n1", "owner": "A", "object": "o1", "colour": "c"}
-    tracker.consume(ObsEvent(1.0, "lock.granted", dict(labels)))
-    tracker.consume(ObsEvent(2.0, "node.restart", {"node": "n1"}))
-    tracker.consume(ObsEvent(5.0, "lock.released", dict(labels)))
-    histogram = registry.histogram("lock_hold_time", node="n1",
-                                   colour="c", object="o1")
+    hub.world.consume(ObsEvent(1.0, "lock.granted", dict(labels)))
+    hub.world.consume(ObsEvent(2.0, "node.restart", {"node": "n1"}))
+    hub.world.consume(ObsEvent(5.0, "lock.released", dict(labels)))
+    histogram = hub.metrics.histogram("lock_hold_time", node="n1",
+                                      colour="c", object="o1")
     assert histogram.count == 0
 
 

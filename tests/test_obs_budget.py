@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.obs import History, Observability, dump
 from repro.obs import metrics as metrics_module
-from repro.obs.audit import InvariantAuditor, LockHoldTracker
+from repro.obs.audit import InvariantAuditor
 from repro.obs.bus import EventBus
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.perf import FlightRecorder
@@ -228,27 +228,28 @@ def test_raising_filtered_subscriber_is_isolated_and_counted():
 
 
 def test_hold_time_tracker_and_postmortem_are_subscribed_by_kind():
+    """One World reads for every user, by kind: on a bare hub exactly the
+    auditor's kinds (hold time is a World callback, not a reader); the
+    postmortem engine widens them, moving the World behind the layers
+    bound before it."""
     hub = Observability()
     by_kind, unfiltered = hub.bus._routes
     assert unfiltered == ()
     assert set(by_kind) == set(InvariantAuditor.HANDLERS)
-    tracked = set(LockHoldTracker.HANDLERS)
-    assert tracked < set(by_kind)
-    assert all(readers == ((hub.auditor.consume, hub.hold_times.consume)
-                           if kind in tracked else (hub.auditor.consume,))
-               for kind, readers in by_kind.items())
-    engine = hub.bind(PostmortemEngine())
+    assert all(readers == (hub.world.consume,)
+               for readers in by_kind.values())
     recorder = hub.bind(FlightRecorder(capacity=8))
+    engine = hub.bind(PostmortemEngine())
+    assert engine.world is hub.world
     by_kind, unfiltered = hub.bus._routes
     assert unfiltered == (recorder.consume,)
-    assert set(by_kind) == (set(PostmortemEngine._HANDLERS)
+    assert set(by_kind) == (set(PostmortemEngine.HANDLERS)
                             | set(InvariantAuditor.HANDLERS))
-    assert by_kind["twopc.vote"] == (hub.auditor.consume, engine.consume,
-                                     recorder.consume)
-    assert by_kind["node.restart"] == (
-        hub.auditor.consume, hub.hold_times.consume, engine.consume,
-        recorder.consume)
-    assert by_kind["action.failure"] == (engine.consume, recorder.consume)
+    assert set(by_kind) - set(InvariantAuditor.HANDLERS) == {
+        "action.failure", "lock.blocked", "lock.refused",
+        "twopc.downgrade", "node.crash"}
+    assert all(readers == (recorder.consume, hub.world.consume)
+               for readers in by_kind.values())
 
 
 def test_a_shadowed_publish_sees_exactly_the_events_that_are_built():

@@ -2,7 +2,8 @@
 
 Counts, not clocks.  A bare ``Cluster()`` audits and counts but retains
 nothing per commit — no event, no finished span, no series or resolved
-lookup per colour — so what it holds after N commits it holds after 4 N.
+lookup per colour, no finished action in the reconstructed world or the
+auditor — so what it holds after N commits it holds after 4 N.
 With ``observe(history=True)`` all of that grows again, and a dump is the
 parent commit's dump byte for byte.
 """
@@ -50,7 +51,7 @@ def _run(commits, history):
     assert [loop.error for loop in loops] == [None] * 4
     assert cluster.obs.auditor.report() == []
     assert not cluster.obs.bus.errors
-    return built, _retained(cluster.obs)
+    return built, {**_retained(cluster.obs), **_remembered(cluster.obs)}
 
 
 def _retained(hub):
@@ -69,12 +70,19 @@ def _retained(hub):
     }
 
 
+def _remembered(hub):
+    """What the reconstructed world and the auditor still hold of the run."""
+    world, auditor = hub.world, hub.auditor
+    return {"world": (len(world.actions), len(world.txns), len(world.holds)),
+            "auditor": (len(auditor._accesses), len(auditor._closed))}
+
+
 def test_a_bare_cluster_keeps_nothing_per_commit():
     built, small = _run(16, history=False)
     _built, large = _run(64, history=False)
-    # construction alone: the auditor and the hold-time tracker, nothing else
+    # construction alone: the World under the auditor, nothing else
     assert built == {"spans": 0, "events": 0, "series": {}, "resolved": 0,
-                     "subscriptions": 2, "layers": []}
+                     "subscriptions": 1, "layers": []}
     assert small["series"]["actions_committed_total"] == 1
     assert large == small
     assert small["spans"] == small["events"] == 0
@@ -84,7 +92,7 @@ def test_with_history_bound_everything_per_commit_is_kept():
     built, small = _run(16, history=True)
     _built, large = _run(64, history=True)
     assert built == {"spans": 0, "events": 0, "series": {}, "resolved": 0,
-                     "subscriptions": 3, "layers": ["history"]}
+                     "subscriptions": 2, "layers": ["history"]}
     for key in ("spans", "events", "resolved"):
         assert large[key] > 3 * small[key] > 0, key
     for name in ("actions_committed_total", "commit_latency",

@@ -200,9 +200,9 @@ def test_recorder_freezes_one_ring_per_same_tick_finding():
     recorder = hub.bind(FlightRecorder(capacity=8))
     hub.emit("span.start", name="setup")
     for index in range(MAX_SNAPSHOTS + 2):
-        # the listener path the auditor uses, all at tick 0.0
+        # the listener path the auditor uses, all at tick 0.0 (no event)
         hub.auditor._finding("two-phase-violation",
-                             f"burst finding {index}", tick=0.0,
+                             f"burst finding {index}", None,
                              node=f"n{index}")
         hub.emit("span.start", name=f"between-{index}")
     assert len(hub.auditor.findings) == MAX_SNAPSHOTS + 2

@@ -453,6 +453,66 @@ def test_cluster_contention_attributes_lock_conflict_with_blocker():
                              cluster.obs.metrics.dump()) == []
 
 
+def test_a_committed_reader_writer_is_never_blamed():
+    """A reads, writes and reads the counter again, then commits: one
+    joined lock record, released once.  H then takes the counter and
+    camps on it until B times out — B is blocked by H alone, not by
+    phantom READ holds A left behind."""
+    cluster = Cluster(seed=7, lock_wait_timeout=12.0)
+    for name in ("n0", "n1"):
+        cluster.add_node(name)
+    engine = cluster.observe(postmortem=True)["postmortem"]
+    client = cluster.client("n0", name="c")
+    refs = {}
+
+    def setup():
+        refs["x"] = yield from client.create("n1", "counter", value=0)
+        reader = client.top_level("A")
+        for method, args in (("get", ()), ("increment", (1,)), ("get", ())):
+            yield from client.invoke(reader, refs["x"], method, *args)
+        yield from client.commit(reader)
+
+    cluster.run_process("n0", setup())
+
+    def holder():
+        action = client.top_level("H")
+        yield from client.invoke(action, refs["x"], "increment", 1)
+        yield Timeout(30.0)
+        yield from client.commit(action)
+
+    def victim():
+        yield Timeout(1.0)
+        action = client.top_level("B")
+        try:
+            yield from client.invoke(action, refs["x"], "increment", 1)
+        except LockTimeout:
+            yield from client.abort(action)
+
+    cluster.spawn("n0", holder())
+    cluster.spawn("n0", victim())
+    cluster.run()
+    record = engine.record_for("B")
+    assert record.reason == LOCK_CONFLICT
+    holder_uid = engine.record_for("H").action
+    assert [(link.holder, link.status, link.mode)
+            for link in record.blockers] == [(holder_uid, "holds", "write")]
+
+
+def test_an_upgrade_is_one_record_in_the_world():
+    engine = replayed([
+        begin("a"),
+        grant("a", "obj", mode="read"),
+        grant("a", "obj", mode="write"),
+        grant("a", "obj", mode="read"),
+    ])
+    (records,) = engine.world.holds[("local", "obj")].values()
+    (held,) = records.values()
+    assert (held.mode, held.since) == ("write", 1.0)
+    engine.consume(ObsEvent(tick=4.0, kind="lock.released",
+                            labels=release("a", "obj")[1]))
+    assert engine.world.holds == {}
+
+
 def test_cluster_deadlock_attributes_exactly_one_victim():
     cluster = Cluster(seed=0, edge_chasing=True, lock_wait_timeout=600.0,
                       probe_interval=3.0)

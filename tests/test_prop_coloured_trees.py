@@ -2,9 +2,9 @@
 
 Hypothesis drives random stack-disciplined programs against a
 LocalRuntime: open children with random colour subsets (or fresh colours),
-write objects in randomly chosen owned colours (try-lock semantics —
-refused writes are skipped), and commit/abort randomly until the whole
-tree has unwound.  Afterwards:
+read and write objects in randomly chosen owned colours (try-lock
+semantics — refused locks are skipped), and commit/abort randomly until
+the whole tree has unwound.  Afterwards:
 
 - no lock table holds any record (no lock leaks through any combination
   of per-colour inheritance and release);
@@ -12,6 +12,9 @@ tree has unwound.  Afterwards:
   no missed permanence);
 - the runtime can run a fresh ordinary action over every object (the
   system is still live).
+
+After every operation the hub's reconstructed world holds exactly the
+lock tables' records, re-acquisitions and read-to-write upgrades included.
 
 One more property pins the tree itself: the same random shape — plain
 nodes and every structure of :mod:`repro.structures.schemes` — built as
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 from repro.actions.action import Action
 from repro.actions.status import ActionStatus
 from repro.errors import ColourError
-from repro.locking.modes import LockMode
+from repro.locking.modes import LockMode, mode_label
 from repro.runtime.runtime import LocalRuntime
 from repro.stdobjects import Counter
 from tests.stages import stages
@@ -36,7 +39,7 @@ COLOUR_POOL = 3
 
 ops = st.lists(
     st.tuples(
-        st.sampled_from(["push", "write", "commit", "abort"]),
+        st.sampled_from(["push", "read", "write", "commit", "abort"]),
         st.integers(0, 7),    # colour-subset selector / object selector
         st.integers(0, N_OBJECTS - 1),
     ),
@@ -44,21 +47,36 @@ ops = st.lists(
 )
 
 
-def try_write(runtime, action, obj, colour):
+def try_lock(runtime, action, obj, colour, mode=LockMode.WRITE):
     outcome = {}
 
     def complete(request):
         outcome["granted"] = request.status.value == "granted"
 
-    request = runtime.locks.request(action, obj.uid, LockMode.WRITE,
-                                    colour, complete)
+    request = runtime.locks.request(action, obj.uid, mode, colour, complete)
     if not request.settled:
         runtime.locks.cancel_request(request, "try-lock")
         return False
     if outcome.get("granted"):
-        action.record_write(obj, colour)
+        if mode is LockMode.WRITE:
+            action.record_write(obj, colour)
         return True
     return False
+
+
+def held_records(runtime):
+    """(object, owner, colour, mode) of every record, as the lock tables
+    keep them and as the hub's world rebuilt them from the events."""
+    tables = sorted(
+        (str(table.object_uid), str(record.owner.uid), str(record.colour),
+         mode_label(record.mode))
+        for table in runtime.locks.tables() for record in table.holders)
+    world = sorted(
+        (obj, owner, held.colour, held.mode)
+        for (_node, obj), holders in runtime.obs.world.holds.items()
+        for owner, records in holders.items()
+        for held in records.values())
+    return tables, world
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,18 +100,22 @@ def test_random_coloured_trees_never_leak(operations):
             action = Action(runtime, colours_for(selector, parent),
                             parent=parent)
             stack.append(action)
-        elif op == "write" and stack:
+        elif op in ("read", "write") and stack:
             action = stack[-1]
             colour = sorted(action.colours, key=lambda c: c.uid)[
                 selector % len(action.colours)
             ]
             counter = counters[obj_index]
-            if try_write(runtime, action, counter, colour):
+            if op == "read":
+                try_lock(runtime, action, counter, colour, LockMode.READ)
+            elif try_lock(runtime, action, counter, colour):
                 counter.value += 1
         elif op == "commit" and stack:
             stack.pop().commit()
         elif op == "abort" and stack:
             stack.pop().abort()
+        tables, world = held_records(runtime)
+        assert world == tables
 
     # unwind whatever remains (alternate commit/abort deterministically)
     while stack:
@@ -141,7 +163,7 @@ def test_random_trees_with_detached_independents(operations):
             colour = sorted(action.colours, key=lambda c: c.uid)[
                 selector % len(action.colours)
             ]
-            if try_write(runtime, action, counters[obj_index], colour):
+            if try_lock(runtime, action, counters[obj_index], colour):
                 counters[obj_index].value += 1
         elif op == "commit" and stack:
             stack.pop().commit()

@@ -257,8 +257,12 @@ def test_a_refused_prepare_has_one_cause_whatever_the_plan_shape():
                 return "commit-error"
 
         assert cluster.run_process("coord", app()) == "commit-error"
-        causes = [engine.txn_info(txn_id).cause
-                  for txn_id in engine.record_for("t").txns]
+        # the rounds themselves are forgotten with the finished action:
+        # their causes are read off the retained decisions
+        decided = {event.labels["txn"]: event.labels.get("cause", "")
+                   for event in cluster.obs.layers["history"].events
+                   if event.kind == "twopc.decision"}
+        causes = [decided[txn_id] for txn_id in engine.record_for("t").txns]
         seen[colours] = (causes, engine.record_for("t").reason)
     # (the taxonomy files a lost write set under crash/partition)
     assert seen[1] == (["prepare-refused"], CRASH_PARTITION)
