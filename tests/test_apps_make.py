@@ -251,3 +251,42 @@ def test_distributed_make_touch_forces_partial_rebuild():
     report = cluster.run_process("client", engine.make())
     assert set(report.rebuilt) == {"Test1.o", "Test"}
     assert report.up_to_date == ["Test0.o"]
+
+
+# -- both engines ---------------------------------------------------------------
+
+#: a failed build, its resumption, a no-op, a touch and a partial rebuild
+PARITY_STEPS = [("make", "Test"), ("make", None), ("make", None),
+                ("touch", "Test1.c"), ("make", None)]
+
+
+def test_local_and_distributed_make_decide_alike(runtime):
+    """Every step gives the same report on both engines (order aside: the
+    distributed engine builds prerequisites concurrently)."""
+    makefile = parse_makefile(PAPER_EXAMPLE)
+    files = build_files(runtime, makefile)
+    clock = LogicalClock()
+    local = LocalMakeEngine(runtime, makefile, files, clock=clock)
+    cluster, remote = make_distributed()
+
+    def local_step(kind, arg):
+        if kind == "touch":
+            with runtime.top_level():
+                files[arg].touch(clock.next())
+            return None
+        local.fail_before = arg
+        return local.make()
+
+    def remote_step(kind, arg):
+        if kind == "touch":
+            return cluster.run_process("client", remote.touch_source(arg))
+        remote.fail_before = arg
+        return cluster.run_process("client", remote.make())
+
+    def summary(report):
+        return report and (set(report.rebuilt), set(report.up_to_date),
+                           report.failed_at)
+
+    for kind, arg in PARITY_STEPS:
+        assert (summary(local_step(kind, arg))
+                == summary(remote_step(kind, arg))), (kind, arg)

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.apps.meeting.distributed import DistributedMeetingScheduler
 from repro.apps.meeting.scheduler import (
     MeetingScheduler,
     NoCommonDate,
     SchedulerCrash,
 )
+from repro.cluster.cluster import Cluster
 from repro.errors import LockTimeout
 from repro.locking.modes import LockMode
 from repro.stdobjects import Diary
@@ -111,3 +113,33 @@ def test_crash_preserves_committed_rounds(runtime):
     resumed = MeetingScheduler(runtime, diaries)
     chosen = resumed.schedule("m", [DATES[1:3]])
     assert chosen == DATES[1]
+
+
+# -- both schedulers ---------------------------------------------------------------
+
+@pytest.mark.parametrize("preferences", [
+    [DATES[1:5], DATES[2:6], [DATES[3], DATES[5]]],
+    [DATES[:2], [DATES[1]]],
+    [[DATES[0]], [DATES[1]]],
+])
+def test_local_and_distributed_schedulers_decide_alike(runtime, preferences):
+    """The same rounds and the same booked date (or the same refusal)."""
+    people = {"ann": "ws-ann", "bob": "ws-bob", "cat": "ws-cat"}
+    local = MeetingScheduler(runtime, diaries_for(runtime, tuple(people)))
+    cluster = Cluster(seed=0)
+    for node in ("coordinator", *people.values()):
+        cluster.add_node(node)
+    remote = DistributedMeetingScheduler(
+        cluster, cluster.client("coordinator"))
+    cluster.run_process("coordinator", remote.create_diaries(people, DATES))
+
+    def outcome(schedule):
+        try:
+            return schedule()
+        except NoCommonDate:
+            return None
+
+    chosen = outcome(lambda: local.schedule("m", preferences))
+    assert chosen == outcome(lambda: cluster.run_process(
+        "coordinator", remote.schedule("m", preferences)))
+    assert local.rounds == remote.rounds

@@ -9,14 +9,21 @@ parent commit's dump byte for byte.
 """
 
 import hashlib
+import runpy
+from pathlib import Path
 
 import pytest
 
 from benchmarks.e2e import workloads
+from repro.apps.meeting.distributed import (
+    DistributedMeetingScheduler,
+    SchedulerCrashRemote,
+)
 from repro.cluster.cluster import Cluster
 from tests.test_obs_slo import _matrix_cluster
 
 SERVERS = ("s1", "s2")
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def _run(commits, history):
@@ -110,7 +117,9 @@ def test_with_history_bound_everything_per_commit_is_kept():
 #: with queued locks were re-pinned when the edge chaser stopped
 #: re-probing on a clock: fewer ``dl_probe`` sends shift the seeded delay
 #: draws of every later message; ``matrix`` and ``commute_hot`` are as
-#: they were.
+#: they were.  The three app runs were pinned while make and the meeting
+#: scheduler were still written once per runtime: a shared body must
+#: spawn, name and call exactly what the distributed engines did.
 PARENT_DUMPS = {
     "matrix": ("64072d4f0cfec208e0135be42fd93141ab690a78a564723a278f0004edd87dbb", 222122),
     "steady_2pc": ("40f63d0fcbef519a454bb5dc90f5cf5e7aca606ba6cee6f3a81560c2bacbecd8", 1254170),
@@ -119,6 +128,9 @@ PARENT_DUMPS = {
     "contended_locks": ("4410202d3dced804bbdecbcc29e72d61d75fb537c87d8c56e9163c22297a73c4", 1245352),
     "multicolour": ("25e57e6ba344a973ad3bc4a92ee3611ce60c05a3608ae79b5fdc219da85c82d9", 1751429),
     "lossy_crash": ("9caf79ec021ab202d79f7831a7876ca03795f65cef9a40935f86c5f0aec93eef", 3101925),
+    "distributed_make": ("103b00eaf61f2c4407ae89a9f80eb4eba9ffba2dbcd756df38611ffd1f47f58c", 274396),
+    "distributed_make_resumed": ("e4dc03b1cbb2b2a5b880011dfc64f8cab5b4498ef4f3057ac4867b8e101ba8bb", 246347),
+    "distributed_meeting": ("861e2b10480f83fc71f1ed4e410f58eb4a82d342868c12177122ff58ba6d79dc", 546222),
 }
 #: operations of each e2e-shaped run (seed 5)
 E2E_SHAPED = {"steady_2pc": 80, "read_mostly": 80, "commute_hot": 80,
@@ -152,3 +164,48 @@ def test_e2e_shaped_dump_is_the_parents_byte_for_byte(name, tmp_path,
     measured = workloads.measure(deployment, 5, E2E_SHAPED[name])
     workloads.check(deployment, measured)
     assert _saved(deployment.cluster, tmp_path) == PARENT_DUMPS[name]
+
+
+def test_distributed_make_dumps_are_the_parents_byte_for_byte(tmp_path):
+    """The example's engine: a full build and a no-op re-run; then a build
+    that fails before the final link and is resumed."""
+    build_engine = runpy.run_path(
+        str(EXAMPLES / "distributed_make.py"))["build_engine"]
+    cluster, engine = build_engine()
+    for _ in range(2):
+        cluster.run_process("workstation", engine.make())
+    assert _saved(cluster, tmp_path) == PARENT_DUMPS["distributed_make"]
+    cluster, engine = build_engine(fail_before="Test")
+    assert cluster.run_process("workstation", engine.make()).failed_at
+    engine.fail_before = None
+    assert cluster.run_process("workstation", engine.make()).completed
+    assert (_saved(cluster, tmp_path)
+            == PARENT_DUMPS["distributed_make_resumed"])
+
+
+def test_distributed_meeting_dump_is_the_parents_byte_for_byte(tmp_path):
+    """The example's diaries and preferences: a coordinator crash after
+    round 1, the pins released, and a second ``schedule``."""
+    example = runpy.run_path(str(EXAMPLES / "distributed_meeting.py"))
+    people, preferences = example["PEOPLE"], example["PREFERENCES"]
+    cluster = Cluster(seed=42)
+    cluster.observe(history=True)
+    for node in ("coordinator", *people.values()):
+        cluster.add_node(node)
+    scheduler = DistributedMeetingScheduler(
+        cluster, cluster.client("coordinator"))
+    cluster.run_process("coordinator", scheduler.create_diaries(
+        people, example["DATES"]))
+
+    def crash_then_resume():
+        try:
+            yield from scheduler.schedule("offsite", preferences,
+                                          fail_after_round=1)
+        except SchedulerCrashRemote:
+            pass
+        yield from scheduler.release_pins()
+        return (yield from scheduler.schedule("offsite", preferences[1:]))
+
+    chosen = cluster.run_process("coordinator", crash_then_resume())
+    assert chosen == example["DATES"][3]
+    assert _saved(cluster, tmp_path) == PARENT_DUMPS["distributed_meeting"]
