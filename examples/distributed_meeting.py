@@ -6,10 +6,8 @@ crash that loses no committed narrowing.
 Run:  python examples/distributed_meeting.py
 """
 
-from repro.apps.meeting.distributed import (
-    DistributedMeetingScheduler,
-    SchedulerCrashRemote,
-)
+from repro.apps.meeting.distributed import DistributedMeetingScheduler
+from repro.apps.meeting.scheduler import SchedulerCrash
 from repro.cluster.cluster import Cluster
 from repro.obs import action_timeline
 
@@ -50,14 +48,14 @@ def main() -> None:
     for node in PEOPLE.values():
         cluster2.add_node(node)
     client2 = cluster2.client("coordinator")
-    crashy = DistributedMeetingScheduler(cluster2, client2)
+    crashy = DistributedMeetingScheduler(cluster2, client2,
+                                         fail_after_round=1)
     cluster2.run_process("coordinator", crashy.create_diaries(PEOPLE, DATES))
 
     def run_crashy():
         try:
-            yield from crashy.schedule("offsite", PREFERENCES,
-                                       fail_after_round=1)
-        except SchedulerCrashRemote as error:
+            yield from crashy.schedule("offsite", PREFERENCES)
+        except SchedulerCrash as error:
             return str(error)
 
     print(f"  {cluster2.run_process('coordinator', run_crashy())}")
@@ -66,6 +64,7 @@ def main() -> None:
 
     def resume():
         yield from crashy.release_pins()
+        crashy.fail_after_round = None
         return (yield from crashy.schedule("offsite",
                                            PREFERENCES[1:]))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.apps.make.graph import DependencyGraph
 from repro.apps.make.makefile import Makefile, MakefileError, Rule
@@ -35,10 +35,6 @@ class LogicalClock:
     @property
     def now(self) -> float:
         return self._now
-
-
-#: compiler(rule, inputs: name->content, timestamp) -> new target content
-Compiler = Callable[[Rule, Dict[str, str], float], str]
 
 
 def SimulatedCompiler(rule: Rule, inputs: Dict[str, str], timestamp: float) -> str:
@@ -81,7 +77,6 @@ class LocalMakeEngine:
     def __init__(self, runtime, makefile: Makefile,
                  files: Dict[str, FileObject],
                  clock: Optional[LogicalClock] = None,
-                 compiler: Compiler = SimulatedCompiler,
                  fail_before: Optional[str] = None):
         """``fail_before``: fault injection — raise just before rebuilding
         that target (for the requirement-(iii) experiments)."""
@@ -90,7 +85,6 @@ class LocalMakeEngine:
         self.graph = DependencyGraph(makefile)
         self.files = files
         self.clock = clock or LogicalClock()
-        self.compiler = compiler
         self.fail_before = fail_before
 
     def _file(self, name: str) -> FileObject:
@@ -139,7 +133,7 @@ class LocalMakeEngine:
                     for p in rule.prerequisites
                 }
                 stamp = self.clock.next()
-                content = self.compiler(rule, inputs, stamp)
+                content = SimulatedCompiler(rule, inputs, stamp)
                 self._file(target).write(content, stamp, action=build)
             report.rebuilt.append(target)
 

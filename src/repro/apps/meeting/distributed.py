@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.apps.meeting.scheduler import (
-    NoCommonDate, SchedulingRound, date_universe)
+    NoCommonDate, SchedulerCrash, SchedulingRound, date_universe)
 from repro.cluster.client import ClusterClient, ObjectRef
 from repro.cluster.cluster import Cluster
 from repro.cluster.structures import ClusterGluedGroup
@@ -34,9 +34,14 @@ class RemoteDiary:
 class DistributedMeetingScheduler:
     """Glued scheduling rounds across diary servers."""
 
-    def __init__(self, cluster: Cluster, client: ClusterClient):
+    def __init__(self, cluster: Cluster, client: ClusterClient,
+                 fail_after_round: Optional[int] = None):
+        """``fail_after_round``: fault injection — the client crashes after
+        that many narrowing rounds; committed rounds stay permanent, and
+        :meth:`release_pins` drops the surviving group's pins."""
         self.cluster = cluster
         self.client = client
+        self.fail_after_round = fail_after_round
         self.diaries: List[RemoteDiary] = []
         self.rounds: List[SchedulingRound] = []
         self.current_group: Optional[ClusterGluedGroup] = None
@@ -62,14 +67,8 @@ class DistributedMeetingScheduler:
     # -- scheduling -----------------------------------------------------------------
 
     def schedule(self, description: str,
-                 preferences: Sequence[Sequence[str]],
-                 fail_after_round: Optional[int] = None):
-        """Generator: run the rounds; returns the booked date.
-
-        ``fail_after_round``: raise after that many narrowing rounds (the
-        crash experiment); committed rounds stay permanent, and
-        :meth:`release_pins` drops the surviving group's pins.
-        """
+                 preferences: Sequence[Sequence[str]]):
+        """Generator: run the rounds; returns the booked date."""
         self.rounds = []
         group, candidates = yield from self._initial_round(description)
         try:
@@ -77,9 +76,10 @@ class DistributedMeetingScheduler:
                 group, candidates = yield from self._narrowing_round(
                     group, index, candidates, set(acceptable)
                 )
-                if fail_after_round is not None and index >= fail_after_round:
+                if (self.fail_after_round is not None
+                        and index >= self.fail_after_round):
                     self.current_group = group
-                    raise SchedulerCrashRemote(f"crash after round {index}")
+                    raise SchedulerCrash(f"crash after round {index}")
             if not candidates:
                 raise NoCommonDate(description)
             chosen = candidates[0]
@@ -87,7 +87,7 @@ class DistributedMeetingScheduler:
                                            candidates)
             self.current_group = None
             return chosen
-        except SchedulerCrashRemote:
+        except SchedulerCrash:
             raise
         except BaseException:
             if group is not None and not group.control.status.terminated:
@@ -165,7 +165,3 @@ class DistributedMeetingScheduler:
         yield from group.close()
         self.rounds.append(
             SchedulingRound.of(len(self.rounds), candidates, [chosen]))
-
-
-class SchedulerCrashRemote(RuntimeError):
-    """Injected client failure between distributed rounds."""

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.apps.meeting.distributed import (
-    DistributedMeetingScheduler,
-    SchedulerCrashRemote,
-)
-from repro.apps.meeting.scheduler import NoCommonDate
+from repro.apps.meeting.distributed import DistributedMeetingScheduler
+from repro.apps.meeting.scheduler import NoCommonDate, SchedulerCrash
 from repro.cluster.cluster import Cluster
 from repro.errors import LockTimeout
 from repro.objects.state import ObjectState
@@ -15,13 +12,14 @@ DATES = [f"d{i}" for i in range(5)]
 PEOPLE = {"ann": "ws-ann", "bob": "ws-bob", "cat": "ws-cat"}
 
 
-def make_scheduler(lock_wait_timeout=60.0):
+def make_scheduler(lock_wait_timeout=60.0, fail_after_round=None):
     cluster = Cluster(seed=0, lock_wait_timeout=lock_wait_timeout)
     cluster.add_node("coordinator")
     for node in PEOPLE.values():
         cluster.add_node(node)
     client = cluster.client("coordinator")
-    scheduler = DistributedMeetingScheduler(cluster, client)
+    scheduler = DistributedMeetingScheduler(cluster, client,
+                                            fail_after_round=fail_after_round)
     cluster.run_process("coordinator", scheduler.create_diaries(PEOPLE, DATES))
     return cluster, scheduler
 
@@ -92,15 +90,14 @@ def test_no_common_date_raises_and_releases():
 
 
 def test_crash_between_rounds_preserves_committed_narrowing():
-    cluster, scheduler = make_scheduler(lock_wait_timeout=10.0)
+    cluster, scheduler = make_scheduler(lock_wait_timeout=10.0,
+                                        fail_after_round=1)
 
     def app():
         try:
-            yield from scheduler.schedule(
-                "m", [DATES[:3], DATES[1:3]], fail_after_round=1,
-            )
+            yield from scheduler.schedule("m", [DATES[:3], DATES[1:3]])
             return "finished"
-        except SchedulerCrashRemote:
+        except SchedulerCrash:
             return "crashed"
 
     assert cluster.run_process("coordinator", app()) == "crashed"
@@ -121,6 +118,8 @@ def test_crash_between_rounds_preserves_committed_narrowing():
 
     assert cluster.run_process("ws-ann", probe_pinned()) == "pinned"
     # ... until released; then a fresh run resumes from the narrowing
+    scheduler.fail_after_round = None
+
     def finish():
         yield from scheduler.release_pins()
         chosen = yield from scheduler.schedule("m", [scheduler.rounds[-1].kept])

@@ -15,10 +15,8 @@ from pathlib import Path
 import pytest
 
 from benchmarks.e2e import workloads
-from repro.apps.meeting.distributed import (
-    DistributedMeetingScheduler,
-    SchedulerCrashRemote,
-)
+from repro.apps.meeting.distributed import DistributedMeetingScheduler
+from repro.apps.meeting.scheduler import SchedulerCrash
 from repro.cluster.cluster import Cluster
 from tests.test_obs_slo import _matrix_cluster
 
@@ -193,17 +191,17 @@ def test_distributed_meeting_dump_is_the_parents_byte_for_byte(tmp_path):
     for node in ("coordinator", *people.values()):
         cluster.add_node(node)
     scheduler = DistributedMeetingScheduler(
-        cluster, cluster.client("coordinator"))
+        cluster, cluster.client("coordinator"), fail_after_round=1)
     cluster.run_process("coordinator", scheduler.create_diaries(
         people, example["DATES"]))
 
     def crash_then_resume():
         try:
-            yield from scheduler.schedule("offsite", preferences,
-                                          fail_after_round=1)
-        except SchedulerCrashRemote:
+            yield from scheduler.schedule("offsite", preferences)
+        except SchedulerCrash:
             pass
         yield from scheduler.release_pins()
+        scheduler.fail_after_round = None
         return (yield from scheduler.schedule("offsite", preferences[1:]))
 
     chosen = cluster.run_process("coordinator", crash_then_resume())
