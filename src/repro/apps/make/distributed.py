@@ -8,25 +8,25 @@ comparison and the command execution commit top-level (permanent in the
 hosting nodes' stable stores at constituent commit), while the control
 action's retained locks stop other programs touching the files mid-make.
 
-Compilation cost is simulated time (``compile_duration``), so the speedup
-from concurrent building is directly measurable as makespan.
+The decisions are :class:`~repro.apps.make.engine.MakeBody` 's; this module
+is the cluster's calling convention.  Compilation cost is simulated time
+(``compile_duration``), so the speedup from concurrent building is directly
+measurable as makespan.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.apps.make.engine import (
-    MakeFailure, MakeReport, SimulatedCompiler, initial_file)
-from repro.apps.make.graph import DependencyGraph
+from repro.apps.make.engine import MakeBody, MakeReport, initial_file
 from repro.apps.make.makefile import Makefile
-from repro.cluster.client import ClusterClient, ObjectRef
+from repro.cluster.client import ClusterAction, ClusterClient, ObjectRef
 from repro.cluster.cluster import Cluster
 from repro.cluster.structures import ClusterSerializingAction
 from repro.sim.kernel import Timeout, all_of
 
 
-class DistributedMakeEngine:
+class DistributedMakeEngine(MakeBody):
     """Concurrent, fault-tolerant make across simulated nodes."""
 
     def __init__(self, cluster: Cluster, client: ClusterClient,
@@ -44,18 +44,15 @@ class DistributedMakeEngine:
         targets stay, the interrupted one is redone once its server is
         back.
         """
+        super().__init__(makefile, fail_before)
         self.cluster = cluster
         self.client = client
         self.kernel = cluster.kernel
-        self.makefile = makefile
-        self.graph = DependencyGraph(makefile)
         self.placement = dict(placement)
         self.compile_duration = compile_duration
-        self.fail_before = fail_before
         self.build_retries = build_retries
         self.retry_pause = retry_pause
         self.refs: Dict[str, ObjectRef] = {}
-        self._building: Dict[str, object] = {}  # target -> Process
 
     # -- setup -------------------------------------------------------------------
 
@@ -70,107 +67,38 @@ class DistributedMakeEngine:
     def touch_source(self, name: str):
         """Generator: bump a source file's timestamp (forces rebuilds)."""
         action = self.client.top_level(f"touch:{name}")
-        def body():
-            yield from self.client.invoke(
-                action, self.refs[name], "touch", self.kernel.now + 1.0
-            )
-        return self.client.run_scope(action, body())
+        return self.client.run_scope(action, self.client.invoke(
+            action, self.refs[name], "touch", self.kernel.now + 1.0))
 
-    # -- building ------------------------------------------------------------------
+    # -- primitives: each target a process, every call an RPC -----------------------
 
-    def make(self, goal: Optional[str] = None):
-        """Generator: build ``goal``; returns a :class:`MakeReport`."""
-        goal = goal or self.makefile.default_goal
-        report = MakeReport(goal=goal)
-        self._building = {}
-        try:
-            yield from self._make_target(goal, report)
-        except MakeFailure:
-            pass
-        return report
+    def _start(self, target: str, report: MakeReport):
+        return self.kernel.spawn(
+            self._make_target(target, report), name=f"make:{target}")
 
-    def _make_target(self, target: str, report: MakeReport):
-        rule = self.makefile.rule(target)
-        if rule is None:
-            return  # source file
-        # phase (i): prerequisites concurrently, deduplicated across parents
-        prereq_targets = [p for p in rule.prerequisites if self.graph.is_target(p)]
-        handles = []
-        for prereq in prereq_targets:
-            handle = self._building.get(prereq)
-            if handle is None:
-                handle = self.kernel.spawn(
-                    self._make_target(prereq, report), name=f"make:{prereq}"
-                )
-                self._building[prereq] = handle
-            handles.append(handle)
+    def _join(self, handles):
         if handles:
             yield all_of(self.kernel, [h.join() for h in handles])
-        if self.fail_before == target:
-            report.failed_at = target
-            raise MakeFailure(target)
-        # phases (ii)-(iv) under a distributed serializing action; a crash
-        # of an involved file server aborts the attempt, and we retry once
-        # the world has settled.
-        last_error: Optional[BaseException] = None
-        for attempt in range(self.build_retries + 1):
-            if attempt > 0:
-                yield Timeout(self.retry_pause)
-            try:
-                yield from self._build_once(target, rule, report)
-                return
-            except MakeFailure:
-                raise
-            except Exception as error:  # transient: crashed server, timeout
-                last_error = error
-        report.failed_at = target
-        raise MakeFailure(
-            f"{target}: {self.build_retries + 1} attempts failed "
-            f"(last: {last_error})"
-        )
 
-    def _build_once(self, target: str, rule, report: MakeReport):
-        ser = ClusterSerializingAction(self.client, name=f"make:{target}")
-        try:
-            check = ser.constituent(f"stat:{target}")
+    def _serializing(self, name: str) -> ClusterSerializingAction:
+        return ClusterSerializingAction(self.client, name=name)
 
-            def stat_body():
-                stamps = []
-                for prereq in rule.prerequisites:
-                    stamp = yield from self.client.invoke(
-                        check, self.refs[prereq], "stat"
-                    )
-                    stamps.append(stamp)
-                own = yield from self.client.invoke(
-                    check, self.refs[target], "stat"
-                )
-                return any(s >= own for s in stamps)
+    def _constituent(self, ser: ClusterSerializingAction, name: str, body):
+        action = ser.constituent(name)
+        return ser.run_constituent(action, body(action))
 
-            needs_rebuild = yield from ser.run_constituent(check, stat_body())
-            if not needs_rebuild:
-                report.up_to_date.append(target)
-                return
-            build = ser.constituent(f"build:{target}")
+    def _end(self, structure, how: str):
+        return getattr(structure, how)()
 
-            def build_body():
-                inputs = {}
-                for prereq in rule.prerequisites:
-                    content = yield from self.client.invoke(
-                        build, self.refs[prereq], "read"
-                    )
-                    inputs[prereq] = content
-                yield Timeout(self.compile_duration)  # the cc run
-                stamp = self.kernel.now
-                content = SimulatedCompiler(rule, inputs, stamp)
-                yield from self.client.invoke(
-                    build, self.refs[target], "write", content, stamp
-                )
+    def _invoke(self, action: ClusterAction, name: str, method: str, *args):
+        return self.client.invoke(action, self.refs[name], method, *args)
 
-            yield from ser.run_constituent(build, build_body())
-            report.rebuilt.append(target)
-        finally:
-            if not ser.control.status.terminated:
-                yield from ser.close()
+    def _compiled(self):
+        yield Timeout(self.compile_duration)  # the cc run
+        return self.kernel.now
+
+    def _pause(self):
+        yield Timeout(self.retry_pause)
 
     # -- verification helpers ----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The §4(v) meeting scheduler.
+"""The §4(v) meeting scheduler, written once.
 
 "Glued actions are useful in structuring such applications, since locks on
 diary entries can be passed from one top-level action to the other.
@@ -17,6 +17,13 @@ being colour-disjoint, Gi detaches (rather than aborts) when G(i-1) ends.
 Round model: round *i* consults participant *i*'s preferences and keeps
 only dates that participant accepts.  The final round books the agreed
 date in every diary.
+
+:class:`SchedulerBody` makes every decision as generator methods; each
+scheduler supplies only its calling convention — :class:`MeetingScheduler`
+over in-process diaries, run by a synchronous trampoline
+(:mod:`repro.apps.trampoline`), and
+:class:`~repro.apps.meeting.distributed.DistributedMeetingScheduler` over
+diary servers, run as a simulation process.
 """
 
 from __future__ import annotations
@@ -24,9 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
+from repro.apps.trampoline import done, run_synchronously
 from repro.errors import InvalidActionState
-from repro.stdobjects.diary import Diary, DiarySlot
-from repro.structures.glued import GluedGroup
+from repro.stdobjects.diary import Diary
+from repro.structures.glued import GluedGroup, MemberScope
 
 
 class NoCommonDate(InvalidActionState):
@@ -50,7 +58,7 @@ class SchedulingRound:
     def of(cls, index: int, examined: Iterable[str],
            kept: Iterable[str]) -> "SchedulingRound":
         """A round's record: whatever it examined and did not keep, it
-        released.  The runtime-free half of every round, local or remote."""
+        released."""
         examined, kept = list(examined), list(kept)
         return cls(index, examined, kept,
                    released=[d for d in examined if d not in kept])
@@ -61,40 +69,42 @@ def date_universe(dates_per_diary: Iterable[Iterable[str]]) -> List[str]:
     return sorted({date for dates in dates_per_diary for date in dates})
 
 
-class MeetingScheduler:
-    """Arrange a meeting date across several personal diaries."""
+class SchedulerBody:
+    """Fig. 9's decisions, once: which slots each round examines, keeps,
+    hands over and releases, which date is booked, and where the injected
+    crash strikes.
 
-    def __init__(self, runtime, diaries: Sequence[Diary],
-                 fail_after_round: Optional[int] = None):
-        """``fail_after_round``: fault injection — the application crashes
-        after that many completed narrowing rounds (committed rounds'
-        results must survive; the pins of the last group are dropped)."""
-        self.runtime = runtime
-        self.diaries = list(diaries)
+    ``diaries`` answer ``dates()`` and ``slot(date)``; a scheduler supplies
+    the primitives ``_glued(name, parent)``, ``_member(group, name, body)``
+    (run ``body(member)`` as the group's next member), ``_invoke(member,
+    slot, method, *args)``, ``_hand_over(group, member, *slots)`` and
+    ``_end(group, "close" | "cancel")``.
+    """
+
+    def __init__(self, fail_after_round: Optional[int]):
         self.fail_after_round = fail_after_round
         self.rounds: List[SchedulingRound] = []
         #: the control group still holding pins (exposed for experiments)
-        self.current_group: Optional[GluedGroup] = None
+        self.current_group = None
 
-    def _slots_for(self, date: str) -> List[DiarySlot]:
+    def _slots_for(self, date: str) -> list:
         return [diary.slot(date) for diary in self.diaries
                 if date in diary.dates()]
 
-    # -- public ------------------------------------------------------------------
-
     def schedule(self, description: str,
-                 preferences: Sequence[Sequence[str]]) -> str:
-        """Run the glued rounds; returns the booked date.
+                 preferences: Sequence[Sequence[str]]):
+        """Generator: run the glued rounds; returns the booked date.
 
         ``preferences[i]`` is the set of dates acceptable to participant i,
-        consulted in round i+1 (the broadcast-and-narrow of §4(v)).
+        consulted in round i+1 (the broadcast-and-narrow of §4(v)).  On
+        the injected crash the surviving group keeps its pins until
+        :meth:`release_pins`; on any other error it is cancelled.
         """
         self.rounds = []
-        group: Optional[GluedGroup] = None
+        group, candidates = yield from self._initial_round(description)
         try:
-            group, candidates = self._initial_round(description)
             for index, acceptable in enumerate(preferences, start=1):
-                group, candidates = self._narrowing_round(
+                group, candidates = yield from self._narrowing_round(
                     group, index, candidates, set(acceptable)
                 )
                 if (self.fail_after_round is not None
@@ -103,74 +113,123 @@ class MeetingScheduler:
             if not candidates:
                 raise NoCommonDate(description)
             chosen = candidates[0]
-            self._booking_round(group, chosen, description, candidates)
-            group = None
+            yield from self._booking_round(group, chosen, description,
+                                           candidates)
+            self.current_group = None
             return chosen
-        finally:
+        except BaseException as error:
             self.current_group = group
-            if group is not None and not group.control.status.terminated:
-                if self.fail_after_round is None:
-                    group.close()
-                # on injected crash, leave the pins for the experiment to
-                # inspect; release_pins() drops them.
+            if not isinstance(error, SchedulerCrash):
+                # the generator, whatever face a subclass puts on it
+                yield from SchedulerBody.release_pins(self)
+            raise
 
-    def release_pins(self) -> None:
-        """Drop the surviving group's pins (post-crash cleanup)."""
+    def release_pins(self):
+        """Generator: drop the surviving group's pins (post-crash cleanup)."""
         if (self.current_group is not None
                 and not self.current_group.control.status.terminated):
-            self.current_group.cancel()
+            yield from self._end(self.current_group, "cancel")
         self.current_group = None
 
     # -- rounds -------------------------------------------------------------------
 
     def _initial_round(self, description: str):
         """I1 in G1: lock all relevant diary entries, keep the free dates."""
-        group = GluedGroup(self.runtime, name=f"{description}.G1")
+        group = self._glued(f"{description}.G1")
         all_dates = date_universe(diary.dates() for diary in self.diaries)
-        with group.member(name="I1") as member:
+
+        def body(member):
             candidates = []
             for date in all_dates:
                 slots = self._slots_for(date)
                 if len(slots) != len(self.diaries):
                     continue  # someone has no such slot at all
-                if all(slot.is_free(action=member.action) for slot in slots):
+                free = True
+                for slot in slots:  # every slot is examined, and locked
+                    free &= yield from self._invoke(member, slot, "is_free")
+                if free:
                     candidates.append(date)
             for date in candidates:
-                member.hand_over(*self._slots_for(date))
+                yield from self._hand_over(group, member, *self._slots_for(date))
+            return candidates
+
+        candidates = yield from self._member(group, "I1", body)
         self.rounds.append(SchedulingRound.of(0, all_dates, candidates))
         return group, candidates
 
-    def _narrowing_round(self, previous: GluedGroup, index: int,
+    def _narrowing_round(self, previous, index: int,
                          candidates: List[str], acceptable: set):
         """Ii in Gi (inside G(i-1)): keep acceptable dates, release the rest.
 
         Closing G(i-1) right after Ii commits is what frees the rejected
         slots while the kept ones stay pinned by Gi.
         """
-        group = GluedGroup(
-            self.runtime, parent=previous.control,
-            name=f"G{index + 1}",
-        )
+        group = self._glued(f"G{index + 1}", previous.control)
         kept = [d for d in candidates if d in acceptable]
-        with group.member(name=f"I{index + 1}") as member:
+
+        def body(member):
             for date in kept:
                 for slot in self._slots_for(date):
-                    slot.is_free(action=member.action)  # re-examine
-                member.hand_over(*self._slots_for(date))
-        previous.close()  # rejected slots become free now
+                    yield from self._invoke(member, slot, "is_free")
+                yield from self._hand_over(group, member, *self._slots_for(date))
+
+        yield from self._member(group, f"I{index + 1}", body)
+        yield from self._end(previous, "close")  # rejected slots freed now
         self.rounds.append(SchedulingRound.of(index, candidates, kept))
         return group, kept
 
-    def _booking_round(self, previous: GluedGroup, chosen: str,
-                       description: str, candidates: List[str]) -> None:
+    def _booking_round(self, previous, chosen: str, description: str,
+                       candidates: List[str]):
         """In: book the chosen date in every diary (permanent at commit)."""
-        group = GluedGroup(
-            self.runtime, parent=previous.control, name="Gn",
-        )
-        with group.member(name="In.book") as member:
+        group = self._glued("Gn", previous.control)
+
+        def body(member):
             for slot in self._slots_for(chosen):
-                slot.book(description, action=member.action)
-        previous.close()
-        group.close()
+                yield from self._invoke(member, slot, "book", description)
+
+        yield from self._member(group, "In.book", body)
+        yield from self._end(previous, "close")
+        yield from self._end(group, "close")
         self.rounds.append(
             SchedulingRound.of(len(self.rounds), candidates, [chosen]))
+
+
+class MeetingScheduler(SchedulerBody):
+    """Arrange a meeting date across several personal diaries."""
+
+    def __init__(self, runtime, diaries: Sequence[Diary],
+                 fail_after_round: Optional[int] = None):
+        """``fail_after_round``: fault injection — the application crashes
+        after that many completed narrowing rounds (committed rounds'
+        results must survive; :meth:`release_pins` drops the last group's
+        pins)."""
+        super().__init__(fail_after_round)
+        self.runtime = runtime
+        self.diaries = list(diaries)
+
+    def schedule(self, description: str,
+                 preferences: Sequence[Sequence[str]]) -> str:
+        """Run the glued rounds; returns the booked date."""
+        return run_synchronously(super().schedule(description, preferences))
+
+    def release_pins(self) -> None:
+        """Drop the surviving group's pins (post-crash cleanup)."""
+        run_synchronously(super().release_pins())
+
+    # -- primitives: in-process calls, none of which yields ------------------------
+
+    def _glued(self, name: str, parent=None) -> GluedGroup:
+        return GluedGroup(self.runtime, parent, name)
+
+    def _member(self, group: GluedGroup, name: str, body):
+        with group.member(name=name) as member:
+            return (yield from body(member))
+
+    def _invoke(self, member: MemberScope, slot, method: str, *args):
+        return done(getattr(slot, method)(*args, action=member.action))
+
+    def _hand_over(self, group: GluedGroup, member: MemberScope, *slots):
+        return done(member.hand_over(*slots))
+
+    def _end(self, group: GluedGroup, how: str):
+        return done(getattr(group, how)())

@@ -10,7 +10,9 @@ from repro.apps.make.makefile import (
     MakefileError,
     parse_makefile,
 )
+from repro.apps.trampoline import done, run_synchronously
 from repro.cluster.cluster import Cluster
+from repro.sim.kernel import Timeout
 from repro.stdobjects.file import FileObject
 
 
@@ -138,6 +140,25 @@ def test_local_make_failure_preserves_consistent_targets(runtime):
     resume = LocalMakeEngine(runtime, makefile, files, clock=clock).make()
     assert resume.rebuilt == ["Test"]
     assert set(resume.up_to_date) == {"Test0.o", "Test1.o"}
+
+
+def test_local_make_builds_a_shared_prerequisite_once(runtime):
+    makefile = parse_makefile(
+        "app: left.o right.o\n\tld\nleft.o: util.o\n\tcc\n"
+        "right.o: util.o\n\tcc\nutil.o: util.c\n\tcc\n")
+    report = LocalMakeEngine(runtime, makefile,
+                             build_files(runtime, makefile)).make()
+    assert sorted(report.rebuilt) == ["app", "left.o", "right.o", "util.o"]
+    assert report.up_to_date == []
+
+
+def test_a_local_body_that_yields_is_refused():
+    def leaky():
+        yield Timeout(1.0)
+
+    with pytest.raises(RuntimeError, match="yielded"):
+        run_synchronously(leaky())
+    assert run_synchronously(done(7)) == 7
 
 
 def test_local_make_persists_results(runtime):
