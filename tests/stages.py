@@ -125,9 +125,6 @@ class ClusterStage:
             self.cluster.add_node(name)
         self.client = self.factory = self.cluster.client("home")
         self._placement = itertools.cycle(("s1", "s2", "s3"))
-        #: outsiders refused a lock: the client never noted the server, so
-        #: its abort does not reach their (empty) mirror there — ROADMAP
-        self._refused = set()
 
     def _run(self, generator):
         return self.cluster.run_process("home", generator)
@@ -159,7 +156,6 @@ class ClusterStage:
                 yield from self.client.lock(outsider, ref, mode)
                 return True
             except LockTimeout:
-                self._refused.add(outsider.uid)
                 return False
             finally:
                 if not outsider.status.terminated:
@@ -210,7 +206,7 @@ class ClusterStage:
         assert not self.client.live_actions
         for server in self.cluster.servers.values():
             assert server.registry.snapshot()["held"] == 0
-            assert set(server.mirrors) <= self._refused
+            assert server.mirrors == {}
 
 
 def stages(runtime):
