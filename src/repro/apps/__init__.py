@@ -9,5 +9,9 @@
 - :mod:`repro.apps.meeting` — meeting scheduling over personal diaries with
   glued actions, §4(v) / fig. 9.
 
+Make and the meeting scheduler are each one generator body with two
+calling conventions: the cluster engines run it as a simulation process,
+the local ones through :mod:`repro.apps.trampoline`.
+
 (Name-server access, §4(ii), lives in :mod:`repro.replication.nameserver`.)
 """
