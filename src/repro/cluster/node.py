@@ -5,6 +5,12 @@ volatile memory (including lock tables and reply caches), and bumps its
 epoch on restart.  Stable storage — the object store and the write-ahead
 log — survives.  Services register a message dispatcher and a recovery
 hook; restart runs recovery before the node serves again.
+
+What a node keeps does not grow with the commits it has seen.  Its reply
+caches hold replies of live calls only (``transport.py``), and its log is
+checkpointed every ``CHECKPOINT_EVERY`` protocol appends
+(``txn.py``): between two messages, so no handler ever sees its table
+refolded under it.
 """
 
 from __future__ import annotations
@@ -85,6 +91,8 @@ class Node:
     def _on_message(self, message: Message) -> None:
         if not self.alive:
             return
+        if self.txns.checkpoint_due:
+            self.txns.checkpoint()
         for dispatcher in self._dispatchers:
             if dispatcher(message):
                 return

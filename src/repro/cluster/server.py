@@ -139,11 +139,6 @@ class ObjectServer:
         #: objects fenced off because a transaction recovered in doubt
         #: (PREPARED on the log, no decision yet) holds their shadow slot
         self.in_doubt_objects: Set[Uid] = set()
-        #: txn_ids whose piggybacked (delegated) commit the coordinator has
-        #: acknowledged — lazily, as ``forget`` lists riding later prepares.
-        #: Volatile on purpose: the checkpoint rewrite is the durability
-        #: point (a forgotten record is simply not carried forward).
-        self.forgotten: Set[str] = set()
         self._undo_seq = 0
         # metrics
         self.invocations = 0
@@ -529,7 +524,7 @@ class ObjectServer:
         """
         payload = message.payload
         txn_id = payload["txn_id"]
-        self.forgotten.update(payload.get("forget", ()))
+        self.node.txns.forgotten.update(payload.get("forget", ()))
         action_uid = decode_uid(payload["action_uid"])
         colour = decode_colour(payload["colour"])
         path = path_of(payload)
@@ -573,7 +568,9 @@ class ObjectServer:
             # it from sitting in doubt with stabilised shadows forever.
             # A delegated prepare can race a forced abort (the coordinator
             # gave up on the reply and resolved via txn_outcome_query)
-            # the same way; the check covers both.
+            # the same way; the check covers both.  Once a checkpoint has
+            # forgotten the record, the transport drops such a straggler
+            # as stale instead: the abort was a later request of its caller.
             txns.advance(PARTICIPANT, txn_id, event)
             self._emit_vote(txn_id, "rollback", colour,
                             reason="presumed-abort-straggler")
@@ -877,7 +874,8 @@ class ObjectServer:
         The ABORTED record is logged even when nothing was prepared here:
         a straggler prepare that arrives *after* this decision must find
         it and vote rollback (see :meth:`_h_txn_prepare`), not stabilise
-        shadows for a transaction that is already dead.
+        shadows for a transaction that is already dead — until a
+        checkpoint forgets it, when the straggler is stale instead.
         """
         self._decide(message.payload["txn_id"], "abort")
         respond(True, self._ok())
@@ -994,8 +992,7 @@ class ObjectServer:
         """
         now = self.kernel.now
         wal = self.node.wal.summary()
-        checkpoint = self.node.wal.last("checkpoint")
-        wal["checkpoint_lsn"] = checkpoint.lsn if checkpoint is not None else 0
+        wal["checkpoint_lsn"] = self.node.wal.checkpoint_lsn
         in_flight = []
         for entry in sorted(self.prepared.values(),
                             key=lambda e: (e.in_doubt, e.txn_id)):
@@ -1033,7 +1030,7 @@ class ObjectServer:
             "mirrors": mirrors,
             "in_flight": in_flight,
             "in_doubt_objects": sorted(str(u) for u in self.in_doubt_objects),
-            "forgotten": len(self.forgotten),
+            "forgotten": len(self.node.txns.forgotten),
             "invocations": self.invocations,
             "lock_waits": self.lock_waits,
             "pending_rpcs": self.transport.pending_count(),
@@ -1051,28 +1048,9 @@ class ObjectServer:
     # -- log management ---------------------------------------------------------------
 
     def checkpoint(self) -> Dict[str, int]:
-        """Truncate the write-ahead log to the undecided suffix.
-
-        A PREPARED record is only needed until its transaction's decision
-        is also on the log; decided pairs (and stray decision records) can
-        be dropped.  Returns {"dropped": n, "kept": m} for observability.
-        The checkpoint itself is a log record, so recovery after a
-        checkpoint sees a well-formed log.
-        """
-        txns = self.node.txns
-        decided = sum(1 for entry in txns.entries(PARTICIPANT)
-                      if decision_of(entry.state) is not None)
-        marker = self.node.wal.append("checkpoint", decided=decided)
-        # what must stay — undecided prepares, unacknowledged decisions,
-        # unresolved delegations — is TxnEntry.pending, nothing else
-        horizon = txns.horizon(self.forgotten)
-        dropped = self.node.wal.truncate_before(
-            horizon if horizon is not None else marker.lsn)
-        txns.refold(keep_volatile=True)
-        # forget bookkeeping for records that just left the log
-        self.forgotten &= {entry.txn_id
-                           for entry in txns.entries(PARTICIPANT)}
-        return {"dropped": dropped, "kept": len(self.node.wal)}
+        """Checkpoint the node's log now (:meth:`TxnTable.checkpoint`); the
+        node also does so by itself every ``CHECKPOINT_EVERY`` appends."""
+        return self.node.txns.checkpoint()
 
     # -- recovery ---------------------------------------------------------------------
 
@@ -1089,7 +1067,6 @@ class ObjectServer:
         self.detector = DeadlockDetector(self.registry)
         self.mirrors = {}
         self.in_doubt_objects = set()
-        self.forgotten = set()
         txns = self.node.txns  # replayed from the log by Node.restart
         # Redo decisions: a decision's record precedes its effect on the
         # store, so a crash in between leaves the shadow behind.  The

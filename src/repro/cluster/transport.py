@@ -4,8 +4,19 @@
 duplicated messages (§2) — this is that layer.  Clients retransmit requests
 until the server is heard from or retries are exhausted; servers
 deduplicate by rpc id and cache replies so a retransmitted request is
-answered, not re-executed.  The cache is volatile: a crashed server
-forgets, which is exactly why the layers above (2PC, action abort) exist.
+answered, not re-executed.
+
+A server forgets what nobody can ask again.  An rpc id names the caller's
+node, its epoch and a sequence number, and every request carries the
+sequence numbers of the caller's other calls to the same server that were
+still pending when it was first sent (``rpc_live``).  Per caller, the
+server keeps the live set carried by the highest sequence it has seen from
+the caller's current epoch.  A request below that mark and outside that
+set, or from an older epoch, is *stale*: its caller has finished the call,
+so the request is dropped silently and its cached reply evicted.  The
+cache therefore holds replies of live calls only.  It is volatile: a
+crashed server forgets, which is exactly why the layers above (2PC, action
+abort) exist.
 
 Server handlers receive a ``respond`` callable and may reply *later* (lock
 waits resolve asynchronously).  The reply is the ack: a handler that
@@ -21,13 +32,14 @@ retransmitted every ``timeout``; if the handler had answered, the
 retransmission is served from the reply cache.  *Completion phase*: acked —
 the client polls with the same request at the same period, which
 re-triggers the ack while the handler waits and fetches the cached reply
-once it has answered.
+once it has answered.  Both are requests of a live call, never stale.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, Generator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.cluster.message import Message
 from repro.cluster.node import Node
@@ -53,8 +65,11 @@ Handler = Callable[[Message, Responder], None]
 _REPLY_KIND = "rpc_reply"
 _ACK_KIND = "rpc_ack"
 #: one network message carrying several sub-requests for the same node;
-#: dispatched server-side in list order with per-sub-request dedup.
+#: dispatched server-side in list order, deduplicated and answered as one.
 BATCH_KIND = "rpc_batch"
+#: request field: sequence numbers of the caller's other calls to the same
+#: node still pending when the request was first sent (absent: none)
+_LIVE_KEY = "rpc_live"
 
 #: error kinds a server can return and the exception raised client-side.
 #: Ordered most-specific-first: error_kind_for picks the first isinstance.
@@ -92,6 +107,38 @@ def _rebuild_error(kind: str, text: str) -> ReproError:
     return RemoteError(f"{kind}: {text}")
 
 
+class _Caller:
+    """What a server remembers of one caller node's rpcs: its epoch (and
+    the ``node:epoch`` prefix of its rpc ids), the highest sequence seen
+    from it, the live set that request carried, and the replies of its
+    live calls by sequence."""
+
+    __slots__ = ("prefix", "epoch", "high", "live", "replies")
+
+    def __init__(self, prefix: str, epoch: int):
+        self.prefix = prefix
+        self.epoch = epoch
+        self.high = 0
+        self.live: FrozenSet[int] = frozenset()
+        self.replies: Dict[int, Dict[str, Any]] = {}
+
+    def admit(self, seq: int, live: Sequence[int]) -> bool:
+        """Is call ``seq`` still live?  A new high-water mark adopts its
+        request's live set and evicts the replies that set no longer names
+        (a scan of this caller's cached replies, never of the whole
+        cache: they are its live calls plus the last one)."""
+        if seq > self.high:
+            self.high, self.live = seq, frozenset(live)
+            if self.replies:
+                for finished in self.replies.keys() - self.live:
+                    del self.replies[finished]
+            return True
+        return self.is_live(seq)
+
+    def is_live(self, seq: int) -> bool:
+        return seq == self.high or seq in self.live
+
+
 class RpcTransport:
     """One node's RPC endpoint: client calls and server handlers."""
 
@@ -110,6 +157,8 @@ class RpcTransport:
         self._handlers: Dict[str, Handler] = {}
         self._pending: Dict[str, SimEvent] = {}
         self._acks: Dict[str, SimEvent] = {}
+        #: destination -> sequence numbers of the calls to it still pending
+        self._live: Dict[str, Set[int]] = {}
         self._rpc_seq = itertools.count(1)
         node.add_dispatcher(self._dispatch)
 
@@ -138,20 +187,25 @@ class RpcTransport:
         rpc_id = message.payload.get("rpc_id")
         if rpc_id is None or not (batch or message.kind in self._handlers):
             return False
-        # the reply cache and the in-flight set are volatile: a crash
-        # clears them out of this dict, so every use looks them up afresh
-        volatile = self.node.volatile
-        cached = volatile.setdefault("rpc_cache", {}).get(rpc_id)
+        caller, seq = self._caller(message, rpc_id)
+        if caller is None:
+            return True  # stale: its caller finished the call, nobody asks
+        cached = caller.replies.get(seq)
         if cached is not None:
             self.node.send(message.src, _REPLY_KIND, cached,
                            reply_to=message.msg_id)
             return True
+        # the in-flight set is volatile: a crash clears it out of this
+        # dict, so every use looks it up afresh
+        volatile = self.node.volatile
         inflight = volatile.setdefault("rpc_inflight", set())
         if rpc_id not in inflight:
             inflight.add(rpc_id)
 
             def send(reply: Dict[str, Any]) -> None:
                 volatile.get("rpc_inflight", set()).discard(rpc_id)
+                if caller.is_live(seq):
+                    caller.replies[seq] = reply
                 self.node.send(message.src, _REPLY_KIND, reply,
                                reply_to=message.msg_id)
 
@@ -168,31 +222,47 @@ class RpcTransport:
                            reply_to=message.msg_id)
         return True
 
+    def _caller(self, message: Message,
+                rpc_id: str) -> Tuple[Optional[_Caller], int]:
+        """The sender's memory and the request's sequence number; no
+        memory when the request is stale (see the module docstring)."""
+        prefix, _, seq_text = rpc_id.rpartition(":")
+        seq = int(seq_text)
+        callers = self.node.volatile.setdefault("rpc_cache", {})
+        caller = callers.get(message.src)
+        if caller is None or caller.prefix != prefix:
+            epoch = int(prefix.rpartition(":")[2])
+            if caller is not None and caller.epoch > epoch:
+                return None, seq
+            caller = callers[message.src] = _Caller(prefix, epoch)
+        if not caller.admit(seq, message.payload.get(_LIVE_KEY, ())):
+            return None, seq
+        return caller, seq
+
     def _serve(self, message: Message, rpc_id: str, parent_span: Any,
                done: Callable[[Dict[str, Any]], None]) -> None:
         """Serve one request — a plain RPC or one sub-request of a batch:
         run its handler under a ``serve:<kind>`` span and hand the reply
-        record, cached under ``rpc_id``, to ``done`` exactly once."""
+        record to ``done`` exactly once."""
         # covers receipt to response (lock waits and all), parented on the
         # caller's span carried in the payload, or on the batch's span
         span = self.obs.span(
             f"serve:{message.kind}", parent=parent_span,
             kind="server", node=self.node.name, src=message.src,
         )
+        answered = False
 
         def respond(ok: bool, value: Any = None) -> None:
-            if not self.node.alive:
-                return  # the node died while handling; silence
-            cache = self.node.volatile.setdefault("rpc_cache", {})
-            if rpc_id in cache:
-                return  # already answered
+            nonlocal answered
+            if answered or not self.node.alive:
+                return  # answered already, or the node died while handling
+            answered = True
             if ok:
                 reply = {"rpc_id": rpc_id, "ok": True, "value": value}
             else:
                 reply = {"rpc_id": rpc_id, "ok": False,
                          "error_kind": error_kind_for(value),
                          "error": str(value)}
-            cache[rpc_id] = reply
             span.set(ok=ok).finish()
             done(reply)
 
@@ -220,10 +290,10 @@ class RpcTransport:
 
         Sub-requests are dispatched to their registered handlers in list
         order (effects of synchronous handlers are therefore ordered), each
-        under its own rpc id so dedup works per sub-request; the batch
-        replies once with the list of sub-replies when every sub-handler
-        has responded.  Handlers that respond later (lock waits) simply
-        delay the combined reply.
+        under its own rpc id; the batch is deduplicated, cached and
+        answered as one, with the list of sub-replies, when every
+        sub-handler has responded.  Handlers that respond later (lock
+        waits) simply delay the combined reply.
         """
         calls = message.payload.get("calls", [])
         self.obs.observe("rpc_batch_size", len(calls), node=self.node.name)
@@ -234,25 +304,17 @@ class RpcTransport:
             calls=len(calls),
         )
         sub_replies: List[Optional[Dict[str, Any]]] = [None] * len(calls)
+        answered = False
 
         def gather() -> None:
-            if None in sub_replies or not self.node.alive:
+            nonlocal answered
+            if answered or None in sub_replies or not self.node.alive:
                 return
-            cache = self.node.volatile.setdefault("rpc_cache", {})
-            if rpc_id in cache:
-                return
-            reply = {"rpc_id": rpc_id, "ok": True, "value": list(sub_replies)}
-            cache[rpc_id] = reply
+            answered = True
             span.finish()
-            done(reply)
+            done({"rpc_id": rpc_id, "ok": True, "value": list(sub_replies)})
 
         for index, sub in enumerate(calls):
-            sub_id = sub["payload"].get("rpc_id", f"{rpc_id}/{index}")
-            sub_replies[index] = self.node.volatile.setdefault(
-                "rpc_cache", {}).get(sub_id)
-            if sub_replies[index] is not None:  # per-sub-request dedup
-                continue
-
             def file(reply: Dict[str, Any], index: int = index) -> None:
                 sub_replies[index] = reply
                 gather()
@@ -261,7 +323,7 @@ class RpcTransport:
                 src=message.src, dst=message.dst, kind=sub["kind"],
                 payload=sub["payload"], msg_id=message.msg_id,
                 reply_to=message.reply_to,
-            ), sub_id, span, file)
+            ), sub["payload"].get("rpc_id", f"{rpc_id}/{index}"), span, file)
         gather()
 
     # -- client side -----------------------------------------------------------------
@@ -281,8 +343,9 @@ class RpcTransport:
             event.trigger()
         return True
 
-    def _fresh_rpc_id(self) -> str:
-        return f"{self.node.name}:{self.node.epoch}:{next(self._rpc_seq)}"
+    def _fresh_rpc_id(self) -> Tuple[int, str]:
+        seq = next(self._rpc_seq)
+        return seq, f"{self.node.name}:{self.node.epoch}:{seq}"
 
     def call(self, dst: str, kind: str, payload: Dict[str, Any],
              timeout: Optional[float] = None,
@@ -309,11 +372,11 @@ class RpcTransport:
         span; the span's context rides in the request payload so the
         server-side handler span stitches underneath it.
         """
-        rpc_id = self._fresh_rpc_id()
+        seq, rpc_id = self._fresh_rpc_id()
         request = dict(payload)
         request["rpc_id"] = rpc_id
         reply = yield from self._perform(
-            dst, kind, request, rpc_id, timeout=timeout, retries=retries,
+            dst, kind, request, seq, timeout=timeout, retries=retries,
             completion_timeout=completion_timeout, trace_parent=trace_parent,
         )
         if reply["ok"]:
@@ -331,15 +394,15 @@ class RpcTransport:
         network message (see :data:`BATCH_KIND`).
 
         ``calls`` is a sequence of ``(kind, payload)`` pairs; the server
-        dispatches them in order, each with its own rpc id for dedup, and
-        answers once with all sub-replies.  Returns a list aligned with
+        dispatches them in order, each with its own rpc id, and answers
+        once with all sub-replies.  Returns a list aligned with
         ``calls`` of ``(ok, value)`` pairs — ``(True, value)`` for a
         successful sub-call, ``(False, error)`` with the reconstructed
         remote error otherwise — so one failing sub-call never masks the
         outcome of its batch-mates.  Raises :class:`RpcTimeout` only when
         the batch itself could not be delivered/answered.
         """
-        rpc_id = self._fresh_rpc_id()
+        seq, rpc_id = self._fresh_rpc_id()
         request = {
             "rpc_id": rpc_id,
             "calls": [
@@ -349,7 +412,7 @@ class RpcTransport:
             ],
         }
         reply = yield from self._perform(
-            dst, BATCH_KIND, request, rpc_id, timeout=timeout,
+            dst, BATCH_KIND, request, seq, timeout=timeout,
             retries=retries, completion_timeout=completion_timeout,
             trace_parent=trace_parent,
         )
@@ -366,24 +429,37 @@ class RpcTransport:
         return outcomes
 
     def _perform(self, dst: str, kind: str, request: Dict[str, Any],
-                 rpc_id: str,
+                 seq: int,
                  timeout: Optional[float] = None,
                  retries: Optional[int] = None,
                  completion_timeout: Optional[float] = None,
                  trace_parent: Any = None
                  ) -> Generator[Any, Any, Dict[str, Any]]:
         """Shared retransmit/ack/poll machinery; returns the raw reply
-        payload (``{"ok": ..., ...}``) or raises :class:`RpcTimeout`."""
+        payload (``{"ok": ..., ...}``) or raises :class:`RpcTimeout`.
+
+        The call is live, and its sequence in every later request's
+        ``rpc_live`` to ``dst``, from here until it returns or raises."""
         timeout = timeout if timeout is not None else self.default_timeout
         retries = retries if retries is not None else self.default_retries
         completion_timeout = (
             completion_timeout if completion_timeout is not None
             else self.default_completion_timeout
         )
+        rpc_id = request["rpc_id"]
         event = self.kernel.event(name=f"rpc:{kind}:{rpc_id}")
         ack = self.kernel.event(name=f"ack:{kind}:{rpc_id}")
         self._pending[rpc_id] = event
         self._acks[rpc_id] = ack
+        # taken once, at the first send: a retransmission carries the same
+        # set, so a call a server has once seen finished never looks live
+        # again (sequence order is first-send order)
+        live = self._live.get(dst)
+        if live is None:
+            live = self._live[dst] = set()
+        elif live:
+            request[_LIVE_KEY] = list(live)
+        live.add(seq)
         span = self.obs.span(f"rpc:{kind}", parent=trace_parent,
                              kind="client", node=self.node.name, dst=dst)
         request[TRACE_KEY] = span.context.to_wire()
@@ -440,3 +516,4 @@ class RpcTransport:
             span.finish()  # idempotent; closes the span on kill/error paths
             self._pending.pop(rpc_id, None)
             self._acks.pop(rpc_id, None)
+            live.discard(seq)

@@ -22,14 +22,23 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Dict, List, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.message import decode_uid
 from repro.errors import ClusterError
+from repro.store.wal import CHECKPOINT_KIND
 from repro.util.uid import Uid
 
 PARTICIPANT = "participant"
 COORDINATOR = "coordinator"
+
+#: protocol records a node appends between two checkpoints.  A checkpoint
+#: refolds what the log still holds — K records plus the pending ones — so
+#: its cost is O(1) per append, and between two of them the log and the
+#: table grow by at most K.  256 caps them at a few hundred records per
+#: node and spreads each refold over ~85 commits at a coordinator, which
+#: appends three records per commit.
+CHECKPOINT_EVERY = 256
 
 
 class TxnState(enum.Enum):
@@ -218,6 +227,13 @@ class TxnTable:
             PARTICIPANT: {}, COORDINATOR: {}}
         #: txn_id -> participant entries in PREPARED (promised, undecided)
         self.prepared: Dict[str, TxnEntry] = {}
+        #: txn_ids whose delegated commit the coordinator has acknowledged —
+        #: lazily, as ``forget`` lists riding later prepares.  Volatile on
+        #: purpose: the checkpoint rewrite is the durability point (a
+        #: forgotten record is simply not carried forward).
+        self.forgotten: Set[str] = set()
+        #: protocol records appended since the last checkpoint
+        self.appended = 0
 
     @classmethod
     def replay(cls, wal) -> "TxnTable":
@@ -251,6 +267,7 @@ class TxnTable:
                 f"{role} {txn_id}: no {event!r} edge from {state.value}")
         if edge[1] is None:
             return None
+        self.appended += 1
         # looked up on the log at call time: instrumentation may shadow it
         return self._fold(self.wal.append(edge[1], txn_id=txn_id, **payload))
 
@@ -273,12 +290,14 @@ class TxnTable:
         return entry
 
     def refold(self, keep_volatile: bool = False) -> None:
-        """Rebuild the index from the log as it is now: at restart, or
-        (``keep_volatile``: survivors keep their annotations) after a
-        checkpoint truncated it."""
+        """Rebuild the index from the log as it is now: at restart (which
+        also wipes ``forgotten``), or (``keep_volatile``: survivors keep
+        their annotations) after a checkpoint truncated it."""
         old = self._entries
         self._entries = {PARTICIPANT: {}, COORDINATOR: {}}
         self.prepared = {}
+        if not keep_volatile:
+            self.forgotten = set()
         for record in self.wal.records():
             self._fold(record)
         if keep_volatile:
@@ -288,11 +307,42 @@ class TxnTable:
                     entry.tick, entry.colour, entry.in_doubt = (
                         was.tick, was.colour, was.in_doubt)
 
-    def horizon(self, forgotten: Collection[str] = ()) -> Optional[int]:
+    def horizon(self) -> Optional[int]:
         """The smallest lsn a checkpoint must keep, None if nothing pends."""
         return min((entry.lsn for entries in self._entries.values()
                     for entry in entries.values()
-                    if entry.pending(forgotten)), default=None)
+                    if entry.pending(self.forgotten)), default=None)
+
+    @property
+    def checkpoint_due(self) -> bool:
+        """Have :data:`CHECKPOINT_EVERY` protocol records been appended
+        since the last checkpoint?  The node then checkpoints between two
+        messages, never inside a handler that holds an entry."""
+        return self.appended >= CHECKPOINT_EVERY
+
+    def checkpoint(self) -> Dict[str, int]:
+        """Truncate the log to what :meth:`TxnEntry.pending` keeps.
+
+        A PREPARED record is only needed until its transaction's decision
+        is also on the log; decided pairs (and stray decision records) can
+        be dropped.  Returns {"dropped": n, "kept": m} for observability.
+        The checkpoint itself is a log record, so recovery after a
+        checkpoint sees a well-formed log.
+        """
+        decided = sum(1 for entry in self._entries[PARTICIPANT].values()
+                      if decision_of(entry.state) is not None)
+        marker = self.wal.append(CHECKPOINT_KIND, decided=decided)
+        # what must stay — undecided prepares, unacknowledged decisions,
+        # unresolved delegations — is TxnEntry.pending, nothing else
+        horizon = self.horizon()
+        dropped = self.wal.truncate_before(
+            horizon if horizon is not None else marker.lsn)
+        if dropped:  # else the table already is the log's fold
+            self.refold(keep_volatile=True)
+            # forget bookkeeping for records that just left the log
+            self.forgotten &= self._entries[PARTICIPANT].keys()
+        self.appended = 0
+        return {"dropped": dropped, "kept": len(self.wal)}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TxnTable):

@@ -70,7 +70,11 @@ class LockRegistry:
         owner_uid = owner.uid
 
         def completed(req: LockRequest) -> None:
-            self._waiting_by.get(owner_uid, set()).discard(object_uid)
+            waiting = self._waiting_by.get(owner_uid)
+            if waiting is not None:
+                waiting.discard(object_uid)
+                if not waiting:
+                    del self._waiting_by[owner_uid]
             if req.status is RequestStatus.GRANTED:
                 self._held_by.setdefault(owner_uid, set()).add(object_uid)
                 if self.on_event is not None:

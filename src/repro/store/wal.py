@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 
+#: the record kind a checkpoint leaves on the log
+CHECKPOINT_KIND = "checkpoint"
+
+
 @dataclass(frozen=True)
 class LogRecord:
     """One appended record: a kind tag plus an opaque payload dict."""
@@ -28,11 +32,15 @@ class WriteAheadLog:
     def __init__(self):
         self._records: List[LogRecord] = []
         self._lsn = itertools.count(1)
+        #: lsn of the latest :data:`CHECKPOINT_KIND` record (0: none yet)
+        self.checkpoint_lsn = 0
 
     def append(self, kind: str, **payload: Any) -> LogRecord:
         """Append a record; returns it (with its log sequence number)."""
         record = LogRecord(lsn=next(self._lsn), kind=kind, payload=dict(payload))
         self._records.append(record)
+        if kind == CHECKPOINT_KIND:
+            self.checkpoint_lsn = record.lsn
         return record
 
     def records(self, kind: Optional[str] = None) -> Iterator[LogRecord]:
@@ -54,6 +62,8 @@ class WriteAheadLog:
 
     def truncate_before(self, lsn: int) -> int:
         """Checkpoint: drop records with lsn < ``lsn``; returns count dropped."""
+        if not self._records or self._records[0].lsn >= lsn:
+            return 0
         before = len(self._records)
         self._records = [r for r in self._records if r.lsn >= lsn]
         return before - len(self._records)

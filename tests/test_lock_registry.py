@@ -1,5 +1,7 @@
 """LockRegistry: cross-table bookkeeping, transfer and release."""
 
+from repro import Counter, LocalRuntime
+from repro.cluster.cluster import Cluster
 from repro.colours.colour import Colour
 from repro.locking.modes import LockMode
 from repro.locking.owner import StubOwner
@@ -118,3 +120,56 @@ def test_pending_requests_of_owner():
     pending = registry.pending_requests_of(waiter.uid)
     assert len(pending) == 1 and pending[0].owner.uid == waiter.uid
     assert registry.pending_requests_of(holder.uid) == []
+
+
+# -- nothing is kept per finished action -------------------------------------
+
+
+def test_finished_local_actions_leave_no_owner_entries():
+    """Committed, aborted, nested and once-queued actions alike: when they
+    are over, the registry keeps no entry under any of them."""
+    runtime = LocalRuntime()
+    counters = [Counter(runtime, value=0) for _ in range(3)]
+    for index in range(12):
+        try:
+            with runtime.top_level(name=f"t{index}"):
+                with runtime.atomic(name=f"t{index}.child"):
+                    counters[index % 3].increment()
+                for counter in counters:
+                    counter.increment()
+                if index % 3 == 0:
+                    raise RuntimeError("abort")
+        except RuntimeError:
+            pass
+    assert counters[0].value == 8
+    assert runtime.locks._waiting_by == {}
+    assert runtime.locks._held_by == {}
+
+
+def test_finished_cluster_actions_leave_no_owner_entries():
+    cluster = Cluster(seed=3)
+    for name in ("home", "server"):
+        cluster.add_node(name)
+    first, second = (cluster.client("home", name=n) for n in ("a", "b"))
+
+    def app():
+        ref = yield from first.create("server", "counter", value=0)
+        for index in range(12):
+            holder = first.top_level(f"h{index}")
+            yield from first.invoke(holder, ref, "increment", 1)
+            # a second action queues behind the first, then is granted
+            waiter = second.top_level(f"w{index}")
+            queued = cluster.spawn("home", second.invoke(
+                waiter, ref, "increment", 1))
+            if index % 2:
+                yield from first.abort(holder)
+            else:
+                yield from first.commit(holder)
+            yield queued.join()
+            yield from second.commit(waiter)
+
+    cluster.run_process("home", app())
+    cluster.run()
+    registry = cluster.servers["server"].registry
+    assert registry._waiting_by == {}
+    assert registry._held_by == {}

@@ -3,7 +3,9 @@
 Counts, not clocks.  A bare ``Cluster()`` audits and counts but retains
 nothing per commit — no event, no finished span, no series or resolved
 lookup per colour, no finished action in the reconstructed world or the
-auditor — so what it holds after N commits it holds after 4 N.
+auditor — so what it holds after N commits it holds after 4 N.  Nor do
+its nodes: reply caches, logs, transaction tables and lock registries
+stay under one bound whatever the number of commits.
 With ``observe(history=True)`` all of that grows again, and a dump is the
 parent commit's dump byte for byte.
 """
@@ -18,6 +20,7 @@ from benchmarks.e2e import workloads
 from repro.apps.meeting.distributed import DistributedMeetingScheduler
 from repro.apps.meeting.scheduler import SchedulerCrash
 from repro.cluster.cluster import Cluster
+from repro.cluster.txn import CHECKPOINT_EVERY, COORDINATOR, PARTICIPANT
 from tests.test_obs_slo import _matrix_cluster
 
 SERVERS = ("s1", "s2")
@@ -28,6 +31,13 @@ def _run(commits, history):
     """Four clients on ``home``, each with a counter of its own on either
     server, ``commits`` two-server commits in all; returns what the hub
     retains as built, and as run."""
+    cluster, built = _drive(commits, history)
+    return built, {**_retained(cluster.obs), **_remembered(cluster.obs)}
+
+
+def _drive(commits, history):
+    """The run of :func:`_run`: the cluster after it, and what its hub
+    retained as built."""
     cluster = Cluster(seed=7)
     if history:
         cluster.observe(history=True)
@@ -56,7 +66,7 @@ def _run(commits, history):
     assert [loop.error for loop in loops] == [None] * 4
     assert cluster.obs.auditor.report() == []
     assert not cluster.obs.bus.errors
-    return built, {**_retained(cluster.obs), **_remembered(cluster.obs)}
+    return cluster, built
 
 
 def _retained(hub):
@@ -91,6 +101,39 @@ def test_a_bare_cluster_keeps_nothing_per_commit():
     assert small["series"]["actions_committed_total"] == 1
     assert large == small
     assert small["spans"] == small["events"] == 0
+
+
+def _kept(cluster):
+    """Per node, what it keeps that could grow with commits."""
+    kept = {}
+    for name, node in cluster.nodes.items():
+        registry = cluster.servers[name].registry
+        kept[name] = {
+            "replies": sum(len(caller.replies) for caller
+                           in node.volatile.get("rpc_cache", {}).values()),
+            "wal": len(node.wal),
+            "txns": sum(len(node.txns.entries(role))
+                        for role in (PARTICIPANT, COORDINATOR)),
+            "forgotten": len(node.txns.forgotten),
+            "registry": len(registry._waiting_by) + len(registry._held_by),
+        }
+    return kept
+
+
+def test_a_bare_cluster_node_keeps_no_more_after_4n_commits():
+    """Past several automatic checkpoints on every node, everything a node
+    keeps stays under ``CHECKPOINT_EVERY`` plus what may still be pending
+    — at most one record per commit in flight, four clients' worth."""
+    commits = 2 * CHECKPOINT_EVERY
+    bound = CHECKPOINT_EVERY + 8
+    for run in (commits, 4 * commits):
+        cluster, _built = _drive(run, history=False)
+        kept = _kept(cluster)
+        assert all(node.wal.checkpoint_lsn for node in cluster.nodes.values())
+        for name, sizes in kept.items():
+            assert max(sizes.values()) <= bound, (run, name, sizes)
+            assert sizes["registry"] == 0, (run, name)
+            assert sizes["replies"] <= 1, (run, name)
 
 
 def test_with_history_bound_everything_per_commit_is_kept():

@@ -443,12 +443,14 @@ def test_rotation_bounds_peak_retention(faulty_soak, faulty_reference):
     assert reference_summary["peaks"]["spans"] > 2 * peaks["spans"]
 
 
-@pytest.mark.parametrize("seed", [21, 22, 23, 24])
+@pytest.mark.parametrize("seed", [21, 22, 24, 25])
 def test_faulty_arm_ends_with_no_mirror_on_any_server(seed,
                                                       faulty_reference):
     """Every abort of these arms is a first lock request whose wait timed
     out on the server: the answer takes the empty mirror with it, the
-    client having noted nothing it could later abort there."""
+    client having noted nothing it could later abort there.  The seeds are
+    ones whose schedule has aborts at all (23 has none since stale
+    requests are dropped, which shifts every later delay draw)."""
     runner, summary = faulty_reference
     if seed != runner.seed:
         runner = SoakRunner(arm="faulty", rotate=False,

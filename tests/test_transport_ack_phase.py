@@ -1,12 +1,14 @@
-"""The two-phase RPC protocol: who acks and when, long operations, and how
-a lost reply is recovered in each phase.
+"""The two-phase RPC protocol: who acks and when, long operations, how a
+lost reply is recovered in each phase, and when a request is stale.
 
 The reply is the ack: a handler that answers inside the dispatch that
 received the request costs two messages; ``rpc_ack`` is sent only for a
 request still executing — at the end of the dispatch that received it, or
-at once for a duplicate of it.  Every test body runs on both execution
-backends (sim first), because "the end of the dispatch" is a real
-event-loop turn only on asyncio.
+at once for a duplicate of it.  A request whose call its caller has
+finished — as a later request from it says — is dropped unanswered, and
+the reply cache keeps replies of live calls only.  Every test body runs
+on both execution backends (sim first), because "the end of the dispatch"
+is a real event-loop turn only on asyncio.
 """
 
 from repro.backend import AsyncioBackend, SimBackend
@@ -55,6 +57,32 @@ def tap(cluster, lose=lambda kind, sent: False):
 
     network.send = tapped
     return sent
+
+
+class Hold:
+    """Keep back every ``Network.send`` that ``catch(message)`` selects,
+    until released."""
+
+    def __init__(self, cluster, catch):
+        self.network = cluster.network
+        self.send, self.catch, self.held = self.network.send, catch, []
+        self.network.send = self._send
+
+    def _send(self, message):
+        (self.held.append if self.catch(message) else self.send)(message)
+
+    def release(self, kind=None):
+        """Send the held messages (those of ``kind`` only, if given);
+        releasing them all also stops holding."""
+        if kind is None:
+            self.network.send = self.send
+        kept = []
+        for message in self.held:
+            if kind is None or message.kind == kind:
+                self.send(message)
+            else:
+                kept.append(message)
+        self.held = kept
 
 
 def later(cluster, delay, respond, value="done"):
@@ -255,3 +283,134 @@ def test_duplicate_request_reacked_not_reexecuted(backend):
     # one ack per first delivery plus one per duplicate that found the
     # request executing
     assert sent.count("rpc_ack") > 5
+
+
+# -- staleness: what a server may forget -------------------------------------
+
+
+def counting(executions):
+    """A synchronous handler noting what each request asked (its ``n``, or
+    its kind) and answering with it."""
+    def handler(msg, respond):
+        executions.append(msg.payload.get("n", msg.kind))
+        respond(True, executions[-1])
+    return handler
+
+
+def copies(cluster, kind):
+    """Every message of ``kind`` sent from now on, kept for sending again."""
+    network, send, kept = cluster.network, cluster.network.send, []
+
+    def keeping(message):
+        if message.kind == kind:
+            kept.append(message)
+        send(message)
+
+    network.send = keeping
+    return kept
+
+
+@on_both_backends
+def test_stale_duplicate_is_dropped_its_handler_having_run_once(backend):
+    """A copy of a finished call's request that arrives after a later
+    request from the same caller is stale: no handler, no reply."""
+    cluster, ta, tb = pair(backend)
+    executions = []
+    tb.register("op", counting(executions))
+    requests = copies(cluster, "op")
+    sent = tap(cluster)
+
+    def app():
+        for n in (1, 2):
+            yield from ta.call("b", "op", {"n": n})
+
+    cluster.run_process("a", app())
+    cluster.network.send(requests[0])  # a late duplicate of call 1
+    cluster.run()
+    assert executions == [1, 2]
+    assert sent == ["op", "rpc_reply", "op", "rpc_reply", "op"]
+
+
+@on_both_backends
+def test_reply_cache_holds_replies_of_live_calls_only(backend):
+    """A call's reply stays cached while the call may still ask for it:
+    until the caller's next request says the call is over."""
+    cluster, ta, tb = pair(backend)
+    tb.register("op", counting([]))
+    tb.register("wait", lambda msg, respond: later(cluster, 30.0, respond))
+    sizes = []
+
+    def replies():
+        return cluster.nodes["b"].volatile["rpc_cache"]["a"].replies
+
+    def calls():
+        for n in range(20):
+            yield from ta.call("b", "op", {"n": n})
+            sizes.append(len(replies()))
+
+    waiting = cluster.spawn("a", ta.call("b", "wait", {}, timeout=50.0))
+    cluster.run_process("a", calls())
+    cluster.run()
+    assert waiting.result == "done"
+    assert max(sizes) <= 2           # the last call's, and the waiter's
+    cluster.run_process("a", calls())
+    assert len(replies()) == 1       # the last call: nobody said it is over
+
+
+@on_both_backends
+def test_request_from_an_older_caller_epoch_is_stale(backend):
+    """A request sent before its caller crashed and delivered after the
+    restarted caller was heard from belongs to a call that died with the
+    old epoch: its handler never runs."""
+    cluster, ta, tb = pair(backend)
+    executions = []
+    tb.register("op", counting(executions))
+    held = Hold(cluster, lambda message: message.kind == "op")
+    cluster.spawn("a", ta.call("b", "op", {"n": 1}))
+    cluster.run(until=cluster.kernel.now + 1.0)
+    cluster.crash("a")
+    cluster.restart("a")
+    held.catch = lambda message: False    # the epoch-1 copies stay held
+    cluster.run_process("a", ta.call("b", "op", {"n": 2}))
+    assert [message.payload["n"] for message in held.held] == [1]
+    held.release()
+    cluster.run()
+    assert executions == [2]
+
+
+@on_both_backends
+def test_live_call_is_answered_from_the_cache_past_later_calls(backend):
+    """Later calls from the same caller finish while an earlier call's
+    reply is lost: the earlier call is still live, so its completion-phase
+    poll and its ack-phase retransmission are both answered from the
+    cache, each handler having run once."""
+    cluster, ta, tb = pair(backend)
+    executions = []
+    tb.register("op", counting(executions))
+    tb.register("sync", counting(executions))
+    tb.register("wait", lambda msg, respond: (
+        executions.append("wait"), later(cluster, 2.0, respond, "wait")))
+    lost = []
+
+    def first_reply_to_an_early_call(message):
+        value = message.payload.get("value")
+        if (message.kind == "rpc_reply" and value in ("wait", "sync")
+                and value not in lost):
+            lost.append(value)
+            return True
+        return False
+
+    Hold(cluster, first_reply_to_an_early_call)
+
+    def later_calls():
+        for n in range(4):
+            yield from ta.call("b", "op", {"n": n})
+
+    early = [cluster.spawn("a", ta.call("b", kind, {}, timeout=5.0,
+                                        completion_timeout=100.0))
+             for kind in ("wait", "sync")]
+    cluster.run_process("a", later_calls())
+    cluster.run()
+    assert [handle.result for handle in early] == ["wait", "sync"]
+    assert sorted(lost) == ["sync", "wait"]
+    assert sorted(map(str, executions)) == ["0", "1", "2", "3", "sync", "wait"]

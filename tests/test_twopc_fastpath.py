@@ -209,7 +209,7 @@ def test_forget_piggyback_lets_the_delegate_checkpoint():
     # txn2's prepare piggybacks forget=[txn1]; after it, a checkpoint
     # drops txn1's record and keeps only txn2's
     cluster.run_process("coord", one_txn("t2")())
-    assert txn1 in part.forgotten
+    assert txn1 in part.node.txns.forgotten
     part.checkpoint()
     delegated = [r for r in part.node.wal.records("committed")
                  if r.payload.get("delegated")]
