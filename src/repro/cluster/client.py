@@ -35,7 +35,7 @@ from repro.cluster.message import (
     decode_uid,
 )
 from repro.cluster.node import Node
-from repro.cluster.server import resolve_delegated
+from repro.cluster.server import delegating, resolve_delegated
 from repro.cluster.transport import RpcTransport
 from repro.cluster.txn import COORDINATOR, PATHS, PreparePath
 from repro.colours.colour import Colour
@@ -1111,7 +1111,9 @@ class ClusterClient:
         when the colour is that node's entire involvement.
 
         The delegation is logged first — if we crash or lose the reply,
-        the outcome is recoverable from the named last agent.
+        the outcome is recoverable from the named last agent.  The call
+        is marked in flight (``delegating``): a decision query that needs
+        the outcome meanwhile waits for it to end.
         """
         (round_,), node_name = plan.rounds, plan.delegate
         self.node.txns.advance(COORDINATOR, round_.txn_id, "delegate",
@@ -1120,7 +1122,8 @@ class ClusterClient:
         riders = [(round_, DECIDE)]
         calls = self._prepare_calls(action, node_name, riders)
         try:
-            yield from self._send(action, plan, node_name, riders, calls)
+            yield from delegating(self.node, round_.txn_id, self._send(
+                action, plan, node_name, riders, calls))
         except ReproError:
             # The decision may or may not have landed — and not only on a
             # timeout: an error reply can come from a *retransmission*

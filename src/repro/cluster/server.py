@@ -570,7 +570,10 @@ class ObjectServer:
             # gave up on the reply and resolved via txn_outcome_query)
             # the same way; the check covers both.  Once a checkpoint has
             # forgotten the record, the transport drops such a straggler
-            # as stale instead: the abort was a later request of its caller.
+            # as stale instead: the txn_abort, or the outcome query that
+            # forced the abort (sent only once the delegated call had
+            # ended, see resolve_delegated), was a later request of its
+            # caller.
             txns.advance(PARTICIPANT, txn_id, event)
             self._emit_vote(txn_id, "rollback", colour,
                             reason="presumed-abort-straggler")
@@ -937,7 +940,8 @@ class ObjectServer:
         agent, not here: presuming abort while the delegate committed
         would split the decision.  The reply is deferred until the
         outcome is resolved (the in-doubt participant keeps retrying, so
-        a lost deferral costs nothing but another query).
+        a lost deferral costs nothing but another query) — first of all
+        until a delegated prepare this node still has in flight ends.
         """
         txn_id = message.payload["txn_id"]
         state = self.node.txns.state(COORDINATOR, txn_id)
@@ -972,6 +976,8 @@ class ObjectServer:
         dead — an ABORTED record is forced onto the log first, so a
         straggling delegated prepare arriving later hits the presumed-abort
         guard instead of committing a transaction already reported aborted.
+        The query is sent only after the prepare's call ended, so once a
+        checkpoint has forgotten the record the straggler is stale.
         """
         txn_id = message.payload["txn_id"]
         self.node.txns.advance(PARTICIPANT, txn_id, "outcome_query")
@@ -1134,8 +1140,16 @@ def resolve_delegated(node: Node, transport: RpcTransport, txn_id: str,
     prepare).  Blocking is required for truthfulness: reporting an outcome
     the delegate may contradict would split the decision.  Idempotent
     across concurrent resolvers — the second ``decide_*`` is answer-only.
+
+    No outcome query leaves while this node's delegated prepare call is
+    still live (:func:`delegating`).  Its rpc_live would name that call,
+    so the last agent would still admit a retransmission of the prepare
+    after a checkpoint forgot the ABORTED record the query forced.
     """
     txns = node.txns
+    in_flight = node.volatile.get(_DELEGATING, {}).get(txn_id)
+    if in_flight is not None:
+        yield in_flight
     while txns.state(COORDINATOR, txn_id) is TxnState.DELEGATED:
         try:
             reply = yield from transport.call(
@@ -1147,3 +1161,21 @@ def resolve_delegated(node: Node, transport: RpcTransport, txn_id: str,
             continue
         txns.advance(COORDINATOR, txn_id, "decide_" + reply["decision"])
     return decision_of(txns.state(COORDINATOR, txn_id))
+
+
+#: node.volatile key: txn_id -> event settled when the node's delegated
+#: prepare call for it ends (volatile, like the call itself)
+_DELEGATING = "delegating"
+
+
+def delegating(node: Node, txn_id: str, send):
+    """Run ``send``, the generator that makes ``txn_id``'s delegated
+    prepare call, marked in flight so that :func:`resolve_delegated` waits
+    for the call to end; returns what ``send`` returns."""
+    marks = node.volatile.setdefault(_DELEGATING, {})
+    marks[txn_id] = ended = node.kernel.event(name=f"delegating:{txn_id}")
+    try:
+        return (yield from send)
+    finally:
+        marks.pop(txn_id, None)
+        ended.trigger()

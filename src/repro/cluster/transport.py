@@ -108,25 +108,24 @@ def _rebuild_error(kind: str, text: str) -> ReproError:
 
 
 class _Caller:
-    """What a server remembers of one caller node's rpcs: its epoch (and
-    the ``node:epoch`` prefix of its rpc ids), the highest sequence seen
-    from it, the live set that request carried, and the replies of its
-    live calls by sequence."""
+    """What a server remembers of one caller node's rpcs: its epoch, the
+    highest sequence seen from it, the live set that request carried, and
+    by sequence each live call it has heard of — the reply, or None while
+    the handler still executes."""
 
-    __slots__ = ("prefix", "epoch", "high", "live", "replies")
+    __slots__ = ("epoch", "high", "live", "replies")
 
-    def __init__(self, prefix: str, epoch: int):
-        self.prefix = prefix
+    def __init__(self, epoch: int):
         self.epoch = epoch
         self.high = 0
         self.live: FrozenSet[int] = frozenset()
-        self.replies: Dict[int, Dict[str, Any]] = {}
+        self.replies: Dict[int, Optional[Dict[str, Any]]] = {}
 
     def admit(self, seq: int, live: Sequence[int]) -> bool:
         """Is call ``seq`` still live?  A new high-water mark adopts its
         request's live set and evicts the replies that set no longer names
-        (a scan of this caller's cached replies, never of the whole
-        cache: they are its live calls plus the last one)."""
+        (a scan of this caller's entries, never of the whole cache: they
+        are its live calls plus the last one)."""
         if seq > self.high:
             self.high, self.live = seq, frozenset(live)
             if self.replies:
@@ -190,22 +189,19 @@ class RpcTransport:
         caller, seq = self._caller(message, rpc_id)
         if caller is None:
             return True  # stale: its caller finished the call, nobody asks
-        cached = caller.replies.get(seq)
-        if cached is not None:
-            self.node.send(message.src, _REPLY_KIND, cached,
-                           reply_to=message.msg_id)
-            return True
-        # the in-flight set is volatile: a crash clears it out of this
-        # dict, so every use looks it up afresh
-        volatile = self.node.volatile
-        inflight = volatile.setdefault("rpc_inflight", set())
-        if rpc_id not in inflight:
-            inflight.add(rpc_id)
+        replies = caller.replies
+        if seq in replies:
+            cached = replies[seq]
+            if cached is not None:
+                self.node.send(message.src, _REPLY_KIND, cached,
+                               reply_to=message.msg_id)
+                return True
+        else:
+            replies[seq] = None  # executing
 
             def send(reply: Dict[str, Any]) -> None:
-                volatile.get("rpc_inflight", set()).discard(rpc_id)
-                if caller.is_live(seq):
-                    caller.replies[seq] = reply
+                if caller.is_live(seq):  # else admit() already evicted it
+                    replies[seq] = reply
                 self.node.send(message.src, _REPLY_KIND, reply,
                                reply_to=message.msg_id)
 
@@ -216,8 +212,8 @@ class RpcTransport:
         # the reply is the ack.  Only a request still executing — its handler
         # waits (a queued lock), or this is a duplicate of one — is acked,
         # so the client stops retransmitting and waits for the reply.  (A
-        # crash inside the handler cleared the set: a dead node is silent.)
-        if rpc_id in volatile.get("rpc_inflight", ()):
+        # node that crashed inside the handler is silent.)
+        if seq in replies and replies[seq] is None and self.node.alive:
             self.node.send(message.src, _ACK_KIND, {"rpc_id": rpc_id},
                            reply_to=message.msg_id)
         return True
@@ -226,15 +222,15 @@ class RpcTransport:
                 rpc_id: str) -> Tuple[Optional[_Caller], int]:
         """The sender's memory and the request's sequence number; no
         memory when the request is stale (see the module docstring)."""
-        prefix, _, seq_text = rpc_id.rpartition(":")
-        seq = int(seq_text)
+        _node, epoch_text, seq_text = rpc_id.rsplit(":", 2)
+        epoch, seq = int(epoch_text), int(seq_text)
+        # volatile: a crash clears it, so every request looks it up afresh
         callers = self.node.volatile.setdefault("rpc_cache", {})
         caller = callers.get(message.src)
-        if caller is None or caller.prefix != prefix:
-            epoch = int(prefix.rpartition(":")[2])
+        if caller is None or caller.epoch != epoch:
             if caller is not None and caller.epoch > epoch:
                 return None, seq
-            caller = callers[message.src] = _Caller(prefix, epoch)
+            caller = callers[message.src] = _Caller(epoch)
         if not caller.admit(seq, message.payload.get(_LIVE_KEY, ())):
             return None, seq
         return caller, seq
@@ -275,10 +271,10 @@ class RpcTransport:
             respond(False, error)
         except Exception as error:
             # A buggy handler must not wedge the rpc id: if the exception
-            # escaped here the inflight entry would stay forever, every
+            # escaped here the call would stay executing forever, every
             # retransmit would be ACKed but never answered, and the client
             # would burn its whole completion timeout.  Answer with a
-            # cluster error instead (answering clears the inflight entry).
+            # cluster error instead (answering ends the execution).
             respond(False, ClusterError(
                 f"handler for {message.kind!r} crashed: {error!r}"
             ))

@@ -155,8 +155,8 @@ def test_duplicate_handler_registration_rejected():
 
 def test_handler_crash_answers_promptly_and_clears_inflight():
     """A handler raising a non-Repro error must still answer (as a cluster
-    error) — not strand the rpc_id in rpc_inflight until the completion
-    timeout while retransmits are ACKed but never answered."""
+    error) — not leave the call executing until the completion timeout
+    while retransmits are ACKed but never answered."""
     from repro.errors import ClusterError
     cluster, ta, tb = pair()
 
@@ -174,7 +174,8 @@ def test_handler_crash_answers_promptly_and_clears_inflight():
     text, when = cluster.run_process("a", app())
     assert "boom" in text
     assert when < 30.0  # one round trip, nowhere near the 90s completion cap
-    assert cluster.nodes["b"].volatile.get("rpc_inflight", set()) == set()
+    (caller,) = cluster.nodes["b"].volatile["rpc_cache"].values()
+    assert None not in caller.replies.values()   # nothing left executing
 
 
 def test_call_many_returns_aligned_outcomes():

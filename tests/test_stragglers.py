@@ -5,14 +5,16 @@ arrive.  Its caller has moved on — aborted the action, aborted the
 transaction — and the server, which forgets decided transactions at its
 checkpoints, must not act on it: the straggler is stale (``transport.py``)
 as soon as any later request from the same caller has arrived, and the
-abort that followed the give-up is such a request.  Both cases run on both
-execution backends.
+abort that followed the give-up is such a request.  Every case runs on
+both execution backends.
 """
 
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.txn import COORDINATOR, PARTICIPANT, TxnState
 from repro.errors import CommitError, RpcTimeout
+from repro.objects.state import ObjectState
 from tests.test_transport_ack_phase import Hold, on_both_backends
 
 
@@ -21,6 +23,28 @@ def cluster_of(backend, *names, **options):
     for name in ("home",) + names:
         cluster.add_node(name)
     return cluster, cluster.client("home")
+
+
+def run_until(cluster, done, horizon=200.0):
+    """Advance the cluster a unit at a time until ``done()`` holds."""
+    limit = cluster.kernel.now + horizon
+    while not done():
+        assert cluster.kernel.now < limit
+        cluster.run(until=cluster.kernel.now + 1.0)
+
+
+def carries_the_decision(message):
+    """A delegated ``txn_prepare``, sent plain or inside a batch."""
+    if message.kind == "rpc_batch":
+        return any(call["payload"].get("decide")
+                   for call in message.payload["calls"])
+    return message.kind == "txn_prepare" and bool(
+        message.payload.get("decide"))
+
+
+def committed_int(cluster, ref):
+    stored = cluster.nodes[ref.node].stable_store.read_committed(ref.uid)
+    return ObjectState.from_bytes(stored.payload).unpack_int()
 
 
 @on_both_backends
@@ -96,3 +120,52 @@ def test_prepare_held_past_txn_abort_and_a_checkpoint_prepares_nothing(
     assert s1.prepared == {}
     assert s1.mirrors == {}
     assert s1.in_doubt_objects == set()
+
+
+@on_both_backends
+def test_delegated_prepare_held_past_a_forced_abort_and_a_checkpoint_decides_nothing(
+        backend):
+    """Every copy of the delegated prepare to the last agent ``s2`` is held,
+    and so is ``s2``'s ``abort_action``.  Meanwhile ``s1``, prepared,
+    restarts and asks the coordinator for the decision; the outcome query
+    that answer needs forces an ABORTED record at ``s2``, which ``s2`` then
+    checkpoints away.  Released then — the write set still there — the
+    delegated prepare commits nothing: the abort ``s1`` was told stands."""
+    cluster, client = cluster_of(backend, "s1", "s2")
+    s1, s2 = cluster.servers["s1"], cluster.servers["s2"]
+    held = Hold(cluster, lambda message: False)
+    refs = []
+
+    def app():
+        for node_name in ("s1", "s2"):
+            refs.append((yield from client.create(node_name, "counter",
+                                                  value=0)))
+        action = client.top_level("t")
+        for ref in refs:
+            yield from client.invoke(action, ref, "increment", 1)
+        held.catch = lambda message: message.dst == "s2" and (
+            carries_the_decision(message) or message.kind == "abort_action")
+        with pytest.raises(CommitError):
+            yield from client.commit(action)
+
+    committing = cluster.spawn("home", app())
+    run_until(cluster, lambda: held.held)
+    txn_id = next(iter(s1.prepared))
+    cluster.crash("s1")
+    cluster.restart("s1")
+    run_until(cluster, lambda: s2.node.txns.state(PARTICIPANT, txn_id)
+              is TxnState.ABORTED)
+    s2.checkpoint()
+    assert s2.node.wal.last("aborted") is None
+    held.release()
+    cluster.run()
+    assert committing.error is None
+    assert committing.result is None     # the commit ended, in CommitError
+    home = cluster.nodes["home"].txns
+    assert home.state(COORDINATOR, txn_id) is TxnState.ABORT
+    assert s1.node.txns.state(PARTICIPANT, txn_id) is TxnState.ABORTED
+    assert s2.node.txns.state(PARTICIPANT, txn_id) is not TxnState.COMMITTED
+    assert [committed_int(cluster, ref) for ref in refs] == [0, 0]
+    assert s1.prepared == {} and s1.in_doubt_objects == set()
+    assert s2.mirrors == {}
+    assert cluster.obs.auditor.report() == []

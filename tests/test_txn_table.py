@@ -257,12 +257,31 @@ def lost_delegated_reply():
 
 
 def query_while_delegated():
-    """An in-doubt participant's decision query finds the delegation open;
-    its deferred answer arrives after the transaction ended."""
+    """An in-doubt participant's decision query finds the delegation open.
+    Its resolver waits until the delegated call — every reply to it lost —
+    has ended, then asks the last agent too; that query held back, the
+    answer arrives after the client's own resolver ended the transaction."""
     cluster, client = two_nodes()
     wal = cluster.nodes["coord"].wal
     append = wal.append
     answers = []
+    send = cluster.network.send
+    delegated_ids, outcome_queries = set(), []
+
+    def tamper(message):
+        if message.kind == "txn_prepare" and message.payload.get("decide"):
+            delegated_ids.add(message.payload["rpc_id"])
+        elif message.kind == "txn_outcome_query":
+            outcome_queries.append(message)
+            if len(outcome_queries) == 2:  # the decision query's resolver
+                cluster.kernel.schedule(4.0, lambda: send(message))
+                return
+        elif (message.kind == "rpc_reply"
+              and message.payload["rpc_id"] in delegated_ids):
+            return
+        send(message)
+
+    cluster.network.send = tamper
 
     def ask(txn_id):
         reply = yield from cluster.transports["part"].call(
