@@ -7,9 +7,10 @@ provides the two implementations —
 - :class:`~repro.backend.sim.SimBackend`: the deterministic discrete-event
   simulation (the seed repo's kernel, wrapped unchanged), for replayable
   chaos testing at simulated scale;
-- :class:`~repro.backend.aio.AsyncioBackend`: a real :mod:`asyncio` event
-  loop with a monotonic scaled clock, for wall-clock measurements and
-  genuinely concurrent interleavings —
+- :class:`~repro.backend.aio.AsyncioBackend`: the same kernel on a
+  monotonic scaled wall clock, its queue driven by a real :mod:`asyncio`
+  event loop, for wall-clock measurements and genuinely concurrent
+  interleavings —
 
 and :func:`~repro.backend.api.resolve_backend`, which every entry point
 (``Cluster(backend=...)``) uses to accept ``None`` / ``"sim"`` /

@@ -1,14 +1,13 @@
-"""The real-time execution backend: the kernel surface on asyncio.
+"""The real-time execution backend: the sim kernel's queue on the wall clock.
 
-:class:`AsyncioKernel` implements the same scheduler surface as the
-simulation :class:`~repro.sim.kernel.Kernel` — ``now`` / ``event`` /
-``spawn`` / ``schedule`` / ``timeout_event`` / ``every`` / ``run`` /
-``run_until_settled`` — on a real :mod:`asyncio` event loop with a
-monotonic wall clock.  The protocol stack (cluster client, servers, RPC
-transport, network fault injection, observability timers) runs on it
-*unchanged*: generator processes, one-shot events, periodic daemon timers
-and the fan-in combinators are the very classes the sim kernel uses,
-scheduled here with ``loop.call_later`` instead of a virtual-time heap.
+:class:`AsyncioKernel` *is* a :class:`~repro.sim.kernel.Kernel` whose clock
+is the wall.  It inherits the one ``(when, seq, fn)`` heap, the daemon
+accounting and every construction method (``event`` / ``spawn`` /
+``schedule`` / ``timeout_event`` / ``every``), and replaces only the clock
+(``now``) and the methods that run the heap (``run`` /
+``run_until_settled``), which hand it to a real :mod:`asyncio` event
+loop.  The protocol stack (cluster client, servers, RPC transport, network
+fault injection, observability timers) runs on it *unchanged*.
 
 Time units and ``time_scale``
 -----------------------------
@@ -23,56 +22,71 @@ bounds, network delay draws) therefore keeps its exact relative shape
 while executing against real concurrency; shrinking ``time_scale`` makes
 experiments faster but raises the scheduling jitter *in units*.
 
+Wakes
+-----
+
+The loop holds one timer, armed for the heap's head.  A *wake* runs, in
+``(when, seq)`` order, every entry that is due by the time the wake
+reaches it -- zero-delay continuations posted during the wake included --
+and then arms the timer for the new head, or stops the loop once the work
+left is zero: no heap entry but daemon ones, and no bridged coroutine
+still running (the sim kernel's drain rule).  A post made during a wake
+never touches the timer; a post made outside one (from a bridged
+coroutine, or by a caller between ``run()`` calls) re-arms it only when
+it is earlier than the armed head.  Native tasks and I/O run *between*
+wakes, so a zero-delay chain that never waits starves them, exactly as it
+livelocks the sim kernel.
+
+A loop the kernel owns is built on :class:`selectors.SelectSelector`,
+whose timeout has microsecond resolution; epoll and poll round every idle
+wait up to a whole millisecond.  The owned loop watches only its
+self-pipe, so select's ``FD_SETSIZE`` limit does not apply.  A loop
+injected with ``loop=`` keeps its owner's selector, and that selector's
+precision.
+
 What is, and is not, deterministic here
 ---------------------------------------
 
 Seeded RNG streams (network delays, drop/duplicate fates) produce the
-same draw *sequences* as on the sim backend.  Scheduling is real:
-callbacks due at indistinguishable wall instants run in unspecified
-order, so which message receives the Nth fault draw can differ between
-runs whenever concurrent senders race.  Fault-free workloads with a
-deterministic logical structure still produce identical commit/abort
-outcomes (the parity suite gates exactly that); under faults only
-statistical invariants — conservation, auditor silence — are stable.
-
-Drain semantics match the sim kernel: *daemon* entries (periodic timers)
-never keep the backend alive, and ``run()`` returns once no non-daemon
-callback remains scheduled.  All forward progress flows through tracked
-posts, so the drain check is exact, not heuristic.
+same draw *sequences* as on the sim backend, and entries due at the same
+``when`` run in post order, because the ``seq`` tie-break is the sim
+kernel's.  Due times, though, come from the wall clock: a post is due at
+``now + delay`` with ``now`` read when the post is made, so which of two
+concurrent senders posts first -- and which message receives the Nth
+fault draw -- stays real and can differ between runs.  Fault-free
+workloads with a deterministic logical structure still produce identical
+commit/abort outcomes (the parity suite gates exactly that); under faults
+only invariants -- conservation, agreement, auditor silence -- are stable.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
+import heapq
+import selectors
 import time
 from typing import Any, Callable, Coroutine, Optional
 
 from repro.backend.api import ExecutionBackend
 from repro.errors import SimulationError
-from repro.sim.kernel import (
-    PeriodicTimer,
-    Process,
-    ProcessBody,
-    ProcessKilled,
-    SimEvent,
-)
+from repro.sim.kernel import Kernel, ProcessKilled, SimEvent
 
 #: default wall seconds per time unit — 5 ms keeps sub-second experiments
 #: with default network delays (0.5–2.0 units per hop) while leaving
 #: millisecond-scale host jitter small relative to one unit
 DEFAULT_TIME_SCALE = 0.005
+_INF = float("inf")
 
 
-class AsyncioKernel:
-    """The kernel surface on a real asyncio event loop (see module docs).
+class AsyncioKernel(Kernel):
+    """The sim kernel's queue driven by a real asyncio loop (see module docs).
 
     Construction is cheap and does not start the loop; the loop runs only
-    inside :meth:`run` / :meth:`run_until_settled`.  The virtual clock is
-    anchored at construction time and advances with ``time.monotonic()``
-    whether or not the loop is running — real time is real, so the gaps
-    between ``run()`` calls are visible in ``now`` (unlike the sim
-    kernel, which freezes between runs and fast-forwards past idle gaps).
+    inside :meth:`run` / :meth:`run_until_settled`.  The clock is anchored
+    at construction time and advances with ``time.monotonic()`` whether or
+    not the loop is running — real time is real, so the gaps between
+    ``run()`` calls are visible in ``now`` (unlike the sim kernel, which
+    freezes between runs and fast-forwards past idle gaps).
 
     Call :meth:`close` (or use the owning backend as a context manager)
     when done: the event loop holds file descriptors.
@@ -83,26 +97,31 @@ class AsyncioKernel:
         """Create a kernel mapping one time unit to ``time_scale`` seconds.
 
         ``loop`` injects an existing event loop (tests, embedding into a
-        larger asyncio application); by default a private loop is created
-        and owned — closed by :meth:`close` — without touching asyncio's
-        global event-loop policy.
+        larger asyncio application); by default a private loop on a
+        :class:`selectors.SelectSelector` is created and owned — closed by
+        :meth:`close` — without touching asyncio's global event-loop
+        policy.
         """
         if time_scale <= 0:
             raise SimulationError(
                 f"time_scale must be positive, got {time_scale}")
+        super().__init__()
         self.time_scale = time_scale
-        self._loop = loop if loop is not None else asyncio.new_event_loop()
         self._owns_loop = loop is None
+        self._loop = loop if loop is not None else asyncio.SelectorEventLoop(
+            selectors.SelectSelector())
         self._origin = time.monotonic()
-        #: non-daemon callbacks scheduled but not yet run; exact because
-        #: every continuation is posted before its creator returns
-        self._pending = 0
+        #: bridged coroutines still running: work left beside the heap's
+        #: non-daemon entries
+        self._coroutines = 0
         self._running = False
-        self._event_names = itertools.count(1)
-        #: run statistics, same keys as the sim kernel's (exported by
-        #: cluster observability dumps)
-        self.stats: dict = {"callbacks_run": 0, "processes_spawned": 0,
-                            "events_created": 0}
+        #: the one loop timer, due at ``_timer_at``: the heap's head when
+        #: armed, +inf when nothing is, -inf in a wake and between runs —
+        #: a post re-arms only if it is earlier
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._timer_at = -_INF
+        #: ``run(until)``'s horizon: no entry due after it runs
+        self._until = _INF
 
     @property
     def loop(self) -> asyncio.AbstractEventLoop:
@@ -114,65 +133,24 @@ class AsyncioKernel:
         """Monotonic wall time since construction, in time units."""
         return (time.monotonic() - self._origin) / self.time_scale
 
-    # -- construction -------------------------------------------------------
-
-    def event(self, name: str = "") -> SimEvent:
-        """Create a fresh pending event scheduled on this loop."""
-        self.stats["events_created"] += 1
-        return SimEvent(self, name=name or f"ev{next(self._event_names)}")
-
-    def spawn(self, body: ProcessBody, name: str = "") -> Process:
-        """Start a generator as a process at the current instant."""
-        if not hasattr(body, "send"):
-            raise SimulationError(
-                "spawn() takes a generator; did you forget to call the function?"
-            )
-        process = Process(self, body, name=name)
-        self.stats["processes_spawned"] += 1
-        self._post(process._step)
-        return process
-
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """Run a plain callback after ``delay`` time units of wall time."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self._post_at(self.now + delay, fn, *args)
-
-    def timeout_event(self, delay: float, value: Any = None) -> SimEvent:
-        """An event that triggers by itself after ``delay`` units."""
-        event = self.event(name=f"timeout({delay})")
-        self.schedule(delay, lambda: event.settled or event.trigger(value))
-        return event
-
-    def every(self, interval: float, fn: Callable[[], None],
-              immediate: bool = False) -> PeriodicTimer:
-        """Run ``fn()`` every ``interval`` units as a daemon timer.
-
-        Same semantics as :meth:`repro.sim.kernel.Kernel.every`, including
-        ``immediate=True`` first-firing-now support; the firings ride
-        ``loop.call_later`` so a probe interval of 10 units wakes the host
-        every ``10 * time_scale`` seconds.
-        """
-        return PeriodicTimer(self, interval, fn, immediate=immediate)
-
     def run_coroutine(self, coro: Coroutine, name: str = "") -> SimEvent:
         """Run a native asyncio coroutine as tracked work.
 
         The bridge to real asyncio tasks: ``coro`` is wrapped in an
-        :class:`asyncio.Task` on this kernel's loop and counts as pending
-        work until it finishes, so ``run()`` will not declare the backend
+        :class:`asyncio.Task` on this kernel's loop and counts as work left
+        until it finishes, so ``run()`` will not declare the backend
         drained while it is alive.  Returns an event that settles with the
         coroutine's result (failing with its exception; a cancelled task
         fails the event with :class:`~repro.sim.kernel.ProcessKilled`), so
         generator processes can ``yield`` it like any other event.
         """
         done = self.event(name=name or "coroutine")
-        self._pending += 1
+        self._coroutines += 1
         task = self._loop.create_task(coro)
 
         def on_done(finished: "asyncio.Task") -> None:
             """Translate the task's ending into the event's settlement."""
-            self._pending -= 1
+            self._coroutines -= 1
             try:
                 if finished.cancelled():
                     done.fail(ProcessKilled(f"coroutine {done.name} cancelled"))
@@ -181,7 +159,8 @@ class AsyncioKernel:
                 else:
                     done.trigger(finished.result())
             finally:
-                self._maybe_stop()
+                if self._running:
+                    self._arm()  # nobody may wait for it: the drain check
 
         task.add_done_callback(on_done)
         return done
@@ -189,21 +168,24 @@ class AsyncioKernel:
     # -- execution -----------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
-        """Drive the loop until no non-daemon work remains; returns now.
+        """Drive the loop until no work is left; returns now.
 
         With ``until``, the loop additionally stops once the clock passes
-        it (pending work stays scheduled for the next ``run``).  Unlike
-        the sim kernel the clock is never fast-forwarded: draining early
-        returns early, at whatever ``now`` the wall clock reads.
+        it, and no entry due after it runs (it stays queued for the next
+        ``run``).  Unlike the sim kernel the clock is never
+        fast-forwarded: draining early returns early, at whatever ``now``
+        the wall clock reads.
         """
-        if self._pending > 0:
+        if self._work_left():
             stopper = None
             if until is not None:
                 wall_delay = max(0.0, (until - self.now) * self.time_scale)
                 stopper = self._loop.call_later(wall_delay, self._loop.stop)
+                self._until = until
             try:
                 self._run_loop()
             finally:
+                self._until = _INF
                 if stopper is not None:
                     stopper.cancel()
         return self.now
@@ -213,21 +195,20 @@ class AsyncioKernel:
 
         ``limit`` bounds the wait in time units (a watchdog on the wall
         clock); exceeding it raises :class:`SimulationError`, as does the
-        backend draining — no non-daemon work scheduled — while the event
-        is still pending.
+        backend draining — no work left — while the event is still
+        pending.
         """
 
         def stop_on_settle(_settled: SimEvent) -> None:
             """Break out of the loop the moment the event settles."""
-            if self._running:
-                self._loop.stop()
+            self._loop.stop()
 
         if not event.settled:
             event.on_settle(stop_on_settle)
         wall_deadline = (
             self._loop.time() + max(0.0, limit - self.now) * self.time_scale)
         while not event.settled:
-            if self._pending == 0:
+            if not self._work_left():
                 raise SimulationError(
                     f"backend drained before {event!r} settled")
             if self.now > limit:
@@ -253,51 +234,67 @@ class AsyncioKernel:
 
     # -- internals -------------------------------------------------------------
 
+    def _work_left(self) -> int:
+        return len(self._queue) - len(self._daemon_seqs) + self._coroutines
+
     def _run_loop(self) -> None:
         if self._running:
             raise SimulationError("asyncio backend loop already running")
         self._running = True
         try:
+            self._arm()
             self._loop.run_forever()
         finally:
             self._running = False
-
-    def _maybe_stop(self) -> None:
-        # drain check: exact, because every continuation is a tracked post
-        if self._running and self._pending == 0:
-            self._loop.stop()
-
-    def _post(self, fn: Callable[..., None], *args: Any) -> None:
-        self._post_at(self.now, fn, *args)
+            if self._timer is not None:
+                self._timer.cancel()
+            self._timer, self._timer_at = None, -_INF
 
     def _post_at(self, when: float, fn: Callable[..., None], *args: Any,
                  daemon: bool = False) -> None:
-        if not daemon:
-            self._pending += 1
+        super()._post_at(when, fn, *args, daemon=daemon)
+        if when < self._timer_at:
+            self._arm()
 
-        def entry() -> None:
-            """Run the callback, keep stats, and stop the loop on drain."""
-            if not daemon:
-                self._pending -= 1
-            self.stats["callbacks_run"] += 1
-            try:
-                fn(*args)
-            finally:
-                self._maybe_stop()
+    def _arm(self) -> None:
+        # one timer for the heap's head; the loop stops once no work is left
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer, self._timer_at = None, _INF
+        if not self._work_left():
+            self._loop.stop()
+        elif self._queue:
+            self._timer_at = self._queue[0][0]
+            self._timer = self._loop.call_later(
+                (self._timer_at - self.now) * self.time_scale, self._wake)
 
-        wall_delay = (when - self.now) * self.time_scale
-        if wall_delay <= 0:
-            self._loop.call_soon(entry)
-        else:
-            self._loop.call_later(wall_delay, entry)
+    def _wake(self) -> None:
+        self._timer_at = -_INF
+        queue, daemons, stats = self._queue, self._daemon_seqs, self.stats
+        due = -_INF
+        try:
+            while queue:
+                if len(daemons) == len(queue) and not self._coroutines:
+                    break  # only periodic timers remain: drained
+                when, seq, fn = queue[0]
+                if when > due:
+                    due = min(self.now, self._until)
+                    if when > due:
+                        break
+                heapq.heappop(queue)
+                daemons.discard(seq)
+                stats["callbacks_run"] += 1
+                fn()
+        finally:
+            self._arm()
 
 
 class AsyncioBackend(ExecutionBackend):
     """Real-time execution on asyncio with a monotonic scaled clock.
 
     Capabilities: ``wall_clock`` (``now`` tracks ``time.monotonic()``),
-    not ``deterministic`` (seeds pin RNG draw sequences but scheduling
-    order is real and jittery).  Use it to answer wall-clock questions —
+    not ``deterministic`` (seeds pin RNG draw sequences but due times come
+    from the wall clock).  Use it to answer wall-clock questions —
     throughput and latency in seconds, behaviour under genuinely
     concurrent interleavings — and keep the sim backend for chaos
     debugging and replayable regressions; ``docs/BACKENDS.md`` has the
@@ -321,7 +318,7 @@ class AsyncioBackend(ExecutionBackend):
 
     @property
     def kernel(self) -> AsyncioKernel:
-        """The asyncio-loop scheduler implementing the kernel surface."""
+        """The wall-clock kernel driven by the asyncio loop."""
         return self._kernel
 
     @property

@@ -65,12 +65,13 @@ What the contract does and does not guarantee
   the *sequence* of fault decisions on both.  On asyncio, which message
   receives the Nth draw can differ run-to-run whenever concurrent
   processes race to send — that is the point of a real-time backend.
-* **Delivery ordering.** The sim kernel totally orders same-instant work
-  FIFO by sequence number.  The asyncio backend makes no such guarantee:
-  two callbacks due at (wall-)equal times run in unspecified order, and
-  scheduling jitter can reorder deliveries whose virtual times are within
-  jitter of each other.  Protocol code must not rely on same-instant FIFO
-  — only on the per-call ordering the RPC layer itself provides.
+* **Delivery ordering.** Both kernels run work in ``(when, seq)`` order:
+  same-instant work FIFO by sequence number.  On the asyncio backend a
+  due time is ``now + delay`` read off the wall clock when the post is
+  made, so deliveries whose virtual times are within the host's
+  processing time of each other are ordered by real time.  Protocol code
+  must not rely on same-instant FIFO — only on the per-call ordering the
+  RPC layer itself provides.
 * **Drain detection.** Both backends agree: "drained" means no non-daemon
   callbacks are scheduled.  A process waiting on an event that nothing
   will ever trigger counts as drained on both.

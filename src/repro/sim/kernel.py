@@ -7,6 +7,8 @@ Design rules that keep simulations deterministic and replayable:
 - A process waits on at most one thing at a time (compose with
   :func:`any_of` / :func:`all_of` to wait on several).
 - Nothing in the kernel reads wall-clock time or global randomness.
+  Every post reads the clock through :attr:`Kernel.now`, the one seam the
+  asyncio backend's wall-clock subclass redefines.
 """
 
 from __future__ import annotations
@@ -356,10 +358,10 @@ class Kernel:
         return process
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """Run a plain callback after ``delay`` simulated time."""
+        """Run a plain callback ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self._post_at(self._now + delay, fn, *args)
+        self._post_at(self.now + delay, fn, *args)
 
     def timeout_event(self, delay: float, value: Any = None) -> SimEvent:
         """An event that triggers by itself after ``delay``."""
@@ -369,7 +371,7 @@ class Kernel:
 
     def every(self, interval: float, fn: Callable[[], None],
               immediate: bool = False) -> PeriodicTimer:
-        """Run ``fn()`` every ``interval`` simulated time units.
+        """Run ``fn()`` every ``interval`` time units.
 
         The sampling-timer hook: returns a :class:`PeriodicTimer` whose
         firings interleave with ordinary events but never keep the
@@ -423,7 +425,7 @@ class Kernel:
     # -- internals -------------------------------------------------------------
 
     def _post(self, fn: Callable[..., None], *args: Any) -> None:
-        self._post_at(self._now, fn, *args)
+        self._post_at(self.now, fn, *args)
 
     def _post_at(self, when: float, fn: Callable[..., None], *args: Any,
                  daemon: bool = False) -> None:

@@ -4,14 +4,18 @@ These tests pin the edge cases the backend contract (docs/BACKENDS.md)
 promises are backend-independent: ``every(immediate=True)`` daemon timer
 semantics, ``settle_all`` fan-out completion, the fault-RNG stream
 independence the sim network guarantees (the PR-2 drop/duplicate
-entanglement bug must not regress on the real-time transport), and the
-drain / watchdog behaviour of ``run`` / ``run_until_settled``.
+entanglement bug must not regress on the real-time transport), the
+drain / watchdog behaviour of ``run`` / ``run_until_settled``, how close
+to its due time an idle timer wakes, and that wakes hand the loop back to
+native tasks.
 
 Wall-clock scales are kept tiny (0.5–2 ms per unit) so the whole module
 runs in a few seconds of host time.
 """
 
 import asyncio
+import random
+import statistics
 
 import pytest
 
@@ -89,12 +93,29 @@ def test_run_until_stops_clock_and_leaves_work_scheduled():
     try:
         log = []
         kernel.spawn(_sleeper(50.0, log))
+        kernel.schedule(1.0, log.append, "early")
+        kernel.schedule(20.0, log.append, "late")
         kernel.run(until=kernel.now + 5.0)
-        assert log == []
-        kernel.run()  # resumes the pending sleeper to completion
-        assert log == ["done"]
+        assert log == ["early"]  # nothing due after the horizon ran
+        kernel.run()  # resumes the remaining entries to completion
+        assert log == ["early", "late", "done"]
     finally:
         kernel.close()
+
+
+def test_equal_due_times_run_in_post_order_on_both_kernels():
+    """The ``(when, seq)`` tie-break is the sim kernel's on both backends."""
+    wall = make_kernel()
+    try:
+        for kernel in (Kernel(), wall):
+            log = []
+            when = kernel.now + 1.0
+            for index in range(20):
+                kernel._post_at(when, log.append, index)
+            kernel.run()
+            assert log == list(range(20))
+    finally:
+        wall.close()
 
 
 def test_run_until_settled_raises_when_drained():
@@ -237,7 +258,8 @@ def test_every_without_immediate_waits_one_interval():
 
 def test_periodic_timer_alone_never_keeps_backend_alive():
     """Daemon entries must not count as pending work: a kernel whose only
-    scheduled entry is a periodic timer is drained, exactly as on sim."""
+    scheduled entry is a periodic timer is drained, exactly as on sim —
+    both before any work and once the last real work has run."""
     kernel = make_kernel()
     try:
         fired = []
@@ -245,6 +267,14 @@ def test_periodic_timer_alone_never_keeps_backend_alive():
         before = kernel.now
         kernel.run()
         assert kernel.now - before < 100.0  # returned without blocking
+        log = []
+        kernel.spawn(_sleeper(3.0, log))
+        kernel.run()
+        assert log == ["done"]
+        assert kernel.now - before < 100.0  # returned once the sleeper ended
+        seen = len(fired)
+        kernel.run()  # only the timer's daemon entry is queued
+        assert len(fired) == seen
     finally:
         kernel.close()
 
@@ -255,10 +285,42 @@ def test_cancelled_timer_stops_firing():
         fired = []
         log = []
         timer = kernel.every(1.0, lambda: fired.append(kernel.now))
-        kernel.schedule(2.5, timer.cancel)
+        cancelled = []
+
+        def cancel():
+            timer.cancel()
+            cancelled.append(kernel.now)
+
+        kernel.schedule(2.5, cancel)
         kernel.spawn(_sleeper(8.0, log))
         kernel.run()
-        assert fired and all(t <= 3.5 for t in fired)
+        # no firing after the cancel, however late the host ran the wakes
+        assert fired and all(t <= cancelled[0] for t in fired)
+        assert timer.fires == len(fired) <= 3 and log == ["done"]
+    finally:
+        kernel.close()
+
+
+def test_idle_timeouts_wake_within_a_fraction_of_a_millisecond():
+    """Wake-up precision: an idle ``Timeout`` resumes, at the median, less
+    than 0.3 ms after its due time (a selector that rounds each wait up to
+    a whole millisecond reads about 0.5 ms)."""
+    kernel = make_kernel(time_scale=0.001)
+    try:
+        delays = random.Random(1)
+        lateness = []
+
+        def sleeper():
+            for _ in range(200):
+                delay = delays.uniform(0.5, 2.0)
+                due = kernel.now + delay
+                yield Timeout(delay)
+                lateness.append((kernel.now - due) * kernel.time_scale)
+
+        kernel.spawn(sleeper())
+        kernel.run()
+        assert len(lateness) == 200
+        assert statistics.median(lateness) < 0.3e-3, sorted(lateness)[100]
     finally:
         kernel.close()
 
@@ -358,6 +420,54 @@ def test_run_coroutine_cancellation_fails_event_with_process_killed():
         backend.kernel.run()
         assert started == [True]
         assert len(failures) == 1 and isinstance(failures[0], ProcessKilled)
+    finally:
+        backend.close()
+
+
+def test_wakes_hand_the_loop_back_to_native_tasks():
+    """A bridged coroutine that only ever yields to the loop finishes while
+    generator processes are still exchanging messages: wakes return to the
+    loop between due entries instead of holding it until the heap drains."""
+    backend = AsyncioBackend(time_scale=0.001)
+    kernel = backend.kernel
+    try:
+        network = Network(kernel, SplitRandom(3), NetworkConfig())
+        rounds = 40
+        mailbox = {}
+        received = []
+
+        def attach(name):
+            mailbox[name] = kernel.event(name)
+
+            def deliver(message):
+                event, mailbox[name] = mailbox[name], kernel.event(name)
+                event.trigger(message.payload["i"])
+
+            network.attach(name, deliver)
+
+        def player(me, peer, serve):
+            if serve:
+                network.send(Message(me, peer, "ping", {"i": 0}))
+            while True:
+                index = yield mailbox[me]
+                received.append(index)
+                if index >= rounds:
+                    return
+                network.send(Message(me, peer, "ping", {"i": index + 1}))
+
+        async def spinner():
+            for _ in range(200):
+                await asyncio.sleep(0)
+            return len(received)
+
+        attach("a")
+        attach("b")
+        kernel.spawn(player("a", "b", serve=True))
+        kernel.spawn(player("b", "a", serve=False))
+        spun = backend.run_coroutine(spinner())
+        kernel.run()
+        assert received == list(range(rounds + 1))
+        assert spun.triggered and spun.value < rounds
     finally:
         backend.close()
 

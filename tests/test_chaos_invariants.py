@@ -9,10 +9,15 @@ must satisfy:
 - conservation: balance(A) + balance(B) == initial total;
 - agreement: the stable states match exactly the transfers the client saw
   commit (all-or-nothing per transfer, across both nodes).
+
+Every case runs on both execution backends under its one test id.  Only
+invariants are checked: on asyncio the fault draws land on other messages
+than on sim, so outcomes are not compared across backends.
 """
 
 import pytest
 
+from repro.backend import AsyncioBackend, SimBackend
 from repro.cluster.cluster import Cluster
 from repro.cluster.failures import FaultSchedule
 from repro.cluster.network import NetworkConfig
@@ -21,6 +26,7 @@ from repro.objects.state import ObjectState
 AMOUNT = 5
 TRANSFERS = 25
 INITIAL = 1000
+BACKENDS = (SimBackend, lambda: AsyncioBackend(time_scale=0.0005))
 
 
 def stable_balance(cluster, ref):
@@ -30,9 +36,10 @@ def stable_balance(cluster, ref):
     return state.unpack_int()        # balance
 
 
-def run_chaos(seed: int, drop: float = 0.1):
+def run_chaos(seed: int, drop: float = 0.1, backend=None):
     cluster = Cluster(
         seed=seed,
+        backend=backend,
         config=NetworkConfig(drop_probability=drop,
                              duplicate_probability=0.05),
         rpc_retries=10,
@@ -85,26 +92,35 @@ def run_chaos(seed: int, drop: float = 0.1):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 5])
 def test_money_conserved_under_chaos(seed):
-    cluster, refs, outcomes, schedule = run_chaos(seed)
-    balance_a = stable_balance(cluster, refs["A"])
-    balance_b = stable_balance(cluster, refs["B"])
-    # the run must actually have exercised failures to mean anything
-    assert schedule.crash_count() >= 1
-    assert outcomes["committed"] + outcomes["failed"] == TRANSFERS
-    # conservation across both stable stores
-    assert balance_a + balance_b == INITIAL, (outcomes, schedule.planned)
-    # agreement with the client's view, per committed transfer
-    assert balance_b == outcomes["committed"] * AMOUNT, (outcomes,)
+    for make in BACKENDS:
+        with make() as backend:
+            cluster, refs, outcomes, schedule = run_chaos(seed,
+                                                          backend=backend)
+            balance_a = stable_balance(cluster, refs["A"])
+            balance_b = stable_balance(cluster, refs["B"])
+            # the run must actually have exercised failures to mean anything
+            assert schedule.crash_count() >= 1, backend.name
+            assert outcomes["committed"] + outcomes["failed"] == TRANSFERS
+            # conservation across both stable stores
+            assert balance_a + balance_b == INITIAL, (
+                backend.name, outcomes, schedule.planned)
+            # agreement with the client's view, per committed transfer
+            assert balance_b == outcomes["committed"] * AMOUNT, (
+                backend.name, outcomes)
 
 
 def test_chaos_with_heavier_loss():
-    cluster, refs, outcomes, schedule = run_chaos(seed=11, drop=0.25)
-    balance_a = stable_balance(cluster, refs["A"])
-    balance_b = stable_balance(cluster, refs["B"])
-    assert balance_a + balance_b == INITIAL
-    assert balance_b == outcomes["committed"] * AMOUNT
-    # under this much adversity some transfers must still get through
-    assert outcomes["committed"] >= 1
+    for make in BACKENDS:
+        with make() as backend:
+            cluster, refs, outcomes, schedule = run_chaos(seed=11, drop=0.25,
+                                                          backend=backend)
+            balance_a = stable_balance(cluster, refs["A"])
+            balance_b = stable_balance(cluster, refs["B"])
+            assert balance_a + balance_b == INITIAL, (backend.name, outcomes)
+            assert balance_b == outcomes["committed"] * AMOUNT, (
+                backend.name, outcomes)
+            # under this much adversity some transfers must still get through
+            assert outcomes["committed"] >= 1, backend.name
 
 
 @pytest.mark.parametrize("seed", [2, 5])
@@ -113,7 +129,15 @@ def test_spans_agree_with_client_outcomes_under_chaos(seed):
     client — one finished action span per transfer, with outcomes matching
     what the client saw, and exactly one committed 2PC round per committed
     transfer (a decided round never ends in a client-visible failure)."""
-    cluster, refs, outcomes, schedule = run_chaos(seed)
+    for make in BACKENDS:
+        with make() as backend:
+            cluster, _refs, outcomes, _schedule = run_chaos(
+                seed, backend=backend)
+            check_spans(cluster, outcomes)
+
+
+def check_spans(cluster, outcomes):
+    """One backend's run: the trace tells the client's story."""
     spans = cluster.obs.tracer.snapshot()
 
     action_spans = [s for s in spans if s.name.startswith("action:xfer")]
