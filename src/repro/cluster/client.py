@@ -455,6 +455,7 @@ class ClusterClient:
         action.require(ActionStatus.ACTIVE)
         yield from self._abort_dependants(action)
         action.status = ActionStatus.COMMITTING
+        started = self.kernel.now
         span = self._op_span(action, "commit")
         routes = action.routes()
         #: commit decisions logged but not yet delivered: (txn_id, nodes)
@@ -508,7 +509,7 @@ class ClusterClient:
         # (prepare rounds + decision/finish fan-out) as one histogram
         # observation — what the commit-latency SLO watches
         for colour in action.colours:
-            self.obs.observe("commit_latency", span.duration,
+            self.obs.observe("commit_latency", self.kernel.now - started,
                              colour=str(colour), node=self.node.name)
         return self._terminated(action, ActionStatus.COMMITTED,
                                 Outcome.COMMITTED)

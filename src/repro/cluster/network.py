@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Iterator, Optional, Set, Tuple
 
 from repro.cluster.message import Message
 from repro.errors import ClusterError
@@ -88,13 +88,18 @@ class Network:
         self._up: Dict[str, bool] = {}
         self._partitions: Set[frozenset] = set()
         self._msg_ids = itertools.count(1)
-        # observability: aggregate counts plus (when a hub is attached)
-        # per-message-kind labelled counters in the metrics registry.
-        self.obs = observability
+        # observability: aggregate counts plus per message kind counts, which
+        # a hub's registry pulls as ``messages_<fate>_total{kind}`` counters
+        # (nothing is reported per message)
         self.sent_count = 0
         self.delivered_count = 0
         self.dropped_count = 0
         self.duplicated_count = 0
+        #: fate -> message kind -> messages
+        self.by_kind: Dict[str, Dict[str, int]] = {
+            "sent": {}, "delivered": {}, "dropped": {}}
+        if observability is not None:
+            observability.metrics.collect(self._kind_counts)
 
     # -- topology --------------------------------------------------------------
 
@@ -133,8 +138,8 @@ class Network:
     def send(self, message: Message) -> None:
         """Fire-and-forget: schedule delivery, subject to the fault model."""
         self.sent_count += 1
-        if self.obs is not None:
-            self.obs.count("messages_sent_total", kind=message.kind)
+        sent = self.by_kind["sent"]
+        sent[message.kind] = sent.get(message.kind, 0) + 1
         if message.dst not in self._endpoints:
             raise ClusterError(f"message to unknown endpoint {message.dst}")
         # Both draws happen unconditionally: the old ``elif`` consumed the
@@ -152,9 +157,7 @@ class Network:
             copies = 2
             self.duplicated_count += 1
         if copies == 0:
-            self.dropped_count += 1
-            if self.obs is not None:
-                self.obs.count("messages_dropped_total", kind=message.kind)
+            self._dropped(message)
             return
         for _ in range(copies):
             delay = self.rng.uniform(self.config.min_delay, self.config.max_delay)
@@ -171,16 +174,26 @@ class Network:
         # Reachability is evaluated at delivery time: a message in flight
         # to a node that crashes meanwhile is lost, as on a real network.
         if not self.is_reachable(message.src, message.dst):
-            self.dropped_count += 1
-            if self.obs is not None:
-                self.obs.count("messages_dropped_total", kind=message.kind)
+            self._dropped(message)
             return
         self.delivered_count += 1
-        if self.obs is not None:
-            self.obs.count("messages_delivered_total", kind=message.kind)
+        delivered = self.by_kind["delivered"]
+        delivered[message.kind] = delivered.get(message.kind, 0) + 1
         self._endpoints[message.dst](message)
 
+    def _dropped(self, message: Message) -> None:
+        self.dropped_count += 1
+        dropped = self.by_kind["dropped"]
+        dropped[message.kind] = dropped.get(message.kind, 0) + 1
+
     # -- metrics -------------------------------------------------------------------
+
+    def _kind_counts(self) -> Iterator[Tuple[str, Dict[str, str], int]]:
+        """The per-kind counts as counter rows (a registry collector)."""
+        for fate, counts in self.by_kind.items():
+            name = f"messages_{fate}_total"
+            for kind, count in counts.items():
+                yield name, {"kind": kind}, count
 
     def stats(self) -> Dict[str, int]:
         return {

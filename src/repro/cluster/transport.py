@@ -55,7 +55,7 @@ from repro.errors import (
     ReproError,
     RpcTimeout,
 )
-from repro.obs.tracing import TRACE_KEY, Tracer
+from repro.obs.tracing import Tracer
 from repro.sim.kernel import SimEvent, any_of
 
 #: handler(message, respond) — respond(ok, value) completes the rpc.
@@ -458,7 +458,7 @@ class RpcTransport:
         live.add(seq)
         span = self.obs.span(f"rpc:{kind}", parent=trace_parent,
                              kind="client", node=self.node.name, dst=dst)
-        request[TRACE_KEY] = span.context.to_wire()
+        Tracer.inject(span, request)
         started = self.kernel.now
 
         def finish(reply: Dict[str, Any]) -> Dict[str, Any]:

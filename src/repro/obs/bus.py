@@ -7,8 +7,10 @@ flight recorder are all subscribers over this one stream.  A subscriber
 may declare the event kinds it reads (``subscribe(consume, kinds=...)``)
 and is then called for those only; one that retains the stream (the
 history layer, the flight recorder) subscribes unfiltered.  An event of
-a kind nobody reads is never built (:meth:`EventBus.emit`); every event
-that is published carries its sequence number in the stream.  Publishing
+a kind nobody reads is never built: the hub looks the kind up in the
+route table (``_routes``, what :meth:`EventBus.publish` reads) before it
+builds one; every event that is published carries its sequence number in
+the stream.  Publishing
 is synchronous, takes no lock and is exception-isolated: a failing
 subscriber never breaks the publisher, but it is never silent either —
 the bus keeps the first exception of each failing subscriber
@@ -133,8 +135,3 @@ class EventBus:
                 if self._on_error is not None:
                     self._on_error(name)
 
-    def emit(self, tick: float, kind: str, **labels: Any) -> None:
-        """Publish an event of ``kind``, if anybody reads that kind."""
-        by_kind, unfiltered = self._routes
-        if by_kind.get(kind, unfiltered):
-            self.publish(ObsEvent(tick, kind, labels))

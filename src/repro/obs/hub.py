@@ -3,8 +3,9 @@
 A bare hub is cheap to report into and keeps nothing per finished action:
 its :class:`~repro.obs.world.World` folds the event kinds the always-on
 auditor reads (and measures lock hold times on the way), forgetting each
-finished action tree; an event nobody reads is never built, a finished
-span is dropped and the ``colour`` label splits no series.  What a run
+finished action tree; an event nobody reads is never built, nor is a span
+nobody keeps, and the ``colour`` label splits no series (a lookup that
+carried one is resolved once, as that of its other labels).  What a run
 *was* — every event, every span, per-colour statistics — is kept by the
 history layer (:mod:`repro.obs.history`), bound like any other.
 
@@ -14,7 +15,10 @@ automatically, on simulated time) or to a
 ``runtime.attach_observability(hub)``.  A cluster always has one, so the
 cluster stack (transport, server, client, edge chaser) reports into it
 unconditionally; ``Network`` and ``LocalRuntime``, which are also built
-on their own, accept a hub of ``None`` and degrade to no-ops.
+on their own, accept a hub of ``None`` and degrade to no-ops.  The
+network reports nothing per message: it counts in plain ints, which the
+registry pulls when it is read (:meth:`MetricsRegistry.collect
+<repro.obs.metrics.MetricsRegistry.collect>`).
 
 Everything beyond the three primitives is a *layer*, and there is one way
 to turn one on — ``hub.bind(layer)``, or ``cluster.observe(...)`` which
@@ -43,7 +47,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.actions.status import ActionStatus
 from repro.locking.modes import mode_label
 from repro.obs import dump
-from repro.obs.bus import EventBus
+from repro.obs.bus import EventBus, ObsEvent
 from repro.obs.export import (
     chrome_trace,
     span_timeline,
@@ -52,7 +56,7 @@ from repro.obs.export import (
 )
 from repro.obs.history import History
 from repro.obs.metrics import MetricsRegistry, dump_delta
-from repro.obs.tracing import Span, Tracer
+from repro.obs.tracing import UNKEPT, Span, Tracer
 from repro.obs.world import World
 
 
@@ -129,17 +133,27 @@ class Observability:
 
         ``parent`` is a :class:`~repro.obs.tracing.Span` or an encoded
         span context carried over RPC; the returned span must be
-        ``finish()``-ed by the caller.
+        ``finish()``-ed by the caller.  While the tracer keeps no span and
+        nobody reads ``span.start``, nothing is built: the span is
+        :data:`~repro.obs.tracing.UNKEPT`, which has no context to carry.
         """
+        by_kind, unfiltered = self.bus._routes
+        readers = by_kind.get("span.start", unfiltered)
+        if not (readers or self.tracer.keeping):
+            return UNKEPT
         span = self.tracer.start_span(name, parent=parent, kind=kind,
                                       node=node, **attrs)
-        self.bus.emit(span.start, "span.start", name=name, node=node,
-                      span_kind=kind)
+        if readers:
+            self.bus.publish(ObsEvent(span.start, "span.start", {
+                "name": name, "node": node, "span_kind": kind}))
         return span
 
     def emit(self, kind: str, **labels: Any) -> None:
-        """Publish an event on the bus, stamped with :meth:`now`."""
-        self.bus.emit(self.now(), kind, **labels)
+        """Publish an event on the bus, stamped with :meth:`now`, if
+        anybody reads ``kind``."""
+        by_kind, unfiltered = self.bus._routes
+        if by_kind.get(kind, unfiltered):
+            self.bus.publish(ObsEvent(self.now(), kind, labels))
 
     # -- the action lifecycle, reported by LocalRuntime / ClusterClient --------
 

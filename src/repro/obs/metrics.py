@@ -10,6 +10,11 @@ Everything is thread-safe (the local runtime is multi-threaded); in the
 simulated cluster the registry is also deterministic: nothing here reads
 wall-clock time or randomness, timestamps come from the owner's
 ``tick_source`` (usually ``lambda: kernel.now``).
+
+A count a component already keeps in a plain int need not be pushed in
+one report per increment: the component registers a *collector*
+(:meth:`MetricsRegistry.collect`, Prometheus's collector pattern) and
+the registry pulls its totals whenever it is read.
 """
 
 from __future__ import annotations
@@ -173,11 +178,14 @@ class MetricsRegistry:
         #: label set used twice past the cap adds 2: remembering which sets
         #: were seen is what the cap exists to avoid)
         self._folded: Dict[Tuple[str, str], int] = {}
-        #: lookups already resolved, as they were made: (kind, name, *label
-        #: keys in call order, *``str`` of the values) -> instrument.  Never
-        #: holds a lookup that folded (into overflow, or by a folded label),
-        #: so a capped or folding registry stays bounded.
+        #: lookups already resolved, as they were made less their folded
+        #: labels: (kind, name, *label keys in call order, *``str`` of the
+        #: values) -> instrument.  Never holds a lookup that folded into
+        #: overflow, so a capped or folding registry stays bounded.
         self._resolved: Dict[Tuple, Any] = {}
+        #: what :meth:`collect` registered, and each pulled row's last total
+        self._collectors: List[Callable[[], Iterable[Tuple]]] = []
+        self._pulled: Dict[Tuple, float] = {}
 
     def now(self) -> float:
         """The registry's clock (simulated time when given a tick source)."""
@@ -188,6 +196,7 @@ class MetricsRegistry:
     # -- instrument access ---------------------------------------------------
 
     def counter(self, name: str, **labels: Any) -> Counter:
+        self._pull()  # the caller may read it: pulled counts are counters
         return self._get("counter", name, labels)
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
@@ -196,17 +205,42 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: Any) -> Histogram:
         return self._get("histogram", name, labels)
 
+    def collect(self, source: Callable[[], Iterable[Tuple]]) -> None:
+        """Pull counters from ``source`` instead of being told each step.
+
+        ``source()`` yields ``(name, labels, total)`` rows: the running
+        total of the counter ``name{labels}``.  Every read of the registry
+        first adds what each total gained since the previous read, so a
+        dump, a query or a sample sees what one report per increment
+        would have made — except that a label set folded into overflow is
+        counted in ``metrics_series_folded_total`` once per read, not per
+        increment.
+        """
+        self._collectors.append(source)
+
+    def _pull(self) -> None:
+        pulled = self._pulled
+        for source in self._collectors:
+            for name, labels, total in source():
+                key = (name, *labels, *map(str, labels.values()))
+                gained = total - pulled.get(key, 0)
+                if gained:
+                    pulled[key] = total
+                    self._get("counter", name, dict(labels)).inc(gained)
+
     def _get(self, kind: str, name: str, labels: Dict[str, Any]):
         # the report path: a repeated lookup is one dict read, taken without
-        # the lock.  ``str`` of the values keeps 1, 1.0 and True apart, as
-        # ``_labelset`` does.
+        # the lock.  A folded label is dropped first (``labels`` is the
+        # caller's keyword dict, ours to trim): the lookup is that of the
+        # other labels, values unbounded or not.  ``str`` of the values
+        # keeps 1, 1.0 and True apart, as ``_labelset`` does.
+        for key in self.folded_labels:
+            labels.pop(key, None)
         call = (kind, name, *labels, *map(str, labels.values()))
         instrument = self._resolved.get(call)
         if instrument is not None:
             return instrument
-        key = _labelset({k: v for k, v in labels.items()
-                         if k not in self.folded_labels})
-        folded = len(key) < len(labels)
+        key = _labelset(labels)
         with self._mutex:
             per_name = self._instruments[kind].setdefault(name, {})
             instrument = per_name.get(key)
@@ -215,22 +249,22 @@ class MetricsRegistry:
                 if cap is not None and key and len(per_name) >= cap:
                     # fold new label sets into one overflow series per label
                     # *shape*, keeping keys so cross-label sums stay exact.
-                    key = tuple((k, OVERFLOW_LABEL) for k, _ in key)
-                    instrument = per_name.get(key)
-                    folded = True
                     self._folded[(kind, name)] = (
                         self._folded.get((kind, name), 0) + 1)
-                if instrument is None:
-                    instrument = self._KINDS[kind]()
-                    per_name[key] = instrument
-            if not folded:
-                self._resolved[call] = instrument
+                    overflow = tuple((k, OVERFLOW_LABEL) for k, _ in key)
+                    instrument = per_name.get(overflow)
+                    if instrument is None:
+                        instrument = per_name[overflow] = self._KINDS[kind]()
+                    return instrument
+                instrument = per_name[key] = self._KINDS[kind]()
+            self._resolved[call] = instrument
             return instrument
 
     # -- queries ---------------------------------------------------------------
 
     def value(self, name: str, **labels: Any) -> float:
         """Current value of a counter or gauge (0.0 if never touched)."""
+        self._pull()
         key = _labelset(labels)
         with self._mutex:
             for kind in ("counter", "gauge"):
@@ -241,6 +275,7 @@ class MetricsRegistry:
 
     def series(self, name: str) -> List[Tuple[Dict[str, str], Any]]:
         """Every (labels, instrument) pair recorded under ``name``."""
+        self._pull()
         with self._mutex:
             found: List[Tuple[Dict[str, str], Any]] = []
             for per_kind in self._instruments.values():
@@ -250,6 +285,7 @@ class MetricsRegistry:
 
     def dump(self) -> Dict[str, List[Dict[str, Any]]]:
         """JSON-able snapshot of every instrument, deterministically ordered."""
+        self._pull()
         with self._mutex:
             out: Dict[str, List[Dict[str, Any]]] = {}
             for kind, per_kind in self._instruments.items():
@@ -272,6 +308,7 @@ class MetricsRegistry:
             return out
 
     def clear(self) -> None:
+        self._pull()  # what was counted before the clear goes with it
         with self._mutex:
             for per_kind in self._instruments.values():
                 per_kind.clear()
@@ -280,6 +317,7 @@ class MetricsRegistry:
 
     def series_count(self) -> int:
         """Total number of live instruments across every metric."""
+        self._pull()
         with self._mutex:
             return sum(len(per_name)
                        for per_kind in self._instruments.values()

@@ -109,6 +109,33 @@ class Span:
         return f"<Span {self.name} [{self.span_id}] {state}>"
 
 
+class _Unkept:
+    """What :meth:`~repro.obs.hub.Observability.span` hands out when
+    nobody keeps spans or reads their starts: every operation of a
+    :class:`Span` that a creator calls, doing nothing.  It has no
+    context, so nothing is carried over the wire for it either."""
+
+    __slots__ = ()
+
+    context = None
+
+    def set(self, **_attrs: Any) -> "_Unkept":
+        return self
+
+    def event(self, name: str, **attrs: Any) -> None:
+        pass
+
+    def finish(self, at: Optional[float] = None) -> "_Unkept":
+        return self
+
+    def __repr__(self) -> str:
+        return "<Span unkept>"
+
+
+#: the one unkept span
+UNKEPT = _Unkept()
+
+
 def _forget(*_span: Any) -> None:
     """What a tracer nobody asked to :meth:`~Tracer.retain` does with a
     span it started or saw finish."""
@@ -124,7 +151,9 @@ class Tracer:
 
     Until :meth:`retain` is called :attr:`spans` stays empty: a span lives
     as long as its creator holds it (the history layer is what calls it on
-    a hub).
+    a hub).  A hub asks for one only while spans are kept or their starts
+    read; otherwise it hands out :data:`UNKEPT` and the tracer builds
+    nothing.
     """
 
     def __init__(self, tick_source: Optional[Callable[[], float]] = None):
@@ -138,6 +167,8 @@ class Tracer:
         self.on_drop: Optional[Callable[[int], None]] = None
         self.dropped = 0
         self._finished_count = 0
+        #: whether :meth:`retain` was called: spans are kept from then on
+        self.keeping = False
         #: where a started / a finished span is reported; see :meth:`retain`
         self._started: Callable[[Span], None] = _forget
         self._finished: Callable[[], None] = _forget
@@ -159,6 +190,7 @@ class Tracer:
                 f"max_finished_spans must be >= 1, got {max_finished_spans}")
         self.max_finished_spans = max_finished_spans
         self.on_drop = on_drop
+        self.keeping = True
         self._started = self._keep
         self._finished = self._note_finished
 
@@ -240,9 +272,11 @@ class Tracer:
 
     @staticmethod
     def inject(span: Optional[Span], payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Attach ``span``'s context to an outgoing message payload."""
-        if span is not None:
-            payload[TRACE_KEY] = span.context.to_wire()
+        """Attach ``span``'s context, if it has one, to an outgoing
+        message payload."""
+        context = span.context if span is not None else None
+        if context is not None:
+            payload[TRACE_KEY] = context.to_wire()
         return payload
 
     @staticmethod

@@ -2,11 +2,14 @@
 
 Deterministic guards, no timings.  The resolved-instrument cache in front
 of ``MetricsRegistry._get`` must be invisible in every dump; a warmed
-``hub.count`` / ``hub.observe`` must not resolve labels again; a histogram's
-reservoir must keep the samples it always kept while owning no PRNG until
-it overflows; the kind-routed bus must deliver what, and in the order, the
-locked list-copying one did, and build no event nobody reads; and a
-registry that folds ``colour`` must sum to what the per-colour one holds.
+``hub.count`` / ``hub.observe`` must not resolve labels again, a folded
+``colour`` or not; a histogram's reservoir must keep the samples it
+always kept while owning no PRNG until it overflows; the kind-routed bus
+must deliver what, and in the order, the locked list-copying one did, and
+build no event nobody reads; a registry that folds ``colour`` must sum to
+what the per-colour one holds; a span nobody keeps is never built, nor
+its context sent; and a counter the registry pulls must read what one
+report per increment made.
 """
 
 import enum
@@ -15,13 +18,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.cluster import Cluster
 from repro.obs import History, Observability, dump
 from repro.obs import metrics as metrics_module
 from repro.obs.audit import InvariantAuditor
-from repro.obs.bus import EventBus
+from repro.obs.bus import EventBus, ObsEvent
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.perf import FlightRecorder
 from repro.obs.postmortem import PostmortemEngine
+from repro.obs.tracing import TRACE_KEY, UNKEPT
 
 
 # -- (a) the cache never shows in a dump ----------------------------------------
@@ -125,6 +130,27 @@ def test_warmed_count_and_observe_never_resolve_labels_again(monkeypatch):
     assert hub.metrics.value("messages_sent_total", kind="invoke") == 1.0
 
 
+def test_warmed_folded_reports_never_resolve_labels_again(monkeypatch):
+    """On a bare hub ``colour`` is folded, and a fresh colour per action
+    must not cost a resolution per action: the lookup is that of the other
+    labels, resolved once."""
+    calls = []
+    labelset = metrics_module._labelset
+
+    def counting(labels):
+        calls.append(dict(labels))
+        return labelset(labels)
+
+    monkeypatch.setattr(metrics_module, "_labelset", counting)
+    hub = Observability()
+    for index in range(50):
+        hub.count("actions_committed_total", colour=f"c{index}", node="n")
+        hub.observe("lock_wait_time", 1.0, node="s1", colour=f"c{index}")
+    assert calls == [{"node": "n"}, {"node": "s1"}]
+    assert hub.metrics.value("actions_committed_total", node="n") == 50.0
+    assert len(hub.metrics._resolved) == 2
+
+
 # -- (c) the reservoir: same samples, PRNG only past the cap --------------------
 
 #: ``Histogram(max_samples=16)`` after ``observe(0.0 .. 47.0)``, taken from
@@ -172,7 +198,7 @@ def test_filtered_subscriber_sees_exactly_its_kinds_in_subscription_order():
     bus.subscribe(_recorder(log, "all-2"))
     bus.subscribe(_recorder(log, "x-and-y"), kinds={"x": 1, "y": 2})
     for kind in ("x", "y", "z"):
-        bus.emit(0.0, kind)
+        bus.publish(ObsEvent(0.0, kind, {}))
     assert log == [
         ("all-1", "x"), ("x-only", "x"), ("all-2", "x"), ("x-and-y", "x"),
         ("all-1", "y"), ("all-2", "y"), ("x-and-y", "y"),
@@ -198,13 +224,13 @@ def test_subscription_changes_inside_a_subscriber_apply_from_the_next_event():
 
     bus.subscribe(churn)
     bus.subscribe(leaver, kinds=["first", "second"])
-    bus.emit(0.0, "first")
-    bus.emit(1.0, "second")
+    bus.publish(ObsEvent(0.0, "first", {}))
+    bus.publish(ObsEvent(1.0, "second", {}))
     assert log == [("churn", "first"), ("leaver", "first"),
                    ("churn", "second"), ("late", "second")]
     bus.unsubscribe(late)
     bus.unsubscribe(late)  # unknown by now: ignored
-    bus.emit(2.0, "second")
+    bus.publish(ObsEvent(2.0, "second", {}))
     assert log[-1] == ("churn", "second")
 
 
@@ -332,8 +358,11 @@ def test_folded_colour_sums_equal_the_per_colour_reference(stream, cap):
     assert _totals(folding, cap is None) == _totals(reference, cap is None)
     assert not any("colour" in labels for name in ("m", "n")
                    for labels, _ in folding.series(name))
-    # a report that carried a colour is never remembered as resolved
+    # a report that carried a colour is remembered as resolved without it:
+    # at most one lookup per kind, name and other label set
     assert len(folding._resolved) <= 2 * 2 * 3
+    assert not any(colour in call for call in folding._resolved
+                   for colour in ("c1", "c2", "c3", "c4"))
 
 
 def test_a_late_report_neither_resurrects_its_colour_nor_is_lost():
@@ -351,7 +380,10 @@ def test_a_late_report_neither_resurrects_its_colour_nor_is_lost():
     [(labels, held)] = hub.metrics.series("lock_hold_time")
     assert labels == {"node": "n", "object": "o"} and held.count == 1
     assert hub.metrics.series_count() == series + 1
-    assert len(hub.metrics._resolved) == resolved
+    # the hold time's lookup is remembered as that of its other labels;
+    # the second count found the first one's
+    assert len(hub.metrics._resolved) == resolved + 1
+    assert not any("c1" in call for call in hub.metrics._resolved)
 
 
 def test_findings_cite_the_stream_position_history_records():
@@ -385,3 +417,108 @@ def test_findings_cite_the_stream_position_history_records():
     assert [f.event_seqs for f in replayed.report()] == [(5, 6)]
     # a bare hub finds the same violation; it numbers the events it built
     assert violate(Observability()).event_seqs == (3, 4)
+
+
+# -- (f) a span nobody keeps is never built --------------------------------------
+
+def _one_commit(**observe):
+    """One two-node commit; returns the cluster, the action and every
+    message sent."""
+    cluster = Cluster(seed=3)
+    if observe:
+        cluster.observe(**observe)
+    cluster.add_node("alpha")
+    cluster.add_node("beta")
+    sent = []
+    send = cluster.network.send
+    cluster.network.send = lambda message: (sent.append(message),
+                                            send(message))
+    client = cluster.client("alpha")
+
+    def app():
+        ref = yield from client.create("beta", "counter", value=0)
+        action = client.top_level("t")
+        yield from client.invoke(action, ref, "increment", 5)
+        yield from client.commit(action)
+        return action
+
+    return cluster, cluster.run_process("alpha", app()), sent
+
+
+def _requests(sent):
+    return [message for message in sent
+            if message.kind not in ("rpc_reply", "rpc_ack")]
+
+
+def _latency(cluster):
+    [row] = [row for row in cluster.obs.dump()["histograms"]
+             if row["name"] == "commit_latency"]
+    return row["count"], row["sum"]
+
+
+def test_a_bare_hub_builds_no_span_and_sends_no_context():
+    cluster, action, sent = _one_commit()
+    assert action._obs_span is UNKEPT
+    assert cluster.obs.tracer.spans == []
+    assert _requests(sent) and not any(TRACE_KEY in message.payload
+                                       for message in sent)
+    # what a span used to time is timed on the clock
+    kept, _action, _sent = _one_commit(history=True)
+    assert _latency(cluster) == _latency(kept)
+
+
+def test_spans_are_built_when_kept_or_when_their_start_is_read():
+    for observe in ({"history": True}, {"flight_recorder": True}):
+        cluster, action, sent = _one_commit(**observe)
+        assert action._obs_span is not UNKEPT
+        assert all(TRACE_KEY in message.payload
+                   for message in _requests(sent))
+        kept = [span.name for span in cluster.obs.tracer.spans]
+        if "history" in observe:
+            assert "action:t" in kept and "serve:invoke" in kept
+        else:  # read, not kept: the ring has the starts, the tracer none
+            assert kept == []
+            ring = cluster.obs.layers["flight_recorder"].ring_events()
+            assert "span.start" in {event["kind"] for event in ring}
+
+
+# -- (g) pulled counters read what pushed ones did -------------------------------
+
+steps = st.lists(st.one_of(
+    st.tuples(st.just("inc"), st.sampled_from(["invoke", "rpc_reply", "x"])),
+    st.tuples(st.sampled_from(["read", "clear"]), st.none())), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps)
+def test_a_pulled_counter_dumps_like_one_report_per_increment(sequence):
+    pushed, pulled = MetricsRegistry(), MetricsRegistry()
+    totals = {}
+    pulled.collect(lambda: [("messages_sent_total", {"kind": kind}, total)
+                            for kind, total in totals.items()])
+    for step, kind in sequence:
+        if step == "inc":
+            totals[kind] = totals.get(kind, 0) + 1
+            pushed.counter("messages_sent_total", kind=kind).inc()
+        elif step == "read":
+            assert pulled.dump() == pushed.dump()
+        else:
+            pulled.clear()
+            pushed.clear()
+    assert pulled.dump() == pushed.dump()
+    assert pulled.series_count() == pushed.series_count()
+
+
+def test_the_network_counts_per_kind_and_the_registry_pulls_them():
+    cluster, _action, sent = _one_commit()
+    network = cluster.network
+    kinds = {message.kind for message in sent}
+    assert network.by_kind["sent"] == {
+        kind: sum(message.kind == kind for message in sent) for kind in kinds}
+    assert network.by_kind["delivered"] == network.by_kind["sent"]
+    assert network.by_kind["dropped"] == {}
+    for fate in ("sent", "delivered"):
+        assert {labels["kind"]: counter.value for labels, counter
+                in cluster.obs.metrics.series(f"messages_{fate}_total")} == \
+            network.by_kind[fate]
+    assert not cluster.obs.metrics.series("messages_dropped_total")

@@ -7,7 +7,8 @@ auditor — so what it holds after N commits it holds after 4 N.  Nor do
 its nodes: reply caches, logs, transaction tables and lock registries
 stay under one bound whatever the number of commits.
 With ``observe(history=True)`` all of that grows again, and a dump is the
-parent commit's dump byte for byte.
+parent commit's dump byte for byte; so is a bare run's, which is metrics
+only.
 """
 
 import hashlib
@@ -176,6 +177,18 @@ PARENT_DUMPS = {
 #: operations of each e2e-shaped run (seed 5)
 E2E_SHAPED = {"steady_2pc": 80, "read_mostly": 80, "commute_hot": 80,
               "contended_locks": 80, "multicolour": 40, "lossy_crash": 200}
+#: ``hub.save()`` of the same runs on the bare cluster the benchmark
+#: deploys, pinned while a bare hub still built every span and the network
+#: reported each message to the registry: what is no longer built or
+#: pushed must not show in the metrics it dumps
+BARE_PARENT_DUMPS = {
+    "steady_2pc": ("97b773506ec3fdf83db4e1c93b3bcb1274e917b39c7fba2c76c5c811349da7a9", 32354),
+    "read_mostly": ("9ca4121153856f74d31580432ab28e3df1a12e89667db4b05c6ba59c39846be0", 33492),
+    "commute_hot": ("92255d1ad532c98270a71ba6d0fc3afaee9459e4f6cef8671a1c3ec9c9573dbd", 8995),
+    "contended_locks": ("1c23e03369b3bf2c0fa068c3d02c793c1772f598d341f6cd0cdc1f931322d522", 12235),
+    "multicolour": ("d2bf49e76b9410473bb00a42b38fa9798a8b2aeaa5962232c73d20debde866dd", 23551),
+    "lossy_crash": ("a89b6822ddd59367e4ed05a2c8d14d6795f3ce1446925e0aae40c251020bcdea", 39056),
+}
 
 
 def _saved(cluster, tmp_path):
@@ -205,6 +218,18 @@ def test_e2e_shaped_dump_is_the_parents_byte_for_byte(name, tmp_path,
     measured = workloads.measure(deployment, 5, E2E_SHAPED[name])
     workloads.check(deployment, measured)
     assert _saved(deployment.cluster, tmp_path) == PARENT_DUMPS[name]
+
+
+@pytest.mark.parametrize("name", list(E2E_SHAPED))
+def test_e2e_shaped_bare_dump_is_the_parents_byte_for_byte(name, tmp_path):
+    """The benchmark's run as it deploys it: a bare cluster builds no
+    span and the registry pulls the message counts, yet its metrics are
+    the ones it dumped when it built and was told everything."""
+    deployment = workloads.deploy(workloads.BY_NAME[name], 5)
+    measured = workloads.measure(deployment, 5, E2E_SHAPED[name])
+    workloads.check(deployment, measured)
+    assert deployment.cluster.obs.tracer.spans == []
+    assert _saved(deployment.cluster, tmp_path) == BARE_PARENT_DUMPS[name]
 
 
 def test_distributed_make_dumps_are_the_parents_byte_for_byte(tmp_path):

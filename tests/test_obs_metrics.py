@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.obs import History, Observability
-from repro.obs.bus import EventBus
+from repro.obs.bus import EventBus, ObsEvent
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.runtime import LocalRuntime
 from repro.stdobjects import Counter as CounterObject
@@ -124,7 +124,7 @@ def test_event_bus_isolates_subscriber_errors():
 
     bus.subscribe(bad)
     bus.subscribe(seen.append)
-    bus.emit(1.0, "tick", n=1)
+    bus.publish(ObsEvent(1.0, "tick", {"n": 1}))
     assert len(seen) == 1
     assert seen[0].kind == "tick"
     assert seen[0].labels["n"] == 1

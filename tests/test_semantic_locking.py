@@ -238,9 +238,11 @@ def test_mode_of_the_other_kind_refused(runtime):
 
 def test_group_grants_are_reported_to_an_attached_hub(runtime):
     """One blocking acquire: a group grant reaches the hub like a mode
-    grant — the counter, the wait histogram, the action span's event."""
-    from repro.obs import Observability
+    grant — the counter, the wait histogram, the action span's event
+    (spans are built once the history layer keeps them)."""
+    from repro.obs import History, Observability
     hub = Observability()
+    hub.bind(History())
     runtime.attach_observability(hub)
     counter = CommutingCounter(runtime, value=0)
     with runtime.top_level(name="u") as action:
