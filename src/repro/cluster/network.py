@@ -5,6 +5,14 @@ messages are assumed to be detected and dropped by checksums, so corruption
 is folded into loss.  Nodes that are crashed or partitioned away receive
 nothing — silently, as a real network gives no receipt.
 
+What the failure model does to a run is decided in one place, the
+:class:`FaultPlan` installed as ``network.faults``: the fate of every
+message (lost, delivered once, duplicated, each copy delayed) and whether
+a node crashes just before or just after a log append.  The default plan,
+:class:`SeededFates`, draws ``NetworkConfig``'s probabilities from a seeded
+stream; a test swaps in its own plan by setting ``network.faults``.  The
+network alone counts, copies and schedules what the plan lets through.
+
 Payloads are **copied at send time**: sender and receiver can never
 share mutable state by accident, keeping the simulation honest about
 distribution.
@@ -61,11 +69,58 @@ class NetworkConfig:
     duplicate_probability: float = 0.0
 
     def validate(self) -> None:
+        """Raise :class:`ClusterError` on bounds no run could honour."""
         if self.min_delay < 0 or self.max_delay < self.min_delay:
             raise ClusterError("invalid delay bounds")
         for p in (self.drop_probability, self.duplicate_probability):
             if not 0.0 <= p < 1.0:
                 raise ClusterError("probabilities must be in [0, 1)")
+
+
+#: fates: one copy on time; two copies; the message lost
+ON_TIME, TWICE, LOST = (0.0,), (0.0, 0.0), ()
+
+
+class FaultPlan:
+    """The one fault seam: every message's fate and every append's crash
+    points.  This base delivers every message once, on time, and crashes
+    nothing; a plan overrides what it decides."""
+
+    def fates(self, message: Message) -> Tuple[float, ...]:
+        """The extra delay of each copy of ``message`` to deliver, asked
+        once per send: ``()`` loses it, two entries duplicate it."""
+        return ON_TIME
+
+    def crashes(self, node: str, kind: str, after: bool) -> bool:
+        """Does ``node`` crash just before (``after`` False) or just after
+        its append of a ``kind`` record?  Asked twice per append."""
+        return False
+
+
+class SeededFates(FaultPlan):
+    """The default plan: ``NetworkConfig``'s drop and duplicate
+    probabilities, drawn from the seeded ``"network.faults"`` stream.
+
+    Exactly two draws per send, both always taken, so the Nth message's
+    fate depends only on (seed, N): a lost message cannot be duplicated,
+    yet its duplicate draw is spent, so changing one probability never
+    reshuffles the other's outcomes under the same seed.  The config is
+    read live: a soak burst that mutates it changes fates, not the stream.
+    """
+
+    def __init__(self, network: "Network", rng: SplitRandom):
+        self.network = network
+        self.rng = rng.split("network.faults")
+
+    def fates(self, message: Message) -> Tuple[float, ...]:
+        """Lost, duplicated or one copy, by the two seeded draws."""
+        config = self.network.config
+        drop_roll, duplicate_roll = self.rng.random(), self.rng.random()
+        if drop_roll < config.drop_probability:
+            return LOST
+        if duplicate_roll < config.duplicate_probability:
+            return TWICE
+        return ON_TIME
 
 
 class Network:
@@ -77,13 +132,11 @@ class Network:
         self.kernel = kernel
         #: delay draws (one per delivered copy)
         self.rng = rng.split("network")
-        #: drop/duplicate decision draws — a *separate* stream consuming
-        #: exactly two draws per send, so the Nth message's fate depends
-        #: only on (seed, N), never on how many copies earlier messages
-        #: produced or on the other probability's setting.
-        self.fault_rng = rng.split("network.faults")
         self.config = config or NetworkConfig()
         self.config.validate()
+        #: what happens to each message and around each append; a test
+        #: installs its own plan here
+        self.faults: FaultPlan = SeededFates(self, rng)
         self._endpoints: Dict[str, Callable[[Message], None]] = {}
         self._up: Dict[str, bool] = {}
         self._partitions: Set[frozenset] = set()
@@ -119,12 +172,15 @@ class Network:
         self._partitions.add(frozenset((a, b)))
 
     def heal(self, a: str, b: str) -> None:
+        """Restore the link between two endpoints."""
         self._partitions.discard(frozenset((a, b)))
 
     def heal_all(self) -> None:
+        """Restore every severed link."""
         self._partitions.clear()
 
     def is_reachable(self, src: str, dst: str) -> bool:
+        """Would a message from ``src`` reach ``dst`` now?"""
         return (
             self._up.get(dst, False)
             and frozenset((src, dst)) not in self._partitions
@@ -133,34 +189,25 @@ class Network:
     # -- sending -----------------------------------------------------------------
 
     def fresh_msg_id(self) -> int:
+        """A message id never handed out before on this network."""
         return next(self._msg_ids)
 
     def send(self, message: Message) -> None:
-        """Fire-and-forget: schedule delivery, subject to the fault model."""
+        """Fire-and-forget: schedule delivery of the copies ``faults``
+        lets through."""
         self.sent_count += 1
         sent = self.by_kind["sent"]
         sent[message.kind] = sent.get(message.kind, 0) + 1
         if message.dst not in self._endpoints:
             raise ClusterError(f"message to unknown endpoint {message.dst}")
-        # Both draws happen unconditionally: the old ``elif`` consumed the
-        # duplicate draw only when the drop draw failed, which entangled
-        # the two probabilities' RNG streams (changing one config knob
-        # reshuffled the other's outcomes under the same seed).  A dropped
-        # message still cannot be duplicated — the drop decision wins —
-        # but its duplicate draw is consumed regardless.
-        drop_roll = self.fault_rng.random()
-        duplicate_roll = self.fault_rng.random()
-        copies = 1
-        if drop_roll < self.config.drop_probability:
-            copies = 0
-        elif duplicate_roll < self.config.duplicate_probability:
-            copies = 2
-            self.duplicated_count += 1
-        if copies == 0:
+        fates = self.faults.fates(message)
+        if not fates:
             self._dropped(message)
             return
-        for _ in range(copies):
-            delay = self.rng.uniform(self.config.min_delay, self.config.max_delay)
+        self.duplicated_count += len(fates) - 1
+        for extra in fates:
+            delay = self.rng.uniform(self.config.min_delay,
+                                     self.config.max_delay) + extra
             # Payload copied at send time: the receiver sees the message as
             # it was when sent, never a later mutation.
             frozen = Message(
@@ -196,6 +243,7 @@ class Network:
                 yield name, {"kind": kind}, count
 
     def stats(self) -> Dict[str, int]:
+        """The aggregate message counts, by fate."""
         return {
             "sent": self.sent_count,
             "delivered": self.delivered_count,

@@ -1084,11 +1084,20 @@ class ObjectServer:
         for entry in sorted(txns.entries(PARTICIPANT), key=lambda e: e.lsn):
             for object_uid in entry.object_uids:
                 last_shadow_writer[object_uid] = entry
+        redone: Dict[str, TxnEntry] = {}
         for object_uid, entry in last_shadow_writer.items():
             if entry.state is TxnState.COMMITTED:
-                self.node.stable_store.commit_shadow(object_uid)
+                if self.node.stable_store.commit_shadow(object_uid):
+                    redone[entry.txn_id] = entry
             elif entry.state is TxnState.ABORTED:
                 self.node.stable_store.discard_shadow(object_uid)
+        # a crash between a commit record and its promotion lost the
+        # events the promotion sends: recovery carried it out, so it says so
+        for txn_id, entry in sorted(redone.items()):
+            if entry.payload.get("delegated"):  # the decision was ours
+                self.obs.emit("twopc.decision", txn=txn_id,
+                              decision="commit", node=self.node.name)
+            self.obs.emit("twopc.commit", txn=txn_id, node=self.node.name)
         # resolve delegations whose outcome we never learned, so decision
         # queries from in-doubt participants get a real answer
         for entry in txns.entries(COORDINATOR):

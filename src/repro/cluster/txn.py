@@ -234,6 +234,9 @@ class TxnTable:
         self.forgotten: Set[str] = set()
         #: protocol records appended since the last checkpoint
         self.appended = 0
+        #: called with the record kind just before (False) and just after
+        #: (True) every append: the node's fault plan may crash it there
+        self.crash_point: Callable[[str, bool], None] = lambda *_: None
 
     @classmethod
     def replay(cls, wal) -> "TxnTable":
@@ -267,9 +270,12 @@ class TxnTable:
                 f"{role} {txn_id}: no {event!r} edge from {state.value}")
         if edge[1] is None:
             return None
+        self.crash_point(edge[1], False)
         self.appended += 1
         # looked up on the log at call time: instrumentation may shadow it
-        return self._fold(self.wal.append(edge[1], txn_id=txn_id, **payload))
+        entry = self._fold(self.wal.append(edge[1], txn_id=txn_id, **payload))
+        self.crash_point(edge[1], True)
+        return entry
 
     def _fold(self, record) -> Optional[TxnEntry]:
         """Apply one log record to the index (non-protocol kinds pass)."""
@@ -331,7 +337,9 @@ class TxnTable:
         """
         decided = sum(1 for entry in self._entries[PARTICIPANT].values()
                       if decision_of(entry.state) is not None)
+        self.crash_point(CHECKPOINT_KIND, False)
         marker = self.wal.append(CHECKPOINT_KIND, decided=decided)
+        self.crash_point(CHECKPOINT_KIND, True)
         # what must stay — undecided prepares, unacknowledged decisions,
         # unresolved delegations — is TxnEntry.pending, nothing else
         horizon = self.horizon()

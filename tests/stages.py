@@ -33,6 +33,7 @@ from repro.structures import (
     independent_top_level,
 )
 from repro.structures.glued import MemberScope
+from tests.oracle import check, committed_int
 
 
 class LocalStage:
@@ -145,9 +146,7 @@ class ClusterStage:
         return self.cluster.servers[ref.node].objects[ref.uid].value
 
     def permanent(self, ref):
-        stored = self.cluster.nodes[ref.node].stable_store.read_committed(
-            ref.uid)
-        return ObjectState.from_bytes(stored.payload).unpack_int()
+        return committed_int(self.cluster, ref)
 
     def lockable(self, ref, mode):
         def probe():
@@ -201,12 +200,7 @@ class ClusterStage:
         self._run(structure.cancel())
 
     def finish(self):
-        assert self.cluster.obs.auditor.report() == []
-        assert self.cluster.obs.bus.errors == {}
-        assert not self.client.live_actions
-        for server in self.cluster.servers.values():
-            assert server.registry.snapshot()["held"] == 0
-            assert server.mirrors == {}
+        check(self.cluster)
 
 
 def stages(runtime):

@@ -22,6 +22,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.failures import FaultSchedule
 from repro.cluster.network import NetworkConfig
 from repro.objects.state import ObjectState
+from tests.oracle import check
 
 AMOUNT = 5
 TRANSFERS = 25
@@ -83,10 +84,7 @@ def run_chaos(seed: int, drop: float = 0.1, backend=None):
         if not cluster.nodes[name].alive:
             cluster.restart(name)
     cluster.run(until=cluster.kernel.now + 2_000.0)
-    # the hub's reconstructed world agrees with every server's lock table
-    for name, server in cluster.servers.items():
-        remembered = any(node == name for node, _obj in cluster.obs.world.holds)
-        assert remembered == bool(server.registry.snapshot()["held"]), name
+    check(cluster)
     return cluster, refs, outcomes, schedule
 
 

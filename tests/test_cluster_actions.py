@@ -7,7 +7,7 @@ from repro.cluster.network import NetworkConfig
 from repro.cluster.structures import ClusterGluedGroup, ClusterSerializingAction
 from repro.errors import ActionAborted, InvalidActionState, LockTimeout
 from repro.locking.modes import LockMode
-from repro.objects.state import ObjectState
+from tests.oracle import committed_int
 
 
 def make_cluster(nodes=("alpha", "beta", "gamma"), seed=0, config=None):
@@ -15,11 +15,6 @@ def make_cluster(nodes=("alpha", "beta", "gamma"), seed=0, config=None):
     for name in nodes:
         cluster.add_node(name)
     return cluster
-
-
-def committed_int(cluster, ref):
-    stored = cluster.nodes[ref.node].stable_store.read_committed(ref.uid)
-    return ObjectState.from_bytes(stored.payload).unpack_int()
 
 
 def test_commit_persists_across_nodes():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.network import LOST
 from repro.errors import (
     ClusterError,
     InvalidActionState,
@@ -11,6 +12,7 @@ from repro.errors import (
     RpcTimeout,
 )
 from repro.sim.kernel import Timeout
+from tests.oracle import Over
 
 
 def make_cluster(**kwargs):
@@ -221,23 +223,21 @@ def test_first_contact_timeout_leaves_nothing_on_the_server():
     WRITE lock and mirror stay forever."""
     cluster = make_cluster()
     client = cluster.client("home")
-    network = cluster.network
-    send = network.send
-    lost = []
+    lost, healed = [], []
 
     def one_way(message):
         if message.kind == "abort_action":
-            network.send = send                  # gave up: the link heals
-        elif message.src == "server" and message.kind in ("rpc_reply",
-                                                          "rpc_ack"):
+            healed.append(message)               # gave up: the link heals
+        elif (not healed and message.src == "server"
+              and message.kind in ("rpc_reply", "rpc_ack")):
             lost.append(message.kind)
-            return
-        send(message)
+            return LOST
+        return None
 
     def app():
         ref = yield from client.create("server", "counter", value=3)
         action = client.top_level("t")
-        network.send = one_way
+        Over(cluster.network, one_way)
         with pytest.raises(RpcTimeout, match="unacknowledged"):
             yield from client.invoke(action, ref, "increment", 1)
         return ref, action

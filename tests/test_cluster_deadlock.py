@@ -6,26 +6,15 @@ at the chasing server is handled there, without a probe.  The cycle cases
 run on both execution backends under one test id each.
 """
 
-from repro.backend import AsyncioBackend, SimBackend
 from repro.cluster.cluster import Cluster
 from repro.cluster.message import decode_uid
-from repro.cluster.network import NetworkConfig
+from repro.cluster.network import LOST, NetworkConfig
 from repro.errors import DeadlockDetected, LockTimeout
 from repro.sim.kernel import Timeout
+from tests.oracle import Over, on_both_backends
 
-BACKENDS = (SimBackend, lambda: AsyncioBackend(time_scale=0.01))
 #: every message takes exactly one unit: wait lengths are known in advance
 FIXED = NetworkConfig(min_delay=1.0, max_delay=1.0)
-
-
-def on_both_backends(body):
-    """Run ``body(backend)`` once per backend under the one test id."""
-    def test():
-        for make in BACKENDS:
-            with make() as backend:
-                body(backend)
-    test.__name__, test.__doc__ = body.__name__, body.__doc__
-    return test
 
 
 def make_cluster(edge_chasing=True, lock_wait_timeout=600.0, backend=None,
@@ -43,20 +32,16 @@ def make_cluster(edge_chasing=True, lock_wait_timeout=600.0, backend=None,
 def tap_probes(cluster, drop=False):
     """``(src, target uid)`` of every ``dl_probe`` sent, in order; with
     ``drop`` each one is lost on the way."""
-    network = cluster.network
-    send = network.send
     probes = []
 
-    def tapped(message):
+    def decide(message):
         if message.kind == "dl_probe":
             probes.append((message.src,
                            decode_uid(message.payload["target"])))
-            if drop:
-                network.dropped_count += 1
-                return
-        send(message)
+            return LOST if drop else None
+        return None
 
-    network.send = tapped
+    Over(cluster.network, decide)
     return probes
 
 

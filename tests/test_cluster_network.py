@@ -5,10 +5,12 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.cluster.message import Message
-from repro.cluster.network import Network, NetworkConfig
+from repro.cluster.network import LOST, Network, NetworkConfig
 from repro.errors import ClusterError
+from repro.obs import Observability
 from repro.sim.kernel import Kernel
 from repro.util.rng import SplitRandom
+from tests.oracle import Over
 
 
 def make_network(config=None, seed=0):
@@ -49,6 +51,22 @@ def test_down_endpoint_drops_silently():
     kernel.run()
     assert inbox == []
     assert network.dropped_count == 1
+
+
+def test_a_plan_made_drop_is_counted_like_any_other():
+    """Whoever decides a loss, the network counts it: in ``by_kind`` and
+    in the registry row pulled from it."""
+    hub = Observability()
+    kernel = Kernel()
+    network = Network(kernel, SplitRandom(0), observability=hub)
+    attach_sink(network, "b")
+    network.attach("a", lambda m: None)
+    Over(network, lambda message: LOST)
+    network.send(Message("a", "b", "ping", {}))
+    kernel.run()
+    assert network.by_kind["dropped"] == {"ping": 1}
+    assert hub.metrics.value("messages_dropped_total", kind="ping") \
+        == network.dropped_count == 1
 
 
 def test_crash_during_flight_loses_message():

@@ -5,8 +5,8 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.message import encode_colour, encode_uid
 from repro.cluster.txn import COORDINATOR
-from repro.objects.state import ObjectState
 from repro.sim.kernel import Timeout
+from tests.oracle import committed_int
 
 
 def make_cluster(seed=0):
@@ -14,11 +14,6 @@ def make_cluster(seed=0):
     for name in ("coord", "part"):
         cluster.add_node(name)
     return cluster
-
-
-def committed_int(cluster, ref):
-    stored = cluster.nodes[ref.node].stable_store.read_committed(ref.uid)
-    return ObjectState.from_bytes(stored.payload).unpack_int()
 
 
 def drive_prepare(cluster, client, value_after):

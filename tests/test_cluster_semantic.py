@@ -6,8 +6,8 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.structures import ClusterSerializingAction
 from repro.errors import LockingError, LockTimeout
 from repro.locking.modes import LockMode
-from repro.objects.state import ObjectState
 from repro.sim.kernel import Timeout
+from tests.oracle import committed_int
 
 
 def make_cluster(lock_wait_timeout=20.0):
@@ -15,11 +15,6 @@ def make_cluster(lock_wait_timeout=20.0):
     for name in ("c1", "c2", "server"):
         cluster.add_node(name)
     return cluster
-
-
-def committed_int(cluster, ref):
-    stored = cluster.nodes[ref.node].stable_store.read_committed(ref.uid)
-    return ObjectState.from_bytes(stored.payload).unpack_int()
 
 
 def test_remote_commuting_updates_do_not_block():

@@ -7,9 +7,9 @@ from repro.cluster.structures import ClusterGluedGroup, ClusterSerializingAction
 from repro.errors import InvalidActionState
 from repro.locking.modes import LockMode
 from repro.objects.lockable import operation
-from repro.objects.state import ObjectState
 from repro.sim.kernel import Timeout
 from repro.stdobjects import Counter
+from tests.oracle import committed_int
 
 
 def make_cluster():
@@ -17,11 +17,6 @@ def make_cluster():
     for name in ("home", "s1", "s2"):
         cluster.add_node(name)
     return cluster
-
-
-def committed_int(cluster, ref):
-    stored = cluster.nodes[ref.node].stable_store.read_committed(ref.uid)
-    return ObjectState.from_bytes(stored.payload).unpack_int()
 
 
 def test_independent_action_fig7_on_cluster():

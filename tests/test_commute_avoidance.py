@@ -22,6 +22,7 @@ from repro.obs.postmortem import DEADLOCK_VICTIM, LOCK_CONFLICT
 from repro.objects.state import ObjectState
 from repro.sim.kernel import Timeout
 from repro.stdobjects.account import InsufficientFunds
+from tests.oracle import committed_int
 
 
 FIXED = NetworkConfig(min_delay=1.0, max_delay=1.0)
@@ -32,11 +33,6 @@ def make_cluster(names, seed=0, config=None, **kwargs):
     for name in names:
         cluster.add_node(name)
     return cluster
-
-
-def committed_int(cluster, ref):
-    stored = cluster.nodes[ref.node].stable_store.read_committed(ref.uid)
-    return ObjectState.from_bytes(stored.payload).unpack_int()
 
 
 def committed_balance(cluster, ref):

@@ -27,6 +27,7 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.perf import FlightRecorder
 from repro.obs.postmortem import PostmortemEngine
 from repro.obs.tracing import TRACE_KEY, UNKEPT
+from tests.oracle import Over
 
 
 # -- (a) the cache never shows in a dump ----------------------------------------
@@ -430,9 +431,7 @@ def _one_commit(**observe):
     cluster.add_node("alpha")
     cluster.add_node("beta")
     sent = []
-    send = cluster.network.send
-    cluster.network.send = lambda message: (sent.append(message),
-                                            send(message))
+    Over(cluster.network, sent.append)  # None: the plan beneath decides
     client = cluster.client("alpha")
 
     def app():

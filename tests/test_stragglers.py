@@ -14,8 +14,8 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.txn import COORDINATOR, PARTICIPANT, TxnState
 from repro.errors import CommitError, RpcTimeout
-from repro.objects.state import ObjectState
-from tests.test_transport_ack_phase import Hold, on_both_backends
+from tests.oracle import committed_int, on_both_backends
+from tests.test_transport_ack_phase import Hold
 
 
 def cluster_of(backend, *names, **options):
@@ -40,11 +40,6 @@ def carries_the_decision(message):
                    for call in message.payload["calls"])
     return message.kind == "txn_prepare" and bool(
         message.payload.get("decide"))
-
-
-def committed_int(cluster, ref):
-    stored = cluster.nodes[ref.node].stable_store.read_committed(ref.uid)
-    return ObjectState.from_bytes(stored.payload).unpack_int()
 
 
 @on_both_backends

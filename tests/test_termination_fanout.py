@@ -5,7 +5,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.message import encode_colour, encode_uid
 from repro.cluster.network import NetworkConfig
 from repro.errors import CommitError
-from repro.objects.state import ObjectState
+from tests.oracle import committed_int
 
 
 FIXED = NetworkConfig(min_delay=1.0, max_delay=1.0)
@@ -16,11 +16,6 @@ def make_cluster(names, seed=0, config=None, **kwargs):
     for name in names:
         cluster.add_node(name)
     return cluster
-
-
-def committed_int(cluster, ref):
-    stored = cluster.nodes[ref.node].stable_store.read_committed(ref.uid)
-    return ObjectState.from_bytes(stored.payload).unpack_int()
 
 
 def commit_duration(participants, seed=0):

@@ -9,7 +9,7 @@ message bill.
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkConfig
 from repro.errors import CommitError
-from repro.objects.state import ObjectState
+from tests.oracle import committed_int
 
 
 FIXED = NetworkConfig(min_delay=1.0, max_delay=1.0)
@@ -20,11 +20,6 @@ def make_cluster(names, seed=0, config=None, **kwargs):
     for name in names:
         cluster.add_node(name)
     return cluster
-
-
-def committed_int(cluster, ref):
-    stored = cluster.nodes[ref.node].stable_store.read_committed(ref.uid)
-    return ObjectState.from_bytes(stored.payload).unpack_int()
 
 
 def metric_sum(cluster, name, **match):

@@ -19,6 +19,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.message import encode_colour, encode_uid
+from repro.cluster.network import LOST
 from repro.cluster.txn import (
     COORDINATOR,
     EVENTS,
@@ -36,6 +37,7 @@ from repro.obs.audit import InvariantAuditor
 from repro.obs.audit import findings as F
 from repro.obs.bus import ObsEvent
 from repro.store.wal import WriteAheadLog
+from tests.oracle import Over
 
 ALL_EVENTS = sorted(set(itertools.chain.from_iterable(EVENTS.values())))
 #: (role, state) -> the record kind that puts a transaction there
@@ -235,16 +237,13 @@ def lost_delegated_reply():
     """The delegated prepare lands but the link dies under its reply: the
     coordinator resolves through the last agent, then decides itself."""
     cluster, client = two_nodes()
-    wal = cluster.nodes["part"].wal
-    append = wal.append
 
-    def partition_on_commit(kind, **payload):
-        if kind == "committed":
+    def partition_on_commit(node, kind, after):
+        if (node, kind, after) == ("part", "committed", False):
             cluster.network.partition("coord", "part")
             cluster.kernel.schedule(60.0, cluster.network.heal_all)
-        return append(kind, **payload)
 
-    wal.append = partition_on_commit
+    Over(cluster.network, crash=partition_on_commit)
 
     def app():
         ref = yield from client.create("part", "counter", value=0)
@@ -262,38 +261,35 @@ def query_while_delegated():
     has ended, then asks the last agent too; that query held back, the
     answer arrives after the client's own resolver ended the transaction."""
     cluster, client = two_nodes()
-    wal = cluster.nodes["coord"].wal
-    append = wal.append
     answers = []
-    send = cluster.network.send
     delegated_ids, outcome_queries = set(), []
 
-    def tamper(message):
-        if message.kind == "txn_prepare" and message.payload.get("decide"):
-            delegated_ids.add(message.payload["rpc_id"])
-        elif message.kind == "txn_outcome_query":
-            outcome_queries.append(message)
-            if len(outcome_queries) == 2:  # the decision query's resolver
-                cluster.kernel.schedule(4.0, lambda: send(message))
-                return
-        elif (message.kind == "rpc_reply"
-              and message.payload["rpc_id"] in delegated_ids):
-            return
-        send(message)
-
-    cluster.network.send = tamper
+    class Tamper(Over):
+        def fates(self, message):
+            if (message.kind == "txn_prepare"
+                    and message.payload.get("decide")):
+                delegated_ids.add(message.payload["rpc_id"])
+            elif message.kind == "txn_outcome_query":
+                outcome_queries.append(message)
+                if len(outcome_queries) == 2:  # the decision query's resolver
+                    return tuple(extra + 4.0
+                                 for extra in self.beneath.fates(message))
+            elif (message.kind == "rpc_reply"
+                  and message.payload["rpc_id"] in delegated_ids):
+                return LOST
+            return self.beneath.fates(message)
 
     def ask(txn_id):
         reply = yield from cluster.transports["part"].call(
             "coord", "txn_decision_query", {"txn_id": txn_id})
         answers.append(reply["decision"])
 
-    def query_on_delegation(kind, **payload):
-        if kind == "coord_delegated":
-            cluster.spawn("part", ask(payload["txn_id"]))
-        return append(kind, **payload)
+    def query_on_delegation(node, kind, after):
+        if (node, kind, after) == ("coord", "coord_delegated", True):
+            record = cluster.nodes[node].wal.last()
+            cluster.spawn("part", ask(record.payload["txn_id"]))
 
-    wal.append = query_on_delegation
+    Tamper(cluster.network, crash=query_on_delegation)
 
     def app():
         ref = yield from client.create("part", "counter", value=0)
