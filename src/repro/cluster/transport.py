@@ -268,6 +268,8 @@ class RpcTransport:
                 raise ClusterError(f"no handler for batched {message.kind!r}")
             handler(message, respond)
         except ReproError as error:
+            if not self.node.alive:
+                raise  # crashed mid-handler: no later sub-request runs
             respond(False, error)
         except Exception as error:
             # A buggy handler must not wedge the rpc id: if the exception
