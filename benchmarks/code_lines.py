@@ -24,7 +24,13 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+USAGE = "usage: python benchmarks/code_lines.py PATH..."
+
 if __name__ == "__main__":
-    for path in map(Path, sys.argv[1:]):
+    paths = [Path(arg) for arg in sys.argv[1:]]
+    if not paths or not all(path.exists() for path in paths):
+        print(USAGE, file=sys.stderr)  # --help, no path or a missing one
+        sys.exit(2)
+    for path in paths:
         files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
         print(sum(code_lines(f.read_text(encoding="utf-8")) for f in files), path)

@@ -7,10 +7,11 @@ log — survives.  Services register a message dispatcher and a recovery
 hook; restart runs recovery before the node serves again.
 
 What a node keeps does not grow with the commits it has seen.  Its reply
-caches hold replies of live calls only (``transport.py``), and its log is
-checkpointed every ``CHECKPOINT_EVERY`` protocol appends
-(``txn.py``): between two messages, so no handler ever sees its table
-refolded under it.
+caches hold replies of live calls only (``transport.py``), and every
+``CHECKPOINT_EVERY`` protocol appends (``txn.py``) a checkpoint cuts its
+log and its transaction table down to the pending transactions: between
+two messages, so no handler ever holds an entry a checkpoint dropped.
+Restart replays the log into the table; nothing else refolds it.
 
 A node also crashes where the network's fault plan says: just before or
 just after an append of its transaction table.  The ``NodeDown`` raised

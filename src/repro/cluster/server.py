@@ -130,15 +130,7 @@ class ObjectServer:
         #: recoveries are all counted and announced through it
         self.obs = observability
         self.host = ServerObjectHost(self)
-        # volatile state (rebuilt empty after a crash)
-        self.objects: Dict[Uid, StateManager] = {}
-        self.registry = LockRegistry(ColouredRules(), namespace=f"lreq@{node.name}")
-        self.registry.on_event = self._emit_lock_event
-        self.detector = DeadlockDetector(self.registry)
-        self.mirrors: Dict[Uid, ActionMirror] = {}
-        #: objects fenced off because a transaction recovered in doubt
-        #: (PREPARED on the log, no decision yet) holds their shadow slot
-        self.in_doubt_objects: Set[Uid] = set()
+        self._fresh_volatile()
         self._undo_seq = 0
         # metrics
         self.invocations = 0
@@ -166,6 +158,19 @@ class ObjectServer:
         if edge_chasing:
             from repro.cluster.deadlock import EdgeChaser
             self.edge_chaser = EdgeChaser(self, probe_interval=probe_interval)
+
+    def _fresh_volatile(self) -> None:
+        """The state a crash wipes, built empty: at start and at every
+        restart, with a fresh lock registry each time."""
+        self.objects: Dict[Uid, StateManager] = {}
+        self.registry = LockRegistry(ColouredRules(),
+                                     namespace=f"lreq@{self.node.name}")
+        self.registry.on_event = self._emit_lock_event
+        self.detector = DeadlockDetector(self.registry)
+        self.mirrors: Dict[Uid, ActionMirror] = {}
+        #: objects fenced off because a transaction recovered in doubt
+        #: (PREPARED on the log, no decision yet) holds their shadow slot
+        self.in_doubt_objects: Set[Uid] = set()
 
     # -- views over the node's transaction table -----------------------------
 
@@ -1067,12 +1072,7 @@ class ObjectServer:
         their objects are fenced off until the coordinator answers.
         """
         self.obs.emit("node.restart", node=self.node.name)
-        self.objects = {}
-        self.registry = LockRegistry(ColouredRules(), namespace=f"lreq@{self.node.name}")
-        self.registry.on_event = self._emit_lock_event
-        self.detector = DeadlockDetector(self.registry)
-        self.mirrors = {}
-        self.in_doubt_objects = set()
+        self._fresh_volatile()
         txns = self.node.txns  # replayed from the log by Node.restart
         # Redo decisions: a decision's record precedes its effect on the
         # store, so a crash in between leaves the shadow behind.  The

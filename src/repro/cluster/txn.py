@@ -33,11 +33,11 @@ PARTICIPANT = "participant"
 COORDINATOR = "coordinator"
 
 #: protocol records a node appends between two checkpoints.  A checkpoint
-#: refolds what the log still holds — K records plus the pending ones — so
-#: its cost is O(1) per append, and between two of them the log and the
-#: table grow by at most K.  256 caps them at a few hundred records per
-#: node and spreads each refold over ~85 commits at a coordinator, which
-#: appends three records per commit.
+#: looks once at what the log holds — at most K records plus the pending
+#: entries' records — so its cost is O(1) per append, and between two of
+#: them the log and the table grow by at most K.  256 caps them at a few
+#: hundred records per node and spreads each checkpoint over ~85 commits
+#: at a coordinator, which appends three records per commit.
 CHECKPOINT_EVERY = 256
 
 
@@ -188,8 +188,7 @@ class TxnEntry:
     role: str
     txn_id: str
     state: TxnState = TxnState.NONE
-    #: lsn of the record that put the entry in ``state`` — the one record a
-    #: checkpoint has to keep while the entry is :meth:`pending`
+    #: lsn of the record that put the entry in ``state``
     lsn: int = 0
     #: union of the payloads of the transaction's live records, as logged
     payload: Dict[str, Any] = field(default_factory=dict)
@@ -206,7 +205,7 @@ class TxnEntry:
         return [decode_uid(raw) for raw in self.payload.get("object_uids", ())]
 
     def pending(self, forgotten: Collection[str] = ()) -> bool:
-        """Must a checkpoint keep this entry's record?  Yes while somebody
+        """Must a checkpoint keep this entry's records?  Yes while somebody
         may need the answer: undecided PREPARED, unresolved DELEGATED,
         unacknowledged COMMIT, and a delegated COMMITTED — the only durable
         copy of that decision until the coordinator's lazy ``forget``."""
@@ -229,8 +228,9 @@ class TxnTable:
         self.prepared: Dict[str, TxnEntry] = {}
         #: txn_ids whose delegated commit the coordinator has acknowledged —
         #: lazily, as ``forget`` lists riding later prepares.  Volatile on
-        #: purpose: the checkpoint rewrite is the durability point (a
-        #: forgotten record is simply not carried forward).
+        #: purpose: the checkpoint rewrite is the durability point (it
+        #: drops a forgotten entry with its records, then empties the set),
+        #: so a crash before the next checkpoint loses what it holds.
         self.forgotten: Set[str] = set()
         #: protocol records appended since the last checkpoint
         self.appended = 0
@@ -295,29 +295,14 @@ class TxnTable:
             self.prepared.pop(txn_id, None)
         return entry
 
-    def refold(self, keep_volatile: bool = False) -> None:
-        """Rebuild the index from the log as it is now: at restart (which
-        also wipes ``forgotten``), or (``keep_volatile``: survivors keep
-        their annotations) after a checkpoint truncated it."""
-        old = self._entries
+    def refold(self) -> None:
+        """Rebuild the index from the log as it is now: at restart, which
+        also wipes ``forgotten`` and every volatile annotation."""
         self._entries = {PARTICIPANT: {}, COORDINATOR: {}}
         self.prepared = {}
-        if not keep_volatile:
-            self.forgotten = set()
+        self.forgotten = set()
         for record in self.wal.records():
             self._fold(record)
-        if keep_volatile:
-            for role, entries in self._entries.items():
-                for txn_id, entry in entries.items():
-                    was = old[role][txn_id]
-                    entry.tick, entry.colour, entry.in_doubt = (
-                        was.tick, was.colour, was.in_doubt)
-
-    def horizon(self) -> Optional[int]:
-        """The smallest lsn a checkpoint must keep, None if nothing pends."""
-        return min((entry.lsn for entries in self._entries.values()
-                    for entry in entries.values()
-                    if entry.pending(self.forgotten)), default=None)
 
     @property
     def checkpoint_due(self) -> bool:
@@ -327,30 +312,35 @@ class TxnTable:
         return self.appended >= CHECKPOINT_EVERY
 
     def checkpoint(self) -> Dict[str, int]:
-        """Truncate the log to what :meth:`TxnEntry.pending` keeps.
+        """Rewrite the log to its marker plus every record of each entry
+        :meth:`TxnEntry.pending` keeps, and drop every other entry.
 
-        A PREPARED record is only needed until its transaction's decision
-        is also on the log; decided pairs (and stray decision records) can
-        be dropped.  Returns {"dropped": n, "kept": m} for observability.
-        The checkpoint itself is a log record, so recovery after a
-        checkpoint sees a well-formed log.
+        Every record, not only the latest: an entry's payload is the union
+        of its records' (a COMMIT that was DELEGATED first finds its
+        ``last_agent`` on the ``coord_delegated`` one).  The table is then
+        still the log's fold, so nothing is refolded, and a forgotten
+        record is gone for good.  Returns {"dropped": n, "kept": m} for
+        observability.  The checkpoint itself is a log record, so recovery
+        after a checkpoint sees a well-formed log.
         """
-        decided = sum(1 for entry in self._entries[PARTICIPANT].values()
-                      if decision_of(entry.state) is not None)
         self.crash_point(CHECKPOINT_KIND, False)
-        marker = self.wal.append(CHECKPOINT_KIND, decided=decided)
+        marker = self.wal.append(CHECKPOINT_KIND)
         self.crash_point(CHECKPOINT_KIND, True)
-        # what must stay — undecided prepares, unacknowledged decisions,
-        # unresolved delegations — is TxnEntry.pending, nothing else
-        horizon = self.horizon()
-        dropped = self.wal.truncate_before(
-            horizon if horizon is not None else marker.lsn)
-        if dropped:  # else the table already is the log's fold
-            self.refold(keep_volatile=True)
-            # forget bookkeeping for records that just left the log
-            self.forgotten &= self._entries[PARTICIPANT].keys()
+        # PREPARED entries pend, so ``prepared`` keeps all of its own
+        self._entries = {role: {txn_id: entry for txn_id, entry
+                                in entries.items()
+                                if entry.pending(self.forgotten)}
+                         for role, entries in self._entries.items()}
+        self.forgotten = set()
+        dropped = self.wal.truncate_before(marker.lsn, keep=self._holds)
         self.appended = 0
         return {"dropped": dropped, "kept": len(self.wal)}
+
+    def _holds(self, record) -> bool:
+        """Is ``record`` one of an entry's records?"""
+        found = STATE_OF_RECORD.get(record.kind)
+        return (found is not None
+                and record.payload["txn_id"] in self._entries[found[0]])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TxnTable):

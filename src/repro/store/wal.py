@@ -60,19 +60,20 @@ class WriteAheadLog:
             return record
         return None
 
-    def truncate_before(self, lsn: int) -> int:
-        """Checkpoint: drop records with lsn < ``lsn``; returns count dropped."""
-        if not self._records or self._records[0].lsn >= lsn:
-            return 0
+    def truncate_before(self, lsn: int, keep: Callable[[LogRecord], bool]
+                        = lambda record: False) -> int:
+        """Checkpoint: drop the records with lsn < ``lsn`` that ``keep``
+        does not keep; returns the count dropped."""
         before = len(self._records)
-        self._records = [r for r in self._records if r.lsn >= lsn]
+        self._records = [r for r in self._records if r.lsn >= lsn or keep(r)]
         return before - len(self._records)
 
     def summary(self) -> Dict[str, Any]:
         """Read-only log shape for introspection: depth, lsn bounds, kinds.
 
-        ``depth`` counts live records, ``first_lsn``/``last_lsn`` bound the
-        undecided suffix a checkpoint kept (0 when empty), and ``kinds``
+        ``depth`` counts live records, ``first_lsn``/``last_lsn`` bound
+        what the last checkpoint kept (the pending transactions' records
+        and its marker) and what came since, 0 when empty; ``kinds``
         histograms the record mix — enough to spot a log that stopped
         truncating without shipping the payloads anywhere.
         """

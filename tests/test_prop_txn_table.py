@@ -3,10 +3,15 @@
 Hypothesis interleaves commits on all five paths (classic, one-phase,
 piggyback, read-only vote, commute), client aborts, ``checkpoint()`` calls
 and participant crash/restarts — also *during* a commit — on a three-node
-cluster.  After every step, on every node, replaying the write-ahead log
-must give exactly the live table; and a transaction whose records a
-checkpoint dropped must be gone from both, so that a decision query about
-it is answered by presumption (abort), as before the table existed.
+cluster.  Two cases are drawn on purpose: a ``home`` checkpoint while a
+piggybacked commit's phase two is undelivered, so a DELEGATED-then-COMMIT
+entry crosses it; and a participant crash between a ``forget`` and its
+next checkpoint.  After every step, on every node, replaying the
+write-ahead log must give exactly the live table; after every checkpoint
+the log is its marker plus every record of each pending entry, nothing
+else; and a transaction whose records a checkpoint dropped must be gone
+from both, so that a decision query about it is answered by presumption
+(abort), as before the table existed.
 
 Runs under the online auditor (see conftest): any protocol violation the
 interleaving provokes fails the example too.
@@ -16,12 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.network import LOST
 from repro.cluster.txn import (
     COORDINATOR,
     PARTICIPANT,
     STATE_OF_RECORD,
     TxnTable,
 )
+from tests.oracle import Over
 
 SERVERS = ("s1", "s2")
 PATHS = ("classic", "one_phase", "piggyback", "read_only", "commute")
@@ -33,6 +40,8 @@ steps = st.lists(st.one_of(
     st.tuples(st.just("abort"), st.sampled_from(PATHS)),
     st.tuples(st.just("checkpoint"), st.sampled_from(("home",) + SERVERS)),
     st.tuples(st.just("bounce"), st.sampled_from(SERVERS)),
+    st.tuples(st.just("crossing")),
+    st.tuples(st.just("forget_then_crash")),
 ), min_size=1, max_size=8)
 
 
@@ -45,13 +54,27 @@ STATE_NAMED_BY = {
 }
 
 
+def key_of(record):
+    """``(role, txn_id)`` of a protocol record, None for any other."""
+    if record.kind not in STATE_NAMED_BY:
+        return None
+    return STATE_OF_RECORD[record.kind][0], record.payload["txn_id"]
+
+
+def phase_two(message):
+    """Does ``message`` carry a ``txn_commit`` (alone or in a batch)?"""
+    calls = (message.payload.get("calls", ()) if message.kind == "rpc_batch"
+             else [{"kind": message.kind}])
+    return any(call["kind"] == "txn_commit" for call in calls)
+
+
 def logged(node):
     """``(role, txn_id) -> (state name, lsn, merged payload)`` as the
     node's live log tells it."""
     image = {}
     for record in node.wal.records():
-        if record.kind in STATE_NAMED_BY:
-            key = (STATE_OF_RECORD[record.kind][0], record.payload["txn_id"])
+        key = key_of(record)
+        if key is not None:
             payload = dict(image.get(key, ("", 0, {}))[2], **record.payload)
             image[key] = (STATE_NAMED_BY[record.kind], record.lsn, payload)
     return image
@@ -104,8 +127,16 @@ class Harness:
     def run(self, step):
         cluster, now = self.cluster, self.cluster.kernel.now
         if step[0] == "checkpoint":
-            self.note()
-            cluster.servers[step[1]].checkpoint()
+            self.checkpoint(step[1])
+        elif step[0] == "crossing":
+            self.crossing()
+        elif step[0] == "forget_then_crash":
+            for _ in range(2):  # the second prepare carries the forget
+                cluster.run_process("home", self._action("one_phase", True))
+            cluster.crash("s1")
+            self.check()
+            cluster.restart("s1")
+            self.checkpoint("s1")
         elif step[0] == "bounce":
             cluster.crash(step[1])
             self.check()  # a dead node's log and table still agree
@@ -121,6 +152,33 @@ class Harness:
         # let reapers and in-doubt resolvers finish, then look again
         cluster.run(until=cluster.kernel.now + 120.0)
         self.check()
+
+    def crossing(self):
+        """A piggybacked commit whose phase two home cannot deliver yet:
+        its DELEGATED-then-COMMIT entry crosses a ``home`` checkpoint.
+        The reaper delivers once the hold is lifted."""
+        network = self.cluster.network
+        hold = Over(network, decide=lambda message: LOST if (
+            message.src == "home" and phase_two(message)) else None)
+        self.cluster.run_process("home", self._action("piggyback", True))
+        self.checkpoint("home")
+        network.faults = hold.beneath
+
+    def checkpoint(self, name):
+        """Checkpoint ``name``: its log is then the marker plus every
+        record of each entry that was pending, in log order."""
+        self.note()
+        node = self.cluster.nodes[name]
+        before = list(node.wal.records())
+        pending = {(entry.role, entry.txn_id) for role in (PARTICIPANT,
+                                                           COORDINATOR)
+                   for entry in node.txns.entries(role)
+                   if entry.pending(node.txns.forgotten)}
+        self.cluster.servers[name].checkpoint()
+        *kept, marker = node.wal.records()
+        assert marker.kind == "checkpoint", name
+        assert kept == [record for record in before
+                        if key_of(record) in pending], name
 
     def note(self):
         for name, node in self.cluster.nodes.items():
@@ -166,6 +224,6 @@ def test_replaying_the_log_gives_the_live_table(seed, script):
     harness.cluster.run(until=harness.cluster.kernel.now + 600.0)
     harness.check()
     for name in harness.cluster.nodes:
-        harness.cluster.servers[name].checkpoint()
+        harness.checkpoint(name)
     harness.check()
     harness.presumed_abort_for_the_forgotten()

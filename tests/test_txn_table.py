@@ -93,6 +93,22 @@ def test_decided_participant_states_absorb_everything():
             assert TRANSITIONS[PARTICIPANT, decided, event] == (decided, None)
 
 
+def test_a_checkpoint_keeps_every_record_of_the_pending_entries_only():
+    table = TxnTable(WriteAheadLog())
+    table.advance(PARTICIPANT, "undecided", "prepare")
+    table.advance(PARTICIPANT, "forgotten", "decide", delegated=True)
+    table.advance(COORDINATOR, "crossing", "delegate", last_agent="a")
+    table.advance(COORDINATOR, "crossing", "decide_commit")
+    table.forgotten.add("forgotten")
+    table.checkpoint()
+    assert [r.kind for r in table.wal.records()] == [
+        "prepared", "coord_delegated", "coord_commit", "checkpoint"]
+    replayed = TxnTable.replay(table.wal)  # what a restart would see
+    assert replayed == table and not table.forgotten
+    assert replayed.get(PARTICIPANT, "forgotten") is None
+    assert replayed.get(COORDINATOR, "crossing").payload["last_agent"] == "a"
+
+
 def test_protocol_doc_renders_the_table():
     doc = (Path(__file__).resolve().parent.parent
            / "docs" / "PROTOCOL.md").read_text(encoding="utf-8")

@@ -3,17 +3,18 @@
 Pinned to the classic protocol (``fast_paths=False``): the record-count
 arithmetic below assumes one ``prepared`` + one ``committed`` record per
 transaction on the participant.  Checkpointing of the fast paths'
-``committed(delegated)`` records is covered in test_twopc_fastpath.py.
+``committed(delegated)`` records is covered in test_twopc_fastpath.py and,
+behind an older ``prepared`` record, by the last test here.
 """
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.message import encode_colour, encode_uid
-from repro.cluster.txn import COORDINATOR
+from repro.cluster.txn import COORDINATOR, PARTICIPANT
 from repro.objects.state import ObjectState
 
 
-def make_cluster():
-    cluster = Cluster(seed=0, fast_paths=False)
+def make_cluster(fast_paths=False):
+    cluster = Cluster(seed=0, fast_paths=fast_paths)
     for name in ("coord", "part"):
         cluster.add_node(name)
     return cluster
@@ -45,14 +46,9 @@ def test_checkpoint_drops_decided_records():
     assert len(part.node.wal) <= 1 + 0 + 1  # checkpoint marker (+ slack)
 
 
-def test_checkpoint_keeps_undecided_prepared():
-    cluster = make_cluster()
-    client = cluster.client("coord")
-    ref = run_transfers(cluster, client, count=2)
-    part = cluster.servers["part"]
-
-    # drive an extra prepare with no decision
-    def prepare_only():
+def prepare_only(cluster, client, ref):
+    """Drive a prepare of ``txn:limbo`` on ``ref`` with no decision."""
+    def limbo():
         action = client.top_level("limbo")
         yield from client.invoke(action, ref, "increment", 5)
         yield from cluster.transports["coord"].call("part", "txn_prepare", {
@@ -63,7 +59,15 @@ def test_checkpoint_keeps_undecided_prepared():
             "expected_epoch": action.server_epochs.get("part"),
         })
 
-    cluster.run_process("coord", prepare_only())
+    cluster.run_process("coord", limbo())
+
+
+def test_checkpoint_keeps_undecided_prepared():
+    cluster = make_cluster()
+    client = cluster.client("coord")
+    ref = run_transfers(cluster, client, count=2)
+    part = cluster.servers["part"]
+    prepare_only(cluster, client, ref)
     part.checkpoint()
     kinds = [r.kind for r in part.node.wal.records()]
     assert "prepared" in kinds  # the in-doubt record survived
@@ -107,3 +111,23 @@ def test_checkpoint_is_idempotent_and_recovery_safe():
         return value
 
     assert cluster.run_process("coord", read()) == 3
+
+
+def test_a_forgotten_record_behind_an_undecided_one_is_gone_for_good():
+    # one-phase commits: the participant logs committed{delegated}, and
+    # the coordinator's forget rides its next prepare there
+    cluster = make_cluster(fast_paths=True)
+    client = cluster.client("coord")
+    prepare_only(cluster, client, cluster.run_process(
+        "coord", client.create("part", "counter", value=0)))
+    run_transfers(cluster, client, count=2)
+    part = cluster.servers["part"]
+    first, last = [r.payload["txn_id"] for r in part.node.wal.records(
+        "committed") if r.payload.get("delegated")]
+    assert first in part.node.txns.forgotten
+    part.checkpoint()
+    cluster.crash("part")
+    cluster.restart("part")
+    logged = {r.payload.get("txn_id") for r in part.node.wal.records()}
+    assert first not in logged and {"txn:limbo", last} <= logged
+    assert part.node.txns.get(PARTICIPANT, first) is None
