@@ -198,9 +198,8 @@ class ClusterClient:
 
     def __init__(self, node: Node, transport: RpcTransport,
                  action_uids: UidGenerator, colour_allocator,
-                 class_registry: Dict[str, type], observability,
-                 name: str = "client", fast_paths: bool = True,
-                 commute: bool = True):
+                 class_registry: Dict[str, type], observability, *,
+                 name: str, fast_paths: bool, commute: bool):
         self.node = node
         #: the node's kernel — the cluster's one loop and clock — schedules
         #: the reaper spawns, commit fan-outs and abort timers
@@ -529,9 +528,6 @@ class ClusterClient:
         payload = {"action_uid": encode_uid(action.uid)}
         calls_for = {node_name: [("abort_action", payload)]
                      for node_name in action.all_nodes()}
-        if calls_for:
-            self.obs.observe("termination_fanout_width", len(calls_for),
-                             kind="abort")
         # A server that does not answer is either down (its volatile locks
         # died with it) or a *live* one we are partitioned from that still
         # holds the action's locks: the fan-out's reaper keeps retrying
@@ -742,9 +738,6 @@ class ClusterClient:
             calls_for[node_name] = calls
 
         started = self.kernel.now
-        if nodes:
-            self.obs.observe("termination_fanout_width", len(nodes),
-                             kind="commit")
         acked = yield from self._fan_out(f"finish:{action.uid}", calls_for,
                                          span=parent_span)
         self._end_acked(decided, acked)

@@ -60,14 +60,13 @@ WAITING_AT_KEY = "action_waiting"
 class EdgeChaser:
     """The probe logic for one node (attached to its ObjectServer)."""
 
-    def __init__(self, server: "ObjectServer", probe_interval: float = 5.0):
+    def __init__(self, server: "ObjectServer", *, probe_interval: float):
         self.server = server
         self.node = server.node
         self.kernel = server.kernel
         #: how old a wait is before its first chase, and how often its
         #: blockers are re-read after that
         self.probe_interval = probe_interval
-        self.probes_sent = 0
         self.cycles_detected = 0
         #: waiter uid -> the token of its one live watch at this server
         self._watches: Dict[Uid, object] = {}
@@ -158,9 +157,6 @@ class EdgeChaser:
             home = getattr(mirror, "home", "") if mirror else ""
             if not home:
                 continue
-            self.probes_sent += 1
-            self.server.obs.count("deadlock_probes_total",
-                                  node=self.node.name)
             self.node.send(home, "dl_probe", {
                 "initiator": encode_uid(initiator),
                 "target": encode_uid(blocker_uid),

@@ -42,7 +42,6 @@ from repro.cluster.txn import (
 from repro.colours.colour import Colour
 from repro.errors import (
     ClusterError,
-    DeadlockDetected,
     LockRefused,
     LockTimeout,
     ObjectNotFound,
@@ -117,17 +116,17 @@ class ObjectServer:
     """Message handlers for one node's objects, locks and transactions."""
 
     def __init__(self, node: Node, transport: RpcTransport,
-                 classes: Dict[str, type], observability,
-                 lock_wait_timeout: float = 60.0,
-                 edge_chasing: bool = True,
-                 probe_interval: float = 5.0):
+                 classes: Dict[str, type], observability, *,
+                 lock_wait_timeout: float, edge_chasing: bool,
+                 probe_interval: float):
         self.node = node
         self.kernel = node.kernel
         self.transport = transport
         self.classes = dict(classes)
         self.lock_wait_timeout = lock_wait_timeout
-        #: the cluster's hub: lock grants/waits, votes, decisions and
-        #: recoveries are all counted and announced through it
+        #: the cluster's hub: lock grants and waits, and fast-path
+        #: decisions, are counted through it; votes, decisions and
+        #: restarts are announced as events
         self.obs = observability
         self.host = ServerObjectHost(self)
         self._fresh_volatile()
@@ -260,14 +259,11 @@ class ObjectServer:
         name = payload["method"]
         args = payload.get("args", [])
 
-        def declared_mode(obj: StateManager, colour: Colour) -> Mode:
+        def declared_mode(obj: StateManager) -> Mode:
             declared = operation_of(type(obj), name)
             if declared is None:
                 raise ClusterError(f"{obj.type_name}.{name} is not an operation")
             self.invocations += 1
-            self.obs.count("invocations_total", node=self.node.name,
-                           method=f"{obj.type_name}.{name}",
-                           colour=str(colour))
             return declared.mode
 
         def run(obj: StateManager, mirror: ActionMirror, colour: Colour) -> None:
@@ -294,17 +290,17 @@ class ObjectServer:
         """Explicit lock acquisition (hand-over pins, companion locks)."""
         label = message.payload["mode"]
         self._lock_then(
-            message, respond, lambda obj, colour: mode_from_label(label),
+            message, respond, lambda obj: mode_from_label(label),
             f"lock {label}", lambda obj, mirror, colour: respond(True, self._ok()))
 
     def _lock_then(self, message: Message, respond: Responder,
-                   mode_of: Callable[[StateManager, Colour], Mode], what: str,
+                   mode_of: Callable[[StateManager], Mode], what: str,
                    granted: Callable[[StateManager, "ActionMirror", Colour], None],
                    ) -> None:
         """The frame of the two lock-taking handlers, ``invoke`` and ``lock``.
 
         Refuses while the object is fenced in doubt, activates it, asks
-        ``mode_of(obj, colour)`` which lock the request needs, takes it for
+        ``mode_of(obj)`` which lock the request needs, takes it for
         the sender's mirror and — the before-image of a WRITE captured —
         hands ``(obj, mirror, colour)`` to ``granted``, which replies.  A
         lock that is not granted is answered here, ``what`` naming the
@@ -322,7 +318,7 @@ class ObjectServer:
             )
         obj = self._object(object_uid)
         colour = decode_colour(payload["colour"])
-        mode = mode_of(obj, colour)
+        mode = mode_of(obj)
         mirror = self._mirror(decode_action_context(payload["action"]))
 
         def completed(request: LockRequest) -> None:
@@ -345,7 +341,11 @@ class ObjectServer:
                         mode: Mode, colour: Colour,
                         completed: Callable[[LockRequest], None]) -> None:
         """Request a lock for ``mirror`` with the server's wait policy:
-        fast abort, local detection, edge chasing, the wait timeout."""
+        fast abort, local detection, edge chasing, the wait timeout.
+
+        A grant is counted here (``lock_wait_time``, ``lock_grants_total``);
+        a refusal, whatever its cause, is reported once, by the registry's
+        ``lock.refused`` event, which names the error class."""
         wait_started = self.kernel.now
         mode_name = mode_label(mode)
 
@@ -356,11 +356,6 @@ class ObjectServer:
                                  node=self.node.name, colour=str(colour))
                 self.obs.count("lock_grants_total", node=self.node.name,
                                mode=mode_name)
-            elif isinstance(request.error, DeadlockDetected):
-                self.obs.count("deadlock_detections_total",
-                               node=self.node.name)
-            else:
-                self.obs.count("lock_refusals_total", node=self.node.name)
             completed(request)
 
         request = self.registry.request(mirror, object_uid, mode, colour, settled)
@@ -458,7 +453,6 @@ class ObjectServer:
             mirror.uid, lambda colour: destinations.get(colour)
         )
         self.mirrors.pop(mirror.uid, None)
-        self._retire_mirror(mirror, "committed")
 
     def _h_abort_action(self, message: Message, respond: Responder) -> None:
         """Undo and release everything this node holds for an action."""
@@ -466,7 +460,6 @@ class ObjectServer:
         mirror = self.mirrors.pop(action_uid, None)
         if mirror is not None:
             mirror.ledger.unwind()
-            self._retire_mirror(mirror, "aborted")
         self.registry.release_action(action_uid)
         respond(True, self._ok({"known": mirror is not None}))
 
@@ -476,20 +469,10 @@ class ObjectServer:
         return (mirror.ledger.empty
                 and not self.registry.objects_held_by(mirror.uid))
 
-    def _retire_if_idle(self, mirror: ActionMirror, outcome: str) -> None:
-        """Retire a mirror a vote released early, once it is idle."""
+    def _retire_if_idle(self, mirror: ActionMirror) -> None:
+        """Forget a mirror a vote released early, once it is idle."""
         if self._idle(mirror):
             self.mirrors.pop(mirror.uid, None)
-            self._retire_mirror(mirror, outcome)
-
-    def _retire_mirror(self, mirror: ActionMirror, outcome: str) -> None:
-        """Metrics for one action leaving this node: how long it pinned
-        objects here (glued hand-offs show up as long holds)."""
-        self.obs.observe("mirror_lifetime",
-                         self.kernel.now - mirror.created_tick,
-                         node=self.node.name)
-        self.obs.count("mirrors_retired_total", node=self.node.name,
-                       outcome=outcome)
 
     # -- handlers: two-phase commit participant ----------------------------------------
 
@@ -590,7 +573,7 @@ class ObjectServer:
             self.registry.release_colour(action_uid, colour)
             if mirror is not None:
                 mirror.ledger.drop(colour)
-                self._retire_if_idle(mirror, "read-only")
+                self._retire_if_idle(mirror)
             self.obs.count("twopc_fast_path_total", node=self.node.name,
                            kind="read_only")
             self._emit_vote(txn_id, path.vote, colour)
@@ -637,8 +620,6 @@ class ObjectServer:
             object_uids=[encode_uid(u) for u in sorted(wanted)],
         )
         entry.colour = colour
-        self.obs.count("twopc_prepared_total", node=self.node.name,
-                       colour=str(colour))
         self._emit_vote(txn_id, path.vote, colour)
         respond(True, self._ok({"vote": path.vote}))
 
@@ -788,7 +769,7 @@ class ObjectServer:
             self._finish_action(mirror, payload["finish"])
             finished = True
         else:
-            self._retire_if_idle(mirror, "committed")
+            self._retire_if_idle(mirror)
         respond(True, self._ok({"vote": PATHS["commute"].vote,
                                 "applied": applied, "finished": finished}))
 
@@ -926,10 +907,7 @@ class ObjectServer:
                 stored = self.node.stable_store.read_committed(object_uid)
                 obj.restore_snapshot(stored.payload)
         if not commit:
-            if object_uids:
-                self.obs.count("twopc_aborted_total", node=self.node.name)
             return
-        self.obs.count("twopc_committed_total", node=self.node.name)
         self.obs.emit(
             "twopc.commit", txn=entry.txn_id, node=self.node.name,
             objects=",".join(str(u) for u in object_uids),
@@ -1107,12 +1085,7 @@ class ObjectServer:
                                       entry.payload["last_agent"]),
                     name=f"resolve-delegated:{entry.txn_id}",
                 )
-        pending = sorted(self.prepared.values(), key=lambda e: e.lsn)
-        self.obs.count("recovery_replays_total", node=self.node.name)
-        if pending:
-            self.obs.count("recovery_in_doubt_total", len(pending),
-                           node=self.node.name)
-        for entry in pending:
+        for entry in sorted(self.prepared.values(), key=lambda e: e.lsn):
             entry.in_doubt = True
             self.in_doubt_objects.update(entry.object_uids)
             self.node.spawn(

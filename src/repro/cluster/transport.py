@@ -141,9 +141,9 @@ class _Caller:
 class RpcTransport:
     """One node's RPC endpoint: client calls and server handlers."""
 
-    def __init__(self, node: Node, observability,
-                 default_timeout: float = 10.0, default_retries: int = 3,
-                 default_completion_timeout: float = 120.0):
+    def __init__(self, node: Node, observability, *,
+                 default_timeout: float, default_retries: int,
+                 default_completion_timeout: float):
         self.node = node
         self.kernel = node.kernel
         #: the cluster's hub; every RPC is spanned and timed through it

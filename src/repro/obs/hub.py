@@ -162,7 +162,8 @@ class Observability:
 
         Opens its ``action:<name>`` span (parented on the parent action's)
         and publishes it as ``action._obs_span`` so RPC and termination
-        spans can stitch underneath; counts and announces the begin.
+        spans can stitch underneath; announces the begin as an
+        ``action.begin`` event.
         """
         home = action.home or node
         colours = colour_names(action.colours)
@@ -171,7 +172,6 @@ class Observability:
             parent=action.parent and action.parent._obs_span,
             kind="action", node=home, colours=colours,
             action=str(action.uid))
-        self.count("actions_started_total", node=node)
         self.emit("action.begin", action=str(action.uid), name=action.name,
                   parent=(str(action.parent.uid)
                           if action.parent is not None else ""),

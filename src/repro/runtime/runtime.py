@@ -292,11 +292,6 @@ class LocalRuntime:
             self.obs.observe("lock_wait_seconds",
                              time.monotonic() - wait_started,
                              node=self._obs_node, colour=str(chosen))
-            if request.error is not None:
-                from repro.errors import DeadlockDetected
-                if isinstance(request.error, DeadlockDetected):
-                    self.obs.count("deadlock_detections_total",
-                                   node=self._obs_node)
         if request.status is RequestStatus.GRANTED:
             if mode is LockMode.WRITE:
                 with self._mutex:

@@ -17,6 +17,28 @@ def make_cluster(nodes=("alpha", "beta", "gamma"), seed=0, config=None):
     return cluster
 
 
+def test_every_tuning_value_reaches_every_component():
+    # the components keep no defaults of their own: Cluster passes each one
+    cluster = Cluster(lock_wait_timeout=7.0, rpc_timeout=2.0, rpc_retries=5,
+                      probe_interval=1.5, fast_paths=False, commute=False)
+    cluster.add_node("alpha")
+    cluster.add_node("beta")
+    for name in ("alpha", "beta"):
+        server = cluster.servers[name]
+        assert server.lock_wait_timeout == 7.0
+        assert server.edge_chaser.probe_interval == 1.5
+        transport = cluster.transports[name]
+        assert transport.default_timeout == 2.0
+        assert transport.default_retries == 5
+        assert transport.default_completion_timeout == 7.0 + 3 * 2.0
+        client = cluster.client(name)
+        assert client.name == f"client@{name}"
+        assert (client.fast_paths, client.commute) == (False, False)
+    unchased = Cluster(edge_chasing=False)
+    unchased.add_node("alpha")
+    assert unchased.servers["alpha"].edge_chaser is None
+
+
 def test_commit_persists_across_nodes():
     cluster = make_cluster()
     client = cluster.client("alpha")

@@ -161,18 +161,21 @@ def test_with_history_bound_everything_per_commit_is_kept():
 #: draws of every later message; ``matrix`` and ``commute_hot`` are as
 #: they were.  The three app runs were pinned while make and the meeting
 #: scheduler were still written once per runtime: a shared body must
-#: spawn, name and call exactly what the distributed engines did.
+#: spawn, name and call exactly what the distributed engines did.  All
+#: ten were re-pinned when thirteen metric series that nothing read were
+#: deleted: each is the parent's dump with exactly those rows dropped
+#: (re-serialised the way ``save`` writes), and nothing else changed.
 PARENT_DUMPS = {
-    "matrix": ("64072d4f0cfec208e0135be42fd93141ab690a78a564723a278f0004edd87dbb", 222122),
-    "steady_2pc": ("40f63d0fcbef519a454bb5dc90f5cf5e7aca606ba6cee6f3a81560c2bacbecd8", 1254170),
-    "read_mostly": ("49d9cc77703d998850d9b1a5c78f9c1fb61be380378ef982e32a6b1cb4ac612f", 1001095),
-    "commute_hot": ("ac5b232b345f7edd833ba44143abd8ccc20b6d8d05cf7c44331855f511a919e6", 1173010),
-    "contended_locks": ("4410202d3dced804bbdecbcc29e72d61d75fb537c87d8c56e9163c22297a73c4", 1245352),
-    "multicolour": ("25e57e6ba344a973ad3bc4a92ee3611ce60c05a3608ae79b5fdc219da85c82d9", 1751429),
-    "lossy_crash": ("9caf79ec021ab202d79f7831a7876ca03795f65cef9a40935f86c5f0aec93eef", 3101925),
-    "distributed_make": ("103b00eaf61f2c4407ae89a9f80eb4eba9ffba2dbcd756df38611ffd1f47f58c", 274396),
-    "distributed_make_resumed": ("e4dc03b1cbb2b2a5b880011dfc64f8cab5b4498ef4f3057ac4867b8e101ba8bb", 246347),
-    "distributed_meeting": ("861e2b10480f83fc71f1ed4e410f58eb4a82d342868c12177122ff58ba6d79dc", 546222),
+    "matrix": ("ac41105455146ac0e27e57196ca4d6091b179bb33f24dfd5f8f641076be8f653", 219742),
+    "steady_2pc": ("eebdc273fd8efbe72be5eda0e4745e9db8ff99b2f6aa894dca7609d18a23ecbe", 1213164),
+    "read_mostly": ("c34fba25c561f472c6dffe27ec16d705807e8d739f0b9447ac46bfe5ef57a626", 970015),
+    "commute_hot": ("c419bb055b61b717b05223d16ee5d96c67d941408611ce742fb92c808cc5bdf8", 1140593),
+    "contended_locks": ("4d535a02b0d3e688779a73125164d27861f03632a0651dedf8acf59ad58c482d", 1201968),
+    "multicolour": ("09ec66987e816d0b7179efe9d49246058dc89a07f83c381f29721c0869f2c447", 1664008),
+    "lossy_crash": ("76306f9ba1b9f58893d886f3067b1dc45e2667dffba8625496c592a0bb361e1f", 3003206),
+    "distributed_make": ("f053f4109eef79d0e13249cb3473f944d0d658931c5e20b92e65d0ba9a26fc0b", 269169),
+    "distributed_make_resumed": ("7dca88ec1a211e29bc49943a6757b125008727cf008c9006aa212f6c5f99da10", 241105),
+    "distributed_meeting": ("15152c749f434c7b399f2c2ecdef0f3323c41ab0aefcb632dd03982f106d1bdd", 540301),
 }
 #: operations of each e2e-shaped run (seed 5)
 E2E_SHAPED = {"steady_2pc": 80, "read_mostly": 80, "commute_hot": 80,
@@ -180,14 +183,15 @@ E2E_SHAPED = {"steady_2pc": 80, "read_mostly": 80, "commute_hot": 80,
 #: ``hub.save()`` of the same runs on the bare cluster the benchmark
 #: deploys, pinned while a bare hub still built every span and the network
 #: reported each message to the registry: what is no longer built or
-#: pushed must not show in the metrics it dumps
+#: pushed must not show in the metrics it dumps.  Re-pinned, as
+#: ``PARENT_DUMPS`` were, with only the thirteen deleted series' rows gone.
 BARE_PARENT_DUMPS = {
-    "steady_2pc": ("97b773506ec3fdf83db4e1c93b3bcb1274e917b39c7fba2c76c5c811349da7a9", 32354),
-    "read_mostly": ("9ca4121153856f74d31580432ab28e3df1a12e89667db4b05c6ba59c39846be0", 33492),
-    "commute_hot": ("92255d1ad532c98270a71ba6d0fc3afaee9459e4f6cef8671a1c3ec9c9573dbd", 8995),
-    "contended_locks": ("1c23e03369b3bf2c0fa068c3d02c793c1772f598d341f6cd0cdc1f931322d522", 12235),
-    "multicolour": ("d2bf49e76b9410473bb00a42b38fa9798a8b2aeaa5962232c73d20debde866dd", 23551),
-    "lossy_crash": ("a89b6822ddd59367e4ed05a2c8d14d6795f3ce1446925e0aae40c251020bcdea", 39056),
+    "steady_2pc": ("349579a1b089dd9aaf548c6950af0aa5eb5b476db5c4ec39eb6fa8fc7ae46fb1", 29011),
+    "read_mostly": ("fda0246e4ef8f4e25d9f26731a0a07a69178043a73b4b9203b8b94f198666ac1", 29915),
+    "commute_hot": ("b377bb81c0bea8a827b62b88f80a217b8e84870d1741c44edcf40fc45b7bca0e", 6429),
+    "contended_locks": ("b9f24dbc38605f1edf95883a43a7f2be6bc0a8bdf2be623ef9993de6cde5cd7f", 8754),
+    "multicolour": ("841aafc7aa5f5dedf36ff1f0dc0ef4f9090788603f80c60997ec42309f7efbd0", 21006),
+    "lossy_crash": ("f1d81748ba50d1c04a546b39b26941445ef1d38ad2433fa5255f991873667f34", 34135),
 }
 
 
