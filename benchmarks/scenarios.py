@@ -56,7 +56,7 @@ if __package__ in (None, ""):  # standalone: python benchmarks/scenarios.py
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                     os.pardir, "src"))
 
-from repro.backend import AsyncioBackend
+from repro.backend import AsyncioKernel
 from repro.cluster.cluster import Cluster
 from repro.cluster.failures import FaultSchedule
 from repro.cluster.network import NetworkConfig
@@ -855,7 +855,7 @@ def scenario_realtime_backend(seed: int = 29) -> Dict[str, Any]:
 
     Runs two fault-free arms — the sequential fast-path mix and the
     concurrent commute workload — once on the sim backend and once on
-    :class:`AsyncioBackend`, same seeds.  Gated ``metrics`` carry the
+    :class:`AsyncioKernel`, same seeds.  Gated ``metrics`` carry the
     backend-independent outcomes (commit counts, stable values, auditor
     silence) plus explicit 0/1 parity flags.  No wall clock is read here:
     the asyncio backend's wall latency is the repo benchmark's
@@ -875,7 +875,7 @@ def scenario_realtime_backend(seed: int = 29) -> Dict[str, Any]:
     info: Dict[str, Any] = {"time_scale": REALTIME_TIME_SCALE}
     for arm, build in arms.items():
         sim = build(None, seed)
-        real = build(AsyncioBackend(time_scale=REALTIME_TIME_SCALE), seed)
+        real = build(AsyncioKernel(time_scale=REALTIME_TIME_SCALE), seed)
         assert outcomes_of(sim) == outcomes_of(real), (arm, sim, real)
         assert sim["audit_findings"] == 0, (arm, sim)
         for key, value in outcomes_of(sim).items():

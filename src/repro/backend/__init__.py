@@ -1,33 +1,21 @@
-"""Execution backends: one protocol stack, two substrates.
+"""Execution backends: one protocol stack, two kernels.
 
-The coloured-action runtime and its commit protocol are written against a
-small scheduler surface (see :mod:`repro.backend.api`).  This package
-provides the two implementations —
+The coloured-action runtime and its commit protocol are written against
+one scheduler surface, :class:`repro.sim.kernel.Kernel`, and run on either
+of its two implementations:
 
-- :class:`~repro.backend.sim.SimBackend`: the deterministic discrete-event
-  simulation (the seed repo's kernel, wrapped unchanged), for replayable
-  chaos testing at simulated scale;
-- :class:`~repro.backend.aio.AsyncioBackend`: the same kernel on a
+- :class:`~repro.sim.kernel.Kernel`: the deterministic discrete-event
+  simulation, for replayable chaos testing at simulated scale;
+- :class:`~repro.backend.aio.AsyncioKernel`: the same kernel on a
   monotonic scaled wall clock, its queue driven by a real :mod:`asyncio`
   event loop, for wall-clock measurements and genuinely concurrent
-  interleavings —
+  interleavings.
 
-and :func:`~repro.backend.api.resolve_backend`, which every entry point
-(``Cluster(backend=...)``) uses to accept ``None`` / ``"sim"`` /
-``"asyncio"`` / an instance.  ``docs/BACKENDS.md`` documents the full
-contract, the sim-vs-asyncio capability matrix and which backend answers
-which question.
+``Cluster(backend=...)`` accepts ``None`` / ``"sim"`` / ``"asyncio"`` / a
+kernel instance.  ``docs/BACKENDS.md`` documents the kernel contract, the
+sim-vs-asyncio capability matrix and which kernel answers which question.
 """
 
-from repro.backend.aio import AsyncioBackend, AsyncioKernel
-from repro.backend.api import BackendError, ExecutionBackend, resolve_backend
-from repro.backend.sim import SimBackend
+from repro.backend.aio import AsyncioKernel
 
-__all__ = [
-    "AsyncioBackend",
-    "AsyncioKernel",
-    "BackendError",
-    "ExecutionBackend",
-    "SimBackend",
-    "resolve_backend",
-]
+__all__ = ["AsyncioKernel"]

@@ -67,7 +67,6 @@ import selectors
 import time
 from typing import Any, Callable, Coroutine, Optional
 
-from repro.backend.api import ExecutionBackend
 from repro.errors import SimulationError
 from repro.sim.kernel import Kernel, ProcessKilled, SimEvent
 
@@ -88,9 +87,15 @@ class AsyncioKernel(Kernel):
     ``run()`` calls are visible in ``now`` (unlike the sim kernel, which
     freezes between runs and fast-forwards past idle gaps).
 
-    Call :meth:`close` (or use the owning backend as a context manager)
-    when done: the event loop holds file descriptors.
+    Call :meth:`close` (or use the kernel as a context manager) when
+    done: the event loop holds file descriptors::
+
+        with AsyncioKernel(time_scale=0.002) as kernel:
+            cluster = Cluster(seed=7, backend=kernel)
+            ...
     """
+
+    wall_clock = True
 
     def __init__(self, time_scale: float = DEFAULT_TIME_SCALE,
                  loop: Optional[asyncio.AbstractEventLoop] = None):
@@ -138,7 +143,7 @@ class AsyncioKernel(Kernel):
 
         The bridge to real asyncio tasks: ``coro`` is wrapped in an
         :class:`asyncio.Task` on this kernel's loop and counts as work left
-        until it finishes, so ``run()`` will not declare the backend
+        until it finishes, so ``run()`` will not declare the kernel
         drained while it is alive.  Returns an event that settles with the
         coroutine's result (failing with its exception; a cancelled task
         fails the event with :class:`~repro.sim.kernel.ProcessKilled`), so
@@ -195,7 +200,7 @@ class AsyncioKernel(Kernel):
 
         ``limit`` bounds the wait in time units (a watchdog on the wall
         clock); exceeding it raises :class:`SimulationError`, as does the
-        backend draining — no work left — while the event is still
+        kernel draining — no work left — while the event is still
         pending.
         """
 
@@ -289,47 +294,6 @@ class AsyncioKernel(Kernel):
             self._arm()
 
 
-class AsyncioBackend(ExecutionBackend):
-    """Real-time execution on asyncio with a monotonic scaled clock.
-
-    Capabilities: ``wall_clock`` (``now`` tracks ``time.monotonic()``),
-    not ``deterministic`` (seeds pin RNG draw sequences but due times come
-    from the wall clock).  Use it to answer wall-clock questions —
-    throughput and latency in seconds, behaviour under genuinely
-    concurrent interleavings — and keep the sim backend for chaos
-    debugging and replayable regressions; ``docs/BACKENDS.md`` has the
-    full decision guide.
-
-    Close the backend when done (it owns an event loop)::
-
-        with AsyncioBackend(time_scale=0.002) as backend:
-            cluster = Cluster(seed=7, backend=backend)
-            ...
-    """
-
-    name = "asyncio"
-    deterministic = False
-    wall_clock = True
-
-    def __init__(self, time_scale: float = DEFAULT_TIME_SCALE,
-                 loop: Optional[asyncio.AbstractEventLoop] = None):
-        """Build the backend around a fresh :class:`AsyncioKernel`."""
-        self._kernel = AsyncioKernel(time_scale=time_scale, loop=loop)
-
-    @property
-    def kernel(self) -> AsyncioKernel:
-        """The wall-clock kernel driven by the asyncio loop."""
-        return self._kernel
-
-    @property
-    def time_scale(self) -> float:
-        """Wall seconds per time unit."""
-        return self._kernel.time_scale
-
-    def run_coroutine(self, coro: Coroutine, name: str = "") -> SimEvent:
-        """Bridge a native coroutine into the kernel (see the kernel docs)."""
-        return self._kernel.run_coroutine(coro, name=name)
-
-    def close(self) -> None:
-        """Close the owned event loop.  Idempotent."""
-        self._kernel.close()
+#: the name the e2e benchmark harness builds ``realtime_2pc`` with; the
+#: kernel is the backend
+AsyncioBackend = AsyncioKernel

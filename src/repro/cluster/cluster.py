@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
-from repro.backend import ExecutionBackend, resolve_backend
+from repro.backend import AsyncioKernel
 from repro.cluster.client import ClusterClient
-from repro.cluster.network import NetworkConfig
+from repro.cluster.network import Network, NetworkConfig
 from repro.cluster.node import Node
 from repro.cluster.server import ObjectServer
 from repro.cluster.transport import RpcTransport
 from repro.colours.colour import ColourAllocator
 from repro.errors import ClusterError
 from repro.obs import Observability
+from repro.sim.kernel import Kernel
 from repro.stdobjects import (
     Account,
     AppendLog,
@@ -41,6 +42,22 @@ DEFAULT_CLASSES = {
 }
 
 
+def _kernel_for(backend: Any) -> Kernel:
+    """The kernel a ``Cluster(backend=...)`` argument names.
+
+    ``None`` and ``"sim"`` build a :class:`Kernel`, ``"asyncio"`` and
+    ``"aio"`` an :class:`AsyncioKernel`; a kernel instance passes through.
+    """
+    if isinstance(backend, Kernel):
+        return backend
+    if backend is None or backend == "sim":
+        return Kernel()
+    if backend in ("asyncio", "aio"):
+        return AsyncioKernel()
+    raise ClusterError(f"unknown backend {backend!r}; pick 'sim', 'asyncio' "
+                       f"or a Kernel instance")
+
+
 class Cluster:
     """A simulated distributed system ready for experiments.
 
@@ -67,15 +84,13 @@ class Cluster:
                  rpc_timeout: float = 10.0, rpc_retries: int = 3,
                  edge_chasing: bool = True, probe_interval: float = 5.0,
                  fast_paths: bool = True, commute: bool = True,
-                 backend: Optional[ExecutionBackend] = None):
-        #: the execution backend every layer schedules on — ``None`` (the
-        #: default) is the deterministic simulation; ``"asyncio"`` or an
-        #: :class:`~repro.backend.aio.AsyncioBackend` instance runs the
-        #: same protocol code on a real event loop with a wall clock.
-        #: ``self.kernel`` stays the scheduler handle the rest of the
-        #: stack is written against, whichever backend provides it.
-        self.backend = resolve_backend(backend)
-        self.kernel = self.backend.kernel
+                 backend: Any = None):
+        #: the kernel every layer schedules on — ``None`` (the default) is
+        #: the deterministic simulation; ``"asyncio"`` or an
+        #: :class:`~repro.backend.aio.AsyncioKernel` runs the same protocol
+        #: code on a real event loop with a wall clock.  ``backend`` names
+        #: the same object as ``kernel``.
+        self.kernel = self.backend = _kernel_for(backend)
         #: the cluster-wide observability hub, on simulated time.  Every
         #: layer (network, transport, servers, clients, deadlock chasers)
         #: reports into it; see ``metrics_dump()``.  It audits and counts
@@ -84,8 +99,8 @@ class Cluster:
         #: ``obs.save()``'s ``spans``/``events`` read).
         self.obs = Observability(tick_source=lambda: self.kernel.now)
         self.rng = SplitRandom(seed)
-        self.network = self.backend.make_network(self.rng, config,
-                                                 observability=self.obs)
+        self.network = Network(self.kernel, self.rng, config,
+                               observability=self.obs)
         self.classes = dict(classes if classes is not None else DEFAULT_CLASSES)
         self.lock_wait_timeout = lock_wait_timeout
         self.rpc_timeout = rpc_timeout
@@ -214,17 +229,17 @@ class Cluster:
         for key, value in self.network.stats().items():
             self.obs.metrics.gauge(f"network_{key}_total").set(value)
         self.obs.metrics.gauge("backend_wall_clock").set(
-            1 if self.backend.wall_clock else 0)
+            1 if self.kernel.wall_clock else 0)
         return self.obs.dump()
 
     def close(self) -> None:
-        """Release the execution backend's resources (asyncio event loop).
+        """Release the kernel's resources (the asyncio event loop).
 
-        A no-op on the sim backend; call it — or use the backend as a
+        A no-op on the sim kernel; call it — or use the kernel as a
         context manager — whenever the cluster runs on asyncio, which
         owns real file descriptors.
         """
-        self.backend.close()
+        self.kernel.close()
 
     # -- execution -------------------------------------------------------------
 

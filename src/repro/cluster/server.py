@@ -139,7 +139,6 @@ class ObjectServer:
             ("create", self._h_create),
             ("invoke", self._h_invoke),
             ("lock", self._h_lock),
-            ("fetch_state", self._h_fetch_state),
             ("finish_commit", self._h_finish_commit),
             ("abort_action", self._h_abort_action),
             ("txn_prepare", self._h_txn_prepare),
@@ -240,18 +239,6 @@ class ObjectServer:
             return
         obj = cls(self.host, *payload.get("args", []), **payload.get("kwargs", {}))
         respond(True, self._ok({"object_uid": encode_uid(obj.uid)}))
-
-    def _h_fetch_state(self, message: Message, respond: Responder) -> None:
-        """Unlocked state read (debug/replication bootstrap)."""
-        object_uid = decode_uid(message.payload["object_uid"])
-        try:
-            obj = self._object(object_uid)
-        except ObjectNotFound as error:
-            respond(False, error)
-            return
-        respond(True, self._ok({
-            "type_name": obj.type_name, "payload": obj.snapshot(),
-        }))
 
     def _h_invoke(self, message: Message, respond: Responder) -> None:
         """Lock (per the operation's declared mode) then run an operation."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.colours.colour import Colour
-from repro.locking.lock import LockRecord
 from repro.locking.modes import Mode, mode_label
 from repro.locking.owner import LockOwner
 from repro.locking.request import LockRequest, RequestStatus
@@ -240,15 +239,6 @@ class LockRegistry:
 
     def objects_held_by(self, owner_uid: Uid) -> Set[Uid]:
         return set(self._held_by.get(owner_uid, set()))
-
-    def records_of(self, owner_uid: Uid) -> List[Tuple[Uid, LockRecord]]:
-        found: List[Tuple[Uid, LockRecord]] = []
-        for object_uid in sorted(self._held_by.get(owner_uid, set())):
-            table = self._tables.get(object_uid)
-            if table is None:
-                continue
-            found.extend((object_uid, record) for record in table.records_of(owner_uid))
-        return found
 
     def holds(self, owner_uid: Uid, object_uid: Uid, mode: Mode,
               colour: Optional[Colour] = None) -> bool:

@@ -207,12 +207,3 @@ class TimeSeriesSampler:
         points stay (decimation, not rotation, bounds them)."""
         return dict(self.dump(), points=[
             point for point in self.points if start < point["tick"] <= end])
-
-    def colour_series(self, colour: str, key: str) -> List[Tuple[float, float]]:
-        """(tick, value) pairs of one per-colour key across the timeline."""
-        out: List[Tuple[float, float]] = []
-        for point in self.points:
-            row = point.get("colours", {}).get(colour)
-            if row is not None and key in row:
-                out.append((point["tick"], row[key]))
-        return out

@@ -290,16 +290,6 @@ class Tracer:
         with self._mutex:
             return [span for span in self.spans if span.finished]
 
-    def trace(self, trace_id: str) -> List[Span]:
-        with self._mutex:
-            return [span for span in self.spans if span.trace_id == trace_id]
-
-    def children_of(self, span: Span) -> List[Span]:
-        with self._mutex:
-            return [s for s in self.spans
-                    if s.trace_id == span.trace_id
-                    and s.parent_id == span.span_id]
-
     def snapshot(self) -> List[Span]:
         with self._mutex:
             return list(self.spans)

@@ -320,6 +320,9 @@ class Kernel:
         assert handle.result == "done at t=5"
     """
 
+    #: True when ``now`` tracks real (monotonic) time
+    wall_clock = False
+
     def __init__(self):
         self._now = 0.0
         self._queue: List[Tuple[float, int, Callable[[], None]]] = []
@@ -421,6 +424,17 @@ class Kernel:
         if event.failed:
             raise event.value
         return event.value
+
+    def close(self) -> None:
+        """Release the kernel's resources; the simulation holds none."""
+
+    def __enter__(self) -> "Kernel":
+        """Support ``with kernel: ...`` for scoped resource cleanup."""
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        """Close the kernel on scope exit."""
+        self.close()
 
     # -- internals -------------------------------------------------------------
 

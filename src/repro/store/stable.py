@@ -21,7 +21,3 @@ class StableStore(DictBackedStore):
 
     def crash(self) -> None:
         """Node crash: stable contents are unaffected."""
-
-    def snapshot_counts(self) -> dict:
-        """Debug/metrics helper: how many committed and shadow states exist."""
-        return {"committed": len(self._committed), "shadows": len(self._shadows)}

@@ -23,10 +23,6 @@ class SplitRandom(random.Random):
         self._seed_value = int(seed)
         super().__init__(self._seed_value)
 
-    @property
-    def seed_value(self) -> int:
-        return self._seed_value
-
     def split(self, label: str) -> "SplitRandom":
         """Return an independent child stream identified by ``label``."""
         mixed = zlib.crc32(label.encode("utf-8"), self._seed_value & 0xFFFFFFFF)

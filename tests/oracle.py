@@ -19,13 +19,14 @@ decides, so a plan that only watches changes no draw of the run.
   changed on the stable stores, or none is.
 """
 
-from repro.backend import AsyncioBackend, SimBackend
+from repro.backend import AsyncioKernel
 from repro.cluster.network import FaultPlan
 from repro.cluster.txn import COORDINATOR, PARTICIPANT, TxnState
 from repro.objects.state import ObjectState
+from repro.sim.kernel import Kernel
 
 #: sim first, then asyncio at 10 ms per unit
-BACKENDS = (SimBackend, lambda: AsyncioBackend(time_scale=0.01))
+BACKENDS = (Kernel, lambda: AsyncioKernel(time_scale=0.01))
 #: in doubt: a promise whose outcome this node does not know
 IN_DOUBT = (TxnState.PREPARED, TxnState.DELEGATED)
 

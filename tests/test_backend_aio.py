@@ -19,17 +19,11 @@ import statistics
 
 import pytest
 
-from repro.backend import (
-    AsyncioBackend,
-    AsyncioKernel,
-    BackendError,
-    ExecutionBackend,
-    SimBackend,
-    resolve_backend,
-)
+from repro.backend import AsyncioKernel
+from repro.cluster.cluster import Cluster
 from repro.cluster.message import Message
 from repro.cluster.network import Network, NetworkConfig
-from repro.errors import SimulationError
+from repro.errors import ClusterError, SimulationError
 from repro.sim.kernel import Kernel, ProcessKilled, Timeout, settle_all
 from repro.util.rng import SplitRandom
 
@@ -363,7 +357,7 @@ def test_settle_all_waits_for_every_branch_including_failures():
 
 
 def test_run_coroutine_result_flows_into_generator_world():
-    backend = AsyncioBackend(time_scale=0.001)
+    kernel = AsyncioKernel(time_scale=0.001)
     try:
 
         async def native():
@@ -373,33 +367,33 @@ def test_run_coroutine_result_flows_into_generator_world():
         results = []
 
         def consumer():
-            value = yield backend.run_coroutine(native())
+            value = yield kernel.run_coroutine(native())
             results.append(value)
 
-        backend.kernel.spawn(consumer())
-        backend.kernel.run()
+        kernel.spawn(consumer())
+        kernel.run()
         assert results == ["from-asyncio"]
     finally:
-        backend.close()
+        kernel.close()
 
 
 def test_run_coroutine_keeps_backend_alive_and_propagates_errors():
-    backend = AsyncioBackend(time_scale=0.001)
+    kernel = AsyncioKernel(time_scale=0.001)
     try:
 
         async def native():
             await asyncio.sleep(0.002)
             raise ValueError("native failure")
 
-        event = backend.run_coroutine(native())
+        event = kernel.run_coroutine(native())
         with pytest.raises(ValueError, match="native failure"):
-            backend.kernel.run_until_settled(event)
+            kernel.run_until_settled(event)
     finally:
-        backend.close()
+        kernel.close()
 
 
 def test_run_coroutine_cancellation_fails_event_with_process_killed():
-    backend = AsyncioBackend(time_scale=0.001)
+    kernel = AsyncioKernel(time_scale=0.001)
     try:
         started = []
 
@@ -407,29 +401,28 @@ def test_run_coroutine_cancellation_fails_event_with_process_killed():
             started.append(True)
             await asyncio.sleep(60.0)
 
-        event = backend.run_coroutine(native())
+        event = kernel.run_coroutine(native())
         failures = []
         event.on_settle(lambda ev: failures.append(ev.value))
 
         def canceller():
             yield Timeout(2.0)
-            for task in asyncio.all_tasks(backend.kernel.loop):
+            for task in asyncio.all_tasks(kernel.loop):
                 task.cancel()
 
-        backend.kernel.spawn(canceller())
-        backend.kernel.run()
+        kernel.spawn(canceller())
+        kernel.run()
         assert started == [True]
         assert len(failures) == 1 and isinstance(failures[0], ProcessKilled)
     finally:
-        backend.close()
+        kernel.close()
 
 
 def test_wakes_hand_the_loop_back_to_native_tasks():
     """A bridged coroutine that only ever yields to the loop finishes while
     generator processes are still exchanging messages: wakes return to the
     loop between due entries instead of holding it until the heap drains."""
-    backend = AsyncioBackend(time_scale=0.001)
-    kernel = backend.kernel
+    kernel = AsyncioKernel(time_scale=0.001)
     try:
         network = Network(kernel, SplitRandom(3), NetworkConfig())
         rounds = 40
@@ -464,12 +457,12 @@ def test_wakes_hand_the_loop_back_to_native_tasks():
         attach("b")
         kernel.spawn(player("a", "b", serve=True))
         kernel.spawn(player("b", "a", serve=False))
-        spun = backend.run_coroutine(spinner())
+        spun = kernel.run_coroutine(spinner())
         kernel.run()
         assert received == list(range(rounds + 1))
         assert spun.triggered and spun.value < rounds
     finally:
-        backend.close()
+        kernel.close()
 
 
 # -- fault-RNG stream independence on the real-time transport -----------------
@@ -542,36 +535,43 @@ def test_fault_fates_match_sim_exactly():
     assert aio_dup == sim_dup
 
 
-# -- backend resolution and lifecycle ----------------------------------------
+# -- the backend argument and kernel lifecycle --------------------------------
 
 
-def test_resolve_backend_specs():
-    default = resolve_backend(None)
-    assert isinstance(default, SimBackend) and default.deterministic
-    assert isinstance(resolve_backend("sim"), SimBackend)
+def test_cluster_backend_names_its_kernel():
+    for spec in (None, "sim"):
+        cluster = Cluster(backend=spec)
+        assert type(cluster.kernel) is Kernel and not cluster.kernel.wall_clock
     for spec in ("asyncio", "aio"):
-        backend = resolve_backend(spec)
-        assert isinstance(backend, AsyncioBackend) and backend.wall_clock
-        backend.close()
-    passthrough = SimBackend()
-    assert resolve_backend(passthrough) is passthrough
-    with pytest.raises(BackendError):
-        resolve_backend("threads")
-    with pytest.raises(BackendError):
-        resolve_backend(42)
+        cluster = Cluster(backend=spec)
+        assert isinstance(cluster.kernel, AsyncioKernel)
+        assert cluster.kernel.wall_clock
+        cluster.close()
 
 
-def test_backend_context_manager_closes_loop():
-    with AsyncioBackend(time_scale=0.001) as backend:
-        assert isinstance(backend, ExecutionBackend)
-        loop = backend.kernel.loop
+def test_cluster_takes_a_kernel_instance_unchanged():
+    kernel = Kernel()
+    cluster = Cluster(backend=kernel)
+    assert cluster.kernel is kernel and cluster.backend is cluster.kernel
+    assert cluster.network.kernel is kernel
+
+
+def test_cluster_rejects_an_unknown_backend():
+    for spec in ("threads", 42):
+        with pytest.raises(ClusterError):
+            Cluster(backend=spec)
+
+
+def test_kernel_context_manager_closes_only_an_owned_loop():
+    with AsyncioKernel(time_scale=0.001) as kernel:
+        loop = kernel.loop
         assert not loop.is_closed()
     assert loop.is_closed()
 
+    def worker():
+        yield Timeout(1.0)
+        return "done"
 
-def test_sim_backend_wraps_existing_kernel_unchanged():
-    kernel = Kernel()
-    backend = SimBackend(kernel)
-    assert backend.kernel is kernel
-    assert backend.name == "sim" and not backend.wall_clock
-    backend.close()  # no-op, must not raise
+    with Kernel() as kernel:  # the simulation holds nothing to release
+        handle = kernel.spawn(worker())
+    assert kernel.run() == 1.0 and handle.result == "done"

@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.backend import AsyncioBackend
+from repro.backend import AsyncioKernel
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkConfig
 from repro.objects.state import ObjectState
@@ -28,7 +28,7 @@ TIME_SCALE = 0.002
 
 
 def aio():
-    return AsyncioBackend(time_scale=TIME_SCALE)
+    return AsyncioKernel(time_scale=TIME_SCALE)
 
 
 def stable_int(cluster, ref):

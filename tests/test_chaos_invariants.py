@@ -17,17 +17,18 @@ than on sim, so outcomes are not compared across backends.
 
 import pytest
 
-from repro.backend import AsyncioBackend, SimBackend
+from repro.backend import AsyncioKernel
 from repro.cluster.cluster import Cluster
 from repro.cluster.failures import FaultSchedule
 from repro.cluster.network import NetworkConfig
 from repro.objects.state import ObjectState
+from repro.sim.kernel import Kernel
 from tests.oracle import check
 
 AMOUNT = 5
 TRANSFERS = 25
 INITIAL = 1000
-BACKENDS = (SimBackend, lambda: AsyncioBackend(time_scale=0.0005))
+BACKENDS = (Kernel, lambda: AsyncioKernel(time_scale=0.0005))
 
 
 def stable_balance(cluster, ref):
@@ -91,34 +92,35 @@ def run_chaos(seed: int, drop: float = 0.1, backend=None):
 @pytest.mark.parametrize("seed", [1, 2, 3, 5])
 def test_money_conserved_under_chaos(seed):
     for make in BACKENDS:
-        with make() as backend:
+        with make() as kernel:
             cluster, refs, outcomes, schedule = run_chaos(seed,
-                                                          backend=backend)
+                                                          backend=kernel)
             balance_a = stable_balance(cluster, refs["A"])
             balance_b = stable_balance(cluster, refs["B"])
             # the run must actually have exercised failures to mean anything
-            assert schedule.crash_count() >= 1, backend.name
+            assert schedule.crash_count() >= 1, type(kernel).__name__
             assert outcomes["committed"] + outcomes["failed"] == TRANSFERS
             # conservation across both stable stores
             assert balance_a + balance_b == INITIAL, (
-                backend.name, outcomes, schedule.planned)
+                type(kernel).__name__, outcomes, schedule.planned)
             # agreement with the client's view, per committed transfer
             assert balance_b == outcomes["committed"] * AMOUNT, (
-                backend.name, outcomes)
+                type(kernel).__name__, outcomes)
 
 
 def test_chaos_with_heavier_loss():
     for make in BACKENDS:
-        with make() as backend:
+        with make() as kernel:
             cluster, refs, outcomes, schedule = run_chaos(seed=11, drop=0.25,
-                                                          backend=backend)
+                                                          backend=kernel)
             balance_a = stable_balance(cluster, refs["A"])
             balance_b = stable_balance(cluster, refs["B"])
-            assert balance_a + balance_b == INITIAL, (backend.name, outcomes)
+            assert balance_a + balance_b == INITIAL, (
+                type(kernel).__name__, outcomes)
             assert balance_b == outcomes["committed"] * AMOUNT, (
-                backend.name, outcomes)
+                type(kernel).__name__, outcomes)
             # under this much adversity some transfers must still get through
-            assert outcomes["committed"] >= 1, backend.name
+            assert outcomes["committed"] >= 1, type(kernel).__name__
 
 
 @pytest.mark.parametrize("seed", [2, 5])
@@ -128,9 +130,9 @@ def test_spans_agree_with_client_outcomes_under_chaos(seed):
     what the client saw, and exactly one committed 2PC round per committed
     transfer (a decided round never ends in a client-visible failure)."""
     for make in BACKENDS:
-        with make() as backend:
+        with make() as kernel:
             cluster, _refs, outcomes, _schedule = run_chaos(
-                seed, backend=backend)
+                seed, backend=kernel)
             check_spans(cluster, outcomes)
 
 

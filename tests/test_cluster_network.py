@@ -13,7 +13,7 @@ from repro.util.rng import SplitRandom
 from tests.oracle import Over
 
 
-def make_network(config=None, seed=0):
+def kernel_and_network(config=None, seed=0):
     kernel = Kernel()
     network = Network(kernel, SplitRandom(seed), config)
     return kernel, network
@@ -26,7 +26,7 @@ def attach_sink(network, name):
 
 
 def test_message_delivered_within_delay_bounds():
-    kernel, network = make_network(NetworkConfig(min_delay=1.0, max_delay=3.0))
+    kernel, network = kernel_and_network(NetworkConfig(min_delay=1.0, max_delay=3.0))
     inbox = attach_sink(network, "b")
     network.attach("a", lambda m: None)
     network.send(Message("a", "b", "ping", {}, msg_id=1))
@@ -36,14 +36,14 @@ def test_message_delivered_within_delay_bounds():
 
 
 def test_send_to_unknown_endpoint_raises():
-    _, network = make_network()
+    _, network = kernel_and_network()
     network.attach("a", lambda m: None)
     with pytest.raises(ClusterError):
         network.send(Message("a", "ghost", "ping", {}))
 
 
 def test_down_endpoint_drops_silently():
-    kernel, network = make_network()
+    kernel, network = kernel_and_network()
     inbox = attach_sink(network, "b")
     network.attach("a", lambda m: None)
     network.set_up("b", False)
@@ -71,7 +71,7 @@ def test_a_plan_made_drop_is_counted_like_any_other():
 
 def test_crash_during_flight_loses_message():
     """Reachability is evaluated at delivery time."""
-    kernel, network = make_network(NetworkConfig(min_delay=5.0, max_delay=5.0))
+    kernel, network = kernel_and_network(NetworkConfig(min_delay=5.0, max_delay=5.0))
     inbox = attach_sink(network, "b")
     network.attach("a", lambda m: None)
     network.send(Message("a", "b", "ping", {}))
@@ -81,7 +81,7 @@ def test_crash_during_flight_loses_message():
 
 
 def test_partition_blocks_both_directions_until_healed():
-    kernel, network = make_network()
+    kernel, network = kernel_and_network()
     inbox_a = attach_sink(network, "a")
     inbox_b = attach_sink(network, "b")
     network.partition("a", "b")
@@ -96,7 +96,7 @@ def test_partition_blocks_both_directions_until_healed():
 
 
 def test_drop_probability_loses_some_messages():
-    kernel, network = make_network(NetworkConfig(drop_probability=0.5), seed=3)
+    kernel, network = kernel_and_network(NetworkConfig(drop_probability=0.5), seed=3)
     inbox = attach_sink(network, "b")
     network.attach("a", lambda m: None)
     for i in range(200):
@@ -107,7 +107,8 @@ def test_drop_probability_loses_some_messages():
 
 
 def test_duplicate_probability_duplicates_some_messages():
-    kernel, network = make_network(NetworkConfig(duplicate_probability=0.5), seed=5)
+    kernel, network = kernel_and_network(
+        NetworkConfig(duplicate_probability=0.5), seed=5)
     inbox = attach_sink(network, "b")
     network.attach("a", lambda m: None)
     for i in range(100):
@@ -118,7 +119,7 @@ def test_duplicate_probability_duplicates_some_messages():
 
 def test_payload_deep_copied_at_send():
     """Mutating the payload after send must not affect the receiver."""
-    kernel, network = make_network()
+    kernel, network = kernel_and_network()
     inbox = attach_sink(network, "b")
     network.attach("a", lambda m: None)
     payload = {"xs": [1, 2]}
@@ -130,7 +131,7 @@ def test_payload_deep_copied_at_send():
 
 def _send_and_receive(payload, mutate, config=None, seed=0):
     """Send ``payload``, mutate the sender's copy, return what arrives."""
-    kernel, network = make_network(config, seed)
+    kernel, network = kernel_and_network(config, seed)
     inbox = attach_sink(network, "b")
     network.attach("a", lambda m: None)
     network.send(Message("a", "b", "data", payload))
@@ -196,7 +197,7 @@ def test_the_two_copies_of_a_duplicated_message_are_independent():
 
 def test_same_seed_same_fault_pattern():
     def run(seed):
-        kernel, network = make_network(
+        kernel, network = kernel_and_network(
             NetworkConfig(drop_probability=0.3, duplicate_probability=0.2), seed=seed
         )
         inbox = attach_sink(network, "b")
@@ -219,7 +220,7 @@ def test_invalid_config_rejected():
 
 def run_fault_pattern(config, seed=7, count=150):
     """Deliver ``count`` messages; return (dropped, duplicated) index sets."""
-    kernel, network = make_network(config, seed=seed)
+    kernel, network = kernel_and_network(config, seed=seed)
     inbox = attach_sink(network, "b")
     network.attach("a", lambda m: None)
     for i in range(count):

@@ -16,7 +16,7 @@ handler on the commit path answers inside the dispatch that received the
 request, and the transport acks only a request whose handler is still
 waiting (``tests/test_transport_ack_phase.py``).
 
-On ``AsyncioBackend`` ticks and order are wall-clock, so the same
+On ``AsyncioKernel`` ticks and order are wall-clock, so the same
 scenarios pin the *multiset* of ``(src>dst, kind, flags)`` and the WAL
 kinds.  The trace is recorded by a fault plan laid over the network's
 (:class:`Tap`), and every fault in a scenario is a trigger on that plan,
@@ -32,7 +32,7 @@ from collections import Counter
 
 import pytest
 
-from repro.backend import AsyncioBackend
+from repro.backend import AsyncioKernel
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkConfig
 from repro.errors import CommitError, ReproError
@@ -480,7 +480,7 @@ def test_sim_wire_and_log_trace(scenario):
 def test_asyncio_message_bill_and_log(scenario):
     outcome, wire, wal = EXPECTED[scenario]
     got_outcome, got_wire, got_wal = run(
-        scenario, backend=AsyncioBackend(time_scale=0.005))
+        scenario, backend=AsyncioKernel(time_scale=0.005))
 
     def untimed(lines):
         return Counter(line.split(" ", 1)[1] for line in lines)

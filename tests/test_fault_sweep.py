@@ -12,7 +12,7 @@ Appendix T has the counts, the runtime and the findings.
 
 import pytest
 
-from repro.backend import AsyncioBackend
+from repro.backend import AsyncioKernel
 from tests.oracle import check, stable
 from tests.test_commit_rounds import EXPECTED, Tap, drive, wire_lines
 
@@ -124,7 +124,7 @@ def test_single_fault_sweep(scenario, fault, aio):
     """The fault happens, a crashed node neither sends nor appends while
     down, and the run still meets §5.1; a commit the client saw succeed
     is on the stable stores, every colour of it."""
-    cluster, tap = drive(scenario, AsyncioBackend(time_scale=0.01)
+    cluster, tap = drive(scenario, AsyncioKernel(time_scale=0.01)
                          if aio else None, lambda c: Faulted(c, fault))
     assert tap.fired is not None and tap.dead == []
     if len(fault) == 3:
