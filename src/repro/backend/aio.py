@@ -3,10 +3,9 @@
 :class:`AsyncioKernel` *is* a :class:`~repro.sim.kernel.Kernel` whose clock
 is the wall.  It inherits the one ``(when, seq, fn)`` heap, the daemon
 accounting and every construction method (``event`` / ``spawn`` /
-``schedule`` / ``timeout_event`` / ``every``), and replaces only the clock
-(``now``) and the methods that run the heap (``run`` /
-``run_until_settled``), which hand it to a real :mod:`asyncio` event
-loop.  The protocol stack (cluster client, servers, RPC transport, network
+``schedule`` / ``every``), and replaces only the clock (``now``) and the
+methods that run the heap (``run`` / ``run_until_settled``), which hand it
+to a real :mod:`asyncio` event loop.  The protocol stack (cluster client, servers, RPC transport, network
 fault injection, observability timers) runs on it *unchanged*.
 
 Time units and ``time_scale``

@@ -55,8 +55,8 @@ from repro.errors import (
     ReproError,
     RpcTimeout,
 )
-from repro.obs.tracing import Tracer
-from repro.sim.kernel import SimEvent, any_of
+from repro.obs.tracing import UNKEPT, Tracer
+from repro.sim.kernel import SimEvent
 
 #: handler(message, respond) — respond(ok, value) completes the rpc.
 Responder = Callable[[bool, Any], None]
@@ -138,6 +138,26 @@ class _Caller:
         return seq == self.high or seq in self.live
 
 
+class _Call:
+    """What a caller remembers of one outstanding rpc: the reply once it
+    came, whether the server acked the request, and the event its process
+    waits on — one per attempt or poll, woken ``True`` by the reply or
+    the ack and ``False`` by its deadline."""
+
+    __slots__ = ("reply", "acked", "wake")
+
+    def __init__(self):
+        self.reply: Optional[Dict[str, Any]] = None
+        self.acked = False
+        self.wake: Optional[SimEvent] = None
+
+
+def _expire(wake: SimEvent) -> None:
+    """A wait's deadline; a no-op once the server was heard from."""
+    if not wake.settled:
+        wake.trigger(False)
+
+
 class RpcTransport:
     """One node's RPC endpoint: client calls and server handlers."""
 
@@ -154,8 +174,7 @@ class RpcTransport:
         #: request — only handlers that wait (lock queues) are ever ACKed.
         self.default_completion_timeout = default_completion_timeout
         self._handlers: Dict[str, Handler] = {}
-        self._pending: Dict[str, SimEvent] = {}
-        self._acks: Dict[str, SimEvent] = {}
+        self._pending: Dict[str, _Call] = {}
         #: destination -> sequence numbers of the calls to it still pending
         self._live: Dict[str, Set[int]] = {}
         self._rpc_seq = itertools.count(1)
@@ -208,7 +227,9 @@ class RpcTransport:
             if batch:
                 self._serve_batch(message, rpc_id, send)
             else:
-                self._serve(message, rpc_id, Tracer.extract(message.payload), send)
+                self._serve(message, rpc_id, (
+                    Tracer.extract(message.payload) if self.obs.spanning()
+                    else UNKEPT), send)
         # the reply is the ack.  Only a request still executing — its handler
         # waits (a queued lock), or this is a duplicate of one — is acked,
         # so the client stops retransmitting and waits for the reply.  (A
@@ -239,13 +260,17 @@ class RpcTransport:
                done: Callable[[Dict[str, Any]], None]) -> None:
         """Serve one request — a plain RPC or one sub-request of a batch:
         run its handler under a ``serve:<kind>`` span and hand the reply
-        record to ``done`` exactly once."""
+        record to ``done`` exactly once.  No span is built when
+        ``parent_span`` is :data:`~repro.obs.tracing.UNKEPT`: the hub was
+        asked once for the request, and nobody keeps or reads spans."""
         # covers receipt to response (lock waits and all), parented on the
         # caller's span carried in the payload, or on the batch's span
-        span = self.obs.span(
-            f"serve:{message.kind}", parent=parent_span,
-            kind="server", node=self.node.name, src=message.src,
-        )
+        span = parent_span
+        if span is not UNKEPT:
+            span = self.obs.span(
+                f"serve:{message.kind}", parent=parent_span,
+                kind="server", node=self.node.name, src=message.src,
+            )
         answered = False
 
         def respond(ok: bool, value: Any = None) -> None:
@@ -259,7 +284,8 @@ class RpcTransport:
                 reply = {"rpc_id": rpc_id, "ok": False,
                          "error_kind": error_kind_for(value),
                          "error": str(value)}
-            span.set(ok=ok).finish()
+            if span is not UNKEPT:
+                span.set(ok=ok).finish()
             done(reply)
 
         handler = self._handlers.get(message.kind)
@@ -295,12 +321,14 @@ class RpcTransport:
         """
         calls = message.payload.get("calls", [])
         self.obs.observe("rpc_batch_size", len(calls), node=self.node.name)
-        span = self.obs.span(
-            f"serve:{BATCH_KIND}",
-            parent=Tracer.extract(message.payload),
-            kind="server", node=self.node.name, src=message.src,
-            calls=len(calls),
-        )
+        span = UNKEPT
+        if self.obs.spanning():
+            span = self.obs.span(
+                f"serve:{BATCH_KIND}",
+                parent=Tracer.extract(message.payload),
+                kind="server", node=self.node.name, src=message.src,
+                calls=len(calls),
+            )
         sub_replies: List[Optional[Dict[str, Any]]] = [None] * len(calls)
         answered = False
 
@@ -309,7 +337,8 @@ class RpcTransport:
             if answered or None in sub_replies or not self.node.alive:
                 return
             answered = True
-            span.finish()
+            if span is not UNKEPT:
+                span.finish()
             done({"rpc_id": rpc_id, "ok": True, "value": list(sub_replies)})
 
         for index, sub in enumerate(calls):
@@ -327,19 +356,27 @@ class RpcTransport:
     # -- client side -----------------------------------------------------------------
 
     def _accept_reply(self, message: Message) -> bool:
-        rpc_id = message.payload.get("rpc_id")
-        event = self._pending.pop(rpc_id, None)
-        if event is None or event.settled:
-            return True  # late or duplicate reply
-        event.trigger(message.payload)
+        call = self._pending.pop(message.payload.get("rpc_id"), None)
+        if call is not None:  # else a late or duplicate reply
+            call.reply = message.payload
+            if not call.wake.settled:
+                call.wake.trigger(True)
         return True
 
     def _accept_ack(self, message: Message) -> bool:
-        rpc_id = message.payload.get("rpc_id")
-        event = self._acks.get(rpc_id)
-        if event is not None and not event.settled:
-            event.trigger()
+        call = self._pending.get(message.payload.get("rpc_id"))
+        if call is not None and not call.acked:
+            call.acked = True
+            if not call.wake.settled:
+                call.wake.trigger(True)
         return True
+
+    def _arm(self, call: _Call, delay: float) -> SimEvent:
+        """A fresh event for ``call``'s process to wait on, with its
+        deadline ``delay`` from now."""
+        wake = call.wake = self.kernel.event()
+        self.kernel.schedule(delay, _expire, wake)
+        return wake
 
     def _fresh_rpc_id(self) -> Tuple[int, str]:
         seq = next(self._rpc_seq)
@@ -437,7 +474,18 @@ class RpcTransport:
         payload (``{"ok": ..., ...}``) or raises :class:`RpcTimeout`.
 
         The call is live, and its sequence in every later request's
-        ``rpc_live`` to ``dst``, from here until it returns or raises."""
+        ``rpc_live`` to ``dst``, from here until it returns or raises.
+
+        Each attempt and each poll waits on one event, woken by whichever
+        of the reply, the ack and its deadline comes first.  Right after
+        every send the call's record is read, a reply before an ack.  So
+        on a tie — a reply or ack that lands at the deadline's instant,
+        after the deadline ran — the request is sent once more and then
+        the reply (or the ack) is used.  A deadline that comes after its
+        wait was answered stays queued and does nothing: the clock moves
+        as if it woke someone.  The ``rpc:<kind>`` span, and the context
+        it puts in the request, exist only while the hub keeps or reads
+        spans (asked once per call)."""
         timeout = timeout if timeout is not None else self.default_timeout
         retries = retries if retries is not None else self.default_retries
         completion_timeout = (
@@ -445,10 +493,7 @@ class RpcTransport:
             else self.default_completion_timeout
         )
         rpc_id = request["rpc_id"]
-        event = self.kernel.event(name=f"rpc:{kind}:{rpc_id}")
-        ack = self.kernel.event(name=f"ack:{kind}:{rpc_id}")
-        self._pending[rpc_id] = event
-        self._acks[rpc_id] = ack
+        call = self._pending[rpc_id] = _Call()
         # taken once, at the first send: a retransmission carries the same
         # set, so a call a server has once seen finished never looks live
         # again (sequence order is first-send order)
@@ -458,60 +503,56 @@ class RpcTransport:
         elif live:
             request[_LIVE_KEY] = list(live)
         live.add(seq)
-        span = self.obs.span(f"rpc:{kind}", parent=trace_parent,
-                             kind="client", node=self.node.name, dst=dst)
-        Tracer.inject(span, request)
+        span = UNKEPT
+        if self.obs.spanning():
+            span = self.obs.span(f"rpc:{kind}", parent=trace_parent,
+                                 kind="client", node=self.node.name, dst=dst)
+            Tracer.inject(span, request)
         started = self.kernel.now
-
-        def finish(reply: Dict[str, Any]) -> Dict[str, Any]:
-            self.obs.observe("rpc_latency", self.kernel.now - started,
-                             kind=kind)
-            span.set(ok=reply["ok"]).finish()
-            return reply
-
-        def timed_out(phase: str, text: str) -> RpcTimeout:
-            self.obs.count("rpc_timeouts_total", kind=kind, phase=phase)
-            span.set(ok=False, error="timeout").finish()
-            return RpcTimeout(text)
-
         try:
-            acked = False
-            for _attempt in range(retries + 1):
-                if _attempt:
-                    span.event("retransmit", attempt=_attempt)
+            for attempt in range(retries + 1):
+                if attempt:
+                    span.event("retransmit", attempt=attempt)
                 self.node.send(dst, kind, request)
-                deadline = self.kernel.timeout_event(timeout)
-                index, value = yield any_of(self.kernel, [event, ack, deadline])
-                if index == 0:
-                    return finish(value)
-                if index == 1:
-                    acked = True
+                wake = self._arm(call, timeout)
+                if call.reply is not None or call.acked or (yield wake):
                     break
-            if not acked:
-                raise timed_out("ack", (
+            else:
+                raise self._timed_out(span, kind, "ack", (
                     f"{self.node.name}: rpc {kind} to {dst} unacknowledged "
                     f"after {retries + 1} attempts"
                 ))
-            if event.settled:
-                return finish(event.value)
             # completion phase: poll periodically — a lost reply is re-sent
             # from the server's reply cache on the next poll.
+            heard = call.reply is not None
             remaining = completion_timeout
-            while remaining > 0:
+            while not heard:
+                if remaining <= 0:
+                    raise self._timed_out(span, kind, "completion", (
+                        f"{self.node.name}: rpc {kind} to {dst} acknowledged "
+                        f"but no reply within {completion_timeout}"
+                    ))
                 wait = min(timeout, remaining)
-                deadline = self.kernel.timeout_event(wait)
-                index, value = yield any_of(self.kernel, [event, deadline])
-                if index == 0:
-                    return finish(value)
+                wake = self._arm(call, wait)
+                heard = call.reply is not None or (yield wake)
                 remaining -= wait
-                if remaining > 0:
+                if not heard and remaining > 0:
                     self.node.send(dst, kind, request)
-            raise timed_out("completion", (
-                f"{self.node.name}: rpc {kind} to {dst} acknowledged but "
-                f"no reply within {completion_timeout}"
-            ))
+            reply = call.reply
+            self.obs.observe("rpc_latency", self.kernel.now - started,
+                             kind=kind)
+            if span is not UNKEPT:
+                span.set(ok=reply["ok"])
+            return reply
         finally:
-            span.finish()  # idempotent; closes the span on kill/error paths
+            if span is not UNKEPT:
+                span.finish()  # on every path: reply, timeout, kill, error
             self._pending.pop(rpc_id, None)
-            self._acks.pop(rpc_id, None)
             live.discard(seq)
+
+    def _timed_out(self, span: Any, kind: str, phase: str,
+                   text: str) -> RpcTimeout:
+        """Count a call that ran out of ``phase``; the error to raise."""
+        self.obs.count("rpc_timeouts_total", kind=kind, phase=phase)
+        span.set(ok=False, error="timeout")
+        return RpcTimeout(text)

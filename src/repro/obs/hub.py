@@ -148,6 +148,14 @@ class Observability:
                 "name": name, "node": node, "span_kind": kind}))
         return span
 
+    def spanning(self) -> bool:
+        """Would :meth:`span` build a span now: does anybody read
+        ``span.start``, or does the tracer keep spans?  Asked once per
+        RPC by the transport, which skips its spans when it is false."""
+        by_kind, unfiltered = self.bus._routes
+        return bool(by_kind.get("span.start", unfiltered)
+                    or self.tracer.keeping)
+
     def emit(self, kind: str, **labels: Any) -> None:
         """Publish an event on the bus, stamped with :meth:`now`, if
         anybody reads ``kind``."""

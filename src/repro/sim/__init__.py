@@ -15,7 +15,6 @@ from repro.sim.kernel import (
     SimEvent,
     Timeout,
     all_of,
-    any_of,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "SimEvent",
     "Timeout",
     "all_of",
-    "any_of",
 ]

@@ -5,7 +5,7 @@ Design rules that keep simulations deterministic and replayable:
 - All pending work lives in one heap ordered by ``(time, sequence)``; the
   sequence number makes same-instant ordering FIFO and total.
 - A process waits on at most one thing at a time (compose with
-  :func:`any_of` / :func:`all_of` to wait on several).
+  :func:`all_of` / :func:`settle_all` to wait on several).
 - Nothing in the kernel reads wall-clock time or global randomness.
   Every post reads the clock through :attr:`Kernel.now`, the one seam the
   asyncio backend's wall-clock subclass redefines.
@@ -366,12 +366,6 @@ class Kernel:
             raise SimulationError(f"negative delay {delay}")
         self._post_at(self.now + delay, fn, *args)
 
-    def timeout_event(self, delay: float, value: Any = None) -> SimEvent:
-        """An event that triggers by itself after ``delay``."""
-        event = self.event(name=f"timeout({delay})")
-        self.schedule(delay, lambda: event.settled or event.trigger(value))
-        return event
-
     def every(self, interval: float, fn: Callable[[], None],
               immediate: bool = False) -> PeriodicTimer:
         """Run ``fn()`` every ``interval`` time units.
@@ -456,35 +450,6 @@ class Kernel:
         if daemon:
             self._daemon_seqs.add(seq)
         heapq.heappush(self._queue, (when, seq, entry))
-
-
-def any_of(kernel: Kernel, events: List[SimEvent]) -> SimEvent:
-    """An event that settles when the *first* of ``events`` settles.
-
-    Triggers with ``(index, value)`` of the winner; fails if the winner
-    failed.
-    """
-    if not events:
-        raise SimulationError("any_of requires at least one event")
-    combined = kernel.event(name="any_of")
-
-    def make_callback(index: int) -> Callable[[SimEvent], None]:
-        """Bind ``index`` so the winner can report which branch it was."""
-
-        def callback(settled: SimEvent) -> None:
-            """Settle the combined event with the first branch outcome."""
-            if combined.settled:
-                return
-            if settled.failed:
-                combined.fail(settled.value)
-            else:
-                combined.trigger((index, settled.value))
-
-        return callback
-
-    for i, event in enumerate(events):
-        event.on_settle(make_callback(i))
-    return combined
 
 
 def settle_all(kernel: Kernel, events: List[SimEvent]) -> SimEvent:

@@ -161,7 +161,7 @@ def test_close_is_idempotent_and_injected_loops_survive():
         loop.close()
 
 
-# -- processes, kill, timeout_event ------------------------------------------
+# -- processes, kill, join -------------------------------------------------
 
 
 def test_process_kill_runs_finally_blocks():
@@ -180,16 +180,6 @@ def test_process_kill_runs_finally_blocks():
         kernel.run()
         assert log == ["cleanup"]
         assert not process.alive
-    finally:
-        kernel.close()
-
-
-def test_timeout_event_triggers_once():
-    kernel = make_kernel()
-    try:
-        event = kernel.timeout_event(2.0, value="fired")
-        assert kernel.run_until_settled(event) == "fired"
-        assert event.settled and not event.failed
     finally:
         kernel.close()
 

@@ -259,3 +259,35 @@ def test_call_many_delayed_sub_replies_supported():
     values, when = cluster.run_process("a", app())
     assert values == ["late", "now"]
     assert when >= 6.0
+
+
+def test_a_lossless_call_costs_four_kernel_callbacks():
+    """The caller's first step, the request's delivery, the reply's
+    delivery and the caller's resume: the reply wakes the waiting call
+    directly, with no hop in between."""
+    cluster, ta, tb = pair()
+    tb.register("echo", lambda msg, respond: respond(True, "pong"))
+    before = cluster.kernel.stats["callbacks_run"]
+
+    assert cluster.run_process("a", ta.call("b", "echo", {})) == "pong"
+    assert cluster.kernel.stats["callbacks_run"] - before == 4
+
+
+def test_a_reply_landing_at_its_deadline_is_used_after_one_resend():
+    """At a tie the deadline, posted first, runs first: the request is
+    sent once more, and then the reply that landed at that instant is
+    the call's result."""
+    cluster = Cluster(config=NetworkConfig(min_delay=5.0, max_delay=5.0))
+    cluster.add_node("a")
+    cluster.add_node("b")
+    client = cluster.client("a")
+    assert cluster.rpc_timeout == 10.0
+
+    def app():
+        yield from client.create("b", "counter", value=0)
+        return cluster.kernel.now
+
+    assert cluster.run_process("a", app()) == 10.0
+    sent = cluster.network.by_kind["sent"]
+    assert sent["create"] == 2
+    assert sent["rpc_reply"] == 1

@@ -99,13 +99,6 @@ def test_all_of_empty_triggers_with_empty_list():
     assert handle.result == []
 
 
-def test_any_of_requires_events():
-    from repro.sim.kernel import any_of
-    kernel = Kernel()
-    with pytest.raises(SimulationError):
-        any_of(kernel, [])
-
-
 # -- stdobject odds and ends ---------------------------------------------------------------
 
 def test_account_read_statement_is_a_copy(runtime):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.kernel import Kernel, ProcessKilled, Timeout, all_of, any_of
+from repro.sim.kernel import Kernel, ProcessKilled, Timeout, all_of
 
 
 def test_timeout_advances_simulated_time():
@@ -217,21 +217,6 @@ def test_same_instant_events_fire_fifo():
     assert order == ["a", "b", "c"]
 
 
-def test_any_of_reports_winner_index_and_value():
-    kernel = Kernel()
-    slow, fast = kernel.event(), kernel.event()
-    kernel.schedule(10, lambda: slow.settled or slow.trigger("slow"))
-    kernel.schedule(2, lambda: fast.trigger("fast"))
-
-    def proc():
-        index, value = yield any_of(kernel, [slow, fast])
-        return (index, value)
-
-    handle = kernel.spawn(proc())
-    kernel.run()
-    assert handle.result == (1, "fast")
-
-
 def test_all_of_collects_all_values():
     kernel = Kernel()
     events = [kernel.event() for _ in range(3)]
@@ -245,18 +230,6 @@ def test_all_of_collects_all_values():
     handle = kernel.spawn(proc())
     kernel.run()
     assert handle.result == [0, 10, 20]
-
-
-def test_timeout_event_fires_by_itself():
-    kernel = Kernel()
-
-    def proc():
-        yield kernel.timeout_event(4, "tick")
-        return kernel.now
-
-    handle = kernel.spawn(proc())
-    kernel.run()
-    assert handle.result == 4
 
 
 def test_spawn_requires_a_generator():
