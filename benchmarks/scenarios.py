@@ -24,11 +24,11 @@ tolerance bands by the CI perf gate (exit 2 on regression)::
     python -m repro.obs perf compare --baseline . --current /tmp/bench
 
 Scenarios: ``contention_sweep`` (lock contention ladder under the full
-observability stack), ``colour_sweep`` (commit cost vs colours per action),
+observability stack), ``colour_sweep`` (commit cost, and the prepare
+round trips batching saves, vs colours per action),
 ``cluster_fanout`` (commit cost vs participant servers), ``chaos_mix``
-(crash/restart schedule with conservation checked), ``prepare_batching``
-(round trips saved by batching multi-colour prepare sub-calls through
-``call_many``), and ``twopc_fastpath`` (commit-protocol fast paths —
+(crash/restart schedule with conservation checked), and
+``twopc_fastpath`` (commit-protocol fast paths —
 piggybacked decision, read-only votes, one-phase commit — against the
 classic protocol on an identical workload), and ``commute_avoidance``
 (commutativity-based coordination avoidance: fully-commuting colours
@@ -432,33 +432,6 @@ def scenario_chaos_mix(seed: int = 7) -> Dict[str, Any]:
             "flight_sampled_out": recorder.skipped,
             "timeline_points": len(sampler.points),
             "elapsed_sim": cluster.kernel.now,
-        })
-
-
-# -- prepare batching ---------------------------------------------------------
-
-def scenario_prepare_batching(seed: int = 31) -> Dict[str, Any]:
-    """Round trips saved by batching multi-colour prepares per server.
-
-    k permanent colours writing on the same s servers would cost k*s
-    prepare RPCs sequentially; the batched fan-out sends s.  The saved
-    (k-1)*s round trips are counted by the client and gated here.
-    """
-    colours, commits = 4, 6
-    cluster, run = _coloured_commits(seed, colours, commits)
-    pairs_per_commit = colours * 2          # each colour writes on 2 servers
-    batched_per_commit = 2                  # one batch per involved server
-    return _document(
-        "prepare_batching", seed,
-        {"colours": colours, "commits": commits,
-         "servers_per_colour": 2},
-        {
-            "saved_prepare_rpcs_total": run["saved_rpcs"],
-            "saved_per_commit": run["saved_rpcs"] / commits,
-            "sequential_prepare_rpcs_per_commit": pairs_per_commit,
-            "batched_prepare_rpcs_per_commit": batched_per_commit,
-            "messages_per_commit": run["messages_per_commit"],
-            "commit_latency": run["commit_latency"],
         })
 
 
@@ -894,7 +867,6 @@ SCENARIOS: Dict[str, Callable[[], Dict[str, Any]]] = {
     "colour_sweep": scenario_colour_sweep,
     "cluster_fanout": scenario_cluster_fanout,
     "chaos_mix": scenario_chaos_mix,
-    "prepare_batching": scenario_prepare_batching,
     "twopc_fastpath": scenario_twopc_fastpath,
     "commute_avoidance": scenario_commute_avoidance,
     "soak_smoke": scenario_soak_smoke,

@@ -35,7 +35,7 @@ from repro.cluster.message import (
     decode_uid,
 )
 from repro.cluster.node import Node
-from repro.cluster.server import delegating, resolve_delegated
+from repro.cluster.server import delegating, report_acks, resolve_delegated
 from repro.cluster.transport import RpcTransport
 from repro.cluster.txn import COORDINATOR, PATHS, PreparePath
 from repro.colours.colour import Colour
@@ -460,8 +460,8 @@ class ClusterClient:
         started = self.kernel.now
         span = self._op_span(action, "commit")
         routes = action.routes()
-        #: commit decisions logged but not yet delivered: (txn_id, nodes)
-        decided: List[Tuple[str, Set[str]]] = []
+        #: txn_ids of the commit decisions logged but not yet delivered
+        decided: List[str] = []
         #: colours this action is outermost for, with pending writes
         permanent: List[Tuple[Colour, Dict[str, Set[Uid]]]] = []
         for colour, destination in routes:
@@ -559,14 +559,16 @@ class ClusterClient:
 
     def _fan_out(self, label: str,
                  calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]],
-                 span=None, batched: bool = True):
+                 span=None, batched: bool = True,
+                 decided: Iterable[str] = ()):
         """Deliver each node's termination calls in parallel: one process
         and one network message per node, so the round costs the slowest
         server, not the sum.
 
-        Returns the nodes whose every call succeeded.  Every other node
-        gets a background reaper redelivering the same calls — termination
-        calls are all idempotent server-side.  ``batched`` is part of the
+        Every node that did not answer every call gets a background reaper
+        redelivering the same calls — termination calls are all idempotent
+        server-side.  The nodes that did are acks of each ``decided``
+        commit, reported in that order.  ``batched`` is part of the
         wire, not a caller's preference: ``abort_action`` and a single
         colour's ``txn_abort`` travel as plain RPCs, everything else as
         ``rpc_batch``, and every gated message count pins that.
@@ -585,7 +587,8 @@ class ClusterClient:
         for node_name in nodes:
             if node_name not in acked:
                 self._spawn_reaper(node_name, calls_for[node_name], label)
-        return acked
+        for txn_id in decided:
+            report_acks(self.node, self.obs, txn_id, acked)
 
     def _spawn_reaper(self, node_name: str, calls, label: str) -> None:
         """Keep delivering, in the background, termination calls a
@@ -596,7 +599,8 @@ class ClusterClient:
         of which is idempotent server-side, so retrying under fresh rpc
         ids until the batch lands (or the budget runs out: a crashed
         server's volatile locks died with it, and its log-driven recovery
-        resolves the rest) is safe.
+        resolves the rest) is safe.  A batch that lands acks each of its
+        transactions for the node, as every delivery of a commit does.
         """
         def reap():
             # backlog bookkeeping brackets the reaper's whole life so the
@@ -614,6 +618,10 @@ class ClusterClient:
                     except RpcTimeout:
                         continue
                     if all(ok for ok, _ in outcomes):
+                        for _kind, payload in calls:
+                            if "txn_id" in payload:
+                                report_acks(self.node, self.obs,
+                                      payload["txn_id"], (node_name,))
                         return True
                 return False
             finally:
@@ -687,28 +695,25 @@ class ClusterClient:
 
     def _finish_commit(self, action: ClusterAction,
                        routes: List[Tuple[Colour, Optional[ActionNode]]],
-                       decided: List[Tuple[str, Set[str]]],
-                       parent_span=None):
+                       decided: List[str], parent_span=None):
         """Deliver every commit decision and the finish/transfer routing in
         one parallel fan-out: a single batched message per involved server.
 
         Each server's batch carries its ``txn_commit`` sub-calls *before*
         the ``finish_commit`` sub-call and the server dispatches sub-calls
         in order, so shadow promotion always precedes lock release on that
-        server.  A server that cannot be reached gets a background reaper
-        (both sub-calls are idempotent); its decisions are also resolvable
-        from our coordinator log via recovery, so we only log ``coord_end``
-        — the record that lets checkpointing forget a transaction — for
-        transactions whose *entire* participant set acked here.
+        server.  A server gets the commits the table still owes it
+        (``TxnTable.owed``), and the acks go back there: a transaction
+        ends once nobody is owed it, here or when a reaper lands the
+        batch of a server that could not be reached.
 
         Fast-path exclusions: a server whose finish routing rode a
         delegated prepare (``action.finished_nodes``) and a server whose
         every colour was released by read-only votes
         (``action.vote_released``) have nothing left to do and are left
-        out of the fan-out entirely.  Neither can appear in a decided
-        transaction's participant set — a delegated server already applied
-        its commit, and a fully-released server was a pure reader — so the
-        ``coord_end`` accounting is unaffected.
+        out of the fan-out entirely.  Neither is owed a decided commit —
+        a delegated server already applied its commit, and a
+        fully-released server was a pure reader.
         """
         encoded_routes = [
             {
@@ -717,7 +722,8 @@ class ClusterClient:
             }
             for colour, dest in routes
         ]
-        nodes = []
+        owed = self.node.txns.owed
+        calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
         for node_name in sorted(action.all_nodes()):
             if node_name in action.finished_nodes:
                 continue
@@ -726,28 +732,24 @@ class ClusterClient:
                 self.obs.count("read_only_saved_finish_total",
                                node=node_name)
                 continue
-            nodes.append(node_name)
-        calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
-        for node_name in nodes:
-            calls = [("txn_commit", {"txn_id": txn_id})
-                     for txn_id, parts in decided if node_name in parts]
-            calls.append(("finish_commit", {
-                "action_uid": encode_uid(action.uid),
-                "routes": encoded_routes,
-            }))
-            calls_for[node_name] = calls
+            calls_for[node_name] = [
+                ("txn_commit", {"txn_id": txn_id}) for txn_id in decided
+                if node_name in owed.get(txn_id, ())] + [("finish_commit", {
+                    "action_uid": encode_uid(action.uid),
+                    "routes": encoded_routes,
+                })]
 
         started = self.kernel.now
-        acked = yield from self._fan_out(f"finish:{action.uid}", calls_for,
-                                         span=parent_span)
-        self._end_acked(decided, acked)
-        if nodes:
+        yield from self._fan_out(f"finish:{action.uid}", calls_for,
+                                 span=parent_span, decided=decided)
+        if calls_for:
             self.obs.observe("commit_fanout_time",
-                             self.kernel.now - started, width=len(nodes))
+                             self.kernel.now - started, width=len(calls_for))
 
     def _broadcast_decisions(self, action: ClusterAction,
-                             decided: List[Tuple[str, Set[str]]]):
-        """Deliver already-logged commit decisions to their participants.
+                             decided: List[str]):
+        """Deliver already-logged commit decisions to the participants
+        owed them.
 
         Used on commit's failure path: colours decided *before* the failing
         colour are permanent (their ``coord_commit`` records exist), so
@@ -755,23 +757,12 @@ class ClusterClient:
         undoes anything on the same servers.
         """
         calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
-        for txn_id, parts in decided:
-            for node_name in parts:
+        for txn_id in decided:
+            for node_name in self.node.txns.owed.get(txn_id, ()):
                 calls_for.setdefault(node_name, []).append(
                     ("txn_commit", {"txn_id": txn_id}))
-        acked = yield from self._fan_out(f"decide:{action.uid}", calls_for)
-        self._end_acked(decided, acked)
-
-    def _end_acked(self, decided: Iterable[Tuple[str, Set[str]]],
-                   acked: Iterable[str]) -> None:
-        """Log ``coord_end`` — the record that lets checkpointing forget a
-        transaction — for each one whose *entire* participant set acked."""
-        acked = set(acked)
-        for txn_id, parts in decided:
-            if parts <= acked:
-                self.node.txns.advance(COORDINATOR, txn_id, "end")
-                self.obs.emit("twopc.end", txn=txn_id,
-                              node=self.node.name)
+        yield from self._fan_out(f"decide:{action.uid}", calls_for,
+                                 decided=decided)
 
     # -- the commit round (coordinator) ----------------------------------------------------------
 
@@ -859,7 +850,7 @@ class ClusterClient:
         return plan
 
     def _run_plan(self, action: ClusterAction, plan: _Plan,
-                  decided: List[Tuple[str, Set[str]]]):
+                  decided: List[str]):
         """Execute a plan: the one coordinator round.
 
         Sends the readers' prepares, then the wave — one process and one
@@ -871,9 +862,9 @@ class ClusterClient:
         fan-out.  A plan whose paths gate nothing is decided *before* its
         fan-out instead, and its replies are the acknowledgements.
 
-        Appends to ``decided`` a ``(txn_id, phase-two nodes)`` per
-        committed round that the caller's finish fan-out still owes a
-        ``txn_commit``; returns the colour that failed, if any.
+        Appends to ``decided`` the txn_id of each committed round whose
+        ``txn_commit`` the caller's finish fan-out delivers; returns the
+        colour that failed, if any.
         """
         rounds = plan.rounds
         awaited = plan.delegate is not None or any(
@@ -926,25 +917,24 @@ class ClusterClient:
             # coordinator-observed latency of the whole prepare round
             self.obs.observe("twopc_prepare_time", self.kernel.now - started,
                              colour=str(round_.colour))
-            # whoever may hold a PREPARED record: a delegate took the
-            # decision itself, or never saw its prepare, or refused it
-            prepared = [node_name for node_name, path in round_.asked.items()
-                        if not path.takes_decision]
             if not awaited:
                 self._redeliver(round_, calls_for)
             elif failed is None and round_.all_yes():
-                # The caller delivers the commit to ``prepared`` inside the
-                # merged finish batch.
+                # The caller delivers the commit to the participants owed
+                # it inside the merged finish batch.
                 self._decide(round_, "commit")
-                decided.append((round_.txn_id, set(prepared)))
+                decided.append(round_.txn_id)
             else:
                 cause = ("colour-order-cascade" if failed is not None
                          else self._abort_cause(round_))
                 failed = failed or round_
                 self._decide(round_, "abort", cause=cause)
-                for node_name in prepared:
-                    abort_calls.setdefault(node_name, []).append(
-                        ("txn_abort", {"txn_id": round_.txn_id}))
+                # whoever may hold a PREPARED record: a delegate took the
+                # decision itself, or never saw its prepare, or refused it
+                for node_name, path in round_.asked.items():
+                    if not path.takes_decision:
+                        abort_calls.setdefault(node_name, []).append(
+                            ("txn_abort", {"txn_id": round_.txn_id}))
         if failed is not None:
             plan.span.set(outcome="aborted").finish()
             # presumed abort, reaping nodes we cannot reach
@@ -970,23 +960,28 @@ class ClusterClient:
         """Take the coordinator's ``decide_commit``/``decide_abort`` edge
         and account for it.
 
-        A commit is logged before any participant is told.  An abort needs
-        no record (presumed abort) unless it undoes a delegation; a
-        decision the delegated-outcome resolver already recorded is
-        answer-only.  A commit the delegate took is not announced again:
-        its decision event came from there, labelled with its fast path.
+        A commit is logged before any participant is told, with the
+        participants it owes (``owed``) — on the delegation's record
+        instead when the round delegated.  An abort needs no record
+        (presumed abort) unless it undoes a delegation; a decision the
+        delegated-outcome resolver already recorded is answer-only.  A
+        commit the delegate took is not announced again: its decision
+        event came from there, labelled with its fast path.
         """
         commute = COMMUTE in round_.asked.values()
+        delegated = DECIDE in round_.asked.values()
         self.node.txns.advance(
             COORDINATOR, round_.txn_id, f"decide_{decision}",
-            **({"commute": True} if commute else {}))
+            **({"commute": True} if commute else {}),
+            **({} if delegated or decision == "abort"
+               else {"owed": sorted(round_.asked)}))
         self.obs.count("twopc_rounds_total", colour=str(round_.colour),
                        outcome=("committed" if decision == "commit"
                                 else "aborted"))
         if decision == "commit":
             self.obs.count("colour_permanent_total",
                            colour=str(round_.colour))
-            if DECIDE in round_.asked.values():
+            if delegated:
                 return
         self.obs.emit("twopc.decision", txn=round_.txn_id,
                       decision=decision, node=self.node.name,
@@ -1114,7 +1109,8 @@ class ClusterClient:
         """
         (round_,), node_name = plan.rounds, plan.delegate
         self.node.txns.advance(COORDINATOR, round_.txn_id, "delegate",
-                               last_agent=node_name)
+                               last_agent=node_name,
+                               owed=sorted(round_.asked))
         round_.asked[node_name] = DECIDE
         riders = [(round_, DECIDE)]
         calls = self._prepare_calls(action, node_name, riders)
@@ -1147,8 +1143,7 @@ class ClusterClient:
         """After a decision-first fan-out: crash, partition or lost reply,
         the decision is durable and the message idempotent (participants
         dedupe on txn_id against their COMMITTED records) — a reaper
-        redelivers it until it lands.  ``coord_end`` is logged only if
-        nobody needs that."""
+        redelivers it until it lands.  The answers are acks."""
         unanswered = [node_name for node_name, path in round_.asked.items()
                       if round_.votes.get(node_name) != path.vote]
         for node_name in unanswered:
@@ -1158,5 +1153,5 @@ class ClusterClient:
                           node=self.node.name, dst=node_name,
                           reason="commute-unreachable",
                           resolution="redelivery")
-        self._end_acked([(round_.txn_id, set(round_.asked))],
-                        set(round_.asked) - set(unanswered))
+        report_acks(self.node, self.obs, round_.txn_id,
+              set(round_.asked) - set(unanswered))

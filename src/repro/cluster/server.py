@@ -1031,10 +1031,12 @@ class ObjectServer:
     # -- recovery ---------------------------------------------------------------------
 
     def _recover(self) -> None:
-        """Restart: resolve in-doubt transactions from the log (presumed abort).
+        """Restart: settle what the log left open, as participant and as
+        coordinator (presumed abort).
 
         PREPARED records without a matching COMMITTED/ABORTED are in doubt;
-        their objects are fenced off until the coordinator answers.
+        their objects are fenced off until the coordinator answers.  An
+        open coordinator entry is taken to its end (:meth:`_terminate`).
         """
         self.obs.emit("node.restart", node=self.node.name)
         self._fresh_volatile()
@@ -1063,15 +1065,15 @@ class ObjectServer:
                 self.obs.emit("twopc.decision", txn=txn_id,
                               decision="commit", node=self.node.name)
             self.obs.emit("twopc.commit", txn=txn_id, node=self.node.name)
-        # resolve delegations whose outcome we never learned, so decision
-        # queries from in-doubt participants get a real answer
+        # take the coordinator entries pending on the log to their end: a
+        # delegation's outcome is learned (decision queries from in-doubt
+        # participants need a real answer), a commit is redelivered to
+        # every participant still owed it.  A commute entry's redo list is
+        # not on the log, so nothing here can redeliver it
         for entry in txns.entries(COORDINATOR):
-            if entry.state is TxnState.DELEGATED:
-                self.node.spawn(
-                    resolve_delegated(self.node, self.transport, entry.txn_id,
-                                      entry.payload["last_agent"]),
-                    name=f"resolve-delegated:{entry.txn_id}",
-                )
+            if entry.pending() and not entry.payload.get("commute"):
+                self.node.spawn(self._terminate(entry),
+                                name=f"terminate:{entry.txn_id}")
         for entry in sorted(self.prepared.values(), key=lambda e: e.lsn):
             entry.in_doubt = True
             self.in_doubt_objects.update(entry.object_uids)
@@ -1081,20 +1083,50 @@ class ObjectServer:
                 name=f"resolve:{entry.txn_id}",
             )
 
+    def _terminate(self, entry: TxnEntry):
+        """Restart, as coordinator: resolve a delegated entry, then deliver
+        a commit to each participant the log says is owed it, and end it."""
+        # a no-op unless the entry is DELEGATED; resolved to abort, it owes
+        # nobody anything
+        yield from resolve_delegated(self.node, self.transport, entry.txn_id,
+                                     entry.payload.get("last_agent"))
+        owed = sorted(self.node.txns.owed.get(entry.txn_id, ()))
+        for participant in owed:
+            yield from until_answered(self.transport, participant,
+                                      "txn_commit", {"txn_id": entry.txn_id})
+        report_acks(self.node, self.obs, entry.txn_id, owed)
+
     def _resolve_in_doubt(self, txn_id: str, coordinator: str):
         """Query the coordinator until a decision arrives, then apply it —
         unless a redelivered ``txn_commit``/``txn_abort`` already did."""
-        while True:
-            try:
-                reply = yield from self.transport.call(
-                    coordinator, "txn_decision_query", {"txn_id": txn_id},
-                    timeout=5.0, retries=1,
-                )
-            except Exception:
-                yield Timeout(5.0)
-                continue
-            self._decide(txn_id, reply["decision"])
-            return reply["decision"]
+        reply = yield from until_answered(
+            self.transport, coordinator, "txn_decision_query",
+            {"txn_id": txn_id})
+        self._decide(txn_id, reply["decision"])
+
+
+def until_answered(transport: RpcTransport, dst: str, kind: str,
+                   payload: Dict[str, Any], trace_parent=None,
+                   unsettled: Callable[[], bool] = lambda: True):
+    """Call ``kind`` at ``dst`` until it answers, pausing after each call
+    that fails, and return the reply — or None once ``unsettled()`` says
+    the answer is no longer needed.  Every loop that must hear from one
+    node (in-doubt, delegated and restart resolution) is this one."""
+    while unsettled():
+        try:
+            return (yield from transport.call(
+                dst, kind, payload, timeout=5.0, retries=1,
+                trace_parent=trace_parent))
+        except Exception:
+            yield Timeout(5.0)
+
+
+def report_acks(node: Node, obs, txn_id: str, nodes) -> None:
+    """Report the participants that have ``txn_id``'s commit to the
+    coordinator's table (:meth:`TxnTable.acked`) and announce the end
+    their acks bring.  Every delivery of a commit reports here."""
+    if node.txns.acked(txn_id, nodes):
+        obs.emit("twopc.end", txn=txn_id, node=node.name)
 
 
 def resolve_delegated(node: Node, transport: RpcTransport, txn_id: str,
@@ -1104,7 +1136,7 @@ def resolve_delegated(node: Node, transport: RpcTransport, txn_id: str,
     The coordinator's half of delegated recovery, for whoever needs the
     answer: the committing client whose delegated prepare lost its reply,
     a restarted coordinator node, a decision query that must not presume.
-    Loops on ``txn_outcome_query`` until the last agent answers; its
+    Asks ``txn_outcome_query`` until the last agent answers; its
     answer is definitive (it force-aborts when it never saw the delegated
     prepare).  Blocking is required for truthfulness: reporting an outcome
     the delegate may contradict would split the decision.  Idempotent
@@ -1119,15 +1151,12 @@ def resolve_delegated(node: Node, transport: RpcTransport, txn_id: str,
     in_flight = node.volatile.get(_DELEGATING, {}).get(txn_id)
     if in_flight is not None:
         yield in_flight
-    while txns.state(COORDINATOR, txn_id) is TxnState.DELEGATED:
-        try:
-            reply = yield from transport.call(
-                last_agent, "txn_outcome_query", {"txn_id": txn_id},
-                timeout=5.0, retries=1, trace_parent=trace_parent,
-            )
-        except Exception:
-            yield Timeout(5.0)
-            continue
+    reply = yield from until_answered(
+        transport, last_agent, "txn_outcome_query", {"txn_id": txn_id},
+        trace_parent=trace_parent,
+        unsettled=lambda: txns.state(COORDINATOR, txn_id)
+        is TxnState.DELEGATED)
+    if reply is not None:
         txns.advance(COORDINATOR, txn_id, "decide_" + reply["decision"])
     return decision_of(txns.state(COORDINATOR, txn_id))
 

@@ -13,6 +13,9 @@ What may happen to a transaction is :data:`TRANSITIONS` and nothing else
 logs no record is *answer-only*; a triple without an edge is refused.  The
 decided participant states are *absorbing*: a decision is carried out once,
 by whoever delivers it first (coordinator, reaper or in-doubt resolver).
+A coordinator's COMMIT ends once every participant it owes has the
+decision, whoever delivered it: :meth:`TxnTable.acked` is told of each
+delivery and takes the ``end`` edge.
 
 Data and pure functions only: the processes that drive the edges live in
 ``client.py``/``server.py``.
@@ -232,6 +235,11 @@ class TxnTable:
         #: drops a forgotten entry with its records, then empties the set),
         #: so a crash before the next checkpoint loses what it holds.
         self.forgotten: Set[str] = set()
+        #: txn_id -> the participants a COMMIT entry still owes its decision:
+        #: the ``owed`` list on its records, less the acks :meth:`acked`
+        #: was told of since the last fold.  Volatile (a restart owes the
+        #: whole list again), and held only while it is not empty
+        self.owed: Dict[str, Set[str]] = {}
         #: protocol records appended since the last checkpoint
         self.appended = 0
         #: called with the record kind just before (False) and just after
@@ -293,13 +301,29 @@ class TxnTable:
             self.prepared[txn_id] = entry
         elif role == PARTICIPANT:
             self.prepared.pop(txn_id, None)
+        elif state is TxnState.COMMIT and entry.payload.get("owed"):
+            self.owed[txn_id] = set(entry.payload["owed"])
+        else:
+            self.owed.pop(txn_id, None)
         return entry
+
+    def acked(self, txn_id: str, nodes: Collection[str]) -> bool:
+        """Strike ``nodes`` off the participants the COMMIT entry of
+        ``txn_id`` still owes; once it owes nobody, take its ``end`` edge —
+        the one place ``coord_end`` is logged.  True when this call ended
+        it; any other state is answer-only."""
+        owed = self.owed.get(txn_id, set())
+        owed.difference_update(nodes)
+        return (not owed and self.state(COORDINATOR, txn_id) is _S.COMMIT
+                and self.advance(COORDINATOR, txn_id, "end") is not None)
 
     def refold(self) -> None:
         """Rebuild the index from the log as it is now: at restart, which
-        also wipes ``forgotten`` and every volatile annotation."""
+        also wipes ``forgotten``, the acks ``owed`` was told of and every
+        volatile annotation."""
         self._entries = {PARTICIPANT: {}, COORDINATOR: {}}
         self.prepared = {}
+        self.owed = {}
         self.forgotten = set()
         for record in self.wal.records():
             self._fold(record)

@@ -8,7 +8,8 @@ decides, so a plan that only watches changes no draw of the run.
 :func:`check` is the paper's §5.1 on a settled cluster, in one place:
 
 - nothing left over: no held lock, mirror, fenced object, in-doubt
-  ``TxnTable`` entry, unanswered reply slot or live client action, and
+  ``TxnTable`` entry, coordinator COMMIT some participant is still owed
+  (:func:`leftover`), unanswered reply slot or live client action, and
   ``hub.bus.errors`` is empty; the hub's ``World`` remembers a hold on a
   server exactly when its lock registry holds one;
 - serialisability and the 2PC rules: the online auditor's report is
@@ -75,6 +76,17 @@ def stable(cluster):
             for uid in node.stable_store.uids()}
 
 
+def leftover(entry):
+    """Is this ``TxnTable`` entry left over on a settled cluster?  In doubt,
+    or a coordinator COMMIT that still ends when its participants ack:
+    §5.1 makes a commit permanent on every participant.  Not a commute
+    commit: its redo list is not on the coordinator's log, so a restarted
+    coordinator cannot redeliver it (``tests/test_fault_sweep.py``,
+    ``test_a_restarted_coordinator_ends_a_commute_commit``)."""
+    return entry.state in IN_DOUBT or (entry.state is TxnState.COMMIT
+                                       and not entry.payload.get("commute"))
+
+
 def settled(cluster):
     """Nothing left over, the auditor silent, the World in agreement."""
     assert cluster.obs.auditor.report() == []
@@ -90,7 +102,7 @@ def settled(cluster):
         node = cluster.nodes[name]
         assert not [entry for role in (PARTICIPANT, COORDINATOR)
                     for entry in node.txns.entries(role)
-                    if entry.state in IN_DOUBT], name
+                    if leftover(entry)], name
         for caller in node.volatile.get("rpc_cache", {}).values():
             assert None not in caller.replies.values(), name
 

@@ -6,7 +6,7 @@ armed send dropped, duplicated or delayed past the RPC timeout, and every
 append with its node crashing just before or just after it.  The plan
 that records the wire trace takes the fault (:class:`Faulted`), and every
 run ends in the §5.1 oracle of ``tests/oracle.py``.  Every point runs on
-sim; two crash points, one per side, run on asyncio too.  EXPERIMENTS.md
+sim; the :data:`PINNED` crash points run on asyncio too.  EXPERIMENTS.md
 Appendix T has the counts, the runtime and the findings.
 """
 
@@ -85,13 +85,16 @@ SURVIVED = {
 }
 STRANDED = pytest.mark.xfail(
     strict=True, reason="a crashed client node strands its action")
-#: one crash point per side, pinned whole and run on asyncio too: the
+#: crash points pinned whole and run on asyncio too — one per participant
+#: side, and the coordinator's restart redelivering its commit: the
 #: outcome, whether the colour is on the stable stores, the node's log
 PINNED = {
     "classic_two_writers-before-p1-0":
         ("commit-error", [False], ["aborted"]),
     "classic_two_writers-after-p1-1":
         ("committed", [True], ["prepared", "committed"]),
+    "classic_two_writers-before-coord-1":
+        ("ProcessKilled", [True], ["coord_commit", "coord_end"]),
 }
 
 
@@ -141,8 +144,6 @@ def test_single_fault_sweep(scenario, fault, aio):
     cluster.close()
 
 
-@pytest.mark.xfail(strict=True, reason="a reaper's late phase two never "
-                   "ends the transaction at its coordinator")
 def test_phase_two_landed_by_a_reaper_ends_the_transaction():
     """p1 stays down past every retransmission of the commit call, so a
     reaper delivers the decision later; the coordinator should then log
@@ -150,5 +151,19 @@ def test_phase_two_landed_by_a_reaper_ends_the_transaction():
     cluster, tap = drive("classic_two_writers", plan=lambda c: Faulted(
         c, ("after", "p1", 1), downtime=40.0))
     assert tap.outcome == "committed"
+    assert [record.kind for record in cluster.nodes["coord"].wal.records()] \
+        == ["coord_commit", "coord_end"]
+
+
+@pytest.mark.xfail(strict=True, reason="a commute commit's redo list is "
+                   "not on the coordinator's log, so a restarted "
+                   "coordinator cannot redeliver it")
+def test_a_restarted_coordinator_ends_a_commute_commit():
+    """The coordinator crashes just before its ``coord_end``, after both
+    commute prepares landed; at restart it should still end the commit
+    (the oracle leaves commute commits out for this reason)."""
+    cluster, tap = drive("commute_inline_finish", plan=lambda c: Faulted(
+        c, ("before", "coord", 1)))
+    assert tap.outcome == "ProcessKilled"
     assert [record.kind for record in cluster.nodes["coord"].wal.records()] \
         == ["coord_commit", "coord_end"]

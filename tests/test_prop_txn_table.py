@@ -3,15 +3,18 @@
 Hypothesis interleaves commits on all five paths (classic, one-phase,
 piggyback, read-only vote, commute), client aborts, ``checkpoint()`` calls
 and participant crash/restarts — also *during* a commit — on a three-node
-cluster.  Two cases are drawn on purpose: a ``home`` checkpoint while a
+cluster.  Three cases are drawn on purpose: a ``home`` checkpoint while a
 piggybacked commit's phase two is undelivered, so a DELEGATED-then-COMMIT
-entry crosses it; and a participant crash between a ``forget`` and its
-next checkpoint.  After every step, on every node, replaying the
-write-ahead log must give exactly the live table; after every checkpoint
-the log is its marker plus every record of each pending entry, nothing
-else; and a transaction whose records a checkpoint dropped must be gone
-from both, so that a decision query about it is answered by presumption
-(abort), as before the table existed.
+entry crosses it; a participant crash between a ``forget`` and its
+next checkpoint; and a classic commit whose phase two lands one
+participant at a time, in a drawn order (the ack step).  After every
+step, on every node, replaying the write-ahead log must give exactly the
+live table, owing each COMMIT's whole logged ``owed`` list, of which the
+live table owes a part; after every checkpoint the log is its marker plus
+every record of each pending entry, nothing else; and a transaction whose
+records a checkpoint dropped must be gone from both, so that a decision
+query about it is answered by presumption (abort), as before the table
+existed.  Once every reaper has landed, ``home`` owes nobody a commit.
 
 Runs under the online auditor (see conftest): any protocol violation the
 interleaving provokes fails the example too.
@@ -26,6 +29,7 @@ from repro.cluster.txn import (
     COORDINATOR,
     PARTICIPANT,
     STATE_OF_RECORD,
+    TxnState,
     TxnTable,
 )
 from tests.oracle import Over
@@ -42,6 +46,7 @@ steps = st.lists(st.one_of(
     st.tuples(st.just("bounce"), st.sampled_from(SERVERS)),
     st.tuples(st.just("crossing")),
     st.tuples(st.just("forget_then_crash")),
+    st.tuples(st.just("ack"), st.permutations(SERVERS)),
 ), min_size=1, max_size=8)
 
 
@@ -130,6 +135,8 @@ class Harness:
             self.checkpoint(step[1])
         elif step[0] == "crossing":
             self.crossing()
+        elif step[0] == "ack":
+            self.ack(step[1])
         elif step[0] == "forget_then_crash":
             for _ in range(2):  # the second prepare carries the forget
                 cluster.run_process("home", self._action("one_phase", True))
@@ -164,6 +171,40 @@ class Harness:
         self.checkpoint("home")
         network.faults = hold.beneath
 
+    def ack(self, order):
+        """A classic commit whose phase two home cannot deliver yet, so its
+        COMMIT entry owes both servers; the hold is lifted one server at
+        a time, in ``order``, and that server's reaper lands its batch.
+        Each ack shrinks ``owed`` by the server; a checkpoint keeps the
+        entry until the last ack, which appends exactly one ``coord_end``.
+        """
+        cluster, home = self.cluster, self.cluster.nodes["home"]
+        held = set(SERVERS)
+        hold = Over(cluster.network, decide=lambda message: LOST if (
+            message.src == "home" and message.dst in held
+            and phase_two(message)) else None)
+        cluster.run_process("home", self._action("classic", True))
+        owing = [txn_id for txn_id, owed in home.txns.owed.items()
+                 if owed == held]
+        for name in order:
+            self.checkpoint("home")
+            for txn_id in owing:
+                entry = home.txns.get(COORDINATOR, txn_id)
+                assert entry.state is TxnState.COMMIT
+                assert home.txns.owed[txn_id] == held
+            held.discard(name)
+            cluster.run(until=cluster.kernel.now + 60.0)
+            self.check()
+        cluster.network.faults = hold.beneath
+        for txn_id in owing:
+            ends = [record for record in home.wal.records()
+                    if record.kind == "coord_end"
+                    and record.payload["txn_id"] == txn_id]
+            assert len(ends) == 1 and txn_id not in home.txns.owed
+        self.checkpoint("home")
+        assert not [txn_id for txn_id in owing
+                    if home.txns.get(COORDINATOR, txn_id)]
+
     def checkpoint(self, name):
         """Checkpoint ``name``: its log is then the marker plus every
         record of each entry that was pending, in log order."""
@@ -190,6 +231,12 @@ class Harness:
             replayed = TxnTable.replay(node.wal)
             assert replayed == node.txns, name
             image = logged(node)
+            assert replayed.owed == {
+                txn_id: set(payload["owed"])
+                for (role, txn_id), (state, _, payload) in image.items()
+                if state == "commit" and payload.get("owed")}, name
+            for txn_id, owed in node.txns.owed.items():
+                assert owed and owed <= replayed.owed[txn_id], name
             entries = (node.txns.entries(PARTICIPANT)
                        + node.txns.entries(COORDINATOR))
             assert {(e.role, e.txn_id): (e.state.value, e.lsn, e.payload)
@@ -223,6 +270,8 @@ def test_replaying_the_log_gives_the_live_table(seed, script):
         harness.cluster.restart(server)
     harness.cluster.run(until=harness.cluster.kernel.now + 600.0)
     harness.check()
+    assert not [entry for entry in harness.cluster.nodes["home"].txns.entries(
+        COORDINATOR) if entry.state is TxnState.COMMIT]
     for name in harness.cluster.nodes:
         harness.checkpoint(name)
     harness.check()

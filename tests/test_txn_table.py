@@ -109,6 +109,22 @@ def test_a_checkpoint_keeps_every_record_of_the_pending_entries_only():
     assert replayed.get(COORDINATOR, "crossing").payload["last_agent"] == "a"
 
 
+def test_a_commit_owing_nobody_ends_at_its_first_report():
+    """A one-phase commit: the delegate took the decision, so the COMMIT
+    entry owes nobody.  The first report ends it, with one ``coord_end``;
+    later reports are answer-only."""
+    table = TxnTable(WriteAheadLog())
+    table.advance(COORDINATOR, "one", "delegate", last_agent="a", owed=[])
+    table.advance(COORDINATOR, "one", "decide_commit")
+    assert table.owed == {}
+    assert table.acked("one", ()) is True
+    assert table.state(COORDINATOR, "one") is TxnState.ENDED
+    assert table.acked("one", ("a",)) is False
+    assert [r.kind for r in table.wal.records()] == [
+        "coord_delegated", "coord_commit", "coord_end"]
+    assert table == TxnTable.replay(table.wal)
+
+
 def test_protocol_doc_renders_the_table():
     doc = (Path(__file__).resolve().parent.parent
            / "docs" / "PROTOCOL.md").read_text(encoding="utf-8")
