@@ -1,7 +1,7 @@
 """The real-time execution backend: the sim kernel's queue on the wall clock.
 
 :class:`AsyncioKernel` *is* a :class:`~repro.sim.kernel.Kernel` whose clock
-is the wall.  It inherits the one ``(when, seq, fn)`` heap, the daemon
+is the wall.  It inherits the one ``(when, seq, fn, args)`` heap, the daemon
 accounting and every construction method (``event`` / ``spawn`` /
 ``schedule`` / ``every``), and replaces only the clock (``now``) and the
 methods that run the heap (``run`` / ``run_until_settled``), which hand it
@@ -280,7 +280,7 @@ class AsyncioKernel(Kernel):
             while queue:
                 if len(daemons) == len(queue) and not self._coroutines:
                     break  # only periodic timers remain: drained
-                when, seq, fn = queue[0]
+                when, seq, fn, args = queue[0]
                 if when > due:
                     due = min(self.now, self._until)
                     if when > due:
@@ -288,7 +288,7 @@ class AsyncioKernel(Kernel):
                 heapq.heappop(queue)
                 daemons.discard(seq)
                 stats["callbacks_run"] += 1
-                fn()
+                fn(*args)
         finally:
             self._arm()
 

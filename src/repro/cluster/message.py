@@ -4,33 +4,43 @@ The simulated network deep-copies payloads, so nothing structured survives
 by reference — colours and action ancestry cross the wire as plain dicts,
 and the receiving server reconstructs them.  This mirrors what a real
 distributed Arjuna would marshal into RPC parameters.
+
+A :class:`Message` is a named tuple, built positionally on the hot path.
+Like :class:`~repro.util.uid.Uid` and :class:`~repro.colours.colour.Colour`
+it equals the plain tuple of its fields (its dict payload keeps it
+unhashable).  A uid, being a tuple with a tuple's hash, also equals its
+wire encoding: ``encode_uid(uid) == uid``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.colours.colour import Colour
 from repro.util.uid import Uid
 
 
-@dataclass(frozen=True)
-class Message:
-    """One network message."""
-
+class _Fields(NamedTuple):
     src: str
     dst: str
     kind: str
-    payload: Dict[str, Any] = field(default_factory=dict)
-    msg_id: int = 0
-    reply_to: int = 0
+    payload: Dict[str, Any]
+    msg_id: int
+    reply_to: int
 
-    def reply(self, kind: str, payload: Dict[str, Any], msg_id: int) -> "Message":
-        return Message(
-            src=self.dst, dst=self.src, kind=kind,
-            payload=payload, msg_id=msg_id, reply_to=self.msg_id,
-        )
+
+class Message(_Fields):
+    """One network message; one built without a payload gets a dict of
+    its own."""
+
+    __slots__ = ()
+
+    def __new__(cls, src: str, dst: str, kind: str,
+                payload: Optional[Dict[str, Any]] = None, msg_id: int = 0,
+                reply_to: int = 0) -> "Message":
+        return tuple.__new__(cls, (src, dst, kind,
+                                   {} if payload is None else payload,
+                                   msg_id, reply_to))
 
 
 # -- wire encoding ------------------------------------------------------------

@@ -181,10 +181,8 @@ class Network:
 
     def is_reachable(self, src: str, dst: str) -> bool:
         """Would a message from ``src`` reach ``dst`` now?"""
-        return (
-            self._up.get(dst, False)
-            and frozenset((src, dst)) not in self._partitions
-        )
+        return self._up.get(dst, False) and not (
+            self._partitions and frozenset((src, dst)) in self._partitions)
 
     # -- sending -----------------------------------------------------------------
 
@@ -195,11 +193,11 @@ class Network:
     def send(self, message: Message) -> None:
         """Fire-and-forget: schedule delivery of the copies ``faults``
         lets through."""
+        if message.dst not in self._endpoints:
+            raise ClusterError(f"message to unknown endpoint {message.dst}")
         self.sent_count += 1
         sent = self.by_kind["sent"]
         sent[message.kind] = sent.get(message.kind, 0) + 1
-        if message.dst not in self._endpoints:
-            raise ClusterError(f"message to unknown endpoint {message.dst}")
         fates = self.faults.fates(message)
         if not fates:
             self._dropped(message)
@@ -210,11 +208,9 @@ class Network:
                                      self.config.max_delay) + extra
             # Payload copied at send time: the receiver sees the message as
             # it was when sent, never a later mutation.
-            frozen = Message(
-                src=message.src, dst=message.dst, kind=message.kind,
-                payload=copy_wire(message.payload),
-                msg_id=message.msg_id, reply_to=message.reply_to,
-            )
+            frozen = Message(message.src, message.dst, message.kind,
+                             copy_wire(message.payload), message.msg_id,
+                             message.reply_to)
             self.kernel.schedule(delay, self._deliver, frozen)
 
     def _deliver(self, message: Message) -> None:

@@ -87,12 +87,8 @@ class Node:
              msg_id: int = 0, reply_to: int = 0) -> Message:
         if not self.alive:
             raise NodeDown(f"{self.name} is down")
-        message = Message(
-            src=self.name, dst=dst, kind=kind,
-            payload=payload or {},
-            msg_id=msg_id or self.network.fresh_msg_id(),
-            reply_to=reply_to,
-        )
+        message = Message(self.name, dst, kind, payload or {},
+                          msg_id or self.network.fresh_msg_id(), reply_to)
         self.network.send(message)
         return message
 

@@ -4,18 +4,21 @@ The paper assumes colours are assigned to actions *statically* (§5.1).  The
 structures layer (``repro.structures``) allocates fresh colours per structure
 instance via a :class:`ColourAllocator`, implementing §6's "generate colour
 assignments automatically".
+
+A :class:`Colour` is a named tuple ``(uid, name)``: hashing, equality and
+ordering run in C, its hash is ``hash((uid, name))`` as a frozen dataclass
+of the same fields would hash, and it equals that plain tuple (its wire
+encoding, ``encode_colour``, is a dict and equals no colour).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Union
+from typing import FrozenSet, Iterable, NamedTuple, Union
 
 from repro.util.uid import Uid, UidGenerator
 
 
-@dataclass(frozen=True, order=True)
-class Colour:
+class Colour(NamedTuple):
     """An immutable colour identity.
 
     Two colours are the same colour iff their uids are equal; the ``name``

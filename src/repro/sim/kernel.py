@@ -325,7 +325,9 @@ class Kernel:
 
     def __init__(self):
         self._now = 0.0
-        self._queue: List[Tuple[float, int, Callable[[], None]]] = []
+        #: ``(when, seq, fn, args)`` entries; ``fn(*args)`` runs at ``when``
+        self._queue: List[Tuple[float, int, Callable[..., None],
+                                Tuple[Any, ...]]] = []
         self._sequence = itertools.count()
         self._event_names = itertools.count(1)
         #: seq numbers of daemon (periodic-timer) queue entries; they run
@@ -390,7 +392,7 @@ class Kernel:
         while self._queue:
             if len(self._daemon_seqs) == len(self._queue):
                 break  # only periodic timers remain: no real work left
-            when, seq, fn = self._queue[0]
+            when, seq, fn, args = self._queue[0]
             if until is not None and when > until:
                 self._now = until
                 return self._now
@@ -398,7 +400,7 @@ class Kernel:
             self._daemon_seqs.discard(seq)
             self._now = when
             self.stats["callbacks_run"] += 1
-            fn()
+            fn(*args)
         if until is not None:
             self._now = max(self._now, until)
         return self._now
@@ -410,11 +412,11 @@ class Kernel:
                 raise SimulationError(f"simulation drained before {event!r} settled")
             if self._now > limit:
                 raise SimulationError(f"exceeded time limit waiting for {event!r}")
-            when, seq, fn = heapq.heappop(self._queue)
+            when, seq, fn, args = heapq.heappop(self._queue)
             self._daemon_seqs.discard(seq)
             self._now = when
             self.stats["callbacks_run"] += 1
-            fn()
+            fn(*args)
         if event.failed:
             raise event.value
         return event.value
@@ -437,19 +439,10 @@ class Kernel:
 
     def _post_at(self, when: float, fn: Callable[..., None], *args: Any,
                  daemon: bool = False) -> None:
-        if args:
-            bound_fn, bound_args = fn, args
-
-            def call() -> None:
-                bound_fn(*bound_args)
-
-            entry: Callable[[], None] = call
-        else:
-            entry = fn
         seq = next(self._sequence)
         if daemon:
             self._daemon_seqs.add(seq)
-        heapq.heappush(self._queue, (when, seq, entry))
+        heapq.heappush(self._queue, (when, seq, fn, args))
 
 
 def settle_all(kernel: Kernel, events: List[SimEvent]) -> SimEvent:

@@ -6,17 +6,22 @@ so a :class:`Uid` here is a (namespace, sequence) pair drawn from a
 :class:`UidGenerator`.  Within one generator, uids are unique and totally
 ordered by creation; the ordering is used for deadlock victim selection
 (youngest aborts) and for deterministic tie-breaking throughout.
+
+A :class:`Uid` is a named tuple, so hashing, equality and ordering run in
+C.  Its hash is ``hash((namespace, sequence))``, the value a frozen
+dataclass of the same fields hashes to, which keeps every set and dict
+order that depends on it.  Being a tuple, a uid also *equals* its wire
+encoding: ``Uid("action", 3) == ("action", 3)``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Uid:
+class Uid(NamedTuple):
     """An immutable, totally ordered unique identifier.
 
     Ordering is by (namespace, sequence); creation order within a namespace

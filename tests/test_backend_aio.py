@@ -112,6 +112,25 @@ def test_equal_due_times_run_in_post_order_on_both_kernels():
         wall.close()
 
 
+def test_posts_with_and_without_arguments_keep_post_order():
+    """A heap entry carries its arguments; whether it has any does not
+    change where it runs among the entries due at one instant."""
+    wall = make_kernel()
+    try:
+        for kernel in (Kernel(), wall):
+            log = []
+            when = kernel.now + 1.0
+            for index in range(10):
+                if index % 2:
+                    kernel._post_at(when, log.append, index)
+                else:
+                    kernel._post_at(when, lambda i=index: log.append(i))
+            kernel.run()
+            assert log == list(range(10))
+    finally:
+        wall.close()
+
+
 def test_run_until_settled_raises_when_drained():
     kernel = make_kernel()
     try:

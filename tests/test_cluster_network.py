@@ -1,15 +1,19 @@
 """Simulated network: delivery, faults, partitions, payload isolation."""
 
+import copy
+import pickle
 from dataclasses import dataclass, field
 
 import pytest
 
 from repro.cluster.message import Message
 from repro.cluster.network import LOST, Network, NetworkConfig
+from repro.colours.colour import Colour
 from repro.errors import ClusterError
 from repro.obs import Observability
 from repro.sim.kernel import Kernel
 from repro.util.rng import SplitRandom
+from repro.util.uid import Uid
 from tests.oracle import Over
 
 
@@ -40,6 +44,19 @@ def test_send_to_unknown_endpoint_raises():
     network.attach("a", lambda m: None)
     with pytest.raises(ClusterError):
         network.send(Message("a", "ghost", "ping", {}))
+
+
+def test_a_send_that_raises_is_not_counted():
+    """A message to an unknown endpoint is refused before it is counted:
+    neither the aggregate nor the per-kind registry row moves."""
+    hub = Observability()
+    network = Network(Kernel(), SplitRandom(0), observability=hub)
+    attach_sink(network, "b")
+    network.send(Message("a", "b", "ping", {}))
+    with pytest.raises(ClusterError):
+        network.send(Message("a", "ghost", "ping", {}))
+    assert network.stats()["sent"] == 1
+    assert hub.metrics.value("messages_sent_total", kind="ping") == 1
 
 
 def test_down_endpoint_drops_silently():
@@ -252,3 +269,48 @@ def test_duplicate_decisions_independent_of_drop_knob():
     dropped, dup_lossy = run_fault_pattern(
         NetworkConfig(drop_probability=0.3, duplicate_probability=0.4))
     assert dup_lossy == dup_baseline - dropped
+
+
+# -- the value types that cross the wire ----------------------------------------
+
+RED = Colour(Uid("colour", 2), "red")
+
+
+def test_colours_order_by_uid_then_name():
+    blue, other_red = Colour(Uid("colour", 1), "blue"), Colour(Uid("colour", 2), "a")
+    assert sorted([RED, blue, other_red]) == [blue, other_red, RED]
+
+
+def test_colour_and_message_fields_cannot_be_assigned():
+    message = Message("a", "b", "ping", {})
+    with pytest.raises(AttributeError):
+        RED.name = "blue"
+    with pytest.raises(AttributeError):
+        message.dst = "c"
+
+
+def test_colour_and_message_text():
+    assert str(RED) == "red" and str(Colour(Uid("colour", 3))) == "colour:3"
+    assert repr(RED) == "Colour(uid=Uid(namespace='colour', sequence=2), name='red')"
+    message = Message("a", "b", "ping", {"i": 1}, 7)
+    assert str(message) == repr(message) == (
+        "Message(src='a', dst='b', kind='ping', payload={'i': 1}, "
+        "msg_id=7, reply_to=0)")
+
+
+def test_colour_hashes_as_its_field_tuple():
+    assert hash(RED) == hash((Uid("colour", 2), "red"))
+
+
+def test_colour_and_message_survive_deepcopy_and_pickle():
+    message = Message("a", "b", "ping", {"xs": [1]}, 3, 2)
+    for value in (RED, message):
+        for clone in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert clone == value and type(clone) is type(value)
+    assert copy.deepcopy(message).payload is not message.payload
+
+
+def test_a_message_without_a_payload_gets_a_dict_of_its_own():
+    first, second = Message("a", "b", "ping"), Message("a", "b", "ping")
+    assert first.payload == {} and first.payload is not second.payload
+    assert (first.msg_id, first.reply_to) == (0, 0)

@@ -297,3 +297,11 @@ def test_every_without_immediate_waits_one_interval():
     kernel.every(10.0, lambda: firings.append(kernel.now))
     kernel.run()
     assert firings == [10.0, 20.0]
+
+
+def test_schedule_passes_its_arguments():
+    kernel = Kernel()
+    calls = []
+    kernel.schedule(2.0, lambda a, b: calls.append((kernel.now, a, b)), "x", 3)
+    kernel.run()
+    assert calls == [(2.0, "x", 3)]

@@ -1,5 +1,11 @@
 """Uid and UidGenerator behaviour."""
 
+import copy
+import pickle
+
+import pytest
+
+from repro.cluster.message import decode_uid, encode_uid
 from repro.util.uid import Uid, UidGenerator
 
 
@@ -36,3 +42,39 @@ def test_uid_str_includes_namespace_and_sequence():
 def test_generators_are_independent():
     gen_a, gen_b = UidGenerator("n"), UidGenerator("n")
     assert gen_a.fresh() == gen_b.fresh()  # same namespace, same sequence start
+
+
+def test_uids_order_by_namespace_then_sequence():
+    assert sorted([Uid("b", 1), Uid("a", 2), Uid("a", 1)]) == [
+        Uid("a", 1), Uid("a", 2), Uid("b", 1)]
+    assert Uid("a", 9) < Uid("b", 1)
+
+
+def test_uid_fields_cannot_be_assigned():
+    uid = Uid("x", 1)
+    with pytest.raises(AttributeError):
+        uid.sequence = 2
+
+
+def test_uid_repr_names_its_fields():
+    assert repr(Uid("obj", 42)) == "Uid(namespace='obj', sequence=42)"
+
+
+def test_uid_hashes_as_its_field_tuple():
+    """The hash a frozen dataclass of these fields had: every set and dict
+    order the simulation counts rest on it."""
+    assert hash(Uid("obj", 42)) == hash(("obj", 42))
+
+
+def test_uid_survives_deepcopy_and_pickle():
+    uid = Uid("obj", 42)
+    for clone in (copy.deepcopy(uid), pickle.loads(pickle.dumps(uid))):
+        assert clone == uid and type(clone) is Uid
+
+
+def test_uid_equals_its_wire_encoding():
+    """A uid is a tuple, so it equals what ``encode_uid`` puts on the wire
+    (and ``decode_uid`` gives the uid back)."""
+    uid = Uid("obj", 42)
+    assert encode_uid(uid) == uid
+    assert decode_uid(encode_uid(uid)) == uid
