@@ -49,7 +49,6 @@ import json
 import os
 import random
 import sys
-import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 if __package__ in (None, ""):  # standalone: python benchmarks/scenarios.py
@@ -66,33 +65,6 @@ from repro.objects.state import ObjectState
 from repro.sim.kernel import Timeout
 
 FORMAT = "repro-perf/1"
-
-def measure_noop_path(iterations: int = 100_000) -> Dict[str, float]:
-    """Time the ``obs is None`` branch a hub-less ``Network`` or
-    ``LocalRuntime`` takes per instrumentation point — nanoseconds per
-    call, for the docs (a cluster always has a hub)."""
-
-    class _Dark:
-        __slots__ = ("obs",)
-
-        def __init__(self):
-            self.obs = None
-
-        def touch(self) -> None:
-            if self.obs is not None:  # pragma: no cover - never taken
-                self.obs.count("x")
-
-    dark = _Dark()
-    begin = time.perf_counter()
-    for _ in range(iterations):
-        dark.touch()
-    elapsed = time.perf_counter() - begin
-    return {
-        "iterations": float(iterations),
-        "seconds_total": elapsed,
-        "nanos_per_call": elapsed / iterations * 1e9,
-    }
-
 
 def _round_all(metrics: Dict[str, float], digits: int = 6) -> Dict[str, float]:
     return {key: round(float(value), digits) for key, value in metrics.items()}
@@ -218,7 +190,6 @@ def scenario_contention_sweep(seed: int = 11) -> Dict[str, Any]:
     workers, ops = 6, 5
     levels = (8, 4, 2, 1)
     metrics: Dict[str, float] = {}
-    info: Dict[str, Any] = {}
     for objects in levels:
         run = _contention_run(seed, objects, workers, ops,
                               probed=(objects == levels[-1]))
@@ -238,10 +209,6 @@ def scenario_contention_sweep(seed: int = 11) -> Dict[str, Any]:
                 run["recorder"].ring_events())
             metrics["max_contention.introspect_probes"] = (
                 run["inspector"].probes)
-            info["noop_path"] = {
-                "nanos_per_call": round(
-                    measure_noop_path()["nanos_per_call"], 1),
-            }
     # adversarial variant: sampled (non-canonical) acquisition order at two
     # objects, where symmetric ABBA cycles keep deadlock detection honest
     run = _contention_run(seed, 2, workers, ops, abba=True)
@@ -256,7 +223,7 @@ def scenario_contention_sweep(seed: int = 11) -> Dict[str, Any]:
         "contention_sweep", seed,
         {"workers": workers, "ops_per_worker": ops, "levels": list(levels),
          "order": "canonical (+ objects=2 abba variant)"},
-        metrics, info)
+        metrics)
 
 
 # -- colour-count sweep -------------------------------------------------------

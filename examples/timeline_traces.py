@@ -8,15 +8,14 @@ Run:  python examples/timeline_traces.py
 """
 
 from repro import Counter, GluedGroup, LocalRuntime, SerializingAction, independent_top_level
-from repro.obs import History, Observability, action_timeline
+from repro.obs import History, action_timeline
 
 
 def traced():
     runtime = LocalRuntime()
-    hub = Observability()
-    hub.bind(History())  # the timelines are drawn from retained action spans
-    runtime.attach_observability(hub)
-    return runtime, hub.tracer
+    # the timelines are drawn from retained action spans
+    runtime.obs.bind(History())
+    return runtime, runtime.obs.tracer
 
 
 def fig2_nesting() -> None:

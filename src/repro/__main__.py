@@ -16,7 +16,7 @@ from repro import (
     SerializingAction,
     independent_top_level,
 )
-from repro.obs import History, Observability, action_timeline
+from repro.obs import History, action_timeline
 
 
 def banner(text: str) -> None:
@@ -27,10 +27,8 @@ def banner(text: str) -> None:
 
 def traced():
     runtime = LocalRuntime()
-    hub = Observability()
-    hub.bind(History())
-    runtime.attach_observability(hub)
-    return runtime, hub.tracer
+    runtime.obs.bind(History())
+    return runtime, runtime.obs.tracer
 
 
 def demo_nesting_problem() -> None:

@@ -29,12 +29,10 @@ Attach an :class:`Observability` hub::
     print(cluster.obs.span_tree())     # distributed traces
     cluster.obs.save("run.trace.json") # for `python -m repro.obs report`
 
-For the local (threaded) runtime::
+The local (threaded) runtime builds its own hub too::
 
-    hub = Observability()
-    hub.bind(History())
     runtime = LocalRuntime()
-    runtime.attach_observability(hub)
+    runtime.obs.bind(History())        # keep spans for action_timeline
 
 Without the history layer a hub audits and counts but keeps nothing per
 action (:mod:`repro.obs.history`).

@@ -2,10 +2,10 @@
 
 :func:`install_online_audit` is a context manager (used by an autouse
 fixture in ``tests/conftest.py``) that tracks every Observability hub
-created inside it, binds the history layer to each (a failure's dump is
-only replayable with its events) and auto-attaches a hub to every
-LocalRuntime that would otherwise run dark.  On exit it collects the findings of every
-hub's auditor; any finding raises ``AssertionError``, and so does any
+created inside it — a cluster's and a local runtime's own among them —
+and binds the history layer to each (a failure's dump is only replayable
+with its events).  On exit it collects the findings of every hub's
+auditor; any finding raises ``AssertionError``, and so does any
 bus subscriber that crashed (the auditor among them: its silence would
 be vacuous) — and when
 ``REPRO_OBS_DUMP`` names a directory, the offending hubs' full dumps
@@ -26,29 +26,20 @@ from typing import List
 def install_online_audit(dump_dir=None):
     from repro.obs.history import History
     from repro.obs.hub import Observability
-    from repro.runtime.runtime import LocalRuntime
 
     hubs: List[Observability] = []
     original_hub_init = Observability.__init__
-    original_runtime_init = LocalRuntime.__init__
 
     def recording_hub_init(self, *args, **kwargs):
         original_hub_init(self, *args, **kwargs)
         self.bind(History())
         hubs.append(self)
 
-    def audited_runtime_init(self, *args, **kwargs):
-        original_runtime_init(self, *args, **kwargs)
-        if self.obs is None:
-            self.attach_observability(Observability())
-
     Observability.__init__ = recording_hub_init
-    LocalRuntime.__init__ = audited_runtime_init
     try:
         yield hubs
     finally:
         Observability.__init__ = original_hub_init
-        LocalRuntime.__init__ = original_runtime_init
         _assert_clean(hubs, dump_dir)
 
 

@@ -9,13 +9,10 @@ carried one is resolved once, as that of its other labels).  What a run
 *was* — every event, every span, per-colour statistics — is kept by the
 history layer (:mod:`repro.obs.history`), bound like any other.
 
-A hub is attached to a :class:`~repro.cluster.cluster.Cluster` (created
-automatically, on simulated time) or to a
-:class:`~repro.runtime.runtime.LocalRuntime` via
-``runtime.attach_observability(hub)``.  A cluster always has one, so the
-cluster stack (transport, server, client, edge chaser) reports into it
-unconditionally; ``Network`` and ``LocalRuntime``, which are also built
-on their own, accept a hub of ``None`` and degrade to no-ops.  The
+Every :class:`~repro.cluster.cluster.Cluster` (on simulated time) and
+every :class:`~repro.runtime.runtime.LocalRuntime` builds its own hub,
+``.obs``, and reports into it unconditionally; only ``Network``, which
+tests also build on its own, accepts a hub of ``None``.  The
 network reports nothing per message: it counts in plain ints, which the
 registry pulls when it is read (:meth:`MetricsRegistry.collect
 <repro.obs.metrics.MetricsRegistry.collect>`).
@@ -193,10 +190,7 @@ class Observability:
         for colour in action.colours:
             self.count(f"actions_{outcome}_total", colour=str(colour),
                        node=node)
-        span = action._obs_span
-        if span is not None:
-            span.set(outcome=outcome)
-            span.finish()
+        action._obs_span.set(outcome=outcome).finish()
         self.emit("action.end", action=str(action.uid), name=action.name,
                   outcome=outcome, colours=colour_names(action.colours),
                   node=action.home or node)
@@ -220,10 +214,8 @@ class Observability:
         from the lock registry itself, which also covers server grants.)"""
         label = mode_label(mode)
         self.count("lock_grants_total", mode=label, node=node)
-        span = action._obs_span
-        if span is not None:
-            span.event("lock.granted", object=str(object_uid),
-                       mode=label, colour=str(colour))
+        action._obs_span.event("lock.granted", object=str(object_uid),
+                               mode=label, colour=str(colour))
 
     # -- export shorthands -----------------------------------------------------
 

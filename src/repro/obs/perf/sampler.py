@@ -32,8 +32,9 @@ _COLOUR_COUNTERS = (
     ("inherited", "colour_inherited_total"),
 )
 
-#: histograms whose colour-labelled quantiles enter each point
-_COLOUR_HISTOGRAMS = (
+#: (point-key prefix, histogram) pairs: the histograms whose
+#: colour-labelled quantiles enter each point
+COLOUR_HISTOGRAMS = (
     ("lock_wait", "lock_wait_time"),
     ("twopc_prepare", "twopc_prepare_time"),
     ("commit_latency", "commit_latency"),
@@ -125,7 +126,7 @@ class TimeSeriesSampler:
                 if delta:
                     row = colours.setdefault(colour, {})
                     row[key] = row.get(key, 0.0) + delta
-        for key, metric in _COLOUR_HISTOGRAMS:
+        for key, metric in COLOUR_HISTOGRAMS:
             merged: Dict[str, List] = {}
             for labels, histogram in metrics.series(metric):
                 colour = labels.get("colour")

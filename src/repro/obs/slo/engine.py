@@ -25,19 +25,14 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.perf.recorder import FlightRecorder
-from repro.obs.perf.sampler import TimeSeriesSampler
+from repro.obs.perf.sampler import COLOUR_HISTOGRAMS, TimeSeriesSampler
 from repro.obs.slo.objectives import Objective, default_objectives
 
 #: ledger entries retained per engine; older breaches are dropped counted
 MAX_BREACHES = 256
 
 #: histogram metric -> per-colour point-key prefix in sampler timelines
-#: (kept in sync with ``TimeSeriesSampler._COLOUR_HISTOGRAMS``)
-POINT_PREFIXES = {
-    "lock_wait_time": "lock_wait",
-    "twopc_prepare_time": "twopc_prepare",
-    "commit_latency": "commit_latency",
-}
+POINT_PREFIXES = {metric: key for key, metric in COLOUR_HISTOGRAMS}
 
 
 class SLOEngine:

@@ -29,6 +29,7 @@ from repro.locking.registry import LockRegistry
 from repro.locking.request import LockRequest, RequestStatus
 from repro.locking.rules import ColouredRules, LockRules
 from repro.objects.state_manager import StateManager
+from repro.obs.hub import Observability
 from repro.runtime.context import current_action
 from repro.runtime.scope import ActionScope
 from repro.store.interface import ObjectStore
@@ -38,28 +39,30 @@ from repro.util.uid import Uid, UidGenerator
 #: Sentinel: "use the ambient action as parent" in the action factories.
 AMBIENT = object()
 
+#: the ``node`` label everything this runtime reports carries
+NODE = "local"
+
 
 class LocalRuntime:
     """Everything needed to run (multi-)coloured actions in one process."""
 
     def __init__(self, rules: Optional[LockRules] = None,
-                 store: Optional[ObjectStore] = None,
-                 deadlock_detection: bool = True,
-                 default_lock_timeout: Optional[float] = None):
+                 store: Optional[ObjectStore] = None):
         self.store: ObjectStore = store if store is not None else StableStore()
         self._registry = LockRegistry(rules if rules is not None else ColouredRules())
         self.colours = ColourAllocator()
-        self.deadlock_detection = deadlock_detection
-        self.default_lock_timeout = default_lock_timeout
         self.objects: Dict[Uid, StateManager] = {}
         self._action_uids = UidGenerator("action")
         self._object_uids = UidGenerator("object")
         self._undo_seq = itertools.count(1)
         self._mutex = threading.RLock()
         self._detector = DeadlockDetector(self._registry)
-        #: optional Observability hub (see repro.obs); None = dark.
-        self.obs = None
-        self._obs_node = "local"
+        #: this runtime's Observability hub (see repro.obs): counters, the
+        #: always-on auditor, spans once a layer keeps them.  Its World and
+        #: counters are not thread-safe, so every report is made under
+        #: ``_mutex``; only spans, which the tracer guards, are not.
+        self.obs = Observability()
+        self._registry.on_event = self._emit_lock_event
         #: action uid -> open termination span (commit/abort in flight),
         #: so persist spans can parent onto them
         self._terminating: Dict[Uid, object] = {}
@@ -87,61 +90,39 @@ class LocalRuntime:
         Single store, single mutex — the multi-object write is atomic with
         respect to every other runtime operation.
         """
-        span = None
-        if self.obs is not None:
-            parent = (self._terminating.get(action.uid)
-                      or action._obs_span)
-            span = self.obs.span(f"persist:{colour}", parent=parent,
-                                 kind="client", node=self._obs_node,
-                                 colour=str(colour))
+        parent = self._terminating.get(action.uid) or action._obs_span
+        span = self.obs.span(f"persist:{colour}", parent=parent,
+                             kind="client", node=NODE, colour=str(colour))
         try:
             for object_uid in sorted(written):
                 written[object_uid].persist_to(self.store)
         except Exception:
-            if span is not None:
-                span.set(outcome="failed").finish()
+            span.set(outcome="failed").finish()
             raise
-        if self.obs is not None:
-            self.obs.emit("colour.permanent", action=str(action.uid),
-                          colour=str(colour),
-                          objects=",".join(sorted(str(u) for u in written)),
-                          node=self._obs_node)
-            self.obs.count("colour_permanent_total", colour=str(colour))
-            span.set(outcome="persisted").finish()
+        self.obs.emit("colour.permanent", action=str(action.uid),
+                      colour=str(colour),
+                      objects=",".join(sorted(str(u) for u in written)),
+                      node=NODE)
+        self.obs.count("colour_permanent_total", colour=str(colour))
+        span.set(outcome="persisted").finish()
 
     def note_commit_route(self, action: Action, colour: Colour,
                           destination) -> None:
         """``action`` is committing and routes ``colour`` to ``destination``
         (an ancestor, or None for "make permanent"): the hub is told."""
-        if self.obs is not None:
-            self.obs.commit_routed(action, colour, destination,
-                                   self._obs_node)
+        self.obs.commit_routed(action, colour, destination, NODE)
 
     def action_terminated(self, action: Action) -> None:
         """Called once an action has committed or aborted."""
-        if self.obs is not None:
-            self.obs.action_ended(action, self._obs_node)
+        self.obs.action_ended(action, NODE)
 
     def action_created(self, action: Action) -> None:
         """Called at the end of every Action's construction."""
-        if self.obs is not None:
-            self.obs.action_begun(action, self._obs_node)
-
-    def attach_observability(self, hub, node: str = "local") -> None:
-        """Wire an :class:`repro.obs.Observability` hub into this runtime.
-
-        From here on the runtime reports every action's begin and end and
-        every lock grant to the hub (per-colour commit/abort counters,
-        lock-grant counters, one span per action) and enables its own
-        lock-wait/deadlock instrumentation.
-        """
-        self.obs = hub
-        self._obs_node = node
-        self._registry.on_event = self._emit_lock_event
+        with self._mutex:
+            self.obs.action_begun(action, NODE)
 
     def _emit_lock_event(self, kind: str, **labels) -> None:
-        if self.obs is not None:
-            self.obs.emit(kind, node=self._obs_node, **labels)
+        self.obs.emit(kind, node=NODE, **labels)
 
     # -- object management ------------------------------------------------------
 
@@ -214,13 +195,11 @@ class LocalRuntime:
             with self._mutex:
                 outcome = action.commit()
         except Exception:
-            if span is not None:
-                span.set(outcome="commit-failed").finish()
+            span.set(outcome="commit-failed").finish()
             raise
         finally:
             self._terminating.pop(action.uid, None)
-        if span is not None:
-            span.set(outcome="committed").finish()
+        span.set(outcome="committed").finish()
         return outcome
 
     def abort_action(self, action: Action) -> Outcome:
@@ -229,23 +208,19 @@ class LocalRuntime:
             with self._mutex:
                 outcome = action.abort()
         except Exception:
-            if span is not None:
-                span.set(outcome="abort-failed").finish()
+            span.set(outcome="abort-failed").finish()
             raise
         finally:
             self._terminating.pop(action.uid, None)
-        if span is not None:
-            span.set(outcome="aborted").finish()
+        span.set(outcome="aborted").finish()
         return outcome
 
     def _termination_span(self, action: Action, name: str):
         """Client-kind termination span — the local analogue of the
         cluster client's commit/abort RPC spans, so local and cluster
         traces share one shape."""
-        if self.obs is None:
-            return None
         span = self.obs.span(name, parent=action._obs_span,
-                             kind="client", node=self._obs_node)
+                             kind="client", node=NODE)
         self._terminating[action.uid] = span
         return span
 
@@ -269,18 +244,17 @@ class LocalRuntime:
         """
         chosen = action.lock_colour(colour)
         settled = threading.Event()
-        wait_started = time.monotonic() if self.obs is not None else 0.0
+        wait_started = time.monotonic()
 
         def completed(_request: LockRequest) -> None:
             settled.set()
 
         with self._mutex:
             request = self._registry.request(action, obj.uid, mode, chosen, completed)
-            if not request.settled and self.deadlock_detection:
+            if not request.settled:
                 self._detector.resolve_all()
 
-        limit = timeout if timeout is not None else self.default_lock_timeout
-        if not settled.wait(timeout=limit):
+        if not settled.wait(timeout=timeout):
             with self._mutex:
                 self._registry.cancel_request(request, reason="lock timeout")
             if request.status is not RequestStatus.GRANTED:
@@ -288,17 +262,14 @@ class LocalRuntime:
                     f"{action.name}: {mode_label(mode)} lock on {obj.uid} timed out"
                 )
 
-        if self.obs is not None:
-            self.obs.observe("lock_wait_seconds",
-                             time.monotonic() - wait_started,
-                             node=self._obs_node, colour=str(chosen))
         if request.status is RequestStatus.GRANTED:
-            if mode is LockMode.WRITE:
-                with self._mutex:
+            with self._mutex:
+                self.obs.observe("lock_wait_time",
+                                 time.monotonic() - wait_started,
+                                 node=NODE, colour=str(chosen))
+                if mode is LockMode.WRITE:
                     action.record_write(obj, chosen)
-            if self.obs is not None:
-                self.obs.lock_granted(action, obj.uid, mode, chosen,
-                                      self._obs_node)
+                self.obs.lock_granted(action, obj.uid, mode, chosen, NODE)
             companion = action.companion_colour
             if companion is not None and companion != chosen:
                 self.acquire(action, obj, companion_mode(mode),

@@ -12,9 +12,10 @@ from repro.util.uid import UidGenerator
 def _online_invariant_audit(request):
     """Run chaos and property suites under the online auditor.
 
-    Every Observability hub created in these modules gets its findings
-    asserted empty after the test, and every LocalRuntime is
-    auto-instrumented so nothing runs dark.  Findings are hard failures.
+    Every Observability hub created in these modules — each Cluster's and
+    each LocalRuntime's own among them — gets the history layer bound and
+    its findings asserted empty after the test.  Findings are hard
+    failures.
     """
     module = request.node.module.__name__.rsplit(".", 1)[-1]
     audited = (module == "test_chaos_invariants"

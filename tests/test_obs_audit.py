@@ -60,11 +60,9 @@ def observed_runtime(history=False):
     """A runtime on a bare hub (the auditor reads the bus by kind), or on
     one that also keeps the run: events for a replay, series per colour."""
     runtime = LocalRuntime()
-    hub = Observability()
     if history:
-        hub.bind(History())
-    runtime.attach_observability(hub)
-    return runtime, hub
+        runtime.obs.bind(History())
+    return runtime, runtime.obs
 
 
 def test_clean_local_run_has_no_findings():

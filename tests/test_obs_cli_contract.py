@@ -24,7 +24,7 @@ import pytest
 import re
 from pathlib import Path
 
-from repro.obs import History, Observability
+from repro.obs import History
 from repro.obs.__main__ import COMMANDS, main
 from repro.obs.soak import SoakRunner
 from repro.runtime.runtime import LocalRuntime
@@ -34,9 +34,8 @@ from repro.stdobjects import Counter
 def _save_run(tmp_path, name, violate=False):
     """A real (tiny) observed run, optionally with a 2PL violation."""
     runtime = LocalRuntime()
-    hub = Observability()
+    hub = runtime.obs
     hub.bind(History())  # the consoles read the run's spans and events
-    runtime.attach_observability(hub)
     with runtime.top_level(name="t") as action:
         counter = Counter(runtime, value=0)
         counter.increment(1)

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.obs import History, Observability
+from repro.obs import Observability
 from repro.obs.bus import EventBus, ObsEvent
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.runtime import LocalRuntime
@@ -130,32 +130,26 @@ def test_event_bus_isolates_subscriber_errors():
     assert seen[0].labels["n"] == 1
 
 
-def test_local_runtime_attach_observability():
+def test_a_plain_local_runtime_counts_and_audits_into_its_own_hub():
+    """Nothing attached: the runtime's own hub counts the run, and its
+    always-on auditor sees a forged 2PL violation."""
+    from repro.obs.audit import findings as F
+
     runtime = LocalRuntime()
-    hub = Observability()
-    hub.bind(History())
-    runtime.attach_observability(hub)
     counter = CounterObject(runtime, value=0)
     with runtime.top_level(name="A"):
         counter.increment(1)
-    try:
-        with runtime.top_level(name="B"):
-            counter.increment(1)
-            raise RuntimeError("force abort")
-    except RuntimeError:
-        pass
-    dump = hub.dump()
-    committed = [row for row in dump["counters"]
-                 if row["name"] == "actions_committed_total"]
-    aborted = [row for row in dump["counters"]
-               if row["name"] == "actions_aborted_total"]
-    assert sum(row["value"] for row in committed) == 1
-    assert sum(row["value"] for row in aborted) == 1
-    grants = [row for row in dump["counters"]
-              if row["name"] == "lock_grants_total"]
-    assert grants
-    spans = {s.name for s in hub.tracer.snapshot()}
-    assert {"action:A", "action:B"} <= spans
+    assert [(row["name"], row["value"]) for row in runtime.obs.dump()[
+        "counters"] if row["name"] in ("actions_committed_total",
+                                       "lock_grants_total")] == [
+        ("actions_committed_total", 1), ("lock_grants_total", 1)]
+    assert runtime.obs.auditor.report() == []
+    with runtime.top_level(name="t") as action:
+        counter.increment(1)
+        runtime.locks.release_action(action.uid)   # the forged bug
+        counter.increment(1)                       # growing after shrinking
+    assert [finding.kind for finding in runtime.obs.auditor.report()] == [
+        F.TWO_PHASE]
 
 
 def test_tracer_snapshot_is_safe_during_mutation():

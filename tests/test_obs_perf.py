@@ -237,15 +237,6 @@ def test_recorder_validates_parameters():
         FlightRecorder(sample_rate=1.5)
 
 
-# -- the hub-less no-op path ---------------------------------------------------
-
-def test_noop_path_is_measurable():
-    from benchmarks.scenarios import measure_noop_path
-
-    result = measure_noop_path(iterations=1000)
-    assert result["nanos_per_call"] > 0.0
-
-
 # -- compare / perf gate ------------------------------------------------------
 
 def _bench(metrics, scenario="s", **extra):

@@ -82,7 +82,7 @@ def held_records(runtime):
 @settings(max_examples=150, deadline=None)
 @given(ops)
 def test_random_coloured_trees_never_leak(operations):
-    runtime = LocalRuntime(deadlock_detection=False)
+    runtime = LocalRuntime()
     pool = [runtime.colours.fresh(f"p{i}") for i in range(COLOUR_POOL)]
     counters = [Counter(runtime, value=0) for _ in range(N_OBJECTS)]
     stack = []
@@ -143,7 +143,7 @@ def test_random_coloured_trees_never_leak(operations):
 def test_random_trees_with_detached_independents(operations):
     """Same harness, but aborts may detach colour-disjoint children; the
     leak-freedom invariants must still hold after everything unwinds."""
-    runtime = LocalRuntime(deadlock_detection=False)
+    runtime = LocalRuntime()
     pool = [runtime.colours.fresh(f"p{i}") for i in range(COLOUR_POOL)]
     counters = [Counter(runtime, value=0) for _ in range(N_OBJECTS)]
     live = []   # all actions ever created, for final unwinding
@@ -219,7 +219,7 @@ def test_local_and_cluster_trees_obey_the_same_rules(shape, pick, how):
     node (and the same n-level refusals), and ending a random node aborts
     the same children in the same order and leaves the same parent links."""
     seen = []
-    for stage in stages(LocalRuntime(deadlock_detection=False)):
+    for stage in stages(LocalRuntime()):
         factory, hub = stage.factory, stage.factory.obs
         pool = [factory.fresh_colour(f"p{i}") for i in range(COLOUR_POOL)]
         nodes, refused = [], []

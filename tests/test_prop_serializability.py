@@ -76,7 +76,7 @@ def try_write(runtime, action, obj, colour):
 @settings(max_examples=120, deadline=None)
 @given(transactions, schedules)
 def test_committed_transactions_apply_atomically(txns, schedule):
-    runtime = LocalRuntime(deadlock_detection=False)
+    runtime = LocalRuntime()
     counters = [Counter(runtime, value=0) for _ in range(N_OBJECTS)]
 
     class Txn:
@@ -125,7 +125,7 @@ def test_committed_transactions_apply_atomically(txns, schedule):
 @settings(max_examples=80, deadline=None)
 @given(transactions, schedules)
 def test_stable_store_reflects_only_committed_state(txns, schedule):
-    runtime = LocalRuntime(deadlock_detection=False)
+    runtime = LocalRuntime()
     counters = [Counter(runtime, value=0) for _ in range(N_OBJECTS)]
 
     class Txn:

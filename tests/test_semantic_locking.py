@@ -1,5 +1,6 @@
 """Type-specific concurrency control and recovery (§2): the semantic layer."""
 
+import sys
 import threading
 
 import pytest
@@ -50,14 +51,22 @@ def test_concurrent_updates_do_not_block(runtime):
 
 
 def test_observer_blocks_while_updater_active(runtime):
+    """The reader's wait times out; like a server, the runtime observes
+    ``lock_wait_time`` for the updater's grant only."""
+    def waits():
+        return [histogram.count for _labels, histogram
+                in runtime.obs.metrics.series("lock_wait_time")]
+
     counter = CommutingCounter(runtime, value=0)
     scope = runtime.top_level(name="u")
     updater = scope.__enter__()
     counter.add(1, action=updater)
+    assert waits() == [1]
     with runtime.top_level(name="r") as reader:
         with pytest.raises(LockTimeout):
             runtime.acquire(reader, counter, "observe", timeout=0.05)
         runtime.abort_action(reader)
+    assert waits() == [1]
     runtime.commit_action(updater)
     scope.__exit__(None, None, None)
     with runtime.top_level(name="r2") as reader:
@@ -159,16 +168,16 @@ def test_interleaved_compensation_order(runtime):
 
 def test_concurrent_threads_commuting_updates():
     """Real threads adding concurrently, some aborting; the final value is
-    the sum of committed deltas."""
+    the sum of committed deltas, and the runtime's own hub counts every
+    outcome and its auditor finds nothing."""
     from repro.runtime.runtime import LocalRuntime
     runtime = LocalRuntime()
     counter = CommutingCounter(runtime, value=0)
-    committed_total = []
+    committed = []
 
     def worker(seed):
         import random
         rng = random.Random(seed)
-        local_sum = 0
         for i in range(20):
             amount = rng.randint(1, 9)
             doomed = rng.random() < 0.4
@@ -177,17 +186,27 @@ def test_concurrent_threads_commuting_updates():
                     counter.add(amount)
                     if doomed:
                         raise RuntimeError
-                local_sum += amount
+                committed.append(amount)
             except RuntimeError:
                 pass
-        committed_total.append(local_sum)
 
     threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(30)
-    assert counter.value == sum(committed_total)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert counter.value == sum(committed)
+    outcomes = [(row["name"], row["value"]) for row in runtime.obs.dump()[
+        "counters"] if row["name"].startswith("actions_")]
+    assert sorted(outcomes) == [("actions_aborted_total", 80 - len(committed)),
+                                ("actions_committed_total", len(committed))]
+    assert runtime.obs.auditor.report() == []
 
 
 # -- interaction with structures -----------------------------------------------------
@@ -240,10 +259,9 @@ def test_group_grants_are_reported_to_an_attached_hub(runtime):
     """One blocking acquire: a group grant reaches the hub like a mode
     grant — the counter, the wait histogram, the action span's event
     (spans are built once the history layer keeps them)."""
-    from repro.obs import History, Observability
-    hub = Observability()
+    from repro.obs import History
+    hub = runtime.obs
     hub.bind(History())
-    runtime.attach_observability(hub)
     counter = CommutingCounter(runtime, value=0)
     with runtime.top_level(name="u") as action:
         counter.add(1, action=action)
@@ -251,6 +269,6 @@ def test_group_grants_are_reported_to_an_attached_hub(runtime):
     assert {labels["mode"]: instrument.value for labels, instrument
             in hub.metrics.series("lock_grants_total")} == {"update": 1}
     assert [instrument.count for _labels, instrument
-            in hub.metrics.series("lock_wait_seconds")] == [1]
+            in hub.metrics.series("lock_wait_time")] == [1]
     assert [(name, attrs["mode"]) for _tick, name, attrs in span.events] == [
         ("lock.granted", "update")]

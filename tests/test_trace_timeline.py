@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.obs import (History, Observability, action_timeline,
-                       survival_report)
+from repro.obs import History, action_timeline, survival_report
 from repro.runtime.runtime import LocalRuntime
 from repro.stdobjects import Counter
 from repro.structures import SerializingAction, independent_top_level
@@ -12,10 +11,8 @@ from repro.structures import SerializingAction, independent_top_level
 @pytest.fixture
 def traced_runtime():
     runtime = LocalRuntime()
-    hub = Observability()
-    hub.bind(History())
-    runtime.attach_observability(hub)
-    return runtime, hub.tracer
+    runtime.obs.bind(History())
+    return runtime, runtime.obs.tracer
 
 
 def action_spans(tracer):
