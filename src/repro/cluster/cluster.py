@@ -99,8 +99,8 @@ class Cluster:
         #: ``obs.save()``'s ``spans``/``events`` read).
         self.obs = Observability(tick_source=lambda: self.kernel.now)
         self.rng = SplitRandom(seed)
-        self.network = Network(self.kernel, self.rng, config,
-                               observability=self.obs)
+        self.network = Network(self.kernel, self.rng, config)
+        self.obs.metrics.collect(self.network.kind_counts)
         self.classes = dict(classes if classes is not None else DEFAULT_CLASSES)
         self.lock_wait_timeout = lock_wait_timeout
         self.rpc_timeout = rpc_timeout

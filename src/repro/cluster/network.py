@@ -127,8 +127,7 @@ class Network:
     """Message delivery between named endpoints."""
 
     def __init__(self, kernel: Kernel, rng: SplitRandom,
-                 config: Optional[NetworkConfig] = None,
-                 observability=None):
+                 config: Optional[NetworkConfig] = None):
         self.kernel = kernel
         #: delay draws (one per delivered copy)
         self.rng = rng.split("network")
@@ -142,8 +141,8 @@ class Network:
         self._partitions: Set[frozenset] = set()
         self._msg_ids = itertools.count(1)
         # observability: aggregate counts plus per message kind counts, which
-        # a hub's registry pulls as ``messages_<fate>_total{kind}`` counters
-        # (nothing is reported per message)
+        # a hub's registry pulls through :meth:`kind_counts` (nothing is
+        # reported per message)
         self.sent_count = 0
         self.delivered_count = 0
         self.dropped_count = 0
@@ -151,8 +150,6 @@ class Network:
         #: fate -> message kind -> messages
         self.by_kind: Dict[str, Dict[str, int]] = {
             "sent": {}, "delivered": {}, "dropped": {}}
-        if observability is not None:
-            observability.metrics.collect(self._kind_counts)
 
     # -- topology --------------------------------------------------------------
 
@@ -231,8 +228,9 @@ class Network:
 
     # -- metrics -------------------------------------------------------------------
 
-    def _kind_counts(self) -> Iterator[Tuple[str, Dict[str, str], int]]:
-        """The per-kind counts as counter rows (a registry collector)."""
+    def kind_counts(self) -> Iterator[Tuple[str, Dict[str, str], int]]:
+        """The per-kind counts as ``messages_<fate>_total{kind}`` counter
+        rows (a registry collector)."""
         for fate, counts in self.by_kind.items():
             name = f"messages_{fate}_total"
             for kind, count in counts.items():

@@ -178,13 +178,6 @@ class ObjectServer:
         decided (in doubt included)."""
         return self.node.txns.prepared
 
-    @property
-    def in_doubt_txns(self) -> Dict[str, TxnEntry]:
-        """The prepared transactions recovered from the log after a crash;
-        lives exactly as long as their ``in_doubt_objects`` fences."""
-        return {txn_id: entry for txn_id, entry in self.prepared.items()
-                if entry.in_doubt}
-
     # -- plumbing ------------------------------------------------------------
 
     def _emit_lock_event(self, kind: str, **labels) -> None:

@@ -302,7 +302,10 @@ class RpcTransport:
             # escaped here the call would stay executing forever, every
             # retransmit would be ACKed but never answered, and the client
             # would burn its whole completion timeout.  Answer with a
-            # cluster error instead (answering ends the execution).
+            # cluster error instead (answering ends the execution), and
+            # count it: a crashed handler is a bug, even if the caller
+            # copes with the error.
+            self.obs.count("rpc_handler_crashes_total", kind=message.kind)
             respond(False, ClusterError(
                 f"handler for {message.kind!r} crashed: {error!r}"
             ))

@@ -12,6 +12,10 @@ decides, so a plan that only watches changes no draw of the run.
   (:func:`leftover`), unanswered reply slot or live client action, and
   ``hub.bus.errors`` is empty; the hub's ``World`` remembers a hold on a
   server exactly when its lock registry holds one;
+- no RPC handler raised anything but a ``ReproError``: the transport
+  answers such a crash as a ``ClusterError``, and a caller that copes
+  with the error would hide the bug (``rpc_handler_crashes_total`` has
+  no row);
 - serialisability and the 2PC rules: the online auditor's report is
   ``[]``;
 - permanence: every node crashed and restarted, the stable stores are
@@ -21,7 +25,8 @@ decides, so a plan that only watches changes no draw of the run.
 """
 
 from repro.backend import AsyncioKernel
-from repro.cluster.network import FaultPlan
+from repro.cluster.cluster import Cluster
+from repro.cluster.network import FaultPlan, NetworkConfig
 from repro.cluster.txn import COORDINATOR, PARTICIPANT, TxnState
 from repro.objects.state import ObjectState
 from repro.sim.kernel import Kernel
@@ -30,6 +35,16 @@ from repro.sim.kernel import Kernel
 BACKENDS = (Kernel, lambda: AsyncioKernel(time_scale=0.01))
 #: in doubt: a promise whose outcome this node does not know
 IN_DOUBT = (TxnState.PREPARED, TxnState.DELEGATED)
+#: every hop takes one unit, so messages arrive in send order
+FIXED = NetworkConfig(min_delay=1.0, max_delay=1.0)
+
+
+def cluster_of(names, seed=0, config=None, **kwargs):
+    """A :class:`Cluster` with one node per name, added in order."""
+    cluster = Cluster(seed=seed, config=config, **kwargs)
+    for name in names:
+        cluster.add_node(name)
+    return cluster
 
 
 def on_both_backends(body):
@@ -88,9 +103,11 @@ def leftover(entry):
 
 
 def settled(cluster):
-    """Nothing left over, the auditor silent, the World in agreement."""
+    """Nothing left over, no handler crashed, the auditor silent, the
+    World in agreement."""
     assert cluster.obs.auditor.report() == []
     assert cluster.obs.bus.errors == {}
+    assert cluster.obs.metrics.series("rpc_handler_crashes_total") == []
     for client in cluster.clients:
         assert not client.live_actions, client.node.name
     holders = {node for node, _obj in cluster.obs.world.holds}

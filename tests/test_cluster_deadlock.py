@@ -8,13 +8,10 @@ run on both execution backends under one test id each.
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.message import decode_uid
-from repro.cluster.network import LOST, NetworkConfig
+from repro.cluster.network import LOST
 from repro.errors import DeadlockDetected, LockTimeout
 from repro.sim.kernel import Timeout
-from tests.oracle import Over, on_both_backends
-
-#: every message takes exactly one unit: wait lengths are known in advance
-FIXED = NetworkConfig(min_delay=1.0, max_delay=1.0)
+from tests.oracle import FIXED, Over, on_both_backends
 
 
 def make_cluster(edge_chasing=True, lock_wait_timeout=600.0, backend=None,

@@ -50,7 +50,8 @@ def test_a_send_that_raises_is_not_counted():
     """A message to an unknown endpoint is refused before it is counted:
     neither the aggregate nor the per-kind registry row moves."""
     hub = Observability()
-    network = Network(Kernel(), SplitRandom(0), observability=hub)
+    network = Network(Kernel(), SplitRandom(0))
+    hub.metrics.collect(network.kind_counts)
     attach_sink(network, "b")
     network.send(Message("a", "b", "ping", {}))
     with pytest.raises(ClusterError):
@@ -75,7 +76,8 @@ def test_a_plan_made_drop_is_counted_like_any_other():
     in the registry row pulled from it."""
     hub = Observability()
     kernel = Kernel()
-    network = Network(kernel, SplitRandom(0), observability=hub)
+    network = Network(kernel, SplitRandom(0))
+    hub.metrics.collect(network.kind_counts)
     attach_sink(network, "b")
     network.attach("a", lambda m: None)
     Over(network, lambda message: LOST)

@@ -1,19 +1,15 @@
-"""2PC crash recovery: prepared states, decision queries, presumed abort."""
+"""2PC crash recovery where the single-fault sweep does not reach: the
+in-doubt resolver's own answer, the fence on an in-doubt object, and a
+second abort after a later transaction took the shadow slot.  In the
+sweep a restarted participant hears the coordinator's redelivered
+decision before its resolver's answer, and no other action touches an
+object while it is in doubt."""
 
 import pytest
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.message import encode_colour, encode_uid
 from repro.cluster.txn import COORDINATOR
-from repro.sim.kernel import Timeout
-from tests.oracle import committed_int
-
-
-def make_cluster(seed=0):
-    cluster = Cluster(seed=seed)
-    for name in ("coord", "part"):
-        cluster.add_node(name)
-    return cluster
+from tests.oracle import cluster_of, committed_int
 
 
 def drive_prepare(cluster, client, value_after):
@@ -45,7 +41,7 @@ def drive_prepare(cluster, client, value_after):
 def test_prepared_shadow_survives_crash_and_commit_applies_on_recovery():
     """Participant crashes between prepare and decision; the coordinator had
     logged COMMIT, so recovery promotes the shadow."""
-    cluster = make_cluster()
+    cluster = cluster_of(["coord", "part"])
     client = cluster.client("coord")
     holder = drive_prepare(cluster, client, value_after=42)
     # the coordinator decides commit and logs it — but the participant
@@ -59,23 +55,10 @@ def test_prepared_shadow_survives_crash_and_commit_applies_on_recovery():
     assert committed_int(cluster, holder["ref"]) == 42
 
 
-def test_presumed_abort_when_coordinator_never_decided():
-    """No COMMIT record at the coordinator => recovery discards the shadow."""
-    cluster = make_cluster()
-    client = cluster.client("coord")
-    holder = drive_prepare(cluster, client, value_after=42)
-    cluster.crash("part")
-    cluster.restart("part")
-    cluster.run(until=cluster.kernel.now + 200)
-    assert committed_int(cluster, holder["ref"]) == 1
-    shadow = cluster.nodes["part"].stable_store.read_shadow(holder["ref"].uid)
-    assert shadow is None
-
-
 def test_in_doubt_object_fenced_until_resolution():
     """While the coordinator is unreachable, the prepared object refuses
     operations; after resolution it serves again."""
-    cluster = make_cluster()
+    cluster = cluster_of(["coord", "part"])
     client = cluster.client("coord")
     holder = drive_prepare(cluster, client, value_after=42)
     cluster.nodes["coord"].txns.advance(COORDINATOR, holder["txn_id"],
@@ -107,66 +90,6 @@ def test_in_doubt_object_fenced_until_resolution():
     assert committed_int(cluster, holder["ref"]) == 42
 
 
-def test_participant_votes_no_after_restart():
-    """Prepare against a restarted participant fails the epoch check."""
-    from repro.errors import PrepareFailed
-    cluster = make_cluster()
-    client = cluster.client("coord")
-    transport = cluster.transports["coord"]
-
-    def app():
-        ref = yield from client.create("part", "counter", value=1)
-        action = client.top_level("t")
-        yield from client.invoke(action, ref, "increment", 1)
-        cluster.crash("part")
-        cluster.restart("part")
-        try:
-            yield from transport.call("part", "txn_prepare", {
-                "txn_id": "txn:test:x",
-                "action_uid": encode_uid(action.uid),
-                "colour": encode_colour(next(iter(action.colours))),
-                "object_uids": [encode_uid(ref.uid)],
-                "expected_epoch": action.server_epochs.get("part"),
-            })
-            return "prepared"
-        except PrepareFailed:
-            return "refused"
-
-    assert cluster.run_process("coord", app()) == "refused"
-
-
-def test_full_commit_resilient_to_participant_crash_after_decision():
-    """The coordinator logs commit; the participant crashes before acking;
-    after restart, recovery completes the transaction."""
-    cluster = make_cluster()
-    client = cluster.client("coord")
-    holder = {}
-
-    def app():
-        ref = yield from client.create("part", "counter", value=0)
-        holder["ref"] = ref
-        action = client.top_level("t")
-        yield from client.invoke(action, ref, "increment", 5)
-        # crash 'part' at the instant the decision is being distributed:
-        # prepare takes a couple of rpc rounds; commit decision follows.
-        cluster.crash_at("part", cluster.kernel.now + 6.0)
-        cluster.restart_at("part", cluster.kernel.now + 40.0)
-        try:
-            yield from client.commit(action)
-            holder["outcome"] = "committed"
-        except Exception as error:
-            holder["outcome"] = type(error).__name__
-
-    cluster.run_process("coord", app())
-    cluster.run(until=cluster.kernel.now + 400)
-    final = committed_int(cluster, holder["ref"])
-    if holder["outcome"] == "committed":
-        assert final == 5
-    else:
-        # the whole action failed before any prepare: nothing applied
-        assert final == 0
-
-
 # -- a decision is applied exactly once, whoever delivers it first --------------
 #
 # After a crash two deliverers race for a prepared participant: its own
@@ -174,13 +97,6 @@ def test_full_commit_resilient_to_participant_crash_after_decision():
 # (redelivering txn_commit/txn_abort).  Whichever comes second must find the
 # decided state and touch nothing — by then the object's shadow slot and live
 # instance may belong to a *later* transaction.
-
-
-def three_nodes():
-    cluster = Cluster(seed=0)
-    for name in ("coord", "part", "other"):
-        cluster.add_node(name)
-    return cluster
 
 
 def decide(cluster, node, txn_id, decision):
@@ -200,40 +116,12 @@ def records_of(cluster, kind, txn_id):
             if r.payload["txn_id"] == txn_id]
 
 
-def test_commit_redelivered_before_the_resolver_answers_applies_once():
-    """lossy_crash seed 11: the reaper's txn_commit lands while the resolver
-    still waits; the resolver's late answer must not commit a second time
-    (it used to reinstall the old state over a later action's live update)."""
-    cluster = three_nodes()
-    first = drive_prepare(cluster, cluster.client("coord"), value_after=42)
-    ref, txn_id = first["ref"], first["txn_id"]
-    decide(cluster, "coord", txn_id, "commit")
-    cluster.crash("part")
-    cluster.network.partition("coord", "part")  # the resolver has to wait
-    cluster.restart("part")
-    server = cluster.servers["part"]
-    assert ref.uid in server.in_doubt_objects
-    assert deliver(cluster, "other", "txn_commit", txn_id)["applied"] is True
-    assert committed_int(cluster, ref) == 42
-    assert ref.uid not in server.in_doubt_objects and not server.prepared
-    # a later action updates the object: live, not yet stable
-    other = cluster.client("other")
-    later = other.top_level("later")
-    cluster.run_process("other", other.invoke(later, ref, "increment", 1))
-    cluster.network.heal_all()
-    cluster.run(until=cluster.kernel.now + 60)  # the resolver hears "commit"
-    cluster.run_process("other", other.commit(later))
-    assert committed_int(cluster, ref) == 43
-    assert len(records_of(cluster, "committed", txn_id)) == 1
-    assert cluster.obs.auditor.report() == []
-
-
 @pytest.mark.parametrize("late", ["redelivery", "resolver"])
 def test_abort_delivered_twice_spares_a_later_transactions_shadow(late):
-    """The mirror case: the second abort (a redelivered txn_abort after the
-    resolver presumed abort, or the other way round) used to discard
-    whatever occupied the shadow slot — here a later prepared transaction."""
-    cluster = three_nodes()
+    """The second abort (a redelivered txn_abort after the resolver
+    presumed abort, or the other way round) used to discard whatever
+    occupied the shadow slot — here a later prepared transaction."""
+    cluster = cluster_of(["coord", "part", "other"])
     first = drive_prepare(cluster, cluster.client("coord"), value_after=42)
     ref, txn_id = first["ref"], first["txn_id"]
     cluster.crash("part")

@@ -176,6 +176,8 @@ def test_handler_crash_answers_promptly_and_clears_inflight():
     assert when < 30.0  # one round trip, nowhere near the 90s completion cap
     (caller,) = cluster.nodes["b"].volatile["rpc_cache"].values()
     assert None not in caller.replies.values()   # nothing left executing
+    assert cluster.obs.metrics.value("rpc_handler_crashes_total",
+                                     kind="broken") == 1
 
 
 def test_call_many_returns_aligned_outcomes():

@@ -34,12 +34,10 @@ import pytest
 
 from repro.backend import AsyncioKernel
 from repro.cluster.cluster import Cluster
-from repro.cluster.network import NetworkConfig
 from repro.errors import CommitError, ReproError
 from repro.sim.kernel import ProcessKilled
-from tests.oracle import Over
+from tests.oracle import FIXED, Over
 
-FIXED = NetworkConfig(min_delay=1.0, max_delay=1.0)
 #: what a ``txn_prepare`` payload may carry beyond the classic prepare
 FLAGS = ("read_only", "decide", "commute", "finish", "forget")
 

@@ -15,24 +15,12 @@ particular its commute-soundness check, which would flag a local
 decision on a colour that was not fully commuting.
 """
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.network import NetworkConfig
 from repro.errors import CommitError, InvalidActionState, LockRefused
 from repro.obs.postmortem import DEADLOCK_VICTIM, LOCK_CONFLICT
 from repro.objects.state import ObjectState
 from repro.sim.kernel import Timeout
 from repro.stdobjects.account import InsufficientFunds
-from tests.oracle import committed_int
-
-
-FIXED = NetworkConfig(min_delay=1.0, max_delay=1.0)
-
-
-def make_cluster(names, seed=0, config=None, **kwargs):
-    cluster = Cluster(seed=seed, config=config, **kwargs)
-    for name in names:
-        cluster.add_node(name)
-    return cluster
+from tests.oracle import FIXED, cluster_of, committed_int
 
 
 def committed_balance(cluster, ref):
@@ -65,7 +53,7 @@ def test_commute_commit_is_one_round_with_no_phase_two():
     """A fully-commuting two-participant colour commits in one parallel
     round: each participant's prepare carries the decision, the redo ops
     and the finish routing — no txn_commit, no finish_commit follows."""
-    cluster = make_cluster(["coord", "p1", "p2"], config=FIXED)
+    cluster = cluster_of(["coord", "p1", "p2"], config=FIXED)
     client = cluster.client("coord")
     holder = {}
 
@@ -106,7 +94,7 @@ def test_concurrent_commuting_commits_lose_no_updates():
     path merges each colour's ops onto *committed* state, so no commit
     order can overwrite another transaction's applied effect (the
     snapshot-promotion race the classic path has for semantic objects)."""
-    cluster = make_cluster(["n0", "n1", "n2"], seed=3)
+    cluster = cluster_of(["n0", "n1", "n2"], seed=3)
     refs = []
     outcomes = {"committed": 0}
 
@@ -142,7 +130,7 @@ def test_escrow_debits_commute_within_the_bound():
     """Escrow debits reserve at execute time: concurrent debits that fit
     both commit on the commute path; one that does not fit fails up front
     (InsufficientFunds at invoke, not a commit-time abort)."""
-    cluster = make_cluster(["coord", "bank"], config=FIXED)
+    cluster = cluster_of(["coord", "bank"], config=FIXED)
     client = cluster.client("coord")
     holder = {}
 
@@ -179,7 +167,7 @@ def test_append_log_producers_commit_locally():
     """Two producers appending concurrently both take the commute path;
     the committed log holds exactly the committed entries (as a set —
     entry order follows commit order by contract)."""
-    cluster = make_cluster(["n0", "n1"], seed=7)
+    cluster = cluster_of(["n0", "n1"], seed=7)
     holder = {}
 
     def setup():
@@ -213,7 +201,7 @@ def test_non_commuting_update_forces_classic_fallback():
     """The moment a plain WRITE update joins the colour, the whole colour
     falls back to classic/fast-path 2PC — whichever order the operations
     arrived in — and no local decision is taken anywhere."""
-    cluster = make_cluster(["coord", "s1", "s2"], config=FIXED)
+    cluster = cluster_of(["coord", "s1", "s2"], config=FIXED)
     client = cluster.client("coord")
     holder = {}
 
@@ -261,7 +249,7 @@ def test_mixed_run_commits_as_three_rounds_in_colour_order():
     """Commuting and classic colours in one action: ``commit`` splits them
     into runs, so ``[classic, commuting, classic]`` is three rounds, begun
     in uid order, each on its own path."""
-    cluster = make_cluster(["coord", "p1", "p2", "p3"], config=FIXED)
+    cluster = cluster_of(["coord", "p1", "p2", "p3"], config=FIXED)
     client = cluster.client("coord")
     holder, begun = {}, []
     cluster.obs.bus.subscribe(
@@ -286,7 +274,7 @@ def test_mixed_run_keeps_earlier_colours_when_the_last_one_is_refused():
     """§5.1 per-colour permanence across the run split: C's participant
     refuses, so C aborts and ``commit`` raises — but A (classic) and B
     (commuting) were decided before it and stay permanent everywhere."""
-    cluster = make_cluster(["coord", "p1", "p2", "p3"], config=FIXED)
+    cluster = cluster_of(["coord", "p1", "p2", "p3"], config=FIXED)
     client = cluster.client("coord")
     holder = {}
 
@@ -316,8 +304,8 @@ def test_commute_off_reaches_the_same_state():
     classic/fast-path 2PC and must land on the same committed state."""
     finals = {}
     for commute in (False, True):
-        cluster = make_cluster(["coord", "s1", "s2"], seed=11,
-                               commute=commute)
+        cluster = cluster_of(["coord", "s1", "s2"], seed=11,
+                             commute=commute)
         client = cluster.client("coord")
         holder = {}
 
@@ -350,7 +338,7 @@ def test_commute_redo_after_participant_restart():
     volatile effects — the commute prepare still commits: it carries the
     colour's redo op list, which the server re-applies against committed
     state (epoch mismatch does not refuse a commute prepare)."""
-    cluster = make_cluster(["coord", "part"], config=FIXED)
+    cluster = cluster_of(["coord", "part"], config=FIXED)
     client = cluster.client("coord")
     holder = {}
 
@@ -381,7 +369,7 @@ def test_redelivered_commute_prepare_is_idempotent():
     durable, a reaper redelivers the same prepare, and the participant
     answers from its COMMITTED record (dedupe on txn_id) without running
     the ops again."""
-    cluster = make_cluster(["coord", "part"], config=FIXED)
+    cluster = cluster_of(["coord", "part"], config=FIXED)
     client = cluster.client("coord")
     holder = {}
 
@@ -411,7 +399,7 @@ def test_crashed_commute_participant_converges_by_redelivery():
     """A participant crashed at decision time neither blocks the commit
     (the votes are guaranteed) nor loses the update: redelivery after the
     restart applies the redo ops against committed state."""
-    cluster = make_cluster(["coord", "part", "other"], config=FIXED)
+    cluster = cluster_of(["coord", "part", "other"], config=FIXED)
     client = cluster.client("coord")
     holder = {}
 
@@ -444,8 +432,8 @@ def test_deadlock_closing_wait_fast_aborts_as_lock_conflict():
     """A queued request that closes a waits-for cycle through its own
     action is refused immediately — a deterministic lock conflict, not a
     parked wait for the deadlock chaser to victimise after a sweep."""
-    cluster = make_cluster(["s1", "s2"], seed=5, config=FIXED,
-                           lock_wait_timeout=300.0)
+    cluster = cluster_of(["s1", "s2"], seed=5, config=FIXED,
+                         lock_wait_timeout=300.0)
     postmortem = cluster.observe(postmortem=True)["postmortem"]
     holder = {}
 

@@ -54,7 +54,7 @@ def test_fault_free_probe_matches_ground_truth():
         assert status["epoch"] == node.epoch
         server = cluster.servers[name]
         reported = {entry["txn"] for entry in status["in_flight"]}
-        assert reported == (set(server.prepared) | set(server.in_doubt_txns))
+        assert reported == set(server.prepared)
         truth = server.registry.snapshot()
         assert status["locks"]["held"] == truth["held"]
         assert status["locks"]["queued"] == truth["queued"]

@@ -11,18 +11,10 @@ both execution backends.
 
 import pytest
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.txn import COORDINATOR, PARTICIPANT, TxnState
 from repro.errors import CommitError, RpcTimeout
-from tests.oracle import committed_int, on_both_backends
+from tests.oracle import cluster_of, committed_int, on_both_backends
 from tests.test_transport_ack_phase import Hold
-
-
-def cluster_of(backend, *names, **options):
-    cluster = Cluster(seed=0, backend=backend, **options)
-    for name in ("home",) + names:
-        cluster.add_node(name)
-    return cluster, cluster.client("home")
 
 
 def run_until(cluster, done, horizon=200.0):
@@ -47,7 +39,8 @@ def test_invoke_held_past_its_timeout_and_the_abort_builds_nothing(backend):
     """Every copy of an action's first invoke at a server is held until the
     client has timed out and its ``abort_action`` has been answered there;
     released then, the invoke builds no mirror and takes no lock."""
-    cluster, client = cluster_of(backend, "server")
+    cluster = cluster_of(["home", "server"], backend=backend)
+    client = cluster.client("home")
     server = cluster.servers["server"]
     held = Hold(cluster, lambda message: message.kind == "invoke")
 
@@ -84,7 +77,9 @@ def test_prepare_held_past_txn_abort_and_a_checkpoint_prepares_nothing(
     up on it, ``txn_abort`` has landed at ``s1`` and ``s1`` has checkpointed
     the ABORTED record away.  Released then — the action's write set still
     there, its ``abort_action`` held too — it prepares nothing."""
-    cluster, client = cluster_of(backend, "s1", "s2", fast_paths=False)
+    cluster = cluster_of(["home", "s1", "s2"], backend=backend,
+                         fast_paths=False)
+    client = cluster.client("home")
     s1 = cluster.servers["s1"]
     held = Hold(cluster, lambda message: False)
 
@@ -126,7 +121,8 @@ def test_delegated_prepare_held_past_a_forced_abort_and_a_checkpoint_decides_not
     that answer needs forces an ABORTED record at ``s2``, which ``s2`` then
     checkpoints away.  Released then — the write set still there — the
     delegated prepare commits nothing: the abort ``s1`` was told stands."""
-    cluster, client = cluster_of(backend, "s1", "s2")
+    cluster = cluster_of(["home", "s1", "s2"], backend=backend)
+    client = cluster.client("home")
     s1, s2 = cluster.servers["s1"], cluster.servers["s2"]
     held = Hold(cluster, lambda message: False)
     refs = []

@@ -1,25 +1,16 @@
-"""Commit-protocol fast paths: one-phase commit, piggybacked decision,
-read-only voting — plus their downgrade behaviour under chaos.
+"""Commit-protocol fast paths where the single-fault sweep does not
+reach: the delegate's checkpoint, a crashed pure reader, recovery redo
+past a later transaction's shadow, and the forced abort a lost one-phase
+prepare leaves on the participant's log.
 
-Every test asserts the online invariant auditor stayed silent: the fast
-paths must be invisible at the consistency level, visible only in the
-message bill.
+The fast paths' message bills are pinned by ``tests/test_commit_rounds.py``
+and ``BENCH_twopc_fastpath``; their fault outcomes by
+``tests/test_fault_sweep.py``.  Every test asserts the online invariant
+auditor stayed silent.
 """
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.network import NetworkConfig
 from repro.errors import CommitError
-from tests.oracle import committed_int
-
-
-FIXED = NetworkConfig(min_delay=1.0, max_delay=1.0)
-
-
-def make_cluster(names, seed=0, config=None, **kwargs):
-    cluster = Cluster(seed=seed, config=config, **kwargs)
-    for name in names:
-        cluster.add_node(name)
-    return cluster
+from tests.oracle import FIXED, cluster_of, committed_int
 
 
 def metric_sum(cluster, name, **match):
@@ -34,142 +25,6 @@ def assert_audit_clean(cluster):
     assert findings == [], [f.to_dict() for f in findings]
 
 
-# -- success paths -----------------------------------------------------------
-
-
-def test_one_phase_commit_is_a_single_round_trip():
-    """A single-participant colour commits in one RPC: the prepare carries
-    the decision *and* the finish routing, so nothing follows it."""
-    cluster = make_cluster(["coord", "part"], config=FIXED)
-    client = cluster.client("coord")
-    holder = {}
-
-    def app():
-        ref = yield from client.create("part", "counter", value=0)
-        action = client.top_level("t")
-        yield from client.invoke(action, ref, "increment", 7)
-        started = cluster.kernel.now
-        sent = cluster.network.sent_count
-        yield from client.commit(action)
-        holder["duration"] = cluster.kernel.now - started
-        holder["messages"] = cluster.network.sent_count - sent
-        holder["ref"] = ref
-
-    cluster.run_process("coord", app())
-    assert committed_int(cluster, holder["ref"]) == 7
-    assert holder["duration"] == 2.0          # one round trip at delay 1.0
-    # a single RPC: request + reply (the handler answers in its dispatch,
-    # so the reply is the ack) = 1 x 2
-    assert holder["messages"] == 2
-    assert metric_sum(cluster, "twopc_fast_path_total", kind="one_phase") == 1
-    # the inline finish retired the mirror as part of the same message
-    assert cluster.servers["part"].mirrors == {}
-    assert cluster.servers["part"].prepared == {}
-    assert_audit_clean(cluster)
-
-
-def test_piggybacked_decision_skips_the_decision_round():
-    """With two writers the last (sorted) agent's prepare carries the
-    decision: 3 RPCs instead of the classic 4."""
-    cluster = make_cluster(["coord", "p1", "p2"], config=FIXED)
-    client = cluster.client("coord")
-    holder = {}
-
-    def app():
-        ref1 = yield from client.create("p1", "counter", value=0)
-        ref2 = yield from client.create("p2", "counter", value=0)
-        action = client.top_level("t")
-        yield from client.invoke(action, ref1, "increment", 3)
-        yield from client.invoke(action, ref2, "increment", 4)
-        sent = cluster.network.sent_count
-        yield from client.commit(action)
-        holder["messages"] = cluster.network.sent_count - sent
-        holder.update(ref1=ref1, ref2=ref2)
-
-    cluster.run_process("coord", app())
-    assert committed_int(cluster, holder["ref1"]) == 3
-    assert committed_int(cluster, holder["ref2"]) == 4
-    # prepare(p1) + delegated prepare(p2) + finish batch(p1) = 3 RPCs
-    # (classic needs 4), at 2 messages per synchronous RPC = 3 x 2
-    assert holder["messages"] == 6
-    assert metric_sum(cluster, "twopc_fast_path_total", kind="piggyback") == 1
-    assert metric_sum(cluster, "decision_piggyback_saved_rpcs_total") >= 2
-    for name in ("p1", "p2"):
-        assert cluster.servers[name].mirrors == {}
-        assert cluster.servers[name].prepared == {}
-    assert_audit_clean(cluster)
-
-
-def test_read_only_participant_skips_phase_two():
-    """A participant that only read votes read-only, releases its locks at
-    vote time and is never contacted again for this transaction."""
-    cluster = make_cluster(["coord", "writer", "reader"], config=FIXED)
-    client = cluster.client("coord")
-    holder = {}
-
-    def app():
-        ref_w = yield from client.create("writer", "counter", value=0)
-        ref_r = yield from client.create("reader", "counter", value=42)
-        action = client.top_level("t")
-        yield from client.invoke(action, ref_w, "increment", 1)
-        value = yield from client.invoke(action, ref_r, "get")
-        sent = cluster.network.sent_count
-        yield from client.commit(action)
-        holder["messages"] = cluster.network.sent_count - sent
-        holder.update(ref_w=ref_w, ref_r=ref_r, read=value,
-                      action=action)
-
-    cluster.run_process("coord", app())
-    assert holder["read"] == 42
-    assert committed_int(cluster, holder["ref_w"]) == 1
-    # read-only prepare(reader) + delegated one-phase prepare(writer):
-    # 2 RPCs — the reader sees no commit/finish traffic at all — at 2
-    # messages per synchronous RPC = 2 x 2
-    assert holder["messages"] == 4
-    assert metric_sum(cluster, "twopc_fast_path_total", kind="read_only") == 1
-    assert metric_sum(cluster, "read_only_saved_finish_total") == 1
-    # the vote released the reader's locks and retired its mirror
-    assert holder["action"].uid not in cluster.servers["reader"].mirrors
-    # a second action takes the reader's lock without waiting
-    def reread():
-        action = client.top_level("again")
-        value = yield from client.invoke(action, holder["ref_r"], "get")
-        yield from client.commit(action)
-        return value
-
-    assert cluster.run_process("coord", reread()) == 42
-    assert_audit_clean(cluster)
-
-
-def test_fast_and_classic_reach_identical_state():
-    """The fast paths change the message bill, never the outcome."""
-    finals = {}
-    for fast_paths in (False, True):
-        cluster = make_cluster(["coord", "a", "b"], seed=11,
-                               fast_paths=fast_paths)
-        client = cluster.client("coord")
-        holder = {}
-
-        def app():
-            ref_a = yield from client.create("a", "counter", value=0)
-            ref_b = yield from client.create("b", "counter", value=0)
-            for step in range(3):
-                action = client.top_level(f"t{step}")
-                yield from client.invoke(action, ref_a, "increment", 2)
-                if step % 2 == 0:
-                    yield from client.invoke(action, ref_b, "increment", 5)
-                else:
-                    yield from client.invoke(action, ref_b, "get")
-                yield from client.commit(action)
-            holder.update(ref_a=ref_a, ref_b=ref_b)
-
-        cluster.run_process("coord", app())
-        finals[fast_paths] = (committed_int(cluster, holder["ref_a"]),
-                              committed_int(cluster, holder["ref_b"]))
-        assert_audit_clean(cluster)
-    assert finals[False] == finals[True] == (6, 10)
-
-
 # -- lazy forget / checkpointing ---------------------------------------------
 
 
@@ -177,7 +32,7 @@ def test_forget_piggyback_lets_the_delegate_checkpoint():
     """The delegate's COMMITTED record is the only durable copy of the
     decision until the coordinator's lazy forget arrives; a checkpoint
     must retain it exactly until then."""
-    cluster = make_cluster(["coord", "part"], config=FIXED)
+    cluster = cluster_of(["coord", "part"], config=FIXED)
     client = cluster.client("coord")
     part = cluster.servers["part"]
 
@@ -222,48 +77,11 @@ def test_forget_piggyback_lets_the_delegate_checkpoint():
 # -- downgrades under chaos --------------------------------------------------
 
 
-def test_lost_delegated_reply_resolves_to_commit():
-    """Dropping the piggybacked decision's *reply* must not fork the
-    outcome: the coordinator blocks, asks the last agent via
-    txn_outcome_query, and reports the commit that actually happened."""
-    cluster = make_cluster(["coord", "p1", "p2"], config=FIXED)
-    client = cluster.client("coord")
-    holder = {}
-
-    def app():
-        ref1 = yield from client.create("p1", "counter", value=0)
-        ref2 = yield from client.create("p2", "counter", value=0)
-        action = client.top_level("t")
-        yield from client.invoke(action, ref1, "increment", 5)
-        yield from client.invoke(action, ref2, "increment", 5)
-        t0 = cluster.kernel.now
-        # the delegated prepare reaches p2 at t0+3 (after p1's round trip);
-        # its reply — the decision acknowledgement — is dropped at t0+3.5
-        cluster.kernel.schedule(
-            3.5, lambda: cluster.network.partition("coord", "p2"))
-        cluster.kernel.schedule(
-            60.0, lambda: cluster.network.heal_all())
-        yield from client.commit(action)
-        holder["elapsed"] = cluster.kernel.now - t0
-        holder.update(ref1=ref1, ref2=ref2)
-
-    cluster.run_process("coord", app())
-    # commit() reported success only after genuinely resolving the outcome
-    assert holder["elapsed"] > 50.0
-    assert committed_int(cluster, holder["ref1"]) == 5
-    assert committed_int(cluster, holder["ref2"]) == 5
-    coord_wal = cluster.nodes["coord"].wal
-    assert coord_wal.last("coord_commit") is not None
-    for name in ("p1", "p2"):
-        assert cluster.servers[name].prepared == {}
-    assert_audit_clean(cluster)
-
-
 def test_crashed_read_only_voter_does_not_block_commit():
     """The read-only prepare is fire-and-forget: a dead reader downgrades
     the fast path (it falls back into the classic finish fan-out) without
     stalling or aborting the writer's commit."""
-    cluster = make_cluster(["coord", "writer", "reader"], config=FIXED)
+    cluster = cluster_of(["coord", "writer", "reader"], config=FIXED)
     client = cluster.client("coord")
     holder = {}
 
@@ -295,7 +113,7 @@ def test_recovery_redo_skips_a_later_transactions_shadow():
     delegated commit, an *aborting* txn2 re-prepares the same object and
     the server crashes.  Recovery replays txn1's COMMITTED record — it
     must not promote the shadow now in the slot, which belongs to txn2."""
-    cluster = make_cluster(["coord", "part", "zed"], config=FIXED)
+    cluster = cluster_of(["coord", "part", "zed"], config=FIXED)
     client = cluster.client("coord")
     holder = {}
 
@@ -349,7 +167,7 @@ def test_partitioned_single_participant_forces_abort_then_heals_clean():
     It resolves through txn_outcome_query after the heal; the participant,
     having logged nothing, force-aborts (presumed abort) — so both sides
     agree the transaction never happened."""
-    cluster = make_cluster(["coord", "part"], config=FIXED)
+    cluster = cluster_of(["coord", "part"], config=FIXED)
     client = cluster.client("coord")
     holder = {}
 
