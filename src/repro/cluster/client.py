@@ -450,9 +450,11 @@ class ClusterClient:
         ``call_many`` message.  One driver (:meth:`_run_plan`) executes
         every plan, before the decision broadcasts and the finish/transfer
         routing are merged into a single parallel fan-out, one network
-        message per involved server.  Termination cost is thus bounded by
-        the slowest server, not the sum over colours or servers (see
-        :meth:`_finish_commit`).
+        message per involved server.  A failed run ends in the abort's one
+        fan-out instead, which carries the same decision broadcasts and
+        the failed round's ``txn_abort`` ahead of ``abort_action``.
+        Termination cost is thus bounded by the slowest server, not the
+        sum over colours or servers (see :meth:`_fan_out`).
         """
         action.require(ActionStatus.ACTIVE)
         yield from self._abort_dependants(action)
@@ -471,7 +473,7 @@ class ClusterClient:
                 self._bequeath(action, colour, destination)
             elif action.written.get(colour):
                 permanent.append((colour, action.written[colour]))
-        failed_colour: Optional[Colour] = None
+        failed_colour, undo = None, {}
 
         def run_key(item):
             # a commuting colour is a guaranteed-commit round of its own;
@@ -480,7 +482,7 @@ class ClusterClient:
             return item[0] if self._commute_eligible(action, *item) else None
 
         for commuting, run in itertools.groupby(permanent, key=run_key):
-            failed_colour = yield from self._run_plan(
+            failed_colour, undo = yield from self._run_plan(
                 action, self._plan(action, list(run), commuting is not None,
                                    span), decided)
             if failed_colour is not None:
@@ -493,13 +495,9 @@ class ClusterClient:
                 CommitError(f"two-phase commit of colour {failed_colour} "
                             f"failed"),
                 op="commit", colour=failed_colour)
-            if decided:
-                # Earlier colours already decided commit; per-colour
-                # permanence means their updates survive the abort of
-                # the remaining colours — deliver those decisions
-                # before abort_action undoes anything.
-                yield from self._broadcast_decisions(action, decided)
-            yield from self.abort(action)
+            # per-colour permanence: the colours decided before the failing
+            # one survive the abort, their commits riding in front of it
+            yield from self._abort(action, decided, undo)
             raise CommitError(
                 f"{action.name}: two-phase commit of colour "
                 f"{failed_colour} failed"
@@ -518,6 +516,13 @@ class ClusterClient:
 
     def abort(self, action: ClusterAction):
         """Abort: undo and release on every involved server."""
+        return (yield from self._abort(action, [], {}))
+
+    def _abort(self, action: ClusterAction, decided: List[str],
+               undo: Dict[str, List[Tuple[str, Dict[str, Any]]]]):
+        """End ``action`` in one fan-out: each involved server gets the
+        commits of ``decided`` it is owed, its ``undo`` calls (a failed
+        round's ``txn_abort``) and ``abort_action``, in that order."""
         if action.status is ActionStatus.ABORTED:
             return Outcome.ABORTED
         if action.status is ActionStatus.COMMITTED:
@@ -526,15 +531,16 @@ class ClusterClient:
         yield from self._abort_dependants(action)
         span = self._op_span(action, "abort")
         payload = {"action_uid": encode_uid(action.uid)}
-        calls_for = {node_name: [("abort_action", payload)]
+        calls_for = {node_name: undo.get(node_name, [])
+                     + [("abort_action", payload)]
                      for node_name in action.all_nodes()}
         # A server that does not answer is either down (its volatile locks
         # died with it) or a *live* one we are partitioned from that still
         # holds the action's locks: the fan-out's reaper keeps retrying
-        # until the abort lands — abort_action is idempotent, so
+        # until the abort lands — every call in it is idempotent, so
         # over-delivery is harmless.
         yield from self._fan_out(f"abort:{action.uid}", calls_for,
-                                 span=span, batched=False)
+                                 span=span, batched=False, decided=decided)
         span.set(outcome="aborted").finish()
         return self._terminated(action, ActionStatus.ABORTED, Outcome.ABORTED)
 
@@ -548,9 +554,9 @@ class ClusterClient:
                  span=None):
         """One network message to one node; returns ``(ok, value)`` per
         call.  ``batched`` ships the calls as one ``rpc_batch`` (dispatched
-        in order); otherwise the node gets its single call as a plain RPC,
-        whose error reply raises."""
-        if batched:
+        in order), as does more than one call; otherwise the node gets its
+        single call as a plain RPC, whose error reply raises."""
+        if batched or len(calls) > 1:
             return (yield from self.transport.call_many(
                 node_name, calls, trace_parent=span))
         (kind, payload), = calls
@@ -565,14 +571,24 @@ class ClusterClient:
         and one network message per node, so the round costs the slowest
         server, not the sum.
 
+        A node's message carries, in front of its own calls, the
+        ``txn_commit`` of each ``decided`` transaction the table still
+        owes it (``TxnTable.owed``).  The server dispatches sub-calls in
+        order, so shadow promotion precedes lock release and undo there.
         Every node that did not answer every call gets a background reaper
         redelivering the same calls — termination calls are all idempotent
         server-side.  The nodes that did are acks of each ``decided``
-        commit, reported in that order.  ``batched`` is part of the
-        wire, not a caller's preference: ``abort_action`` and a single
-        colour's ``txn_abort`` travel as plain RPCs, everything else as
-        ``rpc_batch``, and every gated message count pins that.
+        commit, reported in that order.  ``batched`` is part of the wire,
+        not a caller's preference: the finish's list travels as
+        ``rpc_batch`` even when it is one call, an abort that is
+        ``abort_action`` alone as a plain RPC, and every gated message
+        count pins that.
         """
+        owed = self.node.txns.owed
+        calls_for = {node_name: [
+            ("txn_commit", {"txn_id": txn_id}) for txn_id in decided
+            if node_name in owed.get(txn_id, ())] + calls
+            for node_name, calls in calls_for.items()}
         nodes = sorted(calls_for)
 
         def deliver(node_name: str):
@@ -594,12 +610,12 @@ class ClusterClient:
         """Keep delivering, in the background, termination calls a
         partition or crash swallowed.
 
-        ``calls`` is a ``(kind, payload)`` batch — abort_action, txn_abort,
-        txn_commit+finish_commit, or a decided commute prepare — every one
-        of which is idempotent server-side, so retrying under fresh rpc
-        ids until the batch lands (or the budget runs out: a crashed
-        server's volatile locks died with it, and its log-driven recovery
-        resolves the rest) is safe.  A batch that lands acks each of its
+        ``calls`` is a ``(kind, payload)`` batch — an abort's or a
+        finish's list (see :meth:`_fan_out`), or a decided commute
+        prepare — every call of which is idempotent server-side, so
+        retrying under fresh rpc ids until the batch lands (or the budget
+        runs out: a crashed server's volatile locks died with it, and its
+        log-driven recovery resolves the rest) is safe.  A batch that lands acks each of its
         transactions for the node, as every delivery of a commit does.
         """
         def reap():
@@ -697,13 +713,9 @@ class ClusterClient:
                        routes: List[Tuple[Colour, Optional[ActionNode]]],
                        decided: List[str], parent_span=None):
         """Deliver every commit decision and the finish/transfer routing in
-        one parallel fan-out: a single batched message per involved server.
-
-        Each server's batch carries its ``txn_commit`` sub-calls *before*
-        the ``finish_commit`` sub-call and the server dispatches sub-calls
-        in order, so shadow promotion always precedes lock release on that
-        server.  A server gets the commits the table still owes it
-        (``TxnTable.owed``), and the acks go back there: a transaction
+        one parallel fan-out: a single batched message per involved server,
+        its owed ``txn_commit`` sub-calls before ``finish_commit``
+        (:meth:`_fan_out`).  The acks go back to the table: a transaction
         ends once nobody is owed it, here or when a reaper lands the
         batch of a server that could not be reached.
 
@@ -722,7 +734,6 @@ class ClusterClient:
             }
             for colour, dest in routes
         ]
-        owed = self.node.txns.owed
         calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
         for node_name in sorted(action.all_nodes()):
             if node_name in action.finished_nodes:
@@ -732,12 +743,10 @@ class ClusterClient:
                 self.obs.count("read_only_saved_finish_total",
                                node=node_name)
                 continue
-            calls_for[node_name] = [
-                ("txn_commit", {"txn_id": txn_id}) for txn_id in decided
-                if node_name in owed.get(txn_id, ())] + [("finish_commit", {
-                    "action_uid": encode_uid(action.uid),
-                    "routes": encoded_routes,
-                })]
+            calls_for[node_name] = [("finish_commit", {
+                "action_uid": encode_uid(action.uid),
+                "routes": encoded_routes,
+            })]
 
         started = self.kernel.now
         yield from self._fan_out(f"finish:{action.uid}", calls_for,
@@ -745,24 +754,6 @@ class ClusterClient:
         if calls_for:
             self.obs.observe("commit_fanout_time",
                              self.kernel.now - started, width=len(calls_for))
-
-    def _broadcast_decisions(self, action: ClusterAction,
-                             decided: List[str]):
-        """Deliver already-logged commit decisions to the participants
-        owed them.
-
-        Used on commit's failure path: colours decided *before* the failing
-        colour are permanent (their ``coord_commit`` records exist), so
-        their participants must promote shadows before ``abort_action``
-        undoes anything on the same servers.
-        """
-        calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
-        for txn_id in decided:
-            for node_name in self.node.txns.owed.get(txn_id, ()):
-                calls_for.setdefault(node_name, []).append(
-                    ("txn_commit", {"txn_id": txn_id}))
-        yield from self._fan_out(f"decide:{action.uid}", calls_for,
-                                 decided=decided)
 
     # -- the commit round (coordinator) ----------------------------------------------------------
 
@@ -858,13 +849,14 @@ class ClusterClient:
         delegate decide if there is one, and takes the coordinator edges
         in colour order: the first colour that is not all yes aborts, and
         so does every *later* one (sequential rounds would never have
-        decided them); their participants get the one ``txn_abort``
-        fan-out.  A plan whose paths gate nothing is decided *before* its
-        fan-out instead, and its replies are the acknowledgements.
+        decided them).  A plan whose paths gate nothing is decided
+        *before* its fan-out instead, and its replies are the
+        acknowledgements.
 
         Appends to ``decided`` the txn_id of each committed round whose
-        ``txn_commit`` the caller's finish fan-out delivers; returns the
-        colour that failed, if any.
+        ``txn_commit`` the caller's end fan-out delivers.  Returns the
+        colour that failed, if any, and per node the ``txn_abort`` calls
+        that the caller's abort fan-out delivers (presumed abort).
         """
         rounds = plan.rounds
         awaited = plan.delegate is not None or any(
@@ -920,8 +912,8 @@ class ClusterClient:
             if not awaited:
                 self._redeliver(round_, calls_for)
             elif failed is None and round_.all_yes():
-                # The caller delivers the commit to the participants owed
-                # it inside the merged finish batch.
+                # the caller's end fan-out delivers the commit to the
+                # participants owed it
                 self._decide(round_, "commit")
                 decided.append(round_.txn_id)
             else:
@@ -937,10 +929,7 @@ class ClusterClient:
                             ("txn_abort", {"txn_id": round_.txn_id}))
         if failed is not None:
             plan.span.set(outcome="aborted").finish()
-            # presumed abort, reaping nodes we cannot reach
-            yield from self._fan_out(f"txn-abort:{action.uid}", abort_calls,
-                                     batched=plan.batched)
-            return failed.colour
+            return failed.colour, abort_calls
         if plan.delegate is not None:
             if plan.readers:
                 # Zero-time barrier: with a single writer the read-only
@@ -954,7 +943,7 @@ class ClusterClient:
         if rounds[0].fast_path:  # batched rounds have none
             plan.span.set(fast_path=rounds[0].fast_path)
         plan.span.set(outcome="committed").finish()
-        return None
+        return None, {}
 
     def _decide(self, round_: _Round, decision: str, **labels: str) -> None:
         """Take the coordinator's ``decide_commit``/``decide_abort`` edge

@@ -191,15 +191,17 @@ class ObjectServer:
     def _object(self, object_uid: Uid) -> StateManager:
         """The live instance, activated from the stable store if needed."""
         obj = self.objects.get(object_uid)
-        if obj is not None:
-            return obj
+        return obj if obj is not None else self._activate(object_uid)
+
+    def _activate(self, object_uid: Uid) -> StateManager:
+        """A new instance holding the committed state; its construction
+        registers it in ``self.objects``."""
         stored = self.node.stable_store.read_committed(object_uid)  # may raise
         cls = self.classes.get(stored.type_name)
         if cls is None:
             raise ClusterError(f"no class registered for {stored.type_name!r}")
         obj = cls(self.host, uid=object_uid, persist=False)
         obj.restore_snapshot(stored.payload)
-        self.objects[object_uid] = obj
         return obj
 
     def _mirror(self, context: List[Tuple[Uid, FrozenSet[Colour], str]]) -> ActionMirror:
@@ -321,7 +323,12 @@ class ObjectServer:
                         mode: Mode, colour: Colour,
                         completed: Callable[[LockRequest], None]) -> None:
         """Request a lock for ``mirror`` with the server's wait policy:
-        fast abort, local detection, edge chasing, the wait timeout.
+        fast abort, edge chasing, the wait timeout.
+
+        A cycle the queued request closes is refused at once (the fast
+        abort).  One closed by a lock transfer rather than by a queued
+        request is left to the edge chaser, which re-reads blockers on
+        change, or to the wait timeout when chasing is off.
 
         A grant is counted here (``lock_wait_time``, ``lock_grants_total``);
         a refusal, whatever its cause, is reported once, by the registry's
@@ -362,11 +369,8 @@ class ObjectServer:
                 ),
             )
             return
-        # local deadlock detection now; edge-chasing probes catch cycles
-        # across servers; the wait timeout is the last-resort backstop.
-        self.detector.resolve_all()
-        if request.settled:
-            return
+        # edge-chasing probes catch cycles across servers; the wait
+        # timeout is the last-resort backstop
         if self.edge_chaser is not None:
             self.edge_chaser.chase_from(mirror.uid)
         deadline = self.lock_wait_timeout
@@ -813,22 +817,16 @@ class ObjectServer:
     def _scratch_instance(self, object_uid: Uid) -> StateManager:
         """A throwaway instance loaded from the committed state.
 
-        Construction registers into ``self.objects`` (every constructor
-        does); the live instance — which carries other actions' pending
-        in-memory effects — is swapped back immediately, so the scratch
-        never replaces it.
+        Activation registers it into ``self.objects``; the live instance —
+        which carries other actions' pending in-memory effects — is
+        swapped back immediately, so the scratch never replaces it.
         """
         live = self.objects.get(object_uid)
-        stored = self.node.stable_store.read_committed(object_uid)
-        cls = self.classes.get(stored.type_name)
-        if cls is None:
-            raise ClusterError(f"no class registered for {stored.type_name!r}")
-        scratch = cls(self.host, uid=object_uid, persist=False)
+        scratch = self._activate(object_uid)
         if live is not None:
             self.objects[object_uid] = live
         else:
             self.objects.pop(object_uid, None)
-        scratch.restore_snapshot(stored.payload)
         return scratch
 
     def _h_txn_commit(self, message: Message, respond: Responder) -> None:
@@ -838,7 +836,7 @@ class ObjectServer:
 
     def _h_txn_abort(self, message: Message, respond: Responder) -> None:
         """Decision = abort: discard shadows (undo restore comes with
-        abort_action, which the coordinator sends separately).
+        abort_action, which rides behind it in the coordinator's abort).
 
         The ABORTED record is logged even when nothing was prepared here:
         a straggler prepare that arrives *after* this decision must find

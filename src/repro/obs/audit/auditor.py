@@ -330,9 +330,12 @@ class InvariantAuditor:
                           colour=state.colour)
         if decision == "commit":
             # read-only and commute are affirmative: the voter consented
-            # and left the protocol, it does not gate the decision
+            # and left the protocol, it does not gate the decision; nor
+            # does a pure reader (not a participant), whatever it answered
             negative = [vote for vote in state.votes
-                        if vote.vote not in AFFIRMATIVE]
+                        if vote.vote not in AFFIRMATIVE
+                        and (not state.participants
+                             or vote.node in state.participants)]
             if negative:
                 # the first node to vote that voted no, its first no
                 voters = list(dict.fromkeys(vote.node for vote in state.votes))

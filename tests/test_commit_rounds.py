@@ -210,11 +210,11 @@ def rollback_vote(cluster, client, tap):
 def refusal_with_straggler(cluster, client, tap):
     """p1 refuses (it restarted) while p2's prepare is still undelivered:
     the straggler is killed — no retransmission follows — and both get
-    the txn_abort."""
+    the txn_abort, in front of abort_action in one batch."""
     action = yield from _three_writers(client)
     bounce(cluster, "p1")
     cluster.network.partition("coord", "p2")
-    tap.when("coord", "p1", "txn_abort", cluster.network.heal_all)
+    tap.when("coord", "p1", "rpc_batch", cluster.network.heal_all)
     yield from tap.commit(client, action)
 
 
@@ -385,16 +385,12 @@ EXPECTED = {
         0 coord>p2 txn_prepare[]
         1 p1>coord rpc_reply
         1 p2>coord rpc_reply
-        2 coord>p1 txn_abort
-        2 coord>p2 txn_abort
+        2 coord>p1 rpc_batch(txn_abort abort_action)
+        2 coord>p2 rpc_batch(txn_abort abort_action)
+        2 coord>p3 abort_action
         3 p1>coord rpc_reply
         3 p2>coord rpc_reply
-        4 coord>p1 abort_action
-        4 coord>p2 abort_action
-        4 coord>p3 abort_action
-        5 p1>coord rpc_reply
-        5 p2>coord rpc_reply
-        5 p3>coord rpc_reply
+        3 p3>coord rpc_reply
         """, {
             "coord": "",
             "p1": "aborted",
@@ -405,16 +401,12 @@ EXPECTED = {
         0 coord>p1 txn_prepare[]
         0 coord>p2 txn_prepare[]
         1 p1>coord rpc_reply
-        2 coord>p1 txn_abort
-        2 coord>p2 txn_abort
+        2 coord>p1 rpc_batch(txn_abort abort_action)
+        2 coord>p2 rpc_batch(txn_abort abort_action)
+        2 coord>p3 abort_action
         3 p1>coord rpc_reply
         3 p2>coord rpc_reply
-        4 coord>p1 abort_action
-        4 coord>p2 abort_action
-        4 coord>p3 abort_action
-        5 p1>coord rpc_reply
-        5 p2>coord rpc_reply
-        5 p3>coord rpc_reply
+        3 p3>coord rpc_reply
         """, {
             "coord": "",
             "p1": "aborted",
@@ -443,19 +435,13 @@ EXPECTED = {
         0 coord>b rpc_batch(txn_prepare[])
         1 a>coord rpc_reply
         1 b>coord rpc_reply
-        2 coord>a rpc_batch(txn_abort)
-        2 coord>b rpc_batch(txn_abort)
+        2 coord>a rpc_batch(txn_commit txn_abort abort_action)
+        2 coord>b rpc_batch(txn_abort abort_action)
         3 a>coord rpc_reply
         3 b>coord rpc_reply
-        4 coord>a rpc_batch(txn_commit)
-        5 a>coord rpc_reply
-        6 coord>a abort_action
-        6 coord>b abort_action
-        7 a>coord rpc_reply
-        7 b>coord rpc_reply
         """, {
             "coord": "coord_commit coord_end",
-            "a": "prepared prepared aborted committed",
+            "a": "prepared prepared committed aborted",
             "b": "aborted",
         }),
 }

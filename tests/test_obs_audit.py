@@ -276,6 +276,23 @@ def test_commit_decision_over_a_rollback_vote():
     assert kinds_of(auditor) == {F.COMMIT_AFTER_ROLLBACK}
 
 
+def test_commit_decision_over_a_pure_readers_refusal():
+    """A reader's read-only prepare gates nothing: its refusal (it
+    restarted after its read) does not stand against the commit."""
+    auditor = InvariantAuditor()
+    feed(auditor, [
+        ("twopc.begin", {"txn": "t1", "action": "A", "colour": "c",
+                         "participants": "n1", "node": "home"}),
+        ("twopc.vote", {"txn": "t1", "node": "r", "vote": "refused",
+                        "colour": "c", "reason": "epoch-restart"}),
+        ("twopc.vote", {"txn": "t1", "node": "n1", "vote": "commit",
+                        "colour": "c"}),
+        ("twopc.decision", {"txn": "t1", "decision": "commit",
+                            "node": "home"}),
+    ])
+    assert kinds_of(auditor) == set()
+
+
 def test_shadow_promotion_without_a_decision():
     auditor = InvariantAuditor()
     feed(auditor, [

@@ -74,9 +74,9 @@ def test_invoke_held_past_its_timeout_and_the_abort_builds_nothing(backend):
 def test_prepare_held_past_txn_abort_and_a_checkpoint_prepares_nothing(
         backend):
     """A classic prepare to ``s1`` is held until the coordinator has given
-    up on it, ``txn_abort`` has landed at ``s1`` and ``s1`` has checkpointed
-    the ABORTED record away.  Released then — the action's write set still
-    there, its ``abort_action`` held too — it prepares nothing."""
+    up on it, the abort — ``txn_abort`` and ``abort_action`` in one
+    message — has landed at ``s1`` and ``s1`` has checkpointed the ABORTED
+    record away.  Released then, it prepares nothing."""
     cluster = cluster_of(["home", "s1", "s2"], backend=backend,
                          fast_paths=False)
     client = cluster.client("home")
@@ -92,7 +92,7 @@ def test_prepare_held_past_txn_abort_and_a_checkpoint_prepares_nothing(
         for ref in refs:
             yield from client.invoke(action, ref, "increment", 1)
         held.catch = lambda message: (message.dst == "s1"
-                                      and message.kind != "txn_abort")
+                                      and message.kind != "rpc_batch")
         with pytest.raises(CommitError):
             yield from client.commit(action)
         return action

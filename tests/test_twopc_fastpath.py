@@ -1,7 +1,7 @@
 """Commit-protocol fast paths where the single-fault sweep does not
-reach: the delegate's checkpoint, a crashed pure reader, recovery redo
-past a later transaction's shadow, and the forced abort a lost one-phase
-prepare leaves on the participant's log.
+reach: the delegate's checkpoint, a crashed, partitioned or restarted
+pure reader, recovery redo past a later transaction's shadow, and the
+forced abort a lost one-phase prepare leaves on the participant's log.
 
 The fast paths' message bills are pinned by ``tests/test_commit_rounds.py``
 and ``BENCH_twopc_fastpath``; their fault outcomes by
@@ -10,7 +10,7 @@ auditor stayed silent.
 """
 
 from repro.errors import CommitError
-from tests.oracle import FIXED, cluster_of, committed_int
+from tests.oracle import FIXED, Over, cluster_of, committed_int
 
 
 def metric_sum(cluster, name, **match):
@@ -105,6 +105,114 @@ def test_crashed_read_only_voter_does_not_block_commit():
     cluster.run(until=cluster.kernel.now + 600)
     assert cluster.servers["reader"].mirrors == {}
     assert committed_int(cluster, holder["ref_r"]) == 9
+    assert_audit_clean(cluster)
+
+
+def finishes_to(cluster, node_name):
+    """Record the kernel time of every ``finish_commit`` sent to
+    ``node_name`` (finishes travel inside an ``rpc_batch``)."""
+    sent = []
+
+    def decide(message):
+        if message.dst == node_name and message.kind == "rpc_batch" and any(
+                call["kind"] == "finish_commit"
+                for call in message.payload["calls"]):
+            sent.append(cluster.kernel.now)
+
+    Over(cluster.network, decide)
+    return sent
+
+
+def events(cluster, kind):
+    """Every ``kind`` event the history layer kept, as dicts."""
+    return [event for event in cluster.obs.layers["history"].event_dicts()
+            if event["kind"] == kind]
+
+
+def test_partitioned_read_only_voter_gets_the_classic_finish():
+    """A *live* reader the coordinator is cut off from: its read-only
+    prepare fails while the commit is still running (the delegate's reply
+    is lost too, so the outcome is resolved after the reader gave out),
+    the commit goes through, and after the heal the classic finish reaches
+    the reader, which then holds no lock and no mirror.  A reader that
+    could not be reached is not one that released its locks."""
+    cluster = cluster_of(["coord", "p1", "p2", "reader"], config=FIXED)
+    cluster.observe(history=True)
+    client = cluster.client("coord")
+    reader = cluster.servers["reader"]
+    finishes = finishes_to(cluster, "reader")
+    cut = []
+
+    def decide(message):
+        if message.kind == "txn_outcome_query":
+            cut.clear()                 # the heal
+        if cut and ("reader" in (message.src, message.dst)
+                    or (message.src, message.kind) == ("p2", "rpc_reply")):
+            return ()
+
+    Over(cluster.network, decide)
+    refs = {}
+
+    def app():
+        for name, value in (("p1", 0), ("p2", 0), ("reader", 9)):
+            refs[name] = yield from client.create(name, "counter",
+                                                  value=value)
+        action = client.top_level("t")
+        yield from client.invoke(action, refs["p1"], "increment", 1)
+        yield from client.invoke(action, refs["p2"], "increment", 1)
+        yield from client.invoke(action, refs["reader"], "get")
+        cut.append(cluster.kernel.now)
+        yield from client.commit(action)
+        return cluster.kernel.now
+
+    committed_at = cluster.run_process("coord", app())
+    assert [committed_int(cluster, refs[name]) for name in ("p1", "p2")] \
+        == [1, 1]
+    downgrades = {event["labels"]["reason"]: event
+                  for event in events(cluster, "twopc.downgrade")}
+    gave_out = downgrades["read-only-unreachable"]
+    assert gave_out["labels"]["dst"] == "reader"
+    # the reader's prepare had failed before the finish went its way
+    assert len(finishes) == 1
+    assert gave_out["tick"] < finishes[0] < committed_at
+    cluster.run()
+    assert reader.mirrors == {}
+    assert reader.registry.snapshot()["held"] == 0
+    assert committed_int(cluster, refs["reader"]) == 9
+    assert_audit_clean(cluster)
+
+
+def test_restarted_read_only_voter_is_refused_and_finished_classically():
+    """A node that only reads in a colour written elsewhere restarts after
+    its read, so its read lock is gone: its read-only prepare is refused
+    (``epoch-restart``; the write-set check has nothing to look at), the
+    commit goes through all the same — read-only votes gate nothing — and
+    the reader gets the classic ``finish_commit``."""
+    cluster = cluster_of(["coord", "writer", "reader"], config=FIXED)
+    cluster.observe(history=True)
+    client = cluster.client("coord")
+    finishes = finishes_to(cluster, "reader")
+    refs = {}
+
+    def app():
+        refs["w"] = yield from client.create("writer", "counter", value=0)
+        refs["r"] = yield from client.create("reader", "counter", value=9)
+        action = client.top_level("t")
+        yield from client.invoke(action, refs["w"], "increment", 4)
+        yield from client.invoke(action, refs["r"], "get")
+        cluster.crash("reader")
+        cluster.restart("reader")
+        yield from client.commit(action)
+
+    cluster.run_process("coord", app())
+    cluster.run()
+    assert committed_int(cluster, refs["w"]) == 4
+    votes = [event["labels"] for event in events(cluster, "twopc.vote")
+             if event["labels"]["node"] == "reader"]
+    assert [(vote["vote"], vote.get("reason")) for vote in votes] \
+        == [("refused", "epoch-restart")]
+    assert len(finishes) == 1
+    assert cluster.servers["reader"].mirrors == {}
     assert_audit_clean(cluster)
 
 
