@@ -23,10 +23,6 @@ class SyntheticProject:
     sources: Dict[str, str]
     placement: Dict[str, str]
 
-    @property
-    def target_count(self) -> int:
-        return len(self.makefile.rules)
-
 
 def generate_project(seed: int, layers: int, width: int,
                      fan_in: int, nodes: List[str]) -> SyntheticProject:

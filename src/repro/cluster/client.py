@@ -166,6 +166,10 @@ class _Round:
 
 #: the (round, path) pairs riding one prepare message, in sub-call order
 Riders = List[Tuple[_Round, PreparePath]]
+#: one ``(kind, payload)`` call of a message
+Call = Tuple[str, Dict[str, Any]]
+#: txn_id -> node -> the call that delivers the transaction's commit there
+Decided = Dict[str, Dict[str, Call]]
 
 
 @dataclass
@@ -462,8 +466,8 @@ class ClusterClient:
         started = self.kernel.now
         span = self._op_span(action, "commit")
         routes = action.routes()
-        #: txn_ids of the commit decisions logged but not yet delivered
-        decided: List[str] = []
+        #: the commit decisions logged, in colour order, and their delivery
+        decided: Decided = {}
         #: colours this action is outermost for, with pending writes
         permanent: List[Tuple[Colour, Dict[str, Set[Uid]]]] = []
         for colour, destination in routes:
@@ -516,10 +520,10 @@ class ClusterClient:
 
     def abort(self, action: ClusterAction):
         """Abort: undo and release on every involved server."""
-        return (yield from self._abort(action, [], {}))
+        return (yield from self._abort(action, {}, {}))
 
-    def _abort(self, action: ClusterAction, decided: List[str],
-               undo: Dict[str, List[Tuple[str, Dict[str, Any]]]]):
+    def _abort(self, action: ClusterAction, decided: Decided,
+               undo: Dict[str, List[Call]]):
         """End ``action`` in one fan-out: each involved server gets the
         commits of ``decided`` it is owed, its ``undo`` calls (a failed
         round's ``txn_abort``) and ``abort_action``, in that order."""
@@ -539,8 +543,8 @@ class ClusterClient:
         # holds the action's locks: the fan-out's reaper keeps retrying
         # until the abort lands — every call in it is idempotent, so
         # over-delivery is harmless.
-        yield from self._fan_out(f"abort:{action.uid}", calls_for,
-                                 span=span, batched=False, decided=decided)
+        yield from self._fan_out(f"abort:{action.uid}", calls_for, decided,
+                                 span=span, batched=False)
         span.set(outcome="aborted").finish()
         return self._terminated(action, ActionStatus.ABORTED, Outcome.ABORTED)
 
@@ -549,8 +553,7 @@ class ClusterClient:
         return [self.kernel.spawn(body, name=f"{label}@{node_name}")
                 for node_name, body in bodies.items()]
 
-    def _deliver(self, node_name: str,
-                 calls: List[Tuple[str, Dict[str, Any]]], batched: bool,
+    def _deliver(self, node_name: str, calls: List[Call], batched: bool,
                  span=None):
         """One network message to one node; returns ``(ok, value)`` per
         call.  ``batched`` ships the calls as one ``rpc_batch`` (dispatched
@@ -563,18 +566,18 @@ class ClusterClient:
         return [(True, (yield from self.transport.call(
             node_name, kind, payload, trace_parent=span)))]
 
-    def _fan_out(self, label: str,
-                 calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]],
-                 span=None, batched: bool = True,
-                 decided: Iterable[str] = ()):
+    def _fan_out(self, label: str, calls_for: Dict[str, List[Call]],
+                 decided: Decided, span=None, batched: bool = True):
         """Deliver each node's termination calls in parallel: one process
         and one network message per node, so the round costs the slowest
         server, not the sum.
 
-        A node's message carries, in front of its own calls, the
-        ``txn_commit`` of each ``decided`` transaction the table still
-        owes it (``TxnTable.owed``).  The server dispatches sub-calls in
-        order, so shadow promotion precedes lock release and undo there.
+        A node's message carries, in front of its own calls and in colour
+        order, the call that delivers each ``decided`` transaction the
+        table still owes it (``TxnTable.owed``): a classic round's
+        ``txn_commit``, a commute round's own prepare (its redo).  The
+        server dispatches sub-calls in order, so promotion and redo
+        precede lock release and undo there.
         Every node that did not answer every call gets a background reaper
         redelivering the same calls — termination calls are all idempotent
         server-side.  The nodes that did are acks of each ``decided``
@@ -586,7 +589,7 @@ class ClusterClient:
         """
         owed = self.node.txns.owed
         calls_for = {node_name: [
-            ("txn_commit", {"txn_id": txn_id}) for txn_id in decided
+            delivery[node_name] for txn_id, delivery in decided.items()
             if node_name in owed.get(txn_id, ())] + calls
             for node_name, calls in calls_for.items()}
         nodes = sorted(calls_for)
@@ -611,8 +614,8 @@ class ClusterClient:
         partition or crash swallowed.
 
         ``calls`` is a ``(kind, payload)`` batch — an abort's or a
-        finish's list (see :meth:`_fan_out`), or a decided commute
-        prepare — every call of which is idempotent server-side, so
+        finish's list, owed commits in front (see :meth:`_fan_out`) —
+        every call of which is idempotent server-side, so
         retrying under fresh rpc ids until the batch lands (or the budget
         runs out: a crashed server's volatile locks died with it, and its
         log-driven recovery resolves the rest) is safe.  A batch that lands acks each of its
@@ -711,7 +714,7 @@ class ClusterClient:
 
     def _finish_commit(self, action: ClusterAction,
                        routes: List[Tuple[Colour, Optional[ActionNode]]],
-                       decided: List[str], parent_span=None):
+                       decided: Decided, parent_span=None):
         """Deliver every commit decision and the finish/transfer routing in
         one parallel fan-out: a single batched message per involved server,
         its owed ``txn_commit`` sub-calls before ``finish_commit``
@@ -734,7 +737,7 @@ class ClusterClient:
             }
             for colour, dest in routes
         ]
-        calls_for: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
+        calls_for: Dict[str, List[Call]] = {}
         for node_name in sorted(action.all_nodes()):
             if node_name in action.finished_nodes:
                 continue
@@ -749,8 +752,8 @@ class ClusterClient:
             })]
 
         started = self.kernel.now
-        yield from self._fan_out(f"finish:{action.uid}", calls_for,
-                                 span=parent_span, decided=decided)
+        yield from self._fan_out(f"finish:{action.uid}", calls_for, decided,
+                                 span=parent_span)
         if calls_for:
             self.obs.observe("commit_fanout_time",
                              self.kernel.now - started, width=len(calls_for))
@@ -841,7 +844,7 @@ class ClusterClient:
         return plan
 
     def _run_plan(self, action: ClusterAction, plan: _Plan,
-                  decided: List[str]):
+                  decided: Decided):
         """Execute a plan: the one coordinator round.
 
         Sends the readers' prepares, then the wave — one process and one
@@ -853,10 +856,12 @@ class ClusterClient:
         *before* its fan-out instead, and its replies are the
         acknowledgements.
 
-        Appends to ``decided`` the txn_id of each committed round whose
-        ``txn_commit`` the caller's end fan-out delivers.  Returns the
-        colour that failed, if any, and per node the ``txn_abort`` calls
-        that the caller's abort fan-out delivers (presumed abort).
+        Enters each committed round in ``decided``, with the call by which
+        the caller's end fan-out delivers the commit to a participant
+        still owed it: ``txn_commit``, or the wave's own prepare when the
+        round was decided before its wave.  Returns the colour that
+        failed, if any, and per node the ``txn_abort`` calls that the
+        caller's abort fan-out delivers (presumed abort).
         """
         rounds = plan.rounds
         awaited = plan.delegate is not None or any(
@@ -904,18 +909,32 @@ class ClusterClient:
         if plan.delegate is not None and rounds[0].all_yes():
             yield from self._delegate(action, plan)
         failed: Optional[_Round] = None
-        abort_calls: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
+        abort_calls: Dict[str, List[Call]] = {}
         for round_ in rounds:
             # coordinator-observed latency of the whole prepare round
             self.obs.observe("twopc_prepare_time", self.kernel.now - started,
                              colour=str(round_.colour))
             if not awaited:
-                self._redeliver(round_, calls_for)
+                # the answers are acks; a silent node is owed the wave's
+                # own prepare (one per node: the colour is a round of its
+                # own), at the front of its end message
+                silent = [node_name for node_name, path in round_.asked.items()
+                          if round_.votes.get(node_name) != path.vote]
+                for node_name in silent:
+                    self.obs.emit("twopc.downgrade", txn=round_.txn_id,
+                                  node=self.node.name, dst=node_name,
+                                  reason="commute-unreachable",
+                                  resolution="redelivery")
+                report_acks(self.node, self.obs, round_.txn_id,
+                            set(round_.asked).difference(silent))
+                decided[round_.txn_id] = {node_name: calls_for[node_name][0]
+                                          for node_name in silent}
             elif failed is None and round_.all_yes():
                 # the caller's end fan-out delivers the commit to the
                 # participants owed it
                 self._decide(round_, "commit")
-                decided.append(round_.txn_id)
+                decided[round_.txn_id] = dict.fromkeys(
+                    round_.asked, ("txn_commit", {"txn_id": round_.txn_id}))
             else:
                 cause = ("colour-order-cascade" if failed is not None
                          else self._abort_cause(round_))
@@ -977,12 +996,12 @@ class ClusterClient:
                       **({"commute": "1"} if commute else {}), **labels)
 
     def _prepare_calls(self, action: ClusterAction, node_name: str,
-                       riders: Riders) -> List[Tuple[str, Dict[str, Any]]]:
+                       riders: Riders) -> List[Call]:
         """The calls of one prepare message to ``node_name``: per rider the
         classic payload plus what its path adds.  Pending lazy
         acknowledgements of earlier delegated commits to the node ride on
         the first call (once per message is enough)."""
-        calls: List[Tuple[str, Dict[str, Any]]] = []
+        calls: List[Call] = []
         for round_, path in riders:
             colour = round_.colour
             uids = sorted(round_.write_map.get(node_name, ()))
@@ -1023,7 +1042,7 @@ class ClusterClient:
         return calls
 
     def _send(self, action: ClusterAction, plan: _Plan, node_name: str,
-              riders: Riders, calls: List[Tuple[str, Dict[str, Any]]]):
+              riders: Riders, calls: List[Call]):
         """Put one prepare message on the wire and file what comes back:
         each rider's vote by its path's row, or why there is none."""
         try:
@@ -1127,20 +1146,3 @@ class ClusterClient:
                 self._file_vote(action, round_, DECIDE, node_name, {
                     "vote": DECIDE.vote,
                     "finished": "finish" in calls[0][1]})
-
-    def _redeliver(self, round_: _Round, calls_for) -> None:
-        """After a decision-first fan-out: crash, partition or lost reply,
-        the decision is durable and the message idempotent (participants
-        dedupe on txn_id against their COMMITTED records) — a reaper
-        redelivers it until it lands.  The answers are acks."""
-        unanswered = [node_name for node_name, path in round_.asked.items()
-                      if round_.votes.get(node_name) != path.vote]
-        for node_name in unanswered:
-            self._spawn_reaper(node_name, calls_for[node_name],
-                               f"commute:{round_.txn_id}")
-            self.obs.emit("twopc.downgrade", txn=round_.txn_id,
-                          node=self.node.name, dst=node_name,
-                          reason="commute-unreachable",
-                          resolution="redelivery")
-        report_acks(self.node, self.obs, round_.txn_id,
-              set(round_.asked) - set(unanswered))

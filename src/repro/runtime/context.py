@@ -51,7 +51,3 @@ def pop_action(action: "Action") -> None:
         _stack.set(tuple(a for a in stack if a is not action))
         return
     _stack.set(stack[:-1])
-
-
-def context_depth() -> int:
-    return len(_stack.get())

@@ -98,10 +98,3 @@ class Diary:
     def dates(self) -> List[str]:
         with self._mutex:
             return sorted(self._slots)
-
-    def free_dates(self, colour=None, action=None) -> List[str]:
-        """Dates whose slots are currently free (read-locks each slot)."""
-        return [
-            date for date in self.dates()
-            if self.slot(date).is_free(colour=colour, action=action)
-        ]

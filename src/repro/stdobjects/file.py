@@ -9,7 +9,7 @@ its prerequisites — is fully deterministic.
 
 from __future__ import annotations
 
-from typing import ClassVar, Tuple
+from typing import ClassVar
 
 from repro.locking.modes import LockMode
 from repro.objects.lockable import LockableObject, operation
@@ -48,10 +48,6 @@ class FileObject(LockableObject):
     def stat(self) -> float:
         """The file's timestamp (make's phase (ii)/(iii) reads)."""
         return self.timestamp
-
-    @operation(LockMode.READ)
-    def read_with_stat(self) -> Tuple[str, float]:
-        return (self.content, self.timestamp)
 
     @operation(LockMode.WRITE)
     def write(self, content: str, timestamp: float) -> None:

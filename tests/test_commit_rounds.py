@@ -138,10 +138,11 @@ def piggyback_with_reader(cluster, client, tap):
     yield from tap.commit(client, action)
 
 
-def three_colours(client):
-    colours = sorted((client.fresh_colour(f"c{i}") for i in range(3)),
+def fresh_colours(client, count=3):
+    """``count`` fresh colours in uid order, and an action in all of them."""
+    colours = sorted((client.fresh_colour(f"c{i}") for i in range(count)),
                      key=lambda colour: colour.uid)
-    return colours, client.coloured(colours, name="three")
+    return colours, client.coloured(colours, name="coloured")
 
 
 def batched_run_with_rider(cluster, client, tap):
@@ -151,7 +152,7 @@ def batched_run_with_rider(cluster, client, tap):
     b2 = yield from client.create("b", "counter", value=0)
     b3 = yield from client.create("b", "counter", value=9)
     r = yield from client.create("r", "counter", value=9)
-    (c1, c2, c3), action = three_colours(client)
+    (c1, c2, c3), action = fresh_colours(client)
     yield from client.invoke(action, a, "increment", 1, colour=c1)
     yield from client.invoke(action, b, "increment", 1, colour=c1)
     yield from client.invoke(action, a2, "increment", 1, colour=c2)
@@ -178,7 +179,7 @@ def mixed_run(cluster, client, tap):
     p1 = yield from client.create("p1", "counter", value=0)
     p1b = yield from client.create("p1", "counter", value=0)
     p2 = yield from client.create("p2", "commuting_counter", value=0)
-    (c1, c2, c3), action = three_colours(client)
+    (c1, c2, c3), action = fresh_colours(client)
     yield from client.invoke(action, p1, "increment", 1, colour=c1)
     yield from client.invoke(action, p2, "add", 1, colour=c2)
     yield from client.invoke(action, p1b, "increment", 1, colour=c3)
@@ -240,11 +241,24 @@ def failing_middle_colour(cluster, client, tap):
     a = yield from client.create("a", "counter", value=0)
     a2 = yield from client.create("a", "counter", value=0)
     b = yield from client.create("b", "counter", value=0)
-    (c1, c2, c3), action = three_colours(client)
+    (c1, c2, c3), action = fresh_colours(client)
     yield from client.invoke(action, a, "increment", 1, colour=c1)
     yield from client.invoke(action, b, "increment", 1, colour=c2)
     yield from client.invoke(action, a2, "increment", 1, colour=c3)
     bounce(cluster, "b")
+    yield from tap.commit(client, action)
+
+
+def commute_then_refusal(cluster, client, tap):
+    """Colour 1 commutes at q, decided before its wave; colour 2's only
+    participant p restarted and refuses: colour 1 stays permanent and
+    the abort undoes colour 2."""
+    q = yield from client.create("q", "commuting_counter", value=0)
+    p = yield from client.create("p", "counter", value=0)
+    (c1, c2), action = fresh_colours(client, 2)
+    yield from client.invoke(action, q, "add", 1, colour=c1)
+    yield from client.invoke(action, p, "increment", 1, colour=c2)
+    bounce(cluster, "p")
     yield from tap.commit(client, action)
 
 
@@ -293,6 +307,7 @@ SCENARIOS = {
         (("p1", "p2", "p3"), {}, refusal_with_straggler),
     "lost_delegated_reply": (("p1", "p2"), {}, lost_delegated_reply),
     "failing_middle_colour": (("a", "b"), {}, failing_middle_colour),
+    "commute_then_refusal": (("q", "p"), {}, commute_then_refusal),
 }
 
 #: scenario -> (outcome, wire trace, WAL record kinds per node)
@@ -443,6 +458,22 @@ EXPECTED = {
             "coord": "coord_commit coord_end",
             "a": "prepared prepared committed aborted",
             "b": "aborted",
+        }),
+    "commute_then_refusal": ("commit-error", """
+        0 coord>q txn_prepare[commute,finish]
+        1 q>coord rpc_reply
+        2 coord>p txn_prepare[decide,finish]
+        3 p>coord rpc_reply
+        4 coord>p txn_outcome_query
+        5 p>coord rpc_reply
+        6 coord>p abort_action
+        6 coord>q abort_action
+        7 p>coord rpc_reply
+        7 q>coord rpc_reply
+        """, {
+            "coord": "coord_commit coord_end coord_delegated coord_abort",
+            "q": "committed",
+            "p": "aborted",
         }),
 }
 

@@ -20,7 +20,7 @@ from repro.obs.postmortem import DEADLOCK_VICTIM, LOCK_CONFLICT
 from repro.objects.state import ObjectState
 from repro.sim.kernel import Timeout
 from repro.stdobjects.account import InsufficientFunds
-from tests.oracle import FIXED, cluster_of, committed_int
+from tests.oracle import FIXED, Over, cluster_of, committed_int
 
 
 def committed_balance(cluster, ref):
@@ -160,6 +160,85 @@ def test_escrow_debits_commute_within_the_bound():
     live = cluster.servers["bank"].objects[holder["ref"].uid]
     assert live.escrow_available == 0
     assert metric_sum(cluster, "twopc_fast_path_total", kind="commute") == 2
+    assert_audit_clean(cluster)
+
+
+def _escrow_credit(client, holder, between):
+    """Credit 5 to a fresh escrow account of balance 10, run ``between``
+    (a generator taking the action and the ref) and keep the ref."""
+    ref = yield from client.create("bank", "escrow_account",
+                                   owner="E", balance=10)
+    action = client.top_level("credit")
+    yield from client.invoke(action, ref, "credit", 5)
+    holder["ref"] = ref
+    yield from between(action, ref)
+
+
+def _live_funds(cluster, ref):
+    live = cluster.servers["bank"].objects[ref.uid]
+    return live.balance, live.escrow_available
+
+
+def test_escrow_credit_becomes_spendable_at_commit():
+    """A pending credit backs no debit; its commute commit runs the
+    ``committed`` hook on the live instance, and then it does."""
+    cluster = cluster_of(["coord", "bank"], config=FIXED)
+    client = cluster.client("coord")
+    holder = {}
+
+    def between(action, ref):
+        early = client.top_level("early")
+        try:
+            yield from client.invoke(early, ref, "debit", 15)
+            holder["early"] = "debited"
+        except (InsufficientFunds, InvalidActionState):
+            holder["early"] = "insufficient"
+            yield from client.abort(early)
+        yield from client.commit(action)
+        late = client.top_level("late")
+        yield from client.invoke(late, ref, "debit", 15)
+        yield from client.commit(late)
+
+    cluster.run_process("coord", _escrow_credit(client, holder, between))
+    assert holder["early"] == "insufficient"
+    assert committed_balance(cluster, holder["ref"]) == 0
+    assert _live_funds(cluster, holder["ref"]) == (0, 0)
+    assert metric_sum(cluster, "twopc_fast_path_total", kind="commute") == 2
+    assert_audit_clean(cluster)
+
+
+def test_escrow_credit_is_redone_after_a_participant_restart():
+    """The participant restarted between the credit and the commit: the
+    commute prepare's redo list merges it into committed state and redoes
+    it, settled, on the new live instance."""
+    cluster = cluster_of(["coord", "bank"], config=FIXED)
+    client = cluster.client("coord")
+    holder = {}
+
+    def between(action, ref):
+        cluster.crash("bank")
+        cluster.restart("bank")
+        yield from client.commit(action)
+
+    cluster.run_process("coord", _escrow_credit(client, holder, between))
+    assert committed_balance(cluster, holder["ref"]) == 15
+    assert _live_funds(cluster, holder["ref"]) == (15, 15)
+    assert_audit_clean(cluster)
+
+
+def test_escrow_credit_is_undone_by_an_abort():
+    """An aborted credit leaves the balance and the spendable funds as
+    they were, live and committed."""
+    cluster = cluster_of(["coord", "bank"], config=FIXED)
+    client = cluster.client("coord")
+    holder = {}
+
+    def between(action, ref):
+        yield from client.abort(action)
+
+    cluster.run_process("coord", _escrow_credit(client, holder, between))
+    assert committed_balance(cluster, holder["ref"]) == 10
+    assert _live_funds(cluster, holder["ref"]) == (10, 10)
     assert_audit_clean(cluster)
 
 
@@ -366,12 +445,15 @@ def test_commute_redo_after_participant_restart():
 
 def test_redelivered_commute_prepare_is_idempotent():
     """Losing the commute reply must not double-apply: the decision is
-    durable, a reaper redelivers the same prepare, and the participant
-    answers from its COMMITTED record (dedupe on txn_id) without running
-    the ops again."""
+    durable, the node's finish message carries the same prepare in front
+    of ``finish_commit``, and the participant answers it from its
+    COMMITTED record (dedupe on txn_id) without running the ops again."""
     cluster = cluster_of(["coord", "part"], config=FIXED)
     client = cluster.client("coord")
     holder = {}
+    sent = []
+    Over(cluster.network, decide=lambda message: sent.append(
+        (message.dst, message.kind, message.payload)))
 
     def app():
         ref = yield from client.create("part", "commuting_counter", value=0)
@@ -390,8 +472,57 @@ def test_redelivered_commute_prepare_is_idempotent():
     # applied exactly once despite the redelivery
     assert committed_int(cluster, holder["ref"]) == 5
     assert metric_sum(cluster, "twopc_fast_path_total", kind="commute") == 1
-    assert metric_sum(cluster, "termination_reapers_total") >= 1
+    # the heal lets the finish message through: no reaper was needed
+    kind, payload = [(kind, payload) for dst, kind, payload in sent
+                     if dst == "part"][-1]
+    assert kind == "rpc_batch"
+    assert [call["kind"] for call in payload["calls"]] \
+        == ["txn_prepare", "finish_commit"]
+    assert payload["calls"][0]["payload"].get("commute")
+    assert metric_sum(cluster, "termination_reapers_total") == 0
     assert cluster.servers["part"].mirrors == {}
+    assert_audit_clean(cluster)
+
+
+def test_a_decided_commute_colour_outlives_a_later_refusal():
+    """§5.1 permanence: colour c1 commutes at q and is decided before its
+    wave, every copy of which is lost; colour c2's participant p restarted
+    and refuses, so the commit fails.  c1's redo rides in front of q's
+    ``abort_action``, so the abort never unwinds it: q's live value is its
+    committed value, and a later action reads it."""
+    cluster = cluster_of(["coord", "q", "p"], config=FIXED)
+    client = cluster.client("coord")
+    Over(cluster.network, decide=lambda message: () if (
+        message.dst, message.kind) == ("q", "txn_prepare") else None)
+    holder = {}
+
+    def app():
+        q = yield from client.create("q", "commuting_counter", value=0)
+        p = yield from client.create("p", "counter", value=0)
+        c1, c2 = sorted((client.fresh_colour(name) for name in ("c1", "c2")),
+                        key=lambda colour: colour.uid)
+        action = client.coloured([c1, c2], name="t")
+        yield from client.invoke(action, q, "add", 1, colour=c1)
+        yield from client.invoke(action, p, "increment", 1, colour=c2)
+        cluster.crash("p")
+        cluster.restart("p")
+        try:
+            yield from client.commit(action)
+        except CommitError:
+            holder["outcome"] = "commit-error"
+        yield Timeout(200.0)
+        reader = client.top_level("reader")
+        holder["read"] = yield from client.invoke(reader, q, "get")
+        yield from client.commit(reader)
+        holder["q"] = q
+
+    cluster.run_process("coord", app())
+    cluster.run()
+    ref = holder["q"]
+    assert holder["outcome"] == "commit-error"
+    assert holder["read"] == 1
+    assert cluster.servers["q"].objects[ref.uid].value \
+        == committed_int(cluster, ref) == 1
     assert_audit_clean(cluster)
 
 
@@ -418,7 +549,8 @@ def test_crashed_commute_participant_converges_by_redelivery():
     # the live participant applied immediately...
     assert committed_int(cluster, holder["ref2"]) == 7
     cluster.run(until=cluster.kernel.now + 600)
-    # ...and the crashed one converged through the reaper's redelivery
+    # ...and the crashed one converged through a retransmission of the
+    # same prepare after its restart
     assert committed_int(cluster, holder["ref1"]) == 7
     assert cluster.servers["part"].prepared == {}
     assert cluster.servers["part"].in_doubt_objects == set()

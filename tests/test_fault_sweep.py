@@ -79,7 +79,8 @@ class Faulted(Tap):
 #: has nothing left to tell anyone.
 SURVIVED = {
     "batched_run_with_rider": {3, 4, 5}, "classic_two_writers": {1},
-    "commute_inline_finish": {1}, "failing_middle_colour": {1},
+    "commute_inline_finish": {1}, "commute_then_refusal": {1, 2, 3},
+    "failing_middle_colour": {1},
     "lost_delegated_reply": {2},
     "mixed_run": {6, 7}, "one_phase": {1, 2, 4, 5},
     "piggyback_with_reader": {2},
