@@ -554,17 +554,18 @@ class ClusterClient:
                 for node_name, body in bodies.items()]
 
     def _deliver(self, node_name: str, calls: List[Call], batched: bool,
-                 span=None):
+                 span=None, retries: Optional[int] = None):
         """One network message to one node; returns ``(ok, value)`` per
         call.  ``batched`` ships the calls as one ``rpc_batch`` (dispatched
         in order), as does more than one call; otherwise the node gets its
-        single call as a plain RPC, whose error reply raises."""
+        single call as a plain RPC, whose error reply raises.  ``retries``
+        is the transport's retransmission budget (its default if None)."""
         if batched or len(calls) > 1:
             return (yield from self.transport.call_many(
-                node_name, calls, trace_parent=span))
+                node_name, calls, retries=retries, trace_parent=span))
         (kind, payload), = calls
         return [(True, (yield from self.transport.call(
-            node_name, kind, payload, trace_parent=span)))]
+            node_name, kind, payload, retries=retries, trace_parent=span)))]
 
     def _fan_out(self, label: str, calls_for: Dict[str, List[Call]],
                  decided: Decided, span=None, batched: bool = True):
@@ -853,8 +854,9 @@ class ClusterClient:
         in colour order: the first colour that is not all yes aborts, and
         so does every *later* one (sequential rounds would never have
         decided them).  A plan whose paths gate nothing is decided
-        *before* its fan-out instead, and its replies are the
-        acknowledgements.
+        *before* its fan-out instead, its wave is sent once (a node still
+        silent after one timeout is owed the prepare in its end message),
+        and its replies are the acknowledgements.
 
         Enters each committed round in ``decided``, with the call by which
         the caller's end fan-out delivers the commit to a participant
@@ -885,10 +887,12 @@ class ClusterClient:
                     for riders in plan.wave.values())
         if saved:
             self.obs.count("prepare_batch_saved_rpcs_total", saved)
+        # retransmitting an unawaited wave would only delay the next round
+        retries = None if awaited else 0
         started = self.kernel.now
         handles = self._spawn_each(f"prepare:{action.uid}", {
             node_name: self._send(action, plan, node_name,
-                                  plan.wave[node_name], calls)
+                                  plan.wave[node_name], calls, retries)
             for node_name, calls in calls_for.items()})
         joins = [handle.join() for handle in handles]
         if plan.fail_fast:
@@ -1042,12 +1046,14 @@ class ClusterClient:
         return calls
 
     def _send(self, action: ClusterAction, plan: _Plan, node_name: str,
-              riders: Riders, calls: List[Call]):
+              riders: Riders, calls: List[Call],
+              retries: Optional[int] = None):
         """Put one prepare message on the wire and file what comes back:
         each rider's vote by its path's row, or why there is none."""
         try:
             outcomes = yield from self._deliver(node_name, calls,
-                                                plan.batched, plan.span)
+                                                plan.batched, plan.span,
+                                                retries)
         except ReproError as error:
             for round_, _path in riders:
                 round_.failures[node_name] = error

@@ -50,6 +50,10 @@ EXCLUSIVE_MODES = frozenset(("exclusive_read", "write"))
 #: votes by which a participant consents to commit
 AFFIRMATIVE = ("commit", "read-only", "commute")
 
+#: grants kept per (object, colour) for the serialization graph; later
+#: ones add no edges
+MAX_ACCESSES = 4096
+
 #: sentinel for "not enough information to judge" (unknown action uid)
 _UNKNOWN = object()
 
@@ -57,8 +61,7 @@ _UNKNOWN = object()
 class InvariantAuditor:
     """Incremental checker over the obs event stream (thread-safe)."""
 
-    def __init__(self, metrics=None, max_accesses: int = 4096,
-                 world: Optional[World] = None):
+    def __init__(self, metrics=None, world: Optional[World] = None):
         self.metrics = metrics
         self.findings: List[Finding] = []
         #: owner -> node -> seq of its first release/inheritance there
@@ -71,7 +74,6 @@ class InvariantAuditor:
         self._accesses: Dict[Tuple[str, str], List[Tuple[int, str, str]]] = {}
         #: owner -> the ``_accesses`` keys it has entries under
         self._touched: Dict[str, Set[Tuple[str, str]]] = {}
-        self._max_accesses = max_accesses
         #: dedup keys of findings already counted in metrics (report-time
         #: findings recompute on every call and must not double-count)
         self._counted: Set[Tuple] = set()
@@ -231,7 +233,7 @@ class InvariantAuditor:
     def _access(self, seq: int, owner: str, obj: str, colour: str,
                 mode: str) -> None:
         history = self._accesses.setdefault((obj, colour), [])
-        if len(history) >= self._max_accesses:
+        if len(history) >= MAX_ACCESSES:
             return
         for _, other, other_mode in history:
             if other != owner and conflicts(other_mode, mode):

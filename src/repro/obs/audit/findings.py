@@ -52,15 +52,6 @@ READ_ONLY_IN_PHASE_TWO = "read-only-participant-in-phase-two"
 #: group lacked a commuting-flagged grant, or the action held an exclusive
 #: data-mode record in the deciding colour.
 COMMUTE_UNSOUND = "commute-decision-not-commuting"
-#: live introspection: a server's reported state disagrees with the
-#: coordinator-side view (stale epoch under a live action, or a prepared
-#: transaction the coordinator decided long ago).  Produced by
-#: ``repro.obs.introspect`` — deliberately NOT in :data:`ALL_KINDS` and
-#: never appended to the auditor's findings: drift is an expected symptom
-#: of injected faults (partitions, restarts), not a protocol violation,
-#: and chaos suites that hard-fail on auditor findings must stay green
-#: while the partition arm of an introspection run reports drift.
-INTROSPECT_DRIFT = "introspection-drift"
 
 ALL_KINDS = (
     TWO_PHASE,

@@ -36,12 +36,9 @@ class History:
     section = "history"
     requires = ()
 
-    def __init__(self, max_finished_spans: Optional[int] = None,
-                 max_series: Optional[int] = None):
+    def __init__(self, max_series: Optional[int] = None):
         if max_series is not None and max_series < 1:
             raise ValueError(f"max_series must be >= 1, got {max_series}")
-        #: ring cap on finished spans (``Tracer.retain``); ``None`` keeps all
-        self.max_finished_spans = max_finished_spans
         #: series cap per metric (``MetricsRegistry.max_series_per_metric``)
         self.max_series = max_series
         self.events: Deque[ObsEvent] = deque(maxlen=MAX_EVENTS)
@@ -50,9 +47,7 @@ class History:
         """Start keeping what ``hub`` is told from now on."""
         self.hub = hub
         hub.bus.subscribe(self.events.append)
-        hub.tracer.retain(
-            self.max_finished_spans,
-            on_drop=lambda count: hub.count("spans_dropped_total", count))
+        hub.tracer.retain()
         hub.metrics.folded_labels = frozenset()
         hub.metrics.max_series_per_metric = self.max_series
 

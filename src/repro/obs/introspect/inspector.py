@@ -15,9 +15,9 @@ Two things make it more than a pretty printer:
   backlog).  A server whose epoch moved under a live action, or that still
   holds a transaction prepared long after its coordinator decided it, is
   reported as a structured :class:`Drift` record.  Drift is an expected
-  symptom of injected faults, so it is kept separate from the invariant
-  auditor's findings (chaos suites hard-fail on those) and rendered as
-  auditor-style findings only on demand (:meth:`ClusterInspector.findings`).
+  symptom of injected faults (partitions, restarts), not a protocol
+  violation, so it never joins the invariant auditor's findings: chaos
+  suites hard-fail on those.
 * **Non-disruption** — ``status_query`` answers synchronously off live
   structures without taking locks, and probes are plain RPCs: observing a
   cluster mid-protocol never blocks, aborts or reorders the workload.
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.cluster.txn import COORDINATOR
-from repro.obs.audit.findings import INTROSPECT_DRIFT, Finding
 from repro.sim.kernel import settle_all
 
 #: a server's reported epoch differs from the epoch a live action recorded
@@ -40,6 +39,13 @@ EPOCH_DRIFT = "epoch-drift"
 #: coordinator decided it longer ago than the decision-propagation grace —
 #: phase two is not reaching the participant (partition, lost fanout).
 FINISHED_IN_FLIGHT = "finished-txn-in-flight"
+
+#: a server with this many queued lock requests is degraded
+QUEUE_DEPTH_THRESHOLD = 8
+#: a server holding a transaction in doubt for longer than this is stalled
+IN_DOUBT_AGE_THRESHOLD = 50.0
+#: snapshots an inspector keeps (the newest)
+MAX_SNAPSHOTS = 32
 
 #: health verdicts, in increasing order of badness.
 HEALTHY, DEGRADED, STALLED = "healthy", "degraded", "stalled"
@@ -65,18 +71,6 @@ class Drift:
         if self.action:
             out["action"] = self.action
         return out
-
-    def to_finding(self) -> Finding:
-        """Render as an auditor-style finding (kind ``introspection-drift``).
-
-        The sub-kind rides in the message; drift findings never join the
-        auditor's own list — see the note on
-        :data:`~repro.obs.audit.findings.INTROSPECT_DRIFT`.
-        """
-        return Finding(kind=INTROSPECT_DRIFT,
-                       message=f"{self.kind}: {self.message}",
-                       tick=self.tick, node=self.node, txn=self.txn,
-                       action=self.action)
 
     @property
     def key(self) -> Tuple[str, str, str, str]:
@@ -114,22 +108,9 @@ class ClusterInspector:
     section = "introspection"
     requires = ()
 
-    def __init__(self, interval: float = 10.0, probe_timeout: float = 3.0,
-                 queue_depth_threshold: int = 8,
-                 in_doubt_age_threshold: float = 50.0,
-                 max_snapshots: int = 32,
-                 decision_grace: Optional[float] = None):
+    def __init__(self, interval: float = 10.0, probe_timeout: float = 3.0):
         self.interval = interval
         self.probe_timeout = probe_timeout
-        self.queue_depth_threshold = queue_depth_threshold
-        self.in_doubt_age_threshold = in_doubt_age_threshold
-        self.max_snapshots = max_snapshots
-        #: how long a decided transaction may legitimately linger prepared
-        #: at a participant: the probe can interleave between the
-        #: coordinator's decision log write and phase-two delivery, so
-        #: anything younger than two RPC rounds (the default, taken from
-        #: the cluster at :meth:`bind`) is not drift yet.
-        self.decision_grace = decision_grace
         self.snapshots: List[Dict[str, Any]] = []
         self.drift: List[Drift] = []
         self._seen_drift: Set[Tuple[str, str, str, str]] = set()
@@ -150,8 +131,11 @@ class ClusterInspector:
             raise ValueError("a ClusterInspector needs a cluster to probe")
         self.cluster = cluster
         self.obs = hub
-        if self.decision_grace is None:
-            self.decision_grace = 2.0 * cluster.rpc_timeout
+        #: how long a decided transaction may legitimately linger prepared
+        #: at a participant: the probe can interleave between the
+        #: coordinator's decision log write and phase-two delivery, so
+        #: anything younger than two RPC rounds is not drift yet.
+        self.decision_grace = 2.0 * cluster.rpc_timeout
         if self.interval > 0:
             cluster.kernel.every(self.interval, self._fire, immediate=True)
 
@@ -293,12 +277,12 @@ class ClusterInspector:
             health.worsen(STALLED, "unreachable")
             return health
         queued = status["locks"]["queued"]
-        if queued >= self.queue_depth_threshold:
+        if queued >= QUEUE_DEPTH_THRESHOLD:
             health.worsen(DEGRADED, f"lock-queue-depth:{queued}")
         oldest_in_doubt = max(
             (entry["age"] for entry in status["in_flight"]
              if entry["phase"] == "in-doubt"), default=0.0)
-        if oldest_in_doubt > self.in_doubt_age_threshold:
+        if oldest_in_doubt > IN_DOUBT_AGE_THRESHOLD:
             health.worsen(STALLED, f"in-doubt-age:{oldest_in_doubt:g}")
         return health
 
@@ -348,8 +332,8 @@ class ClusterInspector:
                       nodes=len(statuses), drift=len(fresh))
         self.probes += 1
         self.snapshots.append(snapshot)
-        if len(self.snapshots) > self.max_snapshots:
-            del self.snapshots[:len(self.snapshots) - self.max_snapshots]
+        if len(self.snapshots) > MAX_SNAPSHOTS:
+            del self.snapshots[:len(self.snapshots) - MAX_SNAPSHOTS]
         return snapshot
 
     # -- export --------------------------------------------------------------
@@ -358,10 +342,6 @@ class ClusterInspector:
     def last(self) -> Optional[Dict[str, Any]]:
         """The most recent snapshot (``None`` before the first probe)."""
         return self.snapshots[-1] if self.snapshots else None
-
-    def findings(self) -> List[Finding]:
-        """Drift rendered as auditor-style findings (auditor stays clean)."""
-        return [d.to_finding() for d in self.drift]
 
     def dump(self) -> Dict[str, Any]:
         """JSON-able document: probe count, drift records, snapshot ring."""

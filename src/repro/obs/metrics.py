@@ -33,6 +33,9 @@ LabelSet = Tuple[Tuple[str, str], ...]
 #: the folded series.
 OVERFLOW_LABEL = "__overflow__"
 
+#: raw samples a histogram retains for its percentiles
+MAX_SAMPLES = 4096
+
 
 def _labelset(labels: Dict[str, Any]) -> LabelSet:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
@@ -79,7 +82,7 @@ class Gauge:
 class Histogram:
     """Sampled distribution with exact count/sum/min/max and percentiles.
 
-    Retains up to ``max_samples`` raw samples for percentile queries.  The
+    Retains up to :data:`MAX_SAMPLES` raw samples for percentile queries.  The
     aggregate statistics stay exact beyond that; the retained set is then a
     uniform *reservoir* over the whole stream (Vitter's Algorithm R, driven
     by a fixed-seed PRNG so the same observation sequence always keeps the
@@ -88,18 +91,16 @@ class Histogram:
     percentiles toward the warm-up prefix.
     """
 
-    __slots__ = ("count", "total", "min", "max", "samples", "max_samples",
-                 "_rng")
+    __slots__ = ("count", "total", "min", "max", "samples", "_rng")
 
-    def __init__(self, max_samples: int = 4096):
+    def __init__(self):
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
         self.samples: List[float] = []
-        self.max_samples = max_samples
         #: the reservoir's PRNG, made on the first overflow: most series
-        #: never see ``max_samples`` observations
+        #: never see :data:`MAX_SAMPLES` observations
         self._rng: Optional[random.Random] = None
 
     def observe(self, value: float) -> None:
@@ -107,13 +108,13 @@ class Histogram:
         self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-        if len(self.samples) < self.max_samples:
+        if len(self.samples) < MAX_SAMPLES:
             self.samples.append(value)
         else:
             if self._rng is None:
                 self._rng = random.Random(0x5EED)
             slot = self._rng.randrange(self.count)
-            if slot < self.max_samples:
+            if slot < MAX_SAMPLES:
                 self.samples[slot] = value
 
     def percentile(self, p: float) -> Optional[float]:

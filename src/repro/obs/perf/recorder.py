@@ -48,14 +48,13 @@ class FlightRecorder:
     requires = ()
 
     def __init__(self, capacity: int = 4096, sample_rate: float = 1.0,
-                 seed: int = 0, critical_kinds=CRITICAL_KINDS):
+                 seed: int = 0):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
         self.capacity = capacity
         self.sample_rate = sample_rate
-        self.critical_kinds = frozenset(critical_kinds)
         self._rng = random.Random(seed)
         self._mutex = threading.Lock()
         self._seq = 0
@@ -75,7 +74,7 @@ class FlightRecorder:
     def consume(self, event: ObsEvent) -> None:
         with self._mutex:
             self._seq += 1
-            if (event.kind not in self.critical_kinds
+            if (event.kind not in CRITICAL_KINDS
                     and self.sample_rate < 1.0
                     and self._rng.random() >= self.sample_rate):
                 self.skipped += 1

@@ -35,8 +35,8 @@ from repro.obs.world import Action, World, split
 #: at most this many abort ring snapshots are frozen per run
 MAX_ABORT_SNAPSHOTS = 4
 
-#: postmortem records kept when the engine's deque overflows
-DEFAULT_MAX_RECORDS = 10_000
+#: postmortem records kept (the newest)
+MAX_RECORDS = 10_000
 
 #: what a ``lock.refused`` record holds when its event leaves a label out
 _REFUSAL = dict.fromkeys(
@@ -55,12 +55,9 @@ class PostmortemEngine:
     MAX_CHAIN_DEPTH = 4
     MAX_CHAIN_LINKS = 8
 
-    def __init__(self, metrics=None,
-                 max_records: int = DEFAULT_MAX_RECORDS):
-        if max_records < 1:
-            raise ValueError(f"max_records must be >= 1, got {max_records}")
+    def __init__(self, metrics=None):
         self.metrics = metrics
-        self.records: Deque[Postmortem] = deque(maxlen=max_records)
+        self.records: Deque[Postmortem] = deque(maxlen=MAX_RECORDS)
         self.abort_snapshots: List[Dict[str, Any]] = []
         #: action-level totals per reason (one per aborted action)
         self.reason_counts: Dict[str, int] = {}
@@ -80,10 +77,9 @@ class PostmortemEngine:
         hub.world.attach(self)
 
     @classmethod
-    def replay(cls, events: Iterable[ObsEvent],
-               max_records: int = DEFAULT_MAX_RECORDS) -> "PostmortemEngine":
+    def replay(cls, events: Iterable[ObsEvent]) -> "PostmortemEngine":
         """Run a saved event stream through a fresh engine (offline mode)."""
-        engine = cls(max_records=max_records)
+        engine = cls()
         for event in events:
             engine.consume(event)
         return engine

@@ -42,14 +42,12 @@ class SLOEngine:
     #: the sampler is the engine's clock: one frame per sampled point
     requires = (TimeSeriesSampler.section,)
 
-    def __init__(self, objectives: Optional[List[Objective]] = None,
-                 max_breaches: int = MAX_BREACHES):
+    def __init__(self, objectives: Optional[List[Objective]] = None):
         self.hub = None
         self._objectives = None if objectives is None else list(objectives)
         names = [objective.name for objective in self._objectives or ()]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate objective names in {names}")
-        self.max_breaches = max_breaches
         self.frames = 0
         self.breaches: List[Dict[str, Any]] = []
         self.dropped_breaches = 0
@@ -237,7 +235,7 @@ class SLOEngine:
         return entry
 
     def _record(self, entry: Dict[str, Any]) -> None:
-        if len(self.breaches) >= self.max_breaches:
+        if len(self.breaches) >= MAX_BREACHES:
             self.dropped_breaches += 1
             return
         self.breaches.append(entry)

@@ -48,6 +48,15 @@ SUMMARY_NAME = "soak.json"
 #: series kept per metric: each action's fresh colour folds into the
 #: metric's overflow series once this many exist
 MAX_SERIES = 64
+#: counters the workers increment, spread over the nodes
+OBJECTS = 8
+#: a worker's mean pause between two actions
+OP_PAUSE = 10.0
+#: drop probability the faulty arm's burst adds to the network's
+BURST_DROP = 0.02
+#: the flight recorder's ring and the sampler's point window
+FLIGHT_CAPACITY = 1024
+SAMPLER_MAX_POINTS = 1024
 
 
 class SoakRunner:
@@ -57,13 +66,10 @@ class SoakRunner:
                  seed: int = 21, horizon: float = 7200.0,
                  segment_every: float = 1800.0,
                  sample_interval: float = 20.0,
-                 workers: int = 3, objects: int = 8, op_pause: float = 10.0,
-                 latency_target: float = 12.0, abort_budget: float = 0.25,
+                 workers: int = 3, latency_target: float = 12.0,
+                 abort_budget: float = 0.25,
                  surge: float = 8.0, burst_start: Optional[float] = None,
                  burst_duration: Optional[float] = None,
-                 burst_drop: float = 0.02,
-                 flight_capacity: int = 1024,
-                 sampler_max_points: int = 1024,
                  rotate: bool = True):
         if arm not in ARMS:
             raise ValueError(f"unknown arm {arm!r} (expected one of "
@@ -78,8 +84,6 @@ class SoakRunner:
         self.segment_every = segment_every
         self.sample_interval = sample_interval
         self.workers = workers
-        self.objects = objects
-        self.op_pause = op_pause
         self.latency_target = latency_target
         self.abort_budget = abort_budget
         self.surge = surge
@@ -88,9 +92,6 @@ class SoakRunner:
                             else 0.35 * horizon)
         self.burst_duration = (burst_duration if burst_duration is not None
                                else 0.15 * horizon)
-        self.burst_drop = burst_drop
-        self.flight_capacity = flight_capacity
-        self.sampler_max_points = sampler_max_points
         self.rotate = rotate
 
         self.cluster: Optional[Cluster] = None
@@ -116,8 +117,8 @@ class SoakRunner:
         layers = cluster.observe(
             history={"max_series": MAX_SERIES},
             timeline={"interval": self.sample_interval,
-                      "max_points": self.sampler_max_points},
-            flight_recorder={"capacity": self.flight_capacity,
+                      "max_points": SAMPLER_MAX_POINTS},
+            flight_recorder={"capacity": FLIGHT_CAPACITY,
                              "seed": self.seed},
             # generous probe timeout so a delay surge degrades health
             # verdicts instead of inventing unreachable servers
@@ -136,7 +137,7 @@ class SoakRunner:
 
         def setup():
             client = cluster.client("n0", name="soak-setup")
-            for index in range(self.objects):
+            for index in range(OBJECTS):
                 ref = yield from client.create(
                     self.nodes[index % len(self.nodes)], "counter", value=0)
                 self.refs.append(ref)
@@ -157,7 +158,7 @@ class SoakRunner:
         client = cluster.client(self.nodes[worker_id % len(self.nodes)],
                                 name=f"soak-w{worker_id}")
         rng = random.Random(self.seed * 1009 + worker_id)
-        stop_at = self.horizon - 2 * self.op_pause
+        stop_at = self.horizon - 2 * OP_PAUSE
         op = 0
         while cluster.kernel.now < stop_at:
             picks = rng.sample(self.refs, k=min(2, len(self.refs)))
@@ -175,7 +176,7 @@ class SoakRunner:
                 if not action.status.terminated:
                     yield from client.abort(action)
             op += 1
-            yield Timeout(self.op_pause * (0.5 + rng.random()))
+            yield Timeout(OP_PAUSE * (0.5 + rng.random()))
 
     def _arm_burst(self) -> None:
         """Schedule the seeded network-degradation window.
@@ -192,7 +193,7 @@ class SoakRunner:
         def start() -> None:
             config.min_delay = base[0] * self.surge
             config.max_delay = base[1] * self.surge
-            config.drop_probability = min(0.9, base[2] + self.burst_drop)
+            config.drop_probability = min(0.9, base[2] + BURST_DROP)
             obs.emit("soak.fault_burst", phase="start", arm=self.arm,
                      surge=f"{self.surge:g}")
 

@@ -84,7 +84,6 @@ class Span:
         """Idempotently close the span."""
         if self.end is None:
             self.end = at if at is not None else self.tracer.now()
-            self.tracer._finished()
         return self
 
     def to_dict(self) -> Dict[str, Any]:
@@ -136,9 +135,9 @@ class _Unkept:
 UNKEPT = _Unkept()
 
 
-def _forget(*_span: Any) -> None:
+def _forget(_span: Span) -> None:
     """What a tracer nobody asked to :meth:`~Tracer.retain` does with a
-    span it started or saw finish."""
+    span it started."""
 
 
 class Tracer:
@@ -163,36 +162,20 @@ class Tracer:
         self._trace_ids = itertools.count(1)
         self._mutex = threading.Lock()
         self.spans: List[Span] = []
-        self.max_finished_spans: Optional[int] = None
-        self.on_drop: Optional[Callable[[int], None]] = None
-        self.dropped = 0
-        self._finished_count = 0
         #: whether :meth:`retain` was called: spans are kept from then on
         self.keeping = False
-        #: where a started / a finished span is reported; see :meth:`retain`
+        #: where a started span is reported; see :meth:`retain`
         self._started: Callable[[Span], None] = _forget
-        self._finished: Callable[[], None] = _forget
 
-    def retain(self, max_finished_spans: Optional[int] = None,
-               on_drop: Optional[Callable[[int], None]] = None) -> None:
+    def retain(self) -> None:
         """Keep every span started from now on in :attr:`spans`.
 
-        ``max_finished_spans`` bounds retention for long soaks: once the
-        number of *finished* spans exceeds the cap by half a cap (amortised
-        batches, so finish stays O(1)), the oldest finished spans are
-        evicted ring-style and counted in ``dropped`` / reported via
-        ``on_drop``.  Runs that stay under the cap keep the span list — and
-        therefore every dump — byte-identical to an unbounded tracer;
-        eviction order is deterministic (insertion order), never randomised.
+        Nothing evicts a kept span: a long run bounds them by handing the
+        finished ones out (:meth:`drain_finished`), as a soak's segment
+        rotation does.
         """
-        if max_finished_spans is not None and max_finished_spans < 1:
-            raise ValueError(
-                f"max_finished_spans must be >= 1, got {max_finished_spans}")
-        self.max_finished_spans = max_finished_spans
-        self.on_drop = on_drop
         self.keeping = True
         self._started = self._keep
-        self._finished = self._note_finished
 
     def now(self) -> float:
         if self._tick_source is not None:
@@ -221,39 +204,10 @@ class Tracer:
         span.attrs.update(attrs)
         return span
 
-    # -- bounded retention ---------------------------------------------------
+    # -- retention -----------------------------------------------------------
 
     def _keep(self, span: Span) -> None:
         self.spans.append(span)
-
-    def _note_finished(self) -> None:
-        """Called by :meth:`Span.finish`; evicts in amortised batches."""
-        drop_count = 0
-        with self._mutex:
-            self._finished_count += 1
-            cap = self.max_finished_spans
-            if cap is not None:
-                excess = self._finished_count - cap
-                # batch evictions so each finish is amortised O(1), at the
-                # cost of briefly retaining up to 1.5x the cap.
-                if excess >= max(1, cap // 2):
-                    drop_count = self._evict_locked(excess)
-        if drop_count and self.on_drop is not None:
-            self.on_drop(drop_count)
-
-    def _evict_locked(self, count: int) -> int:
-        """Drop the ``count`` oldest finished spans.  Caller holds the lock."""
-        kept: List[Span] = []
-        dropped = 0
-        for span in self.spans:
-            if dropped < count and span.finished:
-                dropped += 1
-                continue
-            kept.append(span)
-        self.spans = kept
-        self._finished_count -= dropped
-        self.dropped += dropped
-        return dropped
 
     def drain_finished(self) -> List[Span]:
         """Remove and return every finished span (open spans stay).
@@ -265,7 +219,6 @@ class Tracer:
         with self._mutex:
             finished = [span for span in self.spans if span.finished]
             self.spans = [span for span in self.spans if not span.finished]
-            self._finished_count = 0
             return finished
 
     # -- context propagation -------------------------------------------------
@@ -300,4 +253,3 @@ class Tracer:
     def clear(self) -> None:
         with self._mutex:
             self.spans.clear()
-            self._finished_count = 0

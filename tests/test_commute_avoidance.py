@@ -510,6 +510,7 @@ def test_a_decided_commute_colour_outlives_a_later_refusal():
             yield from client.commit(action)
         except CommitError:
             holder["outcome"] = "commit-error"
+            holder["ended"] = cluster.kernel.now
         yield Timeout(200.0)
         reader = client.top_level("reader")
         holder["read"] = yield from client.invoke(reader, q, "get")
@@ -520,6 +521,9 @@ def test_a_decided_commute_colour_outlives_a_later_refusal():
     cluster.run()
     ref = holder["q"]
     assert holder["outcome"] == "commit-error"
+    # c1's wave is decided, so it is sent once: p's round follows one
+    # timeout later, not after q's whole retransmission budget
+    assert holder["ended"] < 30
     assert holder["read"] == 1
     assert cluster.servers["q"].objects[ref.uid].value \
         == committed_int(cluster, ref) == 1

@@ -154,27 +154,30 @@ def test_warmed_folded_reports_never_resolve_labels_again(monkeypatch):
 
 # -- (c) the reservoir: same samples, PRNG only past the cap --------------------
 
-#: ``Histogram(max_samples=16)`` after ``observe(0.0 .. 47.0)``, taken from
-#: the eager-PRNG implementation this one replaced
+#: a histogram's samples with ``MAX_SAMPLES`` 16 after ``observe(0.0 ..
+#: 47.0)``, taken from the eager-PRNG implementation this one replaced
 GOLDEN_RESERVOIR = [0.0, 1.0, 2.0, 46.0, 16.0, 5.0, 18.0, 29.0, 8.0, 42.0,
                     10.0, 28.0, 12.0, 20.0, 36.0, 45.0]
 
 
-def test_reservoir_keeps_the_samples_it_always_kept():
-    histogram = Histogram(max_samples=16)
-    for value in range(3 * 16):
-        histogram.observe(float(value))
+def test_reservoir_keeps_the_samples_it_always_kept(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics_module, "MAX_SAMPLES", 16)
+        histogram = Histogram()
+        for value in range(3 * 16):
+            histogram.observe(float(value))
     assert histogram.samples == GOLDEN_RESERVOIR
-    # and at the default size: same stream, same seed, same reservoir
+    # and at the real size: same stream, same seed, same reservoir
     default = Histogram()
-    for value in range(3 * default.max_samples):
+    for value in range(3 * metrics_module.MAX_SAMPLES):
         default.observe(float(value))
     assert default.samples[:5] == [5512.0, 7152.0, 2.0, 10254.0, 10133.0]
     assert sum(default.samples) == 25296034.0
 
 
-def test_histogram_under_the_cap_holds_no_rng():
-    histogram = Histogram(max_samples=8)
+def test_histogram_under_the_cap_holds_no_rng(monkeypatch):
+    monkeypatch.setattr(metrics_module, "MAX_SAMPLES", 8)
+    histogram = Histogram()
     for value in range(8):
         histogram.observe(float(value))
     assert histogram._rng is None

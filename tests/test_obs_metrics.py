@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.obs import Observability
+from repro.obs import Observability, metrics
 from repro.obs.bus import EventBus, ObsEvent
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.runtime import LocalRuntime
@@ -62,8 +62,9 @@ def test_histogram_single_sample_and_bounds():
         histogram.percentile(101)
 
 
-def test_histogram_sample_cap_keeps_exact_aggregates():
-    histogram = Histogram(max_samples=10)
+def test_histogram_sample_cap_keeps_exact_aggregates(monkeypatch):
+    monkeypatch.setattr(metrics, "MAX_SAMPLES", 10)
+    histogram = Histogram()
     for value in range(100):
         histogram.observe(float(value))
     assert histogram.count == 100

@@ -28,6 +28,7 @@ from repro.obs.postmortem import (
     VOTE_ROLLBACK,
     PostmortemEngine,
 )
+from repro.obs.postmortem import engine as postmortem_engine
 from repro.obs.postmortem import render
 from repro.obs.__main__ import main as obs_main
 from repro.sim.kernel import Timeout
@@ -364,10 +365,9 @@ def test_record_for_matches_uid_name_and_txn():
     assert engine.record_for("nothing") is None
 
 
-def test_engine_bounds_and_validates_record_count():
-    with pytest.raises(ValueError):
-        PostmortemEngine(max_records=0)
-    engine = PostmortemEngine(max_records=2)
+def test_engine_bounds_and_validates_record_count(monkeypatch):
+    monkeypatch.setattr(postmortem_engine, "MAX_RECORDS", 2)
+    engine = PostmortemEngine()
     for index in range(4):
         for tick, (kind, labels) in enumerate(
                 [begin(f"a{index}"), end(f"a{index}", outcome="committed")]):

@@ -24,6 +24,7 @@ from repro.obs.slo import (
     default_objectives,
     evaluate_timeline,
 )
+from repro.obs.slo import engine as slo_engine
 from repro.sim.kernel import Timeout
 
 
@@ -187,8 +188,9 @@ def test_abort_rate_objective_normalises_by_budget():
     assert opened[0]["value"] == pytest.approx(10.0 / 14.0)
 
 
-def test_breach_ledger_is_bounded():
-    engine = SLOEngine(max_breaches=2, objectives=[
+def test_breach_ledger_is_bounded(monkeypatch):
+    monkeypatch.setattr(slo_engine, "MAX_BREACHES", 2)
+    engine = SLOEngine(objectives=[
         Objective("find", "zero", metric="m", short_window=1,
                   long_window=1)])
     tick = 0

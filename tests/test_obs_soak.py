@@ -1,6 +1,6 @@
 """The soak observatory: bounded retention, segment rotation, chaos arms.
 
-Unit tests pin the retention primitives the soak leans on (tracer ring,
+Unit tests pin the retention primitives the soak leans on (tracer drain,
 metrics series cap + snapshot-and-diff deltas, sampler point listeners,
 flight-recorder drain/freeze).  The module-scoped fixtures then run the
 acceptance soaks once each — the faulty two-sim-hour arm rotated and
@@ -35,78 +35,17 @@ report_main, audit_main, slo_main, soak_main, top_main = map(
     _console, ("report", "audit", "slo", "soak", "top"))
 
 
-# -- tracer ring (bounded finished-span retention) -----------------------------
-
-def _retaining(max_finished_spans=None, on_drop=None):
-    tracer = Tracer()
-    tracer.retain(max_finished_spans, on_drop=on_drop)
-    return tracer
-
-
-def _spans(tracer, count, finish=True):
-    spans = [tracer.start_span(f"s{index}") for index in range(count)]
-    if finish:
-        for span in spans:
-            span.finish()
-    return spans
-
-
-def test_tracer_ring_evicts_oldest_finished_spans():
-    dropped_reports = []
-    tracer = _retaining(4, on_drop=dropped_reports.append)
-    _spans(tracer, 10)
-    # amortised batches: retention never exceeds 1.5x the cap
-    assert len(tracer.spans) <= 6
-    assert tracer.dropped == 10 - len(tracer.spans)
-    assert sum(dropped_reports) == tracer.dropped
-    # eviction is oldest-first: the survivors are the newest spans
-    assert [span.name for span in tracer.spans] == [
-        f"s{index}" for index in range(10 - len(tracer.spans), 10)]
-
-
-def test_tracer_ring_never_evicts_open_spans():
-    tracer = _retaining(2)
-    open_span = tracer.start_span("open")
-    _spans(tracer, 8)
-    assert open_span in tracer.spans
-    assert all(span.finished or span is open_span
-               for span in tracer.spans)
-
-
-def test_tracer_under_cap_is_byte_identical_to_unbounded():
-    capped, unbounded = _retaining(100), _retaining()
-    for tracer in (capped, unbounded):
-        parent = tracer.start_span("root", kind="action")
-        tracer.start_span("child", parent=parent).finish()
-        parent.finish()
-    assert capped.to_dicts() == unbounded.to_dicts()
-    assert capped.dropped == 0
-
-
-def test_tracer_rejects_silly_cap():
-    with pytest.raises(ValueError, match="max_finished_spans"):
-        _retaining(0)
-
+# -- tracer drain (what rotation hands out) ------------------------------------
 
 def test_drain_finished_removes_only_finished_spans():
-    tracer = _retaining(8)
+    tracer = Tracer()
+    tracer.retain()
     open_span = tracer.start_span("open")
-    _spans(tracer, 3)
+    for index in range(3):
+        tracer.start_span(f"s{index}").finish()
     drained = tracer.drain_finished()
     assert [span.name for span in drained] == ["s0", "s1", "s2"]
     assert tracer.spans == [open_span]
-    # the finished count reset: draining re-arms the cap from zero
-    _spans(tracer, 3)
-    assert tracer.dropped == 0
-
-
-def test_hub_counts_dropped_spans(tmp_path):
-    hub = Observability()
-    hub.bind(History(max_finished_spans=2))
-    for index in range(8):
-        hub.span(f"s{index}").finish()
-    assert hub.tracer.dropped > 0
-    assert hub.metrics.value("spans_dropped_total") == hub.tracer.dropped
 
 
 # -- metrics series cap + deltas ----------------------------------------------
