@@ -37,6 +37,13 @@ because its members release only at commit or abort — and none of them
 can commit.  Re-probing an unchanged wait on a clock finds nothing this
 misses.
 
+A blocker PREPARED at the chasing server is not chased (its mirror's
+``prepared`` flag, set where the server logs PREPARED).  The client sends
+an action's prepares from ``commit``, which the action's process calls
+once all its invocations have returned, so such a blocker has no lock
+request in progress anywhere: its home marks no server for it and would
+end the chase on arrival.  Skipping the probe loses nothing it could find.
+
 The per-request lock-wait timeout stays as a backstop for pathologies the
 probes cannot see (a lost probe or victim notice, a waiter whose home node
 crashed).
@@ -110,7 +117,7 @@ class EdgeChaser:
                 return
             if blockers != chased:
                 chased = blockers
-                self._forward_probes(waiter_uid, waiter_uid, set())
+                self._forward_probes(waiter_uid, waiter_uid, blockers, set())
             self.kernel.schedule(self.probe_interval, reread)
 
         self.kernel.schedule(self.probe_interval, reread)
@@ -126,11 +133,11 @@ class EdgeChaser:
         return sorted(found)
 
     def _forward_probes(self, initiator: Uid, target_uid: Uid,
-                        visited: Set) -> bool:
-        """``target_uid`` waits at THIS server; chase each of its blockers.
+                        blockers: List[Uid], visited: Set) -> bool:
+        """``target_uid`` waits at THIS server on ``blockers``; chase each.
         True when the chase closed a cycle (and a victim was declared)."""
         registry = self.server.registry
-        for blocker_uid in self._blockers(target_uid):
+        for blocker_uid in blockers:
             if blocker_uid == initiator:
                 self.cycles_detected += 1
                 self.server.obs.count("deadlock_cycles_total",
@@ -150,14 +157,14 @@ class EdgeChaser:
             if registry.pending_requests_of(blocker_uid):
                 # queued here too: follow the edge in place
                 if self._forward_probes(initiator, blocker_uid,
+                                        self._blockers(blocker_uid),
                                         visited | {key}):
                     return True
                 continue
             mirror = self.server.mirrors.get(blocker_uid)
-            home = getattr(mirror, "home", "") if mirror else ""
-            if not home:
-                continue
-            self.node.send(home, "dl_probe", {
+            if mirror is None or not mirror.home or mirror.prepared:
+                continue  # unknown here, or committing: it waits for nothing
+            self.node.send(mirror.home, "dl_probe", {
                 "initiator": encode_uid(initiator),
                 "target": encode_uid(blocker_uid),
                 "visited": sorted(visited | {key}),
@@ -179,7 +186,8 @@ class EdgeChaser:
             return True
         # Role 2: the target has queued lock requests at this server.
         if self.server.registry.pending_requests_of(target):
-            self._forward_probes(initiator, target, visited)
+            self._forward_probes(initiator, target, self._blockers(target),
+                                 visited)
         # Otherwise the target is running (no dependency edge): chase ends.
         return True
 

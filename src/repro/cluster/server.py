@@ -70,6 +70,9 @@ class ActionMirror:
     #: sim time the mirror was built — first involvement of the action at
     #: this node; lock hold time is measured from here to retirement.
     created_tick: float = 0.0
+    #: a colour of the action is PREPARED here: it is committing, so it
+    #: waits for no lock anywhere (the edge chaser skips it)
+    prepared: bool = False
     #: per-colour undo responsibility and write sets, kept exactly as a
     #: local :class:`~repro.actions.action.Action` keeps its own
     ledger: UndoLedger = field(default_factory=UndoLedger)
@@ -604,6 +607,8 @@ class ObjectServer:
             object_uids=[encode_uid(u) for u in sorted(wanted)],
         )
         entry.colour = colour
+        if mirror is not None:
+            mirror.prepared = True
         self._emit_vote(txn_id, path.vote, colour)
         respond(True, self._ok({"vote": path.vote}))
 

@@ -24,15 +24,19 @@ responds inside the dispatch that received the request costs two messages,
 request and ``rpc_reply``.  An ``rpc_ack`` — "received, the reply will
 come, stop retransmitting" — is sent only for a request that is still
 executing: at the end of the dispatch that received it, and at once for
-every duplicate that arrives meanwhile (duplicates are never re-executed).
+every ack-phase duplicate that arrives meanwhile (duplicates are never
+re-executed).
 
 A call therefore has two phases, and a lost reply is recovered in whichever
 one the client is in.  *Ack phase*: nothing heard yet — the request is
 retransmitted every ``timeout``; if the handler had answered, the
 retransmission is served from the reply cache.  *Completion phase*: acked —
-the client polls with the same request at the same period, which
-re-triggers the ack while the handler waits and fetches the cached reply
-once it has answered.  Both are requests of a live call, never stale.
+the client polls at the same period with the same request marked
+``rpc_poll``.  A poll fetches the cached reply once the handler has
+answered and gets nothing while it waits: its caller was acked already,
+so an ack would tell it nothing (Birrell and Nelson's rule).  A poll that
+reaches a restarted server, whose cache is gone, runs the handler again.
+Both are requests of a live call, never stale.
 """
 
 from __future__ import annotations
@@ -70,6 +74,8 @@ BATCH_KIND = "rpc_batch"
 #: request field: sequence numbers of the caller's other calls to the same
 #: node still pending when the request was first sent (absent: none)
 _LIVE_KEY = "rpc_live"
+#: request field: the call was acked, this copy is a completion-phase poll
+_POLL_KEY = "rpc_poll"
 
 #: error kinds a server can return and the exception raised client-side.
 #: Ordered most-specific-first: error_kind_for picks the first isinstance.
@@ -232,9 +238,11 @@ class RpcTransport:
                     else UNKEPT), send)
         # the reply is the ack.  Only a request still executing — its handler
         # waits (a queued lock), or this is a duplicate of one — is acked,
-        # so the client stops retransmitting and waits for the reply.  (A
-        # node that crashed inside the handler is silent.)
-        if seq in replies and replies[seq] is None and self.node.alive:
+        # so the client stops retransmitting and waits for the reply.  A
+        # poll is not: its caller was acked already.  (A node that crashed
+        # inside the handler is silent.)
+        if (seq in replies and replies[seq] is None and self.node.alive
+                and _POLL_KEY not in message.payload):
             self.node.send(message.src, _ACK_KIND, {"rpc_id": rpc_id},
                            reply_to=message.msg_id)
         return True
@@ -399,12 +407,12 @@ class RpcTransport:
         ``retries`` extra times; a synchronous handler's lost reply is
         recovered here, from the server's reply cache.  Once ACKed, the
         call waits up to ``completion_timeout`` for the reply, polling
-        every ``timeout`` — long-running operations (lock waits) sit here
-        outside the ``retries`` budget, and a lost reply is fetched from
-        the cache by the next poll.  Raises :class:`RpcTimeout` on either
-        phase's exhaustion (``unacknowledged`` includes "delivered, but
-        every reply lost"), or the reconstructed remote error for an
-        unsuccessful reply.
+        every ``timeout`` (polls are never acked) — long-running
+        operations (lock waits) sit here outside the ``retries`` budget,
+        and a lost reply is fetched from the cache by the next poll.
+        Raises :class:`RpcTimeout` on either phase's exhaustion
+        (``unacknowledged`` includes "delivered, but every reply lost"),
+        or the reconstructed remote error for an unsuccessful reply.
 
         ``trace_parent`` (a Span or SpanContext) parents the call's client
         span; the span's context rides in the request payload so the
@@ -528,6 +536,7 @@ class RpcTransport:
             # completion phase: poll periodically — a lost reply is re-sent
             # from the server's reply cache on the next poll.
             heard = call.reply is not None
+            request[_POLL_KEY] = True
             remaining = completion_timeout
             while not heard:
                 if remaining <= 0:

@@ -2,8 +2,9 @@
 
 When the chaser speaks: a wait is chased once it is one ``probe_interval``
 old, and again only when its blockers change; a blocker or victim queued
-at the chasing server is handled there, without a probe.  The cycle cases
-run on both execution backends under one test id each.
+at the chasing server is handled there, without a probe, and a blocker
+PREPARED there is not chased at all.  The cycle cases run on both
+execution backends under one test id each.
 """
 
 from repro.cluster.cluster import Cluster
@@ -191,6 +192,52 @@ def test_a_long_wait_with_unchanged_blockers_is_chased_once():
     assert results["waiter"] == "committed"
     assert waited > 9 * 3.0
     assert len(probes) == 1 and probes[0][0] == "s1"
+
+
+@on_both_backends
+def test_a_holder_prepared_at_the_chasing_server_gets_no_probe(backend):
+    """The holder writes x@s1 and y@s2 and commits: s1 gets the classic
+    prepare (PREPARED at t = 5), s2 the decision.  Its finish to s1 is
+    lost until t = 26, so the waiter queues at s1 (t = 6.5) behind a
+    holder that is committing and waits for nothing: no probe goes to its
+    home, and the waiter gets x once the finish lands."""
+    cluster = make_cluster(edge_chasing=True, config=FIXED, backend=backend)
+    c1 = cluster.client("home1", "c1")
+    c2 = cluster.client("home2", "c2")
+    refs = {}
+    results = {}
+
+    def setup():
+        refs["x"] = yield from c1.create("s1", "counter", value=0)
+        refs["y"] = yield from c1.create("s2", "counter", value=0)
+
+    cluster.run_process("home1", setup())
+    start = cluster.kernel.now
+    probes = tap_probes(cluster)
+    Over(cluster.network, lambda message: LOST if (
+        message.dst == "s1" and message.kind == "rpc_batch"
+        and cluster.kernel.now < start + 26) else None)
+
+    def holder():
+        action = c1.top_level("holder")
+        yield from c1.invoke(action, refs["x"], "increment", 1)
+        yield from c1.invoke(action, refs["y"], "increment", 1)
+        yield from c1.commit(action)
+        results["holder"] = "committed"
+
+    def waiter():
+        yield Timeout(5.5)
+        action = c2.top_level("waiter")
+        yield from c2.invoke(action, refs["x"], "increment", 10)
+        yield from c2.commit(action)
+        results["waiter"] = "committed"
+
+    handles = [cluster.spawn("home1", holder()),
+               cluster.spawn("home2", waiter())]
+    assert finish(cluster, handles, limit=start + 100) < start + 100
+    assert results == {"holder": "committed", "waiter": "committed"}
+    assert cluster.servers["s1"].lock_waits == 1
+    assert probes == []
 
 
 def test_a_cycle_closed_by_inheritance_alone_is_detected():

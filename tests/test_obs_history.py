@@ -168,14 +168,18 @@ def test_with_history_bound_everything_per_commit_is_kept():
 #: ``lossy_crash`` was re-pinned (here and bare) when a failed commit's
 #: ``txn_abort`` and decided commits came to ride in its abort message:
 #: fewer sends shift the seeded fault draws of every later message.
+#: ``contended_locks``, ``multicolour`` and ``lossy_crash`` were re-pinned
+#: (here and bare) when a completion-phase poll stopped being acked and a
+#: blocker PREPARED at the chasing server stopped being probed: fewer
+#: ``rpc_ack`` and ``dl_probe`` sends shift the seeded delay draws.
 PARENT_DUMPS = {
     "matrix": ("ac41105455146ac0e27e57196ca4d6091b179bb33f24dfd5f8f641076be8f653", 219742),
     "steady_2pc": ("eebdc273fd8efbe72be5eda0e4745e9db8ff99b2f6aa894dca7609d18a23ecbe", 1213164),
     "read_mostly": ("c34fba25c561f472c6dffe27ec16d705807e8d739f0b9447ac46bfe5ef57a626", 970015),
     "commute_hot": ("c419bb055b61b717b05223d16ee5d96c67d941408611ce742fb92c808cc5bdf8", 1140593),
-    "contended_locks": ("4d535a02b0d3e688779a73125164d27861f03632a0651dedf8acf59ad58c482d", 1201968),
-    "multicolour": ("09ec66987e816d0b7179efe9d49246058dc89a07f83c381f29721c0869f2c447", 1664008),
-    "lossy_crash": ("3f1cbd6c22068407721c98ea9f76ee35ca37a4f6a74419d7bf1eaf1506efb3ba", 3067632),
+    "contended_locks": ("11843cfe7aa179422f7a77154f01c1615f70dc764c0755c4ef25a2c04e3e1ed4", 1200621),
+    "multicolour": ("92dabe35cde3f56b411c34b8beedc7a3a3a8cb87640f064a1e444d5253101a97", 1662672),
+    "lossy_crash": ("32db7553b34439ada27b1cd27ac7283e0941dabc2f78aad64ba3b0ca38dff501", 3037260),
     "distributed_make": ("f053f4109eef79d0e13249cb3473f944d0d658931c5e20b92e65d0ba9a26fc0b", 269169),
     "distributed_make_resumed": ("7dca88ec1a211e29bc49943a6757b125008727cf008c9006aa212f6c5f99da10", 241105),
     "distributed_meeting": ("15152c749f434c7b399f2c2ecdef0f3323c41ab0aefcb632dd03982f106d1bdd", 540301),
@@ -192,9 +196,9 @@ BARE_PARENT_DUMPS = {
     "steady_2pc": ("349579a1b089dd9aaf548c6950af0aa5eb5b476db5c4ec39eb6fa8fc7ae46fb1", 29011),
     "read_mostly": ("fda0246e4ef8f4e25d9f26731a0a07a69178043a73b4b9203b8b94f198666ac1", 29915),
     "commute_hot": ("b377bb81c0bea8a827b62b88f80a217b8e84870d1741c44edcf40fc45b7bca0e", 6429),
-    "contended_locks": ("b9f24dbc38605f1edf95883a43a7f2be6bc0a8bdf2be623ef9993de6cde5cd7f", 8754),
-    "multicolour": ("841aafc7aa5f5dedf36ff1f0dc0ef4f9090788603f80c60997ec42309f7efbd0", 21006),
-    "lossy_crash": ("31d63ef1e0a3048ef9c9132dd6015f45c17edc492132b62cbaa516e79cb11853", 33607),
+    "contended_locks": ("2d6dceb2cc25e802432eac7e079a6ff37eed34971b0e7956daf182d3b08d253b", 8736),
+    "multicolour": ("92a9688d3192df80bf1a107661f468e6d1cbb8020d7743c578cf321ba4f70c89", 20980),
+    "lossy_crash": ("21678464c644c2fbb0f5b5c9ececae5c2480f0d6df8dfd4203e33a71a26391e7", 33038),
 }
 
 

@@ -4,7 +4,9 @@ lost reply is recovered in each phase, and when a request is stale.
 The reply is the ack: a handler that answers inside the dispatch that
 received the request costs two messages; ``rpc_ack`` is sent only for a
 request still executing — at the end of the dispatch that received it, or
-at once for a duplicate of it.  A request whose call its caller has
+at once for an ack-phase duplicate of it.  A completion-phase poll is
+never acked: it gets the cached reply, or nothing while the handler still
+executes.  A request whose call its caller has
 finished — as a later request from it says — is dropped unanswered, and
 the reply cache keeps replies of live calls only.  Every test body runs
 on both execution backends (sim first), because "the end of the dispatch"
@@ -14,7 +16,7 @@ is a real event-loop turn only on asyncio.
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import LOST, NetworkConfig
 from repro.errors import RpcTimeout
-from tests.oracle import Over, on_both_backends
+from tests.oracle import FIXED, Over, on_both_backends
 
 
 
@@ -268,9 +270,84 @@ def test_duplicate_request_reacked_not_reexecuted(backend):
 
     assert cluster.run_process("a", app()) == [1, 2, 3, 4, 5]
     assert executions["n"] == 5
-    # one ack per first delivery plus one per duplicate that found the
-    # request executing
+    # one ack per first delivery plus one per ack-phase copy (a network
+    # duplicate or a retransmission) that found the request executing;
+    # the polls, and their duplicates, get none
     assert sent.count("rpc_ack") > 5
+
+
+@on_both_backends
+def test_a_handler_waiting_through_polls_costs_one_ack(backend):
+    """Acked at t = 2, the client polls at t = 12 and 22 while the handler
+    waits; neither poll is acked, and the reply (t = 26) ends the call."""
+    cluster, ta, tb = pair(backend, config=FIXED)
+    tb.register("op", lambda msg, respond: later(cluster, 24.0, respond))
+    sent = tap(cluster)
+
+    def app():
+        return (yield from ta.call("b", "op", {}, timeout=10.0,
+                                   completion_timeout=100.0))
+
+    assert cluster.run_process("a", app()) == "done"
+    cluster.run()
+    assert sent == ["op", "rpc_ack", "op", "op", "rpc_reply"]
+
+
+@on_both_backends
+def test_an_ack_phase_retransmission_of_an_executing_request_is_acked(
+        backend):
+    """The first ack is lost: the client is still in the ack phase, and its
+    retransmission, which finds the handler executing, is acked — once.
+    The polls after it are not."""
+    cluster, ta, tb = pair(backend, config=FIXED)
+    executions = []
+
+    def handler(msg, respond):
+        executions.append(msg.kind)
+        later(cluster, 24.0, respond)
+
+    tb.register("op", handler)
+    sent = tap(cluster, lose=lambda kind, sent: (
+        kind == "rpc_ack" and "rpc_ack" not in sent))
+
+    def app():
+        return (yield from ta.call("b", "op", {}, timeout=5.0,
+                                   completion_timeout=100.0))
+
+    assert cluster.run_process("a", app()) == "done"
+    cluster.run()
+    assert executions == ["op"]
+    assert sent[:4] == ["op", "rpc_ack", "op", "rpc_ack"]
+    assert sent.count("rpc_ack") == 2 and sent[-1] == "rpc_reply"
+    assert set(sent[4:-1]) == {"op"}     # the polls
+
+
+@on_both_backends
+def test_a_poll_that_reaches_a_restarted_server_re_executes(backend):
+    """The server crashes while its handler waits and forgets the call.
+    The client's poll (t = 12) finds no cache and runs the handler again;
+    the re-execution waits too, and the next poll (t = 22) is not acked."""
+    cluster, ta, tb = pair(backend, config=FIXED)
+    executions = []
+
+    def handler(msg, respond):
+        executions.append(msg.kind)
+        if len(executions) > 1:  # the first execution dies with its node
+            later(cluster, 14.0, respond)
+
+    tb.register("op", handler)
+    sent = tap(cluster)
+    cluster.crash_at("b", 4.0)
+    cluster.restart_at("b", 5.0)
+
+    def app():
+        return (yield from ta.call("b", "op", {}, timeout=10.0,
+                                   completion_timeout=100.0))
+
+    assert cluster.run_process("a", app()) == "done"
+    cluster.run()
+    assert executions == ["op", "op"]
+    assert sent == ["op", "rpc_ack", "op", "op", "rpc_reply"]
 
 
 # -- staleness: what a server may forget -------------------------------------
