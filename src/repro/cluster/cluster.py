@@ -106,9 +106,10 @@ class Cluster:
         self.rpc_timeout = rpc_timeout
         self.rpc_retries = rpc_retries
         self.edge_chasing = edge_chasing
-        #: edge chasing's clock: how old a lock wait is before its first
-        #: chase, and how often its blockers are re-read after that (a
-        #: wait is chased again only when they changed)
+        #: how often a queued lock wait is re-read at its server: a wake
+        #: chases its blockers when they changed since its last chase (so
+        #: the first chase is one interval after it queued), and the last
+        #: wake is its ``lock_wait_timeout`` deadline
         self.probe_interval = probe_interval
         #: commit-protocol fast paths (piggybacked decision, read-only
         #: votes, one-phase commit) for every client created here; False

@@ -24,18 +24,22 @@ server.  The classic AND-model edge-chasing algorithm closes the gap:
   re-entrant paths.
 
 When to chase is the PostgreSQL ``deadlock_timeout`` rule plus a change
-test.  A wait is chased once it is one ``probe_interval`` old — most
-waits end sooner and send nothing — and after that its blockers are
-re-read every interval and chased again only when they differ from the
-set last chased.  That is complete: an edge of the waits-for graph
-appears only when a request queues or when a waiter's blockers change
-without one (§5.3 passes a committing action's locks to its closest
-same-coloured ancestor; a grant moves the queue ahead of a waiter), so
-the last edge to close any cycle is one of those two and is chased at
-most one interval later.  By then the cycle is whole and stays whole,
-because its members release only at commit or abort — and none of them
-can commit.  Re-probing an unchanged wait on a clock finds nothing this
-misses.
+test.  The chaser keeps no clock and no per-waiter state: a queued
+request owns one timer chain at its server
+(``ObjectServer._locked_request``), which wakes every ``probe_interval``
+and last at the wait's deadline.  Each wake before the deadline that
+finds the request still queued calls :meth:`EdgeChaser.chase_from` with
+the blockers the wait chased last; the chase re-reads them and probes
+only if they differ.  So a wait is chased once it is one interval old —
+most waits end sooner and send nothing — and again only on change.  That
+is complete: an edge of the waits-for graph appears only when a request
+queues or when a waiter's blockers change without one (§5.3 passes a
+committing action's locks to its closest same-coloured ancestor; a grant
+moves the queue ahead of a waiter), so the last edge to close any cycle
+is one of those two and is chased at most one interval later.  By then
+the cycle is whole and stays whole, because its members release only at
+commit or abort — and none of them can commit.  Re-probing an unchanged
+wait on a clock finds nothing this misses.
 
 A blocker PREPARED at the chasing server is not chased (its mirror's
 ``prepared`` flag, set where the server logs PREPARED).  The client sends
@@ -44,14 +48,14 @@ once all its invocations have returned, so such a blocker has no lock
 request in progress anywhere: its home marks no server for it and would
 end the chase on arrival.  Skipping the probe loses nothing it could find.
 
-The per-request lock-wait timeout stays as a backstop for pathologies the
-probes cannot see (a lost probe or victim notice, a waiter whose home node
-crashed).
+The lock-wait timeout, the same chain's last wake, stays as a backstop
+for pathologies the probes cannot see (a lost probe or victim notice, a
+waiter whose home node crashed).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Dict, List, Set, TYPE_CHECKING
 
 from repro.cluster.message import Message, decode_uid, encode_uid
 from repro.errors import DeadlockDetected
@@ -67,20 +71,13 @@ WAITING_AT_KEY = "action_waiting"
 class EdgeChaser:
     """The probe logic for one node (attached to its ObjectServer)."""
 
-    def __init__(self, server: "ObjectServer", *, probe_interval: float):
+    def __init__(self, server: "ObjectServer"):
         self.server = server
         self.node = server.node
-        self.kernel = server.kernel
-        #: how old a wait is before its first chase, and how often its
-        #: blockers are re-read after that
-        self.probe_interval = probe_interval
         self.cycles_detected = 0
-        #: waiter uid -> the token of its one live watch at this server
-        self._watches: Dict[Uid, object] = {}
+
         # probes are fire-and-forget datagrams, not RPCs: a lost probe is
         # covered by the lock-wait timeout, so no ack/reply machinery.
-        node = server.node
-
         def dispatch(message: Message) -> bool:
             if message.kind == "dl_probe":
                 return self._h_probe(message)
@@ -90,37 +87,19 @@ class EdgeChaser:
                 return self._h_cancel_wait(message)
             return False
 
-        node.add_dispatcher(dispatch)
+        self.node.add_dispatcher(dispatch)
 
     # -- initiation --------------------------------------------------------------
 
-    def chase_from(self, waiter_uid: Uid) -> None:
-        """A request of ``waiter_uid`` just queued at this server: watch it.
-
-        Nothing is sent now.  Every ``probe_interval`` the watch re-reads
-        the waiter's blockers here and chases them if they differ from the
-        set it chased last (the first read always does).  The watch ends
-        when the waiter has nothing queued here, or when a later request of
-        the waiter starts a watch of its own.
-        """
-        token = object()
-        self._watches[waiter_uid] = token
-        chased: Optional[List[Uid]] = None
-
-        def reread() -> None:
-            nonlocal chased
-            if self._watches.get(waiter_uid) is not token:
-                return
-            blockers = self._blockers(waiter_uid) if self.node.alive else []
-            if not blockers:
-                del self._watches[waiter_uid]
-                return
-            if blockers != chased:
-                chased = blockers
-                self._forward_probes(waiter_uid, waiter_uid, blockers, set())
-            self.kernel.schedule(self.probe_interval, reread)
-
-        self.kernel.schedule(self.probe_interval, reread)
+    def chase_from(self, waiter_uid: Uid, chased: List[Uid]) -> List[Uid]:
+        """One wake of a wait of ``waiter_uid`` queued at this server:
+        re-read the waiter's blockers here and chase them if they differ
+        from ``chased``, the set that wait chased last.  Returns the set
+        read, for the wait to pass back at its next wake."""
+        blockers = self._blockers(waiter_uid)
+        if blockers and blockers != chased:
+            self._forward_probes(waiter_uid, waiter_uid, blockers, set())
+        return blockers
 
     # -- the chase ------------------------------------------------------------------
 

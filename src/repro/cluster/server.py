@@ -127,6 +127,8 @@ class ObjectServer:
         self.transport = transport
         self.classes = dict(classes)
         self.lock_wait_timeout = lock_wait_timeout
+        #: how often a queued lock wait is re-read (``_locked_request``)
+        self.probe_interval = probe_interval
         #: the cluster's hub: lock grants and waits, and fast-path
         #: decisions, are counted through it; votes, decisions and
         #: restarts are announced as events
@@ -158,7 +160,7 @@ class ObjectServer:
         self.edge_chaser = None
         if edge_chasing:
             from repro.cluster.deadlock import EdgeChaser
-            self.edge_chaser = EdgeChaser(self, probe_interval=probe_interval)
+            self.edge_chaser = EdgeChaser(self)
 
     def _fresh_volatile(self) -> None:
         """The state a crash wipes, built empty: at start and at every
@@ -329,9 +331,15 @@ class ObjectServer:
         fast abort, edge chasing, the wait timeout.
 
         A cycle the queued request closes is refused at once (the fast
-        abort).  One closed by a lock transfer rather than by a queued
-        request is left to the edge chaser, which re-reads blockers on
-        change, or to the wait timeout when chasing is off.
+        abort).  Otherwise the queued request owns one timer chain here,
+        waking every ``probe_interval`` and last at exactly
+        ``lock_wait_timeout`` after it queued.  A wake ends the chain if
+        the request has settled or the node crashed since it queued;
+        refuses it with :class:`LockTimeout` at the deadline; and else
+        hands the waiter's blockers to the edge chaser, which probes only
+        when they changed.  A cycle closed by a lock transfer rather than
+        by a queued request is thus left to the chaser, or to the wait
+        timeout when chasing is off.
 
         A grant is counted here (``lock_wait_time``, ``lock_grants_total``);
         a refusal, whatever its cause, is reported once, by the registry's
@@ -372,23 +380,32 @@ class ObjectServer:
                 ),
             )
             return
-        # edge-chasing probes catch cycles across servers; the wait
-        # timeout is the last-resort backstop
-        if self.edge_chaser is not None:
-            self.edge_chaser.chase_from(mirror.uid)
-        deadline = self.lock_wait_timeout
+        epoch = self.node.epoch
+        timeout = self.lock_wait_timeout
+        deadline = wait_started + timeout
+        chased: List[Uid] = []
 
-        def expire() -> None:
-            if not request.settled and self.node.alive:
+        def wake() -> None:
+            nonlocal chased
+            if (request.settled or not self.node.alive
+                    or self.node.epoch != epoch):
+                return
+            now = self.kernel.now
+            if now >= deadline:
                 self.registry.cancel_request(
                     request, reason="lock wait timeout",
                     error=LockTimeout(
                         f"lock {mode_name} on {object_uid} timed out "
-                        f"after {deadline} (distributed-deadlock bound)"
+                        f"after {timeout} (distributed-deadlock bound)"
                     ),
                 )
+                return
+            if self.edge_chaser is not None:
+                chased = self.edge_chaser.chase_from(mirror.uid, chased)
+            self.kernel.schedule(min(self.probe_interval, deadline - now),
+                                 wake)
 
-        self.kernel.schedule(deadline, expire)
+        self.kernel.schedule(min(self.probe_interval, timeout), wake)
 
     # -- handlers: action termination ------------------------------------------------
 

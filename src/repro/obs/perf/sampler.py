@@ -12,8 +12,9 @@ timeline of a seeded run is bit-for-bit reproducible — unless the opt-in
 ``process_probes`` are on, which add host-interpreter GC/allocation
 pressure (real memory, not simulated) to each point.  Memory is bounded:
 when the timeline reaches ``max_points`` it is decimated (every second
-point dropped, sampling stride doubled), trading resolution for a fixed
-footprint — the same run always decimates at the same firings.
+point folded into the next, the newest kept, sampling stride doubled),
+trading resolution for a fixed footprint without losing a count — the
+same run always decimates at the same firings.
 """
 
 from __future__ import annotations
@@ -188,7 +189,14 @@ class TimeSeriesSampler:
         }
 
     def _decimate(self) -> None:
-        self.points = self.points[::2]
+        """Halve the timeline, the newest point kept: every other point is
+        folded into the next one kept, so sums over the timeline stay the
+        registry's totals."""
+        newest_first = self.points[::-1]
+        kept = [_folded(earlier, later) for later, earlier
+                in zip(newest_first[::2], newest_first[1::2])]
+        kept += newest_first[2 * len(kept)::2]
+        self.points = kept[::-1]
         self.stride *= 2
         self.decimations += 1
 
@@ -208,3 +216,31 @@ class TimeSeriesSampler:
         points stay (decimation, not rotation, bounds them)."""
         return dict(self.dump(), points=[
             point for point in self.points if start < point["tick"] <= end])
+
+
+def _folded(earlier: Dict[str, Any], later: Dict[str, Any]) -> Dict[str, Any]:
+    """``later`` with ``earlier``'s per-colour deltas added in: counts are
+    summed, window means weighted by their counts; cumulative quantiles,
+    gauges and the tick are ``later``'s (``earlier``'s quantiles where
+    ``later`` has none)."""
+    colours = {colour: dict(row)
+               for colour, row in later.get("colours", {}).items()}
+    for colour, row in earlier.get("colours", {}).items():
+        into = colours.setdefault(colour, {})
+        for key, _metric in _COLOUR_COUNTERS:
+            if key in row:
+                into[key] = into.get(key, 0.0) + row[key]
+        for key, _metric in COLOUR_HISTOGRAMS:
+            count = row.get(f"{key}_count")
+            if count is None:
+                continue
+            other = into.get(f"{key}_count", 0)
+            mean = (row[f"{key}_mean"] * count
+                    + into.get(f"{key}_mean", 0.0) * other) / (count + other)
+            into[f"{key}_count"] = count + other
+            into[f"{key}_mean"] = mean
+            for quantile in ("p50", "p95"):
+                into.setdefault(f"{key}_{quantile}", row[f"{key}_{quantile}"])
+    if not colours:
+        return later
+    return dict(later, colours={c: colours[c] for c in sorted(colours)})

@@ -26,7 +26,7 @@ def test_every_tuning_value_reaches_every_component():
     for name in ("alpha", "beta"):
         server = cluster.servers[name]
         assert server.lock_wait_timeout == 7.0
-        assert server.edge_chaser.probe_interval == 1.5
+        assert server.probe_interval == 1.5
         transport = cluster.transports[name]
         assert transport.default_timeout == 2.0
         assert transport.default_retries == 5

@@ -3,8 +3,10 @@
 When the chaser speaks: a wait is chased once it is one ``probe_interval``
 old, and again only when its blockers change; a blocker or victim queued
 at the chasing server is handled there, without a probe, and a blocker
-PREPARED there is not chased at all.  The cycle cases run on both
-execution backends under one test id each.
+PREPARED there is not chased at all.  The one timer chain that watches
+a wait and keeps its deadline ends once the wait settles or its server
+restarts.  The cycle cases run on both execution backends under one
+test id each.
 """
 
 from repro.cluster.cluster import Cluster
@@ -12,7 +14,7 @@ from repro.cluster.message import decode_uid
 from repro.cluster.network import LOST
 from repro.errors import DeadlockDetected, LockTimeout
 from repro.sim.kernel import Timeout
-from tests.oracle import FIXED, Over, on_both_backends
+from tests.oracle import FIXED, Over, cluster_of, on_both_backends
 
 
 def make_cluster(edge_chasing=True, lock_wait_timeout=600.0, backend=None,
@@ -194,18 +196,20 @@ def test_a_long_wait_with_unchanged_blockers_is_chased_once():
     assert len(probes) == 1 and probes[0][0] == "s1"
 
 
-@on_both_backends
-def test_a_holder_prepared_at_the_chasing_server_gets_no_probe(backend):
+def prepared_holder(backend, edge_chasing=True):
     """The holder writes x@s1 and y@s2 and commits: s1 gets the classic
     prepare (PREPARED at t = 5), s2 the decision.  Its finish to s1 is
     lost until t = 26, so the waiter queues at s1 (t = 6.5) behind a
-    holder that is committing and waits for nothing: no probe goes to its
-    home, and the waiter gets x once the finish lands."""
-    cluster = make_cluster(edge_chasing=True, config=FIXED, backend=backend)
+    holder that is committing and waits for nothing, and gets x once the
+    finish lands.  Returns the cluster, the probes sent and when the
+    last action committed; both actions have committed."""
+    cluster = make_cluster(edge_chasing=edge_chasing, config=FIXED,
+                           backend=backend)
     c1 = cluster.client("home1", "c1")
     c2 = cluster.client("home2", "c2")
     refs = {}
     results = {}
+    committed_at = []
 
     def setup():
         refs["x"] = yield from c1.create("s1", "counter", value=0)
@@ -224,6 +228,7 @@ def test_a_holder_prepared_at_the_chasing_server_gets_no_probe(backend):
         yield from c1.invoke(action, refs["y"], "increment", 1)
         yield from c1.commit(action)
         results["holder"] = "committed"
+        committed_at.append(cluster.kernel.now)
 
     def waiter():
         yield Timeout(5.5)
@@ -231,13 +236,73 @@ def test_a_holder_prepared_at_the_chasing_server_gets_no_probe(backend):
         yield from c2.invoke(action, refs["x"], "increment", 10)
         yield from c2.commit(action)
         results["waiter"] = "committed"
+        committed_at.append(cluster.kernel.now)
 
     handles = [cluster.spawn("home1", holder()),
                cluster.spawn("home2", waiter())]
     assert finish(cluster, handles, limit=start + 100) < start + 100
     assert results == {"holder": "committed", "waiter": "committed"}
     assert cluster.servers["s1"].lock_waits == 1
+    return cluster, probes, max(committed_at)
+
+
+@on_both_backends
+def test_a_holder_prepared_at_the_chasing_server_gets_no_probe(backend):
+    """No probe goes to a PREPARED holder's home."""
+    _cluster, probes, _committed = prepared_holder(backend)
     assert probes == []
+
+
+@on_both_backends
+def test_a_granted_wait_stops_holding_the_clock(backend):
+    """The wait's timer chain ends within one interval of its grant, so
+    ``run()`` drains soon after the last commit rather than at the
+    600-unit lock-wait deadline — with edge chasing on and off."""
+    for edge_chasing in (True, False):
+        cluster, _probes, committed = prepared_holder(backend, edge_chasing)
+        drained = cluster.run()
+        assert drained - committed <= (cluster.probe_interval
+                                       + cluster.rpc_timeout)
+
+
+def test_a_wait_from_before_a_restart_refuses_nothing_after_it():
+    """B queues behind A at s1 (t = 1.5), then s1 crashes and restarts.
+    Its new lock registry numbers requests from 1 again, so D, queued
+    behind C at t = 13, has the id B's request had.  B's wait died with
+    the crash: its deadline (t = 41.5) must not refuse D, which gets x
+    when C commits."""
+    cluster = cluster_of(("home1", "home2", "s1"), config=FIXED,
+                         lock_wait_timeout=40.0, rpc_timeout=100.0)
+    c1 = cluster.client("home1", "c1")
+    c2 = cluster.client("home2", "c2")
+    refs = {}
+    results = {}
+
+    def setup():
+        refs["x"] = yield from c1.create("s1", "counter", value=0)
+
+    cluster.run_process("home1", setup())
+    start = cluster.kernel.now
+
+    def body(client, label, delay, hold):
+        yield Timeout(delay)
+        action = client.top_level(label)
+        try:
+            yield from client.invoke(action, refs["x"], "increment", 1)
+            yield Timeout(hold)
+            yield from client.commit(action)
+            results[label] = "committed"
+        except LockTimeout:
+            results[label] = "LockTimeout"
+
+    cluster.spawn("home1", body(c1, "A", 0.0, 1000.0))
+    cluster.spawn("home2", body(c2, "B", 0.5, 0.0))
+    cluster.crash_at("s1", start + 5)
+    cluster.restart_at("s1", start + 6)
+    cluster.spawn("home1", body(c1, "C", 10.0, 35.0))
+    waiter = cluster.spawn("home2", body(c2, "D", 12.0, 0.0))
+    cluster.kernel.run_until_settled(waiter.join(), limit=start + 100)
+    assert results == {"C": "committed", "D": "committed"}
 
 
 def test_a_cycle_closed_by_inheritance_alone_is_detected():

@@ -17,6 +17,7 @@ from repro.obs.perf import (
 )
 from repro.obs.__main__ import main as obs_main
 from repro.obs.dump import aggregate_documents
+from repro.obs.perf.sampler import COLOUR_HISTOGRAMS, _COLOUR_COUNTERS
 from repro.sim.kernel import Kernel, Timeout
 from repro.errors import SimulationError
 
@@ -132,6 +133,58 @@ def test_sampler_decimates_at_max_points():
     assert len(sampler.points) == 4
     assert sampler.stride == 16
     assert sampler.decimations == 4
+
+
+def test_decimation_keeps_every_count():
+    """Folding, not dropping: after several decimations the timeline's
+    per-colour counts still sum to the registry's totals, and its window
+    means, weighted by their counts, to the histograms' sums."""
+    cluster = Cluster(seed=3)
+    for name in ("a", "b"):
+        cluster.add_node(name)
+    sampler = cluster.observe(timeline={"interval": 2.0, "max_points": 4})[
+        "timeline"]
+    client = cluster.client("a")
+    # one colour, so rows of different points fold into each other, and
+    # uneven pauses, so the folded windows hold different counts
+    colour = client.fresh_colour("shared")
+
+    def app():
+        ref = yield from client.create("b", "counter", value=0)
+        for index in range(40):
+            action = client.coloured([colour], name=f"t{index}")
+            yield from client.invoke(action, ref, "increment", 1)
+            yield from client.commit(action)
+            yield Timeout(float(index % 4))
+
+    cluster.run_process("a", app())
+    sampler.sample()
+    assert sampler.decimations >= 3
+    metrics = cluster.obs.metrics
+    expected, timeline = {}, {}
+    for key, metric in _COLOUR_COUNTERS:
+        for labels, counter in metrics.series(metric):
+            if "colour" in labels:
+                expected[key] = expected.get(key, 0.0) + counter.value
+    for key, metric in COLOUR_HISTOGRAMS:
+        for labels, histogram in metrics.series(metric):
+            if "colour" in labels:
+                expected[f"{key}_count"] = (
+                    expected.get(f"{key}_count", 0) + histogram.count)
+                expected[f"{key}_sum"] = (
+                    expected.get(f"{key}_sum", 0.0) + histogram.total)
+    for point in sampler.points:
+        for row in point.get("colours", {}).values():
+            for key, value in row.items():
+                if key.endswith("_mean"):
+                    prefix = key[:-len("_mean")]
+                    timeline[f"{prefix}_sum"] = timeline.get(
+                        f"{prefix}_sum", 0.0) + value * row[f"{prefix}_count"]
+                elif not key.endswith(("_p50", "_p95")):
+                    timeline[key] = timeline.get(key, 0) + value
+    assert expected["committed"] == 40.0
+    assert expected["commit_latency_count"] == 40
+    assert timeline == pytest.approx(expected)
 
 
 def test_sampler_rejects_tiny_max_points():
