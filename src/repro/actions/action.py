@@ -68,17 +68,16 @@ class Action(ActionNode):
                                 self.uid)
 
     def record_operation(self, obj: "StateManager", colour: Colour,
-                         compensate: Callable[[], None],
-                         description: str = "") -> None:
-        """Log a compensating operation for one applied update (§2's
-        type-specific recovery).  Used instead of a before-image when the
-        object's operations commute — restoring a state image would wipe
-        concurrent updaters' effects; compensating does not."""
+                         method: str, args: tuple, result, inverse: str) -> None:
+        """Log one applied update ``method(*args)`` (§2's type-specific
+        recovery).  Used instead of a before-image when the object's
+        operations commute — restoring a state image would wipe concurrent
+        updaters' effects; compensating by ``inverse`` does not, and the
+        colour's commit merges the operation into the committed state."""
         self.require(ActionStatus.ACTIVE)
         self.require_colour(colour)
-        self._ledger.note_operation(
-            obj, colour, compensate, description or "compensate",
-            self.runtime.next_undo_seq(), self.uid)
+        self._ledger.note_operation(obj, colour, method, args, result, inverse,
+                                    self.runtime.next_undo_seq(), self.uid)
 
     def written_objects(self, colour: Optional[Colour] = None) -> Dict[Uid, "StateManager"]:
         """Objects this action is currently responsible for persisting."""
@@ -130,11 +129,12 @@ class Action(ActionNode):
             if destination is not None:
                 self._ledger.bequeath(colour, destination._ledger)
                 continue
+            ops = self._ledger.ops(colour)
             written = self._ledger.drop(colour)
             if not written:
                 continue
             try:
-                self.runtime.persist_colour(self, colour, written)
+                self.runtime.persist_colour(self, colour, written, ops)
             except Exception as error:
                 # roll back what is still rollable: the colours not yet
                 # routed or made permanent

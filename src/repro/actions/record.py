@@ -1,4 +1,5 @@
-"""Undo records: before-images captured on first write per (object, colour).
+"""Undo records: before-images captured on first write per (object, colour),
+and the operations applied to semantic objects.
 
 The record keeps a reference to the live object (to restore its in-memory
 state on abort) and the serialized before-image.  ``seq`` orders restores:
@@ -15,12 +16,13 @@ keeps: a local :class:`~repro.actions.action.Action` and a server-side
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, TYPE_CHECKING, Union
+from typing import Any, Dict, List, Tuple, TYPE_CHECKING, Union
 
 from repro.colours.colour import Colour
 from repro.util.uid import Uid
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.objects.semantic import SemanticLockableObject
     from repro.objects.state_manager import StateManager
 
 
@@ -34,10 +36,6 @@ class UndoRecord:
     seq: int
     origin_action: Uid
 
-    @property
-    def object_uid(self) -> Uid:
-        return self.obj.uid
-
     def restore(self) -> None:
         """Put the object's in-memory state back to the before-image."""
         self.obj.restore_snapshot(self.before_image)
@@ -45,7 +43,8 @@ class UndoRecord:
 
 @dataclass
 class OperationUndo:
-    """Type-specific recovery (§2): undo one operation by compensating it.
+    """Type-specific recovery (§2): one applied operation, undone by its
+    inverse operation and made permanent by merging it.
 
     "If some operations, say add() and subtract(), of an object commute,
     then if an atomic action aborts after having performed, say an add()
@@ -53,26 +52,23 @@ class OperationUndo:
     corresponding subtract() operation can be performed."
 
     Unlike a before-image there may be many of these per (object, colour);
-    each compensates exactly one applied operation, and compensations of
-    commuting operations commute, so restore order among them is free (we
-    still run newest-first globally, interleaved with image restores by
-    ``seq``).
+    each records exactly one applied operation (its ``method``, positional
+    ``args`` and ``result``), and compensations of commuting operations
+    commute, so restore order among them is free (we still run
+    newest-first globally, interleaved with image restores by ``seq``).
     """
 
-    obj: "StateManager"
-    colour: Colour
-    compensate: Callable[[], None]
-    description: str
+    obj: "SemanticLockableObject"
+    method: str
+    args: Tuple
+    result: Any
+    inverse: str
     seq: int
     origin_action: Uid
 
-    @property
-    def object_uid(self) -> Uid:
-        return self.obj.uid
-
     def restore(self) -> None:
         """Apply the compensating operation."""
-        self.compensate()
+        self.obj.run_compensation(self.inverse, self.result, self.args)
 
 
 class UndoLedger:
@@ -101,16 +97,25 @@ class UndoLedger:
             )
         self.written.setdefault(colour, {})[obj.uid] = obj
 
-    def note_operation(self, obj: "StateManager", colour: Colour,
-                       compensate: Callable[[], None], description: str,
+    def note_operation(self, obj: "SemanticLockableObject", colour: Colour,
+                       method: str, args: Tuple, result: Any, inverse: str,
                        seq: int, origin: Uid) -> None:
-        """One operation was applied to ``obj`` in ``colour``: log how to
-        compensate it (type-specific recovery, no before-image)."""
+        """``method(*args)`` was applied to ``obj`` in ``colour``: keep it
+        (type-specific recovery, no before-image)."""
         self._operations.setdefault(colour, []).append(OperationUndo(
-            obj=obj, colour=colour, compensate=compensate,
-            description=description, seq=seq, origin_action=origin,
-        ))
+            obj, method, tuple(args), result, inverse, seq, origin))
         self.written.setdefault(colour, {})[obj.uid] = obj
+
+    def ops(self, colour: Colour) -> Dict[Uid, List[Tuple[str, Tuple]]]:
+        """object uid -> the colour's operations on it, as ``(method,
+        args)`` in the order they ran: what the colour's commit merges
+        into each semantic object's committed state."""
+        ops: Dict[Uid, List[Tuple[str, Tuple]]] = {}
+        for record in sorted(self._operations.get(colour, ()),
+                             key=lambda r: r.seq):
+            ops.setdefault(record.obj.uid, []).append(
+                (record.method, record.args))
+        return ops
 
     def bequeath(self, colour: Colour, other: "UndoLedger") -> None:
         """Commit routing: one colour's records and write set move to the

@@ -31,6 +31,7 @@ from repro.cluster.deadlock import clear_waiting, mark_waiting
 from repro.cluster.message import (
     encode_action_context,
     encode_colour,
+    encode_ops,
     encode_uid,
     decode_uid,
 )
@@ -1032,10 +1033,8 @@ class ClusterClient:
                 # that holds the redo's group locks
                 ops_for = action.commute_ops[colour][node_name]
                 payload["action"] = encode_action_context(action)
-                payload["ops"] = {
-                    encode_uid(uid): [[method, list(args)]
-                                      for method, args in ops_for[uid]]
-                    for uid in uids}
+                payload["ops"] = encode_ops({uid: ops_for[uid]
+                                             for uid in uids})
             if (path.takes_decision
                     and action.colours_at(node_name) == {colour}):
                 # the node's entire involvement commits right here: ship

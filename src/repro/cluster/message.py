@@ -54,6 +54,18 @@ def decode_uid(raw) -> Uid:
     return Uid(str(namespace), int(sequence))
 
 
+def encode_ops(ops: Dict[Uid, List[Tuple[str, Any]]]) -> Dict[Any, list]:
+    """A colour's semantic operations, ``{uid: [(method, args)]}``, as
+    they travel in a commute prepare and are logged on a PREPARED record."""
+    return {encode_uid(uid): [[method, list(args)] for method, args in ops_of]
+            for uid, ops_of in ops.items()}
+
+
+def decode_ops(raw: Dict[Any, list]) -> Dict[Uid, List[Tuple[str, list]]]:
+    return {decode_uid(raw_uid): [(method, list(args)) for method, args in ops_of]
+            for raw_uid, ops_of in raw.items()}
+
+
 def encode_colour(colour: Colour) -> Dict[str, Any]:
     return {"uid": encode_uid(colour.uid), "name": colour.name}
 

@@ -17,7 +17,7 @@ tree) and arrive as explicit transfer/release/2PC messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.actions.record import UndoLedger
@@ -25,7 +25,9 @@ from repro.cluster.message import (
     Message,
     decode_action_context,
     decode_colour,
+    decode_ops,
     decode_uid,
+    encode_ops,
     encode_uid,
 )
 from repro.cluster.node import Node
@@ -260,14 +262,10 @@ class ObjectServer:
             except Exception as error:  # app exception: report, don't apply
                 respond(False, error)
                 return
-            inverse = declared.inverse
-            if inverse is not None:
-                # type-specific recovery: compensation, not a before-image
-                def compensate(o=obj, r=result, a=tuple(args), name=inverse):
-                    getattr(o, name)(r, *a)
-
+            if declared.inverse is not None:
+                # type-specific recovery: the operation, not a before-image
                 mirror.ledger.note_operation(
-                    obj, colour, compensate, f"{obj.type_name}.{inverse}",
+                    obj, colour, name, args, result, declared.inverse,
                     self._next_undo_seq(), mirror.uid)
             respond(True, self._ok({"result": result}))
 
@@ -491,6 +489,13 @@ class ObjectServer:
     def _h_txn_prepare(self, message: Message, respond: Responder) -> None:
         """Phase one: stabilise new states as shadows, log PREPARED, vote.
 
+        A plain object's new state is its live image.  A semantic object
+        (one the colour has operations on) gets no shadow here: its
+        PREPARED record carries the colour's ``ops`` on it instead, and
+        the commit stages committed state ⊕ ops (:meth:`_stage`) — two
+        compatible prepares on one object would overwrite each other's
+        shadow if it were staged now.
+
         Four fast-path extensions ride on the same wire kind:
 
         - ``read_only``: the participant's slice of the colour holds no
@@ -604,13 +609,16 @@ class ObjectServer:
                             reason="duplicate-delivery")
             respond(True, self._ok({"vote": path.vote}))
             return
-        for object_uid in sorted(wanted):
-            obj = written[object_uid]
-            self.node.stable_store.write_shadow(obj.stored_state())
+        ops = {} if mirror is None else {
+            uid: uid_ops for uid, uid_ops in mirror.ledger.ops(colour).items()
+            if uid in wanted}
+        for object_uid in sorted(wanted.difference(ops)):
+            self.node.stable_store.write_shadow(replace(
+                written[object_uid].stored_state(), owner=txn_id))
         if event == "decide":
             self._decide_here(
                 txn_id, event, message.src, action_uid, colour,
-                sorted(wanted), payload.get("fast_path", "one_phase"))
+                sorted(wanted), payload.get("fast_path", "one_phase"), ops)
             finished = False
             if payload.get("finish") is not None and mirror is not None:
                 self._finish_action(mirror, payload["finish"])
@@ -622,6 +630,7 @@ class ObjectServer:
             PARTICIPANT, txn_id, event, coordinator=message.src,
             action_uid=encode_uid(action_uid),
             object_uids=[encode_uid(u) for u in sorted(wanted)],
+            **({"ops": encode_ops(ops)} if ops else {}),
         )
         entry.colour = colour
         if mirror is not None:
@@ -631,18 +640,21 @@ class ObjectServer:
 
     def _decide_here(self, txn_id: str, event: str, coordinator: str,
                      action_uid: Uid, colour: Colour, object_uids: List[Uid],
-                     fast_path: str, refresh_live: bool = True,
-                     **labels: str) -> None:
+                     fast_path: str, ops: Dict[Uid, list],
+                     hook: str = "committed", **labels: str) -> None:
         """A decision taken *at this participant*: the vote is the decision
         (one-phase, piggyback) or was guaranteed before fan-out (commute).
 
         One durable COMMITTED record (flagged ``delegated``) replaces the
         classic prepared/committed pair; the coordinator forgets it lazily.
-        Logged before promotion — recovery redoes the (idempotent)
+        The semantic objects' merged images are staged first and the record
+        is logged before promotion — recovery redoes the (idempotent)
         promotion from the record's object list if we crash in between.
-        ``labels`` ride on the decision event.
+        ``ops`` and ``hook`` are :meth:`_settle`'s; ``labels`` ride on the
+        decision event.
         """
         commute = event == "commute"
+        self._stage(txn_id, ops)
         entry = self.node.txns.advance(
             PARTICIPANT, txn_id, event, delegated=True,
             coordinator=coordinator, action_uid=encode_uid(action_uid),
@@ -656,7 +668,7 @@ class ObjectServer:
         self.obs.emit("twopc.decision", txn=txn_id, decision="commit",
                       fast_path=fast_path, node=self.node.name,
                       colour=str(colour), **labels)
-        self._settle(entry, refresh_live)
+        self._settle(entry, ops, hook)
 
     # -- the commute path (coordination avoidance) -------------------------------------
 
@@ -686,11 +698,7 @@ class ObjectServer:
         in_memory = (expected_epoch is None
                      or expected_epoch == self.node.epoch)
         mirror = self._mirror(decode_action_context(payload["action"]))
-        ops_by_object: Dict[Uid, List[Tuple[str, list]]] = {}
-        for raw_uid, raw_ops in payload["ops"].items():
-            ops_by_object[decode_uid(raw_uid)] = [
-                (method, list(args)) for method, args in raw_ops
-            ]
+        ops_by_object = decode_ops(payload["ops"])
         blocked = sorted(uid for uid in ops_by_object
                          if uid in self.in_doubt_objects)
         if blocked:
@@ -702,7 +710,7 @@ class ObjectServer:
                 + ", ".join(str(uid) for uid in blocked)
             ))
             return
-        plan: List[Tuple[Uid, StateManager, list, Set[str]]] = []
+        groups_of: Dict[Uid, Set[str]] = {}
         for object_uid in sorted(ops_by_object):
             try:
                 obj = self._object(object_uid)
@@ -725,18 +733,18 @@ class ObjectServer:
                     ))
                     return
                 groups.add(declared.mode)
-            plan.append((object_uid, obj, ops_by_object[object_uid], groups))
-        grants = [(object_uid, group)
-                  for object_uid, _obj, _ops, obj_groups in plan
-                  for group in sorted(obj_groups)]
+            groups_of[object_uid] = groups
+        grants = [(object_uid, group) for object_uid, groups in
+                  groups_of.items() for group in sorted(groups)]
 
         def acquire(index: int) -> None:
             # re-entrant (and therefore immediate) while the mirror still
             # holds the grants from execution; a real wait only happens on
             # a post-restart redo, where grants died with the epoch
             if index == len(grants):
-                self._commute_apply(txn_id, mirror, colour, plan, payload,
-                                    message.src, in_memory, respond)
+                self._commute_apply(txn_id, mirror, colour, ops_by_object,
+                                    groups_of, payload, message.src,
+                                    in_memory, respond)
                 return
             object_uid, group = grants[index]
 
@@ -756,17 +764,27 @@ class ObjectServer:
         acquire(0)
 
     def _commute_apply(self, txn_id: str, mirror: ActionMirror,
-                       colour: Colour, plan: List, payload: Dict[str, Any],
+                       colour: Colour, ops: Dict[Uid, list],
+                       groups_of: Dict[Uid, Set[str]], payload: Dict[str, Any],
                        coordinator: str, in_memory: bool,
                        respond: Responder) -> None:
-        """Vote-and-apply, then let the colour leave this node."""
+        """Vote-and-apply, then let the colour leave this node.
+
+        The merged effects are folded into committed state as on every
+        commit path (:meth:`_decide_here`).  The live instance already ran
+        the operations and takes their ``committed`` hooks — unless the
+        node restarted since (``in_memory`` false): then the effects died
+        with the old epoch, and it takes their full ``redo``."""
         # a duplicate delivery may have decided the transaction while this
         # one waited for its redo locks: then there is nothing left to
         # apply, only the locks just taken to let go
         applied = self.node.txns.state(PARTICIPANT, txn_id) is TxnState.NONE
         if applied:
-            self._commute_merge(txn_id, mirror, colour, plan, coordinator,
-                                in_memory)
+            self._decide_here(
+                txn_id, "commute", coordinator, mirror.uid, colour,
+                sorted(ops), "commute", ops,
+                "committed" if in_memory else "redo", action=str(mirror.uid),
+                groups=",".join(sorted(set().union(*groups_of.values()))))
         # vote-and-apply: the colour leaves this node now — no phase two
         self.registry.release_colour(mirror.uid, colour,
                                      reason="commute-commit")
@@ -779,77 +797,16 @@ class ObjectServer:
         respond(True, self._ok({"vote": PATHS["commute"].vote,
                                 "applied": applied, "finished": finished}))
 
-    def _commute_merge(self, txn_id: str, mirror: ActionMirror,
-                       colour: Colour, plan: List, coordinator: str,
-                       in_memory: bool) -> None:
-        """Fold a commute colour's merged effects into committed state."""
-        object_uids = [object_uid for object_uid, _, _, _ in plan]
-        for object_uid, _obj, ops, _groups in plan:
-            # merged stable state = committed image ⊕ this colour's ops,
-            # computed on a scratch instance so pending effects of *other*
-            # actions (alive only in the live instance) never leak into
-            # the committed image
-            scratch = self._scratch_instance(object_uid)
-            for method_name, args in ops:
-                self._apply_effect(scratch, method_name, args,
-                                   committed_target=True)
-            self.node.stable_store.write_shadow(scratch.stored_state())
-        # Promotion must NOT refresh live instances from committed state:
-        # that would wipe other actions' pending in-memory commuting
-        # effects on the same objects.  The live image is reconciled by
-        # hand below instead.
-        self._decide_here(
-            txn_id, "commute", coordinator, mirror.uid, colour, object_uids,
-            "commute", refresh_live=False, action=str(mirror.uid),
-            groups=",".join(sorted(
-                {g for _u, _o, _ops, gs in plan for g in gs})))
-        for _object_uid, obj, ops, _groups in plan:
-            for method_name, args in ops:
-                if in_memory:
-                    # execution already ran the body on the live instance;
-                    # settle commit-time bookkeeping only (e.g. an escrow
-                    # credit becoming spendable)
-                    hook = operation_of(type(obj), method_name).committed
-                    if hook is not None:
-                        getattr(obj, hook)(*args)
-                else:
-                    # post-restart redo: the in-memory effect died with the
-                    # old epoch — fold the full, already-settled effect in
-                    self._apply_effect(obj, method_name, args,
-                                       committed_target=False)
-
-    @staticmethod
-    def _apply_effect(target: StateManager, method_name: str, args,
-                      committed_target: bool) -> None:
-        """Run one op's durable effect on ``target``.
-
-        ``committed_target`` selects the merge method (just the committed
-        delta, no reservation bookkeeping) for scratch instances; live
-        instances being redone after a restart take the redo method (full
-        effect, settled, no precondition) instead.  Both default to the
-        operation body, which suffices for ops that are pure effects.
-        """
-        declared = operation_of(type(target), method_name)
-        hook = declared.merge if committed_target else declared.redo
-        if hook is not None:
-            getattr(target, hook)(*args)
-        else:
-            declared.body(target, *args)
-
-    def _scratch_instance(self, object_uid: Uid) -> StateManager:
-        """A throwaway instance loaded from the committed state.
-
-        Activation registers it into ``self.objects``; the live instance —
-        which carries other actions' pending in-memory effects — is
-        swapped back immediately, so the scratch never replaces it.
-        """
-        live = self.objects.get(object_uid)
-        scratch = self._activate(object_uid)
-        if live is not None:
-            self.objects[object_uid] = live
-        else:
-            self.objects.pop(object_uid, None)
-        return scratch
+    def _stage(self, txn_id: str, ops: Dict[Uid, list]) -> None:
+        """Stage each semantic object's commit as ``txn_id``'s shadow:
+        committed state ⊕ the colour's ``ops`` on it (``merged``), just
+        before the COMMITTED record whose :meth:`_settle` promotes it."""
+        store = self.node.stable_store
+        for object_uid in sorted(ops):
+            committed = store.read_committed(object_uid)
+            store.write_shadow(replace(
+                self.classes[committed.type_name].merged(
+                    committed, ops[object_uid]), owner=txn_id))
 
     def _h_txn_commit(self, message: Message, respond: Responder) -> None:
         """Decision = commit: promote shadows, release the colour."""
@@ -877,18 +834,31 @@ class ObjectServer:
         or the in-doubt resolver — takes the edge and carries it out; every
         later delivery finds the absorbing state and is answer-only, so the
         shadow slot (which may by then belong to a *later* transaction) is
-        touched exactly once per transaction.
+        touched exactly once per transaction.  A commit of a PREPARED
+        entry first stages its semantic objects' merged images from the
+        record's ``ops`` (:meth:`_stage`).
         """
+        prepared = self.prepared.get(txn_id)
+        ops = decode_ops(prepared.payload.get("ops", {})) if prepared else {}
+        if decision == "commit":
+            self._stage(txn_id, ops)
         entry = self.node.txns.advance(PARTICIPANT, txn_id, decision)
         if entry is not None:
-            self._settle(entry)
+            self._settle(entry, ops, "redo" if entry.in_doubt else "committed")
         if decision == "abort":
             self.obs.emit("twopc.abort", txn=txn_id, node=self.node.name)
         return entry is not None
 
-    def _settle(self, entry: TxnEntry, refresh_live: bool = True) -> None:
+    def _settle(self, entry: TxnEntry, ops: Dict[Uid, list],
+                hook: str) -> None:
         """Carry out the decision the table just recorded for ``entry``:
-        promote or discard its shadows and lift its in-doubt fences."""
+        promote or discard its shadows and lift its in-doubt fences.
+
+        After a promotion a plain live instance is refreshed from the
+        committed state.  A semantic one (in ``ops``) is never overwritten:
+        it also holds other actions' pending compatible effects, so it
+        runs ``hook`` of the colour's operations instead — ``committed``,
+        or ``redo`` when it never ran them (the entry outlived a restart)."""
         commit = entry.state is TxnState.COMMITTED
         object_uids = entry.object_uids
         colour, entry.colour = entry.colour, None  # no use once decided
@@ -898,14 +868,14 @@ class ObjectServer:
                 self.node.stable_store.discard_shadow(object_uid)
                 continue
             self.node.stable_store.commit_shadow(object_uid)
-            # refresh any live instance from the committed state so later
-            # activations and reads agree (skipped on the commute path,
-            # which reconciles live instances op-by-op so other actions'
-            # pending in-memory effects survive the promotion)
             obj = self.objects.get(object_uid)
-            if refresh_live and obj is not None:
-                stored = self.node.stable_store.read_committed(object_uid)
-                obj.restore_snapshot(stored.payload)
+            if obj is None:
+                continue
+            if object_uid in ops:
+                obj.settle(ops[object_uid], hook)
+            else:
+                obj.restore_snapshot(self.node.stable_store.read_committed(
+                    object_uid).payload)
         if not commit:
             return
         self.obs.emit(
@@ -1055,22 +1025,26 @@ class ObjectServer:
         self._fresh_volatile()
         txns = self.node.txns  # replayed from the log by Node.restart
         # Redo decisions: a decision's record precedes its effect on the
-        # store, so a crash in between leaves the shadow behind.  The
-        # shadow slot is single-occupancy per object, so settle it only
-        # for the object's *latest* shadow writer — a later transaction
-        # may have re-prepared the object, and promoting its shadow here
-        # would commit a transaction that never decided.
-        last_shadow_writer: Dict[Uid, TxnEntry] = {}
-        for entry in sorted(txns.entries(PARTICIPANT), key=lambda e: e.lsn):
-            for object_uid in entry.object_uids:
-                last_shadow_writer[object_uid] = entry
+        # store, so a crash in between leaves the shadow behind.  A shadow
+        # names its writer, the transaction whose record it precedes:
+        # promote it if that one is logged committed, keep it while that
+        # one is in doubt, and drop it otherwise.  Then it aborted, or it
+        # crashed before its record — a prepare never logged, or a commit
+        # that stages again once the resolver learns the decision; the
+        # slot's last logged user may be another, compatible, transaction.
+        store = self.node.stable_store
         redone: Dict[str, TxnEntry] = {}
-        for object_uid, entry in last_shadow_writer.items():
-            if entry.state is TxnState.COMMITTED:
-                if self.node.stable_store.commit_shadow(object_uid):
-                    redone[entry.txn_id] = entry
-            elif entry.state is TxnState.ABORTED:
-                self.node.stable_store.discard_shadow(object_uid)
+        for object_uid in sorted({uid for entry in txns.entries(PARTICIPANT)
+                                  for uid in entry.object_uids}):
+            shadow = store.read_shadow(object_uid)
+            if shadow is None:
+                continue
+            state = txns.state(PARTICIPANT, shadow.owner)
+            if state is TxnState.COMMITTED:
+                store.commit_shadow(object_uid)
+                redone[shadow.owner] = txns.get(PARTICIPANT, shadow.owner)
+            elif state is not TxnState.PREPARED:
+                store.discard_shadow(object_uid)
         # a crash between a commit record and its promotion lost the
         # events the promotion sends: recovery carried it out, so it says so
         for txn_id, entry in sorted(redone.items()):

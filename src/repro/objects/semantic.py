@@ -16,12 +16,16 @@ Engineering notes:
 - Every spec implicitly gains the reserved ``__retain__`` group
   (incompatible with everything), which is how serializing/glued control
   actions pin semantic objects (the companion-colour mechanism).
-- Permanence: an outermost commit persists a state snapshot.  While
-  *other* actions' compatible updates are still uncommitted, that snapshot
-  transiently includes them; it converges once the concurrent updaters
-  terminate.  Strict stable-state isolation for commuting updates would
-  need operation-logged redo — noted as future work, as the paper itself
-  only sketches type-specific recovery.
+- Permanence, one rule on every commit path and both runtimes: a colour
+  that commits makes a semantic object permanent as its committed state ⊕
+  the colour's own operations, merged on a bare instance
+  (:meth:`SemanticLockableObject.merged`).  The live instance, which also
+  holds other actions' pending compatible effects, is never written to
+  the store nor overwritten from it; only the operations' ``committed``
+  hooks run on it.  Recovery is by operations both ways (Malta/Martinez's
+  recoverable ADTs): abort by ``inverse``, commit by ``merge``.
+- Operations take positional arguments only, as they travel on the wire
+  and are merged: an operation's record is ``(method, args)``.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ from repro.colours.colour import Colour
 from repro.errors import LockingError
 from repro.locking.modes import RETAIN_GROUP
 from repro.locking.semantic import SemanticSpec
-from repro.objects.lockable import Operation
+from repro.objects.lockable import Operation, operation_of
 from repro.objects.state_manager import StateManager
 from repro.runtime.context import require_current_action
+from repro.store.interface import StoredState
 from repro.util.uid import Uid
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -73,10 +78,41 @@ class SemanticLockableObject(StateManager):
         runtime.register_object(self, persist=persist)
         runtime.locks.use_semantic(self.uid, with_retain_group(self.SEMANTICS))
 
-    def run_compensation(self, method_name: str, result, args, kwargs) -> None:
+    def run_compensation(self, method_name: str, result, args) -> None:
         """Apply a compensating method under the object mutex."""
         with self._operation_mutex:
-            getattr(self, method_name)(result, *args, **kwargs)
+            getattr(self, method_name)(result, *args)
+
+    @classmethod
+    def merged(cls, committed: StoredState, ops) -> StoredState:
+        """The one permanence rule: the ``committed`` state ⊕ one colour's
+        ``ops`` (``(method, args)`` pairs), merged on a bare instance, so
+        no other action's pending effect can leak in."""
+        bare = cls.__new__(cls)
+        bare.restore_snapshot(committed.payload)
+        for method_name, args in ops:
+            bare._run_hook(method_name, args, "merge")
+        return StoredState(committed.object_uid, committed.type_name,
+                           bare.snapshot())
+
+    def settle(self, ops, hook: str = "committed") -> None:
+        """The live instance's share of a commit of ``ops`` (``(method,
+        args)`` pairs), under the object mutex: their ``committed`` hooks,
+        or their ``redo`` when this instance never ran them (a restart)."""
+        with self._operation_mutex:
+            for method_name, args in ops:
+                self._run_hook(method_name, args, hook)
+
+    def _run_hook(self, method_name: str, args, hook: str) -> None:
+        """Run one operation's ``hook`` — ``merge``, ``redo`` or
+        ``committed`` (see :func:`semantic_operation`).  The body stands in
+        for a missing merge or redo; a missing committed hook does nothing."""
+        declared = operation_of(type(self), method_name)
+        name = getattr(declared, hook)
+        if name is not None:
+            getattr(self, name)(*args)
+        elif hook != "committed":
+            declared.body(self, *args)
 
 
 def semantic_operation(group: str, inverse: Optional[str] = None,
@@ -86,44 +122,40 @@ def semantic_operation(group: str, inverse: Optional[str] = None,
     """Declare an operation in a semantic group.
 
     ``inverse`` names a compensating method ``def _undo_x(self, result,
-    *args, **kwargs)`` — required for any group that modifies state, since
+    *args)`` — required for any group that modifies state, since
     before-images cannot coexist with concurrent compatible updates.
-    The decorated method takes the usual ``colour=``/``action=`` kwargs.
+    The decorated method takes positional arguments, plus the usual
+    ``colour=``/``action=`` kwargs.
 
-    Two optional hooks serve the commit protocol's *commute path* (the
-    operation-logged redo sketched in the module docstring): ``merge``
-    names a method ``def _merge_x(self, *args)`` that applies just the
-    operation's durable effect to a committed state — no availability
-    bookkeeping, no preconditions (commuting operations are total by
-    declaration); when omitted, the operation body itself is re-run.
-    ``committed`` names a method ``def _settle_x(self, *args)`` invoked on
-    the *live* instance once the operation's transaction commits, for
-    types whose in-memory bookkeeping distinguishes committed from pending
-    effects (e.g. escrow availability).  ``redo`` names a method applying
-    the full, already-settled effect to a live instance that never saw the
-    operation execute (a participant redoing a committed colour after a
-    restart): effect *and* bookkeeping, but no precondition check and no
-    later ``committed`` hook; defaults to ``merge``, then to the body.
+    Three optional hooks make a committed operation permanent (the one rule
+    of the module docstring): ``merge`` names a method ``def
+    _merge_x(self, *args)`` that applies just the operation's durable
+    effect to a committed state — no availability bookkeeping, no
+    preconditions (a committed operation is already decided); when
+    omitted, the operation body itself is re-run.  ``committed`` names a
+    method ``def _settle_x(self, *args)`` invoked on the *live* instance
+    once the operation's colour commits, for types whose in-memory
+    bookkeeping distinguishes committed from pending effects (e.g. escrow
+    availability).  ``redo`` names a method applying the full,
+    already-settled effect to a live instance that never saw the operation
+    execute (a participant finishing a committed colour after a restart):
+    effect *and* bookkeeping, but no precondition check and no later
+    ``committed`` hook; defaults to ``merge``, then to the body.
     """
 
     def wrap(fn: Callable) -> Callable:
         @functools.wraps(fn)
         def method(self: SemanticLockableObject, *args,
                    colour: Optional[Colour] = None,
-                   action: Optional["Action"] = None, **kwargs):
+                   action: Optional["Action"] = None):
             acting = action if action is not None else require_current_action()
             chosen = acting.lock_colour(colour)
             self.runtime.acquire(acting, self, group, colour=chosen)
             with self._operation_mutex:
-                result = fn(self, *args, **kwargs)
+                result = fn(self, *args)
             if inverse is not None:
-                self.runtime.log_operation(
-                    acting, self, chosen,
-                    compensate=lambda: self.run_compensation(
-                        inverse, result, args, kwargs
-                    ),
-                    description=f"{type(self).__name__}.{inverse}",
-                )
+                self.runtime.log_operation(acting, self, chosen, fn.__name__,
+                                           args, result, inverse)
             return result
 
         method.__repro_operation__ = Operation(

@@ -84,9 +84,13 @@ class LocalRuntime:
         return next(self._undo_seq)
 
     def persist_colour(self, action: Action, colour: Colour,
-                       written: Dict[Uid, StateManager]) -> None:
+                       written: Dict[Uid, StateManager],
+                       ops: Dict[Uid, list]) -> None:
         """Permanence of effect: write the new states to the stable store.
 
+        A semantic object (one the colour has ``ops`` on) becomes its
+        committed state ⊕ those operations, and its live instance runs
+        their ``committed`` hooks; any other object is written as it is.
         Single store, single mutex — the multi-object write is atomic with
         respect to every other runtime operation.
         """
@@ -94,11 +98,18 @@ class LocalRuntime:
         span = self.obs.span(f"persist:{colour}", parent=parent,
                              kind="client", node=NODE, colour=str(colour))
         try:
-            for object_uid in sorted(written):
-                written[object_uid].persist_to(self.store)
+            for object_uid, obj in sorted(written.items()):
+                if object_uid in ops:
+                    self.store.write_committed(type(obj).merged(
+                        self.store.read_committed(object_uid),
+                        ops[object_uid]))
+                else:
+                    obj.persist_to(self.store)
         except Exception:
             span.set(outcome="failed").finish()
             raise
+        for object_uid, obj_ops in ops.items():
+            written[object_uid].settle(obj_ops)
         self.obs.emit("colour.permanent", action=str(action.uid),
                       colour=str(colour),
                       objects=",".join(sorted(str(u) for u in written)),
@@ -283,10 +294,10 @@ class LocalRuntime:
         )
 
     def log_operation(self, action: Action, obj: StateManager, colour: Colour,
-                      compensate, description: str = "") -> None:
-        """Record a compensating operation (type-specific recovery)."""
+                      method: str, args: tuple, result, inverse: str) -> None:
+        """Record an applied semantic operation (type-specific recovery)."""
         with self._mutex:
-            action.record_operation(obj, colour, compensate, description)
+            action.record_operation(obj, colour, method, args, result, inverse)
 
     # -- introspection -----------------------------------------------------------------------
 

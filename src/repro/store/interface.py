@@ -23,6 +23,8 @@ class StoredState:
     object_uid: Uid
     type_name: str
     payload: bytes
+    #: a shadow's writer: the transaction whose log record it precedes
+    owner: str = ""
 
 
 class ObjectStore(ABC):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cluster.message import encode_colour, encode_uid
 from repro.cluster.txn import COORDINATOR
-from tests.oracle import cluster_of, committed_int
+from tests.oracle import FIXED, Over, cluster_of, committed_int
 
 
 def drive_prepare(cluster, client, value_after):
@@ -158,4 +158,44 @@ def test_abort_delivered_twice_spares_a_later_transactions_shadow(late):
                    "txn:test:later")["applied"] is True
     assert committed_int(cluster, ref) == 2
     assert len(records_of(cluster, "aborted", txn_id)) == 1
+    assert cluster.obs.auditor.report() == []
+
+
+def test_recovery_drops_a_shadow_whose_prepare_was_never_logged():
+    """T1 commits X by 2PC; T2 writes X's shadow for its prepare and the
+    participant crashes before the ``prepared`` record.  X's latest
+    record is then T1's ``committed``, but the shadow in the slot is
+    T2's: recovery must drop it, not promote it as T1's redo — T2 never
+    voted, and it aborts."""
+    cluster = cluster_of(["coord", "part"], config=FIXED, fast_paths=False)
+    client = cluster.client("coord")
+    holder = {"prepared": 0}
+
+    def at_t2_prepare(node, kind, after):
+        if node != "part" or kind != "prepared" or after:
+            return None
+        holder["prepared"] += 1
+        if holder["prepared"] != 1:
+            return None
+        cluster.restart_at("part", cluster.kernel.now + 5.0)
+        return True
+
+    def app():
+        holder["ref"] = ref = yield from client.create(
+            "part", "counter", value=0)
+        t1 = client.top_level("t1")
+        yield from client.invoke(t1, ref, "increment", 1)
+        yield from client.commit(t1)
+        Over(cluster.network, crash=at_t2_prepare)
+        t2 = client.top_level("t2")
+        yield from client.invoke(t2, ref, "increment", 1)
+        try:
+            yield from client.commit(t2)
+        except Exception as error:
+            holder["error"] = error
+
+    cluster.run_process("coord", app())
+    cluster.run()
+    assert holder["prepared"] >= 1 and "error" in holder
+    assert committed_int(cluster, holder["ref"]) == 1
     assert cluster.obs.auditor.report() == []

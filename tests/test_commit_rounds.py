@@ -186,6 +186,22 @@ def mixed_run(cluster, client, tap):
     yield from tap.commit(client, action)
 
 
+def semantic_classic(cluster, client, tap):
+    """A colour that adds to commuting counters and increments a plain
+    one commits by 2PC.  Its PREPARED record at p1 carries the add, and
+    p1 stages committed state ⊕ add as its shadow at the decision; p2,
+    the last agent, stages it at its piggybacked one.  Either way the
+    shadow precedes the ``committed`` record, which precedes promotion."""
+    p1 = yield from client.create("p1", "commuting_counter", value=0)
+    p2 = yield from client.create("p2", "counter", value=0)
+    p2c = yield from client.create("p2", "commuting_counter", value=0)
+    action = client.top_level("t")
+    yield from client.invoke(action, p1, "add", 1)
+    yield from client.invoke(action, p2, "increment", 1)
+    yield from client.invoke(action, p2c, "add", 1)
+    yield from tap.commit(client, action)
+
+
 def _three_writers(client):
     refs = []
     for name in ("p1", "p2", "p3"):
@@ -302,6 +318,7 @@ SCENARIOS = {
     "batched_run_with_rider": (("a", "b", "r"), {}, batched_run_with_rider),
     "commute_inline_finish": (("p1", "p2", "r"), {}, commute_inline_finish),
     "mixed_run": (("p1", "p2"), {}, mixed_run),
+    "semantic_classic": (("p1", "p2"), {}, semantic_classic),
     "rollback_vote": (("p1", "p2", "p3"), {}, rollback_vote),
     "refusal_with_straggler":
         (("p1", "p2", "p3"), {}, refusal_with_straggler),
@@ -393,6 +410,18 @@ EXPECTED = {
             "coord": "coord_delegated coord_commit coord_commit coord_end "
                      "coord_delegated coord_commit coord_end coord_end",
             "p1": "committed committed",
+            "p2": "committed",
+        }),
+    "semantic_classic": ("committed", """
+        0 coord>p1 txn_prepare[]
+        1 p1>coord rpc_reply
+        2 coord>p2 txn_prepare[decide,finish]
+        3 p2>coord rpc_reply
+        4 coord>p1 rpc_batch(txn_commit finish_commit)
+        5 p1>coord rpc_reply
+        """, {
+            "coord": "coord_delegated coord_commit coord_end",
+            "p1": "prepared committed",
             "p2": "committed",
         }),
     "rollback_vote": ("commit-error", """

@@ -83,7 +83,7 @@ SURVIVED = {
     "failing_middle_colour": {1},
     "lost_delegated_reply": {2},
     "mixed_run": {6, 7}, "one_phase": {1, 2, 4, 5},
-    "piggyback_with_reader": {2},
+    "piggyback_with_reader": {2}, "semantic_classic": {2},
 }
 STRANDED = pytest.mark.xfail(
     strict=True, reason="a crashed client node strands its action")

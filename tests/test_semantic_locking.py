@@ -8,6 +8,7 @@ import pytest
 from repro.errors import LockTimeout, LockingError
 from repro.locking.semantic import SemanticSpec
 from repro.objects.semantic import RETAIN_GROUP, with_retain_group
+from repro.objects.state import ObjectState
 from repro.stdobjects.commuting import CommutingCounter
 from repro.structures import SerializingAction
 
@@ -167,9 +168,9 @@ def test_interleaved_compensation_order(runtime):
 
 
 def test_concurrent_threads_commuting_updates():
-    """Real threads adding concurrently, some aborting; the final value is
-    the sum of committed deltas, and the runtime's own hub counts every
-    outcome and its auditor finds nothing."""
+    """Real threads adding concurrently, some aborting; the final value,
+    live and on the stable store, is the sum of committed deltas, and the
+    runtime's own hub counts every outcome and its auditor finds nothing."""
     from repro.runtime.runtime import LocalRuntime
     runtime = LocalRuntime()
     counter = CommutingCounter(runtime, value=0)
@@ -202,6 +203,8 @@ def test_concurrent_threads_commuting_updates():
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert counter.value == sum(committed)
+    stored = runtime.store.read_committed(counter.uid).payload
+    assert ObjectState.from_bytes(stored).unpack_int() == sum(committed)
     outcomes = [(row["name"], row["value"]) for row in runtime.obs.dump()[
         "counters"] if row["name"].startswith("actions_")]
     assert sorted(outcomes) == [("actions_aborted_total", 80 - len(committed)),
