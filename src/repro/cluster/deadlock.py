@@ -15,31 +15,40 @@ server.  The classic AND-model edge-chasing algorithm closes the gap:
   every RPC); if so it forwards the probe to that server.
 - That server maps the probe onto H's queued requests: each of *their*
   blockers H' extends the chase.  A probe arriving back at its initiator
-  proves a cycle; the detecting server tells the initiator's home, which
-  tells the server holding the initiator's queued request to refuse it
+  proves a cycle; the detecting server tells the victim's home (the
+  victim is the cycle's youngest member), which tells the server holding
+  the victim's queued request to refuse it
   with :class:`~repro.errors.DeadlockDetected` — the waiter's RPC fails
   and its client aborts the action.  A victim queued at the detecting
-  server is refused there directly.
-- Probes carry the visited set, so chases terminate even on long or
-  re-entrant paths.
+  server is refused there directly; one homed at the detecting node is
+  refused through that node's own record of where it waits.
+- Probes carry the visited set — each path member with its home — so
+  chases terminate even on long or re-entrant paths, and the detecting
+  server can reach the victim's home without a mirror of it.
 
 When to chase is the PostgreSQL ``deadlock_timeout`` rule plus a change
 test.  The chaser keeps no clock and no per-waiter state: a queued
 request owns one timer chain at its server
 (``ObjectServer._locked_request``), which wakes every ``probe_interval``
-and last at the wait's deadline.  Each wake before the deadline that
-finds the request still queued calls :meth:`EdgeChaser.chase_from` with
-the blockers the wait chased last; the chase re-reads them and probes
-only if they differ.  So a wait is chased once it is one interval old —
-most waits end sooner and send nothing — and again only on change.  That
-is complete: an edge of the waits-for graph appears only when a request
-queues or when a waiter's blockers change without one (§5.3 passes a
-committing action's locks to its closest same-coloured ancestor; a grant
-moves the queue ahead of a waiter), so the last edge to close any cycle
-is one of those two and is chased at most one interval later.  By then
-the cycle is whole and stays whole, because its members release only at
-commit or abort — and none of them can commit.  Re-probing an unchanged
-wait on a clock finds nothing this misses.
+and last at the wait's deadline.  A wake that finds the request's
+blockers moved by commits and grants alone (no holder or queued request
+left its table by abort, cancel or refusal since the last wake) restarts
+the deadline and chases nothing: a blocker that commits is on no cycle.
+Any other wake before the deadline calls :meth:`EdgeChaser.chase_from`
+with the blockers the wait chased last; the chase re-reads them and
+probes only if they differ.  So a wait is chased once it is one interval
+old and has not just moved — most waits end sooner and send nothing —
+and again only on change.  That is complete: an edge of the waits-for
+graph appears only when a request queues or when a waiter's blockers
+change without one (§5.3 passes a committing action's locks to its
+closest same-coloured ancestor; a grant moves the queue ahead of a
+waiter), so the last edge to close any cycle is one of those two.
+Requests join a queue behind its waiters, so commits and grants move a
+waiter's blockers only finitely often, and the edge is chased at most
+one interval after they stop.  By then the cycle is whole and stays
+whole, because its members release only at commit or abort — and none
+of them can commit.  Re-probing an unchanged wait on a clock finds
+nothing this misses.
 
 A blocker PREPARED at the chasing server is not chased (its mirror's
 ``prepared`` flag, set where the server logs PREPARED).  The client sends
@@ -50,7 +59,7 @@ end the chase on arrival.  Skipping the probe loses nothing it could find.
 
 The lock-wait timeout, the same chain's last wake, stays as a backstop
 for pathologies the probes cannot see (a lost probe or victim notice, a
-waiter whose home node crashed).
+waiter whose home node crashed); it counts from the wait's last move.
 """
 
 from __future__ import annotations
@@ -98,7 +107,9 @@ class EdgeChaser:
         read, for the wait to pass back at its next wake."""
         blockers = self._blockers(waiter_uid)
         if blockers and blockers != chased:
-            self._forward_probes(waiter_uid, waiter_uid, blockers, set())
+            mirror = self.server.mirrors.get(waiter_uid)
+            self._forward_probes(waiter_uid, waiter_uid, blockers, {
+                tuple(encode_uid(waiter_uid)): getattr(mirror, "home", "")})
         return blockers
 
     # -- the chase ------------------------------------------------------------------
@@ -112,41 +123,45 @@ class EdgeChaser:
         return sorted(found)
 
     def _forward_probes(self, initiator: Uid, target_uid: Uid,
-                        blockers: List[Uid], visited: Set) -> bool:
+                        blockers: List[Uid], visited: Dict) -> bool:
         """``target_uid`` waits at THIS server on ``blockers``; chase each.
-        True when the chase closed a cycle (and a victim was declared)."""
+        ``visited`` maps each member of the path so far, the initiator
+        first and ``target_uid`` last, to its home node.  True when the
+        chase closed a cycle (and a victim was declared)."""
         registry = self.server.registry
         for blocker_uid in blockers:
             if blocker_uid == initiator:
                 self.cycles_detected += 1
                 self.server.obs.count("deadlock_cycles_total",
                                       node=self.node.name)
-                # every member of the cycle is in the visited set (plus
-                # the endpoints); all detection points therefore agree
-                # on one victim: the youngest (largest uid) — so
-                # symmetric detections do not kill two actions.
-                members = {initiator, target_uid}
-                for key in visited:
-                    members.add(Uid(str(key[0]), int(key[1])))
-                self._declare_victim(max(members))
+                # every member of the cycle is on the path; all detection
+                # points therefore agree on one victim: the youngest
+                # (largest uid) — so symmetric detections do not kill two
+                # actions.
+                homes = {Uid(str(key[0]), int(key[1])): home
+                         for key, home in visited.items()}
+                victim = max(homes)
+                self._declare_victim(victim, homes[victim])
                 return True
             key = tuple(encode_uid(blocker_uid))
             if key in visited:
                 continue
+            mirror = self.server.mirrors.get(blocker_uid)
+            home = getattr(mirror, "home", "")
             if registry.pending_requests_of(blocker_uid):
                 # queued here too: follow the edge in place
                 if self._forward_probes(initiator, blocker_uid,
                                         self._blockers(blocker_uid),
-                                        visited | {key}):
+                                        {**visited, key: home}):
                     return True
                 continue
-            mirror = self.server.mirrors.get(blocker_uid)
-            if mirror is None or not mirror.home or mirror.prepared:
+            if not home or mirror.prepared:
                 continue  # unknown here, or committing: it waits for nothing
-            self.node.send(mirror.home, "dl_probe", {
+            self.node.send(home, "dl_probe", {
                 "initiator": encode_uid(initiator),
                 "target": encode_uid(blocker_uid),
-                "visited": sorted(visited | {key}),
+                "visited": sorted([*k, h] for k, h in
+                                  {**visited, key: home}.items()),
             })
         return False
 
@@ -154,7 +169,8 @@ class EdgeChaser:
         payload = message.payload
         initiator = decode_uid(payload["initiator"])
         target = decode_uid(payload["target"])
-        visited = {tuple(v) for v in payload.get("visited", [])}
+        visited = {(name, number): home
+                   for name, number, home in payload.get("visited", [])}
         # Role 1: we are the target's home — forward to where it waits.
         waiting_at: Dict = self.node.volatile.get(WAITING_AT_KEY, {})
         waiting_server = waiting_at.get(target)
@@ -172,27 +188,32 @@ class EdgeChaser:
 
     # -- resolution ---------------------------------------------------------------------
 
-    def _declare_victim(self, victim_uid: Uid) -> None:
-        """A cycle closed on ``victim_uid``: break it here if the victim is
-        queued here, else tell its home to."""
-        mirror = self.server.mirrors.get(victim_uid)
-        home = getattr(mirror, "home", "") if mirror else ""
-        if (home == self.node.name or not home
-                or self.server.registry.pending_requests_of(victim_uid)):
+    def _declare_victim(self, victim_uid: Uid, home: str) -> None:
+        """A cycle closed on ``victim_uid``, whose home is ``home``: break
+        it here if the victim is queued here, else have its home refuse
+        it where it waits (at once, when that home is this node)."""
+        if not home or self.server.registry.pending_requests_of(victim_uid):
             self._break_wait(victim_uid)
-            return
-        self.node.send(home, "dl_victim", {"victim": encode_uid(victim_uid)})
+        elif home == self.node.name:
+            self._refuse_where_waiting(victim_uid)
+        else:
+            self.node.send(home, "dl_victim",
+                           {"victim": encode_uid(victim_uid)})
 
     def _h_victim(self, message: Message) -> bool:
-        victim = decode_uid(message.payload["victim"])
+        self._refuse_where_waiting(decode_uid(message.payload["victim"]))
+        return True
+
+    def _refuse_where_waiting(self, victim: Uid) -> None:
+        """As the victim's home: break its wait at the server its client
+        marked it awaiting."""
         waiting_at: Dict = self.node.volatile.get(WAITING_AT_KEY, {})
         waiting_server = waiting_at.get(victim)
         if waiting_server is None or waiting_server == self.node.name:
             self._break_wait(victim)
-            return True
+            return
         self.node.send(waiting_server, "dl_cancel_wait",
-                       {"victim": message.payload["victim"]})
-        return True
+                       {"victim": encode_uid(victim)})
 
     def _h_cancel_wait(self, message: Message) -> bool:
         self._break_wait(decode_uid(message.payload["victim"]))

@@ -330,13 +330,18 @@ class ObjectServer:
 
         A cycle the queued request closes is refused at once (the fast
         abort).  Otherwise the queued request owns one timer chain here,
-        waking every ``probe_interval`` and last at exactly
+        waking every ``probe_interval`` and last at its deadline,
         ``lock_wait_timeout`` after it queued.  A wake ends the chain if
-        the request has settled or the node crashed since it queued;
-        refuses it with :class:`LockTimeout` at the deadline; and else
-        hands the waiter's blockers to the edge chaser, which probes only
-        when they changed.  A cycle closed by a lock transfer rather than
-        by a queued request is thus left to the chaser, or to the wait
+        the request has settled or the node crashed since it queued.  It
+        then re-reads the request's blockers: if they changed since the
+        last wake while nothing left the table by abort, cancel or
+        refusal, commits and grants moved the queue, and the deadline
+        restarts from now.  Otherwise it refuses the request with
+        :class:`LockTimeout` at the deadline, or else hands the waiter's
+        blockers to the edge chaser, which probes only when they changed.
+        A wait that stops moving therefore times out ``lock_wait_timeout``
+        after its last move; a cycle closed by a lock transfer rather
+        than by a queued request is left to the chaser, or to that
         timeout when chasing is off.
 
         A grant is counted here (``lock_wait_time``, ``lock_grants_total``);
@@ -382,14 +387,21 @@ class ObjectServer:
         timeout = self.lock_wait_timeout
         deadline = wait_started + timeout
         chased: List[Uid] = []
+        table = self.registry.table(object_uid)
+        blockers, withdrawals = table.blocked_on(request), table.withdrawals
 
         def wake() -> None:
-            nonlocal chased
+            nonlocal chased, deadline, blockers, withdrawals
             if (request.settled or not self.node.alive
                     or self.node.epoch != epoch):
                 return
             now = self.kernel.now
-            if now >= deadline:
+            moved = table.blocked_on(request)
+            if moved != blockers and table.withdrawals == withdrawals:
+                # commits and grants moved the queue: a blocker that
+                # commits closes no cycle, so the wait starts afresh
+                deadline = now + timeout
+            elif now >= deadline:
                 self.registry.cancel_request(
                     request, reason="lock wait timeout",
                     error=LockTimeout(
@@ -398,8 +410,9 @@ class ObjectServer:
                     ),
                 )
                 return
-            if self.edge_chaser is not None:
+            elif self.edge_chaser is not None:
                 chased = self.edge_chaser.chase_from(mirror.uid, chased)
+            blockers, withdrawals = moved, table.withdrawals
             self.kernel.schedule(min(self.probe_interval, deadline - now),
                                  wake)
 
@@ -852,7 +865,8 @@ class ObjectServer:
     def _settle(self, entry: TxnEntry, ops: Dict[Uid, list],
                 hook: str) -> None:
         """Carry out the decision the table just recorded for ``entry``:
-        promote or discard its shadows and lift its in-doubt fences.
+        promote or discard its shadows and lift the in-doubt fences no
+        other in-doubt entry still holds.
 
         After a promotion a plain live instance is refreshed from the
         committed state.  A semantic one (in ``ops``) is never overwritten:
@@ -862,8 +876,12 @@ class ObjectServer:
         commit = entry.state is TxnState.COMMITTED
         object_uids = entry.object_uids
         colour, entry.colour = entry.colour, None  # no use once decided
+        if entry.in_doubt:  # the fence stays while another one names it
+            self.in_doubt_objects.difference_update(
+                set(object_uids).difference(*(
+                    other.object_uids for other in self.prepared.values()
+                    if other.in_doubt)))
         for object_uid in object_uids:
-            self.in_doubt_objects.discard(object_uid)
             if not commit:
                 self.node.stable_store.discard_shadow(object_uid)
                 continue

@@ -20,12 +20,16 @@ abort) exist.
 
 Server handlers receive a ``respond`` callable and may reply *later* (lock
 waits resolve asynchronously).  The reply is the ack: a handler that
-responds inside the dispatch that received the request costs two messages,
-request and ``rpc_reply``.  An ``rpc_ack`` — "received, the reply will
-come, stop retransmitting" — is sent only for a request that is still
-executing: at the end of the dispatch that received it, and at once for
-every ack-phase duplicate that arrives meanwhile (duplicates are never
-re-executed).
+responds within half an rpc timeout of receiving the request costs two
+messages, request and ``rpc_reply``.  An ``rpc_ack`` — "received, the
+reply will come, stop retransmitting" — is sent only for a request that is
+still executing: half a timeout after the dispatch that received it, if
+the call is still live and executing on the same node epoch then, and at
+once for every ack-phase duplicate that arrives meanwhile (duplicates are
+never re-executed).  Most lock waits end within that half timeout and cost
+no ack; the ack still reaches the client before its first retransmission
+whenever a round trip takes less than the other half (Birrell and
+Nelson acked only a call that outlived the retransmission interval).
 
 A call therefore has two phases, and a lost reply is recovered in whichever
 one the client is in.  *Ack phase*: nothing heard yet — the request is
@@ -215,7 +219,8 @@ class RpcTransport:
         if caller is None:
             return True  # stale: its caller finished the call, nobody asks
         replies = caller.replies
-        if seq in replies:
+        duplicate = seq in replies
+        if duplicate:
             cached = replies[seq]
             if cached is not None:
                 self.node.send(message.src, _REPLY_KIND, cached,
@@ -238,14 +243,35 @@ class RpcTransport:
                     else UNKEPT), send)
         # the reply is the ack.  Only a request still executing — its handler
         # waits (a queued lock), or this is a duplicate of one — is acked,
-        # so the client stops retransmitting and waits for the reply.  A
-        # poll is not: its caller was acked already.  (A node that crashed
-        # inside the handler is silent.)
+        # so the client stops retransmitting and waits for the reply: a
+        # duplicate at once, a first delivery half a timeout from now, if
+        # it still executes then (most lock waits end sooner).  A poll is
+        # not: its caller was acked already.  (A node that crashed inside
+        # the handler is silent.)
         if (seq in replies and replies[seq] is None and self.node.alive
                 and _POLL_KEY not in message.payload):
-            self.node.send(message.src, _ACK_KIND, {"rpc_id": rpc_id},
-                           reply_to=message.msg_id)
+            if duplicate:
+                self._ack(message, rpc_id)
+            else:
+                self.kernel.schedule(self.default_timeout / 2,
+                                     self._ack_if_executing, message,
+                                     rpc_id, caller, seq, self.node.epoch)
         return True
+
+    def _ack(self, message: Message, rpc_id: str) -> None:
+        self.node.send(message.src, _ACK_KIND, {"rpc_id": rpc_id},
+                       reply_to=message.msg_id)
+
+    def _ack_if_executing(self, message: Message, rpc_id: str,
+                          caller: _Caller, seq: int, epoch: int) -> None:
+        """The deferred ack of a first delivery: sent only if the node
+        still runs in ``epoch``, still remembers ``caller`` and its call
+        ``seq`` is still live and executing."""
+        if (self.node.alive and self.node.epoch == epoch
+                and self.node.volatile.get("rpc_cache", {}).get(
+                    message.src) is caller
+                and caller.replies.get(seq, ()) is None):
+            self._ack(message, rpc_id)
 
     def _caller(self, message: Message,
                 rpc_id: str) -> Tuple[Optional[_Caller], int]:
@@ -402,14 +428,15 @@ class RpcTransport:
         """Generator: perform one RPC; returns the reply value.
 
         Two phases.  Until the server is heard from — its reply, or an
-        ACK if the handler is still waiting when its dispatch ends — the
-        request is retransmitted every ``timeout`` units, up to
-        ``retries`` extra times; a synchronous handler's lost reply is
-        recovered here, from the server's reply cache.  Once ACKed, the
-        call waits up to ``completion_timeout`` for the reply, polling
-        every ``timeout`` (polls are never acked) — long-running
-        operations (lock waits) sit here outside the ``retries`` budget,
-        and a lost reply is fetched from the cache by the next poll.
+        ACK if the handler is still waiting half the server's timeout
+        after the request arrived — the request is retransmitted every
+        ``timeout`` units, up to ``retries`` extra times; a synchronous
+        handler's lost reply is recovered here, from the server's reply
+        cache.  Once ACKed, the call waits up to ``completion_timeout``
+        for the reply, polling every ``timeout`` (polls are never acked)
+        — long-running operations (lock waits) sit here outside the
+        ``retries`` budget, and a lost reply is fetched from the cache by
+        the next poll.
         Raises :class:`RpcTimeout` on either phase's exhaustion
         (``unacknowledged`` includes "delivered, but every reply lost"),
         or the reconstructed remote error for an unsuccessful reply.

@@ -38,6 +38,10 @@ class LockTable:
         self.rules = rules
         self.holders: List[LockRecord] = []
         self.queue: Deque[LockRequest] = deque()
+        #: how many times an abort, cancel or refusal removed a holder or a
+        #: queued request here: a waiter whose blockers changed while this
+        #: stood still saw the queue move by commits and grants alone
+        self.withdrawals = 0
 
     # -- queries ------------------------------------------------------------
 
@@ -103,6 +107,7 @@ class LockTable:
         for queued in self.queue:
             if queued.request_uid == request_uid:
                 self.queue.remove(queued)
+                self.withdrawals += 1
                 if error is not None:
                     queued.refuse(reason, error=error)
                 else:
@@ -115,6 +120,7 @@ class LockTable:
                      error: Optional[BaseException] = None) -> int:
         """Cancel every queued request by ``owner_uid``; returns the count."""
         victims = [q for q in self.queue if q.owner.uid == owner_uid]
+        self.withdrawals += len(victims)
         for queued in victims:
             self.queue.remove(queued)
             if error is not None:
@@ -136,6 +142,7 @@ class LockTable:
         before = len(self.holders)
         self.holders = [record for record in self.holders if record.owner.uid != owner_uid]
         dropped = before - len(self.holders)
+        self.withdrawals += dropped
         if dropped:
             self._wake()
         return dropped
@@ -220,18 +227,20 @@ class LockTable:
         settled request at the front.
 
         A record that already covers the mode is an idempotent
-        re-acquisition, granted whatever the queue; otherwise the request
-        must be at the front of the line — or its owner a holder, see the
-        module docstring — and pass the rules.
+        re-acquisition, granted whatever the queue — if the rules still
+        allow it: a READ its owner holds is no licence past a child's
+        WRITE (§5.2).  Otherwise the request must be at the front of the
+        line — or its owner a holder, see the module docstring — and pass
+        the rules.
         """
         mine, joined, holds_here = self._own_record(
             request.owner.uid, request.colour, request.mode)
-        if mine is not None and joined == mine.mode:
-            return True
         if behind_queue and not holds_here:
             return False
         if self.rules.blockers(request, self.holders):
             return False
+        if mine is not None and joined == mine.mode:
+            return True
         if mine is not None:
             mine.mode = joined  # upgrade in place
         else:

@@ -165,6 +165,23 @@ def test_idempotent_reacquisition_granted_without_new_record():
     assert len(table.records_of(holder.uid)) == 1
 
 
+def test_reacquisition_waits_for_a_childs_write():
+    """A parent's READ is no licence past its child's WRITE (§5.2: READ
+    only if every holder holds READ or is an ancestor)."""
+    table = fresh_table()
+    parent = owner(colours=(RED,))
+    child = owner(path_owners=(parent,), colours=(RED,))
+    table.request(make_request(parent, LockMode.READ))
+    table.request(make_request(child, LockMode.WRITE))
+    again = make_request(parent, LockMode.READ)
+    table.request(again)
+    assert again.status is RequestStatus.PENDING
+    table.transfer(child.uid, lambda colour: parent)
+    assert again.status is RequestStatus.GRANTED
+    records = table.records_of(parent.uid)
+    assert len(records) == 1 and records[0].mode is LockMode.WRITE
+
+
 def test_same_owner_different_colours_two_records():
     table = fresh_table()
     holder = owner(colours=(RED, BLUE))

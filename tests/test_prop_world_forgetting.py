@@ -19,7 +19,7 @@ names a member.
 
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
@@ -130,6 +130,10 @@ def verdicts(events):
 
 @settings(max_examples=25, deadline=None)
 @given(programs, st.lists(st.integers(0, 400), min_size=12, max_size=12))
+# a parent re-reading an object its child writes waits for the child
+# (§5.2): granted past the child's WRITE, it was a locking-rule violation
+@example(program=[("begin", 0, 0), ("get", 0, 1), ("increment", 1, 1),
+                  ("get", 0, 1)], places=[0] * 12)
 def test_forgetting_changes_no_verdict(program, places):
     events = splice(run([("begin", 0, 0)] + program), cycle_events(), places)
     found, records, world = verdicts(events)

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.backend import AsyncioKernel
+from repro.errors import ClusterError
 from repro.objects.state import ObjectState
 from repro.sim.kernel import Timeout
 from repro.stdobjects.commuting import CommutingCounter
@@ -277,11 +278,12 @@ def test_an_in_doubt_commit_redoes_on_a_live_instance_it_never_ran_on(
         backend):
     """A (coordinated at ``ca``) adds 1 and B (at ``cb``) adds 10 to one
     commuting counter at ``p``; both prepare, and ``p`` and ``cb`` crash
-    before either decision lands.  ``p`` restarts and learns A's commit,
-    which lifts the counter's fence; X adds 100 and commits, activating
-    the counter from the store.  Then ``cb`` restarts and B commits: the
-    live instance never ran B's add, so it takes the add's ``redo``, and
-    live and stable agree at 111."""
+    before either decision lands.  ``p`` restarts and learns A's commit.
+    The counter stays fenced while B is in doubt: X's ``get`` (an
+    ``observe``-group read, which would see a state without an add its
+    coordinator may have committed) is not admitted.  Then ``cb``
+    restarts and B commits; Y adds 100 and commits, activating the
+    counter from the store, and live and stable agree at 111."""
     cluster = cluster_of(("ca", "cb", "p"), config=FIXED, backend=backend,
                          commute=False, fast_paths=False)
     clients = {name: cluster.client(name) for name in ("ca", "cb")}
@@ -320,14 +322,23 @@ def test_an_in_doubt_commit_redoes_on_a_live_instance_it_never_ran_on(
         server = cluster.servers["p"]
         assert len(server.prepared) == 1 and ref.uid not in server.objects
         x = clients["ca"].top_level("x")
-        yield from clients["ca"].invoke(x, ref, "add", 100)
-        yield from clients["ca"].commit(x)
+        try:
+            yield from clients["ca"].invoke(x, ref, "get")
+        except ClusterError as error:
+            refused.append(str(error))
+        yield from clients["ca"].abort(x)
         cluster.restart("cb")
         yield Timeout(30.0)
+        assert not server.prepared and not server.in_doubt_objects
+        y = clients["ca"].top_level("y")
+        yield from clients["ca"].invoke(y, ref, "add", 100)
+        yield from clients["ca"].commit(y)
 
+    refused = []
     cluster.run_process("ca", app())
     cluster.run()
     ref = holder["ref"]
+    assert len(refused) == 1 and "in doubt" in refused[0]
     assert committed_int(cluster, ref) == 111
     assert cluster.servers["p"].objects[ref.uid].value == 111
     assert cluster.obs.auditor.report() == []

@@ -1,16 +1,18 @@
 """The two-phase RPC protocol: who acks and when, long operations, how a
 lost reply is recovered in each phase, and when a request is stale.
 
-The reply is the ack: a handler that answers inside the dispatch that
-received the request costs two messages; ``rpc_ack`` is sent only for a
-request still executing — at the end of the dispatch that received it, or
-at once for an ack-phase duplicate of it.  A completion-phase poll is
-never acked: it gets the cached reply, or nothing while the handler still
-executes.  A request whose call its caller has
+The reply is the ack: a handler that answers within half an rpc timeout
+of receiving the request costs two messages; ``rpc_ack`` is sent only for
+a request still executing — half a timeout after the dispatch that
+received it, or at once for an ack-phase duplicate of it.  A
+completion-phase poll is never acked: it gets the cached reply, or
+nothing while the handler still executes.  A request whose call its caller has
 finished — as a later request from it says — is dropped unanswered, and
 the reply cache keeps replies of live calls only.  Every test body runs
 on both execution backends (sim first), because "the end of the dispatch"
-is a real event-loop turn only on asyncio.
+is a real event-loop turn only on asyncio.  The cluster's rpc timeout is
+its default, 10 units, so a request still executing is acked 5 units
+after it arrived.
 """
 
 from repro.cluster.cluster import Cluster
@@ -132,10 +134,12 @@ def test_synchronous_handler_costs_two_messages_and_no_ack(backend):
 
 
 @on_both_backends
-def test_waiting_handler_is_acked_once_in_the_receiving_dispatch(backend):
-    cluster, ta, tb = pair(backend)
+def test_waiting_handler_is_acked_once_half_a_timeout_after_receipt(backend):
+    """Still waiting when its dispatch ends, the handler is not acked then
+    but half the rpc timeout after the request arrived (t = 1 + 5)."""
+    cluster, ta, tb = pair(backend, config=FIXED)
     sent = tap(cluster)
-    next_turn = []
+    next_turn, acked = [], []
 
     def waiting(msg, respond):
         # runs after this dispatch returns and before any later event
@@ -143,14 +147,18 @@ def test_waiting_handler_is_acked_once_in_the_receiving_dispatch(backend):
         later(cluster, 20.0, respond)
 
     tb.register("wait", waiting)
+    Over(cluster.network, lambda message: (
+        acked.append(cluster.kernel.now) if message.kind == "rpc_ack"
+        else None))
 
     def app():
         return (yield from ta.call("b", "wait", {}, timeout=50.0))
 
     assert cluster.run_process("a", app()) == "done"
     cluster.run()
-    assert next_turn == ["wait", "rpc_ack"]
+    assert next_turn == ["wait"]
     assert sent == ["wait", "rpc_ack", "rpc_reply"]
+    assert len(acked) == 1 and 5.9 <= acked[0] < 9.0
 
 
 @on_both_backends
@@ -201,21 +209,21 @@ def test_lost_reply_without_ack_recovered_by_retransmission(backend):
 
 @on_both_backends
 def test_lost_reply_recovered_by_polling(backend):
-    """The request arrives (ACKed, executed once, answered later); the reply
-    is lost; the client's completion-phase poll fetches it from the reply
-    cache."""
-    cluster, ta, tb = pair(backend)
+    """The request arrives (ACKed at t = 6, executed once, answered at
+    t = 9); the reply is lost; the client's completion-phase poll (t = 17)
+    fetches it from the reply cache."""
+    cluster, ta, tb = pair(backend, config=FIXED)
     executions = {"n": 0}
 
     def handler(msg, respond):
         executions["n"] += 1
-        later(cluster, 2.0, respond, "value")
+        later(cluster, 8.0, respond, "value")
 
     tb.register("op", handler)
     sent = tap(cluster, lose=first_reply)
 
     def app():
-        return (yield from ta.call("b", "op", {}, timeout=5.0, retries=3,
+        return (yield from ta.call("b", "op", {}, timeout=10.0, retries=3,
                                    completion_timeout=100.0))
 
     assert cluster.run_process("a", app()) == "value"
@@ -229,14 +237,14 @@ def test_acked_but_crashed_server_times_out_at_completion_bound(backend):
     cluster, ta, tb = pair(backend)
 
     def never(msg, respond):
-        pass  # still unanswered when its dispatch ends: acked, then silence
+        pass  # still unanswered half a timeout on: acked, then silence
 
     tb.register("void", never)
     started = cluster.kernel.now
 
     def app():
         try:
-            yield from ta.call("b", "void", {}, timeout=2.0, retries=1,
+            yield from ta.call("b", "void", {}, timeout=10.0, retries=1,
                                completion_timeout=30.0)
         except RpcTimeout as error:
             return (str(error), cluster.kernel.now - started)
@@ -278,10 +286,10 @@ def test_duplicate_request_reacked_not_reexecuted(backend):
 
 @on_both_backends
 def test_a_handler_waiting_through_polls_costs_one_ack(backend):
-    """Acked at t = 2, the client polls at t = 12 and 22 while the handler
-    waits; neither poll is acked, and the reply (t = 26) ends the call."""
+    """Acked at t = 7, the client polls at t = 17 and 27 while the handler
+    waits; neither poll is acked, and the reply (t = 36) ends the call."""
     cluster, ta, tb = pair(backend, config=FIXED)
-    tb.register("op", lambda msg, respond: later(cluster, 24.0, respond))
+    tb.register("op", lambda msg, respond: later(cluster, 34.0, respond))
     sent = tap(cluster)
 
     def app():
@@ -296,9 +304,9 @@ def test_a_handler_waiting_through_polls_costs_one_ack(backend):
 @on_both_backends
 def test_an_ack_phase_retransmission_of_an_executing_request_is_acked(
         backend):
-    """The first ack is lost: the client is still in the ack phase, and its
-    retransmission, which finds the handler executing, is acked — once.
-    The polls after it are not."""
+    """The first ack (t = 6) is lost: the client is still in the ack phase,
+    and its retransmission (t = 10), which finds the handler executing, is
+    acked at once — and once.  The polls after it are not."""
     cluster, ta, tb = pair(backend, config=FIXED)
     executions = []
 
@@ -311,7 +319,7 @@ def test_an_ack_phase_retransmission_of_an_executing_request_is_acked(
         kind == "rpc_ack" and "rpc_ack" not in sent))
 
     def app():
-        return (yield from ta.call("b", "op", {}, timeout=5.0,
+        return (yield from ta.call("b", "op", {}, timeout=10.0,
                                    completion_timeout=100.0))
 
     assert cluster.run_process("a", app()) == "done"
@@ -324,9 +332,10 @@ def test_an_ack_phase_retransmission_of_an_executing_request_is_acked(
 
 @on_both_backends
 def test_a_poll_that_reaches_a_restarted_server_re_executes(backend):
-    """The server crashes while its handler waits and forgets the call.
-    The client's poll (t = 12) finds no cache and runs the handler again;
-    the re-execution waits too, and the next poll (t = 22) is not acked."""
+    """Acked at t = 7, the server crashes (t = 8) while its handler waits
+    and forgets the call.  The client's poll (t = 17) finds no cache and
+    runs the handler again; the re-execution waits too, and neither it
+    nor the next poll (t = 27) is acked."""
     cluster, ta, tb = pair(backend, config=FIXED)
     executions = []
 
@@ -337,8 +346,8 @@ def test_a_poll_that_reaches_a_restarted_server_re_executes(backend):
 
     tb.register("op", handler)
     sent = tap(cluster)
-    cluster.crash_at("b", 4.0)
-    cluster.restart_at("b", 5.0)
+    cluster.crash_at("b", 8.0)
+    cluster.restart_at("b", 9.0)
 
     def app():
         return (yield from ta.call("b", "op", {}, timeout=10.0,
