@@ -1,27 +1,34 @@
 """Distributed deadlock detection: Chandy–Misra–Haas edge chasing.
 
-Server-local waits-for cycles are caught by each server's own detector;
-cycles *across* servers (action W waits at server S1 for a lock H holds,
-while H waits at server S2 for a lock W holds) are invisible to any single
-server.  The classic AND-model edge-chasing algorithm closes the gap:
+A request that closes a cycle within its server's registry as it queues
+is refused there and then (the server's fast abort); cycles *across*
+servers (action W waits at server S1 for a lock H holds, while H waits at
+server S2 for a lock W holds), and cycles a lock transfer closes, are
+invisible to that check.  The classic AND-model edge-chasing algorithm
+closes the gap:
 
 - When a request by W has been blocked at server S for one
-  ``probe_interval``, S sends a *probe* ``(initiator=W, target=H)`` to each
-  blocker H's **home node** (the node H's client runs on, carried in the
-  action context).  A blocker that is itself queued at S is followed in
-  place, without the round trip through its home.
+  ``probe_interval``, S walks W's waits there with
+  :func:`~repro.locking.deadlock.cycle_through`, the one waits-for search:
+  a blocker that is itself queued at S is followed in place, and each
+  blocker H that waits nowhere at S gets one *probe*
+  ``(initiator=W, target=H)`` at its **home node** (the node H's client
+  runs on, carried in the action context).  The walk enters each member
+  once, so a queue of n waiters behind one holder costs n probes, not
+  one per path through the queue.
 - The home knows whether H is currently awaiting a remote operation and at
   which server (the client marks this in its node's volatile memory around
   every RPC); if so it forwards the probe to that server.
-- That server maps the probe onto H's queued requests: each of *their*
-  blockers H' extends the chase.  A probe arriving back at its initiator
-  proves a cycle; the detecting server tells the victim's home (the
-  victim is the cycle's youngest member), which tells the server holding
-  the victim's queued request to refuse it
-  with :class:`~repro.errors.DeadlockDetected` — the waiter's RPC fails
-  and its client aborts the action.  A victim queued at the detecting
-  server is refused there directly; one homed at the detecting node is
-  refused through that node's own record of where it waits.
+- That server walks H's queued requests the same way, the probe's path
+  counting as already visited: each of *their* blockers H' extends the
+  chase.  A walk that reaches the initiator proves a cycle; the
+  detecting server tells the victim's home (the victim is the cycle's
+  youngest member), which tells the server holding the victim's queued
+  request to refuse it with :class:`~repro.errors.DeadlockDetected` —
+  the waiter's RPC fails and its client aborts the action.  A victim
+  queued at the detecting server is refused there directly; one homed at
+  the detecting node is refused through that node's own record of where
+  it waits.
 - Probes carry the visited set — each path member with its home — so
   chases terminate even on long or re-entrant paths, and the detecting
   server can reach the victim's home without a mirror of it.
@@ -64,10 +71,11 @@ waiter whose home node crashed); it counts from the wait's last move.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, TYPE_CHECKING
+from typing import Dict, List, Tuple, TYPE_CHECKING
 
 from repro.cluster.message import Message, decode_uid, encode_uid
 from repro.errors import DeadlockDetected
+from repro.locking.deadlock import blockers_of, cycle_through
 from repro.util.uid import Uid
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,7 +91,6 @@ class EdgeChaser:
     def __init__(self, server: "ObjectServer"):
         self.server = server
         self.node = server.node
-        self.cycles_detected = 0
 
         # probes are fire-and-forget datagrams, not RPCs: a lost probe is
         # covered by the lock-wait timeout, so no ack/reply machinery.
@@ -105,72 +112,53 @@ class EdgeChaser:
         re-read the waiter's blockers here and chase them if they differ
         from ``chased``, the set that wait chased last.  Returns the set
         read, for the wait to pass back at its next wake."""
-        blockers = self._blockers(waiter_uid)
+        blockers = blockers_of(self.server.registry, waiter_uid)
         if blockers and blockers != chased:
-            mirror = self.server.mirrors.get(waiter_uid)
-            self._forward_probes(waiter_uid, waiter_uid, blockers, {
-                tuple(encode_uid(waiter_uid)): getattr(mirror, "home", "")})
+            self._chase(waiter_uid, (), {})
         return blockers
 
     # -- the chase ------------------------------------------------------------------
 
-    def _blockers(self, waiter_uid: Uid) -> List[Uid]:
-        """Whom the requests ``waiter_uid`` has queued here wait for."""
-        registry = self.server.registry
-        found: Set[Uid] = set()
-        for request in registry.pending_requests_of(waiter_uid):
-            found.update(registry.table(request.object_uid).blocked_on(request))
-        return sorted(found)
+    def _chase(self, target: Uid, path: Tuple[Uid, ...],
+               homes: Dict[Uid, str]) -> None:
+        """Walk ``target``'s waits at this server, ``path`` being the chain
+        that led to it from the chase's initiator, and probe each blocker
+        that waits elsewhere.  ``homes`` maps the members a probe named to
+        their home nodes; every other member's home is its mirror's."""
+        mirrors = self.server.mirrors
 
-    def _forward_probes(self, initiator: Uid, target_uid: Uid,
-                        blockers: List[Uid], visited: Dict) -> bool:
-        """``target_uid`` waits at THIS server on ``blockers``; chase each.
-        ``visited`` maps each member of the path so far, the initiator
-        first and ``target_uid`` last, to its home node.  True when the
-        chase closed a cycle (and a victim was declared)."""
-        registry = self.server.registry
-        for blocker_uid in blockers:
-            if blocker_uid == initiator:
-                self.cycles_detected += 1
-                self.server.obs.count("deadlock_cycles_total",
-                                      node=self.node.name)
-                # every member of the cycle is on the path; all detection
-                # points therefore agree on one victim: the youngest
-                # (largest uid) — so symmetric detections do not kill two
-                # actions.
-                homes = {Uid(str(key[0]), int(key[1])): home
-                         for key, home in visited.items()}
-                victim = max(homes)
-                self._declare_victim(victim, homes[victim])
-                return True
-            key = tuple(encode_uid(blocker_uid))
-            if key in visited:
-                continue
-            mirror = self.server.mirrors.get(blocker_uid)
-            home = getattr(mirror, "home", "")
-            if registry.pending_requests_of(blocker_uid):
-                # queued here too: follow the edge in place
-                if self._forward_probes(initiator, blocker_uid,
-                                        self._blockers(blocker_uid),
-                                        {**visited, key: home}):
-                    return True
-                continue
-            if not home or mirror.prepared:
-                continue  # unknown here, or committing: it waits for nothing
-            self.node.send(home, "dl_probe", {
-                "initiator": encode_uid(initiator),
-                "target": encode_uid(blocker_uid),
-                "visited": sorted([*k, h] for k, h in
-                                  {**visited, key: home}.items()),
+        def home_of(uid: Uid) -> str:
+            if uid not in homes:
+                homes[uid] = getattr(mirrors.get(uid), "home", "")
+            return homes[uid]
+
+        def probe(blocker: Uid, chain: Tuple[Uid, ...]) -> None:
+            mirror = mirrors.get(blocker)
+            if mirror is None or not mirror.home or mirror.prepared:
+                return  # unknown here, or committing: it waits for nothing
+            self.node.send(mirror.home, "dl_probe", {
+                "initiator": encode_uid(chain[0]),
+                "target": encode_uid(blocker),
+                "visited": sorted([*encode_uid(uid), home_of(uid)]
+                                  for uid in (*chain, blocker)),
             })
-        return False
+
+        cycle = cycle_through(self.server.registry, target, path, probe)
+        if cycle is not None:
+            self.server.obs.count("deadlock_cycles_total",
+                                  node=self.node.name)
+            # every detection point of one cycle agrees on its victim:
+            # the youngest (largest uid) member, so symmetric detections
+            # do not kill two actions
+            victim = max(cycle)
+            self._declare_victim(victim, home_of(victim))
 
     def _h_probe(self, message: Message) -> bool:
         payload = message.payload
         initiator = decode_uid(payload["initiator"])
         target = decode_uid(payload["target"])
-        visited = {(name, number): home
-                   for name, number, home in payload.get("visited", [])}
+        homes = {decode_uid((name, number)): home
+                 for name, number, home in payload.get("visited", [])}
         # Role 1: we are the target's home — forward to where it waits.
         waiting_at: Dict = self.node.volatile.get(WAITING_AT_KEY, {})
         waiting_server = waiting_at.get(target)
@@ -179,11 +167,11 @@ class EdgeChaser:
         if waiting_server is not None:
             self.node.send(waiting_server, "dl_probe", payload)
             return True
-        # Role 2: the target has queued lock requests at this server.
-        if self.server.registry.pending_requests_of(target):
-            self._forward_probes(initiator, target, self._blockers(target),
-                                 visited)
-        # Otherwise the target is running (no dependency edge): chase ends.
+        # Role 2: walk the target's queued lock requests at this server (a
+        # target that is running waits for nothing: the chase ends).
+        path = (initiator, *(uid for uid in homes
+                             if uid != initiator and uid != target))
+        self._chase(target, path, homes)
         return True
 
     # -- resolution ---------------------------------------------------------------------

@@ -49,7 +49,7 @@ from repro.errors import (
     ObjectNotFound,
     PrepareFailed,
 )
-from repro.locking.deadlock import DeadlockDetector
+from repro.locking.deadlock import cycle_through
 from repro.locking.modes import LockMode, Mode, mode_from_label, mode_label
 from repro.locking.registry import LockRegistry
 from repro.locking.request import LockRequest, RequestStatus
@@ -171,7 +171,6 @@ class ObjectServer:
         self.registry = LockRegistry(ColouredRules(),
                                      namespace=f"lreq@{self.node.name}")
         self.registry.on_event = self._emit_lock_event
-        self.detector = DeadlockDetector(self.registry)
         self.mirrors: Dict[Uid, ActionMirror] = {}
         #: objects fenced off because a transaction recovered in doubt
         #: (PREPARED on the log, no decision yet) holds their shadow slot
@@ -369,7 +368,7 @@ class ObjectServer:
         # action, and holders only release at commit/abort.  Refuse it now
         # as a deterministic lock conflict instead of parking it for the
         # deadlock chaser to victimise later.
-        cycle = self.detector.cycle_through(mirror.uid)
+        cycle = cycle_through(self.registry, mirror.uid)
         if cycle is not None:
             self.obs.count("lock_fast_aborts_total", node=self.node.name)
             self.registry.cancel_request(

@@ -1,4 +1,4 @@
-"""Concurrency control: lock modes, grant rules, the table, deadlock detection.
+"""Concurrency control: lock modes, grant rules, the table, the waits-for walk.
 
 One :class:`~repro.locking.table.LockTable` per object, driven by a rule
 set.  Two interchangeable data-mode rule sets are provided (§5.2 of the
@@ -29,7 +29,7 @@ from repro.locking.rules import ColouredRules, ConventionalRules, LockRules
 from repro.locking.semantic import SemanticRules, SemanticSpec
 from repro.locking.table import LockTable
 from repro.locking.registry import LockRegistry
-from repro.locking.deadlock import DeadlockDetector, WaitsForGraph
+from repro.locking.deadlock import cycle_through
 
 __all__ = [
     "LockMode",
@@ -45,6 +45,5 @@ __all__ = [
     "SemanticSpec",
     "LockTable",
     "LockRegistry",
-    "DeadlockDetector",
-    "WaitsForGraph",
+    "cycle_through",
 ]

@@ -1,144 +1,63 @@
-"""Waits-for graph deadlock detection.
+"""The waits-for walk: every deadlock check over one lock registry.
 
 Two-phase locking plus FIFO queues can deadlock (the paper notes the
-fig. 13(a) invoker/invokee deadlock explicitly).  The detector builds the
-waits-for graph from a :class:`~repro.locking.registry.LockRegistry`, finds
-a cycle, and cancels the pending requests of a victim — by default the
-*youngest* action in the cycle (largest uid: uids are creation-ordered), the
-cheapest work to redo.  The runtime then aborts the victim action when its
-lock wait fails with :class:`~repro.errors.DeadlockDetected`.
+fig. 13(a) invoker/invokee deadlock explicitly).  An owner waits for the
+owners :meth:`~repro.locking.table.LockTable.blocked_on` names for each of
+its queued requests; :func:`cycle_through` searches those edges for a
+cycle back to one owner.  The local runtime and an object server's fast
+abort walk their own registry; the cluster's edge chaser walks the part of
+a chase that lies at its server and probes the rest.  Who is the victim is
+the caller's choice.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import DeadlockDetected
 from repro.locking.registry import LockRegistry
 from repro.util.uid import Uid
 
 
-class WaitsForGraph:
-    """A directed graph over action uids with cycle search."""
+def blockers_of(registry: LockRegistry, uid: Uid) -> List[Uid]:
+    """Whom the requests ``uid`` has queued in ``registry`` wait for, sorted."""
+    return sorted({blocker for request in registry.pending_requests_of(uid)
+                   for blocker in registry.table(
+                       request.object_uid).blocked_on(request)})
 
-    def __init__(self, edges: Sequence[Tuple[Uid, Uid]] = ()):
-        self.adjacency: Dict[Uid, Set[Uid]] = {}
-        for waiter, holder in edges:
-            self.add_edge(waiter, holder)
 
-    def add_edge(self, waiter: Uid, holder: Uid) -> None:
-        if waiter == holder:
-            return
-        self.adjacency.setdefault(waiter, set()).add(holder)
-        self.adjacency.setdefault(holder, set())
+def cycle_through(registry: LockRegistry, waiter: Uid,
+                  path: Sequence[Uid] = (),
+                  elsewhere: Optional[Callable[[Uid, Tuple[Uid, ...]],
+                                               None]] = None
+                  ) -> Optional[List[Uid]]:
+    """The cycle back to the walk's origin that ``waiter``'s waits close.
 
-    def find_cycle(self) -> Optional[List[Uid]]:
-        """Return one cycle as a list of uids, or None.
-
-        Iterative three-colour DFS; deterministic because neighbours are
-        visited in sorted order.
-        """
-        WHITE, GREY, BLACK = 0, 1, 2
-        state = {node: WHITE for node in self.adjacency}
-        for root in sorted(self.adjacency):
-            if state[root] != WHITE:
+    ``path`` is the chain that led to ``waiter`` (its first member is the
+    origin; empty, ``waiter`` is).  Depth first, in uid order, through
+    every blocker that also waits in ``registry``; each member is entered
+    once, and ``path``'s members not at all.  Returns the chain from the
+    origin to the member that waits for it, or None.  A blocker that waits
+    nowhere here is handed, once, to ``elsewhere(blocker, chain)``, where
+    ``chain`` leads from the origin to the member waiting for it.
+    """
+    origin = path[0] if path else waiter
+    trail = [*path, waiter]
+    seen = set(trail)
+    pending = [iter(blockers_of(registry, waiter))]
+    while pending:
+        for blocker in pending[-1]:
+            if blocker == origin:
+                return list(trail)
+            if blocker in seen:
                 continue
-            stack: List[Tuple[Uid, List[Uid]]] = [(root, sorted(self.adjacency[root]))]
-            state[root] = GREY
-            path = [root]
-            while stack:
-                node, neighbours = stack[-1]
-                advanced = False
-                while neighbours:
-                    nxt = neighbours.pop(0)
-                    if state[nxt] == GREY:
-                        cycle_start = path.index(nxt)
-                        return path[cycle_start:]
-                    if state[nxt] == WHITE:
-                        state[nxt] = GREY
-                        path.append(nxt)
-                        stack.append((nxt, sorted(self.adjacency[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    stack.pop()
-                    path.pop()
-                    state[node] = BLACK
-        return None
-
-
-class DeadlockDetector:
-    """Detects and resolves deadlocks over one lock registry."""
-
-    def __init__(self, registry: LockRegistry):
-        self.registry = registry
-        self.victims_chosen: List[Uid] = []
-
-    def scan(self) -> Optional[List[Uid]]:
-        """Return a current cycle of action uids, or None."""
-        graph = WaitsForGraph(self.registry.waits_for_edges())
-        return graph.find_cycle()
-
-    def cycle_through(self, owner_uid: Uid) -> Optional[List[Uid]]:
-        """A current cycle that passes through ``owner_uid``, or None.
-
-        Used by the lock-conflict fast abort: when the request that just
-        queued closed a cycle through its own action, the wait is *certain*
-        to deadlock — there is no point parking it until the chaser or the
-        victim scan runs.  DFS restricted to paths reachable from the owner
-        that return to it.
-        """
-        graph = WaitsForGraph(self.registry.waits_for_edges())
-        if owner_uid not in graph.adjacency:
-            return None
-        stack: List[Tuple[Uid, List[Uid]]] = [
-            (owner_uid, sorted(graph.adjacency[owner_uid]))]
-        path = [owner_uid]
-        seen = {owner_uid}
-        while stack:
-            node, neighbours = stack[-1]
-            advanced = False
-            while neighbours:
-                nxt = neighbours.pop(0)
-                if nxt == owner_uid:
-                    return list(path)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    path.append(nxt)
-                    stack.append((nxt, sorted(graph.adjacency[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                path.pop()
-        return None
-
-    def choose_victim(self, cycle: Sequence[Uid]) -> Uid:
-        """Youngest action (largest uid) in the cycle."""
-        return max(cycle)
-
-    def resolve_once(self) -> Optional[Uid]:
-        """Break one cycle if present; returns the victim uid or None.
-
-        The victim's queued lock requests are refused with
-        :class:`DeadlockDetected`; releasing the victim's *held* locks is
-        the job of the runtime's subsequent abort of that action.
-        """
-        cycle = self.scan()
-        if cycle is None:
-            return None
-        victim = self.choose_victim(cycle)
-        error = DeadlockDetected(cycle=cycle)
-        self.registry.cancel_waiting(victim, reason="deadlock victim", error=error)
-        self.victims_chosen.append(victim)
-        return victim
-
-    def resolve_all(self, limit: int = 64) -> List[Uid]:
-        """Break cycles until none remain (bounded by ``limit`` victims)."""
-        victims: List[Uid] = []
-        for _ in range(limit):
-            victim = self.resolve_once()
-            if victim is None:
+            seen.add(blocker)
+            if registry.pending_requests_of(blocker):
+                trail.append(blocker)
+                pending.append(iter(blockers_of(registry, blocker)))
                 break
-            victims.append(victim)
-        return victims
+            if elsewhere is not None:
+                elsewhere(blocker, tuple(trail))
+        else:
+            pending.pop()
+            trail.pop()
+    return None

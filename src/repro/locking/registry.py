@@ -1,13 +1,13 @@
 """The lock registry: all lock tables of one runtime (or one object server).
 
 Tracks which objects each owner holds or awaits, so that commit/abort can
-visit exactly the affected tables, and exposes the waits-for edges for
-deadlock detection.
+visit exactly the affected tables, and lists an owner's queued requests,
+whose blockers are its waits-for edges (:mod:`repro.locking.deadlock`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.colours.colour import Colour
 from repro.locking.modes import Mode, mode_label
@@ -70,7 +70,11 @@ class LockRegistry:
 
         def completed(req: LockRequest) -> None:
             waiting = self._waiting_by.get(owner_uid)
-            if waiting is not None:
+            queue = getattr(self._tables.get(object_uid), "queue", ())
+            # the table takes a request off its queue before settling it:
+            # the owner waits here on as long as another of its own stays
+            if waiting is not None and not any(
+                    queued.owner.uid == owner_uid for queued in queue):
                 waiting.discard(object_uid)
                 if not waiting:
                     del self._waiting_by[owner_uid]
@@ -278,15 +282,6 @@ class LockRegistry:
                     })
         return {"objects": objects, "held": held, "queued": queued,
                 "waits_for": waits_for}
-
-    def waits_for_edges(self) -> List[Tuple[Uid, Uid]]:
-        """(waiter, holder) edges across all tables, for deadlock detection."""
-        edges: List[Tuple[Uid, Uid]] = []
-        for table in self._tables.values():
-            for queued in table.queue:
-                for holder_uid in table.blocked_on(queued):
-                    edges.append((queued.owner.uid, holder_uid))
-        return edges
 
     def pending_requests_of(self, owner_uid: Uid) -> List[LockRequest]:
         pending: List[LockRequest] = []

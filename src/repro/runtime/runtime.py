@@ -1,15 +1,18 @@
 """LocalRuntime: the single-process, multi-threaded action runtime.
 
 Holds the stable object store, the lock registry (coloured rules by
-default), the colour allocator, and a deadlock detector.  All shared state
-is guarded by one re-entrant mutex; waiting for locks happens *outside* the
-mutex on per-request events, so holders can release while others wait.
+default) and the colour allocator.  All shared state is guarded by one
+re-entrant mutex; waiting for locks happens *outside* the mutex on
+per-request events, so holders can release while others wait.
 
-Deadlock policy: detection runs whenever a request blocks (a cycle can only
-form at the instant its last edge appears, i.e. when some request blocks),
-and the youngest action in the cycle has its pending requests refused with
-:class:`~repro.errors.DeadlockDetected` — the waiter raises, and its scope
-aborts the action.
+Deadlock policy: a waits-for edge appears when a request queues, or when
+a commit passes its locks to an ancestor (§5.2) and a waiter's blocker
+becomes that ancestor.  So a cycle passes through the requester, or
+through an ancestor of the committing action, and it is searched for
+there (:func:`~repro.locking.deadlock.cycle_through`) at that instant,
+until none is left.  The youngest action on each cycle has its pending
+requests refused with :class:`~repro.errors.DeadlockDetected` — the
+waiter raises, and its scope aborts the action.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.actions.action import Action
 from repro.actions.status import Outcome
 from repro.colours.colour import Colour, ColourAllocator
-from repro.errors import LockRefused, LockTimeout
-from repro.locking.deadlock import DeadlockDetector
+from repro.errors import DeadlockDetected, LockRefused, LockTimeout
+from repro.locking.deadlock import cycle_through
 from repro.locking.modes import LockMode, Mode, companion_mode, mode_label
 from repro.locking.registry import LockRegistry
 from repro.locking.request import LockRequest, RequestStatus
@@ -56,7 +59,8 @@ class LocalRuntime:
         self._object_uids = UidGenerator("object")
         self._undo_seq = itertools.count(1)
         self._mutex = threading.RLock()
-        self._detector = DeadlockDetector(self._registry)
+        #: the uids of the actions refused as deadlock victims, in order
+        self._victims: List[Uid] = []
         #: this runtime's Observability hub (see repro.obs): counters, the
         #: always-on auditor, spans once a layer keeps them.  Its World and
         #: counters are not thread-safe, so every report is made under
@@ -205,6 +209,10 @@ class LocalRuntime:
         try:
             with self._mutex:
                 outcome = action.commit()
+                # an inherited lock makes its new holder a blocker: a
+                # cycle that closes passes through the inheritor
+                for ancestor_uid in action.path[:-1]:
+                    self._break_cycles(ancestor_uid)
         except Exception:
             span.set(outcome="commit-failed").finish()
             raise
@@ -263,7 +271,7 @@ class LocalRuntime:
         with self._mutex:
             request = self._registry.request(action, obj.uid, mode, chosen, completed)
             if not request.settled:
-                self._detector.resolve_all()
+                self._break_cycles(action.uid)
 
         if not settled.wait(timeout=timeout):
             with self._mutex:
@@ -293,6 +301,19 @@ class LocalRuntime:
             f"{request.refusal}"
         )
 
+    def _break_cycles(self, uid: Uid) -> None:
+        """Refuse the youngest member's waits on each cycle through
+        ``uid`` until none is left (called under ``_mutex``)."""
+        while True:
+            cycle = cycle_through(self._registry, uid)
+            if cycle is None:
+                return
+            victim = max(cycle)
+            self._registry.cancel_waiting(
+                victim, reason="deadlock victim",
+                error=DeadlockDetected(cycle=cycle))
+            self._victims.append(victim)
+
     def log_operation(self, action: Action, obj: StateManager, colour: Colour,
                       method: str, args: tuple, result, inverse: str) -> None:
         """Record an applied semantic operation (type-specific recovery)."""
@@ -302,7 +323,7 @@ class LocalRuntime:
     # -- introspection -----------------------------------------------------------------------
 
     def deadlock_victims(self) -> list:
-        return list(self._detector.victims_chosen)
+        return list(self._victims)
 
     def locked_objects(self) -> int:
         with self._mutex:

@@ -2,8 +2,8 @@
 
 When the chaser speaks: a wait is chased once it is one ``probe_interval``
 old, and again only when its blockers change; a blocker or victim queued
-at the chasing server is handled there, without a probe, and a blocker
-PREPARED there is not chased at all.  The one timer chain that watches
+at the chasing server is handled there, without a probe, each once per
+chase, and a blocker PREPARED there is not chased at all.  The one timer chain that watches
 a wait and keeps its deadline ends once the wait settles or its server
 restarts.  The cycle cases run on both execution backends under one
 test id each.
@@ -43,6 +43,12 @@ def tap_probes(cluster, drop=False):
 
     Over(cluster.network, decide)
     return probes
+
+
+def cycles_detected(cluster):
+    """Cycles the edge chasers closed, from ``deadlock_cycles_total``."""
+    return sum(counter.value for _labels, counter
+               in cluster.obs.metrics.series("deadlock_cycles_total"))
 
 
 def finish(cluster, handles, limit):
@@ -100,8 +106,7 @@ def test_edge_chasing_breaks_cross_server_cycle(backend):
     assert not h1.alive and not h2.alive
     outcomes = sorted(results.values())
     assert outcomes == ["DeadlockDetected", "committed"]
-    chasers = [s.edge_chaser for s in cluster.servers.values()]
-    assert sum(c.cycles_detected for c in chasers) >= 1
+    assert cycles_detected(cluster) >= 1
 
 
 def test_without_edge_chasing_only_timeout_breaks_it():
@@ -128,8 +133,7 @@ def test_lost_probes_leave_the_cycle_to_the_lock_wait_timeout():
     assert probes  # the chase was attempted, and lost
     assert "LockTimeout" in results.values()
     assert "DeadlockDetected" not in results.values()
-    assert sum(s.edge_chaser.cycles_detected
-               for s in cluster.servers.values()) == 0
+    assert cycles_detected(cluster) == 0
 
 
 def contention(hold):
@@ -194,6 +198,44 @@ def test_a_long_wait_with_unchanged_blockers_is_chased_once():
     assert results["waiter"] == "committed"
     assert waited > 9 * 3.0
     assert len(probes) == 1 and probes[0][0] == "s1"
+
+
+def test_a_queue_behind_one_holder_sends_a_probe_per_waiter():
+    """Ten waiters queue at s1 behind a holder that runs on: each chase
+    walks the queue ahead of its waiter once, so the holder's home gets
+    one probe per waiter, not one per path through the queue."""
+    cluster = make_cluster(edge_chasing=True, config=FIXED)
+    probes = tap_probes(cluster)
+    c1 = cluster.client("home1", "c1")
+    c2 = cluster.client("home2", "c2")
+    refs = {}
+    results = {}
+
+    def setup():
+        refs["obj"] = yield from c1.create("s1", "counter", value=0)
+
+    def holder():
+        action = c1.top_level("holder")
+        yield from c1.invoke(action, refs["obj"], "increment", 1)
+        yield Timeout(40.0)
+        yield from c1.commit(action)
+        results["holder"] = "committed"
+
+    def waiter(index):
+        yield Timeout(1.5 + 0.1 * index)
+        action = c2.top_level(f"waiter{index}")
+        yield from c2.invoke(action, refs["obj"], "increment", 1)
+        yield from c2.commit(action)
+        results[f"waiter{index}"] = "committed"
+
+    cluster.run_process("home1", setup())
+    cluster.spawn("home1", holder())
+    for index in range(10):
+        cluster.spawn("home2", waiter(index))
+    cluster.run()
+    assert cluster.servers["s1"].lock_waits == 10
+    assert set(results.values()) == {"committed"} and len(results) == 11
+    assert 0 < len(probes) <= 10
 
 
 def prepared_holder(backend, edge_chasing=True):

@@ -3,6 +3,7 @@
 from repro import Counter, LocalRuntime
 from repro.cluster.cluster import Cluster
 from repro.colours.colour import Colour
+from repro.locking.deadlock import blockers_of
 from repro.locking.modes import LockMode
 from repro.locking.owner import StubOwner
 from repro.locking.registry import LockRegistry
@@ -97,8 +98,8 @@ def test_waits_for_edges_reflect_blocking():
     registry.request(b, obj2, LockMode.WRITE, RED)
     registry.request(a, obj2, LockMode.WRITE, RED)  # a waits for b
     registry.request(b, obj1, LockMode.WRITE, RED)  # b waits for a
-    edges = set(registry.waits_for_edges())
-    assert (a.uid, b.uid) in edges and (b.uid, a.uid) in edges
+    assert blockers_of(registry, a.uid) == [b.uid]
+    assert blockers_of(registry, b.uid) == [a.uid]
 
 
 def test_tables_garbage_collected_when_idle():
@@ -173,3 +174,21 @@ def test_finished_cluster_actions_leave_no_owner_entries():
     registry = cluster.servers["server"].registry
     assert registry._waiting_by == {}
     assert registry._held_by == {}
+
+
+def test_an_owner_waits_on_while_another_of_its_requests_stays_queued():
+    """a's WRITE queues behind b's READ; a's READ then is granted on a's
+    own record.  a still waits at the object, so its queued WRITE stays
+    listed and the walk still sees the cycle b's WRITE closes."""
+    registry = LockRegistry()
+    a, b = owner(), owner()
+    obj = ouids.fresh()
+    registry.request(a, obj, LockMode.READ, RED)
+    registry.request(b, obj, LockMode.READ, RED)
+    upgrade = registry.request(a, obj, LockMode.WRITE, RED)
+    assert registry.request(a, obj, LockMode.READ, RED).status \
+        is RequestStatus.GRANTED
+    assert registry.pending_requests_of(a.uid) == [upgrade]
+    registry.request(b, obj, LockMode.WRITE, RED)
+    assert blockers_of(registry, a.uid) == [b.uid]
+    assert registry.cancel_waiting(a.uid, "victim") == 1

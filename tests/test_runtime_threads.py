@@ -1,6 +1,7 @@
 """The threaded local runtime under real concurrency."""
 
 import threading
+import time
 
 import pytest
 
@@ -189,3 +190,54 @@ def test_concurrent_independent_objects_no_interference():
 
     run_threads([lambda i=i: worker(i) for i in range(4)])
     assert [c.value for c in counters] == [50] * 4
+
+
+def test_a_cycle_closed_by_lock_inheritance_is_broken():
+    """§5.2: C's commit passes its lock on x to its parent P, which waits
+    for y behind T, while T waits for x.  No request queues as the cycle
+    T -> P -> T closes; the commit breaks it, refusing T, the youngest."""
+    runtime = LocalRuntime()
+    x = Counter(runtime, value=0)
+    y = Counter(runtime, value=0)
+    parent = runtime.new_action([runtime.fresh_colour("p")], parent=None,
+                                name="P")
+    child = runtime.new_action(parent.colours, parent=parent, name="C")
+    other = runtime.new_action([runtime.fresh_colour("t")], parent=None,
+                               name="T")
+    x.increment(1, action=child)
+    y.increment(1, action=other)
+    outcomes = {}
+
+    def other_body():
+        try:
+            x.increment(1, action=other)
+            outcomes["T"] = "granted"
+        except DeadlockDetected:
+            runtime.abort_action(other)
+            outcomes["T"] = "deadlock"
+
+    def parent_body():
+        y.increment(1, action=parent)
+        outcomes["P"] = "granted"
+
+    def queued(action):
+        deadline = time.monotonic() + 10
+        while not runtime.locks.pending_requests_of(action.uid):
+            assert time.monotonic() < deadline, f"{action.name} never queued"
+            time.sleep(0.001)
+
+    threads = [threading.Thread(target=other_body, daemon=True),
+               threading.Thread(target=parent_body, daemon=True)]
+    threads[0].start()
+    queued(other)
+    threads[1].start()
+    queued(parent)
+    runtime.commit_action(child)
+    for thread in threads:
+        thread.join(5)
+    assert not any(thread.is_alive() for thread in threads), \
+        "the inherited cycle was never broken"
+    assert outcomes == {"T": "deadlock", "P": "granted"}
+    assert runtime.deadlock_victims() == [other.uid]
+    runtime.commit_action(parent)
+    assert (x.value, y.value) == (1, 1)
