@@ -16,6 +16,14 @@ network alone counts, copies and schedules what the plan lets through.
 Payloads are **copied at send time**: sender and receiver can never
 share mutable state by accident, keeping the simulation honest about
 distribution.
+
+A send is one wire message.  A node hands over what one dispatch sends
+one destination when that dispatch ends, as one message (``node.py``):
+a ``bundle`` when it carries several, which is still one send — one
+``fates`` call, one delay draw per copy, one count in ``sent_count`` and
+``by_kind["sent"]["bundle"]`` — whose copy copies every payload it
+carries.  So a payload sent inside a dispatch is copied when that
+dispatch ends, and the rest of the dispatch must leave it as it was.
 """
 
 from __future__ import annotations

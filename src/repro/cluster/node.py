@@ -18,6 +18,18 @@ just after an append of its transaction table.  The ``NodeDown`` raised
 there unwinds the whole dispatch, an RPC batch's later sub-requests
 included, and ``_on_message`` swallows it (or any error a handler raises
 once its node is down): a dead node runs nothing more.
+
+A node sends what one dispatch owes each destination as one network
+message.  While ``_on_message`` handles a message, :meth:`Node.send`
+queues in an outbox; when the dispatch ends — its return, the ``NodeDown``
+unwind of a crash point, or :meth:`Node.crash` before the node goes down —
+the outbox is flushed in first-send order of destination: a lone message
+leaves unchanged, two or more leave as one :data:`BUNDLE_KIND` message
+carrying them in send order (a commit's reply and the grant replies its
+lock release hands to queued waiters on the same home).  An arriving
+bundle is unpacked and each inner message dispatched in order, each in a
+dispatch of its own.  Sends from process steps and timers are not inside a
+dispatch and go straight to the network.
 """
 
 from __future__ import annotations
@@ -31,6 +43,11 @@ from repro.errors import NodeDown, ReproError
 from repro.sim.kernel import Kernel, Process
 from repro.store.stable import StableStore
 from repro.store.wal import WriteAheadLog
+
+#: one network message carrying two or more messages of one dispatch to
+#: one destination, as ``[kind, payload, msg_id, reply_to]`` in send order;
+#: it goes by its first message's id
+BUNDLE_KIND = "bundle"
 
 
 class Node:
@@ -55,6 +72,9 @@ class Node:
         self._processes: List[Process] = []
         self._dispatchers: List[Callable[[Message], bool]] = []
         self._recovery_hooks: List[Callable[[], None]] = []
+        #: what the running dispatch sent, in send order (None outside a
+        #: dispatch: sends go straight to the network)
+        self._outbox: Optional[List[Message]] = None
         network.attach(name, self._on_message)
 
     @property
@@ -89,12 +109,41 @@ class Node:
             raise NodeDown(f"{self.name} is down")
         message = Message(self.name, dst, kind, payload or {},
                           msg_id or self.network.fresh_msg_id(), reply_to)
-        self.network.send(message)
+        outbox = self._outbox
+        if outbox is None:
+            self.network.send(message)
+        else:
+            outbox.append(message)
         return message
 
+    def _flush(self) -> None:
+        """Send the running dispatch's outbox, one message per destination."""
+        outbox, self._outbox = self._outbox, None
+        if not outbox:
+            return
+        if len(outbox) == 1:  # the usual case: nothing to group
+            self.network.send(outbox[0])
+            return
+        by_dst: Dict[str, List[Message]] = {}
+        for message in outbox:
+            by_dst.setdefault(message.dst, []).append(message)
+        for dst, messages in by_dst.items():
+            if len(messages) == 1:
+                self.network.send(messages[0])
+                continue
+            self.network.send(Message(self.name, dst, BUNDLE_KIND, {
+                "messages": [[m.kind, m.payload, m.msg_id, m.reply_to]
+                             for m in messages]}, messages[0].msg_id))
+
     def _on_message(self, message: Message) -> None:
+        if message.kind == BUNDLE_KIND:
+            for kind, payload, msg_id, reply_to in message.payload["messages"]:
+                self._on_message(Message(message.src, message.dst, kind,
+                                         payload, msg_id, reply_to))
+            return
         if not self.alive:
             return
+        self._outbox = []
         try:
             if self.txns.checkpoint_due:
                 self.txns.checkpoint()
@@ -106,6 +155,8 @@ class Node:
             if self.alive:
                 raise
             # died mid-handler (a crash point): it runs nothing more
+        finally:
+            self._flush()
 
     def _crash_point(self, kind: str, after: bool) -> None:
         """Crash now if the fault plan says so, unwinding the handler."""
@@ -119,6 +170,7 @@ class Node:
         """Fail-silent crash: processes die, volatile state vanishes."""
         if not self.alive:
             return
+        self._flush()  # what the running dispatch sent before the crash
         self.alive = False
         self.crash_count += 1
         self.network.set_up(self.name, False)

@@ -1,11 +1,13 @@
 """Golden wire + log trace of every coordinator commit-round shape.
 
 For each shape a commit can take — classic, one-phase, piggybacked
-decision, batched multi-colour run, commute — and for the failure variants
-that exercise the round's own error handling, one seeded sim run is pinned
-as a *readable* literal: every ``Network.send`` from the moment ``commit``
+decision, batched multi-colour run, commute, a finish whose lock release
+grants a waiter of the same home — and for the failure variants that
+exercise the round's own error handling, one seeded sim run is pinned as
+a *readable* literal: every ``Network.send`` from the moment ``commit``
 is called, as ``<tick since commit> <src>><dst> <wire kind>[<prepare
-flags>]`` in send order, plus the WAL record kinds each node ends up with.
+flags>]`` in send order (a ``bundle`` with the kinds it carries), plus
+the WAL record kinds each node ends up with.
 
 Send *order within a tick* is protocol-observable here, not an accident:
 ``Network.send`` draws every delay and every drop/duplicate roll from one
@@ -34,8 +36,9 @@ import pytest
 
 from repro.backend import AsyncioKernel
 from repro.cluster.cluster import Cluster
+from repro.cluster.node import BUNDLE_KIND
 from repro.errors import CommitError, ReproError
-from repro.sim.kernel import ProcessKilled
+from repro.sim.kernel import ProcessKilled, Timeout
 from tests.oracle import FIXED, Over
 
 #: what a ``txn_prepare`` payload may carry beyond the classic prepare
@@ -51,12 +54,18 @@ def describe(kind, payload):
         calls = " ".join(describe(call["kind"], call["payload"])
                          for call in payload["calls"])
         return f"rpc_batch({calls})"
+    if kind == BUNDLE_KIND:
+        inner = " ".join(describe(inner_kind, inner_payload)
+                         for inner_kind, inner_payload, *_ids
+                         in payload["messages"])
+        return f"{BUNDLE_KIND}({inner})"
     return kind
 
 
 class Tap(Over):
     """Records every ``Network.send`` once armed; fires one-shot triggers
-    (``when(src, dst, kind, do)``) just before the matching send."""
+    (``when(src, dst, kind, do)``) just before the matching send, or the
+    bundle that carries a message of that kind."""
 
     def __init__(self, cluster):
         super().__init__(cluster.network)
@@ -68,8 +77,12 @@ class Tap(Over):
 
     def fates(self, message):
         if self.lines is not None:
+            kinds = {message.kind}
+            if message.kind == BUNDLE_KIND:
+                kinds.update(inner[0] for inner in message.payload["messages"])
             for trigger in list(self.triggers):
-                if trigger[:3] == (message.src, message.dst, message.kind):
+                if (trigger[:2] == (message.src, message.dst)
+                        and trigger[2] in kinds):
                     self.triggers.remove(trigger)
                     trigger[3]()
             self.lines.append(
@@ -278,6 +291,22 @@ def commute_then_refusal(cluster, client, tap):
     yield from tap.commit(client, action)
 
 
+def finish_grants_waiter(cluster, client, tap):
+    """A second action's invoke queues behind the first's write lock at
+    p1; the first's one-phase finish releases it, so p1 answers both in
+    one dispatch and the two replies to coord leave as one bundle."""
+    p1 = yield from client.create("p1", "counter", value=0)
+    first = client.top_level("first")
+    yield from client.invoke(first, p1, "increment", 1)
+    second = client.top_level("second")
+    waiting = cluster.spawn("coord", client.invoke(
+        second, p1, "increment", 1), name="waiter")
+    yield Timeout(2.0)      # the invoke has queued at p1
+    yield from tap.commit(client, first)
+    yield waiting
+    yield from client.commit(second)
+
+
 def drive(scenario, backend=None, plan=Tap):
     """Drive one scenario under ``plan(cluster)``, a :class:`Tap`, until
     nothing is left to do; returns the cluster and its tap."""
@@ -325,6 +354,7 @@ SCENARIOS = {
     "lost_delegated_reply": (("p1", "p2"), {}, lost_delegated_reply),
     "failing_middle_colour": (("a", "b"), {}, failing_middle_colour),
     "commute_then_refusal": (("q", "p"), {}, commute_then_refusal),
+    "finish_grants_waiter": (("p1",), {}, finish_grants_waiter),
 }
 
 #: scenario -> (outcome, wire trace, WAL record kinds per node)
@@ -504,6 +534,16 @@ EXPECTED = {
             "q": "committed",
             "p": "aborted",
         }),
+    "finish_grants_waiter": ("committed", """
+        0 coord>p1 txn_prepare[decide,finish]
+        1 p1>coord bundle(rpc_reply rpc_reply)
+        2 coord>p1 txn_prepare[decide,finish,forget]
+        3 p1>coord rpc_reply
+        """, {
+            "coord": "coord_delegated coord_commit coord_end "
+                     "coord_delegated coord_commit coord_end",
+            "p1": "committed committed",
+        }),
 }
 
 
@@ -533,3 +573,20 @@ def test_asyncio_message_bill_and_log(scenario):
     assert untimed(got_wire) == untimed(wire_lines(wire))
     assert {name: Counter(kinds.split()) for name, kinds in got_wal.items()} \
         == {name: Counter(kinds.split()) for name, kinds in wal.items()}
+
+
+def test_a_trigger_on_a_kind_fires_on_the_bundle_that_carries_it():
+    """The first ``rpc_reply`` from p1 after the commit starts rides the
+    bundle at tick 1; a trigger on that kind fires just before it."""
+    fired = []
+
+    def plan(cluster):
+        tap = Tap(cluster)
+        tap.when("p1", "coord", "rpc_reply",
+                 lambda: fired.append(cluster.kernel.now - tap.started))
+        return tap
+
+    cluster, tap = drive("finish_grants_waiter", plan=plan)
+    assert fired == [1.0]
+    assert tap.lines[1] == "1 p1>coord bundle(rpc_reply rpc_reply)"
+    cluster.close()

@@ -80,7 +80,7 @@ class Faulted(Tap):
 SURVIVED = {
     "batched_run_with_rider": {3, 4, 5}, "classic_two_writers": {1},
     "commute_inline_finish": {1}, "commute_then_refusal": {1, 2, 3},
-    "failing_middle_colour": {1},
+    "failing_middle_colour": {1}, "finish_grants_waiter": {4, 5},
     "lost_delegated_reply": {2},
     "mixed_run": {6, 7}, "one_phase": {1, 2, 4, 5},
     "piggyback_with_reader": {2}, "semantic_classic": {2},

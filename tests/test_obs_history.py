@@ -184,12 +184,12 @@ def test_with_history_bound_everything_per_commit_is_kept():
 #: draws.
 PARENT_DUMPS = {
     "matrix": ("ac41105455146ac0e27e57196ca4d6091b179bb33f24dfd5f8f641076be8f653", 219742),
-    "steady_2pc": ("f557eaf652df3b52ca3c3a21a431088d75409c6cb2f56600914102c7d017c2f0", 1213468),
-    "read_mostly": ("0ba01e4f23fb2a8692eec4c26f850b88bbc17614a2cba93b3abbbe817b7598d2", 970680),
+    "steady_2pc": ("93b26ab0e8ed9bf67c9db4b7dc1139cc87651b6f5a5aee014aaef3daed7cc3e4", 1210152),
+    "read_mostly": ("b101d460a85ab96da23fbecba405a4c9ba1b7e7aa66d047cb43c1955d05bff1d", 971695),
     "commute_hot": ("c419bb055b61b717b05223d16ee5d96c67d941408611ce742fb92c808cc5bdf8", 1140593),
-    "contended_locks": ("5d74a27587c6523c899503556d86389a2afaa9ad5cae360c7144cbf2ff4b2c5c", 1200710),
-    "multicolour": ("037a3c958ae1fcef4add99e13ca24516484b56f471739f582e92b7f18ab0d81f", 1658915),
-    "lossy_crash": ("6c035c859fcbdc2dd85ac15409b54eda98fb5ef62e80d36d864b71143f1b5938", 3019044),
+    "contended_locks": ("8220bdb88752c530271972e8ad805d4441d61a2944160deeecef6a883fdd5acf", 1201397),
+    "multicolour": ("74b532c6f54d61981610413f4c526c7a500d3c8656245c155e1498298d65bee2", 1661466),
+    "lossy_crash": ("debdb633a8a2958e83dbb5ccd89b414a865dc53ba883e7163562610010e45fb7", 2980628),
     "distributed_make": ("f053f4109eef79d0e13249cb3473f944d0d658931c5e20b92e65d0ba9a26fc0b", 269169),
     "distributed_make_resumed": ("7dca88ec1a211e29bc49943a6757b125008727cf008c9006aa212f6c5f99da10", 241105),
     "distributed_meeting": ("15152c749f434c7b399f2c2ecdef0f3323c41ab0aefcb632dd03982f106d1bdd", 540301),
@@ -203,12 +203,12 @@ E2E_SHAPED = {"steady_2pc": 80, "read_mostly": 80, "commute_hot": 80,
 #: pushed must not show in the metrics it dumps.  Re-pinned, as
 #: ``PARENT_DUMPS`` were, with only the thirteen deleted series' rows gone.
 BARE_PARENT_DUMPS = {
-    "steady_2pc": ("1ba0017c681f35f6900e7193bed746dc748b5190acf89ede16f48176725f6b6f", 29007),
-    "read_mostly": ("3872360468b16545509a438bdee6a270cbe7ddaff83e86a432e3cb4fb9530d55", 29700),
+    "steady_2pc": ("b0c8d03fb07419e1871bd894260f865fc53a0d80d4aa7515a253407a7c256411", 28973),
+    "read_mostly": ("1c472eddc6580472c83bc6ef516b78f1a8aa5321a1dd033d7e82108fda4a7361", 30280),
     "commute_hot": ("b377bb81c0bea8a827b62b88f80a217b8e84870d1741c44edcf40fc45b7bca0e", 6429),
-    "contended_locks": ("f6b8658af6b68c2d9cf530c78689f58f5839dad0a71a534fc952f3d1222c56eb", 8739),
-    "multicolour": ("13fa53e1c30a0473c613a36e918765b9dcb08fb3d8773a206fdbaadcab5fee42", 20978),
-    "lossy_crash": ("3834ca7245c88a16078d0553466de79a96365285fa8f69ba36418f59d7d39350", 33398),
+    "contended_locks": ("18fe966df888d32ca30823e8358a4bf0d5965688d91d45c9ae12f1accac11356", 9035),
+    "multicolour": ("6752d4182cac934a7f4a44755723dad4ad50e7ad9725bfdfec36dc89c624c01e", 21266),
+    "lossy_crash": ("c9da6ac4e321be3c56bf47b9b5f2a037c86aa1f5e0ea40a8631fc5a1b689e13a", 32811),
 }
 
 
