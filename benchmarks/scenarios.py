@@ -28,9 +28,9 @@ observability stack), ``colour_sweep`` (commit cost, and the prepare
 round trips batching saves, vs colours per action),
 ``cluster_fanout`` (commit cost vs participant servers), ``chaos_mix``
 (crash/restart schedule with conservation checked), and
-``twopc_fastpath`` (commit-protocol fast paths —
-piggybacked decision, read-only votes, one-phase commit — against the
-classic protocol on an identical workload), and ``commute_avoidance``
+``twopc_fastpath`` (commit-protocol fast paths — piggybacked decision,
+a pure reader's early finish, one-phase commit — against the classic
+protocol on an identical workload), and ``commute_avoidance``
 (commutativity-based coordination avoidance: fully-commuting colours
 deciding locally in one round, against classic 2PC and against semantic
 locking without the commute path, on an identical workload), and
@@ -410,7 +410,7 @@ def _fastpath_mix(seed: int, fast_paths: bool) -> Dict[str, Any]:
     Three transaction profiles over two object servers (the coordinator
     hosts nothing): A — a single-server write (one-phase commit when
     optimised); B — one writer plus one pure reader (one-phase commit and
-    a read-only vote); C — two writers (piggybacked decision at the last
+    the reader's finish sent alongside it); C — two writers (piggybacked decision at the last
     agent).  Message and latency figures count the commit calls only.
     """
     cluster = Cluster(seed=seed, fast_paths=fast_paths,
@@ -457,9 +457,6 @@ def _fastpath_mix(seed: int, fast_paths: bool) -> Dict[str, Any]:
     result["fast_path_kinds"] = fast_path_kinds
     result["piggyback_saved"] = cluster.obs.metrics.value(
         "decision_piggyback_saved_rpcs_total")
-    result["read_only_saved_finish"] = sum(
-        counter.value for _labels, counter in
-        cluster.obs.metrics.series("read_only_saved_finish_total"))
     result["audit_findings"] = len(cluster.obs.auditor.report())
     return result
 
@@ -469,7 +466,8 @@ def scenario_twopc_fastpath(seed: int = 29) -> Dict[str, Any]:
 
     Runs the A/B/C mix twice — ``fast_paths=False`` then ``True`` — on
     identical seeds and gates the message-count reduction: the piggybacked
-    decision, read-only votes and one-phase commits must save at least 30%
+    decision, the readers' early finishes and one-phase commits must save
+    at least 30%
     of the commit-path traffic, with zero auditor findings either way.
     """
     classic = _fastpath_mix(seed, fast_paths=False)
@@ -492,9 +490,7 @@ def scenario_twopc_fastpath(seed: int = 29) -> Dict[str, Any]:
             "message_reduction": reduction,
             "fast.one_phase_commits": kinds.get("one_phase", 0),
             "fast.piggyback_commits": kinds.get("piggyback", 0),
-            "fast.read_only_votes": kinds.get("read_only", 0),
             "fast.piggyback_saved_rpcs": fast["piggyback_saved"],
-            "fast.read_only_saved_finishes": fast["read_only_saved_finish"],
             "classic.audit_findings": classic["audit_findings"],
             "fast.audit_findings": fast["audit_findings"],
         })

@@ -131,7 +131,7 @@ class UndoLedger:
 
     def drop(self, colour: Colour) -> Dict[Uid, "StateManager"]:
         """The colour leaves this action's responsibility (made permanent,
-        or given up by a read-only vote); returns what it had written."""
+        or its locks released); returns what it had written."""
         self._images.pop(colour, None)
         self._operations.pop(colour, None)
         return self.written.pop(colour, {})

@@ -59,8 +59,8 @@ from repro.sim.kernel import Timeout, all_of, settle_all
 from repro.structures.schemes import independent_action
 from repro.util.uid import Uid, UidGenerator
 
-PREPARE, DECIDE, COMMUTE, READ_ONLY = (
-    PATHS[event] for event in ("prepare", "decide", "commute", "read_only"))
+PREPARE, DECIDE, COMMUTE = (
+    PATHS[event] for event in ("prepare", "decide", "commute"))
 
 #: a termination reaper's budget: redeliveries, and the pause before each
 REAPER_ATTEMPTS = 30
@@ -90,9 +90,6 @@ class ClusterAction(ActionNode):
         self.written: Dict[Colour, Dict[str, Set[Uid]]] = {}
         #: node -> epoch at first involvement
         self.server_epochs: Dict[str, int] = {}
-        #: node -> colours released early by a read-only vote (the node is
-        #: out of phase two for those colours)
-        self.vote_released: Dict[str, Set[Colour]] = {}
         #: colour -> node -> object uid -> [(method, args)] for updates in
         #: declared-commuting operation groups: the redo log the commute
         #: path ships inside its single-round decision
@@ -101,8 +98,8 @@ class ClusterAction(ActionNode):
         #: semantic group without a commuting declaration) — they fall back
         #: to classic/fast-path 2PC, whatever else they contain
         self.commute_blocked: Set[Colour] = set()
-        #: nodes whose finish/transfer routing rode a delegated prepare
-        #: (one-phase / piggybacked decision) — no finish_commit needed
+        #: nodes that have their finish before the end fan-out: it rode a
+        #: prepare that settled them, or went first to a pure reader
         self.finished_nodes: Set[str] = set()
 
     def note_lock(self, colour: Colour, node: str) -> None:
@@ -189,9 +186,6 @@ class _Plan:
     #: first failed prepare, so the stragglers are killed at once.  False:
     #: every node is waited for, so an all-yes *prefix* of colours commits
     fail_fast: bool
-    #: the only round's pure readers: each gets a ``read_only`` prepare,
-    #: sent first and never joined — it gates nothing
-    readers: List[str] = field(default_factory=list)
     #: node -> riders of the one joined fan-out
     wave: Dict[str, Riders] = field(default_factory=dict)
     #: the last agent, asked on the ``decide`` path once the wave said yes
@@ -214,8 +208,9 @@ class ClusterClient:
         #: the cluster's hub: every action gets a span there (so the RPC
         #: spans have a parent to stitch to) and per-colour outcome counters
         self.obs = observability
-        #: commit-protocol fast paths (piggybacked decision, read-only
-        #: votes, one-phase commit); False runs the classic protocol only
+        #: commit-protocol fast paths (piggybacked decision, a pure
+        #: reader's early finish, one-phase commit); False runs the
+        #: classic protocol only
         self.fast_paths = fast_paths
         #: commutativity-based coordination avoidance: fully-commuting
         #: colours commit in one local-decision round (see _plan)
@@ -455,9 +450,12 @@ class ClusterClient:
         ``call_many`` message.  One driver (:meth:`_run_plan`) executes
         every plan, before the decision broadcasts and the finish/transfer
         routing are merged into a single parallel fan-out, one network
-        message per involved server.  A failed run ends in the abort's one
-        fan-out instead, which carries the same decision broadcasts and
-        the failed round's ``txn_abort`` ahead of ``abort_action``.
+        message per involved server.  With fast paths, a pure reader
+        (:meth:`_pure_readers`) gets its finish in front of the first
+        prepares instead, gating nothing.  A failed run ends in the
+        abort's one fan-out instead, which carries the same decision
+        broadcasts and the failed round's ``txn_abort`` ahead of
+        ``abort_action``.
         Termination cost is thus bounded by the slowest server, not the
         sum over colours or servers (see :meth:`_fan_out`).
         """
@@ -478,6 +476,20 @@ class ClusterClient:
                 self._bequeath(action, colour, destination)
             elif action.written.get(colour):
                 permanent.append((colour, action.written[colour]))
+        finish: Call = ("finish_commit", {
+            "action_uid": encode_uid(action.uid),
+            "routes": [{"colour": encode_colour(colour),
+                        "dest": (encode_action_context(dest)
+                                 if dest is not None else None)}
+                       for colour, dest in routes],
+        })
+        readers = (self._pure_readers(action, routes)
+                   if self.fast_paths and permanent else [])
+        if readers:
+            self._spawn_each(f"finish:{action.uid}", {
+                node_name: self._finish_reader(action, node_name, finish,
+                                               span)
+                for node_name in readers})
         failed_colour, undo = None, {}
 
         def run_key(item):
@@ -507,7 +519,13 @@ class ClusterClient:
                 f"{action.name}: two-phase commit of colour "
                 f"{failed_colour} failed"
             )
-        yield from self._finish_commit(action, routes, decided,
+        if readers:
+            # Zero-time barrier: a reader's reply may land at the instant
+            # the last prepare reply did, but later in the event queue;
+            # draining it lets the end fan-out leave that reader out.
+            # Costs no simulated time and never waits for a slow reader.
+            yield Timeout(0.0)
+        yield from self._finish_commit(action, finish, decided,
                                        parent_span=span)
         span.set(outcome="committed").finish()
         # per-colour commit latency: the whole termination protocol
@@ -714,51 +732,58 @@ class ClusterClient:
         for node_name, epoch in action.server_epochs.items():
             destination.server_epochs.setdefault(node_name, epoch)
 
-    def _finish_commit(self, action: ClusterAction,
-                       routes: List[Tuple[Colour, Optional[ActionNode]]],
+    def _finish_commit(self, action: ClusterAction, finish: Call,
                        decided: Decided, parent_span=None):
-        """Deliver every commit decision and the finish/transfer routing in
+        """Deliver every commit decision and the ``finish`` routing in
         one parallel fan-out: a single batched message per involved server,
         its owed ``txn_commit`` sub-calls before ``finish_commit``
         (:meth:`_fan_out`).  The acks go back to the table: a transaction
         ends once nobody is owed it, here or when a reaper lands the
         batch of a server that could not be reached.
 
-        Fast-path exclusions: a server whose finish routing rode a
-        delegated prepare (``action.finished_nodes``) and a server whose
-        every colour was released by read-only votes
-        (``action.vote_released``) have nothing left to do and are left
-        out of the fan-out entirely.  Neither is owed a decided commit —
-        a delegated server already applied its commit, and a
-        fully-released server was a pure reader.
+        A server that has its finish already (``action.finished_nodes``:
+        it rode a prepare that settled the node, or went first to a pure
+        reader) is left out; it is owed no decided commit either.
         """
-        encoded_routes = [
-            {
-                "colour": encode_colour(colour),
-                "dest": (encode_action_context(dest) if dest is not None else None),
-            }
-            for colour, dest in routes
-        ]
-        calls_for: Dict[str, List[Call]] = {}
-        for node_name in sorted(action.all_nodes()):
-            if node_name in action.finished_nodes:
-                continue
-            released = action.vote_released.get(node_name, set())
-            if released and released >= action.colours_at(node_name):
-                self.obs.count("read_only_saved_finish_total",
-                               node=node_name)
-                continue
-            calls_for[node_name] = [("finish_commit", {
-                "action_uid": encode_uid(action.uid),
-                "routes": encoded_routes,
-            })]
-
+        calls_for = {node_name: [finish]
+                     for node_name in sorted(action.all_nodes())
+                     if node_name not in action.finished_nodes}
         started = self.kernel.now
         yield from self._fan_out(f"finish:{action.uid}", calls_for, decided,
                                  span=parent_span)
         if calls_for:
             self.obs.observe("commit_fanout_time",
                              self.kernel.now - started, width=len(calls_for))
+
+    @staticmethod
+    def _pure_readers(action: ClusterAction,
+                      routes: List[Tuple[Colour, Optional[ActionNode]]]
+                      ) -> List[str]:
+        """The nodes with nothing to make permanent: every colour the
+        action holds there ends at this commit (its route has no
+        destination), and it wrote nothing there."""
+        inherited = {colour for colour, dest in routes if dest is not None}
+        writers = {node_name for per_node in action.written.values()
+                   for node_name in per_node}
+        return [node_name for node_name in sorted(action.all_nodes())
+                if node_name not in writers
+                and not action.colours_at(node_name) & inherited]
+
+    def _finish_reader(self, action: ClusterAction, node_name: str,
+                       finish: Call, span):
+        """A pure reader's finish, sent in front of the first prepares.
+
+        It gates nothing: the outermost colours' locks go at commit
+        anyway, and a reader has no write to make permanent.  A reader
+        that answers is finished; one that does not stays in the end
+        fan-out, which sends it the same call."""
+        try:
+            (ok, _value), = yield from self._deliver(node_name, [finish],
+                                                     True, span)
+        except ReproError:
+            return
+        if ok:
+            action.finished_nodes.add(node_name)
 
     # -- the commit round (coordinator) ----------------------------------------------------------
 
@@ -796,14 +821,11 @@ class ClusterClient:
         - *Single classic colour*: ``prepare`` to the writers, first
           failure fatal.  With fast paths the last (sorted) writer is held
           back as the delegate — the R* last-agent / piggybacked decision;
-          with a single writer that collapses to a one-phase commit — and
-          pure readers get stand-alone ``read_only`` prepares nobody joins.
+          with a single writer that collapses to a one-phase commit.
         - *Run of classic colours*: sequentially, k colours cost k prepare
           rounds.  Here the (colour, writer) pairs are regrouped per server
           into one batch each.  No delegate: colour-order failure semantics
           need every colour's votes in hand before any decision is taken.
-          ``read_only`` riders join only batches the writers need anyway —
-          a sub-call is free, a widened fan-out is not.
         """
         batched = len(run) > 1
         plan = _Plan([], None, batched, fail_fast=not (batched or commuting))
@@ -836,21 +858,14 @@ class ClusterClient:
             for node_name in writers:
                 round_.asked[node_name] = path
                 plan.wave.setdefault(node_name, []).append((round_, path))
-        for round_ in plan.rounds if self.fast_paths else ():
-            for node_name in sorted(action.involved.get(round_.colour, set())
-                                    - set(round_.write_map)):
-                if not batched:
-                    plan.readers.append(node_name)
-                elif node_name in plan.wave:
-                    plan.wave[node_name].append((round_, READ_ONLY))
         return plan
 
     def _run_plan(self, action: ClusterAction, plan: _Plan,
                   decided: Decided):
         """Execute a plan: the one coordinator round.
 
-        Sends the readers' prepares, then the wave — one process and one
-        message per node — gathers it by the plan's rule, lets the
+        Sends the wave — one process and one message per node — gathers
+        it by the plan's rule, lets the
         delegate decide if there is one, and takes the coordinator edges
         in colour order: the first colour that is not all yes aborts, and
         so does every *later* one (sequential rounds would never have
@@ -876,16 +891,11 @@ class ClusterClient:
             # presumed abort
             for round_ in rounds:
                 self._decide(round_, "commit")
-        self._spawn_each(f"ro-prepare:{action.uid}", {
-            node_name: self._ask_reader(action, plan, node_name)
-            for node_name in plan.readers})
         calls_for = {node_name: self._prepare_calls(action, node_name,
                                                     plan.wave[node_name])
                      for node_name in sorted(plan.wave)}
-        # the classic protocol never contacts readers, so only regrouped
-        # *writer* prepares are round trips saved over sequential rounds
-        saved = sum(sum(path is not READ_ONLY for _round, path in riders) - 1
-                    for riders in plan.wave.values())
+        # regrouped prepares are round trips saved over sequential rounds
+        saved = sum(len(riders) - 1 for riders in plan.wave.values())
         if saved:
             self.obs.count("prepare_batch_saved_rpcs_total", saved)
         # retransmitting an unawaited wave would only delay the next round
@@ -955,13 +965,6 @@ class ClusterClient:
             plan.span.set(outcome="aborted").finish()
             return failed.colour, abort_calls
         if plan.delegate is not None:
-            if plan.readers:
-                # Zero-time barrier: with a single writer the read-only
-                # replies land at the same instant as the delegated reply
-                # but later in the event queue; draining it here lets the
-                # caller's finish fan-out see those votes.  Costs no
-                # simulated time and never waits for a slow or dead reader.
-                yield Timeout(0.0)
             self.obs.count("decision_piggyback_saved_rpcs_total",
                            1 + (plan.delegate in action.finished_nodes))
         if rounds[0].fast_path:  # batched rounds have none
@@ -1082,32 +1085,6 @@ class ClusterClient:
                 round_.txn_id)
         if reply.get("finished"):
             action.finished_nodes.add(node_name)
-        elif not path.gates:
-            # locks released at vote time: the node is out of this
-            # colour's phase two and finish routing
-            action.vote_released.setdefault(node_name, set()).add(
-                round_.colour)
-
-    def _ask_reader(self, action: ClusterAction, plan: _Plan,
-                    node_name: str):
-        """A fire-and-forget read-only prepare to a colour's pure reader.
-
-        Never gates the decision (the classic protocol does not contact
-        readers at all): a reader that answers ``read-only`` released its
-        locks at vote time and is skipped by the finish fan-out; one that
-        cannot be reached simply falls back to the classic finish path.
-        """
-        (round_,) = plan.rounds
-        riders = [(round_, READ_ONLY)]
-        try:
-            yield from self._send(
-                action, plan, node_name, riders,
-                self._prepare_calls(action, node_name, riders))
-        except ReproError:
-            self.obs.emit("twopc.downgrade", txn=round_.txn_id,
-                          node=self.node.name, dst=node_name,
-                          reason="read-only-unreachable",
-                          resolution="classic-finish")
 
     def _delegate(self, action: ClusterAction, plan: _Plan):
         """Delegate the decision to the last agent: its prepare both asks

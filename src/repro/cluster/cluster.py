@@ -111,9 +111,9 @@ class Cluster:
         #: the first chase is one interval after it queued), and the last
         #: wake is its ``lock_wait_timeout`` deadline
         self.probe_interval = probe_interval
-        #: commit-protocol fast paths (piggybacked decision, read-only
-        #: votes, one-phase commit) for every client created here; False
-        #: pins the classic presumed-abort protocol
+        #: commit-protocol fast paths (piggybacked decision, a pure
+        #: reader's early finish, one-phase commit) for every client
+        #: created here; False pins the classic presumed-abort protocol
         self.fast_paths = fast_paths
         #: commutativity-based coordination avoidance: colours whose every
         #: update belongs to a declared-commuting operation group commit in
@@ -169,6 +169,11 @@ class Cluster:
         and inherits its ``fast_paths`` setting.
         """
         node = self.nodes[node_name]
+        if not any(other.node is node for other in self.clients):
+            # the orphan rule: a restarted home tells every other node
+            node.add_recovery_hook(lambda: self.servers[
+                node_name].announce_restart([
+                    name for name in self.nodes if name != node_name]))
         client = ClusterClient(
             node, self.transports[node_name],
             self._action_uids, self.colours, self.classes, self.obs,

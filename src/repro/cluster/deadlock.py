@@ -65,8 +65,11 @@ request in progress anywhere: its home marks no server for it and would
 end the chase on arrival.  Skipping the probe loses nothing it could find.
 
 The lock-wait timeout, the same chain's last wake, stays as a backstop
-for pathologies the probes cannot see (a lost probe or victim notice, a
-waiter whose home node crashed); it counts from the wait's last move.
+for pathologies the probes cannot see (a lost probe or victim notice);
+it counts from the wait's last move.  A waiter whose home node crashed
+is ended by the restarted home's ``home_restarted`` notice, which
+refuses its queued requests (``ObjectServer._h_home_restarted``,
+docs/PROTOCOL.md §3.6).
 """
 
 from __future__ import annotations

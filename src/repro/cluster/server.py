@@ -31,7 +31,7 @@ from repro.cluster.message import (
     encode_uid,
 )
 from repro.cluster.node import Node
-from repro.cluster.transport import Responder, RpcTransport
+from repro.cluster.transport import Responder, RpcTransport, epoch_of
 from repro.cluster.txn import (
     COORDINATOR,
     PARTICIPANT,
@@ -69,6 +69,10 @@ class ActionMirror:
     path: Tuple[Uid, ...]
     colours: FrozenSet[Colour]
     home: str = ""
+    #: the home's epoch in the rpc id of the request that built the mirror
+    #: (a finish route's destination takes its source's): a notice that
+    #: the home restarted in a later epoch makes the mirror an orphan
+    epoch: int = 0
     #: sim time the mirror was built — first involvement of the action at
     #: this node; lock hold time is measured from here to retirement.
     created_tick: float = 0.0
@@ -154,6 +158,7 @@ class ObjectServer:
             ("txn_decision_query", self._h_txn_decision_query),
             ("txn_outcome_query", self._h_txn_outcome_query),
             ("status_query", self._h_status_query),
+            ("home_restarted", self._h_home_restarted),
         ]:
             transport.register(kind, handler)
         node.add_recovery_hook(self._recover)
@@ -210,17 +215,20 @@ class ObjectServer:
         obj.restore_snapshot(stored.payload)
         return obj
 
-    def _mirror(self, context: List[Tuple[Uid, FrozenSet[Colour], str]]) -> ActionMirror:
+    def _mirror(self, context: List[Tuple[Uid, FrozenSet[Colour], str]],
+                epoch: int) -> ActionMirror:
         """Get or build the mirror for the last entry of an action context
-        — the acting action, or the destination of a commit route.  Its
-        ancestors get none: they contribute the ``path``, and only an
-        action that comes here itself is ever told to leave."""
+        — the acting action, or the destination of a commit route — in
+        its home's ``epoch``.  Its ancestors get none: they contribute the
+        ``path``, and only an action that comes here itself is ever told
+        to leave."""
         uid, colours, home = context[-1]
         mirror = self.mirrors.get(uid)
         if mirror is None:
             mirror = self.mirrors[uid] = ActionMirror(
                 uid=uid, path=tuple(entry[0] for entry in context),
-                colours=colours, home=home, created_tick=self.kernel.now)
+                colours=colours, home=home, epoch=epoch,
+                created_tick=self.kernel.now)
         return mirror
 
     def _ok(self, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
@@ -303,7 +311,8 @@ class ObjectServer:
         obj = self._object(object_uid)
         colour = decode_colour(payload["colour"])
         mode = mode_of(obj)
-        mirror = self._mirror(decode_action_context(payload["action"]))
+        mirror = self._mirror(decode_action_context(payload["action"]),
+                              epoch_of(payload["rpc_id"]))
 
         def completed(request: LockRequest) -> None:
             if request.status is not RequestStatus.GRANTED:
@@ -455,8 +464,7 @@ class ObjectServer:
                 destinations[colour] = None
             else:
                 destinations[colour] = self._mirror(
-                    decode_action_context(route["dest"])
-                )
+                    decode_action_context(route["dest"]), mirror.epoch)
         for colour, destination in sorted(
                 destinations.items(), key=lambda item: item[0].uid):
             if destination is not None:
@@ -470,23 +478,48 @@ class ObjectServer:
 
     def _h_abort_action(self, message: Message, respond: Responder) -> None:
         """Undo and release everything this node holds for an action."""
-        action_uid = decode_uid(message.payload["action_uid"])
+        known = self._abort_mirror(decode_uid(message.payload["action_uid"]))
+        respond(True, self._ok({"known": known}))
+
+    def _abort_mirror(self, action_uid: Uid) -> bool:
+        """Undo the action's writes here and release its locks, its queued
+        requests refused; True when a mirror was there."""
         mirror = self.mirrors.pop(action_uid, None)
         if mirror is not None:
             mirror.ledger.unwind()
         self.registry.release_action(action_uid)
-        respond(True, self._ok({"known": mirror is not None}))
+        return mirror is not None
+
+    def _h_home_restarted(self, message: Message, respond: Responder) -> None:
+        """The orphan rule: ``message.src`` restarted, and the rpc id of
+        this notice carries its new epoch.  A mirror it homes that was
+        built in an older epoch is an orphan — its client died with the
+        home, so nobody would come to end it — and is ended by
+        :meth:`_bury`.  A mirror built in the new epoch survives a late
+        or repeated notice."""
+        home, epoch = message.src, epoch_of(message.payload["rpc_id"])
+        for mirror in list(self.mirrors.values()):
+            if mirror.home == home and mirror.epoch < epoch:
+                self.node.spawn(self._bury(mirror.uid, home),
+                                name=f"bury:{mirror.uid}")
+        respond(True, self._ok())
+
+    def _bury(self, action_uid: Uid, home: str):
+        """End an orphan: first settle each of its PREPARED entries that is
+        not in doubt (an in-doubt one has its resolver) by asking the home
+        (presumed abort: it answers from its log), then undo and release
+        as ``abort_action`` does."""
+        for entry in sorted(self.prepared.values(), key=lambda e: e.lsn):
+            if (not entry.in_doubt and decode_uid(
+                    entry.payload["action_uid"]) == action_uid):
+                yield from self._resolve_in_doubt(entry.txn_id, home)
+        self._abort_mirror(action_uid)
 
     def _idle(self, mirror: ActionMirror) -> bool:
         """Nothing — no undo, no write set, no lock — ties the mirror's
         action to this node."""
         return (mirror.ledger.empty
                 and not self.registry.objects_held_by(mirror.uid))
-
-    def _retire_if_idle(self, mirror: ActionMirror) -> None:
-        """Forget a mirror a vote released early, once it is idle."""
-        if self._idle(mirror):
-            self.mirrors.pop(mirror.uid, None)
 
     # -- handlers: two-phase commit participant ----------------------------------------
 
@@ -508,12 +541,8 @@ class ObjectServer:
         compatible prepares on one object would overwrite each other's
         shadow if it were staged now.
 
-        Four fast-path extensions ride on the same wire kind:
+        Three fast-path extensions ride on the same wire kind:
 
-        - ``read_only``: the participant's slice of the colour holds no
-          writes — release its locks now, vote ``read-only`` and stay out
-          of phase two entirely (nothing is logged; presumed abort covers
-          every failure).
         - ``decide``/``fast_path``: the coordinator delegated the decision
           (one-phase commit, or the piggybacked decision on the last
           prepare of the round).  A commit vote here *is* the decision:
@@ -548,13 +577,10 @@ class ObjectServer:
             # promotion: the shadow slot may meanwhile belong to a *later*
             # transaction, and the logged outcome must not be contradicted.
             txns.advance(PARTICIPANT, txn_id, event)
-            # the path's own yes — except to a read-only prepare, whose
-            # sender must not take a logged commit for a lock release
-            vote = (PATHS["prepare"] if event == "read_only" else path).vote
-            self._emit_vote(txn_id, vote, colour,
+            self._emit_vote(txn_id, path.vote, colour,
                             reason="duplicate-delivery")
             respond(True, self._ok({
-                "vote": vote, "applied": False,
+                "vote": path.vote, "applied": False,
                 "finished": (payload.get("finish") is not None
                              and action_uid not in self.mirrors),
             }))
@@ -588,21 +614,10 @@ class ObjectServer:
                             reason="presumed-abort-straggler")
             respond(True, self._ok({"vote": "rollback"}))
             return
-        mirror = self.mirrors.get(action_uid)
-        if event == "read_only":
-            txns.advance(PARTICIPANT, txn_id, event)
-            self.registry.release_colour(action_uid, colour)
-            if mirror is not None:
-                mirror.ledger.drop(colour)
-                self._retire_if_idle(mirror)
-            self.obs.count("twopc_fast_path_total", node=self.node.name,
-                           kind="read_only")
-            self._emit_vote(txn_id, path.vote, colour)
-            respond(True, self._ok({"vote": path.vote}))
-            return
         if event == "commute":
             self._commute_prepare(message, respond)
             return
+        mirror = self.mirrors.get(action_uid)
         written = mirror.written.get(colour, {}) if mirror is not None else {}
         wanted = {decode_uid(raw) for raw in payload["object_uids"]}
         if not wanted.issubset(set(written)):
@@ -709,7 +724,8 @@ class ObjectServer:
         expected_epoch = payload.get("expected_epoch")
         in_memory = (expected_epoch is None
                      or expected_epoch == self.node.epoch)
-        mirror = self._mirror(decode_action_context(payload["action"]))
+        mirror = self._mirror(decode_action_context(payload["action"]),
+                              epoch_of(payload["rpc_id"]))
         ops_by_object = decode_ops(payload["ops"])
         blocked = sorted(uid for uid in ops_by_object
                          if uid in self.in_doubt_objects)
@@ -804,8 +820,8 @@ class ObjectServer:
         if payload.get("finish") is not None:
             self._finish_action(mirror, payload["finish"])
             finished = True
-        else:
-            self._retire_if_idle(mirror)
+        elif self._idle(mirror):  # its last colour left with the vote
+            self.mirrors.pop(mirror.uid, None)
         respond(True, self._ok({"vote": PATHS["commute"].vote,
                                 "applied": applied, "finished": finished}))
 
@@ -1073,8 +1089,12 @@ class ObjectServer:
         # delegation's outcome is learned (decision queries from in-doubt
         # participants need a real answer), a commit is redelivered to
         # every participant still owed it.  A commute entry's redo list is
-        # not on the log, so nothing here can redeliver it
+        # not on the log, so nothing here can redeliver it.  A crash may
+        # have fallen between a commit record and its event: say it again
         for entry in txns.entries(COORDINATOR):
+            if entry.state is TxnState.COMMIT:
+                self.obs.emit("twopc.decision", txn=entry.txn_id,
+                              decision="commit", node=self.node.name)
             if entry.pending() and not entry.payload.get("commute"):
                 self.node.spawn(self._terminate(entry),
                                 name=f"terminate:{entry.txn_id}")
@@ -1086,6 +1106,15 @@ class ObjectServer:
                                        entry.payload["coordinator"]),
                 name=f"resolve:{entry.txn_id}",
             )
+
+    def announce_restart(self, others: List[str]) -> None:
+        """At the restart of a node that hosts a client: tell each of
+        ``others`` (``home_restarted``, until it answers) so that it ends
+        the orphans of this home's older epochs."""
+        for other in others:
+            self.node.spawn(until_answered(self.transport, other,
+                                           "home_restarted", {}),
+                            name=f"home-restarted:{other}")
 
     def _terminate(self, entry: TxnEntry):
         """Restart, as coordinator: resolve a delegated entry, then deliver

@@ -117,6 +117,11 @@ def _rebuild_error(kind: str, text: str) -> ReproError:
     return RemoteError(f"{kind}: {text}")
 
 
+def epoch_of(rpc_id: str) -> int:
+    """The caller's epoch an rpc id (or a batch sub-call's) names."""
+    return int(rpc_id.rsplit(":", 2)[1])
+
+
 class _Caller:
     """What a server remembers of one caller node's rpcs: its epoch, the
     highest sequence seen from it, the live set that request carried, and

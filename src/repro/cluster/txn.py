@@ -66,8 +66,8 @@ class IllegalTransition(ClusterError):
 
 #: what can be asked of a transaction, per role, in table and doc order
 EVENTS: Dict[str, Tuple[str, ...]] = {
-    PARTICIPANT: ("prepare", "decide", "commute", "read_only",
-                  "commit", "abort", "outcome_query"),
+    PARTICIPANT: ("prepare", "decide", "commute", "commit", "abort",
+                  "outcome_query"),
     COORDINATOR: ("delegate", "decide_commit", "decide_abort", "end"),
 }
 
@@ -98,7 +98,6 @@ PATHS: Dict[str, PreparePath] = {path.event: path for path in (
     PreparePath("prepare", None, "commit", True, False),
     PreparePath("decide", "decide", "commit", True, True),
     PreparePath("commute", "commute", "commute", False, True),
-    PreparePath("read_only", "read_only", "read-only", False, False),
 )}
 
 
@@ -116,7 +115,6 @@ TRANSITIONS: Dict[Tuple[str, TxnState, str],
     (PARTICIPANT, _S.NONE, "prepare"): (_S.PREPARED, "prepared"),
     (PARTICIPANT, _S.NONE, "decide"): (_S.COMMITTED, "committed"),
     (PARTICIPANT, _S.NONE, "commute"): (_S.COMMITTED, "committed"),
-    (PARTICIPANT, _S.NONE, "read_only"): (_S.NONE, None),
     (PARTICIPANT, _S.NONE, "commit"): (_S.NONE, None),
     (PARTICIPANT, _S.NONE, "abort"): (_S.ABORTED, "aborted"),
     (PARTICIPANT, _S.NONE, "outcome_query"): (_S.ABORTED, "aborted"),

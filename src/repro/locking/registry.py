@@ -168,15 +168,14 @@ class LockRegistry:
                 self._collect(object_uid, table)
         return dropped
 
-    def release_colour(self, owner_uid: Uid, colour,
-                       reason: str = "read-only-vote") -> int:
+    def release_colour(self, owner_uid: Uid, colour, reason: str) -> int:
         """Vote-time release: drop the owner's records in ``colour`` everywhere.
 
-        Two 2PC shortcuts release a participant's locks at vote time: the
-        read-only optimisation and the commute path's local vote-and-apply
-        (``reason`` tells the event stream which).  Only records taken in
-        the voted colour go — the owner may still hold (and later route)
-        records in other colours.  Returns the number of records dropped.
+        The commute path's local vote-and-apply releases a participant's
+        locks at vote time (``reason`` goes on the event stream).  Only
+        records taken in the voted colour go — the owner may still hold
+        (and later route) records in other colours.  Returns the number of
+        records dropped.
         """
         dropped = 0
         for object_uid in sorted(self._held_by.get(owner_uid, set())):

@@ -148,12 +148,12 @@ class LockTable:
         return dropped
 
     def release_colour(self, owner_uid: Uid, colour: Colour) -> int:
-        """Read-only vote: drop the owner's records in one colour only.
+        """Vote-time release: drop the owner's records in one colour only.
 
-        Used by the 2PC read-only participant optimisation — a voter whose
-        slice of the action holds no writes gives its locks up at vote time
-        instead of waiting for phase two.  Records in other colours are
-        untouched.  Returns the number of records dropped.
+        Used by the commute path, whose participant applies the colour's
+        operations at vote time and gives its locks up then, instead of
+        waiting for phase two.  Records in other colours are untouched.
+        Returns the number of records dropped.
         """
         before = len(self.holders)
         self.holders = [record for record in self.holders

@@ -20,9 +20,9 @@ it, the auditor incrementally checks the paper's per-colour claims (§5.1):
   presumed abort never contradicting a logged commit, no in-doubt
   commit-voter once the coordinator has logged its end, fast-path
   (piggybacked / one-phase) decisions only with every other participant's
-  affirmative vote in evidence, no read-only voter driven through phase
-  two, and commute-path (local, no-prepare) decisions only over
-  commuting-flagged grants with no exclusive data record in the colour;
+  affirmative vote in evidence, and commute-path (local, no-prepare)
+  decisions only over commuting-flagged grants with no exclusive data
+  record in the colour;
 - **failure atomicity** — an aborted colour leaves no stable effects; a
   colour can only be made permanent by an action that possesses it.
 
@@ -48,7 +48,7 @@ from repro.obs.world import DATA_MODES, World, lock_labels, split
 EXCLUSIVE_MODES = frozenset(("exclusive_read", "write"))
 
 #: votes by which a participant consents to commit
-AFFIRMATIVE = ("commit", "read-only", "commute")
+AFFIRMATIVE = ("commit", "commute")
 
 #: grants kept per (object, colour) for the serialization graph; later
 #: ones add no edges
@@ -331,9 +331,9 @@ class InvariantAuditor:
                           state.decisions[opposite], txn=state.txn,
                           colour=state.colour)
         if decision == "commit":
-            # read-only and commute are affirmative: the voter consented
-            # and left the protocol, it does not gate the decision; nor
-            # does a pure reader (not a participant), whatever it answered
+            # a commute vote is affirmative: the voter consented and left
+            # the protocol, it does not gate the decision; nor does a node
+            # that is not a participant, whatever it answered
             negative = [vote for vote in state.votes
                         if vote.vote not in AFFIRMATIVE
                         and (not state.participants
@@ -417,14 +417,6 @@ class InvariantAuditor:
                           f"colour left stable effects", event,
                           state.decisions["abort"], txn=state.txn,
                           node=node, colour=state.colour)
-        read_only = [vote.seq for vote in state.votes
-                     if vote.node == node and vote.vote == "read-only"]
-        if read_only:
-            self._finding(F.READ_ONLY_IN_PHASE_TWO, f"{node} voted read-only "
-                          f"for {state.txn} (releasing its locks at vote "
-                          f"time) yet went through phase two", event,
-                          read_only[0], txn=state.txn, node=node,
-                          colour=state.colour)
 
     def _on_twopc_decision_query(self, event: ObsEvent) -> None:
         state = self.world.txn(event)

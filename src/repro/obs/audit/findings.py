@@ -44,9 +44,6 @@ IN_DOUBT_AFTER_END = "in-doubt-after-end"
 #: a fast-path (piggybacked / one-phase) commit decision was taken while
 #: some other participant's affirmative vote was not in evidence.
 FAST_PATH_NO_QUORUM = "fast-path-decision-without-quorum"
-#: a participant that voted read-only (and therefore left the protocol at
-#: vote time) was nevertheless driven through phase two.
-READ_ONLY_IN_PHASE_TWO = "read-only-participant-in-phase-two"
 #: a commute-path (local, no-prepare) commit decision was taken although
 #: the colour was not fully commuting at the decider: an applied operation
 #: group lacked a commuting-flagged grant, or the action held an exclusive
@@ -66,7 +63,6 @@ ALL_KINDS = (
     SERIALIZATION_CYCLE,
     IN_DOUBT_AFTER_END,
     FAST_PATH_NO_QUORUM,
-    READ_ONLY_IN_PHASE_TWO,
     COMMUTE_UNSOUND,
 )
 

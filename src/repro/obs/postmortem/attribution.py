@@ -33,6 +33,10 @@ _CONFLICT_ERRORS = ("LockTimeout", "LockRefused")
 #: vote-refusal reasons that prove a participant restarted mid-protocol
 _CRASH_VOTE_REASONS = ("epoch-restart", "write-set-lost")
 
+#: what the transport says of a call that was acknowledged and then ran
+#: out of its completion budget: its handler was still waiting
+_COMPLETION_TIMEOUT = "acknowledged but no reply"
+
 Verdict = Tuple[str, str, Tuple[BlockerLink, ...]]
 
 
@@ -81,6 +85,9 @@ def _from_failure(failure, info, world) -> Verdict:
             return (CRASH_PARTITION,
                     f"{failure['op']} to crashed node {failure['dst']} "
                     f"timed out", ())
+        refusal = _refusal(info, errors=("RpcTimeout",))
+        if refusal is not None and refusal["blockers"]:
+            return LOCK_CONFLICT, _refusal_detail(refusal), refusal["blockers"]
         return (INJECTED_FAULT,
                 f"{failure['op']} to {failure['dst'] or 'peer'} timed out "
                 f"with every involved node alive", ())
@@ -174,6 +181,15 @@ def _failed_txn(failure, info, world):
             continue
         found = txn
     return found
+
+
+def outwaited(failure) -> bool:
+    """Did a lock-taking call (``invoke``, ``lock``) time out in its
+    completion phase?  Its server acknowledged it and then kept it queued
+    for the lock past the client's budget: a lock conflict, not a lost
+    message, when the World still has the wait."""
+    return (str(failure.get("op", "")).startswith(("invoke:", "lock:"))
+            and _COMPLETION_TIMEOUT in str(failure.get("detail", "")))
 
 
 def _refusal(info, errors, object_uid: str = "") -> Optional[dict]:

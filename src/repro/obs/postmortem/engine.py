@@ -145,6 +145,19 @@ class PostmortemEngine:
             owner, refusal["node"], refusal["object"], event.tick)
         self.world.action(owner).refusals.append(refusal)
 
+    def _on_action_failure(self, event: ObsEvent) -> None:
+        """A lock-taking call that outlived its client's budget was still
+        queued (:func:`attribution.outwaited`): the wait the World has for
+        it is on record as a refusal, with its blocker chain — the grant
+        or cancellation that ends the wait comes later."""
+        wait = self.world.waits.get(str(event.label("action", "")))
+        if wait is not None and attribution.outwaited(event.labels):
+            return self._on_lock_refused(ObsEvent(event.tick, event.kind, {
+                "owner": event.label("action"), "object": wait.object,
+                "node": wait.node, "mode": wait.mode, "error": "RpcTimeout",
+                "colour": event.label("colour", "")}))
+        self.seen += 1
+
     def _blocker_chain(self, victim: str, node: str, obj: str,
                        tick: float) -> Tuple[BlockerLink, ...]:
         """Who stands (or stood) between ``victim`` and its lock, resolved
@@ -246,10 +259,11 @@ class PostmortemEngine:
     #: engine, every one counted in ``seen``
     HANDLERS = {
         **dict.fromkeys((
-            "action.begin", "action.failure", "lock.granted",
+            "action.begin", "lock.granted",
             "lock.released", "lock.inherited", "lock.blocked",
             "twopc.begin", "twopc.vote", "twopc.decision",
             "twopc.downgrade", "node.crash", "node.restart"), _saw),
         "action.end": _on_action_end,
+        "action.failure": _on_action_failure,
         "lock.refused": _on_lock_refused,
     }

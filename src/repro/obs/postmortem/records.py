@@ -27,7 +27,7 @@ CRASH_PARTITION = "crash-partition"
 INJECTED_FAULT = "injected-fault"
 #: a prepare round ran and some participant answered rollback.
 VOTE_ROLLBACK = "vote-rollback"
-#: a commit fast path (one-phase, piggybacked decision, read-only vote)
+#: a commit fast path (one-phase, piggybacked decision, commute)
 #: had to downgrade and the classic finish then aborted.
 FAST_PATH_DOWNGRADE = "fast-path-downgrade"
 #: collateral damage: the abort was inherited from a parent or from an

@@ -133,6 +133,7 @@ class Wait(NamedTuple):
 
     node: str
     object: str
+    mode: str
     blockers: List[str]
     trees: List[_Tree]   # the remembered trees of ``blockers``
 
@@ -386,14 +387,14 @@ class World:
                    held.since if held is not None else event.tick)
 
     def _on_blocked(self, event: ObsEvent) -> None:
-        node, owner, obj, _mode, _colour = lock_labels(event.labels)
+        node, owner, obj, mode, _colour = lock_labels(event.labels)
         self._unwait(owner)
         blockers = list(split(event.labels.get("blockers", "")))
         trees = [self.actions[name].tree for name in blockers
                  if name in self.actions]
         for tree in trees:
             tree.pins += 1
-        self.waits[owner] = Wait(node, obj, blockers, trees)
+        self.waits[owner] = Wait(node, obj, mode, blockers, trees)
 
     def _on_refused(self, event: ObsEvent) -> None:
         _node, owner, obj, _mode, _colour = lock_labels(event.labels)

@@ -42,7 +42,7 @@ from repro.sim.kernel import ProcessKilled, Timeout
 from tests.oracle import FIXED, Over
 
 #: what a ``txn_prepare`` payload may carry beyond the classic prepare
-FLAGS = ("read_only", "decide", "commute", "finish", "forget")
+FLAGS = ("decide", "commute", "finish", "forget")
 
 
 def describe(kind, payload):
@@ -169,8 +169,8 @@ def batched_run_with_rider(cluster, client, tap):
     yield from client.invoke(action, a, "increment", 1, colour=c1)
     yield from client.invoke(action, b, "increment", 1, colour=c1)
     yield from client.invoke(action, a2, "increment", 1, colour=c2)
-    yield from client.invoke(action, b3, "get", colour=c2)   # rides b's batch
-    yield from client.invoke(action, r, "get", colour=c2)    # r: not visited
+    yield from client.invoke(action, b3, "get", colour=c2)   # b writes too
+    yield from client.invoke(action, r, "get", colour=c2)    # r: finished first
     yield from client.invoke(action, b2, "increment", 1, colour=c3)
     yield from tap.commit(client, action)
 
@@ -382,7 +382,7 @@ EXPECTED = {
             "p1": "committed committed",
         }),
     "piggyback_with_reader": ("committed", """
-        0 coord>r txn_prepare[read_only]
+        0 coord>r rpc_batch(finish_commit)
         0 coord>p1 txn_prepare[]
         1 r>coord rpc_reply
         1 p1>coord rpc_reply
@@ -397,16 +397,16 @@ EXPECTED = {
             "r": "",
         }),
     "batched_run_with_rider": ("committed", """
+        0 coord>r rpc_batch(finish_commit)
         0 coord>a rpc_batch(txn_prepare[] txn_prepare[])
-        0 coord>b rpc_batch(txn_prepare[] txn_prepare[] txn_prepare[read_only])
+        0 coord>b rpc_batch(txn_prepare[] txn_prepare[])
+        1 r>coord rpc_reply
         1 a>coord rpc_reply
         1 b>coord rpc_reply
         2 coord>a rpc_batch(txn_commit txn_commit finish_commit)
         2 coord>b rpc_batch(txn_commit txn_commit finish_commit)
-        2 coord>r rpc_batch(finish_commit)
         3 a>coord rpc_reply
         3 b>coord rpc_reply
-        3 r>coord rpc_reply
         """, {
             "coord": "coord_commit coord_commit coord_commit "
                      "coord_end coord_end coord_end",
@@ -415,7 +415,7 @@ EXPECTED = {
             "r": "",
         }),
     "commute_inline_finish": ("committed", """
-        0 coord>r txn_prepare[read_only]
+        0 coord>r rpc_batch(finish_commit)
         0 coord>p1 txn_prepare[commute,finish]
         0 coord>p2 txn_prepare[commute,finish]
         1 r>coord rpc_reply

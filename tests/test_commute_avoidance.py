@@ -16,11 +16,13 @@ decision on a colour that was not fully commuting.
 """
 
 from repro.errors import CommitError, InvalidActionState, LockRefused
+from repro.obs.audit import findings as F
 from repro.obs.postmortem import DEADLOCK_VICTIM, LOCK_CONFLICT
 from repro.objects.state import ObjectState
 from repro.sim.kernel import Timeout
 from repro.stdobjects.account import InsufficientFunds
 from tests.oracle import FIXED, Over, cluster_of, committed_int
+from tests.test_commit_rounds import Tap
 
 
 def committed_balance(cluster, ref):
@@ -87,6 +89,50 @@ def test_commute_commit_is_one_round_with_no_phase_two():
     assert cluster.nodes["coord"].wal.last("coord_commit") is not None
     assert cluster.nodes["coord"].wal.last("coord_end") is not None
     assert_audit_clean(cluster)
+
+
+def test_a_node_whose_every_colour_commutes_gets_the_end_message():
+    """Two commuting colours of one action at one node ``q``: neither
+    commute prepare carries ``q``'s finish, since ``q`` holds both
+    colours, and a commute vote releases its colour, not the node, so
+    ``q`` leaves the commit by its end message: 6 sends.
+
+    The auditor's two-phase check reports the second round's redo grant
+    at ``q``, which is re-entrant (the action holds it since the invoke),
+    as a grant after the first round began releasing at ``q``.  That
+    finding is open (CHANGES.md, FOUND); this test admits it and no
+    other."""
+    cluster = cluster_of(["coord", "q"], config=FIXED)
+    client = cluster.client("coord")
+    tap = Tap(cluster)
+    refs = []
+
+    def app():
+        for _ in range(2):
+            refs.append((yield from client.create(
+                "q", "commuting_counter", value=0)))
+        colours = sorted((client.fresh_colour(f"c{i}") for i in range(2)),
+                         key=lambda colour: colour.uid)
+        action = client.coloured(colours, name="two-commuting")
+        for ref, colour in zip(refs, colours):
+            yield from client.invoke(action, ref, "add", 1, colour=colour)
+        yield from tap.commit(client, action)
+
+    cluster.run_process("coord", app())
+    cluster.run()
+    assert tap.outcome == "committed"
+    assert tap.lines == [
+        "0 coord>q txn_prepare[commute]",
+        "1 q>coord rpc_reply",
+        "2 coord>q txn_prepare[commute,forget]",
+        "3 q>coord rpc_reply",
+        "4 coord>q rpc_batch(finish_commit)",
+        "5 q>coord rpc_reply",
+    ]
+    assert [committed_int(cluster, ref) for ref in refs] == [1, 1]
+    assert cluster.servers["q"].mirrors == {}
+    assert all((finding.kind, finding.node) == (F.TWO_PHASE, "q")
+               for finding in cluster.obs.auditor.report())
 
 
 def test_concurrent_commuting_commits_lose_no_updates():

@@ -417,26 +417,6 @@ def test_one_phase_decision_at_sole_participant_is_clean():
     assert auditor.report() == []
 
 
-def test_read_only_voter_in_phase_two():
-    """A read-only voter released its locks at vote time; driving it
-    through phase two anyway is a protocol violation."""
-    auditor = InvariantAuditor()
-    feed(auditor, [
-        ("twopc.begin", {"txn": "t1", "action": "A", "colour": "c",
-                         "participants": "n1", "node": "home"}),
-        ("twopc.vote", {"txn": "t1", "node": "n1", "vote": "commit",
-                        "colour": "c"}),
-        ("twopc.vote", {"txn": "t1", "node": "n2", "vote": "read-only",
-                        "colour": "c"}),
-        ("twopc.decision", {"txn": "t1", "decision": "commit",
-                            "node": "home"}),
-        ("twopc.commit", {"txn": "t1", "node": "n1", "objects": "o1"}),
-        ("twopc.commit", {"txn": "t1", "node": "n2", "objects": "o2"}),
-        ("twopc.end", {"txn": "t1", "node": "home"}),
-    ])
-    assert kinds_of(auditor) == {F.READ_ONLY_IN_PHASE_TWO}
-
-
 def test_read_only_vote_is_affirmative_and_leaves_the_protocol():
     """read-only neither negates a commit decision nor counts as an
     in-doubt participant once the coordinator ends the transaction."""

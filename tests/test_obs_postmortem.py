@@ -298,6 +298,51 @@ def test_rpc_timeout_classification_depends_on_fault_knowledge():
     assert only(alive).reason == INJECTED_FAULT
 
 
+def test_a_call_that_outlived_its_budget_in_a_lock_queue_is_a_lock_conflict():
+    """An acknowledged ``invoke`` whose reply never came within the
+    client's budget was queued behind a holder the whole time: a lock
+    conflict naming that holder, not a lost message — even when the lock
+    is granted after the client gave up.  The same timeout in the ack
+    phase stays an injected fault."""
+    def stream(detail):
+        return replayed([
+            begin("h1"), begin("a1"),
+            grant("h1", "o1", node="n1"),
+            blocked("a1", "o1", "h1", node="n1"),
+            failure("a1", "rpc-timeout", op="invoke:increment", dst="n1",
+                    object="o1", detail=detail),
+            release("h1", "o1", node="n1", reason="commit"),
+            grant("a1", "o1", node="n1"),
+            release("a1", "o1", node="n1"),
+            end("a1"),
+        ])
+
+    record = only(stream("n0: rpc invoke to n1 acknowledged but no reply "
+                         "within 70.0"))
+    assert record.reason == LOCK_CONFLICT
+    assert [link.holder for link in record.blockers] == ["h1"]
+    assert record.detail.startswith("gave up waiting for write on o1@n1")
+    assert only(stream("n0: rpc invoke to n1 unacknowledged after 4 "
+                       "attempts")).reason == INJECTED_FAULT
+
+
+def test_a_moving_lock_wait_past_the_clients_budget_is_a_lock_conflict():
+    """Seed 4 of the contention sweep's abba level injects nothing, yet a
+    moving wait outlives its client's ``lock_wait_timeout + 3 x
+    rpc_timeout``: the abort is a lock conflict with its blocker."""
+    from benchmarks.scenarios import _contention_run
+
+    run = _contention_run(4, 2, 6, 5, abba=True)
+    registry = run["cluster"].obs.metrics
+    assert registry.value("rpc_timeouts_total", kind="invoke",
+                          phase="completion") == 1
+    reasons = run["postmortem"].reason_counts
+    assert INJECTED_FAULT not in reasons and reasons[LOCK_CONFLICT] == 1
+    outlived, = [record for record in run["postmortem"].aborted()
+                 if record.reason == LOCK_CONFLICT]
+    assert outlived.blockers and outlived.detail.startswith("gave up")
+
+
 def test_parent_settled_and_app_error_and_explicit_abort():
     cascade = replayed([begin("a1"),
                         failure("a1", "parent-settled", detail="p1"),

@@ -1,7 +1,8 @@
 """Index == fold(log): the transaction table never drifts from the WAL.
 
-Hypothesis interleaves commits on all five paths (classic, one-phase,
-piggyback, read-only vote, commute), client aborts, ``checkpoint()`` calls
+Hypothesis interleaves commits on all four paths (classic, one-phase,
+piggyback, commute) and a one-phase commit beside a pure reader's early
+finish, client aborts, ``checkpoint()`` calls
 and participant crash/restarts — also *during* a commit — on a three-node
 cluster.  Three cases are drawn on purpose: a ``home`` checkpoint while a
 piggybacked commit's phase two is undelivered, so a DELEGATED-then-COMMIT
@@ -35,7 +36,7 @@ from repro.cluster.txn import (
 from tests.oracle import Over
 
 SERVERS = ("s1", "s2")
-PATHS = ("classic", "one_phase", "piggyback", "read_only", "commute")
+PATHS = ("classic", "one_phase", "piggyback", "reader", "commute")
 
 crashes = st.one_of(st.none(), st.tuples(
     st.sampled_from(SERVERS), st.floats(0.0, 9.0, allow_nan=False)))
@@ -116,7 +117,7 @@ class Harness:
             else:
                 yield from client.invoke(
                     action, self.refs["plain", "s1"], "increment", 1)
-                if path == "read_only":
+                if path == "reader":
                     yield from client.invoke(
                         action, self.refs["plain", "s2"], "get")
                 elif path != "one_phase":

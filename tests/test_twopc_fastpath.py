@@ -1,6 +1,6 @@
 """Commit-protocol fast paths where the single-fault sweep does not
-reach: the delegate's checkpoint, a crashed, partitioned or restarted
-pure reader, recovery redo past a later transaction's shadow, and the
+reach: the delegate's checkpoint, the early finish of a crashed,
+partitioned or restarted pure reader, recovery redo past a later transaction's shadow, and the
 forced abort a lost one-phase prepare leaves on the participant's log.
 
 The fast paths' message bills are pinned by ``tests/test_commit_rounds.py``
@@ -11,13 +11,6 @@ auditor stayed silent.
 
 from repro.errors import CommitError
 from tests.oracle import FIXED, Over, cluster_of, committed_int
-
-
-def metric_sum(cluster, name, **match):
-    """Sum a labelled counter across every label set matching ``match``."""
-    return sum(instrument.value
-               for labels, instrument in cluster.obs.metrics.series(name)
-               if all(labels.get(k) == v for k, v in match.items()))
 
 
 def assert_audit_clean(cluster):
@@ -78,9 +71,8 @@ def test_forget_piggyback_lets_the_delegate_checkpoint():
 
 
 def test_crashed_read_only_voter_does_not_block_commit():
-    """The read-only prepare is fire-and-forget: a dead reader downgrades
-    the fast path (it falls back into the classic finish fan-out) without
-    stalling or aborting the writer's commit."""
+    """A pure reader's early finish gates nothing: a dead reader stays in
+    the end fan-out without stalling or aborting the writer's commit."""
     cluster = cluster_of(["coord", "writer", "reader"], config=FIXED)
     client = cluster.client("coord")
     holder = {}
@@ -93,13 +85,13 @@ def test_crashed_read_only_voter_does_not_block_commit():
         yield from client.invoke(action, ref_r, "get")
         cluster.crash("reader")
         yield from client.commit(action)
-        holder.update(ref_w=ref_w, ref_r=ref_r)
+        holder.update(ref_w=ref_w, ref_r=ref_r, action=action)
 
     cluster.run_process("coord", app())
     # the writer's update committed despite the dead reader
     assert committed_int(cluster, holder["ref_w"]) == 4
-    # no read-only vote arrived, so no finish was skipped for the reader
-    assert metric_sum(cluster, "read_only_saved_finish_total") == 0.0
+    # its early finish went unanswered, so it stayed in the end fan-out
+    assert "reader" not in holder["action"].finished_nodes
     # once the reader returns, the reaper's finish delivery cleans it up
     cluster.restart("reader")
     cluster.run(until=cluster.kernel.now + 600)
@@ -130,27 +122,28 @@ def events(cluster, kind):
 
 
 def test_partitioned_read_only_voter_gets_the_classic_finish():
-    """A *live* reader the coordinator is cut off from: its read-only
-    prepare fails while the commit is still running (the delegate's reply
-    is lost too, so the outcome is resolved after the reader gave out),
-    the commit goes through, and after the heal the classic finish reaches
-    the reader, which then holds no lock and no mirror.  A reader that
-    could not be reached is not one that released its locks."""
+    """A *live* reader the coordinator is cut off from: its early finish
+    leaves first, and it and every retransmission are lost while the
+    commit runs (the delegate's reply is lost too, so the outcome is
+    resolved after the reader's call gave out).  The commit goes through,
+    and after the heal the end fan-out's finish reaches the reader, which
+    then holds no lock and no mirror.  A reader that did not answer is
+    not finished."""
     cluster = cluster_of(["coord", "p1", "p2", "reader"], config=FIXED)
-    cluster.observe(history=True)
     client = cluster.client("coord")
     reader = cluster.servers["reader"]
-    finishes = finishes_to(cluster, "reader")
-    cut = []
+    cut, healed = [], []
 
     def decide(message):
-        if message.kind == "txn_outcome_query":
-            cut.clear()                 # the heal
+        if message.kind == "txn_outcome_query" and cut:
+            healed.append(cluster.kernel.now)
+            cut.clear()
         if cut and ("reader" in (message.src, message.dst)
                     or (message.src, message.kind) == ("p2", "rpc_reply")):
             return ()
 
     Over(cluster.network, decide)
+    finishes = finishes_to(cluster, "reader")   # lost ones included
     refs = {}
 
     def app():
@@ -161,6 +154,7 @@ def test_partitioned_read_only_voter_gets_the_classic_finish():
         yield from client.invoke(action, refs["p1"], "increment", 1)
         yield from client.invoke(action, refs["p2"], "increment", 1)
         yield from client.invoke(action, refs["reader"], "get")
+        refs["action"], refs["started"] = action, cluster.kernel.now
         cut.append(cluster.kernel.now)
         yield from client.commit(action)
         return cluster.kernel.now
@@ -168,13 +162,10 @@ def test_partitioned_read_only_voter_gets_the_classic_finish():
     committed_at = cluster.run_process("coord", app())
     assert [committed_int(cluster, refs[name]) for name in ("p1", "p2")] \
         == [1, 1]
-    downgrades = {event["labels"]["reason"]: event
-                  for event in events(cluster, "twopc.downgrade")}
-    gave_out = downgrades["read-only-unreachable"]
-    assert gave_out["labels"]["dst"] == "reader"
-    # the reader's prepare had failed before the finish went its way
-    assert len(finishes) == 1
-    assert gave_out["tick"] < finishes[0] < committed_at
+    # the early finish, its three retransmissions, then the end's
+    assert len(finishes) == 5 and finishes[0] == refs["started"]
+    assert max(finishes[:-1]) < healed[0] < finishes[-1] < committed_at
+    assert "reader" not in refs["action"].finished_nodes
     cluster.run()
     assert reader.mirrors == {}
     assert reader.registry.snapshot()["held"] == 0
@@ -184,10 +175,9 @@ def test_partitioned_read_only_voter_gets_the_classic_finish():
 
 def test_restarted_read_only_voter_is_refused_and_finished_classically():
     """A node that only reads in a colour written elsewhere restarts after
-    its read, so its read lock is gone: its read-only prepare is refused
-    (``epoch-restart``; the write-set check has nothing to look at), the
-    commit goes through all the same — read-only votes gate nothing — and
-    the reader gets the classic ``finish_commit``."""
+    its read, so its read lock and its mirror are gone: its early finish
+    finds nothing to release and is answered, so the reader is finished
+    and the end fan-out leaves it out.  It is never asked for a vote."""
     cluster = cluster_of(["coord", "writer", "reader"], config=FIXED)
     cluster.observe(history=True)
     client = cluster.client("coord")
@@ -202,16 +192,16 @@ def test_restarted_read_only_voter_is_refused_and_finished_classically():
         yield from client.invoke(action, refs["r"], "get")
         cluster.crash("reader")
         cluster.restart("reader")
+        refs["action"] = action
         yield from client.commit(action)
 
     cluster.run_process("coord", app())
     cluster.run()
     assert committed_int(cluster, refs["w"]) == 4
-    votes = [event["labels"] for event in events(cluster, "twopc.vote")
-             if event["labels"]["node"] == "reader"]
-    assert [(vote["vote"], vote.get("reason")) for vote in votes] \
-        == [("refused", "epoch-restart")]
+    assert [event for event in events(cluster, "twopc.vote")
+            if event["labels"]["node"] == "reader"] == []
     assert len(finishes) == 1
+    assert "reader" in refs["action"].finished_nodes
     assert cluster.servers["reader"].mirrors == {}
     assert_audit_clean(cluster)
 

@@ -187,8 +187,7 @@ def redeliver_everything(cluster, action, ref, txn_id):
     """Every participant event against a decided transaction: answer-only."""
     part = cluster.nodes["part"]
     state, depth = part.txns.state(PARTICIPANT, txn_id), len(part.wal)
-    for flags in ({}, {"decide": True}, {"commute": True},
-                  {"read_only": True}):
+    for flags in ({}, {"decide": True}, {"commute": True}):
         call(cluster, "txn_prepare",
              prepare_payload(action, ref, txn_id, **flags))
     assert call(cluster, "txn_commit", {"txn_id": txn_id})["applied"] is False
@@ -225,7 +224,8 @@ def forged_rounds(decision):
 
 
 def whole_commits():
-    """The client's own paths: one-phase, read-only vote, commute."""
+    """The client's own paths: one-phase (also beside a pure reader's
+    early finish), commute."""
     cluster, client = two_nodes()
 
     def app():
