@@ -208,6 +208,12 @@ class ClusterClient:
         #: the cluster's hub: every action gets a span there (so the RPC
         #: spans have a parent to stitch to) and per-colour outcome counters
         self.obs = observability
+        #: (colour, outcome) -> (rounds decided, how many the registry's
+        #: last read saw), pulled by the hub's registry
+        #: (:meth:`_decided_rounds`); the colour is None while the
+        #: registry folds it away
+        self._rounds: Dict[Tuple[Optional[str], str], Tuple[int, int]] = {}
+        observability.metrics.collect(self._decided_rounds)
         #: commit-protocol fast paths (piggybacked decision, a pure
         #: reader's early finish, one-phase commit); False runs the
         #: classic protocol only
@@ -991,17 +997,33 @@ class ClusterClient:
             **({"commute": True} if commute else {}),
             **({} if delegated or decision == "abort"
                else {"owed": sorted(round_.asked)}))
-        self.obs.count("twopc_rounds_total", colour=str(round_.colour),
-                       outcome=("committed" if decision == "commit"
-                                else "aborted"))
-        if decision == "commit":
-            self.obs.count("colour_permanent_total",
-                           colour=str(round_.colour))
-            if delegated:
-                return
+        key = (None if "colour" in self.obs.metrics.folded_labels
+               else str(round_.colour),
+               "committed" if decision == "commit" else "aborted")
+        count, read = self._rounds.get(key, (0, 0))
+        self._rounds[key] = (count + 1, read)
+        if decision == "commit" and delegated:
+            return
         self.obs.emit("twopc.decision", txn=round_.txn_id,
                       decision=decision, node=self.node.name,
                       **({"commute": "1"} if commute else {}), **labels)
+
+    def _decided_rounds(self):
+        """The round tallies as ``twopc_rounds_total{colour, outcome}``
+        rows and, for a commit, ``colour_permanent_total{colour}``, which
+        states the same fact (a registry collector).  A row the last read
+        saw at its current total goes (a colour's, once it is decided)."""
+        rounds = self._rounds
+        for key, (count, read) in list(rounds.items()):
+            if count == read:
+                del rounds[key]
+                continue
+            rounds[key] = (count, count)
+            colour, outcome = key
+            labels = {} if colour is None else {"colour": colour}
+            yield "twopc_rounds_total", {**labels, "outcome": outcome}, count
+            if outcome == "committed":
+                yield "colour_permanent_total", labels, count
 
     def _prepare_calls(self, action: ClusterAction, node_name: str,
                        riders: Riders) -> List[Call]:

@@ -135,9 +135,8 @@ class ObjectServer:
         self.lock_wait_timeout = lock_wait_timeout
         #: how often a queued lock wait is re-read (``_locked_request``)
         self.probe_interval = probe_interval
-        #: the cluster's hub: lock grants and waits, and fast-path
-        #: decisions, are counted through it; votes, decisions and
-        #: restarts are announced as events
+        #: the cluster's hub: lock waits are observed through it, and
+        #: votes, decisions and restarts announced as events
         self.obs = observability
         self.host = ServerObjectHost(self)
         self._fresh_volatile()
@@ -145,6 +144,12 @@ class ObjectServer:
         # metrics
         self.invocations = 0
         self.lock_waits = 0
+        #: lock grants by mode and local decisions by fast path, as
+        #: running totals the hub's registry pulls (:meth:`_tallies`);
+        #: kept here because a restart rebuilds the lock registry
+        self.lock_grants: Dict[str, int] = {}
+        self.fast_path_decisions: Dict[str, int] = {}
+        observability.metrics.collect(self._tallies)
 
         for kind, handler in [
             ("create", self._h_create),
@@ -190,6 +195,16 @@ class ObjectServer:
         return self.node.txns.prepared
 
     # -- plumbing ------------------------------------------------------------
+
+    def _tallies(self):
+        """The running totals as ``lock_grants_total{node, mode}`` and
+        ``twopc_fast_path_total{node, kind}`` rows (a registry
+        collector)."""
+        node = self.node.name
+        for mode, count in self.lock_grants.items():
+            yield "lock_grants_total", {"node": node, "mode": mode}, count
+        for kind, count in self.fast_path_decisions.items():
+            yield "twopc_fast_path_total", {"node": node, "kind": kind}, count
 
     def _emit_lock_event(self, kind: str, **labels) -> None:
         """Registry event sink: forward to the obs bus with a node label."""
@@ -352,9 +367,10 @@ class ObjectServer:
         than by a queued request is left to the chaser, or to that
         timeout when chasing is off.
 
-        A grant is counted here (``lock_wait_time``, ``lock_grants_total``);
-        a refusal, whatever its cause, is reported once, by the registry's
-        ``lock.refused`` event, which names the error class."""
+        A grant is counted here (``lock_wait_time``, and the
+        ``lock_grants_total`` tally); a refusal, whatever its cause, is
+        reported once, by the registry's ``lock.refused`` event, which
+        names the error class."""
         wait_started = self.kernel.now
         mode_name = mode_label(mode)
 
@@ -363,8 +379,8 @@ class ObjectServer:
                 self.obs.observe("lock_wait_time",
                                  self.kernel.now - wait_started,
                                  node=self.node.name, colour=str(colour))
-                self.obs.count("lock_grants_total", node=self.node.name,
-                               mode=mode_name)
+                grants = self.lock_grants
+                grants[mode_name] = grants.get(mode_name, 0) + 1
             completed(request)
 
         request = self.registry.request(mirror, object_uid, mode, colour, settled)
@@ -689,8 +705,8 @@ class ObjectServer:
             **({"commute": True} if commute else {}),
         )
         entry.colour = colour
-        self.obs.count("twopc_fast_path_total", node=self.node.name,
-                       kind=fast_path)
+        decisions = self.fast_path_decisions
+        decisions[fast_path] = decisions.get(fast_path, 0) + 1
         self._emit_vote(txn_id, PATHS[event].vote, colour)
         self.obs.emit("twopc.decision", txn=txn_id, decision="commit",
                       fast_path=fast_path, node=self.node.name,
@@ -762,13 +778,16 @@ class ObjectServer:
                     return
                 groups.add(declared.mode)
             groups_of[object_uid] = groups
+        # the redo takes only the group locks the mirror lacks in the
+        # colour: none at a live participant, which holds them since the
+        # invoke, and every one after a restart, whose grants died with
+        # the epoch (the only redo request that can wait)
+        holds = self.registry.holds
         grants = [(object_uid, group) for object_uid, groups in
-                  groups_of.items() for group in sorted(groups)]
+                  groups_of.items() for group in sorted(groups)
+                  if not holds(mirror.uid, object_uid, group, colour)]
 
         def acquire(index: int) -> None:
-            # re-entrant (and therefore immediate) while the mirror still
-            # holds the grants from execution; a real wait only happens on
-            # a post-restart redo, where grants died with the epoch
             if index == len(grants):
                 self._commute_apply(txn_id, mirror, colour, ops_by_object,
                                     groups_of, payload, message.src,

@@ -92,9 +92,7 @@ class LockRegistry:
                         # the compatibility-based grant instead of skipping
                         spec = semantic.spec
                         labels["semantic"] = "1"
-                        labels["compatible"] = ",".join(sorted(
-                            g for g in spec.groups
-                            if spec.is_compatible(mode, g)))
+                        labels["compatible"] = spec.compatible_labels[mode]
                         if spec.is_commuting(mode):
                             # commute-path eligibility flows from the grant:
                             # the auditor only accepts a local (no-prepare)

@@ -23,7 +23,8 @@ attribution stays unambiguous without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.errors import LockingError
 from repro.locking.lock import LockRecord
@@ -77,6 +78,14 @@ class SemanticSpec:
 
     def is_commuting(self, group: str) -> bool:
         return group in self.commuting
+
+    @cached_property
+    def compatible_labels(self) -> Dict[str, str]:
+        """group -> the groups compatible with it, sorted and
+        comma-joined: a grant's ``compatible`` label, built once."""
+        return {group: ",".join(sorted(other for other in self.groups
+                                       if self.is_compatible(group, other)))
+                for group in self.groups}
 
 
 class SemanticRules(LockRules):

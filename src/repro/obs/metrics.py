@@ -184,9 +184,10 @@ class MetricsRegistry:
         #: values) -> instrument.  Never holds a lookup that folded into
         #: overflow, so a capped or folding registry stays bounded.
         self._resolved: Dict[Tuple, Any] = {}
-        #: what :meth:`collect` registered, and each pulled row's last total
-        self._collectors: List[Callable[[], Iterable[Tuple]]] = []
-        self._pulled: Dict[Tuple, float] = {}
+        #: each source :meth:`collect` registered, with the totals of the
+        #: rows it yielded at the last read
+        self._collectors: List[Tuple[Callable[[], Iterable[Tuple]],
+                                     Dict[Tuple, float]]] = []
 
     def now(self) -> float:
         """The registry's clock (simulated time when given a tick source)."""
@@ -210,24 +211,29 @@ class MetricsRegistry:
         """Pull counters from ``source`` instead of being told each step.
 
         ``source()`` yields ``(name, labels, total)`` rows: the running
-        total of the counter ``name{labels}``.  Every read of the registry
+        total of its share of the counter ``name{labels}`` (several
+        sources may count one series).  Every read of the registry
         first adds what each total gained since the previous read, so a
         dump, a query or a sample sees what one report per increment
         would have made — except that a label set folded into overflow is
         counted in ``metrics_series_folded_total`` once per read, not per
-        increment.
+        increment.  A source may leave a row out of a read once the
+        previous read saw its current total, and neither side keeps it
+        then: a row that comes back counts from zero.  So a label whose
+        values are unbounded (a colour) costs nothing once it goes quiet.
         """
-        self._collectors.append(source)
+        self._collectors.append((source, {}))
 
     def _pull(self) -> None:
-        pulled = self._pulled
-        for source in self._collectors:
+        for index, (source, pulled) in enumerate(self._collectors):
+            seen: Dict[Tuple, float] = {}
             for name, labels, total in source():
                 key = (name, *labels, *map(str, labels.values()))
+                seen[key] = total
                 gained = total - pulled.get(key, 0)
                 if gained:
-                    pulled[key] = total
                     self._get("counter", name, dict(labels)).inc(gained)
+            self._collectors[index] = (source, seen)
 
     def _get(self, kind: str, name: str, labels: Dict[str, Any]):
         # the report path: a repeated lookup is one dict read, taken without

@@ -16,7 +16,6 @@ decision on a colour that was not fully commuting.
 """
 
 from repro.errors import CommitError, InvalidActionState, LockRefused
-from repro.obs.audit import findings as F
 from repro.obs.postmortem import DEADLOCK_VICTIM, LOCK_CONFLICT
 from repro.objects.state import ObjectState
 from repro.sim.kernel import Timeout
@@ -48,13 +47,27 @@ def assert_audit_clean(cluster):
     assert findings == [], [f.to_dict() for f in findings]
 
 
+def lock_requests_at(cluster, node):
+    """From now on, every lock request ``node`` takes, as (kind, object,
+    mode): each one is announced once granted or refused, and once more
+    if it queues first."""
+    seen = []
+    cluster.obs.bus.subscribe(
+        lambda event: event.labels["node"] == node and seen.append(
+            (event.kind, event.labels["object"], event.labels["mode"])),
+        kinds=("lock.granted", "lock.blocked", "lock.refused"))
+    return seen
+
+
 # -- happy path ---------------------------------------------------------------
 
 
 def test_commute_commit_is_one_round_with_no_phase_two():
     """A fully-commuting two-participant colour commits in one parallel
     round: each participant's prepare carries the decision, the redo ops
-    and the finish routing — no txn_commit, no finish_commit follows."""
+    and the finish routing — no txn_commit, no finish_commit follows.  A
+    live participant holds its redo's group locks since the invoke, so
+    its prepare requests none."""
     cluster = cluster_of(["coord", "p1", "p2"], config=FIXED)
     client = cluster.client("coord")
     holder = {}
@@ -65,6 +78,8 @@ def test_commute_commit_is_one_round_with_no_phase_two():
         action = client.top_level("t")
         yield from client.invoke(action, ref1, "add", 3)
         yield from client.invoke(action, ref2, "subtract", 4)
+        holder["requests"] = [lock_requests_at(cluster, name)
+                              for name in ("p1", "p2")]
         started = cluster.kernel.now
         sent = cluster.network.sent_count
         yield from client.commit(action)
@@ -81,6 +96,7 @@ def test_commute_commit_is_one_round_with_no_phase_two():
     # = 2 x 2 — the classic protocol needs prepare + decision rounds for
     # both
     assert holder["messages"] == 4
+    assert holder["requests"] == [[], []]
     assert metric_sum(cluster, "twopc_fast_path_total", kind="commute") == 2
     for name in ("p1", "p2"):
         assert cluster.servers[name].mirrors == {}
@@ -97,11 +113,10 @@ def test_a_node_whose_every_colour_commutes_gets_the_end_message():
     colours, and a commute vote releases its colour, not the node, so
     ``q`` leaves the commit by its end message: 6 sends.
 
-    The auditor's two-phase check reports the second round's redo grant
-    at ``q``, which is re-entrant (the action holds it since the invoke),
-    as a grant after the first round began releasing at ``q``.  That
-    finding is open (CHANGES.md, FOUND); this test admits it and no
-    other."""
+    The second round takes no lock at ``q`` (the action holds its group
+    lock there since the invoke), so nothing is granted after the first
+    round released its colour, and the auditor's two-phase check stays
+    silent."""
     cluster = cluster_of(["coord", "q"], config=FIXED)
     client = cluster.client("coord")
     tap = Tap(cluster)
@@ -131,8 +146,7 @@ def test_a_node_whose_every_colour_commutes_gets_the_end_message():
     ]
     assert [committed_int(cluster, ref) for ref in refs] == [1, 1]
     assert cluster.servers["q"].mirrors == {}
-    assert all((finding.kind, finding.node) == (F.TWO_PHASE, "q")
-               for finding in cluster.obs.auditor.report())
+    assert not cluster.obs.auditor.report()
 
 
 def test_concurrent_commuting_commits_lose_no_updates():
@@ -462,7 +476,9 @@ def test_commute_redo_after_participant_restart():
     """A participant that restarted between execute and commit lost the
     volatile effects — the commute prepare still commits: it carries the
     colour's redo op list, which the server re-applies against committed
-    state (epoch mismatch does not refuse a commute prepare)."""
+    state (epoch mismatch does not refuse a commute prepare).  Its grants
+    died with the epoch, so the redo requests, and is granted, every
+    group lock it applies under."""
     cluster = cluster_of(["coord", "part"], config=FIXED)
     client = cluster.client("coord")
     holder = {}
@@ -474,11 +490,14 @@ def test_commute_redo_after_participant_restart():
         yield from client.invoke(action, ref, "debit", 30)
         cluster.crash("part")
         cluster.restart("part")
+        holder["requests"] = lock_requests_at(cluster, "part")
         yield from client.commit(action)
         holder["ref"] = ref
 
     cluster.run_process("coord", app())
     assert committed_balance(cluster, holder["ref"]) == 70
+    assert holder["requests"] == [
+        ("lock.granted", str(holder["ref"].uid), "update")]
     # the redo settled availability too — there is no committed hook
     # coming for an operation the new epoch never executed
     live = cluster.servers["part"].objects[holder["ref"].uid]

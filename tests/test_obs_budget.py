@@ -15,6 +15,7 @@ report per increment made.
 import enum
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -511,6 +512,45 @@ def test_a_pulled_counter_dumps_like_one_report_per_increment(sequence):
     assert pulled.series_count() == pushed.series_count()
 
 
+@settings(max_examples=200, deadline=None)
+@given(steps)
+def test_sources_that_let_rows_go_dump_like_one_report_per_increment(
+        sequence):
+    """Two sources that count the same series (as two clients do), each
+    leaving out a row the previous read saw at its current total (as a
+    client does with a decided colour's), dump like one report per
+    increment, and the registry keeps no row a source left out."""
+    pushed, pulled = MetricsRegistry(), MetricsRegistry()
+    sources = [{}, {}]  # per source: kind -> (total, what the last read saw)
+
+    def source_of(rows):
+        def source():
+            for kind, (total, read) in list(rows.items()):
+                if total == read:
+                    del rows[kind]
+                    continue
+                rows[kind] = (total, total)
+                yield "twopc_rounds_total", {"colour": kind}, total
+        return source
+
+    for rows in sources:
+        pulled.collect(source_of(rows))
+    for step, kind in sequence:
+        if step == "inc":
+            for rows in sources[:1 + (kind == "x")]:  # "x" counts at both
+                total, read = rows.get(kind, (0, 0))
+                rows[kind] = (total + 1, read)
+                pushed.counter("twopc_rounds_total", colour=kind).inc()
+        elif step == "read":
+            assert pulled.dump() == pushed.dump()
+        else:
+            pulled.clear()
+            pushed.clear()
+    assert pulled.dump() == pushed.dump()
+    assert [len(seen) for _source, seen in pulled._collectors] == [
+        len(rows) for rows in sources]
+
+
 def test_the_network_counts_per_kind_and_the_registry_pulls_them():
     cluster, _action, sent = _one_commit()
     network = cluster.network
@@ -524,3 +564,39 @@ def test_the_network_counts_per_kind_and_the_registry_pulls_them():
                 in cluster.obs.metrics.series(f"messages_{fate}_total")} == \
             network.by_kind[fate]
     assert not cluster.obs.metrics.series("messages_dropped_total")
+
+
+@pytest.mark.parametrize("history", [False, True])
+def test_two_clients_rounds_sum_in_the_series_they_share(history):
+    """The clients' and servers' pulled tallies, read between commits:
+    two clients' actions named alike decide colours of one name, so both
+    count its series, and a bare hub folds every colour into one."""
+    cluster = Cluster(seed=3)
+    if history:
+        cluster.observe(history=True)
+    for name in ("a", "b", "s"):
+        cluster.add_node(name)
+
+    def app(client, commits):
+        ref = yield from client.create("s", "counter", value=0)
+        for index in range(commits):
+            action = client.top_level(f"t{index}")
+            yield from client.invoke(action, ref, "increment", 1)
+            yield from client.commit(action)
+            cluster.obs.metrics.dump()
+
+    cluster.spawn("a", app(cluster.client("a"), 3))
+    cluster.spawn("b", app(cluster.client("b"), 2))
+    cluster.run()
+    metrics = cluster.obs.metrics
+    permanent = {labels.get("colour"): counter.value for labels, counter
+                 in metrics.series("colour_permanent_total")}
+    assert permanent == ({"t0.colour": 2, "t1.colour": 2, "t2.colour": 1}
+                         if history else {None: 5})
+    assert sorted(counter.value for labels, counter
+                  in metrics.series("twopc_rounds_total")
+                  if labels["outcome"] == "committed") == (
+        [1, 2, 2] if history else [5])
+    assert metrics.value("lock_grants_total", mode="write", node="s") == 5
+    assert metrics.value("twopc_fast_path_total", kind="one_phase",
+                         node="s") == 5
