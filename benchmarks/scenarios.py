@@ -147,6 +147,7 @@ def _contention_run(seed: int, objects: int, workers: int, ops: int,
         cluster.spawn(nodes[worker_id % len(nodes)], worker(worker_id),
                       name=f"worker{worker_id}")
     cluster.run()
+    postmortem.catch_up()   # a view: it reads the run's events when asked
     if inspector is not None:
         # probing a healthy contended cluster must never invent drift
         assert inspector.drift == [], [str(d) for d in inspector.drift]

@@ -33,6 +33,13 @@ builds and binds by section name.  A layer is any object with:
     its section of one soak segment, handing out and dropping what only
     that window needs (:meth:`Observability.rotate`).
 
+A layer may be a *view* over what other layers keep (the postmortem
+engine reads the history's events, the SLO engine the sampler's points):
+it subscribes to nothing and has a ``catch_up()``, which reads what it has
+not read yet.  Its ``dump()`` catches it up; :meth:`Observability.rotate`
+catches every view up before any layer rotates, since the history's
+rotation drops the events a view reads.
+
 The history layer's section is the document's top-level ``spans`` and
 ``events``; every other layer's goes under ``extra``.
 """
@@ -261,6 +268,9 @@ class Observability:
         segments telescopes back to an unrotated run); every bound layer
         contributes its ``rotate(start, end)`` section.
         """
+        for layer in self.layers.values():
+            if hasattr(layer, "catch_up"):
+                layer.catch_up()   # before a section drops what it reads
         current = self.metrics.dump()
         metrics = dump_delta(current, self._rotated_metrics)
         self._rotated_metrics = current

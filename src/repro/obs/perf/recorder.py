@@ -34,7 +34,6 @@ CRITICAL_KINDS = frozenset((
     "twopc.abort", "twopc.decision_query", "twopc.end", "twopc.downgrade",
     "commit.route", "colour.permanent", "node.restart", "node.crash",
     "action.begin", "action.end", "action.failure", "lock.refused",
-    "slo.breach", "slo.recovered",
 ))
 
 #: at most this many finding snapshots are frozen per run
@@ -93,12 +92,10 @@ class FlightRecorder:
         self.freeze(str(finding), kind=getattr(finding, "kind", ""))
 
     def freeze(self, label: str, kind: str = "finding") -> bool:
-        """Freeze the current ring under ``label`` (bounded snapshots).
-
-        Besides auditor findings, SLO breaches call this so the black box
-        as of the breach survives even after the ring rolls on.  Returns
-        whether a snapshot was actually taken (the per-run/segment cap of
-        ``MAX_SNAPSHOTS`` may already be exhausted).
+        """Freeze the current ring under ``label`` (bounded snapshots), so
+        the black box as of an auditor finding survives the ring rolling
+        on.  Returns whether a snapshot was actually taken (the
+        per-run/segment cap of ``MAX_SNAPSHOTS`` may already be exhausted).
         """
         if len(self.finding_snapshots) >= MAX_SNAPSHOTS:
             return False

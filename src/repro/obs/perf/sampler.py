@@ -67,7 +67,7 @@ class TimeSeriesSampler:
         self.stride = 1
         self.decimations = 0
         self._fires = 0
-        self._probes: List[Tuple[str, Callable[[], float]]] = []
+        self._probes: List[Tuple[str, Callable[[], Any]]] = []
         self._point_listeners: List[Callable[[Dict[str, Any]], None]] = []
         #: (metric, colour) -> cumulative value at the previous point
         self._last_counts: Dict[Tuple[str, str], float] = {}
@@ -82,24 +82,24 @@ class TimeSeriesSampler:
         self.hub = hub
         if cluster is None:
             return
-        self.add_probe("in_doubt_objects", lambda: sum(
-            len(s.in_doubt_objects) for s in cluster.servers.values()))
-        self.add_probe("action_mirrors", lambda: sum(
-            len(s.mirrors) for s in cluster.servers.values()))
-        self.add_probe("prepared_txns", lambda: sum(
-            len(n.txns.prepared) for n in cluster.nodes.values()))
-        self.add_probe("pending_rpcs", lambda: sum(
-            t.pending_count() for t in cluster.transports.values()))
+        self.add_probe("in_doubt_objects", lambda: float(sum(
+            len(s.in_doubt_objects) for s in cluster.servers.values())))
+        self.add_probe("action_mirrors", lambda: float(sum(
+            len(s.mirrors) for s in cluster.servers.values())))
+        self.add_probe("prepared_txns", lambda: float(sum(
+            len(n.txns.prepared) for n in cluster.nodes.values())))
+        self.add_probe("pending_rpcs", lambda: float(sum(
+            t.pending_count() for t in cluster.transports.values())))
         cluster.kernel.every(self.interval, self._tick)
 
-    def add_probe(self, name: str, fn: Callable[[], float]) -> None:
-        """Sample ``fn()`` into the ``gauges`` section of every point."""
+    def add_probe(self, name: str, fn: Callable[[], Any]) -> None:
+        """Sample ``fn()`` into the ``gauges`` section of every point: a
+        JSON value, graphed when it is a number."""
         self._probes.append((name, fn))
 
     def add_point_listener(self, fn: Callable[[Dict[str, Any]], None]) -> None:
-        """Call ``fn(point)`` after every sampled point (the SLO engine's
-        clock); listener exceptions propagate — sampling is load-bearing
-        for objective evaluation, not best-effort."""
+        """Call ``fn(point)`` after every sampled point; listener
+        exceptions propagate."""
         self._point_listeners.append(fn)
 
     def _tick(self) -> None:
@@ -155,8 +155,7 @@ class TimeSeriesSampler:
         if colours:
             point["colours"] = {c: colours[c] for c in sorted(colours)}
         if self._probes:
-            point["gauges"] = {name: float(fn())
-                               for name, fn in self._probes}
+            point["gauges"] = {name: fn() for name, fn in self._probes}
         if self.process_probes:
             point["process"] = self._process_sample()
         self.points.append(point)

@@ -3,13 +3,14 @@
 The fourth observability layer (after metrics/traces, the invariant
 auditor, and the performance observatory) answers *why*:
 
-- :class:`PostmortemEngine` — a bus subscriber that reconstructs, per
-  finished action, an abort reason from the taxonomy in
+- :class:`PostmortemEngine` — replays retained events and reconstructs,
+  per finished action, an abort reason from the taxonomy in
   :mod:`~repro.obs.postmortem.records` (deadlock victim, lock conflict,
   crash/partition, injected fault, vote rollback, fast-path downgrade,
   cascade, app error, explicit abort) plus a resolved blocker chain —
   which action/colour held the awaited lock, transitively, with hold
-  times.  Turn on live with ``cluster.observe(postmortem=True)``.
+  times.  Bind it with ``cluster.observe(postmortem=True)``: a view over
+  the history layer's events, caught up whenever it is asked.
 - :mod:`~repro.obs.postmortem.critical` — commit critical paths over the
   saved span tree: the gating chain from the ``commit`` span down to the
   participant that bounded the slowest round.

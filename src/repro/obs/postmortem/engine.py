@@ -1,23 +1,19 @@
-"""The postmortem engine: causal abort attribution over the obs event bus.
+"""The postmortem engine: causal abort attribution over retained events.
 
 A :class:`PostmortemEngine` is a user of a :class:`~repro.obs.world.World`
-(like the :class:`~repro.obs.audit.auditor.InvariantAuditor`): the World
-folds the action lifecycle, lock traffic, 2PC rounds and fault-injection
-events, and when an action ends the engine issues a
-:class:`~repro.obs.postmortem.records.Postmortem` — committed actions get a
-plain record, aborted ones get a *reason* from the taxonomy plus a
-resolved blocker chain for lock-induced deaths.
+of its own (like the :class:`~repro.obs.audit.auditor.InvariantAuditor`
+of an offline audit): the World folds the action lifecycle, lock traffic,
+2PC rounds and fault-injection events, and when an action ends the engine
+issues a :class:`~repro.obs.postmortem.records.Postmortem` — committed
+actions get a plain record, aborted ones get a *reason* from the taxonomy
+plus a resolved blocker chain for lock-induced deaths.
 
-Attribution happens online, at the ``action.end`` event, against the lock
-and transaction state the World has reconstructed so far; the same code
-runs offline over a saved dump (``python -m repro.obs why``) because both
-paths consume the identical event stream.  Aborted actions additionally:
-
-- feed ``abort_reason_total{reason=,colour=}`` — incremented once per
-  colour of the action, so the totals cross-check exactly against the
-  hub's per-colour ``actions_aborted_total`` counters;
-- freeze the hub's flight-recorder ring, when one is bound (bounded, like the
-  auditor's finding snapshots) so the black box around a death survives.
+Bound to a hub, the engine is a *view* over the history layer's events:
+it subscribes to nothing, and :meth:`PostmortemEngine.catch_up` feeds it
+the events past the last ``seq`` it read.  Its queries and its dump
+catch it up, and the hub catches it up before a rotation.  Offline (``python
+-m repro.obs why``) a fresh engine replays a dump's events; both read the
+same stream through the same code, so they issue the same records.
 """
 
 from __future__ import annotations
@@ -27,13 +23,9 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.bus import ObsEvent
 from repro.obs.history import History
-from repro.obs.perf.recorder import FlightRecorder
 from repro.obs.postmortem import attribution
 from repro.obs.postmortem.records import BlockerLink, Postmortem
 from repro.obs.world import Action, World, split
-
-#: at most this many abort ring snapshots are frozen per run
-MAX_ABORT_SNAPSHOTS = 4
 
 #: postmortem records kept (the newest)
 MAX_RECORDS = 10_000
@@ -47,34 +39,42 @@ class PostmortemEngine:
     """World user building per-action postmortems with causal blame."""
 
     section = "postmortem"
-    #: ``abort_reason_total`` is cross-checked against the hub's abort
-    #: counters colour by colour
+    #: the events it reads are the ones the history layer keeps
     requires = (History.section,)
 
     #: chain resolution bounds: transitive depth and total links
     MAX_CHAIN_DEPTH = 4
     MAX_CHAIN_LINKS = 8
 
-    def __init__(self, metrics=None):
-        self.metrics = metrics
+    def __init__(self):
         self.records: Deque[Postmortem] = deque(maxlen=MAX_RECORDS)
-        self.abort_snapshots: List[Dict[str, Any]] = []
         #: action-level totals per reason (one per aborted action)
         self.reason_counts: Dict[str, int] = {}
         #: events read
         self.seen = 0
-        self._hub = None
+        self._history: Optional[History] = None
+        #: the ``seq`` of the last retained event read
+        self._cursor = 0
         World().attach(self)
 
     # -- wiring ---------------------------------------------------------------
 
     def bind(self, hub, cluster=None) -> None:
-        """Read ``hub``'s World (widening what it subscribes to); count
-        into its registry."""
-        self._hub = hub
-        if self.metrics is None:
-            self.metrics = hub.metrics
-        hub.world.attach(self)
+        """Read ``hub``'s history layer, which must be bound first."""
+        self._history = hub.layers[History.section]
+
+    def catch_up(self) -> None:
+        """Read the history's events published since the last catch-up."""
+        if self._history is None:
+            return
+        events = list(self._history.events)
+        start = len(events)
+        while start and events[start - 1].seq > self._cursor:
+            start -= 1
+        for event in events[start:]:
+            self.consume(event)
+        if start < len(events):
+            self._cursor = events[-1].seq
 
     @classmethod
     def replay(cls, events: Iterable[ObsEvent]) -> "PostmortemEngine":
@@ -112,28 +112,7 @@ class PostmortemEngine:
         )
         if outcome == "aborted":
             self.reason_counts[reason] = self.reason_counts.get(reason, 0) + 1
-            if self.metrics is not None:
-                # one increment per colour: exact parity with the hub's
-                # actions_aborted_total{colour=} accounting
-                for colour in colours:
-                    self.metrics.counter("abort_reason_total",
-                                         reason=reason, colour=colour).inc()
-            self._freeze_ring(record)
         self.records.append(record)
-
-    def _freeze_ring(self, record: Postmortem) -> None:
-        # looked up per abort, so the recorder may be bound after us
-        flight = (self._hub.layers.get(FlightRecorder.section)
-                  if self._hub is not None else None)
-        if flight is None or len(self.abort_snapshots) >= MAX_ABORT_SNAPSHOTS:
-            return
-        self.abort_snapshots.append({
-            "action": record.action,
-            "reason": record.reason,
-            "detail": record.detail,
-            "tick": record.end,
-            "events": flight.ring_events(),
-        })
 
     # -- blocker chains --------------------------------------------------------
 
@@ -226,6 +205,7 @@ class PostmortemEngine:
 
     def record_for(self, query: str) -> Optional[Postmortem]:
         """Find a record by action uid, txn id, or action name."""
+        self.catch_up()
         for record in reversed(self.records):
             if (record.action == query or query in record.txns
                     or record.name == query):
@@ -233,26 +213,25 @@ class PostmortemEngine:
         return None
 
     def aborted(self) -> List[Postmortem]:
+        self.catch_up()
         return [r for r in self.records if r.outcome == "aborted"]
 
     def dump(self) -> Dict[str, Any]:
         """JSON-able section for ``Observability.save``."""
+        self.catch_up()
         with self.world.mutex:
             return {
                 "records": [r.to_dict() for r in self.records],
                 "reasons": dict(sorted(self.reason_counts.items())),
-                "abort_snapshots": list(self.abort_snapshots),
                 "seen": self.seen,
             }
 
     def rotate(self, start: float, end: float) -> Dict[str, Any]:
-        """One segment's section: the records and ring snapshots issued
-        since the last one, handed out and dropped (re-arming the snapshot
-        cap); ``reasons`` and ``seen`` stay cumulative."""
+        """One segment's section: the records issued since the last one,
+        handed out and dropped; ``reasons`` and ``seen`` stay cumulative."""
         section = self.dump()
         with self.world.mutex:
             self.records.clear()
-            self.abort_snapshots.clear()
         return section
 
     #: kind -> handler; the keys are the kinds the World reads for the

@@ -3,9 +3,9 @@
 Declarative per-colour objectives (:mod:`repro.obs.slo.objectives`)
 evaluated over sliding windows of sampler points with multi-window
 burn-rate alerting (:mod:`repro.obs.slo.engine`).  Turn on with
-``cluster.observe(slo=True)`` (which brings the sampler, the engine's
-clock, along); inspect saved ledgers and evaluate old dumps offline with
-``python -m repro.obs slo``.
+``cluster.observe(slo=True)`` (which brings along the sampler whose
+timeline it judges); judge a saved timeline with ``python -m repro.obs
+slo``, through the same frames.
 """
 
 from repro.obs.slo.engine import MAX_BREACHES, SLOEngine, evaluate_timeline

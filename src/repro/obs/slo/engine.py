@@ -1,30 +1,33 @@
 """The SLO engine: multi-window burn-rate evaluation of objectives.
 
-The engine rides the :class:`~repro.obs.perf.sampler.TimeSeriesSampler` —
-every sampled point triggers one *frame*: cumulative measures are read
-from the metrics registry, appended to a bounded per-objective history,
-and each objective's short and long windows are re-evaluated.
+The engine judges a sampler timeline point by point.  Each point becomes
+one *frame* of cumulative measures per objective
+(:meth:`SLOEngine.observe_point`), appended to a bounded per-objective
+history, and each objective's short and long windows are re-evaluated.
+Latency and abort-rate measures are summed from the point's per-colour
+deltas; a zero-tolerance counter and the worst health rank are read from
+the point's gauges, which the engine probes into the sampler when it is
+bound (:func:`probes`).
+
+Bound to a hub, the engine is a *view* over its sampler's timeline: it
+subscribes to nothing, and :meth:`SLOEngine.catch_up` judges the points
+taken since it last read.  Its dump catches it up, and so does the hub
+before it writes a segment.  Offline, ``python -m repro.obs slo`` judges
+a saved timeline through the same frames (:func:`evaluate_timeline`), so
+a run and its dump get one verdict.
 
 A breach opens when **both** windows burn past the objective's threshold
 (one noisy interval cannot page; a sustained regression pages within
-``short_window`` points) and closes when the short window recovers.  Each
-transition is observable three ways at once:
-
-* a ``slo.breach`` / ``slo.recovered`` event on the hub bus (critical
-  kinds — the flight recorder always retains them);
-* a ``slo_breach_total{objective=...}`` counter increment;
-* a frozen flight-recorder snapshot (the black box as of the breach);
-
-and every breach lands in a bounded ledger that travels in
+``short_window`` points) and closes when the short window recovers.
+Every breach lands in a bounded ledger that travels in
 ``Observability.save`` dumps under this layer's ``extra`` section.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.obs.perf.recorder import FlightRecorder
 from repro.obs.perf.sampler import COLOUR_HISTOGRAMS, TimeSeriesSampler
 from repro.obs.slo.objectives import Objective, default_objectives
 
@@ -35,11 +38,44 @@ MAX_BREACHES = 256
 POINT_PREFIXES = {metric: key for key, metric in COLOUR_HISTOGRAMS}
 
 
+def _health_metric(objective: Objective) -> str:
+    return objective.metric or "cluster_health"
+
+
+def probes(metrics, objectives: List[Objective]
+           ) -> List[Tuple[str, Callable[[], Any]]]:
+    """The sampler probes ``objectives`` read from ``metrics``: each
+    ``zero`` objective's counter total under its metric's name, and a
+    ``health`` objective's worst gauge rank under its metric's name with
+    the node that holds it under ``<metric>_node``."""
+    def total(metric: str) -> float:
+        return float(sum(counter.value
+                         for _, counter in metrics.series(metric)))
+
+    def worst(metric: str) -> Tuple[float, str]:
+        rank, node = 0.0, ""
+        for labels, gauge in metrics.series(metric):
+            if gauge.value > rank:
+                rank, node = gauge.value, labels.get("node", "")
+        return rank, node
+
+    found: Dict[str, Callable[[], Any]] = {}
+    for objective in objectives:
+        metric = objective.metric
+        if objective.kind == "zero":
+            found[metric] = lambda metric=metric: total(metric)
+        elif objective.kind == "health":
+            metric = _health_metric(objective)
+            found[metric] = lambda metric=metric: worst(metric)[0]
+            found[f"{metric}_node"] = lambda metric=metric: worst(metric)[1]
+    return list(found.items())
+
+
 class SLOEngine:
     """Evaluates declarative objectives over sliding sampler windows."""
 
     section = "slo"
-    #: the sampler is the engine's clock: one frame per sampled point
+    #: the sampler's timeline is what the engine judges
     requires = (TimeSeriesSampler.section,)
 
     def __init__(self, objectives: Optional[List[Objective]] = None):
@@ -48,6 +84,12 @@ class SLOEngine:
         names = [objective.name for objective in self._objectives or ()]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate objective names in {names}")
+        self._sampler: Optional[TimeSeriesSampler] = None
+        #: the sampler's decimations when its points were last read
+        self._decimations = 0
+        self._reset()
+
+    def _reset(self) -> None:
         self.frames = 0
         self.breaches: List[Dict[str, Any]] = []
         self.dropped_breaches = 0
@@ -55,6 +97,11 @@ class SLOEngine:
         self._active: Dict[str, Dict[str, Any]] = {}
         #: objective name -> deque of (tick, measure tuple)
         self._history: Dict[str, Deque[Tuple[float, Tuple]]] = {}
+        #: objective name -> running cumulative latency (count, sum) or
+        #: outcomes (aborted, committed), summed from points' deltas
+        self._running: Dict[str, List[float]] = {}
+        #: how many of the sampler's points have been judged
+        self._read = 0
 
     @property
     def objectives(self) -> List[Objective]:
@@ -74,56 +121,77 @@ class SLOEngine:
     # -- wiring ---------------------------------------------------------------
 
     def bind(self, hub, cluster=None) -> None:
-        """Signal into ``hub`` and evaluate one frame per point of its
-        sampler (frames can also be fed by hand, :meth:`observe_frame`)."""
+        """Judge ``hub``'s sampler timeline, into which the objectives'
+        :func:`probes` go; the stock set's include cluster-health, since an
+        inspector may yet be bound.  Without a sampler, points are fed by
+        hand (:meth:`observe_point`)."""
         self.hub = hub
-        sampler = hub.layers.get(TimeSeriesSampler.section)
-        if sampler is not None:
-            sampler.add_point_listener(self._on_point)
+        self._sampler = hub.layers.get(TimeSeriesSampler.section)
+        if self._sampler is not None:
+            for name, probe in probes(
+                    hub.metrics, self._objectives or default_objectives()):
+                self._sampler.add_probe(name, probe)
 
-    def _on_point(self, point: Dict[str, Any]) -> None:
-        self.observe_frame(point["tick"], self._measure())
+    def catch_up(self) -> None:
+        """Judge the sampler's points taken since the last catch-up.  A
+        decimation since then folded judged points into later ones, so the
+        folded timeline is judged again from its start."""
+        sampler = self._sampler
+        if sampler is None:
+            return
+        if sampler.decimations != self._decimations:
+            self._decimations = sampler.decimations
+            self._reset()
+        points = sampler.points
+        for point in points[self._read:]:
+            self.observe_point(point)
+        self._read = len(points)
 
-    # -- measurement -----------------------------------------------------------
+    # -- frames ----------------------------------------------------------------
 
-    def _measure(self) -> Dict[str, Tuple]:
-        """Cumulative measures per objective, straight from the registry."""
-        metrics = self.hub.metrics
-        out: Dict[str, Tuple] = {}
+    def observe_point(self, point: Dict[str, Any]) -> List[Dict[str, Any]]:
+        """Judge one sampler point (see :meth:`observe_frame`)."""
+        return self.observe_frame(point.get("tick", 0.0), self._frame(point))
+
+    def _frame(self, point: Dict[str, Any]) -> Dict[str, Tuple]:
+        """Cumulative measures per objective as of ``point``; an objective
+        whose measure the point does not carry is left out."""
+        colours = point.get("colours", {})
+        gauges = point.get("gauges", {})
+        frame: Dict[str, Tuple] = {}
         for objective in self.objectives:
+            if objective.kind == "zero":
+                if objective.metric in gauges:
+                    frame[objective.name] = (gauges[objective.metric],)
+                continue
+            if objective.kind == "health":
+                metric = _health_metric(objective)
+                if metric in gauges:
+                    frame[objective.name] = (
+                        gauges[metric], gauges.get(f"{metric}_node", ""))
+                continue
+            totals = self._running.setdefault(objective.name, [0.0, 0.0])
             if objective.kind == "latency":
-                count = total = 0.0
-                for labels, histogram in metrics.series(objective.metric):
-                    if objective.colour and \
-                            labels.get("colour") != objective.colour:
+                prefix = POINT_PREFIXES.get(objective.metric)
+                if prefix is None:
+                    continue
+                for colour, row in colours.items():
+                    if objective.colour and colour != objective.colour:
                         continue
-                    count += histogram.count
-                    total += histogram.total
-                out[objective.name] = (count, total)
-            elif objective.kind == "abort_rate":
-                pair = []
-                for metric in ("actions_aborted_total",
-                               "actions_committed_total"):
-                    value = 0.0
-                    for labels, counter in metrics.series(metric):
-                        if objective.colour and \
-                                labels.get("colour") != objective.colour:
-                            continue
-                        value += counter.value
-                    pair.append(value)
-                out[objective.name] = tuple(pair)
-            elif objective.kind == "zero":
-                out[objective.name] = (sum(
-                    counter.value
-                    for _, counter in metrics.series(objective.metric)),)
-            else:  # health
-                worst, node = 0.0, ""
-                for labels, gauge in metrics.series(
-                        objective.metric or "cluster_health"):
-                    if gauge.value > worst:
-                        worst, node = gauge.value, labels.get("node", "")
-                out[objective.name] = (worst, node)
-        return out
+                    count = row.get(f"{prefix}_count", 0.0)
+                    mean = row.get(f"{prefix}_mean")
+                    if not count or mean is None:
+                        continue
+                    totals[0] += count
+                    totals[1] += count * mean
+            else:
+                for colour, row in colours.items():
+                    if objective.colour and colour != objective.colour:
+                        continue
+                    totals[0] += row.get("aborted", 0.0)
+                    totals[1] += row.get("committed", 0.0)
+            frame[objective.name] = tuple(totals)
+        return frame
 
     # -- evaluation ------------------------------------------------------------
 
@@ -131,9 +199,7 @@ class SLOEngine:
                       measures: Dict[str, Tuple]) -> List[Dict[str, Any]]:
         """Append one frame of cumulative measures and re-evaluate.
 
-        Returns the ledger entries *opened* by this frame (tests and the
-        soak runner use this to correlate breaches with fault windows).
-        """
+        Returns the ledger entries *opened* by this frame."""
         self.frames += 1
         opened: List[Dict[str, Any]] = []
         for objective in self.objectives:
@@ -209,7 +275,6 @@ class SLOEngine:
             if self._recovered(objective, short):
                 active["end_tick"] = tick
                 del self._active[objective.name]
-                self._signal("slo.recovered", objective, active)
             return None
         if not self._breaching(objective, short, long):
             return None
@@ -231,7 +296,6 @@ class SLOEngine:
             entry["node"] = history[-1][1][1]
         self._record(entry)
         self._active[objective.name] = entry
-        self._signal("slo.breach", objective, entry)
         return entry
 
     def _record(self, entry: Dict[str, Any]) -> None:
@@ -239,25 +303,6 @@ class SLOEngine:
             self.dropped_breaches += 1
             return
         self.breaches.append(entry)
-
-    def _signal(self, kind: str, objective: Objective,
-                entry: Dict[str, Any]) -> None:
-        if self.hub is None:
-            return
-        self.hub.emit(kind, objective=objective.name,
-                      objective_kind=objective.kind,
-                      colour=objective.colour,
-                      burn=f"{entry['burn_short'] or 0.0:.3f}",
-                      value=f"{entry['value'] or 0.0:.3f}",
-                      target=f"{objective.target:g}")
-        if kind == "slo.breach":
-            self.hub.count("slo_breach_total", objective=objective.name)
-            flight = self.hub.layers.get(FlightRecorder.section)
-            if flight is not None:
-                flight.freeze(
-                    f"slo breach: {objective.name} "
-                    f"(burn {entry['burn_short'] or 0.0:.2f}x)",
-                    kind="slo-breach")
 
     # -- queries ---------------------------------------------------------------
 
@@ -290,6 +335,7 @@ class SLOEngine:
 
     def dump(self) -> Dict[str, Any]:
         """JSON-able section for ``Observability.save``."""
+        self.catch_up()
         return {
             "objectives": [objective.to_dict()
                            for objective in self.objectives],
@@ -303,9 +349,9 @@ class SLOEngine:
 
     def rotate(self, start: float, end: float) -> Dict[str, Any]:
         """One segment's section: the ledger slice that overlaps ``(start,
-        end]`` (a breach spanning a rotation rides both segments; the
-        ``slo`` console merges them).  The ledger itself is bounded and
-        stays whole for the end-of-run verdict."""
+        end]`` (a breach spanning a rotation rides both segments).  The
+        ledger itself is bounded and stays whole for the end-of-run
+        verdict."""
         return dict(self.dump(), breaches=[
             dict(entry) for entry in self.breaches
             if entry["start_tick"] <= end
@@ -315,44 +361,9 @@ class SLOEngine:
 def evaluate_timeline(points: List[Dict[str, Any]],
                       objectives: Optional[List[Objective]] = None,
                       ) -> SLOEngine:
-    """Offline evaluation of latency/abort objectives from saved points.
-
-    Rebuilds cumulative frames from a sampler timeline's per-colour
-    deltas, so dumps written *without* a live engine can still get a
-    verdict after the fact.  ``zero``/``health`` objectives need registry
-    state that points do not carry and are skipped here (the CLI checks
-    them against the dump's final counters instead).
-    """
+    """A fresh engine that has judged ``points``, a saved sampler timeline
+    (``python -m repro.obs slo``): the frames a bound engine builds."""
     engine = SLOEngine(objectives=objectives)
-    supported = [objective for objective in engine.objectives
-                 if objective.kind in ("latency", "abort_rate")]
-    # objective name -> running cumulative tuple
-    running: Dict[str, List[float]] = {
-        objective.name: [0.0, 0.0] for objective in supported}
     for point in points:
-        colours = point.get("colours", {})
-        frame: Dict[str, Tuple] = {}
-        for objective in supported:
-            totals = running[objective.name]
-            if objective.kind == "latency":
-                prefix = POINT_PREFIXES.get(objective.metric)
-                if prefix is None:
-                    continue
-                for colour, row in colours.items():
-                    if objective.colour and colour != objective.colour:
-                        continue
-                    count = row.get(f"{prefix}_count", 0.0)
-                    mean = row.get(f"{prefix}_mean")
-                    if not count or mean is None:
-                        continue
-                    totals[0] += count
-                    totals[1] += count * mean
-            else:
-                for colour, row in colours.items():
-                    if objective.colour and colour != objective.colour:
-                        continue
-                    totals[0] += row.get("aborted", 0.0)
-                    totals[1] += row.get("committed", 0.0)
-            frame[objective.name] = tuple(totals)
-        engine.observe_frame(point.get("tick", 0.0), frame)
+        engine.observe_point(point)
     return engine

@@ -19,9 +19,9 @@ paper's applications:
     (0 = healthy, 1 = degraded, 2 = stalled); ``target`` is the worst
     tolerated rank.
 
-Windows are counted in sampler points, not ticks, because objectives are
-evaluated once per :class:`~repro.obs.perf.sampler.TimeSeriesSampler`
-point — the sampler is the SLO engine's clock.
+Windows are counted in sampler points, not ticks, because the engine
+judges one frame per :class:`~repro.obs.perf.sampler.TimeSeriesSampler`
+point.
 """
 
 from __future__ import annotations

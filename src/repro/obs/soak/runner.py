@@ -9,9 +9,10 @@ one ``repro-obs/1`` segment document by
 :meth:`repro.obs.hub.Observability.rotate` — metric **deltas** plus every
 bound layer's ``rotate(start, end)`` section (the history layer's finished
 spans and event slice of the window, drained flight-recorder ring
-and breach snapshots, the window's sampler points, introspection
+and finding snapshots, the window's sampler points, introspection
 snapshots and SLO ledger slice) — into a directory that ``python -m repro.obs report`` / ``audit`` / ``slo``
-aggregate in segment order.  An end-of-run summary
+aggregate in segment order (``slo`` judges the points again, to the
+same verdict).  An end-of-run summary
 (``soak.json``) records per-segment SLO verdicts, the breach timeline and
 the measured peak retention of every bounded structure.
 
@@ -253,6 +254,8 @@ class SoakRunner:
             os.makedirs(self.out_dir, exist_ok=True)
         self._build()
         self.cluster.run()
+        # the ledger only grows, so its peak is its length once caught up
+        self.engine.catch_up()
         self._observe_peaks()
         if self.rotate and self.out_dir:
             self._rotate()  # final partial segment (skipped when empty)

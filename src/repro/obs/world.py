@@ -8,8 +8,9 @@ stream once.  Its *users* attach with a handler table
 (:meth:`World.attach`) and are called with each event they read **before**
 it is folded, so a check sees the world as it stood when the event
 happened.  On a hub the World is the one reconstruction subscriber and
-reads the union of its users' kinds; an offline replay (``python -m
-repro.obs audit|why``) feeds a World of its own.  It imports nothing from
+reads the auditor's kinds; the postmortem engine, bound or offline
+(``python -m repro.obs why``), and an offline audit feed a World of their
+own from retained events.  It imports nothing from
 the runtimes: rebuilt from events alone, it is the independent view of the
 lock tables that the auditor checks them against.
 
@@ -195,7 +196,6 @@ class World:
         #: kind -> ((user, handler), ...) and the kind's fold; its keys are
         #: the kinds read
         self._routes: Dict[str, Tuple[Tuple, Optional[Callable]]] = {}
-        self._bus = None
         self._pending: List[_Tree] = []
 
     # -- users and intake -----------------------------------------------------
@@ -204,7 +204,7 @@ class World:
         """Call ``user``'s ``HANDLERS`` (kind -> ``handler(user, event)``,
         or None for a kind it only needs folded) from the next event on,
         and ``user.forget(members)`` before a tree is dropped; sets
-        ``user.world``.  A bus subscription widens to the new kinds."""
+        ``user.world``.  Attach every user before :meth:`subscribe`."""
         user.world = self
         if hasattr(user, "forget"):
             self._forgetters.append(user.forget)
@@ -214,14 +214,9 @@ class World:
             if handler is not None:
                 handlers += ((user, handler),)
             self._routes[kind] = (handlers, fold)
-        if self._bus is not None:
-            self.subscribe(self._bus)
 
     def subscribe(self, bus) -> None:
-        """Read ``bus`` for the kinds the users read (re-subscribing)."""
-        if self._bus is not None:
-            self._bus.unsubscribe(self.consume)
-        self._bus = bus
+        """Read ``bus`` for the kinds the users read."""
         bus.subscribe(self.consume, kinds=self._routes)
 
     def consume(self, event: ObsEvent) -> None:

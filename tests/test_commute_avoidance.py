@@ -680,6 +680,7 @@ def test_deadlock_closing_wait_fast_aborts_as_lock_conflict():
     assert metric_sum(cluster, "lock_fast_aborts_total") == 1
     # the postmortem attributes the abort as lock-conflict (with its
     # blockers named), never as deadlock-victim
+    postmortem.catch_up()
     assert postmortem.reason_counts.get(LOCK_CONFLICT, 0) == 1
     assert postmortem.reason_counts.get(DEADLOCK_VICTIM, 0) == 0
     conflict = [r for r in postmortem.aborted()

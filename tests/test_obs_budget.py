@@ -259,27 +259,25 @@ def test_raising_filtered_subscriber_is_isolated_and_counted():
 
 
 def test_hold_time_tracker_and_postmortem_are_subscribed_by_kind():
-    """One World reads for every user, by kind: on a bare hub exactly the
-    auditor's kinds (hold time is a World callback, not a reader); the
-    postmortem engine widens them, moving the World behind the layers
-    bound before it."""
+    """One World reads for the auditor, by kind: on a bare hub exactly the
+    auditor's kinds (hold time is a World callback, not a reader).  The
+    postmortem engine widens nothing: it reads the history's events into
+    a World of its own when it is caught up."""
     hub = Observability()
     by_kind, unfiltered = hub.bus._routes
     assert unfiltered == ()
     assert set(by_kind) == set(InvariantAuditor.HANDLERS)
     assert all(readers == (hub.world.consume,)
                for readers in by_kind.values())
+    history = hub.bind(History())
     recorder = hub.bind(FlightRecorder(capacity=8))
     engine = hub.bind(PostmortemEngine())
-    assert engine.world is hub.world
+    assert engine.world is not hub.world
     by_kind, unfiltered = hub.bus._routes
-    assert unfiltered == (recorder.consume,)
-    assert set(by_kind) == (set(PostmortemEngine.HANDLERS)
-                            | set(InvariantAuditor.HANDLERS))
-    assert set(by_kind) - set(InvariantAuditor.HANDLERS) == {
-        "action.failure", "lock.blocked", "lock.refused",
-        "twopc.downgrade", "node.crash"}
-    assert all(readers == (recorder.consume, hub.world.consume)
+    assert unfiltered == (history.events.append, recorder.consume)
+    assert set(by_kind) == set(InvariantAuditor.HANDLERS)
+    assert all(readers == (hub.world.consume, history.events.append,
+                           recorder.consume)
                for readers in by_kind.values())
 
 

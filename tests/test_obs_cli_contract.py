@@ -144,15 +144,21 @@ def _top_argv(tmp_path, code):
     return [_introspection_dump(tmp_path, "drifted.json", drift=_DRIFT)]
 
 
+def _timeline(mean):
+    """Four sampler points, one commit of latency ``mean`` each."""
+    return {"extra": {"timeline": {"points": [
+        {"tick": 10.0 * tick, "colours": {"c": {
+            "commit_latency_count": 1.0, "commit_latency_mean": mean}}}
+        for tick in range(1, 5)]}}}
+
+
 def _slo_argv(tmp_path, code):
+    # judged by the stock objectives: a 25-tick commit-latency target
     if code == 0:
-        return [_write(tmp_path, "green.json",
-                       {"extra": {"slo": {"breaches": []}}})]
+        return [_write(tmp_path, "green.json", _timeline(5.0))]
     if code == 1:
         return [str(tmp_path / "missing.json")]
-    return [_write(tmp_path, "breached.json", {"extra": {"slo": {
-        "breaches": [{"objective": "commit-latency", "start_tick": 10.0,
-                      "end_tick": 40.0, "peak_burn": 3.0}]}}})]
+    return [_write(tmp_path, "breached.json", _timeline(100.0))]
 
 
 def _soak_argv(tmp_path, code):

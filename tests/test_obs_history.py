@@ -188,9 +188,14 @@ def test_with_history_bound_everything_per_commit_is_kept():
 #: commute prepare stopped re-requesting the group locks its action holds
 #: since the invoke: half its ``lock.granted`` events go, and with them
 #: half the ``lock_grants_total`` count and the ``lock_wait_time``
-#: observations; no message, delay draw or span changes.
+#: observations; no message, delay draw or span changes.  ``matrix`` was
+#: re-pinned when the postmortem and SLO layers became views: its
+#: postmortem section lost the (empty) ``abort_snapshots``, every timeline
+#: point gained the SLO layer's four probed gauges, and the window status
+#: of the two zero-tolerance objectives reads ``0.0`` where it read ``0``;
+#: no event, span, metric or record changes.
 PARENT_DUMPS = {
-    "matrix": ("ac41105455146ac0e27e57196ca4d6091b179bb33f24dfd5f8f641076be8f653", 219742),
+    "matrix": ("df6278fa5b2e02b7e5c79d614d60f56a22683d6994177b2ba87ee942d03b54ce", 223517),
     "steady_2pc": ("93b26ab0e8ed9bf67c9db4b7dc1139cc87651b6f5a5aee014aaef3daed7cc3e4", 1210152),
     "read_mostly": ("b101d460a85ab96da23fbecba405a4c9ba1b7e7aa66d047cb43c1955d05bff1d", 971695),
     "commute_hot": ("8fc0871d20d0897ce1f9b8ed8a19e12a71a06f20ef6de41e9480e2c976af1ee2", 1085261),

@@ -14,7 +14,6 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.errors import DeadlockDetected, LockTimeout
 from repro.obs.bus import ObsEvent
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.postmortem import (
     APP_ERROR,
     CASCADE,
@@ -369,21 +368,6 @@ def test_unclassifiable_cause_falls_back_to_unknown_and_gates():
     assert any("ATTRIBUTION GAPS" in line for line in lines)
 
 
-def test_abort_metrics_count_once_per_colour():
-    metrics = MetricsRegistry()
-    engine = PostmortemEngine(metrics=metrics)
-    for index, (kind, labels) in enumerate([
-            begin("a1", colours="red,blue"),
-            failure("a1", "app-error", error="E", detail="d"),
-            end("a1", colours="red,blue")]):
-        engine.consume(ObsEvent(tick=float(index), kind=kind, labels=labels))
-    assert engine.reason_counts == {APP_ERROR: 1}
-    series = {row["labels"]["colour"]: row["value"]
-              for row in metrics.dump()["counters"]
-              if row["name"] == "abort_reason_total"}
-    assert series == {"red": 1, "blue": 1}
-
-
 def test_crosscheck_matches_and_flags_mismatches():
     engine = replayed([begin("a1", colours="red"),
                        failure("a1", "app-error", error="E"),
@@ -422,28 +406,42 @@ def test_engine_bounds_and_validates_record_count(monkeypatch):
 
 
 def test_hub_binds_one_engine_per_section():
-    from repro.obs import Observability
+    """A view over the history's events: binding subscribes nothing and
+    attaches nothing to the hub's World; a catch-up reads each event
+    once."""
+    from repro.obs import History, Observability
 
     hub = Observability()
+    hub.bind(History())
+    routes, handlers = hub.bus._routes, dict(hub.world._routes)
     engine = hub.bind(PostmortemEngine())
     assert hub.layers["postmortem"] is engine
+    assert engine.world is not hub.world
+    assert (hub.bus._routes, hub.world._routes) == (routes, handlers)
     with pytest.raises(RuntimeError, match="already bound"):
         hub.bind(PostmortemEngine())
     hub.bus.publish(ObsEvent(tick=0.0, kind="action.begin",
                              labels={"action": "a1"}))
-    assert engine.seen == 1                  # subscribed exactly once
+    assert engine.seen == 0
+    assert engine.aborted() == [] and engine.seen == 1
+    engine.catch_up()
+    assert engine.seen == 1
 
 
 # -- real-harness seeded deaths ------------------------------------------------
 
 
-def contention_run(tmp_path=None):
-    """One holder camps on the lock past the victim's wait timeout."""
+def contention_run(tmp_path=None, rotate_at=None):
+    """One holder camps on the lock past the victim's wait timeout; with
+    ``rotate_at``, the hub writes a segment of ``(0, rotate_at]`` then."""
     cluster = Cluster(seed=7, lock_wait_timeout=12.0)
     for name in ("n0", "n1"):
         cluster.add_node(name)
     engine = cluster.observe(timeline={"interval": 3.0}, flight_recorder=True,
                              postmortem=True)["postmortem"]
+    if rotate_at is not None:
+        cluster.kernel.schedule(rotate_at, cluster.obs.rotate, str(
+            tmp_path / "segment.json"), 0.0, rotate_at)
     c1 = cluster.client("n0", name="c1")
     c2 = cluster.client("n0", name="c2")
     refs = {}
@@ -496,6 +494,43 @@ def test_cluster_contention_attributes_lock_conflict_with_blocker():
     # attribution totals agree with the bridge's per-colour counters
     assert render.crosscheck(list(engine.records),
                              cluster.obs.metrics.dump()) == []
+
+
+def test_the_bound_engine_reads_across_a_rotation(tmp_path):
+    """The victim begins (and queues) in one segment and aborts in the
+    next: the rotation drains the history's events, yet the record is the
+    unrotated run's."""
+    _cluster, whole, _path = contention_run()
+    cluster, rotated, _path = contention_run(tmp_path, rotate_at=5.0)
+    victim = rotated.record_for("victim")
+    assert victim.begin < 5.0 < victim.end
+    assert victim.to_dict() == whole.record_for("victim").to_dict()
+    with open(tmp_path / "segment.json", encoding="utf-8") as handle:
+        segment = json.load(handle)
+    assert segment["extra"]["postmortem"]["records"] == []
+    assert cluster.obs.layers["history"].events[0].tick >= 5.0
+
+
+@pytest.mark.parametrize("seed,reasons", [
+    (11, {DEADLOCK_VICTIM: 16}),
+    (4, {DEADLOCK_VICTIM: 16, LOCK_CONFLICT: 1}),
+])
+def test_why_on_a_saved_sweep_dump_is_the_bound_engine(seed, reasons,
+                                                       tmp_path, capsys):
+    """One stream, one reader: ``why --aborts`` over the saved contention
+    sweep's abba level gives the bound engine's records."""
+    from benchmarks.scenarios import _contention_run
+
+    run = _contention_run(seed, 2, 6, 5, abba=True)
+    path = str(tmp_path / "sweep.trace.json")
+    run["cluster"].obs.save(path)
+    bound = run["postmortem"]
+    assert bound.reason_counts == reasons
+    assert why_main([path, "--aborts", "--json"]) == 0
+    offline = json.loads(capsys.readouterr().out)
+    assert offline["reasons"] == reasons
+    assert offline["records"] == json.loads(json.dumps(
+        [record.to_dict() for record in bound.aborted()]))
 
 
 def test_a_committed_reader_writer_is_never_blamed():

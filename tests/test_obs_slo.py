@@ -16,7 +16,7 @@ from repro.cluster.cluster import Cluster
 from repro.errors import ClusterError
 from repro.obs import History, Observability
 from repro.obs.__main__ import main as obs_main
-from repro.obs.perf import FlightRecorder, TimeSeriesSampler
+from repro.obs.perf import TimeSeriesSampler
 from repro.obs.slo import (
     KINDS,
     Objective,
@@ -97,10 +97,7 @@ def _latency_objective(**overrides):
 
 
 def test_single_spike_does_not_page_but_sustained_burn_does():
-    hub = Observability()
-    recorder = hub.bind(FlightRecorder(capacity=64))
-    engine = hub.bind(SLOEngine(objectives=[_latency_objective()]))
-    assert hub.layers["slo"] is engine
+    engine = SLOEngine(objectives=[_latency_objective()])
 
     # frames carry cumulative (count, sum): one commit per frame
     frames = [
@@ -125,13 +122,6 @@ def test_single_spike_does_not_page_but_sustained_burn_does():
     assert entry["burn_long"] == pytest.approx(1.25)
     assert engine.active() == ["lat"]
 
-    # breach observability: counter, bus event, frozen flight ring
-    assert hub.metrics.value("slo_breach_total", objective="lat") == 1.0
-    kinds = [event["kind"] for event in recorder.ring_events()]
-    assert "slo.breach" in kinds
-    assert [s["kind"] for s in recorder.finding_snapshots] == ["slo-breach"]
-    assert "lat" in recorder.finding_snapshots[0]["finding"]
-
     # recovery clears on the *short* window alone
     engine.observe_frame(80, {"lat": (8, 70.0)})     # short still 1.25x
     assert engine.active() == ["lat"]
@@ -139,8 +129,6 @@ def test_single_spike_does_not_page_but_sustained_burn_does():
     assert engine.active() == []
     assert entry["end_tick"] == 90
     assert entry["peak_burn"] == pytest.approx(2.0)
-    kinds = [event["kind"] for event in recorder.ring_events()]
-    assert "slo.recovered" in kinds
     assert engine.breach_total == 1
 
 
@@ -218,11 +206,27 @@ def test_window_status_reports_per_objective_state():
     assert status[0]["burn_short"] == pytest.approx(0.5)
 
 
-# -- measurement from a live hub ----------------------------------------------
+# -- the bound engine: probes and catch-up -------------------------------------
+
+def _bound(objectives):
+    """A bare hub with history, a hand-driven sampler and an engine."""
+    hub = Observability()
+    hub.bind(History())
+    sampler = hub.bind(TimeSeriesSampler(interval=1.0))
+    return hub, sampler, hub.bind(SLOEngine(objectives=objectives))
+
+
+def _measures(engine):
+    """The latest frame's measure per objective."""
+    return {name: history[-1][1]
+            for name, history in engine._history.items()}
+
 
 def test_measure_reads_every_objective_kind_from_the_registry():
-    hub = Observability()
-    engine = hub.bind(SLOEngine(objectives=default_objectives()))
+    """The point carries what the registry says — the per-colour deltas
+    and the probed counter totals and worst health rank — and the frame
+    built from it is what the engine once read off the registry."""
+    hub, sampler, engine = _bound(default_objectives())
     hub.observe("commit_latency", 5.0, colour="c1", node="n0")
     hub.observe("commit_latency", 7.0, colour="c2", node="n1")
     hub.count("actions_committed_total", colour="c1")
@@ -231,36 +235,51 @@ def test_measure_reads_every_objective_kind_from_the_registry():
     hub.metrics.gauge("cluster_health", node="n1").set(2.0)
     hub.metrics.gauge("cluster_health", node="n2").set(1.0)
 
-    measures = engine._measure()
-    assert measures["commit-latency"] == (2, 12.0)
-    assert measures["abort-rate"] == (2.0, 1.0)
-    assert measures["audit-findings"] == (1.0,)
-    assert measures["introspect-drift"] == (0.0,)
-    assert measures["cluster-health"] == (2.0, "n1")
+    point = sampler.sample()
+    assert point["gauges"] == {
+        "audit_findings_total": 1.0, "introspect_drift_total": 0.0,
+        "cluster_health": 2.0, "cluster_health_node": "n1"}
+    engine.catch_up()
+    assert _measures(engine) == {
+        "commit-latency": (2, 12.0), "abort-rate": (2.0, 1.0),
+        "audit-findings": (1.0,), "introspect-drift": (0.0,),
+        "cluster-health": (2.0, "n1")}
 
 
 def test_measure_respects_colour_restriction():
-    hub = Observability()
-    hub.bind(History())
-    engine = hub.bind(SLOEngine(objectives=[
+    hub, sampler, engine = _bound([
         _latency_objective(colour="c1"),
-        Objective("ab", "abort_rate", colour="c1", target=0.25)]))
+        Objective("ab", "abort_rate", colour="c1", target=0.25)])
     hub.observe("commit_latency", 5.0, colour="c1")
     hub.observe("commit_latency", 100.0, colour="c2")
     hub.count("actions_committed_total", colour="c1")
     hub.count("actions_aborted_total", 9.0, colour="c2")
-    measures = engine._measure()
-    assert measures["lat"] == (1, 5.0)
-    assert measures["ab"] == (0.0, 1.0)
+    sampler.sample()
+    engine.catch_up()
+    assert _measures(engine) == {"lat": (1, 5.0), "ab": (0.0, 1.0)}
 
 
 def test_attached_engine_frames_follow_sampler_points():
+    """A view: no listener and no subscription; each catch-up judges the
+    points taken since the last, and a decimation since then has the
+    folded timeline judged again from its start."""
     hub = Observability()
-    sampler = hub.bind(TimeSeriesSampler(interval=1.0))
+    routes = hub.bus._routes
+    sampler = hub.bind(TimeSeriesSampler(interval=1.0, max_points=5))
     engine = hub.bind(SLOEngine())
+    assert hub.bus._routes == routes
+    assert sampler._point_listeners == []
     for _ in range(3):
         sampler.sample()
+    assert engine.frames == 0
+    engine.catch_up()
     assert engine.frames == 3
+    sampler.sample()
+    assert engine.dump()["frames"] == 4
+    sampler.sample()                   # the fifth point decimates to three
+    assert sampler.decimations == 1
+    engine.catch_up()
+    assert engine.frames == len(sampler.points) == 3
 
 
 # -- cluster integration -------------------------------------------------------
@@ -278,6 +297,7 @@ def test_observe_slo_alone_yields_a_bound_sampler():
     # the sampler it brought along is on the cluster's clock and is the
     # engine's: one frame per point
     assert len(layers["timeline"].points) == 2
+    layers["slo"].catch_up()
     assert layers["slo"].frames == 2
 
 
@@ -352,8 +372,8 @@ def test_no_order_of_observe_calls_is_wrong(tmp_path, calls):
     assert names == ["commit-latency", "abort-rate", "audit-findings",
                      "introspect-drift"] + (
         ["cluster-health"] if "introspection" in asked else [])
-    assert engine.frames > 0
     document = cluster.obs.save(str(tmp_path / "dump.json"))
+    assert engine.frames > 0
     assert sorted(document["extra"]) == expected
     assert [row["name"] for row in
             document["extra"]["slo"]["objectives"]] == names
@@ -362,6 +382,7 @@ def test_no_order_of_observe_calls_is_wrong(tmp_path, calls):
 def test_cluster_slo_evaluates_on_the_sampler_clock():
     cluster, engine = _matrix_cluster()
     assert cluster.obs.layers["slo"] is engine
+    engine.catch_up()
     assert engine.frames > 0
     status = {row["objective"]: row["state"]
               for row in engine.window_status()}
@@ -410,51 +431,38 @@ def _burning_points(mean, frames=4, committed=2.0):
     return points
 
 
+def _probed(points, findings):
+    """``points`` with an ``audit_findings_total`` gauge per point."""
+    return [dict(point, gauges={"audit_findings_total": total})
+            for point, total in zip(points, findings)]
+
+
 def test_evaluate_timeline_rebuilds_frames_from_points():
     objectives = [_latency_objective(short_window=2, long_window=3)]
     hot = evaluate_timeline(_burning_points(mean=30.0), objectives)
     assert [entry["objective"] for entry in hot.breaches] == ["lat"]
     cool = evaluate_timeline(_burning_points(mean=5.0), objectives)
     assert cool.breaches == []
-    # zero/health objectives need registry state points don't carry
-    skipped = evaluate_timeline(
-        _burning_points(mean=30.0),
-        [Objective("find", "zero", metric="audit_findings_total")])
-    assert skipped.breaches == []
+    # a zero objective reads its probed counter; unprobed, it has no data
+    find = [Objective("find", "zero", metric="audit_findings_total")]
+    assert evaluate_timeline(_burning_points(mean=30.0), find).breaches == []
+    tripped = evaluate_timeline(
+        _probed(_burning_points(mean=30.0), (0.0, 0.0, 1.0, 1.0)), find)
+    assert [(entry["objective"], entry["start_tick"])
+            for entry in tripped.breaches] == [("find", 30.0)]
 
 
 # -- the slo console -----------------------------------------------------------
 
-def test_slo_cli_deduplicates_ledger_slices_across_segments(tmp_path,
-                                                            capsys):
-    open_slice = {"objective": "commit-latency", "start_tick": 10.0,
-                  "end_tick": None, "peak_burn": 2.0}
-    closed_slice = dict(open_slice, end_tick=40.0, peak_burn=3.0)
-    for name, entry in (("a.json", open_slice), ("b.json", closed_slice)):
-        (tmp_path / name).write_text(json.dumps(
-            {"extra": {"slo": {"breaches": [entry]}}}))
-    code = slo_main([str(tmp_path / "a.json"), str(tmp_path / "b.json"),
-                     "--json"])
-    verdict = json.loads(capsys.readouterr().out)
-    assert code == 2
-    assert verdict["mode"] == "saved ledger"
-    # the slice that saw the recovery wins
-    assert verdict["breaches"] == [closed_slice]
-
-
-def test_slo_cli_evaluate_mode_uses_timeline_and_final_counters(tmp_path,
-                                                                capsys):
-    document = {
-        "metrics": {"counters": [
-            {"name": "audit_findings_total", "labels": {}, "value": 1.0}]},
-        "extra": {"timeline": {"points": _burning_points(mean=30.0)}},
-    }
+def test_slo_cli_judges_timeline_and_probed_counters(tmp_path, capsys):
+    document = {"extra": {"timeline": {"points": _probed(
+        _burning_points(mean=30.0), (0.0, 1.0, 1.0, 1.0))}}}
     path = tmp_path / "old.trace.json"
     path.write_text(json.dumps(document))
 
     assert slo_main([str(path), "--latency-target", "5", "--json"]) == 2
     verdict = json.loads(capsys.readouterr().out)
-    assert verdict["mode"] == "offline evaluation"
+    assert verdict["points"] == 4
     breached = {entry["objective"] for entry in verdict["breaches"]}
     assert breached == {"commit-latency", "audit-findings"}
 
@@ -463,21 +471,26 @@ def test_slo_cli_evaluate_mode_uses_timeline_and_final_counters(tmp_path,
     assert "audit-findings" in capsys.readouterr().out
 
 
-def test_slo_cli_evaluate_flag_overrides_a_saved_ledger(tmp_path, capsys):
-    document = {
-        "extra": {
-            "slo": {"breaches": [{"objective": "x", "start_tick": 1.0,
-                                  "end_tick": 2.0, "peak_burn": 9.0}]},
-            "timeline": {"points": _burning_points(mean=1.0)},
-        },
-        "metrics": {"counters": []},
-    }
-    path = tmp_path / "led.trace.json"
-    path.write_text(json.dumps(document))
-    assert slo_main([str(path)]) == 2             # ledger mode sees a breach
-    capsys.readouterr()
-    assert slo_main([str(path), "--evaluate"]) == 0   # re-evaluated: clean
-    assert "offline evaluation" in capsys.readouterr().out
+def test_slo_cli_judges_by_the_objectives_the_dump_saved(tmp_path, capsys):
+    """The saved objectives win over the flags; ``--objectives`` over
+    both."""
+    strict = [_latency_objective(target=5.0, short_window=2,
+                                 long_window=3).to_dict()]
+    path = tmp_path / "saved.trace.json"
+    path.write_text(json.dumps({"extra": {
+        "slo": {"objectives": strict},
+        "timeline": {"points": _burning_points(mean=10.0)}}}))
+    assert slo_main([str(path), "--latency-target", "1000", "--json"]) == 2
+    verdict = json.loads(capsys.readouterr().out)
+    assert [entry["objective"] for entry in verdict["breaches"]] == ["lat"]
+    relaxed = tmp_path / "relaxed.json"
+    relaxed.write_text(json.dumps([dict(strict[0], target=500.0)]))
+    assert slo_main([str(path), "--objectives", str(relaxed)]) == 0
+    # without saved objectives, the flags' stock set judges: 10 < 25
+    bare = tmp_path / "bare.trace.json"
+    bare.write_text(json.dumps({"extra": {
+        "timeline": {"points": _burning_points(mean=10.0)}}}))
+    assert slo_main([str(bare)]) == 0
 
 
 def test_slo_cli_custom_objectives_file(tmp_path):
@@ -511,6 +524,6 @@ def test_slo_cli_rejects_bad_objectives_file(tmp_path, capsys):
 
 def test_slo_cli_needs_something_to_evaluate(tmp_path, capsys):
     empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({"spans": []}))
+    empty.write_text(json.dumps({"spans": [], "metrics": {"counters": []}}))
     assert slo_main([str(empty)]) == 1
     assert "nothing to evaluate" in capsys.readouterr().err

@@ -306,18 +306,25 @@ def test_fault_burst_trips_latency_slo_and_is_attributed(faulty_soak):
         assert entry["peak_burn"] > 1.0
 
 
-def test_breach_freezes_the_flight_ring_into_its_segment(faulty_soak):
-    _summary, out = faulty_soak
-    snapshots = [snapshot
-                 for doc in _segment_documents(out)
-                 for snapshot in doc["extra"]["flight_recorder"]
-                 ["finding_snapshots"]]
-    breaches = [s for s in snapshots if s["kind"] == "slo-breach"]
-    assert breaches
-    assert all(snapshot["events"] for snapshot in breaches)
-    # the frozen ring carries the breach context itself
-    assert any("commit-latency" in snapshot["finding"]
-               for snapshot in breaches)
+@pytest.mark.parametrize("arm,expected", [
+    ("clean", []),
+    ("faulty", [("commit-latency", 930.0, 1260.0),
+                ("cluster-health", 960.0, 1190.0)]),
+])
+def test_slo_console_on_the_segments_is_the_soak_verdict(arm, expected,
+                                                        tmp_path, capsys):
+    """One verdict: the console judging a soak's segment directory (by
+    the objectives the segments saved) reports exactly the breaches the
+    bound engine put in ``soak.json`` — at the smoke benchmark's
+    parameters, whose faulty arm breaches in two objectives."""
+    out = str(tmp_path / arm)
+    summary = SoakRunner(out_dir=out, arm=arm, seed=21, horizon=2400.0,
+                         segment_every=600.0, sample_interval=10.0).run()
+    assert [(entry["objective"], entry["start_tick"], entry["end_tick"])
+            for entry in summary["breaches"]] == expected
+    assert slo_main([out, "--json"]) == (2 if expected else 0)
+    assert json.loads(capsys.readouterr().out)["breaches"] == (
+        summary["breaches"])
 
 
 def test_clean_soak_exits_zero_with_no_breaches(clean_soak):
