@@ -60,14 +60,15 @@ only invariants -- conservation, agreement, auditor silence -- are stable.
 
 from __future__ import annotations
 
-import asyncio
 import heapq
-import selectors
 import time
-from typing import Any, Callable, Coroutine, Optional
+from typing import TYPE_CHECKING, Any, Callable, Coroutine, Optional
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Kernel, ProcessKilled, SimEvent
+
+if TYPE_CHECKING:
+    import asyncio
 
 #: default wall seconds per time unit — 5 ms keeps sub-second experiments
 #: with default network delays (0.5–2.0 units per hop) while leaving
@@ -109,6 +110,11 @@ class AsyncioKernel(Kernel):
         if time_scale <= 0:
             raise SimulationError(
                 f"time_scale must be positive, got {time_scale}")
+        # imported here, not at module load: a process that only simulates
+        # never pays for asyncio (and the ssl/socket modules it pulls in)
+        import asyncio
+        import selectors
+
         super().__init__()
         self.time_scale = time_scale
         self._owns_loop = loop is None

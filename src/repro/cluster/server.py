@@ -352,9 +352,9 @@ class ObjectServer:
         fast abort, edge chasing, the wait timeout.
 
         A cycle the queued request closes is refused at once (the fast
-        abort).  Otherwise the queued request owns one timer chain here,
-        waking every ``probe_interval`` and last at its deadline,
-        ``lock_wait_timeout`` after it queued.  A wake ends the chain if
+        abort).  Otherwise the queued request owns one timer chain here
+        (a :class:`_LockWait`), waking every ``probe_interval`` and last at
+        its deadline, ``lock_wait_timeout`` after it queued.  A wake ends the chain if
         the request has settled or the node crashed since it queued.  It
         then re-reads the request's blockers: if they changed since the
         last wake while nothing left the table by abort, cancel or
@@ -407,40 +407,10 @@ class ObjectServer:
                 ),
             )
             return
-        epoch = self.node.epoch
-        timeout = self.lock_wait_timeout
-        deadline = wait_started + timeout
-        chased: List[Uid] = []
-        table = self.registry.table(object_uid)
-        blockers, withdrawals = table.blocked_on(request), table.withdrawals
-
-        def wake() -> None:
-            nonlocal chased, deadline, blockers, withdrawals
-            if (request.settled or not self.node.alive
-                    or self.node.epoch != epoch):
-                return
-            now = self.kernel.now
-            moved = table.blocked_on(request)
-            if moved != blockers and table.withdrawals == withdrawals:
-                # commits and grants moved the queue: a blocker that
-                # commits closes no cycle, so the wait starts afresh
-                deadline = now + timeout
-            elif now >= deadline:
-                self.registry.cancel_request(
-                    request, reason="lock wait timeout",
-                    error=LockTimeout(
-                        f"lock {mode_name} on {object_uid} timed out "
-                        f"after {timeout} (distributed-deadlock bound)"
-                    ),
-                )
-                return
-            elif self.edge_chaser is not None:
-                chased = self.edge_chaser.chase_from(mirror.uid, chased)
-            blockers, withdrawals = moved, table.withdrawals
-            self.kernel.schedule(min(self.probe_interval, deadline - now),
-                                 wake)
-
-        self.kernel.schedule(min(self.probe_interval, timeout), wake)
+        wait = _LockWait(self, request, mirror.uid,
+                         wait_started + self.lock_wait_timeout)
+        self.kernel.schedule(min(self.probe_interval, self.lock_wait_timeout),
+                             wait.wake)
 
     # -- handlers: action termination ------------------------------------------------
 
@@ -787,28 +757,39 @@ class ObjectServer:
                   groups_of.items() for group in sorted(groups)
                   if not holds(mirror.uid, object_uid, group, colour)]
 
-        def acquire(index: int) -> None:
-            if index == len(grants):
-                self._commute_apply(txn_id, mirror, colour, ops_by_object,
-                                    groups_of, payload, message.src,
-                                    in_memory, respond)
+        def apply() -> None:
+            self._commute_apply(txn_id, mirror, colour, ops_by_object,
+                                groups_of, payload, message.src, in_memory,
+                                respond)
+
+        def refused(request: LockRequest) -> None:
+            self._emit_vote(txn_id, "refused", colour, reason="redo-lock-lost")
+            respond(False, request.error or LockTimeout(
+                f"commute redo lock {mode_label(request.mode)} on "
+                f"{request.object_uid}: {request.refusal}"
+            ))
+
+        self._redo_locks(mirror, colour, grants, apply, refused)
+
+    def _redo_locks(self, mirror: ActionMirror, colour: Colour,
+                    grants: List[Tuple[Uid, str]], apply: Callable[[], None],
+                    refused: Callable[[LockRequest], None]) -> None:
+        """Take a commute redo's ``grants`` one after another, then
+        ``apply``; the first that is not granted goes to ``refused``.  Each
+        grant's callback calls this method again on the rest, so no closure
+        of the chain refers to itself."""
+        if not grants:
+            apply()
+            return
+        (object_uid, group), rest = grants[0], grants[1:]
+
+        def completed(request: LockRequest) -> None:
+            if request.status is not RequestStatus.GRANTED:
+                refused(request)
                 return
-            object_uid, group = grants[index]
+            self._redo_locks(mirror, colour, rest, apply, refused)
 
-            def completed(request: LockRequest) -> None:
-                if request.status is not RequestStatus.GRANTED:
-                    self._emit_vote(txn_id, "refused", colour,
-                                    reason="redo-lock-lost")
-                    respond(False, request.error or LockTimeout(
-                        f"commute redo lock {group} on {object_uid}: "
-                        f"{request.refusal}"
-                    ))
-                    return
-                acquire(index + 1)
-
-            self._locked_request(mirror, object_uid, group, colour, completed)
-
-        acquire(0)
+        self._locked_request(mirror, object_uid, group, colour, completed)
 
     def _commute_apply(self, txn_id: str, mirror: ActionMirror,
                        colour: Colour, ops: Dict[Uid, list],
@@ -1155,6 +1136,60 @@ class ObjectServer:
             self.transport, coordinator, "txn_decision_query",
             {"txn_id": txn_id})
         self._decide(txn_id, reply["decision"])
+
+
+class _LockWait:
+    """One queued lock request's timer chain under the server's wait policy
+    (:meth:`ObjectServer._locked_request`).
+
+    The kernel holds the bound :meth:`wake`, and nothing the wait holds
+    refers back to it: the wait is freed by reference counting as soon as
+    its last timer has fired, and leaves nothing to the cyclic collector."""
+
+    __slots__ = ("server", "request", "waiter", "table", "epoch", "deadline",
+                 "chased", "blockers", "withdrawals")
+
+    def __init__(self, server: ObjectServer, request: LockRequest,
+                 waiter: Uid, deadline: float):
+        self.server = server
+        self.request = request
+        self.waiter = waiter
+        self.table = server.registry.table(request.object_uid)
+        self.epoch = server.node.epoch
+        self.deadline = deadline
+        self.chased: List[Uid] = []
+        self.blockers = self.table.blocked_on(request)
+        self.withdrawals = self.table.withdrawals
+
+    def wake(self) -> None:
+        """End the chain, restart the deadline, refuse at it, or chase."""
+        server, request, table = self.server, self.request, self.table
+        if (request.settled or not server.node.alive
+                or server.node.epoch != self.epoch):
+            return
+        now = server.kernel.now
+        timeout = server.lock_wait_timeout
+        moved = table.blocked_on(request)
+        if moved != self.blockers and table.withdrawals == self.withdrawals:
+            # commits and grants moved the queue: a blocker that commits
+            # closes no cycle, so the wait starts afresh
+            self.deadline = now + timeout
+        elif now >= self.deadline:
+            server.registry.cancel_request(
+                request, reason="lock wait timeout",
+                error=LockTimeout(
+                    f"lock {mode_label(request.mode)} on "
+                    f"{request.object_uid} timed out after {timeout} "
+                    f"(distributed-deadlock bound)"
+                ),
+            )
+            return
+        elif server.edge_chaser is not None:
+            self.chased = server.edge_chaser.chase_from(self.waiter,
+                                                        self.chased)
+        self.blockers, self.withdrawals = moved, table.withdrawals
+        server.kernel.schedule(min(server.probe_interval, self.deadline - now),
+                               self.wake)
 
 
 def until_answered(transport: RpcTransport, dst: str, kind: str,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 import threading
+from array import array
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 #: labels are carried as a sorted tuple of (key, value) pairs — hashable,
@@ -82,7 +83,8 @@ class Gauge:
 class Histogram:
     """Sampled distribution with exact count/sum/min/max and percentiles.
 
-    Retains up to :data:`MAX_SAMPLES` raw samples for percentile queries.  The
+    Retains up to :data:`MAX_SAMPLES` raw samples for percentile queries, as
+    machine doubles (8 bytes each, so at most 32 KiB per series).  The
     aggregate statistics stay exact beyond that; the retained set is then a
     uniform *reservoir* over the whole stream (Vitter's Algorithm R, driven
     by a fixed-seed PRNG so the same observation sequence always keeps the
@@ -98,7 +100,7 @@ class Histogram:
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self.samples: List[float] = []
+        self.samples = array("d")
         #: the reservoir's PRNG, made on the first overflow: most series
         #: never see :data:`MAX_SAMPLES` observations
         self._rng: Optional[random.Random] = None
@@ -119,32 +121,42 @@ class Histogram:
 
     def percentile(self, p: float) -> Optional[float]:
         """Linear-interpolated percentile over the retained samples."""
+        return self.percentiles(p)[0]
+
+    def percentiles(self, *ps: float) -> List[Optional[float]]:
+        """:meth:`percentile` of each of ``ps``, sorting the samples once."""
         if not self.samples:
-            return None
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile {p} outside [0, 100]")
+            return [None] * len(ps)
+        for p in ps:
+            if not 0.0 <= p <= 100.0:
+                raise ValueError(f"percentile {p} outside [0, 100]")
         ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        low = int(rank)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = rank - low
-        return ordered[low] + (ordered[high] - ordered[low]) * fraction
+        last = len(ordered) - 1
+        if not last:
+            return [ordered[0]] * len(ps)
+        values: List[Optional[float]] = []
+        for p in ps:
+            rank = (p / 100.0) * last
+            low = int(rank)
+            high = min(low + 1, last)
+            values.append(
+                ordered[low] + (ordered[high] - ordered[low]) * (rank - low))
+        return values
 
     @property
     def mean(self) -> Optional[float]:
         return (self.total / self.count) if self.count else None
 
     def summary(self) -> Dict[str, Any]:
+        p50, p95 = self.percentiles(50, 95)
         summary = {
             "count": self.count,
             "sum": self.total,
             "min": self.min,
             "max": self.max,
             "mean": self.mean,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
+            "p50": p50,
+            "p95": p95,
         }
         if self.count > len(self.samples):
             summary["truncated"] = True

@@ -150,8 +150,8 @@ class TimeSeriesSampler:
                 # cumulative quantiles over the widest labelled series —
                 # cheap, deterministic, and good enough for a trend line
                 widest = max(histograms, key=lambda h: h.count)
-                row[f"{key}_p50"] = widest.percentile(50)
-                row[f"{key}_p95"] = widest.percentile(95)
+                row[f"{key}_p50"], row[f"{key}_p95"] = widest.percentiles(
+                    50, 95)
         if colours:
             point["colours"] = {c: colours[c] for c in sorted(colours)}
         if self._probes:

@@ -167,12 +167,12 @@ def test_reservoir_keeps_the_samples_it_always_kept(monkeypatch):
         histogram = Histogram()
         for value in range(3 * 16):
             histogram.observe(float(value))
-    assert histogram.samples == GOLDEN_RESERVOIR
+    assert list(histogram.samples) == GOLDEN_RESERVOIR
     # and at the real size: same stream, same seed, same reservoir
     default = Histogram()
     for value in range(3 * metrics_module.MAX_SAMPLES):
         default.observe(float(value))
-    assert default.samples[:5] == [5512.0, 7152.0, 2.0, 10254.0, 10133.0]
+    assert list(default.samples[:5]) == [5512.0, 7152.0, 2.0, 10254.0, 10133.0]
     assert sum(default.samples) == 25296034.0
 
 

@@ -1,5 +1,6 @@
 """Metrics primitives: counters, gauges, histogram percentiles, dumps."""
 
+import random
 import threading
 
 import pytest
@@ -60,6 +61,33 @@ def test_histogram_single_sample_and_bounds():
     assert histogram.percentile(95) == 7.0
     with pytest.raises(ValueError):
         histogram.percentile(101)
+
+
+def reference_percentile(samples, p):
+    """The per-call percentile: sort, then interpolate at rank p/100*(n-1)."""
+    ordered = sorted(samples)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (p / 100.0) * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
+
+
+@pytest.mark.parametrize("values", [
+    [random.Random(seed).uniform(0, 50) for _ in range(900)]
+    for seed in (1, 2)] + [[7], [3.5], [5, 1, 4, 1, 9, 2, 6]],
+    ids=["random-1", "random-2", "single-int", "single-float", "ints"])
+def test_percentiles_sorts_once_for_the_per_call_values(values):
+    histogram = Histogram()
+    for value in values:
+        histogram.observe(value)
+    ps = (0, 25, 50, 95, 99.9, 100)
+    expected = [reference_percentile(values, p) for p in ps]
+    assert histogram.percentiles(*ps) == expected
+    assert [histogram.percentile(p) for p in ps] == expected
+    assert all(type(value) is float for value in histogram.percentiles(*ps))
+    assert Histogram().percentiles(50, 95) == [None, None]
 
 
 def test_histogram_sample_cap_keeps_exact_aggregates(monkeypatch):
