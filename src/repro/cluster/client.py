@@ -152,9 +152,10 @@ class _Round:
     fast_path: str = ""
     #: writer node -> the path it was asked on
     asked: Dict[str, PreparePath] = field(default_factory=dict)
-    #: node -> the vote it answered / node -> why none came
+    #: node -> the vote it answered / node -> why none came: the error's
+    #: class, not the error, whose traceback would hold this round
     votes: Dict[str, str] = field(default_factory=dict)
-    failures: Dict[str, BaseException] = field(default_factory=dict)
+    failures: Dict[str, type] = field(default_factory=dict)
 
     def all_yes(self) -> bool:
         """Did every writer asked so far answer its path's yes?"""
@@ -277,12 +278,12 @@ class ClusterClient:
             return "vote-rollback"
         path, failure = next(
             ((path, round_.failures[node_name]) for node_name, path in asked
-             if node_name in round_.failures), (PREPARE, None))
+             if node_name in round_.failures), (PREPARE, BaseException))
         if path.takes_decision:  # the delegate, resolved to abort
             return "fast-path-downgrade"
-        if isinstance(failure, PrepareFailed):
+        if issubclass(failure, PrepareFailed):
             return "prepare-refused"
-        if isinstance(failure, ActionAborted):
+        if issubclass(failure, ActionAborted):
             return "action-aborted"
         return "participant-unreachable"  # RpcTimeout, NodeDown, the rest
 
@@ -927,6 +928,11 @@ class ClusterClient:
                     handle.kill()
         else:
             yield settle_all(self.kernel, joins)
+        for handle in handles:
+            if handle.error is not None:
+                # filed in its round already: the traceback would hold the
+                # prepare's frames, and through them this plan, in a cycle
+                handle.error.__traceback__ = None
         if plan.delegate is not None and rounds[0].all_yes():
             yield from self._delegate(action, plan)
         failed: Optional[_Round] = None
@@ -1080,7 +1086,7 @@ class ClusterClient:
                                                 retries)
         except ReproError as error:
             for round_, _path in riders:
-                round_.failures[node_name] = error
+                round_.failures[node_name] = type(error)
             raise
         sent = calls[0][1].get("forget")
         if sent:  # answered: stop resending these lazy acknowledgements
@@ -1091,7 +1097,7 @@ class ClusterClient:
             if ok:
                 self._file_vote(action, round_, path, node_name, reply)
             else:
-                round_.failures[node_name] = reply
+                round_.failures[node_name] = type(reply)
 
     def _file_vote(self, action: ClusterAction, round_: _Round,
                    path: PreparePath, node_name: str,

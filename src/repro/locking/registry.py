@@ -15,7 +15,7 @@ from repro.locking.owner import LockOwner
 from repro.locking.request import LockRequest, RequestStatus
 from repro.locking.rules import ColouredRules, LockRules
 from repro.locking.semantic import SemanticRules, SemanticSpec
-from repro.locking.table import ColourRouter, LockTable
+from repro.locking.table import KEEP, ColourRouter, LockTable
 from repro.util.uid import Uid, UidGenerator
 
 
@@ -145,26 +145,14 @@ class LockRegistry:
     # -- termination ------------------------------------------------------------
 
     def release_action(self, owner_uid: Uid) -> int:
-        """Abort path: drop all records and queued requests of the owner."""
+        """Abort path: drop all records and queued requests of the owner.
+
+        Ancestors' own records are untouched (§5.2 abort rule).  Returns
+        the number of records dropped.
+        """
         self.cancel_waiting(owner_uid, reason="owner aborted")
-        dropped = 0
-        for object_uid in sorted(self._held_by.pop(owner_uid, set())):
-            table = self._tables.get(object_uid)
-            if table is not None:
-                # emit before release_all: the wake-ups it triggers grant
-                # queued requests, and those grants must observe this
-                # owner's records as already gone
-                if self.on_event is not None:
-                    for record in table.records_of(owner_uid):
-                        self.on_event(
-                            "lock.released", owner=str(owner_uid),
-                            object=str(object_uid),
-                            mode=mode_label(record.mode),
-                            colour=str(record.colour), reason="abort",
-                        )
-                dropped += table.release_all(owner_uid)
-                self._collect(object_uid, table)
-        return dropped
+        return self._route(owner_uid, lambda colour: None, "abort",
+                           withdrawn=True)
 
     def release_colour(self, owner_uid: Uid, colour, reason: str) -> int:
         """Vote-time release: drop the owner's records in ``colour`` everywhere.
@@ -175,66 +163,13 @@ class LockRegistry:
         (and later route) records in other colours.  Returns the number of
         records dropped.
         """
-        dropped = 0
-        for object_uid in sorted(self._held_by.get(owner_uid, set())):
-            table = self._tables.get(object_uid)
-            if table is None:
-                continue
-            matching = [record for record in table.records_of(owner_uid)
-                        if record.colour == colour]
-            if not matching:
-                continue
-            if self.on_event is not None:
-                # emitted before the release so the wake-ups it triggers
-                # observe this owner's records as already gone
-                for record in matching:
-                    self.on_event(
-                        "lock.released", owner=str(owner_uid),
-                        object=str(object_uid),
-                        mode=mode_label(record.mode),
-                        colour=str(record.colour), reason=reason,
-                    )
-            dropped += table.release_colour(owner_uid, colour)
-            if not table.records_of(owner_uid):
-                held = self._held_by.get(owner_uid)
-                if held is not None:
-                    held.discard(object_uid)
-                    if not held:
-                        self._held_by.pop(owner_uid, None)
-            self._collect(object_uid, table)
-        return dropped
+        return self._route(
+            owner_uid, lambda mine: None if mine == colour else KEEP, reason)
 
-    def transfer_on_commit(self, owner_uid: Uid, router: ColourRouter) -> None:
-        """Commit path: route every held record per colour across all tables."""
-        for object_uid in sorted(self._held_by.pop(owner_uid, set())):
-            table = self._tables.get(object_uid)
-            if table is None:
-                continue
-            if self.on_event is not None:
-                # same routing the table is about to apply (the router is a
-                # pure lookup), emitted ahead of the wake-ups it triggers
-                for record in table.records_of(owner_uid):
-                    destination = router(record.colour)
-                    if destination is not None:
-                        self.on_event(
-                            "lock.inherited", owner=str(owner_uid),
-                            to=str(destination.uid),
-                            object=str(object_uid),
-                            mode=mode_label(record.mode),
-                            colour=str(record.colour),
-                        )
-                    else:
-                        self.on_event(
-                            "lock.released", owner=str(owner_uid),
-                            object=str(object_uid),
-                            mode=mode_label(record.mode),
-                            colour=str(record.colour), reason="commit",
-                        )
-            routed = table.transfer(owner_uid, router)
-            for inheritor_uid in routed.values():
-                if inheritor_uid is not None:
-                    self._held_by.setdefault(inheritor_uid, set()).add(object_uid)
-            self._collect(object_uid, table)
+    def transfer_on_commit(self, owner_uid: Uid, router: ColourRouter) -> int:
+        """Commit path: route every held record per colour across all tables;
+        returns the number of records released."""
+        return self._route(owner_uid, router, "commit")
 
     # -- queries -----------------------------------------------------------------
 
@@ -290,6 +225,46 @@ class LockRegistry:
         return pending
 
     # -- internals ---------------------------------------------------------------
+
+    def _route(self, owner_uid: Uid, router: ColourRouter, reason: str,
+               withdrawn: bool = False) -> int:
+        """Route the owner's records table by table (:meth:`LockTable.route`)
+        and keep the per-owner bookkeeping; returns the number released.
+
+        Each record's ``lock.released`` (with ``reason``) or
+        ``lock.inherited`` event goes out before its table routes it: the
+        wake-ups that follow grant queued requests, and those grants must
+        observe the owner's records as already gone.  The router is a pure
+        lookup, so both calls of it agree.
+        """
+        released = 0
+        for object_uid in sorted(self._held_by.pop(owner_uid, ())):
+            table = self._tables.get(object_uid)
+            if table is None:
+                continue
+            if self.on_event is not None:
+                for record in table.records_of(owner_uid):
+                    destination = router(record.colour)
+                    if destination is None:
+                        self.on_event(
+                            "lock.released", owner=str(owner_uid),
+                            object=str(object_uid),
+                            mode=mode_label(record.mode),
+                            colour=str(record.colour), reason=reason)
+                    elif destination is not KEEP:
+                        self.on_event(
+                            "lock.inherited", owner=str(owner_uid),
+                            to=str(destination.uid), object=str(object_uid),
+                            mode=mode_label(record.mode),
+                            colour=str(record.colour))
+            for destination in table.route(owner_uid, router, withdrawn):
+                if destination is None:
+                    released += 1
+                else:  # the object stays held, by its inheritor or owner
+                    holder = owner_uid if destination is KEEP else destination.uid
+                    self._held_by.setdefault(holder, set()).add(object_uid)
+            self._collect(object_uid, table)
+        return released
 
     def _collect(self, object_uid: Uid, table: LockTable) -> None:
         if table.is_idle():

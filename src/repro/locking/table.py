@@ -1,4 +1,4 @@
-"""Per-object lock table: holders, a FIFO wait queue, and commit routing.
+"""Per-object lock table: holders, a FIFO wait queue, and termination routing.
 
 The table is a pure synchronous state machine, and the only one: what
 conflicts, and when two grants to one owner are one record, is asked of its
@@ -20,14 +20,16 @@ from typing import Callable, Deque, Dict, List, Optional
 from repro.colours.colour import Colour
 from repro.locking.lock import LockRecord
 from repro.locking.modes import Mode, mode_label
-from repro.locking.owner import LockOwner
 from repro.locking.request import LockRequest
 from repro.locking.rules import LockRules
 from repro.util.uid import Uid
 
-#: Commit-time routing: given a lock's colour, the ancestor that inherits it
-#: (or None to release — the committing action was outermost for the colour).
-ColourRouter = Callable[[Colour], Optional[LockOwner]]
+#: a router's answer for a record that stays with its owner
+KEEP = object()
+
+#: Termination routing: given a lock's colour, the ancestor that inherits
+#: it, None to release it, or KEEP
+ColourRouter = Callable[[Colour], object]
 
 
 class LockTable:
@@ -104,75 +106,32 @@ class LockTable:
     def cancel(self, request_uid: Uid, reason: str = "cancelled",
                error: Optional[BaseException] = None) -> bool:
         """Remove a queued request (timeout / deadlock victim)."""
-        for queued in self.queue:
-            if queued.request_uid == request_uid:
-                self.queue.remove(queued)
-                self.withdrawals += 1
-                if error is not None:
-                    queued.refuse(reason, error=error)
-                else:
-                    queued.cancel(reason)
-                self._wake()
-                return True
-        return False
+        return bool(self._withdraw(
+            [q for q in self.queue if q.request_uid == request_uid],
+            reason, error))
 
     def cancel_owner(self, owner_uid: Uid, reason: str,
                      error: Optional[BaseException] = None) -> int:
         """Cancel every queued request by ``owner_uid``; returns the count."""
-        victims = [q for q in self.queue if q.owner.uid == owner_uid]
-        self.withdrawals += len(victims)
-        for queued in victims:
-            self.queue.remove(queued)
-            if error is not None:
-                queued.refuse(reason, error=error)
-            else:
-                queued.cancel(reason)
-        if victims:
-            self._wake()
-        return len(victims)
+        return self._withdraw(
+            [q for q in self.queue if q.owner.uid == owner_uid], reason, error)
 
     # -- termination ---------------------------------------------------------
 
-    def release_all(self, owner_uid: Uid) -> int:
-        """Abort path: drop every record held by ``owner_uid``.
+    def route(self, owner_uid: Uid, router: ColourRouter,
+              withdrawn: bool = False) -> List[object]:
+        """Route each of the owner's records per its colour (§5.2).
 
-        Ancestors' own records are untouched (§5.2 abort rule).  Returns the
-        number of records dropped.
+        ``router(colour)`` names the record's inheritor (the closest
+        ancestor possessing the colour), None to release it (the owner is
+        outermost for the colour, or aborts), or :data:`KEEP` to leave it
+        with the owner (the commute path's vote-time release of one
+        colour).  An inherited record joins the inheritor's own record in
+        its colour when the rules make them one.  ``withdrawn`` (an abort)
+        counts the records gone in ``withdrawals``.  Returns the router's
+        answer for each of the owner's records, in holder order.
         """
-        before = len(self.holders)
-        self.holders = [record for record in self.holders if record.owner.uid != owner_uid]
-        dropped = before - len(self.holders)
-        self.withdrawals += dropped
-        if dropped:
-            self._wake()
-        return dropped
-
-    def release_colour(self, owner_uid: Uid, colour: Colour) -> int:
-        """Vote-time release: drop the owner's records in one colour only.
-
-        Used by the commute path, whose participant applies the colour's
-        operations at vote time and gives its locks up then, instead of
-        waiting for phase two.  Records in other colours are untouched.
-        Returns the number of records dropped.
-        """
-        before = len(self.holders)
-        self.holders = [record for record in self.holders
-                        if not (record.owner.uid == owner_uid
-                                and record.colour == colour)]
-        dropped = before - len(self.holders)
-        if dropped:
-            self._wake()
-        return dropped
-
-    def transfer(self, owner_uid: Uid, router: ColourRouter) -> Dict[Colour, Optional[Uid]]:
-        """Commit path: route each of the owner's records per its colour.
-
-        ``router(colour)`` names the closest ancestor possessing the colour,
-        or None when the committing action is outermost for it (the record
-        is then released).  Returns {colour: inheritor uid or None} for the
-        colours actually routed.
-        """
-        routed: Dict[Colour, Optional[Uid]] = {}
+        routed: List[object] = []
         keep: List[LockRecord] = []
         moved: List[LockRecord] = []
         for record in self.holders:
@@ -180,11 +139,18 @@ class LockTable:
                 keep.append(record)
                 continue
             destination = router(record.colour)
-            routed[record.colour] = destination.uid if destination is not None else None
-            if destination is not None:
+            routed.append(destination)
+            if destination is KEEP:
+                keep.append(record)
+            elif destination is not None:
                 record.reassign(destination)
                 moved.append(record)
+        gone = len(self.holders) - len(keep)
+        if not gone:
+            return routed
         self.holders = keep
+        if withdrawn:
+            self.withdrawals += gone
         for record in moved:
             target, joined, _ = self._own_record(
                 record.owner.uid, record.colour, record.mode)
@@ -196,6 +162,21 @@ class LockTable:
         return routed
 
     # -- internals ---------------------------------------------------------------
+
+    def _withdraw(self, victims: List[LockRequest], reason: str,
+                  error: Optional[BaseException]) -> int:
+        """Take queued requests off the queue and settle them: refused with
+        ``error`` when one is given, cancelled otherwise."""
+        self.withdrawals += len(victims)
+        for queued in victims:
+            self.queue.remove(queued)
+            if error is not None:
+                queued.refuse(reason, error=error)
+            else:
+                queued.cancel(reason)
+        if victims:
+            self._wake()
+        return len(victims)
 
     def _own_record(self, owner_uid: Uid, colour: Colour, mode: Mode):
         """One pass over the holders on behalf of an owner.

@@ -4,7 +4,9 @@
   imports it when an ``AsyncioKernel`` is built.
 - A fault-free commit, of every shape, leaves nothing to the cyclic
   collector: reference counting frees each lock wait, timer chain and
-  reply closure as soon as its last reference goes.
+  reply closure as soon as its last reference goes.  Nor does a commit
+  whose prepare a restarted participant refuses: no failure kept past
+  the prepare round holds a traceback.
 - A histogram's reservoir is a buffer of machine doubles.
 """
 
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import CommitError
 from repro.obs import metrics
 from repro.obs.metrics import Histogram
 from repro.sim.kernel import Timeout
@@ -133,6 +136,33 @@ def chased_lock_wait(cluster, client):
     yield from client.commit(second)
 
 
+def restarted_before_commit(cluster, client, names):
+    """Write on each of ``names``, restart p1 and commit: p1 refuses its
+    prepare (the epoch the action was invoked at is gone), and the action
+    aborts."""
+    action = client.top_level("t")
+    for name in names:
+        ref = yield from client.create(name, "counter", value=0)
+        yield from client.invoke(action, ref, "increment", 1)
+    cluster.crash("p1")
+    cluster.restart("p1")
+    try:
+        yield from client.commit(action)
+    except CommitError:
+        return
+    raise AssertionError("a prepare at a restarted participant committed")
+
+
+def refused_prepare(cluster, client):
+    """The refusal comes back to a classic prepare wave."""
+    yield from restarted_before_commit(cluster, client, ("p1", "p2"))
+
+
+def refused_delegation(cluster, client):
+    """The refusal answers the one-phase delegation to p1."""
+    yield from restarted_before_commit(cluster, client, ("p1",))
+
+
 SHAPES = {
     "one_phase": (("p1",), {}, one_phase),
     "piggyback": (("p1", "p2", "r"), {}, piggyback),
@@ -141,6 +171,9 @@ SHAPES = {
     "batched_colours": (("p1", "p2"), {}, batched_colours),
     "pure_reader": (("r",), {}, pure_reader),
     "chased_lock_wait": (("p1",), {}, chased_lock_wait),
+    "refused_prepare": (("p1", "p2"), {"fast_paths": False},
+                        refused_prepare),
+    "refused_delegation": (("p1",), {}, refused_delegation),
 }
 
 

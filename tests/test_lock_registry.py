@@ -1,13 +1,16 @@
-"""LockRegistry: cross-table bookkeeping, transfer and release."""
+"""LockRegistry: cross-table bookkeeping, routing at termination, events."""
+
+import pytest
 
 from repro import Counter, LocalRuntime
 from repro.cluster.cluster import Cluster
 from repro.colours.colour import Colour
 from repro.locking.deadlock import blockers_of
-from repro.locking.modes import LockMode
+from repro.locking.modes import LockMode, mode_label
 from repro.locking.owner import StubOwner
 from repro.locking.registry import LockRegistry
 from repro.locking.request import RequestStatus
+from repro.locking.semantic import SemanticSpec
 from repro.util.uid import UidGenerator
 
 auids = UidGenerator("a")
@@ -73,6 +76,74 @@ def test_transfer_on_commit_updates_inheritor_bookkeeping():
     # the parent can later release what it inherited
     registry.release_action(parent.uid)
     assert registry.objects_held_by(parent.uid) == set()
+
+
+# -- the one emitter of lock.released / lock.inherited ----------------------
+
+
+def termination_world():
+    """``me`` (a child of ``parent``) holds BLUE in the semantic object's
+    ``update`` group and a RED WRITE on a data object, where a stranger's
+    RED READ queues behind it.  The semantic object sorts first, so every
+    termination reaches the waiter's table last."""
+    registry = LockRegistry()
+    events = []
+    registry.on_event = lambda kind, **labels: events.append((kind, labels))
+    semantic, data = ouids.fresh(), ouids.fresh()
+    registry.use_semantic(semantic, SemanticSpec.build(
+        groups={"update", "observe"}, compatible_pairs=[("update", "update")]))
+    parent = owner()
+    me = owner(path_owners=(parent,))
+    waiter = owner()
+    registry.request(me, semantic, "update", BLUE)
+    registry.request(me, data, LockMode.WRITE, RED)
+    registry.request(waiter, data, LockMode.READ, RED)
+    events.clear()
+    return registry, events, me, parent, waiter, semantic, data
+
+
+@pytest.mark.parametrize("ending", ["release_action", "release_colour",
+                                    "commit_to_parent", "commit_to_none"])
+def test_each_ending_announces_its_records_before_the_waiter_is_granted(
+        ending):
+    registry, events, me, parent, waiter, semantic, data = termination_world()
+    blue = {"owner": str(me.uid), "object": str(semantic),
+            "mode": "update", "colour": str(BLUE)}
+    red = {"owner": str(me.uid), "object": str(data),
+           "mode": mode_label(LockMode.WRITE), "colour": str(RED)}
+    granted = ("lock.granted", {"owner": str(waiter.uid),
+                                "object": str(data),
+                                "mode": mode_label(LockMode.READ),
+                                "colour": str(RED)})
+    if ending == "release_action":
+        registry.release_action(me.uid)
+        expected = [("lock.released", {**blue, "reason": "abort"}),
+                    ("lock.released", {**red, "reason": "abort"}), granted]
+    elif ending == "release_colour":
+        registry.release_colour(me.uid, RED, reason="commute-commit")
+        expected = [("lock.released", {**red, "reason": "commute-commit"}),
+                    granted]
+    elif ending == "commit_to_parent":
+        registry.transfer_on_commit(me.uid, lambda colour: parent)
+        to = {"owner": str(me.uid), "to": str(parent.uid)}
+        expected = [("lock.inherited", {**to, **blue}),
+                    ("lock.inherited", {**to, **red})]
+    else:
+        registry.transfer_on_commit(me.uid, lambda colour: None)
+        expected = [("lock.released", {**blue, "reason": "commit"}),
+                    ("lock.released", {**red, "reason": "commit"}), granted]
+    # the labels in the order the event stream carries them
+    assert [(kind, list(labels.items())) for kind, labels in events] == [
+        (kind, list(labels.items())) for kind, labels in expected]
+    kinds = [kind for kind, _ in events]
+    if "lock.granted" in kinds:
+        assert kinds.index("lock.granted") == len(kinds) - 1
+    else:
+        assert ending == "commit_to_parent"   # the parent's WRITE blocks
+    if ending == "release_colour":
+        assert registry.objects_held_by(me.uid) == {semantic}
+    else:
+        assert registry.objects_held_by(me.uid) == set()
 
 
 def test_cancel_waiting_refuses_with_error():

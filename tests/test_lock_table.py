@@ -1,4 +1,4 @@
-"""LockTable: grants, FIFO queueing, upgrades, commit routing, releases."""
+"""LockTable: grants, FIFO queueing, upgrades, termination routing."""
 
 from repro.colours.colour import Colour
 from repro.locking.modes import LockMode
@@ -6,7 +6,7 @@ from repro.locking.owner import StubOwner
 from repro.locking.request import LockRequest, RequestStatus
 from repro.locking.rules import ColouredRules
 from repro.locking.semantic import SemanticRules, SemanticSpec
-from repro.locking.table import LockTable
+from repro.locking.table import KEEP, LockTable
 from repro.util.uid import UidGenerator
 
 auids = UidGenerator("a")
@@ -79,7 +79,7 @@ def test_release_wakes_fifo_in_order(table, shared, exclusive):
     waiters = [make_request(owner(), exclusive) for _ in range(3)]
     for waiter in waiters:
         table.request(waiter)
-    table.release_all(first.uid)
+    table.route(first.uid, lambda colour: None, withdrawn=True)
     # only the front writer is granted; the rest stay FIFO
     assert waiters[0].status is RequestStatus.GRANTED
     assert waiters[1].status is RequestStatus.PENDING
@@ -92,7 +92,7 @@ def test_readers_granted_together_on_release(table, shared, exclusive):
     readers = [make_request(owner(), shared) for _ in range(3)]
     for reader in readers:
         table.request(reader)
-    table.release_all(writer.uid)
+    table.route(writer.uid, lambda colour: None, withdrawn=True)
     assert all(r.status is RequestStatus.GRANTED for r in readers)
 
 
@@ -127,14 +127,15 @@ def test_granted_request_has_left_the_queue_when_its_callback_runs(
     immediate = make_request(me, exclusive)
     immediate.on_complete = settled
     table.request(immediate)            # granted by request()
-    table.release_all(me.uid)
+    table.route(me.uid, lambda colour: None, withdrawn=True)
     table.request(make_request(holder, exclusive))
     woken = make_request(me, exclusive)
     woken.on_complete = settled
     table.request(woken)
     behind = make_request(owner(), shared)
     table.request(behind)
-    table.release_all(holder.uid)       # granted by the wake-up
+    # `woken` is granted by the wake-up
+    table.route(holder.uid, lambda colour: None, withdrawn=True)
     assert immediate.status is woken.status is RequestStatus.GRANTED
     assert queued_at_grant == [False, False]
     assert list(table.queue) == [behind]
@@ -176,7 +177,7 @@ def test_reacquisition_waits_for_a_childs_write():
     again = make_request(parent, LockMode.READ)
     table.request(again)
     assert again.status is RequestStatus.PENDING
-    table.transfer(child.uid, lambda colour: parent)
+    table.route(child.uid, lambda colour: parent)
     assert again.status is RequestStatus.GRANTED
     records = table.records_of(parent.uid)
     assert len(records) == 1 and records[0].mode is LockMode.WRITE
@@ -211,7 +212,7 @@ def test_cancel_removes_from_queue_and_wakes(table, shared, exclusive):
     table.request(behind)
     assert table.cancel(doomed.request_uid)
     assert doomed.status is RequestStatus.CANCELLED
-    table.release_all(holder.uid)
+    table.route(holder.uid, lambda colour: None, withdrawn=True)
     assert behind.status is RequestStatus.GRANTED
 
 
@@ -242,8 +243,8 @@ def test_transfer_routes_by_colour():
     def router(colour):
         return parent if colour == BLUE else None
 
-    routed = table.transfer(child.uid, router)
-    assert routed == {RED: None, BLUE: parent.uid}
+    routed = table.route(child.uid, router)
+    assert routed == [None, parent]   # per record, in holder order
     assert not table.records_of(child.uid)
     parent_records = table.records_of(parent.uid)
     assert len(parent_records) == 1 and parent_records[0].colour == BLUE
@@ -255,7 +256,7 @@ def test_transfer_merges_with_parent_keeping_stronger_mode():
     child = owner(path_owners=(parent,), colours=(BLUE,))
     table.request(make_request(parent, LockMode.READ, colour=BLUE))
     table.request(make_request(child, LockMode.WRITE, colour=BLUE))
-    table.transfer(child.uid, lambda colour: parent)
+    table.route(child.uid, lambda colour: parent)
     records = table.records_of(parent.uid)
     assert len(records) == 1 and records[0].mode is LockMode.WRITE
 
@@ -266,8 +267,33 @@ def test_transfer_wakes_waiters_for_released_colour():
     table.request(make_request(child, LockMode.WRITE, colour=RED))
     waiter = make_request(owner(), LockMode.WRITE, colour=RED)
     table.request(waiter)
-    table.transfer(child.uid, lambda colour: None)  # outermost: release
+    table.route(child.uid, lambda colour: None)  # outermost: release
     assert waiter.status is RequestStatus.GRANTED
+
+
+def test_route_keeps_what_the_router_keeps_and_counts_only_withdrawals():
+    """The vote-time release of one colour: RED goes, BLUE (KEEP) stays the
+    same record; neither it nor a commit counts as a withdrawal, an abort
+    counts each record it drops."""
+    table = fresh_table()
+    holder = owner(colours=(RED, BLUE))
+    table.request(make_request(holder, LockMode.WRITE, colour=RED))
+    table.request(make_request(holder, LockMode.EXCLUSIVE_READ, colour=BLUE))
+    kept = table.records_of(holder.uid)[1]
+    waiter = make_request(owner(), LockMode.READ, colour=RED)
+    table.request(waiter)
+    assert table.route(holder.uid, lambda colour: KEEP) == [KEEP, KEEP]
+    assert waiter.status is RequestStatus.PENDING
+    routed = table.route(holder.uid,
+                         lambda colour: None if colour == RED else KEEP)
+    assert routed == [None, KEEP]
+    [left] = table.records_of(holder.uid)
+    assert left is kept
+    assert waiter.status is RequestStatus.PENDING   # BLUE's EXCLUSIVE_READ
+    assert table.withdrawals == 0
+    assert table.route(holder.uid, lambda colour: None, withdrawn=True) == [None]
+    assert waiter.status is RequestStatus.GRANTED
+    assert table.withdrawals == 1
 
 
 def test_abort_release_keeps_ancestor_locks():
@@ -276,7 +302,7 @@ def test_abort_release_keeps_ancestor_locks():
     child = owner(path_owners=(parent,), colours=(RED,))
     table.request(make_request(parent, LockMode.WRITE, colour=RED))
     table.request(make_request(child, LockMode.WRITE, colour=RED))
-    table.release_all(child.uid)
+    table.route(child.uid, lambda colour: None, withdrawn=True)
     assert table.records_of(parent.uid)
     stranger = make_request(owner(), LockMode.WRITE, colour=RED)
     table.request(stranger)
@@ -300,5 +326,5 @@ def test_blocked_on_lists_blockers_and_queue_predecessors(
 def test_is_idle_after_full_release(table, shared, exclusive):
     holder = owner()
     table.request(make_request(holder, exclusive))
-    table.release_all(holder.uid)
+    table.route(holder.uid, lambda colour: None, withdrawn=True)
     assert table.is_idle()

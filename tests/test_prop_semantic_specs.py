@@ -62,11 +62,11 @@ def test_granted_holders_always_pairwise_compatible(spec, schedule):
                 ruids.fresh(), owner, table.object_uid, group, colour,
             ))
         elif op == "release":
-            table.release_all(owner.uid)
+            table.route(owner.uid, lambda colour: None, withdrawn=True)
         else:
             parent_uid = owner.path[-2] if len(owner.path) > 1 else None
             parent = next((o for o in owners if o.uid == parent_uid), None)
-            table.transfer(owner.uid, lambda c: parent)
+            table.route(owner.uid, lambda c: parent)
         # invariants after every step
         keys = [(record.owner.uid, record.colour, record.mode)
                 for record in table.holders]
@@ -102,7 +102,7 @@ def test_requests_always_settle_or_queue(spec, schedule):
             )
             table.request(request)
         elif op == "release":
-            table.release_all(owner.uid)
+            table.route(owner.uid, lambda colour: None, withdrawn=True)
         else:
-            table.transfer(owner.uid, lambda c: None)
+            table.route(owner.uid, lambda c: None)
     assert len(outcomes) + len(table.queue) == submitted

@@ -104,7 +104,7 @@ def test_queued_reentrant_requests_wake_into_one_record():
     queued = [request(me, "update"), request(me, "update")]
     for r in queued:
         t.request(r)
-    t.release_all(holder.uid)
+    t.route(holder.uid, lambda colour: None, withdrawn=True)
     assert all(r.status is RequestStatus.GRANTED for r in queued)
     assert [r.describe() for r in t.holders] == [f"{me.uid}:update:red"]
 
@@ -117,7 +117,7 @@ def test_release_wakes_fifo():
     w2 = request(owner(), "update")
     t.request(w1)
     t.request(w2)
-    t.release_all(holder.uid)
+    t.route(holder.uid, lambda colour: None, withdrawn=True)
     assert w1.status is RequestStatus.GRANTED
     assert w2.status is RequestStatus.GRANTED  # update/update compatible
 
@@ -140,9 +140,9 @@ def test_transfer_routes_by_colour_and_merges_counts():
     r_blue = request(child, "update", colour=BLUE)
     t.request(r_red)
     t.request(r_blue)
-    routed = t.transfer(child.uid,
-                        lambda colour: parent if colour == RED else None)
-    assert routed == {RED: parent.uid, BLUE: None}
+    routed = t.route(child.uid,
+                     lambda colour: parent if colour == RED else None)
+    assert routed == [parent, None]   # per record, in holder order
     records = t.records_of(parent.uid)
     assert len(records) == 1 and records[0].colour == RED
 
@@ -166,5 +166,5 @@ def test_cancel_owner_and_idle():
     waiter = owner()
     t.request(request(waiter, "update"))
     assert t.cancel_owner(waiter.uid, "abort") == 1
-    t.release_all(holder.uid)
+    t.route(holder.uid, lambda colour: None, withdrawn=True)
     assert t.is_idle()
